@@ -149,7 +149,7 @@ let run_scenario ~tracer ~persist ~seed sc =
       Obs.Invariant.detach c)
     checkers;
   let c = Zmail.World.counters world in
-  let fault = Zmail.World.fault world in
+  let mesh = Zmail.World.mesh world in
   let link = Zmail.World.link_stats world in
   let v x = Sim.Stats.Counter.value x in
   let audits = Zmail.World.audit_results_timed world in
@@ -186,10 +186,10 @@ let run_scenario ~tracer ~persist ~seed sc =
     delivered = c.Zmail.World.ham_delivered;
     refunds = v link.Zmail.World.bounce_refunds;
     failed_down = v link.Zmail.World.sends_failed_down;
-    link_dropped = Sim.Fault.dropped fault;
-    duplicated = Sim.Fault.duplicated fault;
-    corrupted = Sim.Fault.corrupted fault;
-    outage_dropped = Sim.Fault.outage_dropped fault;
+    link_dropped = Sim.Fault.Mesh.link_dropped mesh;
+    duplicated = Sim.Fault.Mesh.duplicated mesh;
+    corrupted = Sim.Fault.Mesh.corrupted mesh;
+    outage_dropped = Sim.Fault.Mesh.outage_dropped mesh;
     retransmits = v link.Zmail.World.retransmits;
     replays_absorbed = (Zmail.Bank.stats (Zmail.World.bank world)).Zmail.Bank.replays_dropped;
     crashes = v link.Zmail.World.crashes;

@@ -20,8 +20,13 @@ type t = {
    (E23's durable-WAL work); disk-backed kernels and the bank append a
    storage-device + WAL-bookkeeping section to their state.  No
    migration from v6: a v6 snapshot simply lacks the new trailing
-   fields, and replay-verify compares full section bytes. *)
-let current_version = 7
+   fields, and replay-verify compares full section bytes.
+   v8: the standalone ISP<->bank "fault" section is gone (bank links
+   are mesh links now) and the "mesh" section gains the datagram
+   duplicated / corrupted counters.  No migration from v7: bank-link
+   draws moved to the mesh stream, so a v7 snapshot's replay-verify
+   could never pass. *)
+let current_version = 8
 let magic = "ZMSNAP01"
 
 (* A delta snapshot's first section; the name is not a valid component

@@ -39,131 +39,6 @@ let plan ?(drop = 0.) ?(duplicate = 0.) ?(delay_prob = 0.) ?(delay_max = 0.)
   validate p;
   p
 
-type t = {
-  plan : plan;
-  engine : Engine.t;
-  rng : Rng.t;
-  sent : Stats.Counter.t;
-  delivered : Stats.Counter.t;
-  dropped : Stats.Counter.t;
-  duplicated : Stats.Counter.t;
-  delayed : Stats.Counter.t;
-  corrupted : Stats.Counter.t;
-  outage_dropped : Stats.Counter.t;
-}
-
-let create ?(plan = reliable) engine rng =
-  validate plan;
-  {
-    plan;
-    engine;
-    rng = Rng.split rng;
-    sent = Stats.Counter.create "sent";
-    delivered = Stats.Counter.create "delivered";
-    dropped = Stats.Counter.create "dropped";
-    duplicated = Stats.Counter.create "duplicated";
-    delayed = Stats.Counter.create "delayed";
-    corrupted = Stats.Counter.create "corrupted";
-    outage_dropped = Stats.Counter.create "outage_dropped";
-  }
-
-let active_plan t = t.plan
-
-let in_outage t =
-  let now = Engine.now t.engine in
-  List.exists (fun (start, stop) -> now >= start && now < stop) t.plan.outages
-
-(* Each probability draw is guarded by [prob > 0.], so a reliable plan
-   consumes no randomness: wrapping an existing link in a no-fault
-   layer leaves every downstream stream bit-identical. *)
-let draw t prob = prob > 0. && Rng.unit_float t.rng < prob
-
-let route_copy t ~corrupt deliver msg =
-  if draw t t.plan.drop then Stats.Counter.incr t.dropped
-  else begin
-    let msg =
-      if draw t t.plan.corrupt then begin
-        Stats.Counter.incr t.corrupted;
-        match corrupt with Some f -> Some (f msg) | None -> None
-      end
-      else Some msg
-    in
-    match msg with
-    | None -> ()  (* no corruptor: the elected copy is lost instead *)
-    | Some msg ->
-        if draw t t.plan.delay_prob then begin
-          Stats.Counter.incr t.delayed;
-          let hold = Rng.float t.rng (max t.plan.delay_max epsilon_float) in
-          ignore
-            (Engine.schedule_after t.engine ~delay:hold (fun () ->
-                 Stats.Counter.incr t.delivered;
-                 deliver msg))
-        end
-        else begin
-          Stats.Counter.incr t.delivered;
-          deliver msg
-        end
-  end
-
-let route t ?corrupt deliver msg =
-  Stats.Counter.incr t.sent;
-  if in_outage t then Stats.Counter.incr t.outage_dropped
-  else begin
-    let copies =
-      if draw t t.plan.duplicate then begin
-        Stats.Counter.incr t.duplicated;
-        2
-      end
-      else 1
-    in
-    for _ = 1 to copies do
-      route_copy t ~corrupt deliver msg
-    done
-  end
-
-let flip_byte rng s =
-  if String.length s = 0 then s
-  else begin
-    let b = Bytes.of_string s in
-    let i = Rng.int rng (Bytes.length b) in
-    let bit = 1 lsl Rng.int rng 8 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit land 0xff));
-    Bytes.to_string b
-  end
-
-let wrap t deliver msg = route t ~corrupt:(flip_byte t.rng) deliver msg
-
-let sent t = Stats.Counter.value t.sent
-let delivered t = Stats.Counter.value t.delivered
-let dropped t = Stats.Counter.value t.dropped
-let duplicated t = Stats.Counter.value t.duplicated
-let delayed t = Stats.Counter.value t.delayed
-let corrupted t = Stats.Counter.value t.corrupted
-let outage_dropped t = Stats.Counter.value t.outage_dropped
-
-let encode_state w t =
-  Rng.encode_state w t.rng;
-  List.iter (Stats.Counter.encode_state w)
-    [ t.sent; t.delivered; t.dropped; t.duplicated; t.delayed; t.corrupted;
-      t.outage_dropped ]
-
-let restore_state r t =
-  Rng.restore_state r t.rng;
-  List.iter (Stats.Counter.restore_state r)
-    [ t.sent; t.delivered; t.dropped; t.duplicated; t.delayed; t.corrupted;
-      t.outage_dropped ]
-
-let counters t =
-  [
-    t.sent;
-    t.delivered;
-    t.dropped;
-    t.duplicated;
-    t.delayed;
-    t.corrupted;
-    t.outage_dropped;
-  ]
-
 module Mesh = struct
   type partition = { p_start : float; p_stop : float; groups : int array }
 
@@ -190,6 +65,8 @@ module Mesh = struct
     link_delayed : Stats.Counter.t;
     outage_dropped : Stats.Counter.t;
     partition_dropped : Stats.Counter.t;
+    duplicated : Stats.Counter.t;
+    corrupted : Stats.Counter.t;
   }
 
   let create ?(default = reliable) ?(links = []) ?(partitions = []) ~n_nodes
@@ -228,6 +105,8 @@ module Mesh = struct
       link_delayed = Stats.Counter.create "link_delayed";
       outage_dropped = Stats.Counter.create "outage_dropped";
       partition_dropped = Stats.Counter.create "partition_dropped";
+      duplicated = Stats.Counter.create "duplicated";
+      corrupted = Stats.Counter.create "corrupted";
     }
 
   let n_nodes t = t.n_nodes
@@ -255,6 +134,20 @@ module Mesh = struct
     let now = Engine.now t.engine in
     List.exists (fun (start, stop) -> now >= start && now < stop) plan.outages
 
+  (* Losses that strike every message on the link alike: an active
+     partition, then the plan's outage windows.  Counted; [false] means
+     the link is up and the per-copy draws decide. *)
+  let cut t ~src ~dst plan =
+    if severed t ~a:src ~b:dst then begin
+      Stats.Counter.incr t.partition_dropped;
+      true
+    end
+    else if in_outage t plan then begin
+      Stats.Counter.incr t.outage_dropped;
+      true
+    end
+    else false
+
   (* The [trivial] fast path returns before touching any counter or the
      RNG: a default mesh is free on the per-message hot path and leaves
      every downstream random stream bit-identical. *)
@@ -262,28 +155,60 @@ module Mesh = struct
     if t.trivial then `Deliver
     else begin
       Stats.Counter.incr t.attempts;
-      if severed t ~a:src ~b:dst then begin
-        Stats.Counter.incr t.partition_dropped;
+      let plan = plan_for t ~src ~dst in
+      if cut t ~src ~dst plan then `Lost
+      else if draw t plan.drop then begin
+        Stats.Counter.incr t.link_dropped;
         `Lost
       end
+      else if draw t plan.delay_prob then begin
+        Stats.Counter.incr t.link_delayed;
+        `Delayed (Rng.float t.rng (max plan.delay_max epsilon_float))
+      end
       else begin
-        let plan = plan_for t ~src ~dst in
-        if in_outage t plan then begin
-          Stats.Counter.incr t.outage_dropped;
-          `Lost
-        end
-        else if draw t plan.drop then begin
-          Stats.Counter.incr t.link_dropped;
-          `Lost
-        end
-        else if draw t plan.delay_prob then begin
-          Stats.Counter.incr t.link_delayed;
-          `Delayed (Rng.float t.rng (max plan.delay_max epsilon_float))
-        end
-        else begin
-          Stats.Counter.incr t.delivered;
-          `Deliver
-        end
+        Stats.Counter.incr t.delivered;
+        `Deliver
+      end
+    end
+
+  (* A surviving datagram copy is held back (delivered after the hold,
+     never re-drawn) or handed over now. *)
+  let pass t plan deliver msg =
+    if draw t plan.delay_prob then begin
+      Stats.Counter.incr t.link_delayed;
+      let hold = Rng.float t.rng (max plan.delay_max epsilon_float) in
+      ignore (Engine.schedule_after t.engine ~delay:hold (fun () -> deliver msg))
+    end
+    else begin
+      Stats.Counter.incr t.delivered;
+      deliver msg
+    end
+
+  (* [attempt]'s draws in [attempt]'s order, plus a duplicate draw per
+     message and a corrupt draw per copy.  Every draw is guarded by
+     [prob > 0.], so on a plan with [duplicate = corrupt = 0] a message
+     consumes and counts exactly what one [attempt] does. *)
+  let route t ~src ~dst ?corrupt deliver msg =
+    if t.trivial then deliver msg
+    else begin
+      Stats.Counter.incr t.attempts;
+      let plan = plan_for t ~src ~dst in
+      if not (cut t ~src ~dst plan) then begin
+        let copy () =
+          if draw t plan.drop then Stats.Counter.incr t.link_dropped
+          else if draw t plan.corrupt then begin
+            Stats.Counter.incr t.corrupted;
+            match corrupt with
+            | Some f -> pass t plan deliver (f msg)
+            | None -> ()  (* no corruptor: the elected copy is lost *)
+          end
+          else pass t plan deliver msg
+        in
+        if draw t plan.duplicate then begin
+          Stats.Counter.incr t.duplicated;
+          copy ()
+        end;
+        copy ()
       end
     end
 
@@ -293,6 +218,8 @@ module Mesh = struct
   let link_delayed t = Stats.Counter.value t.link_delayed
   let outage_dropped t = Stats.Counter.value t.outage_dropped
   let partition_dropped t = Stats.Counter.value t.partition_dropped
+  let duplicated t = Stats.Counter.value t.duplicated
+  let corrupted t = Stats.Counter.value t.corrupted
 
   let counters t =
     [
@@ -302,6 +229,8 @@ module Mesh = struct
       t.link_delayed;
       t.outage_dropped;
       t.partition_dropped;
+      t.duplicated;
+      t.corrupted;
     ]
 
   let encode_state w t =

@@ -1,18 +1,17 @@
-(** Composable link-fault injection for simulated transports.
+(** Link-fault injection for the simulated network.
 
     A {!plan} describes how a point-to-point link misbehaves:
     per-message probabilities of dropping, duplicating, delaying or
     corrupting a message, plus scheduled outage windows during which
-    nothing gets through.  A {!t} binds a plan to an engine (for the
-    clock and delayed redelivery) and a private {!Rng.t} stream, so
-    fault decisions are deterministic per seed and independent of every
-    other random stream in the simulation.
-
-    The injector is transport-agnostic: {!route} decorates any
-    [message -> unit] delivery function.  {!wrap} is the [string]
-    specialization with a built-in random byte-flip corruptor.  All
-    fault decisions are counted in {!Stats.Counter} values so
-    experiments can report exactly what the link did. *)
+    nothing gets through.  A {!Mesh.t} binds plans to every directed
+    link of a node set, adds scheduled partitions, and answers for the
+    two kinds of traffic the simulation carries: connection attempts
+    ({!Mesh.attempt}, SMTP sessions) and datagrams ({!Mesh.route},
+    ISP↔bank and inter-bank accounting messages).  All fault decisions
+    come from one private {!Rng.t} stream, so they are deterministic
+    per seed and independent of every other random stream, and every
+    decision is counted so experiments can report exactly what the
+    links did. *)
 
 type plan = {
   drop : float;  (** P(a copy is silently lost). *)
@@ -37,78 +36,24 @@ val plan :
     @raise Invalid_argument on a probability outside [\[0,1\]], a
     negative [delay_max], or an outage window with [stop < start]. *)
 
-type t
-
-val create : ?plan:plan -> Engine.t -> Rng.t -> t
-(** [create ~plan engine rng] validates [plan] (default {!reliable})
-    and splits a private stream off [rng]. *)
-
-val active_plan : t -> plan
-
-val route : t -> ?corrupt:('a -> 'a) -> ('a -> unit) -> 'a -> unit
-(** [route t ~corrupt deliver msg] pushes [msg] through the fault
-    model: during an outage it is lost; otherwise it may be duplicated,
-    and each copy may be dropped, corrupted (via [corrupt]; without a
-    corruptor an elected copy is dropped instead, still counted as
-    corrupted) or delivered late.  Surviving copies reach [deliver] —
-    immediately, or via the engine when delayed.  Never raises. *)
-
-val wrap : t -> (string -> unit) -> string -> unit
-(** {!route} for string transports: corruption flips one random bit of
-    one random byte (empty strings pass through unaltered). *)
-
-(** {1 Counters}
-
-    All monotone, starting at zero. *)
-
-val sent : t -> int
-(** Messages offered to the link. *)
-
-val delivered : t -> int
-(** Copies actually handed to the delivery function. *)
-
-val dropped : t -> int
-(** Copies lost to the [drop] probability. *)
-
-val duplicated : t -> int
-(** Messages sent as two copies. *)
-
-val delayed : t -> int
-(** Copies held back before delivery. *)
-
-val corrupted : t -> int
-(** Copies altered (or lost for want of a corruptor). *)
-
-val outage_dropped : t -> int
-(** Messages lost to an outage window. *)
-
-val counters : t -> Stats.Counter.t list
-(** Every counter above, for bulk reporting. *)
-
-val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and in-place restore of the fault model's own RNG
-    stream and counters.  Delayed copies already scheduled on the
-    engine are not captured; deterministic replay re-creates them. *)
-
 (** A fault model for a whole mesh of point-to-point links.
 
-    Where {!t} decorates one link, a {!Mesh.t} answers fault verdicts
-    for any ordered [(src, dst)] node pair: a default {!plan} applies
-    everywhere, individual directed links can override it, and
-    scheduled {!Mesh.partition} windows split the node set into groups
-    whose cross-group traffic is severed outright.  All decisions come
-    from one private RNG stream split at creation, so runs stay
-    byte-deterministic per seed; a mesh left at its defaults (reliable
-    plan, no overrides, no partitions) is {!Mesh.trivial} and answers
-    [`Deliver] without touching the RNG or any counter — the layer
-    costs nothing unless faults are configured.
+    A {!Mesh.t} answers fault verdicts for any ordered [(src, dst)]
+    node pair: a default {!plan} applies everywhere, individual
+    directed links can override it, and scheduled {!Mesh.partition}
+    windows split the node set into groups whose cross-group traffic
+    is severed outright.  All decisions come from one private RNG
+    stream split at creation, so runs stay byte-deterministic per
+    seed; a mesh left at its defaults (reliable plan, no overrides, no
+    partitions) is {!Mesh.trivial} and answers [`Deliver] without
+    touching the RNG or any counter — the layer costs nothing unless
+    faults are configured.
 
     [Mesh.attempt] models a connection attempt (a session, not a
     datagram), so only the [drop], [delay_prob]/[delay_max] and
     [outages] fields of a plan apply; [duplicate] and [corrupt] are
     ignored — a stream transport does not duplicate or bit-flip whole
-    sessions. *)
+    sessions.  [Mesh.route] models a datagram and honours every field. *)
 module Mesh : sig
   type partition
   (** A time window during which the node set is split into groups and
@@ -144,7 +89,8 @@ module Mesh : sig
   val trivial : t -> bool
   (** [true] iff the mesh was created with the reliable default, no
       link overrides and no partitions — {!attempt} is then a constant
-      [`Deliver] with zero RNG and counter cost. *)
+      [`Deliver] and {!route} an immediate delivery, both with zero RNG
+      and counter cost. *)
 
   val severed : t -> a:int -> b:int -> bool
   (** [severed t ~a ~b] is [true] iff some partition window active at
@@ -158,9 +104,25 @@ module Mesh : sig
       outage window, or the drop probability fires; [`Delayed d] if the
       delay probability fires (the caller should retry the attempt
       after [d] seconds, without consuming a retry); [`Deliver]
-      otherwise. *)
+      otherwise.  Never draws for [duplicate] or [corrupt]. *)
 
-  (** {1 Counters}  All monotone, zero on a trivial mesh. *)
+  val route :
+    t -> src:int -> dst:int -> ?corrupt:('a -> 'a) -> ('a -> unit) -> 'a -> unit
+  (** [route t ~src ~dst ~corrupt deliver msg] pushes one datagram from
+      [src] to [dst] now.  A severed pair or an outage window loses it;
+      otherwise it may be duplicated, and each copy may be dropped,
+      corrupted (via [corrupt]; without a corruptor the elected copy is
+      lost instead, still counted as corrupted) or held back
+      U\[0, delay_max) seconds.  Surviving copies reach [deliver] —
+      immediately, or via the engine once the hold expires (a held
+      copy is delivered, never re-drawn).  On a plan with
+      [duplicate = corrupt = 0] a message draws and counts exactly
+      what one {!attempt} on the same link does; on a trivial mesh it
+      is delivered at once, for free.  Never raises. *)
+
+  (** {1 Counters}  All monotone, zero on a trivial mesh.  [attempts]
+      counts sessions and datagrams alike; [delivered] counts copies
+      handed over without a hold. *)
 
   val attempts : t -> int
   val delivered : t -> int
@@ -170,6 +132,12 @@ module Mesh : sig
 
   val partition_dropped : t -> int
   (** Attempts severed by an active partition window. *)
+
+  val duplicated : t -> int
+  (** Datagrams sent as two copies. *)
+
+  val corrupted : t -> int
+  (** Datagram copies altered (or lost for want of a corruptor). *)
 
   val counters : t -> Stats.Counter.t list
 

@@ -50,6 +50,7 @@ and network = {
   mutable link_fault :
     (src:int -> dst:int -> [ `Deliver | `Delayed of float | `Lost ]) option;
   mutable retry : retry_policy;
+  mutable backoff : Sim.Retry.policy;  (* [retry]'s backoff, validated *)
   mutable retrying : int;  (* envelopes currently parked in backoff *)
   mutable retry_overflows : int;
   mutable serving : serving option;
@@ -87,6 +88,10 @@ let default_retry =
     queue_cap = max_int;
   }
 
+let backoff_of p =
+  Sim.Retry.policy ~initial:p.base_backoff ~factor:p.backoff_factor
+    ~cap:p.backoff_cap
+
 let default_latency rng = 0.010 +. Sim.Dist.exponential rng ~rate:20.
 
 let network ?(latency = default_latency) ?(local_latency = 0.001) engine =
@@ -101,6 +106,7 @@ let network ?(latency = default_latency) ?(local_latency = 0.001) engine =
     host_count = 0;
     link_fault = None;
     retry = default_retry;
+    backoff = backoff_of default_retry;
     retrying = 0;
     retry_overflows = 0;
     serving = None;
@@ -116,9 +122,8 @@ let link_verdict net ~src ~dst =
 
 let set_retry_policy net p =
   if p.max_attempts < 1 then invalid_arg "Mta: max_attempts must be >= 1";
-  if p.base_backoff < 0. || p.backoff_cap < 0. then
-    invalid_arg "Mta: backoff must be non-negative";
   if p.queue_cap < 0 then invalid_arg "Mta: queue_cap must be non-negative";
+  net.backoff <- backoff_of p;
   net.retry <- p
 
 let retry_policy net = net.retry
@@ -340,11 +345,7 @@ let retry_transient t ~dest_host envelope message ~attempt ~reason ~resubmit =
     Log.debug (fun m ->
         m "%s: transient failure to host %d (attempt %d): %s" t.hostname
           dest_host (attempt + 1) reason);
-    let backoff =
-      Float.min
-        (p.base_backoff *. (p.backoff_factor ** float_of_int attempt))
-        p.backoff_cap
-    in
+    let backoff = Sim.Retry.delay t.net.backoff ~attempt in
     t.net.retrying <- t.net.retrying + 1;
     ignore
       (Sim.Engine.schedule_after t.net.engine ~delay:backoff (fun () ->

@@ -74,8 +74,12 @@ val default_retry : retry_policy
     configurable. *)
 
 val set_retry_policy : network -> retry_policy -> unit
-(** @raise Invalid_argument on [max_attempts < 1], a negative backoff,
-    or a negative [queue_cap]. *)
+(** The backoff before retry [k] (from 0) is
+    {!Sim.Retry.delay}[ ~attempt:k] of
+    [(base_backoff, backoff_factor, backoff_cap)].
+    @raise Invalid_argument on [max_attempts < 1], a negative
+    [queue_cap], or backoff parameters {!Sim.Retry.policy} rejects
+    (negative or non-finite base or cap, a factor below 1). *)
 
 val retry_policy : network -> retry_policy
 

@@ -1,10 +1,10 @@
 (* Mesh-routed inter-bank clearing: the production path behind
    [Federation.settle].  A settlement round plans its transfers
    ([Federation.settle_plan]), signs each one and pushes it through a
-   [Sim.Fault.Mesh] link — possibly lossy, delaying, partitioned, or
-   owned by an [Adversary.Bank_wire] tap.  The sender retransmits with
-   capped exponential backoff until the receiving bank's signed ack
-   comes back; the receiver applies each transfer exactly once (xfer-id
+   [Sim.Fault.Mesh] link as a datagram — possibly lossy, delaying,
+   partitioned, or owned by an [Adversary.Bank_wire] tap.  The sender
+   retransmits under [Sim.Retry] backoff until the receiving bank's
+   signed ack comes back; the receiver applies each transfer exactly once (xfer-id
    dedup) and re-acks duplicates.  Money moves atomically at delivery,
    so federation cash is conserved at every instant; an undelivered
    transfer is carry ([pending_amount]), drained by retries once the
@@ -24,27 +24,28 @@ type t = {
   engine : Sim.Engine.t;
   mesh : Sim.Fault.Mesh.t;
   taps : ((int * int) * Adversary.Bank_wire.t) list;
-  retry_timeout : float;
-  retry_backoff : float;
-  retry_cap : float;
+  retry : Sim.Retry.policy;
   mutable pending : pending list;  (* oldest first; acked entries pruned *)
   mutable messages : int;  (* transfers + acks offered to the wire, retransmits included *)
   mutable rounds : int;
 }
 
-let create ?(taps = []) ?(retry_timeout = 600.) ?(retry_backoff = 2.)
-    ?(retry_cap = 7200.) ~engine ~mesh fed =
+(* Retries double from [retry_timeout] up to two hours. *)
+let retry_cap = 7200.
+
+let create ?(taps = []) ?(retry_timeout = 600.) ~engine ~mesh fed =
   let n = Federation.n_banks fed in
   if Sim.Fault.Mesh.n_nodes mesh < n then
     invalid_arg "Clearing.create: mesh smaller than the federation";
-  if retry_timeout <= 0. || retry_backoff < 1. || retry_cap < retry_timeout then
-    invalid_arg "Clearing.create: invalid retry parameters";
+  if not (retry_timeout > 0. && retry_timeout <= retry_cap) then
+    invalid_arg "Clearing.create: invalid retry timeout";
   List.iter
     (fun ((a, b), _) ->
       if a < 0 || a >= n || b < 0 || b >= n || a = b then
         invalid_arg "Clearing.create: tap endpoints out of range")
     taps;
-  { fed; engine; mesh; taps; retry_timeout; retry_backoff; retry_cap;
+  { fed; engine; mesh; taps;
+    retry = Sim.Retry.policy ~initial:retry_timeout ~factor:2. ~cap:retry_cap;
     pending = []; messages = 0; rounds = 0 }
 
 let federation t = t.fed
@@ -52,18 +53,6 @@ let messages t = t.messages
 let rounds t = t.rounds
 
 let tap t ~src ~dst = List.assoc_opt (src, dst) t.taps
-
-(* One mesh session from [src] to [dst]; [`Delayed] re-attempts after
-   the wait without consuming a retry (same contract as the ISP-bank
-   path in [World]). *)
-let rec via_mesh t ~src ~dst k =
-  match Sim.Fault.Mesh.attempt t.mesh ~src ~dst with
-  | `Deliver -> k ()
-  | `Delayed d ->
-      ignore
-        (Sim.Engine.schedule_after t.engine ~delay:d (fun () ->
-             via_mesh t ~src ~dst k))
-  | `Lost -> ()
 
 let mark_acked t xfer_id =
   List.iter (fun p -> if p.xfer_id = xfer_id then p.acked <- true) t.pending
@@ -73,8 +62,8 @@ let mark_acked t xfer_id =
    a lost ack is recovered by the transfer retransmit, which the
    receiver answers with a fresh ack. *)
 let send_ack t ~from_bank ~to_bank ack =
-  let deliver msg =
-    via_mesh t ~src:to_bank ~dst:from_bank (fun () ->
+  let deliver =
+    Sim.Fault.Mesh.route t.mesh ~src:to_bank ~dst:from_bank (fun msg ->
         match Federation.receive_ack t.fed ~to_bank msg with
         | Ok xfer_id -> mark_acked t xfer_id
         | Error _ -> ())
@@ -97,40 +86,39 @@ let send_ack t ~from_bank ~to_bank ack =
 (* Forward path: the banks are read from the (signed) payload, so an
    injected replay of an old transfer is delivered — and deduped — on
    its own terms, and a forged copy fails signature verification inside
-   [receive_transfer]. *)
+   [receive_transfer].  A held copy is delivered after the hold, like
+   every mesh datagram. *)
 let deliver_transfer t msg =
   match msg.Wire.payload with
   | Wire.Transfer { from_bank; to_bank; _ } ->
-      via_mesh t ~src:from_bank ~dst:to_bank (fun () ->
+      Sim.Fault.Mesh.route t.mesh ~src:from_bank ~dst:to_bank
+        (fun msg ->
           match Federation.receive_transfer t.fed msg with
           | Ok (_, ack) -> send_ack t ~from_bank ~to_bank ack
           | Error _ -> ())
+        msg
   | _ -> ()
 
-let rec transmit t p ~timeout =
-  if not p.acked then begin
-    t.messages <- t.messages + 1;
-    (match tap t ~src:p.from_bank ~dst:p.to_bank with
-    | None -> deliver_transfer t p.msg
-    | Some adv -> (
-        match
-          Adversary.Bank_wire.on_signed adv
-            ~kind:Adversary.Bank_wire.Clearing_msg p.msg
-        with
-        | Adversary.Bank_wire.S_pass -> deliver_transfer t p.msg
-        | Adversary.Bank_wire.S_drop -> ()
-        | Adversary.Bank_wire.S_delay d ->
-            ignore
-              (Sim.Engine.schedule_after t.engine ~delay:d (fun () ->
-                   deliver_transfer t p.msg))
-        | Adversary.Bank_wire.S_inject extra ->
-            deliver_transfer t extra;
-            deliver_transfer t p.msg));
-    ignore
-      (Sim.Engine.schedule_after t.engine ~delay:timeout (fun () ->
-           transmit t p
-             ~timeout:(Float.min (timeout *. t.retry_backoff) t.retry_cap)))
-  end
+let transmit t p =
+  Sim.Retry.until_settled t.engine t.retry ~still:(fun () -> not p.acked)
+  @@ fun () ->
+  t.messages <- t.messages + 1;
+  match tap t ~src:p.from_bank ~dst:p.to_bank with
+  | None -> deliver_transfer t p.msg
+  | Some adv -> (
+      match
+        Adversary.Bank_wire.on_signed adv ~kind:Adversary.Bank_wire.Clearing_msg
+          p.msg
+      with
+      | Adversary.Bank_wire.S_pass -> deliver_transfer t p.msg
+      | Adversary.Bank_wire.S_drop -> ()
+      | Adversary.Bank_wire.S_delay d ->
+          ignore
+            (Sim.Engine.schedule_after t.engine ~delay:d (fun () ->
+                 deliver_transfer t p.msg))
+      | Adversary.Bank_wire.S_inject extra ->
+          deliver_transfer t extra;
+          deliver_transfer t p.msg)
 
 (* Obligations issued but (as far as the planner can tell) not yet
    executed: unacked and not recorded at the destination's dedup
@@ -160,6 +148,6 @@ let settle_round ?(exclude = []) t =
       in
       let p = { xfer_id; from_bank; to_bank; amount; msg; acked = false } in
       t.pending <- t.pending @ [ p ];
-      transmit t p ~timeout:t.retry_timeout)
+      transmit t p)
     plan;
   plan

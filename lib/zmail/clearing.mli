@@ -3,13 +3,14 @@
 
     A {!settle_round} plans its transfers with
     {!Federation.settle_plan}, signs each as a {!Wire.Transfer} and
-    ships it through a {!Sim.Fault.Mesh} link (per-link plans,
-    outages, partitions), optionally owned by an
+    ships it as a datagram through a {!Sim.Fault.Mesh} link
+    ({!Sim.Fault.Mesh.route}: per-link plans, outages, partitions; a
+    held copy is delivered after its hold), optionally owned by an
     {!Adversary.Bank_wire} tap that may forge, replay, reorder or drop
     it.  Exactly-once effect over that at-least-once channel comes
-    from the standard pair: the sender retransmits with capped
-    exponential backoff until the receiver's signed ack arrives, and
-    the receiver dedups on the transfer id, re-acking duplicates.
+    from the standard pair: the sender retransmits under {!Sim.Retry}
+    backoff until the receiver's signed ack arrives, and the receiver
+    dedups on the transfer id, re-acking duplicates.
 
     Money conservation is unconditional: debit and credit are booked
     atomically when a transfer {e lands}
@@ -25,19 +26,16 @@ type t
 val create :
   ?taps:((int * int) * Adversary.Bank_wire.t) list ->
   ?retry_timeout:float ->
-  ?retry_backoff:float ->
-  ?retry_cap:float ->
   engine:Sim.Engine.t ->
   mesh:Sim.Fault.Mesh.t ->
   Federation.t ->
   t
 (** [taps] lists directed [(src_bank, dst_bank)] adversary taps.
-    Retries start at [retry_timeout] (default 600 s) and back off by
-    [retry_backoff] (default 2.0) up to [retry_cap] (default 7200 s).
-    Mesh nodes [0 .. n_banks-1] are the member banks.
+    Retries start at [retry_timeout] (default 600 s) and double up to
+    7200 s.  Mesh nodes [0 .. n_banks-1] are the member banks.
     @raise Invalid_argument if the mesh is smaller than the
-    federation, a tap endpoint is out of range, or the retry
-    parameters are inconsistent. *)
+    federation, a tap endpoint is out of range, or [retry_timeout] is
+    outside [(0, 7200\]]. *)
 
 val federation : t -> Federation.t
 

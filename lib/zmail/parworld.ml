@@ -55,18 +55,24 @@ type cross_msg = {
   dst_user : int;
 }
 
-type shard = { group : int; world : World.t; outbox : cross_msg Queue.t }
+(* [sent] is written only by the domain stepping this shard; a shared
+   counter would race between domains and lose increments. *)
+type shard = {
+  group : int;
+  world : World.t;
+  outbox : cross_msg Queue.t;
+  mutable sent : int;
+}
 
 type t = {
   cfg : config;
   shards : shard array;
-  mutable cross_sent : int;
   mutable cross_injected : int;
   mutable barriers : int;
 }
 
 let shards t = Array.map (fun s -> s.world) t.shards
-let cross_sent t = t.cross_sent
+let cross_sent t = Array.fold_left (fun acc s -> acc + s.sent) 0 t.shards
 let cross_injected t = t.cross_injected
 let barriers t = t.barriers
 
@@ -115,7 +121,7 @@ let attach_workload t shard =
           dst_user;
         }
         shard.outbox;
-      t.cross_sent <- t.cross_sent + 1
+      shard.sent <- shard.sent + 1
     end
     else begin
       let tgt = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
@@ -179,10 +185,10 @@ let create cfg =
                   });
             }
         in
-        { group = g; world; outbox = Queue.create () })
+        { group = g; world; outbox = Queue.create (); sent = 0 })
   in
   let t =
-    { cfg; shards; cross_sent = 0; cross_injected = 0; barriers = 0 }
+    { cfg; shards; cross_injected = 0; barriers = 0 }
   in
   Array.iter (attach_workload t) t.shards;
   t
@@ -260,7 +266,7 @@ let capture t =
         (fun w () ->
           let open Persist.Codec.W in
           int w t.cfg.groups;
-          int w t.cross_sent;
+          int w (cross_sent t);
           int w t.cross_injected;
           int w t.barriers;
           Array.iter (fun s -> int w (Queue.length s.outbox)) t.shards)

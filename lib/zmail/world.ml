@@ -27,9 +27,6 @@ type config = {
   partitions : Sim.Fault.Mesh.partition list;
   bank_wire : (int * Adversary.Bank_wire.wire_behavior) list;
   audit_unreachable : [ `Defer | `Quorum of float ];
-  retry_timeout : float;
-  retry_backoff : float;
-  retry_cap : float;
   retain_mail : bool;
   disk : Sim.Disk.plan option;
       (** Give every kernel (and the bank) a simulated log device with
@@ -72,9 +69,6 @@ let default_config ~n_isps ~users_per_isp =
     partitions = [];
     bank_wire = [];
     audit_unreachable = `Quorum 0.5;
-    retry_timeout = 5.;
-    retry_backoff = 2.;
-    retry_cap = 900.;
     retain_mail = true;
     disk = None;
     wal_group = 8;
@@ -95,7 +89,7 @@ type counters = {
 }
 
 (* Everything the unreliable bank link and the crash machinery did,
-   beyond the per-fault counters kept by [Sim.Fault] itself. *)
+   beyond the per-fault counters kept by [Sim.Fault.Mesh] itself. *)
 type link_stats = {
   retransmits : Sim.Stats.Counter.t;
   bank_rejects : Sim.Stats.Counter.t;
@@ -135,7 +129,6 @@ type t = {
   mutable profiles : Econ.User_model.profile array option;
   initial : Epenny.amount;
   initial_balance_of : int array;  (* per ISP, after customization *)
-  fault : Sim.Fault.t;  (* the ISP<->bank link fault model *)
   mesh : Sim.Fault.Mesh.t;  (* per-link faults + partitions; bank = node n_isps *)
   mutable adversaries : (int * Adversary.t) list;  (* by ISP, registration order *)
   bank_taps : (int * Adversary.Bank_wire.t) list;  (* ISP->bank wire adversaries *)
@@ -164,7 +157,6 @@ let tracer t = t.tracer
 let metrics t = t.metrics
 let mta t i = t.mtas.(i)
 let counters t = t.stats
-let fault t = t.fault
 let mesh t = t.mesh
 let adversaries t = t.adversaries
 let bank_wire_taps t = t.bank_taps
@@ -293,13 +285,15 @@ let attach_invariants ?honest t =
 (* Bank links                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* All ISP<->bank traffic flows through [t.fault] (drop / duplicate /
-   delay / corrupt / outages) and then the configured link latency.
-   Reliability on top is at-least-once: [retry_loop] resends a message
-   until its [still] predicate reports the exchange settled, with
-   capped exponential backoff; idempotence comes from the nonce scheme
-   (the bank's reply cache, the kernel's outstanding-request checks),
-   so duplicates — injected or retransmitted — are absorbed. *)
+(* All ISP<->bank traffic crosses the mesh as datagrams
+   ([Sim.Fault.Mesh.route]: drop / duplicate / delay / corrupt /
+   outages / partitions) and then the configured link latency.
+   Reliability on top is at-least-once: [resend_until_settled] resends
+   a message until its [still] predicate reports the exchange settled,
+   under [bank_retry]'s capped exponential backoff; idempotence comes
+   from the nonce scheme (the bank's reply cache, the kernel's
+   outstanding-request checks), so duplicates — injected or
+   retransmitted — are absorbed. *)
 
 (* A corrupted bank->ISP message: the signature no longer matches, so
    [Wire.verify_from_bank] rejects it at the kernel (never raises). *)
@@ -308,33 +302,21 @@ let corrupt_signed (s : Wire.signed) =
 
 (* The bank hangs off the same physical mesh as the ISPs, as node
    [n_isps]: a scheduled partition that severs an ISP's group from the
-   bank's silences its audit traffic exactly as it silences its mail.
-   The mesh verdict applies before the single-link [t.fault] plan —
-   the mesh is the wire, the plan is the bank's access link. *)
+   bank's silences its audit traffic exactly as it silences its mail,
+   and [bank_fault] is nothing but the plan of the ISP<->bank links. *)
 let bank_node t = t.cfg.n_isps
 
-let via_mesh t ~src ~dst k =
-  match Sim.Fault.Mesh.attempt t.mesh ~src ~dst with
-  | `Deliver -> k ()
-  | `Delayed d -> ignore (Sim.Engine.schedule_after t.engine ~delay:d k)
-  | `Lost -> ()
+(* Bank exchanges resend after 5 s, doubling up to 900 s. *)
+let bank_retry = Sim.Retry.policy ~initial:5. ~factor:2. ~cap:900.
 
-let rec retry_loop t ~send ~still ~timeout =
-  if still () then begin
-    send ();
-    ignore
-      (Sim.Engine.schedule_after t.engine ~delay:timeout (fun () ->
-           if still () then begin
-             Sim.Stats.Counter.incr t.link.retransmits;
-             wev t "retransmit" [ ("timeout", Obs.Trace.Float timeout) ];
-             retry_loop t ~send ~still
-               ~timeout:(min (timeout *. t.cfg.retry_backoff) t.cfg.retry_cap)
-           end))
-  end
+let resend_until_settled t policy ~still send =
+  Sim.Retry.until_settled t.engine policy ~still send ~on_resend:(fun timeout ->
+      Sim.Stats.Counter.incr t.link.retransmits;
+      wev t "retransmit" [ ("timeout", Obs.Trace.Float timeout) ])
 
 (* The ISP->bank hop, from the top: a configured [Bank_wire] tap sees
-   the envelope first (it owns the wire, so it acts before the mesh and
-   fault layers get a say).  A forged or replayed copy travels the same
+   the envelope first (it owns the wire, so it acts before the mesh
+   gets a say).  A forged or replayed copy travels the same
    degraded path as the original — injection does not bypass loss. *)
 let rec to_bank t ~kind i sealed =
   match List.assoc_opt i t.bank_taps with
@@ -357,8 +339,8 @@ let rec to_bank t ~kind i sealed =
           bank_link t i sealed)
 
 and bank_link t i sealed =
-  via_mesh t ~src:i ~dst:(bank_node t) @@ fun () ->
-  Sim.Fault.route t.fault ~corrupt:Toycrypto.Seal.flip_bit
+  Sim.Fault.Mesh.route t.mesh ~src:i ~dst:(bank_node t)
+    ~corrupt:Toycrypto.Seal.flip_bit
     (fun sealed ->
       ignore
         (Sim.Engine.schedule_after t.engine ~delay:t.cfg.bank_link_latency
@@ -396,8 +378,7 @@ and bank_link t i sealed =
 and send_to_isp t i signed =
   if not t.bank_up then Sim.Stats.Counter.incr t.link.lost_bank_down
   else
-  via_mesh t ~src:(bank_node t) ~dst:i @@ fun () ->
-  Sim.Fault.route t.fault ~corrupt:corrupt_signed
+  Sim.Fault.Mesh.route t.mesh ~src:(bank_node t) ~dst:i ~corrupt:corrupt_signed
     (fun signed ->
       ignore
         (Sim.Engine.schedule_after t.engine ~delay:t.cfg.bank_link_latency
@@ -438,12 +419,10 @@ and bank_message_to_isp t i signed =
                      | Some (s, waiting) -> s = seq && List.mem i waiting
                      | None -> false
                    in
-                   retry_loop t
-                     ~send:(fun () ->
+                   resend_until_settled t bank_retry ~still (fun () ->
                        if t.up.(i) then
                          to_bank t ~kind:Adversary.Bank_wire.Audit_reply_msg i
-                           reply)
-                     ~still ~timeout:t.cfg.retry_timeout;
+                           reply);
                    flush_deferred t i
                  end)))
 
@@ -476,9 +455,8 @@ let pool_tick t i kernel =
               Adversary.Bank_wire.Sell_msg )
         | _ -> ((fun () -> false), Adversary.Bank_wire.Buy_msg)
       in
-      retry_loop t
-        ~send:(fun () -> if t.up.(i) then to_bank t ~kind i sealed)
-        ~still ~timeout:t.cfg.retry_timeout
+      resend_until_settled t bank_retry ~still (fun () ->
+          if t.up.(i) then to_bank t ~kind i sealed)
 
 (* Start a §4.4 audit round, retransmitting each request until the
    ISP's reply is recorded.  The first retry waits out a full freeze:
@@ -535,6 +513,12 @@ let start_audit_round t =
       | Some (seq, _) -> seq
       | None -> assert false
     in
+    (* The cap never cuts below the first, freeze-long wait. *)
+    let first = t.cfg.freeze_duration +. bank_retry.Sim.Retry.initial in
+    let policy =
+      Sim.Retry.policy ~initial:first ~factor:bank_retry.Sim.Retry.factor
+        ~cap:(Float.max bank_retry.Sim.Retry.cap first)
+    in
     List.iter
       (fun (i, signed) ->
         let still () =
@@ -542,10 +526,7 @@ let start_audit_round t =
           | Some (s, waiting) -> s = seq && List.mem i waiting
           | None -> false
         in
-        retry_loop t
-          ~send:(fun () -> send_to_isp t i signed)
-          ~still
-          ~timeout:(t.cfg.freeze_duration +. t.cfg.retry_timeout))
+        resend_until_settled t policy ~still (fun () -> send_to_isp t i signed))
       requests
   end
 
@@ -1050,19 +1031,26 @@ let create cfg =
       profiles = None;
       initial;
       initial_balance_of;
-      (* The fault model draws from its own root-seeded stream so that
-         enabling faults does not perturb workload randomness: the same
-         seed generates the same traffic under any plan. *)
-      fault =
-        Sim.Fault.create ~plan:cfg.bank_fault engine
-          (Sim.Rng.stream ~seed:cfg.seed ~tag:0x6fa17);
-      (* Same isolation for the mesh: its own root-seeded stream, so
-         link chaos never perturbs workload or bank-fault randomness.
-         Node n_isps is the bank. *)
+      (* The mesh draws from its own root-seeded stream so that enabling
+         faults does not perturb workload randomness: the same seed
+         generates the same traffic under any plan.  Node n_isps is the
+         bank; [bank_fault] becomes the plan of both directions of
+         every ISP<->bank link, and explicit [mesh_links] entries,
+         listed after it, win. *)
       mesh =
-        Sim.Fault.Mesh.create ~default:cfg.mesh_default ~links:cfg.mesh_links
-          ~partitions:cfg.partitions ~n_nodes:(cfg.n_isps + 1) engine
-          (Sim.Rng.stream ~seed:cfg.seed ~tag:0x3a7e5);
+        (let bank_links =
+           if cfg.bank_fault = Sim.Fault.reliable then []
+           else
+             List.concat_map
+               (fun i ->
+                 [ ((i, cfg.n_isps), cfg.bank_fault);
+                   ((cfg.n_isps, i), cfg.bank_fault) ])
+               (List.init cfg.n_isps Fun.id)
+         in
+         Sim.Fault.Mesh.create ~default:cfg.mesh_default
+           ~links:(bank_links @ cfg.mesh_links) ~partitions:cfg.partitions
+           ~n_nodes:(cfg.n_isps + 1) engine
+           (Sim.Rng.stream ~seed:cfg.seed ~tag:0x3a7e5));
       adversaries = [];
       bank_taps;
       up = Array.make cfg.n_isps true;
@@ -1124,22 +1112,14 @@ let create cfg =
                  in
                  still ()
                  && begin
-                      retry_loop t
-                        ~send:(fun () ->
+                      resend_until_settled t bank_retry ~still (fun () ->
                           if t.up.(i) then
                             to_bank t ~kind:Adversary.Bank_wire.Audit_reply_msg
-                              i reply)
-                        ~still ~timeout:t.cfg.retry_timeout;
+                              i reply);
                       true
                     end))
       | None -> ())
     t.kernels;
-  List.iter
-    (fun c ->
-      Obs.Metrics.adopt_counter metrics
-        ~name:("fault." ^ Sim.Stats.Counter.name c)
-        c)
-    (Sim.Fault.counters t.fault);
   List.iter
     (fun c ->
       Obs.Metrics.adopt_counter metrics
@@ -1503,7 +1483,6 @@ let capture t =
   let sec name encode = (name, Persist.Codec.to_string encode ()) in
   [ sec "engine" (fun w () -> Sim.Engine.encode_state w t.engine);
     sec "rng" (fun w () -> Sim.Rng.encode_state w t.rng);
-    sec "fault" (fun w () -> Sim.Fault.encode_state w t.fault);
     sec "mesh" (fun w () -> Sim.Fault.Mesh.encode_state w t.mesh);
     sec "bank" (fun w () -> Bank.encode_state w t.the_bank) ]
   @ (Array.to_list t.kernels
@@ -1523,8 +1502,8 @@ let capture t =
 (* Incremental capture: same section names in the same order as
    [capture], but each "isp/<i>" body is serialized only when the
    world-mediated mutation sites marked ISP [i] dirty since the last
-   incremental capture.  The non-ISP sections (engine, rng, fault,
-   mesh, bank, world, serve, trace) are always serialized: they are
+   incremental capture.  The non-ISP sections (engine, rng, mesh,
+   bank, world, serve, trace) are always serialized: they are
    small, mutate on nearly every event, and tracking them would cost
    more than re-encoding them.  The dirty set starts all-set, so the
    first incremental capture of a world is a full one. *)
@@ -1533,7 +1512,6 @@ let capture_incremental t =
   let sections =
     [ sec "engine" (fun w () -> Sim.Engine.encode_state w t.engine);
       sec "rng" (fun w () -> Sim.Rng.encode_state w t.rng);
-      sec "fault" (fun w () -> Sim.Fault.encode_state w t.fault);
       sec "mesh" (fun w () -> Sim.Fault.Mesh.encode_state w t.mesh);
       sec "bank" (fun w () -> Bank.encode_state w t.the_bank) ]
     @ (Array.to_list t.kernels

@@ -19,17 +19,18 @@
     message dies on a dead link ({!Smtp.Mta.set_retry_policy}).
 
     Bank traffic bypasses SMTP — the paper describes the ISP–bank
-    relationship as a direct accounting link — and travels over
-    point-to-point links with configurable latency, but it crosses the
-    same physical mesh (the bank is mesh node [n_isps]), so a
-    partition that severs an ISP from the bank's group silences its
-    audit traffic exactly as it silences its mail.  On top of the
-    mesh, the bank's own access link can be degraded through
-    [bank_fault]: dropped, duplicated, delayed, corrupted or cut by
-    outage windows.  The world compensates with at-least-once delivery
-    — every buy/sell/audit exchange is retransmitted under capped
-    exponential backoff until acknowledged — and the protocol's nonces
-    make the retries idempotent (the bank's reply cache absorbs
+    relationship as a direct accounting link — and travels as datagrams
+    with configurable latency over the same physical mesh (the bank is
+    mesh node [n_isps], {!Sim.Fault.Mesh.route}), so a partition that
+    severs an ISP from the bank's group silences its audit traffic
+    exactly as it silences its mail.  The ISP↔bank links can be
+    degraded through [bank_fault]: dropped, duplicated, delayed,
+    corrupted or cut by outage windows.  The world compensates with
+    at-least-once delivery — every buy/sell/audit exchange is
+    retransmitted under one capped exponential backoff
+    ({!Sim.Retry}: 5 s doubling to 900 s; audit requests first wait
+    out a freeze, [freeze_duration + 5] s) until acknowledged — and the
+    protocol's nonces make the retries idempotent (the bank's reply cache absorbs
     duplicates, corrupt messages fail crypto verification and are
     counted, never raised).  ISPs can also {!crash_isp} and recover
     from their durable ledger state mid-run.  Audit rounds are
@@ -85,26 +86,30 @@ type config = {
   customize_isp : int -> Isp.config -> Isp.config;
       (** Per-ISP overrides (cheats, limits, pool bounds). *)
   bank_fault : Sim.Fault.plan;
-      (** Fault model applied to every ISP↔bank message in both
-          directions (default {!Sim.Fault.reliable}). *)
+      (** Fault plan of every ISP↔bank link, in both directions
+          (default {!Sim.Fault.reliable}).  Shorthand for [mesh_links]
+          overrides [(i, n_isps)] and [(n_isps, i)] for every ISP [i];
+          an explicit [mesh_links] entry for the same link wins.  A
+          non-reliable [bank_fault] {e replaces} [mesh_default] on the
+          bank links — the two plans do not compound. *)
   mesh_default : Sim.Fault.plan;
-      (** Per-session fault plan for every directed link of the
-          physical mesh — inter-ISP SMTP sessions and ISP↔bank
-          accounting messages alike (default {!Sim.Fault.reliable};
-          only the plan's drop/delay/outage components apply to
-          sessions). *)
+      (** Fault plan for every directed link of the physical mesh —
+          inter-ISP SMTP sessions and ISP↔bank accounting datagrams
+          alike (default {!Sim.Fault.reliable}; only the plan's
+          drop/delay/outage components apply to sessions, every
+          component applies to datagrams). *)
   mesh_links : ((int * int) * Sim.Fault.plan) list;
-      (** Directed [(src, dst)] overrides of [mesh_default]; node
-          [n_isps] is the bank. *)
+      (** Directed [(src, dst)] overrides of [mesh_default] (and of
+          [bank_fault]); node [n_isps] is the bank. *)
   partitions : Sim.Fault.Mesh.partition list;
       (** Scheduled partition windows: while active, every cross-group
           attempt — mail or bank traffic — is lost. *)
   bank_wire : (int * Adversary.Bank_wire.wire_behavior) list;
       (** Per-ISP adversary taps on the ISP→bank wire (default none).
           The tap sees every outbound buy/sell/audit-reply envelope
-          before the mesh and fault layers and may forge, replay,
-          reorder or selectively drop it ({!Adversary.Bank_wire}).  The
-          tapped ISP itself stays honest — its books and reports are
+          before the mesh and may forge, replay, reorder or
+          selectively drop it ({!Adversary.Bank_wire}).  The tapped
+          ISP itself stays honest — its books and reports are
           truthful; the adversary owns the link — so any audit
           conviction of it is a false positive (E19 asserts zero).
           Duplicate, out-of-range or non-compliant indices are
@@ -118,13 +123,6 @@ type config = {
           claims are carried forward and reconciled after heal.  Only
           partition-severed ISPs count as unreachable; crashed ISPs
           keep the established retransmit-until-recovery behavior. *)
-  retry_timeout : float;
-      (** Initial retransmission timeout for bank exchanges (seconds).
-          Audit requests instead wait [freeze_duration + retry_timeout]
-          before the first retry — the acknowledgment (the audit reply)
-          can only arrive after a full freeze. *)
-  retry_backoff : float;  (** Timeout multiplier per retry. *)
-  retry_cap : float;  (** Upper bound on the backed-off timeout. *)
   retain_mail : bool;
       (** Store delivered messages in MTA mailboxes (default [true]).
           Million-user runs set [false]: deliveries are still counted,
@@ -364,7 +362,7 @@ type counters = {
 val counters : t -> counters
 
 (** Bank-link reliability and crash bookkeeping, complementing the
-    per-fault counters of {!Sim.Fault.counters}. *)
+    per-fault counters of {!Sim.Fault.Mesh.counters}. *)
 type link_stats = {
   retransmits : Sim.Stats.Counter.t;
       (** Bank exchanges resent after a timeout. *)
@@ -398,12 +396,10 @@ type link_stats = {
 
 val link_stats : t -> link_stats
 
-val fault : t -> Sim.Fault.t
-(** The bank-link fault injector (for its counters). *)
-
 val mesh : t -> Sim.Fault.Mesh.t
-(** The physical mesh fault layer (for its counters and
-    {!Sim.Fault.Mesh.severed} probes); node [n_isps] is the bank. *)
+(** The physical mesh fault layer — the only fault surface mail and
+    bank traffic cross (for its counters and {!Sim.Fault.Mesh.severed}
+    probes); node [n_isps] is the bank. *)
 
 val deferral_delay : t -> Sim.Stats.Summary.t
 (** Seconds each snapshot-deferred message waited before submission. *)
@@ -432,7 +428,7 @@ val balance_drift : t -> isp:int -> user:int -> int
 val capture : t -> (string * string) list
 (** The whole simulated world as named {!Persist.Codec} sections —
     ["engine"] (clock, counters, pending-event metadata, root RNG),
-    ["rng"] (the world's own stream), ["fault"], ["mesh"], ["bank"],
+    ["rng"] (the world's own stream), ["mesh"], ["bank"],
     one ["isp/<i>"] per compliant kernel, ["world"] (mail counters,
     audit history, crash state, link counters, adversary and bank-wire
     tap state, deferred-send queue times) and ["trace"] (emission

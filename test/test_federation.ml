@@ -207,6 +207,56 @@ let test_config_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* Mesh-routed clearing ([Zmail.Clearing]): three banks pushed off the
+   mean by a cash ring, so a settlement round plans real transfers. *)
+let clearing_over plan ?retry_timeout () =
+  let engine = Sim.Engine.create ~seed:3 () in
+  let _, fed = make ~n_banks:3 ~n_isps:6 () in
+  Zmail.Federation.apply_transfer fed ~from_bank:0 ~to_bank:1 ~amount:900;
+  Zmail.Federation.apply_transfer fed ~from_bank:1 ~to_bank:2 ~amount:300;
+  let mesh =
+    Sim.Fault.Mesh.create ~default:plan ~n_nodes:3 engine (Sim.Rng.create 8)
+  in
+  let clr = Zmail.Clearing.create ?retry_timeout ~engine ~mesh fed in
+  let plan = Zmail.Clearing.settle_round clr in
+  (engine, mesh, clr, List.length plan)
+
+(* A held transfer is delivered after its hold, not re-drawn: with
+   every copy delayed (never dropped) and the retry timeout above the
+   longest hold, each transfer and each ack crosses the mesh once. *)
+let test_clearing_delayed_delivers () =
+  let engine, mesh, clr, transfers =
+    clearing_over
+      (Sim.Fault.plan ~delay_prob:1.0 ~delay_max:30. ())
+      ~retry_timeout:60. ()
+  in
+  Alcotest.(check bool) "the round plans transfers" true (transfers > 0);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "every transfer acked" 0 (Zmail.Clearing.pending_count clr);
+  Alcotest.(check int) "carry drained" 0 (Zmail.Clearing.pending_amount clr);
+  Alcotest.(check int) "one transfer + one ack each, zero resends"
+    (2 * transfers) (Zmail.Clearing.messages clr);
+  Alcotest.(check int) "one mesh verdict per message" (2 * transfers)
+    (Sim.Fault.Mesh.attempts mesh);
+  Alcotest.(check int) "every copy held once" (2 * transfers)
+    (Sim.Fault.Mesh.link_delayed mesh)
+
+(* The clearing resend schedule, pinned: over a dead mesh a transfer
+   is sent at 0 and then after 600, 1200, 2400, 4800 and 7200 s (the
+   cap), 7200 s apart from then on. *)
+let test_clearing_retry_schedule () =
+  let engine, _, clr, transfers =
+    clearing_over (Sim.Fault.plan ~drop:1.0 ()) ()
+  in
+  let sent_by t =
+    Sim.Engine.run ~until:t engine;
+    Zmail.Clearing.messages clr / transfers
+  in
+  Alcotest.(check (list int)) "sends per transfer"
+    [ 1; 2; 3; 4; 5; 6; 7 ]
+    (List.map sent_by [ 599.; 600.; 1800.; 4200.; 9000.; 16200.; 23400. ]);
+  Alcotest.(check int) "cap holds" 7 (sent_by 30599.)
+
 let () =
   Alcotest.run "federation"
     [
@@ -222,6 +272,9 @@ let () =
           Alcotest.test_case "two banks" `Quick test_clearing;
           Alcotest.test_case "three banks" `Quick test_clearing_three_banks;
           Alcotest.test_case "single bank degenerate" `Quick test_single_bank_degenerate;
+          Alcotest.test_case "held transfer delivered, not re-drawn" `Quick
+            test_clearing_delayed_delivers;
+          Alcotest.test_case "retry schedule" `Quick test_clearing_retry_schedule;
         ] );
       ( "audit",
         [

@@ -458,6 +458,17 @@ let snapshot_diff_reports () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "diff missed a seed change"
 
+(* No migrations: a file from the previous format version (v7 still
+   carried a standalone "fault" section) is an error, never a
+   half-understood world. *)
+let snapshot_previous_version_refused () =
+  let old =
+    { (sample_snapshot ()) with Snapshot.version = Snapshot.current_version - 1 }
+  in
+  match Snapshot.of_string (Snapshot.to_string old) with
+  | Error msg -> checkb "names the version" true (contains_sub ~sub:"version" msg)
+  | Ok _ -> Alcotest.fail "previous-version snapshot accepted"
+
 (* ------------------------------------------------------------------ *)
 (* World capture: segmented runs and capture purity                    *)
 (* ------------------------------------------------------------------ *)
@@ -494,6 +505,11 @@ let segmented_equals_straight () =
     (fun frac -> Sim.Engine.run engine ~until:(frac *. Sim.Engine.day))
     [ 0.13; 0.5; 0.77; 1.0 ];
   assert_same_world (snap_of straight ~label:"x") (snap_of segmented ~label:"x")
+
+let capture_sections () =
+  let names = List.map fst (Zmail.World.capture (mk_world 4)) in
+  checkb "bank links live in the mesh section" true (List.mem "mesh" names);
+  checkb "no standalone fault section" false (List.mem "fault" names)
 
 let capture_is_pure () =
   let observed = mk_world 6 in
@@ -641,11 +657,13 @@ let () =
           snapshot_corruption;
           snapshot_truncation;
           ("diff reports first difference", `Quick, snapshot_diff_reports);
+          ("previous version refused", `Quick, snapshot_previous_version_refused);
         ] );
       ( "world",
         [
           ("segmented run equals straight run", `Quick, segmented_equals_straight);
           ("capture does not perturb the run", `Quick, capture_is_pure);
+          ("one fault section: the mesh", `Quick, capture_sections);
         ] );
       ( "checkpoint",
         [

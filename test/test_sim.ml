@@ -815,6 +815,220 @@ let mesh_partition_exact =
       && Sim.Fault.Mesh.link_dropped mesh = 0
       && Sim.Fault.Mesh.delivered mesh = !probed - !expected_lost)
 
+(* [Mesh.route]: datagram semantics on top of the session verdicts. *)
+
+let route_mesh ?(seed = 2) ?partitions plan =
+  let engine = Sim.Engine.create ~seed:1 () in
+  let mesh =
+    Sim.Fault.Mesh.create ~links:[ ((0, 1), plan) ] ?partitions ~n_nodes:3
+      engine (Sim.Rng.create seed)
+  in
+  (engine, mesh)
+
+(* Route [msgs] from node 0 to node 1 and return what arrived, in
+   arrival order, after running the engine dry. *)
+let route_all ?corrupt engine mesh msgs =
+  let got = ref [] in
+  List.iter
+    (fun m ->
+      Sim.Fault.Mesh.route mesh ~src:0 ~dst:1 ?corrupt
+        (fun m -> got := m :: !got)
+        m)
+    msgs;
+  Sim.Engine.run engine;
+  List.rev !got
+
+let test_route_duplicate () =
+  let engine, mesh = route_mesh (Sim.Fault.plan ~duplicate:1.0 ()) in
+  Alcotest.(check (list int)) "two deliveries" [ 7; 7 ]
+    (route_all engine mesh [ 7 ]);
+  Alcotest.(check int) "one attempt" 1 (Sim.Fault.Mesh.attempts mesh);
+  Alcotest.(check int) "duplicated" 1 (Sim.Fault.Mesh.duplicated mesh);
+  Alcotest.(check int) "both copies delivered" 2 (Sim.Fault.Mesh.delivered mesh)
+
+let test_route_corrupt_with_corruptor () =
+  let engine, mesh = route_mesh (Sim.Fault.plan ~corrupt:1.0 ()) in
+  Alcotest.(check (list int)) "altered copy delivered" [ 8 ]
+    (route_all ~corrupt:succ engine mesh [ 7 ]);
+  Alcotest.(check int) "corrupted" 1 (Sim.Fault.Mesh.corrupted mesh);
+  Alcotest.(check int) "delivered" 1 (Sim.Fault.Mesh.delivered mesh)
+
+let test_route_corrupt_without_corruptor () =
+  let engine, mesh = route_mesh (Sim.Fault.plan ~corrupt:1.0 ()) in
+  Alcotest.(check (list int)) "copy lost" [] (route_all engine mesh [ 7 ]);
+  Alcotest.(check int) "counted as corrupted" 1 (Sim.Fault.Mesh.corrupted mesh);
+  Alcotest.(check int) "nothing delivered" 0 (Sim.Fault.Mesh.delivered mesh)
+
+let test_route_outage () =
+  let engine, mesh =
+    route_mesh (Sim.Fault.plan ~duplicate:1.0 ~outages:[ (0., 10.) ] ())
+  in
+  let got = ref [] in
+  let send m =
+    Sim.Fault.Mesh.route mesh ~src:0 ~dst:1 (fun m -> got := m :: !got) m
+  in
+  send 1;
+  ignore (Sim.Engine.schedule_after engine ~delay:20. (fun () -> send 2));
+  Sim.Engine.run engine;
+  (* The outage takes the whole message, before the duplicate draw. *)
+  Alcotest.(check (list int)) "only the post-outage message" [ 2; 2 ]
+    (List.rev !got);
+  Alcotest.(check int) "outage drop" 1 (Sim.Fault.Mesh.outage_dropped mesh);
+  Alcotest.(check int) "one duplicate" 1 (Sim.Fault.Mesh.duplicated mesh)
+
+let test_route_partition_severs () =
+  let engine, mesh =
+    route_mesh
+      ~partitions:
+        [ Sim.Fault.Mesh.partition ~start:0. ~stop:10. ~groups:[| 0; 1; 0 |] ]
+      Sim.Fault.reliable
+  in
+  let got = ref 0 in
+  Sim.Fault.Mesh.route mesh ~src:0 ~dst:1 (fun () -> incr got) ();
+  Sim.Fault.Mesh.route mesh ~src:0 ~dst:2 (fun () -> incr got) ();
+  Sim.Engine.run engine;
+  Alcotest.(check int) "same-group datagram delivered" 1 !got;
+  Alcotest.(check int) "cross-group datagram severed" 1
+    (Sim.Fault.Mesh.partition_dropped mesh)
+
+(* Two meshes on the same seed stay in lockstep iff [traffic] drew
+   nothing from the first one's stream. *)
+let stream_untouched traffic =
+  let probe plan_seed =
+    let engine = Sim.Engine.create ~seed:1 () in
+    let mesh =
+      Sim.Fault.Mesh.create
+        ~links:[ ((0, 1), plan_seed); ((1, 2), Sim.Fault.plan ~drop:0.5 ()) ]
+        ~n_nodes:3 engine (Sim.Rng.create 9)
+    in
+    (engine, mesh)
+  in
+  let verdicts mesh =
+    List.init 64 (fun _ ->
+        match Sim.Fault.Mesh.attempt mesh ~src:1 ~dst:2 with
+        | `Lost -> 0
+        | `Deliver -> 1
+        | `Delayed _ -> 2)
+  in
+  let plan, run = traffic in
+  let engine, a = probe plan in
+  let _, b = probe plan in
+  run engine a;
+  verdicts a = verdicts b
+
+let test_route_reliable_leaves_rng () =
+  Alcotest.(check bool) "reliable link draws nothing" true
+    (stream_untouched
+       ( Sim.Fault.reliable,
+         fun engine mesh ->
+           Alcotest.(check int) "all delivered" 50
+             (List.length (route_all engine mesh (List.init 50 Fun.id))) ))
+
+let test_attempt_ignores_datagram_faults () =
+  Alcotest.(check bool) "attempt draws nothing for duplicate/corrupt" true
+    (stream_untouched
+       ( Sim.Fault.plan ~duplicate:1.0 ~corrupt:1.0 (),
+         fun _ mesh ->
+           for _ = 1 to 50 do
+             match Sim.Fault.Mesh.attempt mesh ~src:0 ~dst:1 with
+             | `Deliver -> ()
+             | `Lost | `Delayed _ -> Alcotest.fail "session must go through"
+           done;
+           Alcotest.(check int) "no duplicates" 0 (Sim.Fault.Mesh.duplicated mesh);
+           Alcotest.(check int) "no corruption" 0 (Sim.Fault.Mesh.corrupted mesh) ))
+
+(* On a drop/delay-only plan a datagram is exactly one session attempt:
+   same draws, same counters, and a held copy lands after the hold the
+   twin's [`Delayed] verdict names. *)
+let test_route_matches_attempt () =
+  let plan = Sim.Fault.plan ~drop:0.3 ~delay_prob:0.4 ~delay_max:5. () in
+  let engine_a, a = route_mesh ~seed:5 plan in
+  let _, b = route_mesh ~seed:5 plan in
+  let expected =
+    List.concat
+      (List.init 200 (fun m ->
+           match Sim.Fault.Mesh.attempt b ~src:0 ~dst:1 with
+           | `Lost -> []
+           | `Deliver -> [ (m, 0.) ]
+           | `Delayed d -> [ (m, d) ]))
+  in
+  let got = ref [] in
+  for m = 0 to 199 do
+    Sim.Fault.Mesh.route a ~src:0 ~dst:1
+      (fun m -> got := (m, Sim.Engine.now engine_a) :: !got)
+      m
+  done;
+  Sim.Engine.run engine_a;
+  let sort = List.sort compare in
+  Alcotest.(check (list (pair int (float 0.)))) "same fates" (sort expected)
+    (sort !got);
+  Alcotest.(check (list int)) "same counters"
+    (List.map Sim.Stats.Counter.value (Sim.Fault.Mesh.counters b))
+    (List.map Sim.Stats.Counter.value (Sim.Fault.Mesh.counters a))
+
+(* ------------------------------------------------------------------ *)
+(* Retry                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let schedule p n = List.init n (fun attempt -> Sim.Retry.delay p ~attempt)
+
+let test_retry_schedules () =
+  let check_sched name expected p =
+    Alcotest.(check (list (float 0.))) name expected
+      (schedule p (List.length expected))
+  in
+  (* The three production schedules: bank exchanges, the first-waits-
+     a-freeze audit request, and the MTA default. *)
+  check_sched "bank exchanges"
+    [ 5.; 10.; 20.; 40.; 80.; 160.; 320.; 640.; 900.; 900. ]
+    (Sim.Retry.policy ~initial:5. ~factor:2. ~cap:900.);
+  check_sched "audit request" [ 605.; 900.; 900. ]
+    (Sim.Retry.policy ~initial:605. ~factor:2. ~cap:900.);
+  check_sched "mta" [ 60.; 120.; 240. ]
+    (Sim.Retry.policy ~initial:60. ~factor:2. ~cap:3600.)
+
+let test_retry_saturates () =
+  let p = Sim.Retry.policy ~initial:5. ~factor:2. ~cap:900. in
+  Alcotest.(check (float 0.)) "overflowing power clamps to the cap" 900.
+    (Sim.Retry.delay p ~attempt:5000);
+  let z = Sim.Retry.policy ~initial:0. ~factor:2. ~cap:900. in
+  (* 2^1024 is infinite and 0 * inf is NaN: the zero base must win. *)
+  Alcotest.(check (float 0.)) "zero base stays zero" 0.
+    (Sim.Retry.delay z ~attempt:1024)
+
+let test_retry_rejects_bad_policies () =
+  let rejects name ~initial ~factor ~cap =
+    match Sim.Retry.policy ~initial ~factor ~cap with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "negative factor" ~initial:60. ~factor:(-2.) ~cap:900.;
+  rejects "shrinking factor" ~initial:60. ~factor:0.5 ~cap:900.;
+  rejects "negative initial" ~initial:(-1.) ~factor:2. ~cap:900.;
+  rejects "negative cap" ~initial:1. ~factor:2. ~cap:(-1.);
+  rejects "NaN initial" ~initial:Float.nan ~factor:2. ~cap:900.;
+  rejects "NaN factor" ~initial:1. ~factor:Float.nan ~cap:900.;
+  rejects "NaN cap" ~initial:1. ~factor:2. ~cap:Float.nan;
+  rejects "infinite cap" ~initial:1. ~factor:2. ~cap:Float.infinity
+
+let test_retry_until_settled () =
+  let engine = Sim.Engine.create ~seed:1 () in
+  let p = Sim.Retry.policy ~initial:5. ~factor:2. ~cap:900. in
+  let sends = ref [] and resent = ref [] in
+  Sim.Retry.until_settled engine p
+    ~on_resend:(fun timeout -> resent := timeout :: !resent)
+    ~still:(fun () -> Sim.Engine.now engine < 100.)
+    (fun () -> sends := Sim.Engine.now engine :: !sends);
+  Sim.Engine.run engine;
+  Alcotest.(check (list (float 0.))) "sends at 0, 5, 15, 35, 75"
+    [ 0.; 5.; 15.; 35.; 75. ] (List.rev !sends);
+  Alcotest.(check (list (float 0.))) "each resend names the expired timeout"
+    [ 5.; 10.; 20.; 40. ] (List.rev !resent);
+  let fired = ref false in
+  Sim.Retry.until_settled engine p ~still:(fun () -> false) (fun () -> fired := true);
+  Alcotest.(check bool) "settled exchange never sends" false !fired;
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.Engine.pending engine)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -902,5 +1116,27 @@ let () =
       ( "fault mesh",
         Alcotest.test_case "trivial is free" `Quick test_mesh_trivial_is_free
         :: Alcotest.test_case "link override" `Quick test_mesh_link_override
+        :: Alcotest.test_case "route duplicates" `Quick test_route_duplicate
+        :: Alcotest.test_case "route corrupts with a corruptor" `Quick
+             test_route_corrupt_with_corruptor
+        :: Alcotest.test_case "route loses corrupt copy without one" `Quick
+             test_route_corrupt_without_corruptor
+        :: Alcotest.test_case "route outage" `Quick test_route_outage
+        :: Alcotest.test_case "route partition severs" `Quick
+             test_route_partition_severs
+        :: Alcotest.test_case "route reliable leaves rng" `Quick
+             test_route_reliable_leaves_rng
+        :: Alcotest.test_case "attempt ignores duplicate/corrupt" `Quick
+             test_attempt_ignores_datagram_faults
+        :: Alcotest.test_case "route matches attempt" `Quick
+             test_route_matches_attempt
         :: qcheck [ mesh_partition_exact ] );
+      ( "retry",
+        [
+          Alcotest.test_case "schedules" `Quick test_retry_schedules;
+          Alcotest.test_case "saturates, never NaN" `Quick test_retry_saturates;
+          Alcotest.test_case "rejects bad policies" `Quick
+            test_retry_rejects_bad_policies;
+          Alcotest.test_case "until settled" `Quick test_retry_until_settled;
+        ] );
     ]

@@ -621,6 +621,52 @@ let test_mta_backoff_exactly_at_cap () =
   Sim.Engine.run engine;
   Alcotest.(check int) "queue drains" 0 (Smtp.Mta.retry_queue_length net)
 
+let parked_backoff ~policy ~attempt =
+  let _engine, _net, mta_a, mta_b = retry_world ~seed:41 ~policy () in
+  let envelope, message = sample_envelope () in
+  match
+    Smtp.Mta.retry_transient mta_a ~dest_host:(Smtp.Mta.host mta_b) envelope
+      message ~attempt ~reason:"tempfail probe"
+      ~resubmit:(fun ~attempt:_ -> ())
+  with
+  | `Parked b -> b
+  | `Bounced -> Alcotest.fail "parked attempt bounced"
+
+let test_mta_default_backoff_schedule () =
+  let policy = { Smtp.Mta.default_retry with Smtp.Mta.max_attempts = 10 } in
+  Alcotest.(check (list (float 0.))) "60, 120, 240" [ 60.; 120.; 240. ]
+    (List.map (fun attempt -> parked_backoff ~policy ~attempt) [ 0; 1; 2 ])
+
+let test_mta_rejects_bad_backoff () =
+  let engine = Sim.Engine.create ~seed:43 () in
+  let net = Smtp.Mta.network engine in
+  let rejects name policy =
+    match Smtp.Mta.set_retry_policy net policy with
+    | () -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  (* A negative factor would schedule a negative delay at attempt 1,
+     and [Engine.schedule_after] would raise mid-run. *)
+  rejects "negative factor"
+    { Smtp.Mta.default_retry with Smtp.Mta.backoff_factor = -2. };
+  rejects "NaN factor"
+    { Smtp.Mta.default_retry with Smtp.Mta.backoff_factor = Float.nan };
+  rejects "NaN base"
+    { Smtp.Mta.default_retry with Smtp.Mta.base_backoff = Float.nan };
+  rejects "negative base"
+    { Smtp.Mta.default_retry with Smtp.Mta.base_backoff = -1. };
+  Alcotest.(check bool) "the rejected policies left the default in place" true
+    (Smtp.Mta.retry_policy net = Smtp.Mta.default_retry)
+
+let test_mta_zero_base_never_nan () =
+  (* 2^1024 overflows to infinity; 0 * inf would put NaN on the heap. *)
+  let policy =
+    { Smtp.Mta.default_retry with
+      Smtp.Mta.max_attempts = 2000; base_backoff = 0. }
+  in
+  Alcotest.(check (float 0.)) "attempt 1024 waits 0 s" 0.
+    (parked_backoff ~policy ~attempt:1024)
+
 let test_mta_final_attempt_bounces_not_retries () =
   let policy = { Smtp.Mta.default_retry with Smtp.Mta.max_attempts = 3 } in
   let _engine, net, mta_a, mta_b = retry_world ~seed:29 ~policy () in
@@ -912,6 +958,12 @@ let () =
         [
           Alcotest.test_case "backoff exactly at cap" `Quick
             test_mta_backoff_exactly_at_cap;
+          Alcotest.test_case "default backoff schedule" `Quick
+            test_mta_default_backoff_schedule;
+          Alcotest.test_case "bad backoff rejected" `Quick
+            test_mta_rejects_bad_backoff;
+          Alcotest.test_case "zero base never NaN" `Quick
+            test_mta_zero_base_never_nan;
           Alcotest.test_case "final attempt bounces" `Quick
             test_mta_final_attempt_bounces_not_retries;
           Alcotest.test_case "single-attempt policy" `Quick

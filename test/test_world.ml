@@ -428,9 +428,11 @@ let test_faulty_link_converges () =
   Zmail.World.run_days w 1.01;
   Zmail.World.run_until_quiet w;
   (* The link really misbehaved... *)
-  let f = Zmail.World.fault w in
+  let m = Zmail.World.mesh w in
   Alcotest.(check bool) "faults injected" true
-    (Sim.Fault.dropped f + Sim.Fault.duplicated f + Sim.Fault.corrupted f > 0);
+    (Sim.Fault.Mesh.link_dropped m + Sim.Fault.Mesh.duplicated m
+     + Sim.Fault.Mesh.corrupted m
+    > 0);
   (* ...yet retransmission converged every exchange: no money leaked,
      every audit round ran to completion with nobody falsely accused. *)
   Alcotest.(check bool) "conservation" true (Zmail.World.conservation_holds w);
@@ -461,13 +463,86 @@ let test_duplicated_buy_reply_pins_e11 () =
     in
     Zmail.World.run_days w 0.2;
     Zmail.World.run_until_quiet w;
-    (Zmail.World.epenny_residue w, Sim.Fault.duplicated (Zmail.World.fault w))
+    ( Zmail.World.epenny_residue w,
+      Sim.Fault.Mesh.duplicated (Zmail.World.mesh w) )
   in
   let residue_hard, dups_hard = run true in
   let residue_ablated, dups_ablated = run false in
   Alcotest.(check bool) "duplicates flowed" true (dups_hard > 0 && dups_ablated > 0);
   Alcotest.(check int) "hardened kernel absorbs duplicates" 0 residue_hard;
   Alcotest.(check bool) "ablated kernel double-applies" true (residue_ablated > 0)
+
+(* [bank_fault] is shorthand for mesh overrides on the ISP<->bank links
+   only: explicit [mesh_links] entries win, and ISP<->ISP mail never
+   sees the plan. *)
+let test_bank_fault_is_bank_links () =
+  let dead = Sim.Fault.plan ~drop:1.0 () in
+  let w =
+    make
+      ~f:(fun c ->
+        {
+          c with
+          Zmail.World.bank_fault = dead;
+          mesh_links =
+            [ ((0, 2), Sim.Fault.reliable); ((2, 0), Sim.Fault.reliable) ];
+          customize_isp = (fun _ k -> pool_hungry k);
+        })
+      ()
+  in
+  ignore (Zmail.World.send_email w ~from:(0, 0) ~to_:(1, 0) ());
+  Zmail.World.run_days w 0.1;
+  Alcotest.(check int) "mail crosses the mesh untouched" 101
+    (balance w ~isp:1 ~user:0);
+  Alcotest.(check bool) "overridden bank link settles the buy" true
+    (Zmail.Isp.pending_buy_nonce (Zmail.World.isp w 0) = None);
+  Alcotest.(check bool) "bank_fault link never settles" true
+    (Zmail.Isp.pending_buy_nonce (Zmail.World.isp w 1) <> None)
+
+(* The retransmit timeouts World actually schedules, read back from the
+   trace: bank exchanges back off 5, 10, ..., 640, then 900 s; an audit
+   request first waits out the freeze (600 + 5 s), then 900 s. *)
+let retransmit_timeouts ?(customize = fun _ k -> k) ?(start = ignore) ~links
+    ~until () =
+  let tracer = Obs.Trace.create ~capacity:100_000 () in
+  let w =
+    make
+      ~f:(fun c ->
+        {
+          c with
+          Zmail.World.mesh_links = links;
+          customize_isp = customize;
+          tracer = Some tracer;
+        })
+      ()
+  in
+  start w;
+  Sim.Engine.run ~until (Zmail.World.engine w);
+  List.filter_map
+    (fun (e : Obs.Trace.event) ->
+      match (e.Obs.Trace.name, e.Obs.Trace.fields) with
+      | "retransmit", [ ("timeout", Obs.Trace.Float d) ] -> Some d
+      | _ -> None)
+    (Obs.Trace.events tracer)
+
+let test_bank_retry_schedule () =
+  let timeouts =
+    retransmit_timeouts
+      ~customize:(fun _ k -> pool_hungry k)
+      ~links:[ ((0, 2), Sim.Fault.plan ~drop:1.0 ()) ]
+      ~until:(4. *. Sim.Engine.hour) ()
+  in
+  Alcotest.(check (list (float 0.))) "buy resend schedule"
+    [ 5.; 10.; 20.; 40.; 80.; 160.; 320.; 640.; 900.; 900. ]
+    (List.filteri (fun i _ -> i < 10) timeouts)
+
+let test_audit_request_retry_schedule () =
+  let timeouts =
+    retransmit_timeouts ~start:Zmail.World.trigger_audit
+      ~links:[ ((2, 0), Sim.Fault.plan ~drop:1.0 ()) ]
+      ~until:2406. ()
+  in
+  Alcotest.(check (list (float 0.))) "audit request resend schedule"
+    [ 605.; 900.; 900. ] timeouts
 
 let test_crash_and_recovery () =
   let w = make () in
@@ -566,19 +641,20 @@ let test_determinism_under_faults () =
      their own seeded stream, so chaos is replayable. *)
   let summary w =
     let c = Zmail.World.counters w in
-    let f = Zmail.World.fault w in
+    let m = Zmail.World.mesh w in
     let link = Zmail.World.link_stats w in
     let v x = Sim.Stats.Counter.value x in
     Printf.sprintf
       "ham=%d spam=%d blocked=%d/%d deferred=%d acks=%d \
-       faults:s=%d,del=%d,dr=%d,dup=%d,lat=%d,cor=%d,out=%d \
+       faults:s=%d,del=%d,dr=%d,dup=%d,lat=%d,cor=%d,out=%d,part=%d \
        link:retx=%d,rej=%d epennies:total=%d,out=%d b00=%d b17=%d"
       c.Zmail.World.ham_delivered c.Zmail.World.spam_delivered
       c.Zmail.World.blocked_balance c.Zmail.World.blocked_limit
       c.Zmail.World.deferred_sends c.Zmail.World.acks_generated
-      (Sim.Fault.sent f) (Sim.Fault.delivered f) (Sim.Fault.dropped f)
-      (Sim.Fault.duplicated f) (Sim.Fault.delayed f) (Sim.Fault.corrupted f)
-      (Sim.Fault.outage_dropped f)
+      (Sim.Fault.Mesh.attempts m) (Sim.Fault.Mesh.delivered m)
+      (Sim.Fault.Mesh.link_dropped m) (Sim.Fault.Mesh.duplicated m)
+      (Sim.Fault.Mesh.link_delayed m) (Sim.Fault.Mesh.corrupted m)
+      (Sim.Fault.Mesh.outage_dropped m) (Sim.Fault.Mesh.partition_dropped m)
       (v link.Zmail.World.retransmits) (v link.Zmail.World.bank_rejects)
       (Zmail.Isp.total_epennies (Zmail.World.isp w 0)
       + Zmail.Isp.total_epennies (Zmail.World.isp w 1))
@@ -873,6 +949,11 @@ let () =
           Alcotest.test_case "faulty link converges" `Slow test_faulty_link_converges;
           Alcotest.test_case "duplicated buy reply pins e11" `Quick
             test_duplicated_buy_reply_pins_e11;
+          Alcotest.test_case "bank_fault is the bank links" `Quick
+            test_bank_fault_is_bank_links;
+          Alcotest.test_case "bank retry schedule" `Quick test_bank_retry_schedule;
+          Alcotest.test_case "audit request retry schedule" `Quick
+            test_audit_request_retry_schedule;
           Alcotest.test_case "crash and recovery" `Quick test_crash_and_recovery;
           Alcotest.test_case "crash mid-freeze" `Quick
             test_crash_mid_freeze_audit_completes;
