@@ -29,16 +29,25 @@ let key_bits = 31
 let value_bias = 1 lsl 30
 let value_mask = (1 lsl key_bits) - 1
 
-(* In-place LSD radix sort of packed claims *by key only*, 16-bit
-   digits: passes start at [key_bits], because grouping equal keys
-   does not care how the value bits below order (stability keeps the
-   append order, and aggregation sums them regardless).  A 10^4-ISP
-   key fits 27 bits, so two sequential counting passes suffice where
-   sorting the full packed int would take four; the 65536-entry
-   histogram fits in L2. *)
+(* In-place LSD radix sort of packed claims *by key only*: passes
+   start at [key_bits], because grouping equal keys does not care how
+   the value bits below order (stability keeps the append order, and
+   aggregation sums them regardless).  The digit is sized to the
+   buffer: the smallest [w] with [2^w >= len], clamped to [4, 16], so
+   the histogram and its prefix-sum scan cost about as much as one
+   pass over the claims: a three-ISP round of ten claims sorts with a
+   16-entry histogram.  From 65536 claims up the digit is 16 bits, so
+   a 10^4-ISP key (27 bits) sorts in two sequential counting passes
+   where sorting the full packed int would take four, and the
+   histogram stays within L2. *)
 let radix_sort a len =
   if len > 1 then begin
-    let digit = 1 lsl 16 in
+    let bits = ref 4 in
+    while !bits < 16 && 1 lsl !bits < len do
+      incr bits
+    done;
+    let bits = !bits in
+    let digit = 1 lsl bits in
     let mask = digit - 1 in
     let counts = Array.make digit 0 in
     let src = ref a and dst = ref (Array.make len 0) in
@@ -73,7 +82,7 @@ let radix_sort a len =
       done;
       src := t;
       dst := s;
-      shift := !shift + 16
+      shift := !shift + bits
     done;
     if !src != a then Array.blit !src 0 a 0 len
   end

@@ -7,7 +7,9 @@
     stays linear at 10^4 ISPs because claims are appended to a flat
     buffer and radix-sorted at read time instead of hashed (random
     table access is a guaranteed cache miss at that scale; see the
-    representation note in [verify.ml]).  Reads finalize the
+    representation note in [verify.ml]).  The sort's digit width
+    follows the buffer length, so a small round pays for a small
+    histogram.  Reads finalize the
     accumulator lazily; interleaving further {!claim}s afterwards is
     legal and simply re-finalizes on the next read.
 

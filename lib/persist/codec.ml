@@ -2,29 +2,29 @@ exception Corrupt of string
 
 module Crc32 = struct
   (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the usual
-     table-driven byte-at-a-time form. *)
+     table-driven byte-at-a-time form, on native ints: every value
+     stays within 32 bits, so nothing is boxed. *)
   let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             if Int32.logand !c 1l <> 0l then
-               c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else c := Int32.shift_right_logical !c 1
-           done;
-           !c))
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
+          else c := !c lsr 1
+        done;
+        !c)
 
-  let string ?(crc = 0l) s =
-    let table = Lazy.force table in
-    let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-    String.iter
-      (fun ch ->
-        let i =
-          Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-        in
-        c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-      s;
-    Int32.logxor !c 0xFFFFFFFFl
+  let sub ?(crc = 0) s ~pos ~len =
+    if pos < 0 || len < 0 || pos > String.length s - len then
+      invalid_arg "Codec.Crc32.sub: range outside the string";
+    let c = ref (crc lxor 0xFFFFFFFF) in
+    for i = pos to pos + len - 1 do
+      c :=
+        Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+        lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFFFFFF
+
+  let string ?crc s = sub ?crc s ~pos:0 ~len:(String.length s)
 end
 
 module W = struct

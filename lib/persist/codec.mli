@@ -15,9 +15,16 @@ exception Corrupt of string
     message includes the byte offset where decoding failed. *)
 
 module Crc32 : sig
-  val string : ?crc:int32 -> string -> int32
-  (** CRC-32 (IEEE 802.3, reflected).  [?crc] continues a running
-      checksum, so a file CRC can be computed incrementally. *)
+  val string : ?crc:int -> string -> int
+  (** CRC-32 (IEEE 802.3, reflected) as an unsigned 32-bit value in
+      [\[0, 0xFFFFFFFF\]].  [?crc] continues a running checksum, so
+      [string ~crc:(string a) b = string (a ^ b)] and a file CRC can be
+      computed incrementally. *)
+
+  val sub : ?crc:int -> string -> pos:int -> len:int -> int
+  (** [sub s ~pos ~len] is [string (String.sub s pos len)] without the
+      copy.
+      @raise Invalid_argument if the range is not inside [s]. *)
 end
 
 module W : sig

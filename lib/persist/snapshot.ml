@@ -43,8 +43,6 @@ let migrations : (int, (string * string) list -> (string * string) list) Hashtbl
 
 let register_migration ~from_version f = Hashtbl.replace migrations from_version f
 
-let crc_as_u32 s = Int32.to_int (Codec.Crc32.string s) land 0xFFFFFFFF
-
 let to_string t =
   (* Layout: magic bytes, u32 version, header fields, u32 section
      count, then each section as (name, crc32(body), body), and
@@ -61,12 +59,12 @@ let to_string t =
   List.iter
     (fun (name, body) ->
       Codec.W.str w name;
-      Codec.W.u32 w (crc_as_u32 body);
+      Codec.W.u32 w (Codec.Crc32.string body);
       Codec.W.str w body)
     t.sections;
   let prefix = Codec.W.contents w in
   let trailer = Codec.W.create () in
-  Codec.W.u32 trailer (crc_as_u32 prefix);
+  Codec.W.u32 trailer (Codec.Crc32.string prefix);
   prefix ^ Codec.W.contents trailer
 
 let parse r =
@@ -84,7 +82,7 @@ let parse r =
         let name = str r in
         let crc = u32 r in
         let body = str r in
-        if crc_as_u32 body <> crc then
+        if Codec.Crc32.string body <> crc then
           corrupt r (Printf.sprintf "section %S fails its CRC" name);
         (name, body))
   in
@@ -119,7 +117,7 @@ let of_string s =
       let b i = Char.code trailer.[i] in
       b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
     in
-    if crc_as_u32 prefix <> stated then Error "snapshot fails its file CRC"
+    if Codec.Crc32.string prefix <> stated then Error "snapshot fails its file CRC"
     else
       match Codec.decode parse prefix with
       | Error _ as e -> e
@@ -185,10 +183,10 @@ let delta ~base ~experiment ~label ~seed ~time sections =
       List.map
         (fun (name, body) ->
           match body with
-          | Some b -> (name, true, crc_as_u32 b)
+          | Some b -> (name, true, Codec.Crc32.string b)
           | None -> (
               match List.assoc_opt name base.sections with
-              | Some b -> (name, false, crc_as_u32 b)
+              | Some b -> (name, false, Codec.Crc32.string b)
               | None ->
                   if !missing = None then missing := Some name;
                   (name, false, 0)))
@@ -237,7 +235,7 @@ let apply_delta ~base d =
                 match List.assoc_opt name stored with
                 | None -> fail "apply_delta: dirty section %S has no body" name
                 | Some body ->
-                    if crc_as_u32 body <> crc then
+                    if Codec.Crc32.string body <> crc then
                       fail "apply_delta: dirty section %S fails its manifest CRC"
                         name
                     else build ((name, body) :: acc) rest)
@@ -247,7 +245,7 @@ let apply_delta ~base d =
                     fail "apply_delta: clean section %S is absent from the base"
                       name
                 | Some body ->
-                    if crc_as_u32 body <> crc then
+                    if Codec.Crc32.string body <> crc then
                       fail
                         "apply_delta: stale base: section %S does not match the \
                          delta's manifest CRC"

@@ -11,17 +11,20 @@ let u32_at s pos =
   let b i = Char.code s.[pos + i] in
   b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
 
+(* One exact-size allocation: header and payload go in first, the CRC
+   is taken over them in place, then the trailer is written. *)
 let frame ~seq payload =
   if seq < 0 || seq > 0xFFFFFFFF then
     invalid_arg (Printf.sprintf "Wal.frame: sequence %d outside u32" seq);
-  let w = Codec.W.create () in
-  Codec.W.u32 w seq;
-  Codec.W.str w payload;
-  let body = Codec.W.contents w in
-  let crc = Int32.to_int (Codec.Crc32.string body) land 0xFFFFFFFF in
-  let trailer = Codec.W.create () in
-  Codec.W.u32 trailer crc;
-  body ^ Codec.W.contents trailer
+  let len = String.length payload in
+  if len > 0xFFFFFFFF then invalid_arg "Wal.frame: payload longer than u32";
+  let b = Bytes.create (8 + len + 4) in
+  Bytes.set_int32_le b 0 (Int32.of_int seq);
+  Bytes.set_int32_le b 4 (Int32.of_int len);
+  Bytes.blit_string payload 0 b 8 len;
+  let crc = Codec.Crc32.sub (Bytes.unsafe_to_string b) ~pos:0 ~len:(8 + len) in
+  Bytes.set_int32_le b (8 + len) (Int32.of_int crc);
+  Bytes.unsafe_to_string b
 
 type verdict = Clean | Torn of int | Corrupt of int
 
@@ -43,9 +46,8 @@ let scan log =
       if len - pos < 8 + payload_len + 4 then
         { records = List.rev acc; clean_bytes = pos; verdict = Torn pos }
       else begin
-        let body = String.sub log pos (8 + payload_len) in
         let stated = u32_at log (pos + 8 + payload_len) in
-        let crc = Int32.to_int (Codec.Crc32.string body) land 0xFFFFFFFF in
+        let crc = Codec.Crc32.sub log ~pos ~len:(8 + payload_len) in
         if crc <> stated || u32_at log pos <> seq then
           { records = List.rev acc; clean_bytes = pos; verdict = Corrupt pos }
         else

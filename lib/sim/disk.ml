@@ -18,8 +18,8 @@ let plan ?(torn = 0.) ?(rot = 0.) () =
 type t = {
   plan : plan;
   rng : Rng.t;
-  mutable durable : Buffer.t;
-  mutable tail : Buffer.t;
+  durable : Buffer.t;
+  tail : Buffer.t;
   appends : Stats.Counter.t;
   flushes : Stats.Counter.t;
   power_cuts : Stats.Counter.t;
@@ -94,10 +94,11 @@ let contents t = Buffer.contents t.durable
 let durable_size t = Buffer.length t.durable
 let tail_size t = Buffer.length t.tail
 
+(* Reuses the durable buffer: [contents] hands out copies, so nothing
+   outside the device aliases it. *)
 let reset_to t bytes =
-  let fresh = Buffer.create (String.length bytes + 4096) in
-  Buffer.add_string fresh bytes;
-  t.durable <- fresh;
+  Buffer.clear t.durable;
+  Buffer.add_string t.durable bytes;
   Buffer.clear t.tail
 
 let appends t = Stats.Counter.value t.appends

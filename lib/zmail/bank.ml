@@ -238,15 +238,15 @@ let durable_image t =
   let body = Persist.Codec.to_string encode_kernel t in
   let w = Persist.Codec.W.create () in
   Persist.Codec.W.str w body;
-  Persist.Codec.W.u32 w (Int32.to_int (Persist.Codec.Crc32.string body) land 0xFFFFFFFF);
+  Persist.Codec.W.u32 w (Persist.Codec.Crc32.string body);
   Persist.Codec.W.contents w
 
 let restore_image t ~image =
   let restore r =
     let body = Persist.Codec.R.str r in
     let crc = Persist.Codec.R.u32 r in
-    if Int32.to_int (Persist.Codec.Crc32.string body) land 0xFFFFFFFF <> crc
-    then Persist.Codec.R.corrupt r "durable image CRC mismatch";
+    if Persist.Codec.Crc32.string body <> crc then
+      Persist.Codec.R.corrupt r "durable image CRC mismatch";
     match Persist.Codec.decode (fun r -> restore_kernel r t) body with
     | Ok () -> ()
     | Error msg -> Persist.Codec.R.corrupt r msg

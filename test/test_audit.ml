@@ -213,6 +213,117 @@ let sparse_matches_dense_verify =
       && Verify.lied_volume sparse
          = List.fold_left (fun a (v : Verify.violation) -> a + abs v.discrepancy) 0 dense)
 
+(* Radix digit-width boundaries.  The sort sizes its digit to the
+   claim count (4..16 bits), so the interesting buffer lengths are
+   around each power of two, and the interesting keys are wide: a
+   short buffer over up to 46340 ISPs sorts 31-bit keys in several
+   narrow passes.  A naive [Hashtbl] aggregation is the reference for
+   every read the accumulator offers. *)
+let claim_counts = [ 0; 1; 2; 15; 16; 17; 255; 256; 257; 65535; 65536; 65537 ]
+
+let radix_case_gen =
+  QCheck.Gen.(
+    triple (oneofl claim_counts)
+      (oneof [ int_range 2 12; int_range 13 2000; int_range 2000 46340; return 46340 ])
+      (int_bound 1_000_000))
+
+let radix_matches_naive =
+  QCheck.Test.make ~name:"verify: radix widths agree with a naive aggregation"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (c, n, seed) -> Printf.sprintf "claims=%d n=%d seed=%d" c n seed)
+       radix_case_gen)
+    (fun (count, n, seed) ->
+      let rng = Sim.Rng.create seed in
+      (* Claims draw from a pool of ISPs: a small pool repeats keys, so
+         aggregation has equal keys to sum; a wide one spreads them. *)
+      let pool =
+        let k = 2 + Sim.Rng.int rng (min n 64 - 1) and seen = Hashtbl.create 64 in
+        while Hashtbl.length seen < k do
+          Hashtbl.replace seen (Sim.Rng.int rng n) ()
+        done;
+        Array.of_seq (Hashtbl.to_seq_keys seen)
+      in
+      let acc = Verify.create ~present:(Array.make n true) () in
+      let pairs = Hashtbl.create 64 and directed = Hashtbl.create 64 in
+      let bump tbl k v =
+        Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+      in
+      let claim r p v =
+        Verify.claim acc ~reporter:r ~peer:p v;
+        bump pairs (min r p, max r p) v;
+        bump directed (r, p) v
+      in
+      let made = ref 0 in
+      while !made < count do
+        let r = pool.(Sim.Rng.int rng (Array.length pool)) in
+        let p = pool.(Sim.Rng.int rng (Array.length pool)) in
+        if r <> p then begin
+          let v = (1 + Sim.Rng.int rng 1000) * if Sim.Rng.bool rng then 1 else -1 in
+          claim r p v;
+          incr made;
+          (* Half the time the peer books the mirror claim, so some
+             pairs cancel: consistent and non-zero. *)
+          if !made < count && Sim.Rng.bool rng then begin
+            claim p r (-v);
+            incr made
+          end
+        end
+      done;
+      let expected =
+        Hashtbl.fold
+          (fun (a, b) d l -> if d <> 0 then { Verify.isp_a = a; isp_b = b; discrepancy = d } :: l else l)
+          pairs []
+        |> List.sort compare
+      in
+      let populated = Hashtbl.fold (fun _ v c -> if v <> 0 then c + 1 else c) directed 0 in
+      Verify.violations acc = expected
+      && Verify.populated acc = populated
+      && Hashtbl.fold
+           (fun (r, p) v ok ->
+             ok
+             && Verify.directed_claim acc ~reporter:r ~peer:p = v
+             && Verify.directed_claim acc ~reporter:p ~peer:r
+                = Option.value ~default:0 (Hashtbl.find_opt directed (p, r)))
+           directed true
+      && Hashtbl.fold
+           (fun (a, b) d ok ->
+             let dir r p = Option.value ~default:0 (Hashtbl.find_opt directed (r, p)) in
+             ok
+             && Verify.consistent_nonzero acc a b
+                = (d = 0 && (dir a b <> 0 || dir b a <> 0)))
+           pairs true)
+
+(* A small round pays a small sort: a 3-ISP round of at most 32 claims
+   allocates well under 4096 words across its reads.  Measured with
+   [Gc.allocated_bytes], which counts arrays too large for the minor
+   heap (a 65536-entry histogram is allocated directly in the major
+   heap and never shows in [Gc.minor_words]). *)
+let small_round_allocates_little () =
+  let rng = Sim.Rng.create 3 in
+  for claims = 0 to 32 do
+    let acc = Verify.create ~present:(Array.make 3 true) () in
+    let made = ref 0 in
+    while !made < claims do
+      let r = Sim.Rng.int rng 3 and p = Sim.Rng.int rng 3 in
+      if r <> p then begin
+        Verify.claim acc ~reporter:r ~peer:p (1 + Sim.Rng.int rng 9);
+        incr made
+      end
+    done;
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Verify.violations acc));
+    for a = 0 to 2 do
+      for b = 0 to 2 do
+        ignore (Sys.opaque_identity (Verify.consistent_nonzero acc a b))
+      done
+    done;
+    let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+    if words >= 4096. then
+      Alcotest.failf "%d claims: violations + consistent_nonzero allocated %.0f words"
+        claims words
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Cycle-sum detection on synthetic rings                              *)
 (* ------------------------------------------------------------------ *)
@@ -367,6 +478,9 @@ let () =
           qtest row_canonical;
           qtest credit_vs_dense_model;
           qtest sparse_matches_dense_verify;
+          qtest radix_matches_naive;
+          Alcotest.test_case "small round allocates little" `Quick
+            small_round_allocates_little;
         ] );
       ( "cycle",
         [

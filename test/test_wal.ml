@@ -121,6 +121,105 @@ let torn_final_truncated =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* CRC-32 and the frame byte layout                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Crc32 = Persist.Codec.Crc32
+
+(* An independent CRC-32 on [Int32] arithmetic: the same reflected
+   table-driven algorithm written with boxed 32-bit values, returned
+   as an unsigned int.  The native-int [Crc32] must agree with it on
+   every input. *)
+let crc32_reference s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.logand !c 1l <> 0l then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      let i =
+        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
+      in
+      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
+    s;
+  Int32.to_int (Int32.logxor !c 0xFFFFFFFFl) land 0xFFFFFFFF
+
+(* The frame as a [Codec.W] header + body, CRC trailer and string
+   concatenation: the layout [Wal.frame] must reproduce byte for byte
+   (WAL files already on disk decode only if it does). *)
+let frame_reference ~seq payload =
+  let w = Persist.Codec.W.create () in
+  Persist.Codec.W.u32 w seq;
+  Persist.Codec.W.str w payload;
+  let body = Persist.Codec.W.contents w in
+  let trailer = Persist.Codec.W.create () in
+  Persist.Codec.W.u32 trailer (crc32_reference body);
+  body ^ Persist.Codec.W.contents trailer
+
+let byte_string_arb =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 300))
+
+let crc_check_values () =
+  checki "CRC-32 check value" 0xCBF43926 (Crc32.string "123456789");
+  checki "empty string" 0 (Crc32.string "");
+  checki "sub of the whole string" 0xCBF43926
+    (Crc32.sub "xx123456789y" ~pos:2 ~len:9);
+  List.iter
+    (fun (pos, len) ->
+      match Crc32.sub "abc" ~pos ~len with
+      | _ -> Alcotest.failf "sub ~pos:%d ~len:%d accepted" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, 4); (2, 2); (1, -1) ]
+
+let crc_matches_reference =
+  QCheck.Test.make ~name:"crc32: equals the Int32 reference" ~count:300
+    byte_string_arb (fun s -> Crc32.string s = crc32_reference s)
+
+let crc_sub_is_string_of_sub =
+  QCheck.Test.make ~name:"crc32: sub s ~pos ~len = string (String.sub s pos len)"
+    ~count:300
+    QCheck.(triple byte_string_arb small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Crc32.sub s ~pos ~len = Crc32.string (String.sub s pos len))
+
+let crc_continues =
+  QCheck.Test.make ~name:"crc32: string ~crc:(string a) b = string (a ^ b)"
+    ~count:300
+    QCheck.(pair byte_string_arb byte_string_arb)
+    (fun (a, b) -> Crc32.string ~crc:(Crc32.string a) b = Crc32.string (a ^ b))
+
+let frame_matches_reference =
+  QCheck.Test.make ~name:"wal: frame is byte-identical to the reference layout"
+    ~count:300
+    QCheck.(
+      pair
+        (make
+           ~print:string_of_int
+           Gen.(oneof [ int_range 0 1000; int_range 0 0xFFFFFFFF; return 0xFFFFFFFF ]))
+        byte_string_arb)
+    (fun (seq, payload) ->
+      String.equal (Persist.Wal.frame ~seq payload) (frame_reference ~seq payload))
+
+let frame_rejects_seq_outside_u32 () =
+  List.iter
+    (fun seq ->
+      match Persist.Wal.frame ~seq "x" with
+      | _ -> Alcotest.failf "frame ~seq:%d accepted" seq
+      | exception Invalid_argument _ -> ())
+    [ -1; 0x1_0000_0000; max_int; min_int ]
+
 (* Splicing: a record carrying the wrong sequence number is Corrupt,
    even though its CRC is self-consistent — replayed or reordered
    frames cannot graft onto a foreign log. *)
@@ -160,7 +259,15 @@ let disk_semantics () =
   Sim.Disk.reset_to d "fresh";
   Alcotest.(check string) "reset_to replaces durable contents" "fresh"
     (Sim.Disk.contents d);
-  checki "reset_to discards the tail" 0 (Sim.Disk.tail_size d)
+  checki "reset_to discards the tail" 0 (Sim.Disk.tail_size d);
+  (* [reset_to] reuses the durable buffer in place; contents handed out
+     before it must not change under later resets and flushes. *)
+  let before = Sim.Disk.contents d in
+  Sim.Disk.reset_to d "x";
+  Sim.Disk.append d "yz";
+  Sim.Disk.flush d;
+  Alcotest.(check string) "reset then flush" "xyz" (Sim.Disk.contents d);
+  Alcotest.(check string) "earlier contents unaliased" "fresh" before
 
 let disk_torn_strict_prefix () =
   (* With torn probability 1 every power cut leaves a fragment, and the
@@ -415,6 +522,13 @@ let () =
           qtest bitflip_detected;
           qtest torn_final_truncated;
           Alcotest.test_case "splice rejected" `Quick splice_rejected;
+          Alcotest.test_case "CRC-32 check values" `Quick crc_check_values;
+          qtest crc_matches_reference;
+          qtest crc_sub_is_string_of_sub;
+          qtest crc_continues;
+          qtest frame_matches_reference;
+          Alcotest.test_case "frame rejects seq outside u32" `Quick
+            frame_rejects_seq_outside_u32;
         ] );
       ( "disk",
         [
