@@ -58,15 +58,19 @@ let geometric rng ~p =
    interval convention [ [cdf.(i-1), cdf.(i)) -> i ] — and a
    zero-weight bucket (whose cdf value equals its predecessor's) can
    never be selected.  The search clamps to the last index, so the
-   result is in range even if rounding pushes [u] up to [total]. *)
-let first_over cdf u =
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if cdf.(mid) > u then search lo mid else search (mid + 1) hi
-  in
-  search 0 (Array.length cdf - 1)
+   result is in range even if rounding pushes [u] up to [total].
+   Every draw runs this search: the annotation makes [>] a float
+   compare instead of the polymorphic C primitive, and a local
+   recursive [search] would capture [cdf]/[u] in a closure allocated
+   per draw. *)
+let rec search_over (cdf : float array) (u : float) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if cdf.(mid) > u then search_over cdf u lo mid
+    else search_over cdf u (mid + 1) hi
+
+let first_over cdf u = search_over cdf u 0 (Array.length cdf - 1)
 
 let zipf ~n ~s =
   if n <= 0 then invalid_arg "Dist.zipf: n must be positive";

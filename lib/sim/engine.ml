@@ -96,7 +96,9 @@ let step t =
   else begin
       let at = Heap.min_prio t.queue in
       let ev = Heap.pop_exn t.queue in
-      t.clock <- Stdlib.max t.clock at;
+      (* Not [Stdlib.max], which compares through the polymorphic C
+         primitive; as with it, a NaN on either side makes [at] win. *)
+      t.clock <- (if t.clock >= at then t.clock else at);
       if ev.foreground then t.foreground_pending <- t.foreground_pending - 1;
       Bitset.unset t.queued ev.id;
       if Bitset.mem t.cancelled ev.id then begin
@@ -180,4 +182,4 @@ let run ?until t =
         then ignore (step t)
         else continue := false
       done;
-      t.clock <- Stdlib.max t.clock horizon
+      t.clock <- (if t.clock >= horizon then t.clock else horizon)

@@ -11,23 +11,47 @@ let zmail_epoch_header = "X-Zmail-Epoch"
 let lower_char c =
   if c >= 'A' && c <= 'Z' then Char.unsafe_chr (Char.code c + 32) else c
 
-let ci_equal a b =
-  String.length a = String.length b
-  &&
-  let n = String.length a in
-  let rec go i =
-    i >= n
-    || (lower_char (String.unsafe_get a i) = lower_char (String.unsafe_get b i)
-        && go (i + 1))
-  in
-  go 0
+(* Top-level recursion rather than local closures: a closure that
+   captures [a]/[b] (or [name]) is allocated afresh on every call. *)
+let rec ci_equal_from a b i n =
+  i >= n
+  || (lower_char (String.unsafe_get a i) = lower_char (String.unsafe_get b i)
+      && ci_equal_from a b (i + 1) n)
 
-let header t name =
-  List.find_map (fun (n, v) -> if ci_equal n name then Some v else None) t.fields
+let ci_equal a b =
+  String.length a = String.length b && ci_equal_from a b 0 (String.length a)
+
+let rec find_field name = function
+  | [] -> None
+  | (n, v) :: rest -> if ci_equal n name then Some v else find_field name rest
+
+let header t name = find_field name t.fields
 
 let headers t = t.fields
 
 let add_header t name value = { t with fields = t.fields @ [ (name, value) ] }
+
+(* [string_of_int] is [format_int "%d"], a C call into [snprintf], and
+   the per-message path renders integers into the Date, payment and
+   epoch headers, the Message-Id and the Received stamp.  Digits are
+   produced from the non-positive image of [n], which exists for every
+   int, so [min_int] needs no special case ([m mod 10] is in [-9, 0]
+   for [m <= 0]). *)
+let rec count_digits m len =
+  if m > -10 then len else count_digits (m / 10) (len + 1)
+
+let rec write_digits b i m =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
+  if m <= -10 then write_digits b (i - 1) (m / 10)
+
+let decimal n =
+  let m = if n > 0 then -n else n in
+  let sign = if n < 0 then 1 else 0 in
+  let len = sign + count_digits m 1 in
+  let b = Bytes.create len in
+  if sign = 1 then Bytes.unsafe_set b 0 '-';
+  write_digits b (len - 1) m;
+  Bytes.unsafe_to_string b
 
 (* Simulated-time date rendering: day counter plus time of day, which
    keeps headers readable without a real calendar.  Rendered by hand —
@@ -36,7 +60,7 @@ let add_header t name value = { t with fields = t.fields @ [ (name, value) ] }
    format interpretation dominated its cost. *)
 let add_02d b n =
   if n < 10 then Buffer.add_char b '0';
-  Buffer.add_string b (string_of_int n)
+  Buffer.add_string b (decimal n)
 
 let render_date seconds =
   let day = int_of_float (seconds /. 86400.) in
@@ -46,7 +70,7 @@ let render_date seconds =
   let s = int_of_float (rem -. (float_of_int h *. 3600.) -. (float_of_int m *. 60.)) in
   let b = Buffer.create 24 in
   Buffer.add_string b "Day ";
-  Buffer.add_string b (string_of_int day);
+  Buffer.add_string b (decimal day);
   Buffer.add_char b ' ';
   add_02d b h;
   Buffer.add_char b ':';
@@ -88,13 +112,13 @@ let mark_payment ?epoch t ~epennies =
   let tl =
     match epoch with
     | None -> []
-    | Some seq -> [ (zmail_epoch_header, string_of_int seq) ]
+    | Some seq -> [ (zmail_epoch_header, decimal seq) ]
   in
-  { t with fields = t.fields @ (zmail_payment_header, string_of_int epennies) :: tl }
+  { t with fields = t.fields @ (zmail_payment_header, decimal epennies) :: tl }
 
 let payment t = Option.bind (header t zmail_payment_header) int_of_string_opt
 
-let mark_epoch t ~seq = add_header t zmail_epoch_header (string_of_int seq)
+let mark_epoch t ~seq = add_header t zmail_epoch_header (decimal seq)
 
 let epoch t = Option.bind (header t zmail_epoch_header) int_of_string_opt
 

@@ -42,6 +42,12 @@ val add_header : t -> string -> string -> t
 val size_bytes : t -> int
 (** Rendered size. *)
 
+val decimal : int -> string
+(** [decimal n] is [string_of_int n], byte for byte for every [int]
+    (negatives and [min_int] included), rendered without the C
+    runtime's [snprintf]: the header values Zmail stamps on every
+    message are integers. *)
+
 (** The Zmail extension headers (§1.3: Zmail changes no SMTP verb; all
     protocol information rides in the message header block). *)
 

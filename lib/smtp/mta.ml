@@ -224,12 +224,12 @@ let add_t3 b x =
       Buffer.add_string b (Printf.sprintf "%.3f" x)
     else begin
       let ms = int_of_float (Float.round scaled) in
-      Buffer.add_string b (string_of_int (ms / 1000));
+      Buffer.add_string b (Message.decimal (ms / 1000));
       Buffer.add_char b '.';
       let f = ms mod 1000 in
       if f < 100 then Buffer.add_char b '0';
       if f < 10 then Buffer.add_char b '0';
-      Buffer.add_string b (string_of_int f)
+      Buffer.add_string b (Message.decimal f)
     end
 
 (* Byte-identical to
@@ -386,6 +386,19 @@ and park t ~dest_host envelope message ~attempt reason =
     (retry_transient t ~dest_host envelope message ~attempt ~reason
        ~resubmit:(fun ~attempt -> transmit t ~dest_host envelope message ~attempt))
 
+(* ["<" ^ string_of_int seq ^ "@" ^ host ^ ">"], in one allocation
+   past the digits: stamped on every submitted message. *)
+let message_id_value seq host =
+  let d = Message.decimal seq in
+  let dl = String.length d and hl = String.length host in
+  let b = Bytes.create (dl + hl + 3) in
+  Bytes.unsafe_set b 0 '<';
+  Bytes.unsafe_blit_string d 0 b 1 dl;
+  Bytes.unsafe_set b (dl + 1) '@';
+  Bytes.unsafe_blit_string host 0 b (dl + 2) hl;
+  Bytes.unsafe_set b (dl + hl + 2) '>';
+  Bytes.unsafe_to_string b
+
 let submit t envelope message =
   t.submitted <- t.submitted + 1;
   (* Stamp a Message-Id on first submission, like any real MTA. *)
@@ -395,7 +408,7 @@ let submit t envelope message =
     | None ->
         t.next_message_id <- t.next_message_id + 1;
         Message.add_header message "Message-Id"
-          ("<" ^ string_of_int t.next_message_id ^ "@" ^ t.hostname ^ ">")
+          (message_id_value t.next_message_id t.hostname)
   in
   let message = t.outbound_stamp envelope message in
   let route sub_envelope ~domain ~dest message =

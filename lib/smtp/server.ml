@@ -158,13 +158,34 @@ let take_received t =
    structurally equal to [m]: header names survive the [':'] split and
    values survive the parser's [String.trim].  Bodies always
    round-trip (dot-stuffing is undone symmetrically, and
-   split/concat on ['\n'] is the identity). *)
+   split/concat on ['\n'] is the identity).
+
+   Checked in one pass per string, with no exception and no copy:
+   [String.trim v = v] exactly when [v] is empty or neither end is one
+   of [String.trim]'s spaces ([' '], ['\012'], ['\n'], ['\r'],
+   ['\t'] — not ['\011']).  A qcheck property in test_smtp pins this
+   against the [String.contains]/[String.trim] definition. *)
+let is_trim_space = function
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+  | _ -> false
+
+let rec name_clean n i len =
+  i >= len
+  || (match String.unsafe_get n i with
+     | ' ' | ':' -> false
+     | _ -> name_clean n (i + 1) len)
+
+let rec value_clean v i len =
+  i >= len || (String.unsafe_get v i <> '\n' && value_clean v (i + 1) len)
+
 let header_round_trips (n, v) =
-  n <> ""
-  && (not (String.contains n ' '))
-  && (not (String.contains n ':'))
-  && (not (String.contains v '\n'))
-  && String.equal (String.trim v) v
+  let nl = String.length n and vl = String.length v in
+  nl > 0
+  && name_clean n 0 nl
+  && (vl = 0
+     || (not (is_trim_space (String.unsafe_get v 0)))
+        && (not (is_trim_space (String.unsafe_get v (vl - 1))))
+        && value_clean v 0 vl)
 
 let message_round_trips m = List.for_all header_round_trips (Message.headers m)
 

@@ -473,7 +473,7 @@ let charge_send t ~sender ~dest_isp =
   else begin
     let outcome = charge_exec t ~sender ~dest_isp in
     wal_append t
-      ~flush:(outcome = Sent_paid)
+      ~flush:(match outcome with Sent_paid -> true | _ -> false)
       (fun w ->
         Persist.Codec.W.u8 w tag_charge;
         Persist.Codec.W.int w sender;

@@ -222,6 +222,25 @@ let test_dist_zipf_ranks () =
   Alcotest.(check bool) "rank 1 most frequent" true (counts.(1) > counts.(2));
   Alcotest.(check bool) "rank 2 beats rank 9" true (counts.(2) > counts.(9))
 
+(* The first 10,000 draws at seed 1, pinned: a change to the CDF
+   search may make draws cheaper, never different. *)
+let draws_digest sample =
+  let rng = Sim.Rng.create 1 in
+  let b = Buffer.create 60_000 in
+  for _ = 1 to 10_000 do
+    Buffer.add_string b (string_of_int (sample rng));
+    Buffer.add_char b ','
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_dist_draws_pinned () =
+  Alcotest.(check string)
+    "zipf n=100000 s=1.1" "83998fa87349ee66aeb7ba66c847bfea"
+    (draws_digest (Sim.Dist.zipf ~n:100_000 ~s:1.1));
+  Alcotest.(check string)
+    "categorical" "1aa838a26e109e3894015acf871ad7dd"
+    (draws_digest (Sim.Dist.categorical ~weights:[| 0.; 1.; 3.; 0.; 2.5; 0.5 |]))
+
 let test_dist_categorical () =
   let rng = Sim.Rng.create 11 in
   let sample = Sim.Dist.categorical ~weights:[| 0.; 1.; 3. |] in
@@ -1065,6 +1084,7 @@ let () =
           Alcotest.test_case "lognormal positive" `Quick test_dist_lognormal_positive;
           Alcotest.test_case "zipf ranks" `Quick test_dist_zipf_ranks;
           Alcotest.test_case "categorical" `Quick test_dist_categorical;
+          Alcotest.test_case "draws pinned" `Quick test_dist_draws_pinned;
           Alcotest.test_case "geometric" `Quick test_dist_geometric;
           Alcotest.test_case "first_over boundaries" `Quick
             test_dist_first_over_boundaries;

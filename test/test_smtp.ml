@@ -881,6 +881,111 @@ let test_deliver_direct_matches_dialogue =
           reply.Smtp.Reply.code = 552
       | _ -> false)
 
+let test_decimal_matches_string_of_int =
+  QCheck.Test.make ~name:"decimal matches string_of_int" ~count:2000
+    QCheck.(
+      make ~print:string_of_int
+        Gen.(
+          oneof
+            [
+              int;
+              int_range (-1000) 1000;
+              oneofl
+                [ min_int; max_int; min_int + 1; max_int - 1; 0; 1; -1; 9; -9; 10; -10 ];
+            ]))
+    (fun n -> Smtp.Message.decimal n = string_of_int n)
+
+(* The header guard before it became a single pass, kept verbatim as
+   the reference. *)
+let reference_header_round_trips (n, v) =
+  n <> ""
+  && (not (String.contains n ' '))
+  && (not (String.contains n ':'))
+  && (not (String.contains v '\n'))
+  && String.equal (String.trim v) v
+
+(* Names, values and bodies from the characters the guard and
+   [String.trim] treat specially, ['\011'] (not a trim space)
+   included; [""] is drawn often. *)
+let adversarial_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:(oneofl [ 'a'; 'Z'; ' '; ':'; '\n'; '\t'; '\r'; '\012'; '\011' ])
+      (int_bound 4))
+
+let adversarial_gen =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 0 3) (pair adversarial_string adversarial_string))
+      adversarial_string)
+
+let adversarial_print (extra, body) =
+  Printf.sprintf "extra=[%s] body=%S"
+    (String.concat "; " (List.map (fun (n, v) -> Printf.sprintf "(%S, %S)" n v) extra))
+    body
+
+let adversarial_message (extra, body) =
+  List.fold_left
+    (fun m (n, v) -> Smtp.Message.add_header m n v)
+    (Smtp.Message.make ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
+       ~subject:"probe" ~date:3661.25 ~body ())
+    extra
+
+let test_round_trip_guard_matches_reference =
+  QCheck.Test.make ~name:"message_round_trips matches the reference guard"
+    ~count:3000
+    (QCheck.make ~print:adversarial_print adversarial_gen)
+    (fun case ->
+      let m = adversarial_message case in
+      Smtp.Server.message_round_trips m
+      = List.for_all reference_header_round_trips (Smtp.Message.headers m))
+
+let test_round_trip_guard_is_sound =
+  QCheck.Test.make ~name:"message_round_trips implies of_lines (to_lines m) = m"
+    ~count:3000
+    (QCheck.make ~print:adversarial_print adversarial_gen)
+    (fun case ->
+      let m = adversarial_message case in
+      (not (Smtp.Server.message_round_trips m))
+      ||
+      match Smtp.Message.of_lines (Smtp.Message.to_lines m) with
+      | Ok m' ->
+          Smtp.Message.headers m' = Smtp.Message.headers m
+          && Smtp.Message.body m' = Smtp.Message.body m
+      | Error _ -> false)
+
+(* Words allocated by [n] calls of [f].  The slack covers the boxed
+   floats of the measurement itself. *)
+let minor_words_of n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Gc.minor_words () -. before
+
+let test_guard_and_lookup_allocate_nothing () =
+  let m =
+    Smtp.Message.make ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
+      ~subject:"probe" ~date:3661.25 ~body:"hello" ()
+  in
+  let m = Smtp.Message.add_header m "Message-Id" "<1@mx.a.com>" in
+  let m = Smtp.Message.mark_payment ~epoch:3 m ~epennies:1 in
+  let m = Smtp.Message.add_header m "Received" "from a.com by mx.b.com; t=1.000" in
+  let m = Smtp.Message.add_header m "X-Last" "z" in
+  Alcotest.(check int) "nine headers" 9 (List.length (Smtp.Message.headers m));
+  Alcotest.(check bool) "round-trips" true (Smtp.Server.message_round_trips m);
+  let slack = 64. in
+  let guard = minor_words_of 1000 (fun () -> Smtp.Server.message_round_trips m) in
+  if guard > slack then
+    Alcotest.failf "message_round_trips: %.0f words over 1000 calls" guard;
+  (* A miss scans every field and allocates nothing; a hit allocates
+     only its [Some] (two words). *)
+  let miss = minor_words_of 1000 (fun () -> Smtp.Message.header m "x-absent") in
+  if miss > slack then Alcotest.failf "header (miss): %.0f words over 1000 calls" miss;
+  let hit = minor_words_of 1000 (fun () -> Smtp.Message.header m "x-last") in
+  if hit > 2000. +. slack then
+    Alcotest.failf "header (hit): %.0f words over 1000 calls" hit
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -933,6 +1038,13 @@ let () =
             test_received_stamp_matches_sprintf;
             test_date_header_matches_sprintf;
             test_deliver_direct_matches_dialogue;
+            test_decimal_matches_string_of_int;
+            test_round_trip_guard_matches_reference;
+            test_round_trip_guard_is_sound;
+          ]
+        @ [
+            Alcotest.test_case "guard and lookup allocate nothing" `Quick
+              test_guard_and_lookup_allocate_nothing;
           ] );
       ("dns", [ Alcotest.test_case "registry" `Quick test_dns ]);
       ("mailbox", [ Alcotest.test_case "store" `Quick test_mailbox ]);
