@@ -4,13 +4,24 @@
    is a hash table holding exactly the non-zero cells, and every
    deterministic export goes through {!pairs} (sorted, non-zero only)
    so Hashtbl iteration order never leaks into traces, wire bytes or
-   snapshots. *)
+   snapshots.
 
-type t = { n : int; cells : (int, int) Hashtbl.t }
+   The table is specialised to int keys: the generic [Hashtbl] hashes
+   through [caml_hash] and compares through [compare_val], and every
+   credit booked on the send and receive paths lands here. *)
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = x land max_int
+end)
+
+type t = { n : int; cells : int Int_tbl.t }
 
 let create ~n =
   if n <= 0 then invalid_arg "Audit.Row.create: n must be positive";
-  { n; cells = Hashtbl.create 8 }
+  { n; cells = Int_tbl.create 8 }
 
 let n t = t.n
 
@@ -20,33 +31,33 @@ let check t peer ctx =
 
 let get t peer =
   check t peer "get";
-  Option.value ~default:0 (Hashtbl.find_opt t.cells peer)
+  Option.value ~default:0 (Int_tbl.find_opt t.cells peer)
 
 (* Zero cells are removed, not stored: [cardinal] counts populated
    cells and [pairs] never emits a zero, keeping the canonical form. *)
 let set t peer v =
   check t peer "set";
-  if v = 0 then Hashtbl.remove t.cells peer else Hashtbl.replace t.cells peer v
+  if v = 0 then Int_tbl.remove t.cells peer else Int_tbl.replace t.cells peer v
 
 let add t peer dv =
   check t peer "add";
   if dv <> 0 then begin
-    let v = Option.value ~default:0 (Hashtbl.find_opt t.cells peer) + dv in
-    if v = 0 then Hashtbl.remove t.cells peer else Hashtbl.replace t.cells peer v
+    let v = Option.value ~default:0 (Int_tbl.find_opt t.cells peer) + dv in
+    if v = 0 then Int_tbl.remove t.cells peer else Int_tbl.replace t.cells peer v
   end
 
-let cardinal t = Hashtbl.length t.cells
-let is_empty t = Hashtbl.length t.cells = 0
+let cardinal t = Int_tbl.length t.cells
+let is_empty t = Int_tbl.length t.cells = 0
 
-let sum t = Hashtbl.fold (fun _ v acc -> acc + v) t.cells 0
+let sum t = Int_tbl.fold (fun _ v acc -> acc + v) t.cells 0
 
 (* Unordered — use only for order-insensitive folds (sums, carries). *)
-let iter f t = Hashtbl.iter f t.cells
+let iter f t = Int_tbl.iter f t.cells
 
 let pairs t =
-  let a = Array.make (Hashtbl.length t.cells) (0, 0) in
+  let a = Array.make (Int_tbl.length t.cells) (0, 0) in
   let i = ref 0 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun peer v ->
       a.(!i) <- (peer, v);
       incr i)
@@ -56,7 +67,7 @@ let pairs t =
 
 let to_dense t =
   let a = Array.make t.n 0 in
-  Hashtbl.iter (fun peer v -> a.(peer) <- v) t.cells;
+  Int_tbl.iter (fun peer v -> a.(peer) <- v) t.cells;
   a
 
 let of_pairs ~n ps =
@@ -64,29 +75,31 @@ let of_pairs ~n ps =
   Array.iter
     (fun (peer, v) ->
       check t peer "of_pairs";
-      if Hashtbl.mem t.cells peer then
+      if Int_tbl.mem t.cells peer then
         invalid_arg (Printf.sprintf "Audit.Row.of_pairs: duplicate peer %d" peer);
-      if v <> 0 then Hashtbl.replace t.cells peer v)
+      if v <> 0 then Int_tbl.replace t.cells peer v)
     ps;
   t
 
 let of_dense a =
   let t = create ~n:(Array.length a) in
-  Array.iteri (fun peer v -> if v <> 0 then Hashtbl.replace t.cells peer v) a;
+  Array.iteri (fun peer v -> if v <> 0 then Int_tbl.replace t.cells peer v) a;
   t
 
 let add_row t src =
   if src.n <> t.n then invalid_arg "Audit.Row.add_row: size mismatch";
-  Hashtbl.iter (fun peer v -> add t peer v) src.cells
+  Int_tbl.iter (fun peer v -> add t peer v) src.cells
 
-let copy t = { n = t.n; cells = Hashtbl.copy t.cells }
-let clear t = Hashtbl.reset t.cells
+let copy t = { n = t.n; cells = Int_tbl.copy t.cells }
+let clear t = Int_tbl.reset t.cells
 
 let equal a b =
   a.n = b.n
-  && Hashtbl.length a.cells = Hashtbl.length b.cells
-  && Hashtbl.fold
-       (fun peer v acc -> acc && Hashtbl.find_opt b.cells peer = Some v)
+  && Int_tbl.length a.cells = Int_tbl.length b.cells
+  && Int_tbl.fold
+       (fun peer v acc ->
+         acc
+         && match Int_tbl.find_opt b.cells peer with Some w -> v = w | None -> false)
        a.cells true
 
 (* The canonical sorted-pairs form is also the persisted form, so equal

@@ -48,18 +48,31 @@ let violate ~trace ~context t (ev : Trace.event) fmt =
            }))
     fmt
 
+(* [List.assoc_opt] with a string-typed key: the stdlib one compares
+   through the polymorphic [compare], and the credit checkers look up
+   a field on every credit event. *)
+let rec field (key : string) = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else field key rest
+
 let int_field (ev : Trace.event) key =
-  match List.assoc_opt key ev.Trace.fields with
+  match field key ev.Trace.fields with
   | Some (Trace.Int i) -> Some i
   | _ -> None
 
 let bool_field (ev : Trace.event) key =
-  match List.assoc_opt key ev.Trace.fields with
+  match field key ev.Trace.fields with
   | Some (Trace.Bool b) -> Some b
   | _ -> None
 
+(* [bool_field ev key = Some true] without the polymorphic compare. *)
+let is_true (ev : Trace.event) key =
+  match field key ev.Trace.fields with
+  | Some (Trace.Bool b) -> b
+  | _ -> false
+
 let int_list_field (ev : Trace.event) key =
-  match List.assoc_opt key ev.Trace.fields with
+  match field key ev.Trace.fields with
   | Some (Trace.Str "") -> Some []
   | Some (Trace.Str s) ->
       let parts = String.split_on_char ',' s in
@@ -88,7 +101,7 @@ let attach_zero_sum ?(context = 32) trace ~initial =
         decr in_flight
     | "isp", "mint" -> incr expected
     | "isp", "buy_apply" ->
-        if bool_field ev "accepted" = Some true then
+        if is_true ev "accepted" then
           expected := !expected + Option.value ~default:0 (int_field ev "amount")
     | "isp", "sell_apply" ->
         expected := !expected - Option.value ~default:0 (int_field ev "taken")
@@ -101,7 +114,7 @@ let attach_zero_sum ?(context = 32) trace ~initial =
                (delta %+d)"
               total !expected (total - !expected)
         | Some _ | None -> ());
-        if bool_field ev "quiescent" = Some true && !in_flight <> 0 then
+        if is_true ev "quiescent" && !in_flight <> 0 then
           violate ~trace ~context t ev
             "%d paid messages still in flight at quiescence" !in_flight)
     | _ -> ()
@@ -114,18 +127,29 @@ let attach_zero_sum ?(context = 32) trace ~initial =
 
 type pair_flow = { mutable sends : int; mutable recvs : int; mutable flying : int }
 
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = x land max_int
+end)
+
+(* Flows are keyed by the single int [a * n + b]: both ISPs have passed
+   [is_honest], so [0 <= a, b < n] and key order is [(a, b)] order. *)
 let attach_antisymmetry ?(context = 32) trace ~honest =
   let t = fresh "credit-antisymmetry" in
-  let pairs : (int * int, pair_flow) Hashtbl.t = Hashtbl.create 16 in
+  let n = Array.length honest in
+  let pairs : pair_flow Int_tbl.t = Int_tbl.create 16 in
   let flow a b =
-    match Hashtbl.find_opt pairs (a, b) with
+    let key = (a * n) + b in
+    match Int_tbl.find_opt pairs key with
     | Some f -> f
     | None ->
         let f = { sends = 0; recvs = 0; flying = 0 } in
-        Hashtbl.replace pairs (a, b) f;
+        Int_tbl.replace pairs key f;
         f
   in
-  let is_honest i = i >= 0 && i < Array.length honest && honest.(i) in
+  let is_honest i = i >= 0 && i < n && honest.(i) in
   let sink (ev : Trace.event) =
     match (ev.Trace.comp, ev.Trace.name) with
     | "credit", ("send" | "recv" | "cancel") -> (
@@ -164,15 +188,21 @@ let attach_antisymmetry ?(context = 32) trace ~honest =
               | _ -> ())
             end)
     | "obs", "checkpoint" ->
-        if bool_field ev "quiescent" = Some true then begin
+        if is_true ev "quiescent" then begin
           t.checks <- t.checks + 1;
-          Hashtbl.iter
-            (fun (a, b) f ->
-              if f.flying <> 0 then
-                violate ~trace ~context t ev
-                  "pair (%d,%d) has %d credits in flight at quiescence" a b
-                  f.flying)
-            pairs
+          (* Report the smallest [(a, b)] in flight, not whichever the
+             table's iteration order reaches first. *)
+          let first =
+            Int_tbl.fold
+              (fun key f first ->
+                if f.flying <> 0 && (first < 0 || key < first) then key
+                else first)
+              pairs (-1)
+          in
+          if first >= 0 then
+            violate ~trace ~context t ev
+              "pair (%d,%d) has %d credits in flight at quiescence"
+              (first / n) (first mod n) (Int_tbl.find pairs first).flying
         end
     | _ -> ()
   in

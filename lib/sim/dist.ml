@@ -72,6 +72,41 @@ let rec search_over (cdf : float array) (u : float) lo hi =
 
 let first_over cdf u = search_over cdf u 0 (Array.length cdf - 1)
 
+(* An exact guide table over a CDF, so a draw searches a bucket instead
+   of the whole array.  [key x = truncate (x *. scale)], clamped to
+   [0 .. n-1] (NaN to [n-1]), is monotone in [x] because [scale =
+   n /. total] is positive.  [starts.(j)] is the first index whose cdf
+   key is [>= j] ([n-1] if none) and [starts.(n) = n-1].  For
+   [key u = j], every index before [starts.(j)] has a smaller key, so
+   its cdf is [< u]; the index at [starts.(j+1)] has a larger key, so
+   its cdf is [> u], or it is [n-1], where [first_over] clamps.  The
+   answer [first_over cdf u] therefore lies in
+   [starts.(j) .. starts.(j+1)], and [search_over] over that range
+   returns it exactly: draws are bit-identical to the full search. *)
+type guide = { cdf : float array; starts : int array; scale : float }
+
+let[@inline] key (scale : float) (last : int) (x : float) =
+  let f = x *. scale in
+  if f < float_of_int last then if f >= 0. then truncate f else 0 else last
+
+let guide cdf =
+  let n = Array.length cdf in
+  let scale = float_of_int n /. cdf.(n - 1) in
+  let starts = Array.make (n + 1) (n - 1) in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let k = key scale (n - 1) cdf.(i) in
+    while !j <= k do
+      starts.(!j) <- i;
+      incr j
+    done
+  done;
+  { cdf; starts; scale }
+
+let guided g u =
+  let j = key g.scale (Array.length g.cdf - 1) u in
+  search_over g.cdf u g.starts.(j) g.starts.(j + 1)
+
 let zipf ~n ~s =
   if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
   let cdf = Array.make n 0. in
@@ -81,9 +116,10 @@ let zipf ~n ~s =
     cdf.(k - 1) <- !total
   done;
   let total = !total in
+  let g = guide cdf in
   fun rng ->
     let u = Rng.unit_float rng *. total in
-    first_over cdf u + 1
+    guided g u + 1
 
 let categorical ~weights =
   let n = Array.length weights in
@@ -97,10 +133,15 @@ let categorical ~weights =
   done;
   if !total <= 0. then invalid_arg "Dist.categorical: zero total weight";
   let total = !total in
+  let g = guide cdf in
   fun rng ->
     let u = Rng.unit_float rng *. total in
-    first_over cdf u
+    guided g u
 
 module Internal = struct
   let first_over = first_over
+
+  let guided_first_over cdf =
+    let g = guide cdf in
+    fun u -> guided g u
 end

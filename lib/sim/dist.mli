@@ -59,4 +59,10 @@ module Internal : sig
       [\[cdf.(i-1), cdf.(i))]), and zero-weight buckets — whose cdf
       entry equals their predecessor's — are never selected.
       Requires a non-empty, non-decreasing [cdf]. *)
+
+  val guided_first_over : float array -> float -> int
+  (** [guided_first_over cdf] builds the guide table {!zipf} and
+      {!categorical} draw through; the result maps [u] to exactly
+      [first_over cdf u], searching one guide bucket instead of the
+      whole CDF.  Same requirements as {!first_over}. *)
 end

@@ -47,18 +47,20 @@ let enqueue t ~priority ev =
   Bitset.set t.queued ev.id
 
 let schedule t ~at f =
-  if at < t.clock then invalid_arg "Engine.schedule: time is in the past";
+  (* Written negated so a NaN time is rejected too: a NaN key has no
+     place in the heap's strict (priority, sequence) order. *)
+  if not (at >= t.clock) then invalid_arg "Engine.schedule: time is in the past";
   let id = fresh_id t in
   enqueue t ~priority:at { id; run = f; foreground = true };
   t.foreground_pending <- t.foreground_pending + 1;
   id
 
 let schedule_after t ~delay f =
-  if delay < 0. then invalid_arg "Engine.schedule_after: negative delay";
+  if not (delay >= 0.) then invalid_arg "Engine.schedule_after: negative delay";
   schedule t ~at:(t.clock +. delay) f
 
 let every t ?start ~period f =
-  if period <= 0. then invalid_arg "Engine.every: period must be positive";
+  if not (period > 0.) then invalid_arg "Engine.every: period must be positive";
   let first = match start with Some s -> s | None -> t.clock +. period in
   (* The recurrence shares one handle: cancelling it marks the id, which
      is checked before each occurrence fires or reschedules.
@@ -73,7 +75,7 @@ let every t ?start ~period f =
           { id; run = occurrence (at +. period); foreground = false }
     end
   in
-  if first < t.clock then invalid_arg "Engine.every: start is in the past";
+  if not (first >= t.clock) then invalid_arg "Engine.every: start is in the past";
   enqueue t ~priority:first { id; run = occurrence first; foreground = false };
   id
 

@@ -26,18 +26,20 @@ val rng : t -> Rng.t
 
 val schedule : t -> at:float -> (unit -> unit) -> handle
 (** [schedule t ~at f] runs [f] at absolute time [at].
-    @raise Invalid_argument if [at] is before {!now}. *)
+    @raise Invalid_argument if [at] is before {!now} or NaN. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule_after t ~delay f] runs [f] [delay] time units from now.
-    Negative delays are rejected. *)
+    Negative and NaN delays are rejected. *)
 
 val every : t -> ?start:float -> period:float -> (unit -> unit) -> handle
 (** [every t ~start ~period f] runs [f] at [start] (default
     [now t +. period]) and then every [period] units, until cancelled.
     The returned handle cancels the whole recurrence.  Recurrences are
     {e background} events: they fire during [run ~until], but a plain
-    {!run} does not wait for them (they would never drain). *)
+    {!run} does not wait for them (they would never drain).
+    @raise Invalid_argument if [period] is not positive (NaN included)
+    or the first occurrence is before {!now} or NaN. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event; cancelling a fired or already-cancelled

@@ -445,13 +445,19 @@ let pool_tick t i kernel =
   | None -> ()
   | Some sealed ->
       touch t i;
+      (* Typed nonce compares: [=] on an [int64 option] is the
+         polymorphic C primitive, and [still] runs on every retry. *)
+      let same_nonce nonce = function
+        | Some n -> Int64.equal n nonce
+        | None -> false
+      in
       let still, kind =
         match (Isp.pending_buy_nonce kernel, Isp.pending_sell_nonce kernel) with
-        | Some nonce, _ when Isp.pending_buy_nonce kernel <> buy_before ->
-            ( (fun () -> Isp.pending_buy_nonce kernel = Some nonce),
+        | Some nonce, _ when not (same_nonce nonce buy_before) ->
+            ( (fun () -> same_nonce nonce (Isp.pending_buy_nonce kernel)),
               Adversary.Bank_wire.Buy_msg )
-        | _, Some nonce when Isp.pending_sell_nonce kernel <> sell_before ->
-            ( (fun () -> Isp.pending_sell_nonce kernel = Some nonce),
+        | _, Some nonce when not (same_nonce nonce sell_before) ->
+            ( (fun () -> same_nonce nonce (Isp.pending_sell_nonce kernel)),
               Adversary.Bank_wire.Sell_msg )
         | _ -> ((fun () -> false), Adversary.Bank_wire.Buy_msg)
       in
@@ -1327,7 +1333,9 @@ let attach_user_traffic t ?(mix = Econ.User_model.standard_mix) () =
              address validation) only runs for ham, never for the far
              more numerous spam deliveries. *)
           if
-            Smtp.Message.header message "X-Sim-Label" = Some "ham"
+            (match Smtp.Message.header message "X-Sim-Label" with
+            | Some "ham" -> true
+            | Some _ | None -> false)
             && Smtp.Message.ack_of message = None
           then
             match locate t rcpt with

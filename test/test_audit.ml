@@ -72,6 +72,78 @@ let row_canonical =
       && Row.sum row = Array.fold_left (fun a (_, v) -> a + v) 0 pairs
       && Row.cardinal row = Array.length pairs)
 
+(* The int-keyed row against a [Map.Make (Int)] model.  Ops act on a
+   main row [r] and a side row [s] (the [add_row] source and the
+   [copy] target); after every op both rows must match their models in
+   [pairs], [sum] and [cardinal], and [equal] must agree with model
+   equality. *)
+module Int_map = Map.Make (Int)
+
+type row_op =
+  | Add of int * int
+  | Set of int * int
+  | Add_side of int * int
+  | Add_row
+  | Copy
+  | Clear
+
+let row_op_gen n =
+  QCheck.Gen.(
+    let peer = int_bound (n - 1) and dv = int_range (-3) 3 in
+    frequency
+      [
+        (6, map2 (fun p v -> Add (p, v)) peer dv);
+        (2, map2 (fun p v -> Set (p, v)) peer dv);
+        (3, map2 (fun p v -> Add_side (p, v)) peer dv);
+        (1, return Add_row);
+        (1, return Copy);
+        (1, return Clear);
+      ])
+
+let row_vs_map_model =
+  QCheck.Test.make ~name:"row: int table matches a Map.Make (Int) model" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         int_range 1 40 >>= fun n ->
+         map (fun ops -> (n, ops)) (list_size (0 -- 200) (row_op_gen n))))
+    (fun (n, ops) ->
+      let model_add m p dv =
+        let v = Option.value ~default:0 (Int_map.find_opt p m) + dv in
+        if v = 0 then Int_map.remove p m else Int_map.add p v m
+      in
+      let r = Row.create ~n and s = ref (Row.create ~n) in
+      let m = ref Int_map.empty and ms = ref Int_map.empty in
+      let matches row model =
+        Row.pairs row = Array.of_list (Int_map.bindings model)
+        && Row.sum row = Int_map.fold (fun _ v a -> a + v) model 0
+        && Row.cardinal row = Int_map.cardinal model
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (p, dv) ->
+              Row.add r p dv;
+              m := model_add !m p dv
+          | Set (p, v) ->
+              Row.set r p v;
+              m := if v = 0 then Int_map.remove p !m else Int_map.add p v !m
+          | Add_side (p, dv) ->
+              Row.add !s p dv;
+              ms := model_add !ms p dv
+          | Add_row ->
+              Row.add_row r !s;
+              m := Int_map.fold (fun p v m -> model_add m p v) !ms !m
+          | Copy ->
+              s := Row.copy r;
+              ms := !m
+          | Clear ->
+              Row.clear r;
+              m := Int_map.empty);
+          matches r !m
+          && matches !s !ms
+          && Row.equal r !s = Int_map.equal Int.equal !m !ms)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Sparse credit vector vs a dense reference model                     *)
 (* ------------------------------------------------------------------ *)
@@ -476,6 +548,7 @@ let () =
       ( "sparse",
         [
           qtest row_canonical;
+          qtest row_vs_map_model;
           qtest credit_vs_dense_model;
           qtest sparse_matches_dense_verify;
           qtest radix_matches_naive;

@@ -271,6 +271,34 @@ let test_checker_catches_double_credit () =
         (String.length (Format.asprintf "%a" Obs.Invariant.pp_violation v) > 0);
       List.iter Obs.Invariant.detach checkers
 
+(* At quiescence the antisymmetry checker reports the smallest (a, b)
+   still in flight, whatever order the pairs were first seen in.  With
+   five ISPs the flow keys are [a * 5 + b]: pair (3,2) is key 17 and
+   (0,2) key 2, so a 16-bucket table meets (3,2) first. *)
+let test_antisymmetry_reports_smallest_pair () =
+  let run pairs =
+    let tr = Obs.Trace.create ~capacity:16 () in
+    let c = Obs.Invariant.attach_antisymmetry tr ~honest:(Array.make 5 true) in
+    List.iter
+      (fun (a, b) ->
+        Obs.Trace.emit tr ~actor:a ~fields:[ ("peer", Obs.Trace.Int b) ] ~comp:"credit"
+          "send")
+      pairs;
+    let detail =
+      match
+        Obs.Trace.emit tr ~fields:[ ("quiescent", Obs.Trace.Bool true) ] ~comp:"obs"
+          "checkpoint"
+      with
+      | () -> "no violation"
+      | exception Obs.Invariant.Violation v -> v.Obs.Invariant.detail
+    in
+    Obs.Invariant.detach c;
+    detail
+  in
+  let expected = "pair (0,2) has 1 credits in flight at quiescence" in
+  Alcotest.(check string) "(3,2) seen first" expected (run [ (3, 2); (0, 2) ]);
+  Alcotest.(check string) "(0,2) seen first" expected (run [ (0, 2); (3, 2) ])
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -295,5 +323,7 @@ let () =
             test_checkers_pass_on_honest_world;
           Alcotest.test_case "double credit caught" `Quick
             test_checker_catches_double_credit;
+          Alcotest.test_case "antisymmetry reports the smallest pair" `Quick
+            test_antisymmetry_reports_smallest_pair;
         ] );
     ]

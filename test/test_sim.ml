@@ -320,6 +320,38 @@ let test_dist_samplers_in_range =
       done;
       !ok)
 
+(* The guide table must be exact: the guided search equals the full
+   [first_over] for every [u], including [u] exactly on a CDF value,
+   exactly on a guide-bucket edge ([j * total / n]) and at [total].
+   Weight vectors mix zeros (repeated CDF values) with small and large
+   weights (many entries per bucket, and buckets with none). *)
+let test_dist_guided_matches_first_over =
+  QCheck.Test.make ~name:"guided search = first_over over the whole CDF"
+    ~count:500
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 40)
+           (oneof [ always 0.; float_bound_inclusive 1e-3; float_bound_inclusive 10. ]))
+        (list_of_size Gen.(0 -- 20) (float_bound_inclusive 1.)))
+    (fun (ws, fracs) ->
+      let n = List.length ws in
+      let cdf = Array.make n 0. in
+      let acc = ref 0. in
+      List.iteri
+        (fun i w ->
+          acc := !acc +. abs_float w;
+          cdf.(i) <- !acc)
+        ws;
+      let total = !acc in
+      let guided = Sim.Dist.Internal.guided_first_over cdf in
+      let same u = guided u = Sim.Dist.Internal.first_over cdf u in
+      let edges = List.init (n + 1) (fun j -> float_of_int j *. total /. float_of_int n) in
+      let interior = List.map (fun f -> f *. total) fracs in
+      List.for_all same (Array.to_list cdf)
+      && List.for_all same edges
+      && List.for_all same interior
+      && List.for_all same [ 0.; total; Float.pred total; Float.succ total ])
+
 let test_dist_geometric () =
   let rng = Sim.Rng.create 12 in
   Alcotest.(check int) "p=1 always 0" 0 (Sim.Dist.geometric rng ~p:1.);
@@ -423,6 +455,182 @@ let test_heap_releases_popped_values () =
     (retained < 100_000);
   Alcotest.(check bool) "capacity kept for reuse" true (Sim.Heap.capacity h >= 64)
 
+(* The heap as it was before the index heap, kept verbatim as the
+   reference the index heap must pop identically to. *)
+module Ref_heap = struct
+  type 'a t = {
+    mutable prio : float array;
+    mutable seq : int array;
+    mutable value : 'a array;
+    mutable size : int;
+    mutable next_seq : int;
+  }
+
+  let sentinel : 'a. unit -> 'a = fun () -> Obj.magic 0
+
+  let create () =
+    { prio = [||]; seq = [||]; value = [||]; size = 0; next_seq = 0 }
+
+  let length t = t.size
+
+  let less t i j =
+    t.prio.(i) < t.prio.(j)
+    || (t.prio.(i) = t.prio.(j) && t.seq.(i) < t.seq.(j))
+
+  let swap t i j =
+    let p = t.prio.(i) in
+    t.prio.(i) <- t.prio.(j);
+    t.prio.(j) <- p;
+    let s = t.seq.(i) in
+    t.seq.(i) <- t.seq.(j);
+    t.seq.(j) <- s;
+    let v = t.value.(i) in
+    t.value.(i) <- t.value.(j);
+    t.value.(j) <- v
+
+  let grow t =
+    let capacity = Array.length t.prio in
+    if t.size = capacity then begin
+      let new_capacity = Stdlib.max 16 (2 * capacity) in
+      let prio = Array.make new_capacity 0. in
+      let seq = Array.make new_capacity 0 in
+      let value = Array.make new_capacity (sentinel ()) in
+      Array.blit t.prio 0 prio 0 t.size;
+      Array.blit t.seq 0 seq 0 t.size;
+      Array.blit t.value 0 value 0 t.size;
+      t.prio <- prio;
+      t.seq <- seq;
+      t.value <- value
+    end
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if less t i parent then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let left = (2 * i) + 1 in
+    let right = left + 1 in
+    let smallest = ref i in
+    if left < t.size && less t left !smallest then smallest := left;
+    if right < t.size && less t right !smallest then smallest := right;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let push t ~priority value =
+    grow t;
+    let i = t.size in
+    t.prio.(i) <- priority;
+    t.seq.(i) <- t.next_seq;
+    t.value.(i) <- value;
+    t.next_seq <- t.next_seq + 1;
+    t.size <- t.size + 1;
+    sift_up t i
+
+  let pop_exn t =
+    if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
+    let value = t.value.(0) in
+    t.size <- t.size - 1;
+    if t.size > 0 then begin
+      t.prio.(0) <- t.prio.(t.size);
+      t.seq.(0) <- t.seq.(t.size);
+      t.value.(0) <- t.value.(t.size);
+      t.value.(t.size) <- sentinel ();
+      sift_down t 0
+    end
+    else t.value.(0) <- sentinel ();
+    value
+
+  let pop t =
+    if t.size = 0 then None
+    else
+      let prio = t.prio.(0) in
+      Some (prio, pop_exn t)
+
+  let clear t =
+    t.prio <- [||];
+    t.seq <- [||];
+    t.value <- [||];
+    t.size <- 0
+
+  let entries t =
+    let live = List.init t.size (fun i -> (t.prio.(i), t.seq.(i), t.value.(i))) in
+    List.sort
+      (fun (pa, sa, _) (pb, sb, _) ->
+        if pa < pb || (pa = pb && sa < sb) then -1
+        else if pb < pa || (pa = pb && sb < sa) then 1
+        else 0)
+      live
+
+  let next_seq t = t.next_seq
+end
+
+(* Random push/pop interleavings over few distinct priorities (many
+   ties, so the sequence tie-break decides most pops), with an
+   occasional [clear]: every pop, the queued [entries], [length] and
+   [next_seq] must match the reference heap exactly. *)
+let test_heap_matches_reference =
+  QCheck.Test.make ~name:"index heap pops exactly what the reference pops"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 20) (int_bound 5)))
+    (fun ops ->
+      let h = Sim.Heap.create () and r = Ref_heap.create () in
+      let ok = ref true in
+      List.iteri
+        (fun v (op, p) ->
+          if op < 12 then begin
+            let priority = float_of_int p in
+            Sim.Heap.push h ~priority v;
+            Ref_heap.push r ~priority v
+          end
+          else if op < 20 then (if Sim.Heap.pop h <> Ref_heap.pop r then ok := false)
+          else begin
+            Sim.Heap.clear h;
+            Ref_heap.clear r
+          end;
+          if Sim.Heap.length h <> Ref_heap.length r then ok := false)
+        ops;
+      !ok
+      && Sim.Heap.entries h = Ref_heap.entries r
+      && Sim.Heap.next_seq h = Ref_heap.next_seq r
+      &&
+      let rec drain () =
+        match (Sim.Heap.pop h, Ref_heap.pop r) with
+        | None, None -> true
+        | a, b -> a = b && drain ()
+      in
+      drain ())
+
+(* Once grown, a push/pop cycle allocates nothing: keys are unboxed
+   array stores and values never move.  The priorities are boxed up
+   front so the loop itself allocates nothing either. *)
+let test_heap_steady_state_allocates_nothing () =
+  let h = Sim.Heap.create () in
+  let keys = Array.init 97 (fun i -> Some (float_of_int (i mod 13))) in
+  let push i =
+    match keys.(i mod 97) with
+    | Some priority -> Sim.Heap.push h ~priority i
+    | None -> ()
+  in
+  for i = 0 to 999 do
+    push i
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    push i;
+    ignore (Sys.opaque_identity (Sim.Heap.pop_exn h))
+  done;
+  let words = Gc.minor_words () -. before in
+  (* The slack covers the boxed floats of the measurement itself. *)
+  if words > 16. then
+    Alcotest.failf "10^4 push/pop cycles allocated %.0f minor words" words
+
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -501,6 +709,26 @@ let test_engine_schedule_past_rejected () =
   Alcotest.check_raises "past"
     (Invalid_argument "Engine.schedule: time is in the past") (fun () ->
       ignore (Sim.Engine.schedule e ~at:1. (fun () -> ())))
+
+(* A NaN time has no place in the heap's strict (priority, sequence)
+   order, so every entry point rejects it with its usual message and
+   leaves the queue untouched. *)
+let test_engine_nan_rejected () =
+  let e = Sim.Engine.create () in
+  let noop () = () in
+  Alcotest.check_raises "schedule at NaN"
+    (Invalid_argument "Engine.schedule: time is in the past") (fun () ->
+      ignore (Sim.Engine.schedule e ~at:Float.nan noop));
+  Alcotest.check_raises "schedule_after NaN"
+    (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
+      ignore (Sim.Engine.schedule_after e ~delay:Float.nan noop));
+  Alcotest.check_raises "every with NaN period"
+    (Invalid_argument "Engine.every: period must be positive") (fun () ->
+      ignore (Sim.Engine.every e ~period:Float.nan noop));
+  Alcotest.check_raises "every with NaN start"
+    (Invalid_argument "Engine.every: start is in the past") (fun () ->
+      ignore (Sim.Engine.every e ~start:Float.nan ~period:1. noop));
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending e)
 
 let test_engine_cancel () =
   let e = Sim.Engine.create () in
@@ -1089,7 +1317,12 @@ let () =
           Alcotest.test_case "first_over boundaries" `Quick
             test_dist_first_over_boundaries;
         ]
-        @ qcheck [ test_dist_first_over_prop; test_dist_samplers_in_range ] );
+        @ qcheck
+            [
+              test_dist_first_over_prop;
+              test_dist_samplers_in_range;
+              test_dist_guided_matches_first_over;
+            ] );
       ( "heap",
         Alcotest.test_case "ordering" `Quick test_heap_ordering
         :: Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties
@@ -1097,7 +1330,9 @@ let () =
         :: Alcotest.test_case "unboxed accessors" `Quick test_heap_unboxed_accessors
         :: Alcotest.test_case "releases popped values" `Quick
              test_heap_releases_popped_values
-        :: qcheck [ test_heap_random_sorted ] );
+        :: Alcotest.test_case "steady state allocates nothing" `Quick
+             test_heap_steady_state_allocates_nothing
+        :: qcheck [ test_heap_random_sorted; test_heap_matches_reference ] );
       ( "bitset",
         Alcotest.test_case "basic" `Quick test_bitset_basic
         :: qcheck [ test_bitset_iter_matches_elements ] );
@@ -1106,6 +1341,7 @@ let () =
           Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
           Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
           Alcotest.test_case "past rejected" `Quick test_engine_schedule_past_rejected;
+          Alcotest.test_case "NaN rejected" `Quick test_engine_nan_rejected;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "periodic" `Quick test_engine_every;
