@@ -101,7 +101,7 @@ let bench_smtp_session =
   let bob = Smtp.Address.of_string_exn "bob@b.com" in
   let envelope = Smtp.Envelope.v ~sender:alice ~recipients:[ bob ] in
   let message =
-    Smtp.Message.make ~from:alice ~to_:[ bob ] ~subject:"x" ~body:"hello" ()
+    Smtp.Message.make_exn ~from:alice ~to_:[ bob ] ~subject:"x" ~body:"hello" ()
   in
   Bechamel.Test.make ~name:"smtp: full client/server session"
     (Bechamel.Staged.stage (fun () ->

@@ -207,52 +207,13 @@ let find_host net id =
    filtering after acceptance. *)
 let session_policy t = t.policy
 
-(* Byte-identical to [Printf.sprintf "%.3f" x] for finite [x >= 0].
-   Scaled-integer rounding is exact except within a few ulp of a
-   half-millisecond tie (where decimal rounding of the binary value
-   could go either way), so those — and out-of-range magnitudes — defer
-   to [sprintf].  A qcheck property in test_smtp pins the
-   equivalence. *)
-let add_t3 b x =
-  let scaled = x *. 1000. in
-  if not (Float.is_finite scaled) || scaled >= 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.3f" x)
-  else
-    let frac = scaled -. Float.of_int (int_of_float scaled) in
-    let ulp = Float.succ scaled -. scaled in
-    if Float.abs (frac -. 0.5) <= 8. *. Float.max ulp epsilon_float then
-      Buffer.add_string b (Printf.sprintf "%.3f" x)
-    else begin
-      let ms = int_of_float (Float.round scaled) in
-      Buffer.add_string b (Message.decimal (ms / 1000));
-      Buffer.add_char b '.';
-      let f = ms mod 1000 in
-      if f < 100 then Buffer.add_char b '0';
-      if f < 10 then Buffer.add_char b '0';
-      Buffer.add_string b (Message.decimal f)
-    end
-
-(* Byte-identical to
-   [Printf.sprintf "from %s by %s; t=%.3f" from_domain by now]; stamped
-   on every delivery, so rendered without interpreting a format
-   string. *)
-let received_stamp ~from_domain ~by now =
-  let b = Buffer.create 48 in
-  Buffer.add_string b "from ";
-  Buffer.add_string b from_domain;
-  Buffer.add_string b " by ";
-  Buffer.add_string b by;
-  Buffer.add_string b "; t=";
-  add_t3 b now;
-  Buffer.contents b
-
 (* Deliver a message that has fully arrived at this (receiving) MTA. *)
 let accept_locally t envelope message =
   let now = Sim.Engine.now t.net.engine in
   let sender = Envelope.sender envelope in
   let stamped =
-    Message.add_header message "Received"
-      (received_stamp ~from_domain:(Address.domain sender) ~by:t.hostname now)
+    Message.stamp_received message ~from_domain:(Address.domain sender)
+      ~by:t.hostname ~at:now
   in
   List.iter
     (fun rcpt ->
@@ -273,18 +234,15 @@ let bounce t envelope message reason =
   t.on_bounce envelope message reason
 
 (* Run one SMTP session from [t] to [dest] for [envelope]/[message];
-   returns [Ok ()] or a retryable/permanent failure.
-
-   Messages that round-trip the wire cleanly (every message the
-   simulator generates does) take [Server.deliver_direct], which
-   computes the dialogue's outcome structurally; the full line-by-line
-   RFC 821 exchange remains for messages the fast path cannot prove
-   equivalent, and as the reference the fast path is property-tested
-   against. *)
+   returns [Ok ()] or a retryable/permanent failure.  Every message
+   round-trips the wire exactly, so [Server.deliver_direct] computes the
+   dialogue's outcome structurally; the line-by-line RFC 821 exchange
+   runs on the serving path ([Serve.Session]) and is the reference the
+   fast path is property-tested against. *)
 let run_session t dest envelope message =
   t.sessions <- t.sessions + 1;
   if dest.down then Error (`Transient "host down (421)")
-  else if Server.message_round_trips message then begin
+  else
     match Server.deliver_direct ~policy:(session_policy dest) envelope message with
     | `Delivered (env, msg, _rejected) ->
         t.bytes_sent <- t.bytes_sent + Message.size_bytes message;
@@ -302,27 +260,6 @@ let run_session t dest envelope message =
         Error
           (`Permanent
              (Client.failure_to_string (Client.Protocol_error { at = "."; reply })))
-  end
-  else begin
-    let server = Server.create ~hostname:dest.hostname ~policy:(session_policy dest) in
-    let transport = Client.of_server server in
-    match Client.deliver transport ~hostname:t.hostname envelope message with
-    | Ok _outcome ->
-        t.bytes_sent <- t.bytes_sent + Message.size_bytes message;
-        List.iter
-          (fun (env, msg) -> accept_locally dest env msg)
-          (Server.take_received server);
-        Ok ()
-    | Error (Client.Connection_refused reply) ->
-        if Reply.is_transient_failure reply then Error (`Transient (Reply.to_line reply))
-        else Error (`Permanent (Reply.to_line reply))
-    | Error (Client.All_recipients_rejected _ as f) ->
-        Error (`Permanent (Client.failure_to_string f))
-    | Error (Client.Protocol_error { reply; _ } as f) ->
-        if Reply.is_transient_failure reply then
-          Error (`Transient (Client.failure_to_string f))
-        else Error (`Permanent (Client.failure_to_string f))
-  end
 
 (* The retry/backoff/bounce decision, shared verbatim between the
    direct delivery path below and the serving layer's dispatcher
@@ -407,7 +344,7 @@ let submit t envelope message =
     | Some _ -> message
     | None ->
         t.next_message_id <- t.next_message_id + 1;
-        Message.add_header message "Message-Id"
+        Message.stamp_message_id message
           (message_id_value t.next_message_id t.hostname)
   in
   let message = t.outbound_stamp envelope message in
@@ -509,7 +446,3 @@ let stats t =
   }
 
 let dead_letters t = List.rev t.dead
-
-module Internal = struct
-  let received_stamp = received_stamp
-end

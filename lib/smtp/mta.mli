@@ -3,11 +3,10 @@
     A {!network} ties MTAs to one {!Sim.Engine.t}, an MX registry and a
     latency model.  Remote delivery has two paths:
 
-    - {e direct} (the default): after a one-way latency draw, a message
-      that round-trips the wire cleanly takes {!Server.deliver_direct}
-      — a structural fast path property-tested equivalent to the full
-      RFC 821 dialogue — and any other message runs the real
-      line-by-line exchange through {!Client} and {!Server}.
+    - {e direct} (the default): after a one-way latency draw, the
+      message takes {!Server.deliver_direct} — a structural fast path
+      property-tested equivalent to the full RFC 821 dialogue, exact
+      because every {!Message.t} round-trips the wire.
     - {e served}: when a serving layer is installed ({!set_serving},
       normally by [Serve.Dispatch]), remote submissions enter bounded
       per-destination admission queues and are delivered by explicit
@@ -16,8 +15,8 @@
       for experiments that do not opt in.
 
     Hooks let higher layers participate in the mail flow:
-    - [outbound_stamp] rewrites a message as it leaves (a compliant
-      Zmail ISP stamps the payment header here);
+    - [outbound_stamp] rewrites a message as it leaves (a sending ISP
+      could set the payment stamp here);
     - [inbound_filter] decides the fate of each arriving message
       (deliver, intercept for protocol processing, or discard);
     - [on_delivered] observes every mailbox write. *)
@@ -98,7 +97,9 @@ type decision =
 
 val create : network -> hostname:string -> domains:string list -> t
 (** Create an MTA and register its domains in the network's MX
-    registry.
+    registry.  [hostname] names the host in the [Message-Id] and
+    [Received] stamps, so it must be a printable token without space or
+    [';'] ({!Message.stamp_received}); stamping raises otherwise.
     @raise Invalid_argument if a domain is already registered. *)
 
 val host : t -> Dns.host
@@ -129,7 +130,8 @@ val set_retain_mail : t -> bool -> unit
 val submit : t -> Envelope.t -> Message.t -> unit
 (** Hand a message from a local user to this MTA for delivery
     (local and remote recipients are routed automatically).  A
-    [Message-Id] header is stamped if the message lacks one.  With a
+    [Message-Id] naming this host ({!Message.stamp_message_id}) is
+    stamped if the message lacks one.  With a
     serving layer installed, a remote submission refused at admission
     (queue full under the [`Drop] policy) bounces — the [on_bounce]
     hook still fires, so paid mail is still refunded. *)
@@ -189,8 +191,8 @@ val open_server : t -> Server.t
     recipient policy, for a {!Client.transport} to drive. *)
 
 val accept_from_remote : t -> Envelope.t -> Message.t -> unit
-(** Complete a remote delivery on this (receiving) MTA: stamp the
-    [Received] header, run the inbound filter per recipient and
+(** Complete a remote delivery on this (receiving) MTA: set the
+    [Received] stamp ({!Message.stamp_received}), run the inbound filter per recipient and
     deliver/intercept/discard — exactly what the direct path does when
     a session succeeds. *)
 
@@ -215,15 +217,3 @@ val retry_transient :
     the final attempt, or when the queue is at [queue_cap] — {!bounce}
     it ([`Bounced]).  The direct path passes its own transmit as
     [resubmit]; the serving layer passes queue re-admission. *)
-
-(**/**)
-
-module Internal : sig
-  val received_stamp : from_domain:string -> by:string -> float -> string
-  (** The hand-rendered [Received] header value; byte-identical to
-      [Printf.sprintf "from %s by %s; t=%.3f" from_domain by now] for
-      the simulator's non-negative times.  Exposed only so the test
-      suite can pin that equivalence; not a stable API. *)
-end
-
-(**/**)

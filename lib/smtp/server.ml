@@ -65,9 +65,10 @@ let finish_data t sender recipients lines =
       t.inbox <- (envelope, message) :: t.inbox
   | Error _ ->
       (* RFC 821 delivers even messy content; preserve it as an opaque
-         body so nothing is silently lost. *)
+         body so nothing is silently lost.  A forged or repeated stamp
+         lands here too, so it never becomes a stamp. *)
       let message =
-        Message.make ~from:sender ~to_:recipients
+        Message.make_exn ~from:sender ~to_:recipients
           ~body:(String.concat "\n" body_and_headers) ()
       in
       let envelope = Envelope.v ~sender ~recipients in
@@ -153,49 +154,12 @@ let take_received t =
 
 (* ---- Structural fast path ------------------------------------------- *)
 
-(* A message round-trips the wire cleanly when re-parsing its rendered
-   lines ([Message.of_lines (Message.to_lines m)]) yields a message
-   structurally equal to [m]: header names survive the [':'] split and
-   values survive the parser's [String.trim].  Bodies always
-   round-trip (dot-stuffing is undone symmetrically, and
-   split/concat on ['\n'] is the identity).
-
-   Checked in one pass per string, with no exception and no copy:
-   [String.trim v = v] exactly when [v] is empty or neither end is one
-   of [String.trim]'s spaces ([' '], ['\012'], ['\n'], ['\r'],
-   ['\t'] — not ['\011']).  A qcheck property in test_smtp pins this
-   against the [String.contains]/[String.trim] definition. *)
-let is_trim_space = function
-  | ' ' | '\012' | '\n' | '\r' | '\t' -> true
-  | _ -> false
-
-let rec name_clean n i len =
-  i >= len
-  || (match String.unsafe_get n i with
-     | ' ' | ':' -> false
-     | _ -> name_clean n (i + 1) len)
-
-let rec value_clean v i len =
-  i >= len || (String.unsafe_get v i <> '\n' && value_clean v (i + 1) len)
-
-let header_round_trips (n, v) =
-  let nl = String.length n and vl = String.length v in
-  nl > 0
-  && name_clean n 0 nl
-  && (vl = 0
-     || (not (is_trim_space (String.unsafe_get v 0)))
-        && (not (is_trim_space (String.unsafe_get v (vl - 1))))
-        && value_clean v 0 vl)
-
-let message_round_trips m = List.for_all header_round_trips (Message.headers m)
-
 let deliver_direct ~policy envelope message =
   (* Mirrors the RCPT/DATA decision sequence of the session state
      machine in [on_command]/[finish_data], recipient by recipient in
      envelope order, without rendering the message to lines and
-     re-parsing it.  Only valid when [message_round_trips message]
-     holds — then the re-parsed message the dialogue would deliver is
-     structurally equal to [message] itself.  A qcheck property in
+     re-parsing it.  Every message re-parses to itself, so the message
+     the dialogue would deliver is [message].  A qcheck property in
      test_smtp pins this equivalence against the real dialogue. *)
   let accepted_rev, rejected_rev =
     List.fold_left

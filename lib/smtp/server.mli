@@ -44,18 +44,12 @@ val closed : t -> bool
 
 (** {2 Structural fast path}
 
-    Remote delivery normally renders the message to lines, runs the
-    full RFC 821 dialogue and re-parses the result — which dominates
-    per-delivery cost at scale.  When {!message_round_trips} holds, the
-    dialogue is a (verified) identity on the message, so
+    Remote delivery could render the message to lines, run the full
+    RFC 821 dialogue and re-parse the result.  Every {!Message.t}
+    re-parses to itself ({!Message.of_lines} of {!Message.to_lines}),
+    so the dialogue is an identity on the message and
     {!deliver_direct} computes its outcome structurally.  The qcheck
     equivalence property lives in test_smtp. *)
-
-val message_round_trips : Message.t -> bool
-(** [true] when re-parsing the message's rendered lines yields a
-    structurally equal message: every header name is non-empty and free
-    of [' ']/[':'], every value is newline-free and [String.trim]-fixed.
-    Bodies always round-trip. *)
 
 val deliver_direct :
   policy:policy ->
@@ -64,12 +58,9 @@ val deliver_direct :
   [ `Delivered of Envelope.t * Message.t * (Address.t * Reply.t) list
   | `All_rejected of (Address.t * Reply.t) list
   | `Size_exceeded ]
-(** Outcome of the full dialogue for a {!message_round_trips} message,
-    without running it: recipients are screened by [policy] in envelope
-    order (same cap, idempotent-repeat and 550 semantics as the state
-    machine), and the size check applies the same wire measure as
-    DATA.  [`Delivered (env, msg, rejected)] carries the envelope of
+(** Outcome of the full dialogue for a message, without running it:
+    recipients are screened by [policy] in envelope order (same cap,
+    idempotent-repeat and 550 semantics as the state machine), and the
+    size check applies the same wire measure as DATA.  [`Delivered (env, msg, rejected)] carries the envelope of
     accepted recipients and the message the dialogue would have queued;
-    [`Size_exceeded] corresponds to the dialogue's 552 at end of DATA.
-    Calling it on a message that does not round-trip is a logic error
-    (the dialogue would deliver a different message). *)
+    [`Size_exceeded] corresponds to the dialogue's 552 at end of DATA. *)

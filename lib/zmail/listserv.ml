@@ -13,6 +13,9 @@ type t = {
 }
 
 let create ~list_id ~address =
+  (match Smtp.Message.check_header "List-Id" list_id with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Listserv.create: " ^ e));
   { list_id; address; members = Hashtbl.create 64; spent = 0; refunded = 0;
     post_open = false }
 
@@ -40,10 +43,10 @@ let distribute t ~body ?date () =
       (fun subscriber ->
         t.spent <- t.spent + 1;
         let message =
-          Smtp.Message.make ~from:t.address ~to_:[ subscriber ]
+          Smtp.Message.make_exn ~from:t.address ~to_:[ subscriber ]
             ~subject:("[" ^ t.list_id ^ "] post") ?date ~body ()
         in
-        (subscriber, Smtp.Message.add_header message "List-Id" t.list_id))
+        (subscriber, Smtp.Message.add_header_exn message "List-Id" t.list_id))
       (subscribers t)
   in
   expansions

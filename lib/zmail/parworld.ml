@@ -204,10 +204,10 @@ let inject t msg =
   let from_addr = World.address src ~isp:msg.src_isp ~user:msg.src_user in
   let to_addr = World.address dst ~isp:msg.dst_isp ~user:msg.dst_user in
   let message =
-    Smtp.Message.make ~from:from_addr ~to_:[ to_addr ] ~subject:"note"
+    Smtp.Message.make_exn ~from:from_addr ~to_:[ to_addr ] ~subject:"note"
       ~date:msg.at ~body:"hello" ()
   in
-  let message = Smtp.Message.add_header message "X-Sim-Label" "ham" in
+  let message = Smtp.Message.add_header_exn message "X-Sim-Label" "ham" in
   let envelope = Smtp.Envelope.v ~sender:from_addr ~recipients:[ to_addr ] in
   Smtp.Mta.accept_from_remote (World.mta dst msg.dst_isp) envelope message;
   t.cross_injected <- t.cross_injected + 1

@@ -788,21 +788,33 @@ let rec submit_message t ~from:(i, u) ~to_addr ~build_msg =
               t.stats.blocked_limit <- t.stats.blocked_limit + 1);
           Rejected block)
 
-let send_email t ~from ~to_:(j, v) ?(subject = "(no subject)") ?(spam = false)
-    ?in_reply_to ?(body = "hello") () =
+let send_email t ~from ~to_:(j, v) ?subject ?(spam = false) ?in_reply_to
+    ?(body = "hello") () =
+  (* Caller-supplied header values are checked before anything is
+     charged: [build_msg] runs after the charge lands. *)
+  let check name = function
+    | None -> ()
+    | Some value -> (
+        match Smtp.Message.check_header name value with
+        | Ok () -> ()
+        | Error e -> invalid_arg ("World.send_email: " ^ e))
+  in
+  check "Subject" subject;
+  check "In-Reply-To" in_reply_to;
+  let subject = match subject with Some s -> s | None -> "(no subject)" in
   let to_addr = address t ~isp:j ~user:v in
   let from_addr = address t ~isp:(fst from) ~user:(snd from) in
   let build_msg () =
     let msg =
-      Smtp.Message.make ~from:from_addr ~to_:[ to_addr ] ~subject
+      Smtp.Message.make_exn ~from:from_addr ~to_:[ to_addr ] ~subject
         ~date:(Sim.Engine.now t.engine) ~body ()
     in
     let msg =
       match in_reply_to with
-      | Some id -> Smtp.Message.add_header msg "In-Reply-To" id
+      | Some id -> Smtp.Message.add_header_exn msg "In-Reply-To" id
       | None -> msg
     in
-    Smtp.Message.add_header msg "X-Sim-Label" (if spam then "spam" else "ham")
+    Smtp.Message.add_header_exn msg "X-Sim-Label" (if spam then "spam" else "ham")
   in
   submit_message t ~from ~to_addr ~build_msg
 
@@ -816,7 +828,7 @@ let maybe_generate_ack t ~isp_index ~rcpt_user message =
     | Some list_id, Some distributor ->
         let build_msg () =
           let msg =
-            Smtp.Message.make
+            Smtp.Message.make_exn
               ~from:(address t ~isp:isp_index ~user:rcpt_user)
               ~to_:[ distributor ] ~subject:"ack"
               ~date:(Sim.Engine.now t.engine) ~body:"" ()

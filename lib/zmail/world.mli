@@ -233,13 +233,19 @@ val send_email :
     message with a ground-truth label header for measurement only —
     the protocol itself never inspects it (§1.2: "Zmail requires no
     definition of what is and is not spam").  [in_reply_to] threads the
-    message under an earlier [Message-Id]. *)
+    message under an earlier [Message-Id].
+    @raise Invalid_argument, naming the header and before anything is
+    charged, if [subject] or [in_reply_to] is not a valid header value
+    ({!Smtp.Message.check_header}): a value with CR, LF or NUL, or with
+    leading or trailing space. *)
 
 (** {1 Mailing lists (§5)} *)
 
 val host_list : t -> isp:int -> user:int -> list_id:string -> Listserv.t
 (** Declare user [(isp, user)] a list distributor; the ISP will
-    intercept acknowledgments addressed to it. *)
+    intercept acknowledgments addressed to it.
+    @raise Invalid_argument if [list_id] is not a valid header value
+    ({!Listserv.create}). *)
 
 val post_to_list : t -> Listserv.t -> body:string -> int
 (** Distribute a post to every subscriber (one paid send each).

@@ -356,7 +356,7 @@ let mailbox_order_preserved =
       List.iteri
         (fun k body ->
           Smtp.Mailbox.deliver mb who ~time:(float_of_int k)
-            (Smtp.Message.make ~from ~to_:[ who ] ~body ()))
+            (Smtp.Message.make_exn ~from ~to_:[ who ] ~body ()))
         bodies;
       List.map Smtp.Message.body (Smtp.Mailbox.messages mb who) = bodies)
 

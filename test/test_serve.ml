@@ -11,7 +11,7 @@ let entry ?(attempt = 0) ~submitted body =
     Serve.Queue.envelope =
       Smtp.Envelope.v ~sender:(addr "a@a.com") ~recipients:[ addr "b@b.com" ];
     message =
-      Smtp.Message.make ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ] ~body ();
+      Smtp.Message.make_exn ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ] ~body ();
     submitted;
     attempt;
   }
@@ -122,7 +122,7 @@ let submit_one mta ~body =
   let from = addr "alice@a.com" and to_ = addr "bob@b.com" in
   Smtp.Mta.submit mta
     (Smtp.Envelope.v ~sender:from ~recipients:[ to_ ])
-    (Smtp.Message.make ~from ~to_:[ to_ ] ~body ())
+    (Smtp.Message.make_exn ~from ~to_:[ to_ ] ~body ())
 
 let test_session_delivers_like_direct () =
   (* The same single message through the served and the direct path:
@@ -174,7 +174,7 @@ let test_drop_policy_backpressures () =
   let submit_checked body =
     Smtp.Mta.submit_checked mta_a
       (Smtp.Envelope.v ~sender:from ~recipients:[ to_ ])
-      (Smtp.Message.make ~from ~to_:[ to_ ] ~body ())
+      (Smtp.Message.make_exn ~from ~to_:[ to_ ] ~body ())
   in
   (* Slot (1 session) + queue (depth 1) absorb two; the third must be
      refused, with no side effects on the submitter's counters. *)
@@ -218,7 +218,7 @@ let test_defer_policy_parks_instead () =
   let submit_checked body =
     Smtp.Mta.submit_checked mta_a
       (Smtp.Envelope.v ~sender:from ~recipients:[ to_ ])
-      (Smtp.Message.make ~from ~to_:[ to_ ] ~body ())
+      (Smtp.Message.make_exn ~from ~to_:[ to_ ] ~body ())
   in
   List.iter
     (fun b ->

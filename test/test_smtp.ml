@@ -44,7 +44,7 @@ let address_roundtrip =
 (* ------------------------------------------------------------------ *)
 
 let sample_message () =
-  Smtp.Message.make ~from:(addr "alice@a.com")
+  Smtp.Message.make_exn ~from:(addr "alice@a.com")
     ~to_:[ addr "bob@b.com"; addr "carol@c.com" ]
     ~subject:"Greetings" ~date:90061. ~body:"Hello\nWorld" ()
 
@@ -70,7 +70,7 @@ let test_message_roundtrip () =
   | Error e -> Alcotest.fail e
 
 let test_message_empty_body () =
-  let m = Smtp.Message.make ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ] ~body:"" () in
+  let m = Smtp.Message.make_exn ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ] ~body:"" () in
   match Smtp.Message.of_string (Smtp.Message.to_string m) with
   | Ok m' -> Alcotest.(check string) "empty body" "" (Smtp.Message.body m')
   | Error e -> Alcotest.fail e
@@ -94,6 +94,42 @@ let test_message_zmail_headers () =
       Alcotest.(check (option int)) "payment survives" (Some 3) (Smtp.Message.payment m');
       Alcotest.(check (option string)) "ack survives" (Some "list-123")
         (Smtp.Message.ack_of m')
+  | Error e -> Alcotest.fail e
+
+(* A stamp smuggled through a header name, and through a value.  Either
+   would render as a second line the sender never stamped. *)
+let smuggled_name = "Foo\nX-Zmail-Payment"
+let smuggled_value = "x\r\nX-Zmail-Payment: 5"
+
+let is_error what = function
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error _ -> ()
+
+let test_message_header_injection () =
+  let m = sample_message () in
+  is_error "stamp smuggled through a name" (Smtp.Message.add_header m smuggled_name "5");
+  is_error "stamp smuggled through a value"
+    (Smtp.Message.add_header m "X-Note" smuggled_value);
+  List.iter
+    (fun subject ->
+      is_error ("subject " ^ String.escaped subject)
+        (Smtp.Message.make ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ] ~subject
+           ~body:"" ()))
+    [ smuggled_value; "hi\n" ^ smuggled_name ^ ": 5" ];
+  List.iter
+    (fun (n, v) ->
+      is_error (Printf.sprintf "(%S, %S)" n v) (Smtp.Message.add_header m n v))
+    [
+      ("", "v"); ("Sp ace", "v"); ("Co:lon", "v"); ("Tab\t", "v"); ("Del\127", "v");
+      ("X-Note", " lead"); ("X-Note", "trail\t"); ("X-Note", "n\000ul");
+      ("X-Note", "bare\rcr"); ("X-Note", "bare\nlf"); ("Cr\r", "v");
+      ("X-Zmail-Payment", "5"); ("x-zmail-epoch", "1"); ("X-ZMAIL-Whatever", "x");
+      ("message-id", "<1@x>"); ("RECEIVED", "from a by b; t=0.000");
+    ];
+  match Smtp.Message.add_header m "X-Note" "inner  space\tand\011vt" with
+  | Ok m' ->
+      Alcotest.(check (option string)) "valid value kept"
+        (Some "inner  space\tand\011vt") (Smtp.Message.header m' "x-note")
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
@@ -177,6 +213,67 @@ let feed server line =
   | None -> Alcotest.fail (Printf.sprintf "expected a reply to %S" line)
 
 let code server line = (feed server line).Smtp.Reply.code
+
+(* Every form [int_of_string_opt] accepts besides [decimal n >= 0]. *)
+let noncanonical_stamps =
+  [ "0x1"; "0b11"; "0o7"; "0u1"; "1_000"; "+1"; "-1"; "01"; ""; "1 2";
+    "4611686018427387904" ]
+
+let stamped_lines stamp = [ "From: a@a.com"; "To: b@b.com"; stamp; ""; "body" ]
+
+(* Deliver raw DATA lines through the server dialogue. *)
+let through_dialogue data =
+  let s = make_server () in
+  List.iter
+    (fun l -> ignore (Smtp.Server.on_line s l))
+    ([ "HELO mx.a.com"; "MAIL FROM:<a@a.com>"; "RCPT TO:<b@b.com>"; "DATA" ]
+    @ data @ [ "." ]);
+  match Smtp.Server.take_received s with
+  | [ (_, m) ] -> m
+  | l -> Alcotest.failf "expected one message, got %d" (List.length l)
+
+let check_unstamped what data =
+  (match Smtp.Message.of_lines data with
+  | Ok _ -> Alcotest.failf "of_lines accepted %s" what
+  | Error _ -> ());
+  let m = through_dialogue data in
+  Alcotest.(check (option int)) (what ^ ": no payment") None (Smtp.Message.payment m);
+  Alcotest.(check (option int)) (what ^ ": no epoch") None (Smtp.Message.epoch m);
+  Alcotest.(check (option string)) (what ^ ": no ack") None (Smtp.Message.ack_of m);
+  Alcotest.(check string) (what ^ ": opaque body") (String.concat "\n" data)
+    (Smtp.Message.body m)
+
+let test_message_canonical_stamps () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun v -> check_unstamped (name ^ ": " ^ v) (stamped_lines (name ^ ": " ^ v)))
+        noncanonical_stamps;
+      List.iter
+        (fun (v, n) ->
+          match Smtp.Message.of_lines (stamped_lines (name ^ ": " ^ v)) with
+          | Ok m ->
+              Alcotest.(check (option int)) (name ^ " " ^ v) (Some n)
+                (if name = Smtp.Message.zmail_payment_header then Smtp.Message.payment m
+                 else Smtp.Message.epoch m)
+          | Error e -> Alcotest.fail e)
+        [ ("0", 0); ("7", 7); ("4611686018427387903", max_int) ])
+    [ Smtp.Message.zmail_payment_header; Smtp.Message.zmail_epoch_header ];
+  List.iter
+    (fun line ->
+      check_unstamped ("repeated " ^ line)
+        [ "From: a@a.com"; line; "X-Other: between"; line; ""; "body" ])
+    [
+      "X-Zmail-Payment: 1"; "X-Zmail-Epoch: 1"; "X-Zmail-Ack: l";
+      "Message-Id: <1@x>"; "Received: from a.com by mx.b.com; t=1.000";
+    ];
+  List.iter
+    (fun line -> check_unstamped line (stamped_lines line))
+    [
+      "X-Zmail-Unknown: 1"; "Received: from a.com by mx.b.com; t=1.0";
+      "Received: from a.com  by mx.b.com; t=1.000"; "Received: by mx.b.com; t=1.000";
+      "Received: from a.com by mx.b.com; t=01.000"; "Received: from a.com by mx.b.com;t=1.000";
+    ]
 
 let test_server_happy_path () =
   let s = make_server () in
@@ -314,7 +411,7 @@ let test_client_delivery () =
       ~recipients:[ addr "bob@b.com"; addr "eve@evil.com" ]
   in
   let message =
-    Smtp.Message.make ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
+    Smtp.Message.make_exn ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
       ~subject:"x" ~body:".dotted\nplain" ()
   in
   match Smtp.Client.deliver transport ~hostname:"mx.a.com" envelope message with
@@ -337,7 +434,7 @@ let test_client_all_rejected () =
     Smtp.Envelope.v ~sender:(addr "alice@a.com") ~recipients:[ addr "eve@evil.com" ]
   in
   let message =
-    Smtp.Message.make ~from:(addr "alice@a.com") ~to_:[ addr "eve@evil.com" ] ~body:"x" ()
+    Smtp.Message.make_exn ~from:(addr "alice@a.com") ~to_:[ addr "eve@evil.com" ] ~body:"x" ()
   in
   match Smtp.Client.deliver transport ~hostname:"mx.a.com" envelope message with
   | Error (Smtp.Client.All_recipients_rejected [ (_, reply) ]) ->
@@ -368,8 +465,8 @@ let test_dns () =
 let test_mailbox () =
   let mb = Smtp.Mailbox.create () in
   let bob = addr "bob@b.com" in
-  let m1 = Smtp.Message.make ~from:(addr "a@a.com") ~to_:[ bob ] ~body:"1" () in
-  let m2 = Smtp.Message.make ~from:(addr "a@a.com") ~to_:[ bob ] ~body:"2" () in
+  let m1 = Smtp.Message.make_exn ~from:(addr "a@a.com") ~to_:[ bob ] ~body:"1" () in
+  let m2 = Smtp.Message.make_exn ~from:(addr "a@a.com") ~to_:[ bob ] ~body:"2" () in
   Smtp.Mailbox.deliver mb bob ~time:1. m1;
   Smtp.Mailbox.deliver mb bob ~time:2. m2;
   Alcotest.(check int) "count" 2 (Smtp.Mailbox.count mb bob);
@@ -393,7 +490,7 @@ let make_world () =
 
 let send_simple mta ~from ~to_ ~body =
   let envelope = Smtp.Envelope.v ~sender:from ~recipients:[ to_ ] in
-  let message = Smtp.Message.make ~from ~to_:[ to_ ] ~body () in
+  let message = Smtp.Message.make_exn ~from ~to_:[ to_ ] ~body () in
   Smtp.Mta.submit mta envelope message
 
 let test_mta_remote_delivery () =
@@ -427,7 +524,7 @@ let test_mta_multi_domain_split () =
   let from = addr "alice@a.com" in
   let recipients = [ addr "amy@a.com"; addr "bob@b.com"; addr "bill@b.com" ] in
   let envelope = Smtp.Envelope.v ~sender:from ~recipients in
-  let message = Smtp.Message.make ~from ~to_:recipients ~body:"fanout" () in
+  let message = Smtp.Message.make_exn ~from ~to_:recipients ~body:"fanout" () in
   Smtp.Mta.submit mta_a envelope message;
   Sim.Engine.run engine;
   Alcotest.(check int) "local copy" 1
@@ -481,8 +578,8 @@ let test_mta_inbound_filter () =
   send_simple mta_a ~from:(addr "spammer@a.com") ~to_:(addr "bob@b.com") ~body:"buy!";
   send_simple mta_a ~from:(addr "alice@a.com") ~to_:(addr "bob@b.com") ~body:"hi";
   let proto =
-    Smtp.Message.add_header
-      (Smtp.Message.make ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ] ~body:"" ())
+    Smtp.Message.add_header_exn
+      (Smtp.Message.make_exn ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ] ~body:"" ())
       "X-Protocol" "ack"
   in
   Smtp.Mta.submit mta_a
@@ -548,9 +645,9 @@ let test_mta_preserves_existing_message_id () =
   let engine, mta_a, mta_b = make_world () in
   let from = addr "alice@a.com" and to_ = addr "bob@b.com" in
   let message =
-    Smtp.Message.add_header
-      (Smtp.Message.make ~from ~to_:[ to_ ] ~body:"x" ())
-      "Message-Id" "<custom@elsewhere>"
+    Smtp.Message.stamp_message_id
+      (Smtp.Message.make_exn ~from ~to_:[ to_ ] ~body:"x" ())
+      "<custom@elsewhere>"
   in
   Smtp.Mta.submit mta_a (Smtp.Envelope.v ~sender:from ~recipients:[ to_ ]) message;
   Sim.Engine.run engine;
@@ -589,7 +686,7 @@ let retry_world ~seed ~policy () =
 
 let sample_envelope () =
   ( Smtp.Envelope.v ~sender:(addr "alice@a.com") ~recipients:[ addr "bob@b.com" ],
-    Smtp.Message.make ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
+    Smtp.Message.make_exn ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
       ~body:"retry me" () )
 
 let test_mta_backoff_exactly_at_cap () =
@@ -739,26 +836,6 @@ let test_mta_bounce_refund_exactly_once () =
 (* future edit cannot silently diverge from the reference rendering.   *)
 (* ------------------------------------------------------------------ *)
 
-let test_size_bytes_is_rendered_length =
-  QCheck.Test.make ~name:"size_bytes equals rendered length" ~count:300
-    QCheck.(
-      pair
-        (small_list (pair small_printable_string small_printable_string))
-        small_printable_string)
-    (fun (extra, body) ->
-      (* [size_bytes] is computed arithmetically from the field list;
-         it must match the length of the actual rendering for any
-         fields, including ones that would not round-trip the wire. *)
-      let m =
-        List.fold_left
-          (fun m (n, v) -> Smtp.Message.add_header m n v)
-          (Smtp.Message.make ~from:(addr "alice@a.com")
-             ~to_:[ addr "bob@b.com"; addr "carol@c.com" ]
-             ~subject:"hi" ~date:3661.25 ~body ())
-          extra
-      in
-      Smtp.Message.size_bytes m = String.length (Smtp.Message.to_string m))
-
 let stamp_times =
   (* Mix a uniform spread with values engineered to sit on or next to a
      half-millisecond rounding tie, where a naive %.3f replica would
@@ -774,19 +851,29 @@ let stamp_times =
           [ 0.; 0.0005; 0.0015; 0.0625; 0.9995; 1.0005; 86399.9995; 1e15; 1e16; infinity ];
       ])
 
+(* In range, the stamp renders exactly as [%.3f] does; out of range
+   (an infinite time, or one whose milliseconds overflow), the
+   constructor refuses it. *)
 let test_received_stamp_matches_sprintf =
   QCheck.Test.make ~name:"received_stamp matches sprintf" ~count:1000
     (QCheck.make ~print:(Printf.sprintf "%.20g") stamp_times)
     (fun t ->
-      Smtp.Mta.Internal.received_stamp ~from_domain:"a.com" ~by:"mx.b.com" t
-      = Printf.sprintf "from %s by %s; t=%.3f" "a.com" "mx.b.com" t)
+      let m =
+        Smtp.Message.make_exn ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ] ~body:"" ()
+      in
+      match Smtp.Message.stamp_received m ~from_domain:"a.com" ~by:"mx.b.com" ~at:t with
+      | m ->
+          t <= 1e15
+          && Smtp.Message.header m "Received"
+             = Some (Printf.sprintf "from %s by %s; t=%.3f" "a.com" "mx.b.com" t)
+      | exception Invalid_argument _ -> not (t >= 0. && t <= 1e15))
 
 let test_date_header_matches_sprintf =
   QCheck.Test.make ~name:"Date header matches sprintf" ~count:500
     QCheck.(float_bound_inclusive (200. *. 86400.))
     (fun seconds ->
       let m =
-        Smtp.Message.make ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ]
+        Smtp.Message.make_exn ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ]
           ~date:seconds ~body:"" ()
       in
       let day = int_of_float (seconds /. 86400.) in
@@ -841,8 +928,15 @@ let test_deliver_direct_matches_dialogue =
       in
       let envelope = Smtp.Envelope.v ~sender ~recipients:rcpts in
       let message =
-        Smtp.Message.make ~from:sender ~to_:rcpts ~subject:"probe" ~date:42.5
+        Smtp.Message.make_exn ~from:sender ~to_:rcpts ~subject:"probe" ~date:42.5
           ~body ()
+      in
+      let message =
+        if String.length body mod 2 = 0 then message
+        else
+          Smtp.Message.stamp_message_id
+            (Smtp.Message.mark_payment ~epoch:3 message ~epennies:1)
+            "<9@mx.test>"
       in
       let policy =
         {
@@ -860,14 +954,12 @@ let test_deliver_direct_matches_dialogue =
           (Smtp.Client.of_server server)
           ~hostname:"client.test" envelope message
       in
-      Smtp.Server.message_round_trips message
-      &&
       match (fast, dialogue) with
       | `Delivered (env, msg, rejected), Ok outcome -> (
           match Smtp.Server.take_received server with
           | [ (env', msg') ] ->
               Smtp.Envelope.equal env env'
-              && Smtp.Message.to_string msg = Smtp.Message.to_string msg'
+              && msg = msg'
               && List.length outcome.Smtp.Client.accepted
                  = List.length (Smtp.Envelope.recipients env)
               && List.for_all2 Smtp.Address.equal outcome.Smtp.Client.accepted
@@ -895,64 +987,129 @@ let test_decimal_matches_string_of_int =
             ]))
     (fun n -> Smtp.Message.decimal n = string_of_int n)
 
-(* The header guard before it became a single pass, kept verbatim as
-   the reference. *)
-let reference_header_round_trips (n, v) =
-  n <> ""
-  && (not (String.contains n ' '))
-  && (not (String.contains n ':'))
-  && (not (String.contains v '\n'))
-  && String.equal (String.trim v) v
-
-(* Names, values and bodies from the characters the guard and
-   [String.trim] treat specially, ['\011'] (not a trim space)
-   included; [""] is drawn often. *)
+(* Names, values and bodies from the characters validation and
+   [String.trim] treat specially, ['\011'] (not a trim space) included;
+   [""] is drawn often.  Names are also drawn from the stamp names in
+   mixed case, which [add_header] must refuse. *)
 let adversarial_string =
   QCheck.Gen.(
     string_size
-      ~gen:(oneofl [ 'a'; 'Z'; ' '; ':'; '\n'; '\t'; '\r'; '\012'; '\011' ])
+      ~gen:(oneofl [ 'a'; 'Z'; ' '; ':'; '\n'; '\t'; '\r'; '\012'; '\011'; '\000' ])
       (int_bound 4))
+
+let adversarial_name =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, adversarial_string);
+        ( 1,
+          oneofl
+            [
+              "X-Zmail-Payment"; "x-zmail-epoch"; "X-ZMAIL-ACK"; "X-Zmail-Other";
+              "Message-Id"; "message-ID"; "Received"; "X-Note";
+            ] );
+      ])
+
+(* A stamp applied after the generic fields.  Arguments the
+   constructors refuse are part of the draw. *)
+type stamp =
+  | Payment of int * int option
+  | Ack of string
+  | Message_id of string
+  | Received of string * float
+
+let stamp_gen =
+  QCheck.Gen.(
+    let nat = oneof [ int_bound 1000; oneofl [ 0; max_int; -1 ] ] in
+    oneof
+      [
+        map2 (fun p e -> Payment (p, e)) nat (opt nat);
+        map (fun v -> Ack v) adversarial_string;
+        map
+          (fun v -> Message_id v)
+          (oneof [ adversarial_string; return "<1@mx.a.com>" ]);
+        map2
+          (fun by at -> Received (by, at))
+          (oneofl [ "mx.b.com"; "b"; ""; "m x"; "a;b" ])
+          stamp_times;
+      ])
+
+let stamp_print = function
+  | Payment (p, e) ->
+      Printf.sprintf "Payment (%d, %s)" p
+        (match e with None -> "None" | Some e -> string_of_int e)
+  | Ack v -> Printf.sprintf "Ack %S" v
+  | Message_id v -> Printf.sprintf "Message_id %S" v
+  | Received (by, at) -> Printf.sprintf "Received (%S, %.20g)" by at
 
 let adversarial_gen =
   QCheck.Gen.(
-    pair
-      (list_size (int_range 0 3) (pair adversarial_string adversarial_string))
+    triple
+      (list_size (int_range 0 3) (pair adversarial_name adversarial_string))
+      (list_size (int_range 0 3) stamp_gen)
       adversarial_string)
 
-let adversarial_print (extra, body) =
-  Printf.sprintf "extra=[%s] body=%S"
+let adversarial_print (extra, stamps, body) =
+  Printf.sprintf "extra=[%s] stamps=[%s] body=%S"
     (String.concat "; " (List.map (fun (n, v) -> Printf.sprintf "(%S, %S)" n v) extra))
+    (String.concat "; " (List.map stamp_print stamps))
     body
 
-let adversarial_message (extra, body) =
+let apply_stamp m = function
+  | Payment (epennies, epoch) -> Smtp.Message.mark_payment ?epoch m ~epennies
+  | Ack of_id -> Smtp.Message.mark_ack m ~of_id
+  | Message_id id -> Smtp.Message.stamp_message_id m id
+  | Received (by, at) -> Smtp.Message.stamp_received m ~from_domain:"a.com" ~by ~at
+
+(* The message [make], [add_header] and the stamp constructors build
+   from a draw, skipping whatever they refuse. *)
+let adversarial_message (extra, stamps, body) =
+  let m =
+    List.fold_left
+      (fun m (n, v) ->
+        match Smtp.Message.add_header m n v with Ok m -> m | Error _ -> m)
+      (Smtp.Message.make_exn ~from:(addr "alice@a.com")
+         ~to_:[ addr "bob@b.com"; addr "carol@c.com" ]
+         ~subject:"probe" ~date:3661.25 ~body ())
+      extra
+  in
   List.fold_left
-    (fun m (n, v) -> Smtp.Message.add_header m n v)
-    (Smtp.Message.make ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
-       ~subject:"probe" ~date:3661.25 ~body ())
-    extra
+    (fun m st -> try apply_stamp m st with Invalid_argument _ -> m)
+    m stamps
 
-let test_round_trip_guard_matches_reference =
-  QCheck.Test.make ~name:"message_round_trips matches the reference guard"
-    ~count:3000
-    (QCheck.make ~print:adversarial_print adversarial_gen)
+let adversarial = QCheck.make ~print:adversarial_print adversarial_gen
+
+(* [size_bytes] is computed arithmetically from the fields and the
+   stamp slots; it must match the length of the actual rendering. *)
+let test_size_bytes_is_rendered_length =
+  QCheck.Test.make ~name:"size_bytes equals rendered length" ~count:1000 adversarial
     (fun case ->
       let m = adversarial_message case in
-      Smtp.Server.message_round_trips m
-      = List.for_all reference_header_round_trips (Smtp.Message.headers m))
+      Smtp.Message.size_bytes m = String.length (Smtp.Message.to_string m))
 
-let test_round_trip_guard_is_sound =
-  QCheck.Test.make ~name:"message_round_trips implies of_lines (to_lines m) = m"
-    ~count:3000
-    (QCheck.make ~print:adversarial_print adversarial_gen)
+(* Validation at construction is what makes the structural fast path
+   exact: whatever the constructors accept re-parses to itself. *)
+let test_wire_round_trip =
+  QCheck.Test.make ~name:"of_string (to_string m) = Ok m" ~count:3000 adversarial
     (fun case ->
       let m = adversarial_message case in
-      (not (Smtp.Server.message_round_trips m))
-      ||
-      match Smtp.Message.of_lines (Smtp.Message.to_lines m) with
-      | Ok m' ->
-          Smtp.Message.headers m' = Smtp.Message.headers m
-          && Smtp.Message.body m' = Smtp.Message.body m
-      | Error _ -> false)
+      Smtp.Message.of_string (Smtp.Message.to_string m) = Ok m
+      && Smtp.Message.of_lines (Smtp.Message.to_lines m) = Ok m)
+
+let test_constructors_total =
+  let any = QCheck.Gen.(oneof [ string; adversarial_string; adversarial_name ]) in
+  QCheck.Test.make ~name:"make and add_header never raise" ~count:2000
+    (QCheck.make
+       ~print:(fun (s, n, v) -> Printf.sprintf "(%S, %S, %S)" s n v)
+       QCheck.Gen.(triple any any any))
+    (fun (subject, name, value) ->
+      let from = addr "a@a.com" and to_ = [ addr "b@b.com" ] in
+      let m =
+        match Smtp.Message.make ~from ~to_ ~subject ~body:value () with
+        | Ok m -> m
+        | Error _ -> Smtp.Message.make_exn ~from ~to_ ~body:value ()
+      in
+      match Smtp.Message.add_header m name value with Ok _ | Error _ -> true)
 
 (* Words allocated by [n] calls of [f].  The slack covers the boxed
    floats of the measurement itself. *)
@@ -963,28 +1120,76 @@ let minor_words_of n f =
   done;
   Gc.minor_words () -. before
 
-let test_guard_and_lookup_allocate_nothing () =
+let test_readers_and_lookup_allocate_nothing () =
   let m =
-    Smtp.Message.make ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
+    Smtp.Message.make_exn ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
       ~subject:"probe" ~date:3661.25 ~body:"hello" ()
   in
-  let m = Smtp.Message.add_header m "Message-Id" "<1@mx.a.com>" in
+  let m = Smtp.Message.add_header_exn m "X-Last" "z" in
+  let m = Smtp.Message.mark_ack m ~of_id:"list" in
   let m = Smtp.Message.mark_payment ~epoch:3 m ~epennies:1 in
-  let m = Smtp.Message.add_header m "Received" "from a.com by mx.b.com; t=1.000" in
-  let m = Smtp.Message.add_header m "X-Last" "z" in
-  Alcotest.(check int) "nine headers" 9 (List.length (Smtp.Message.headers m));
-  Alcotest.(check bool) "round-trips" true (Smtp.Server.message_round_trips m);
+  let m = Smtp.Message.stamp_message_id m "<1@mx.a.com>" in
+  let m = Smtp.Message.stamp_received m ~from_domain:"a.com" ~by:"mx.b.com" ~at:1. in
+  Alcotest.(check int) "ten headers" 10 (List.length (Smtp.Message.headers m));
   let slack = 64. in
-  let guard = minor_words_of 1000 (fun () -> Smtp.Server.message_round_trips m) in
-  if guard > slack then
-    Alcotest.failf "message_round_trips: %.0f words over 1000 calls" guard;
+  let none what words =
+    if words > slack then Alcotest.failf "%s: %.0f words over 1000 calls" what words
+  in
+  none "payment" (minor_words_of 1000 (fun () -> Smtp.Message.payment m));
+  none "epoch" (minor_words_of 1000 (fun () -> Smtp.Message.epoch m));
+  none "ack_of" (minor_words_of 1000 (fun () -> Smtp.Message.ack_of m));
+  none "message_id" (minor_words_of 1000 (fun () -> Smtp.Message.message_id m));
   (* A miss scans every field and allocates nothing; a hit allocates
      only its [Some] (two words). *)
-  let miss = minor_words_of 1000 (fun () -> Smtp.Message.header m "x-absent") in
-  if miss > slack then Alcotest.failf "header (miss): %.0f words over 1000 calls" miss;
+  none "header (miss)" (minor_words_of 1000 (fun () -> Smtp.Message.header m "x-absent"));
   let hit = minor_words_of 1000 (fun () -> Smtp.Message.header m "x-last") in
   if hit > 2000. +. slack then
     Alcotest.failf "header (hit): %.0f words over 1000 calls" hit
+
+(* The bytes of a paid, a free, a list and an acknowledgment message
+   as the simulator sends them, pinned from the rendering of the
+   untyped header list the stamps replaced: the wire form must not
+   move. *)
+let test_world_messages_render_as_before () =
+  let inbox w ~isp ~user =
+    List.map Smtp.Message.to_string
+      (Smtp.Mailbox.messages
+         (Smtp.Mta.mailboxes (Zmail.World.mta w isp))
+         (Zmail.World.address w ~isp ~user))
+  in
+  let pin what expected got = Alcotest.(check (list string)) what [ expected ] got in
+  let w = Zmail.World.create (Zmail.World.default_config ~n_isps:2 ~users_per_isp:3) in
+  ignore
+    (Zmail.World.send_email w ~from:(0, 0) ~to_:(1, 1) ~subject:"hi"
+       ~in_reply_to:"<7@mx.example>" ~body:"two\nlines" ());
+  Zmail.World.run_until_quiet w;
+  pin "paid"
+    "From: u0@isp0.example\nTo: u1@isp1.example\nSubject: hi\nDate: Day 0 00:00:00 +0000\nIn-Reply-To: <7@mx.example>\nX-Sim-Label: ham\nX-Zmail-Payment: 1\nX-Zmail-Epoch: 0\nMessage-Id: <1@mx.isp0.example>\nReceived: from isp0.example by mx.isp1.example; t=0.026\n\ntwo\nlines"
+    (inbox w ~isp:1 ~user:1);
+  let cfg = Zmail.World.default_config ~n_isps:3 ~users_per_isp:3 in
+  let w =
+    Zmail.World.create { cfg with Zmail.World.compliant = [| true; true; false |] }
+  in
+  ignore (Zmail.World.send_email w ~from:(0, 0) ~to_:(2, 0) ~spam:true ());
+  Zmail.World.run_until_quiet w;
+  pin "free"
+    "From: u0@isp0.example\nTo: u0@isp2.example\nSubject: (no subject)\nDate: Day 0 00:00:00 +0000\nX-Sim-Label: spam\nMessage-Id: <1@mx.isp0.example>\nReceived: from isp0.example by mx.isp2.example; t=0.026\n\nhello"
+    (inbox w ~isp:2 ~user:0);
+  let w = Zmail.World.create (Zmail.World.default_config ~n_isps:2 ~users_per_isp:3) in
+  let sent = ref [] in
+  Smtp.Mta.set_outbound_stamp (Zmail.World.mta w 1) (fun _ m ->
+      sent := Smtp.Message.to_string m :: !sent;
+      m);
+  let ls = Zmail.World.host_list w ~isp:0 ~user:0 ~list_id:"dev-list" in
+  Zmail.Listserv.subscribe ls (Zmail.World.address w ~isp:1 ~user:1);
+  ignore (Zmail.World.post_to_list w ls ~body:"release");
+  Zmail.World.run_until_quiet w;
+  pin "list"
+    "From: u0@isp0.example\nTo: u1@isp1.example\nSubject: [dev-list] post\nDate: Day 0 00:00:00 +0000\nList-Id: dev-list\nX-Zmail-Payment: 1\nX-Zmail-Epoch: 0\nMessage-Id: <1@mx.isp0.example>\nReceived: from isp0.example by mx.isp1.example; t=0.026\n\nrelease"
+    (inbox w ~isp:1 ~user:1);
+  pin "ack"
+    "From: u1@isp1.example\nTo: u0@isp0.example\nSubject: ack\nDate: Day 0 00:00:00 +0000\nX-Zmail-Ack: dev-list\nX-Zmail-Payment: 1\nX-Zmail-Epoch: 0\nMessage-Id: <1@mx.isp1.example>\n"
+    !sent
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1003,6 +1208,8 @@ let () =
           Alcotest.test_case "empty body" `Quick test_message_empty_body;
           Alcotest.test_case "malformed" `Quick test_message_malformed;
           Alcotest.test_case "zmail headers" `Quick test_message_zmail_headers;
+          Alcotest.test_case "header injection" `Quick test_message_header_injection;
+          Alcotest.test_case "canonical stamps" `Quick test_message_canonical_stamps;
         ] );
       ( "codec",
         [
@@ -1034,17 +1241,19 @@ let () =
       ( "fastpath",
         qcheck
           [
-            test_size_bytes_is_rendered_length;
             test_received_stamp_matches_sprintf;
             test_date_header_matches_sprintf;
             test_deliver_direct_matches_dialogue;
             test_decimal_matches_string_of_int;
-            test_round_trip_guard_matches_reference;
-            test_round_trip_guard_is_sound;
+            test_size_bytes_is_rendered_length;
+            test_wire_round_trip;
+            test_constructors_total;
           ]
         @ [
-            Alcotest.test_case "guard and lookup allocate nothing" `Quick
-              test_guard_and_lookup_allocate_nothing;
+            Alcotest.test_case "stamp readers and lookup allocate nothing" `Quick
+              test_readers_and_lookup_allocate_nothing;
+            Alcotest.test_case "World messages render as before" `Quick
+              test_world_messages_render_as_before;
           ] );
       ("dns", [ Alcotest.test_case "registry" `Quick test_dns ]);
       ("mailbox", [ Alcotest.test_case "store" `Quick test_mailbox ]);

@@ -34,6 +34,34 @@ let test_paid_delivery_end_to_end () =
     ((Zmail.Isp.credit_vector (Zmail.World.isp w 0)).(1)
     + (Zmail.Isp.credit_vector (Zmail.World.isp w 1)).(0))
 
+(* A header value that would smuggle a stamp is refused before the
+   sender is charged, like [Address.v] refuses bad parts. *)
+let test_send_rejects_header_injection () =
+  let w = make () in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let refused header send =
+    match send () with
+    | _ -> Alcotest.failf "%s accepted" header
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool) ("names " ^ header ^ ": " ^ msg) true (contains msg header)
+  in
+  refused "Subject" (fun () ->
+      Zmail.World.send_email w ~from:(0, 0) ~to_:(1, 1)
+        ~subject:"x\r\nX-Zmail-Payment: 5" ());
+  refused "In-Reply-To" (fun () ->
+      Zmail.World.send_email w ~from:(0, 0) ~to_:(1, 1)
+        ~in_reply_to:"<1@x>\nX-Zmail-Payment: 5" ());
+  Zmail.World.run_until_quiet w;
+  Alcotest.(check int) "nothing charged" 100 (balance w ~isp:0 ~user:0);
+  Alcotest.(check int) "nothing delivered" 0
+    (Smtp.Mailbox.count
+       (Smtp.Mta.mailboxes (Zmail.World.mta w 1))
+       (Zmail.World.address w ~isp:1 ~user:1))
+
 let test_local_delivery_accounting () =
   let w = make () in
   ignore (Zmail.World.send_email w ~from:(0, 0) ~to_:(0, 1) ());
@@ -910,6 +938,8 @@ let () =
         [
           Alcotest.test_case "paid delivery end to end" `Quick
             test_paid_delivery_end_to_end;
+          Alcotest.test_case "header injection refused" `Quick
+            test_send_rejects_header_injection;
           Alcotest.test_case "local accounting" `Quick test_local_delivery_accounting;
           Alcotest.test_case "non-compliant free" `Quick test_noncompliant_mail_free;
           Alcotest.test_case "unpaid discard" `Quick test_unpaid_policy_discard;
