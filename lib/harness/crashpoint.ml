@@ -42,8 +42,11 @@ let baseline_events ~build ~days =
    crash lands between events, never inside one — mutation, WAL append
    and flush inside a single callback stay atomic, which is the
    write-ahead guarantee the WAL design leans on (see Isp's record
-   taxonomy comment).  The monitor is cleared once the crash fires, so
-   the remainder of the run pays nothing.  Note this claims the
+   taxonomy comment).  Until the crash, each callback also pays the
+   engine's two monotonic-clock reads for the [wall] this monitor
+   ignores (a vDSO read each, no syscall); the monitor is cleared once
+   the crash fires, so the remainder of the run pays nothing.  Note
+   this claims the
    engine's monitor slot: a cfg.tracer-armed wall-clock monitor is
    displaced for the sweep run. *)
 let crash_run ?persist ?label ~build ~days ~downtime ~honest ~point ~victim () =

@@ -61,8 +61,10 @@ val events_fired : t -> int
 
 val set_monitor : t -> (id:int -> at:float -> wall:float -> unit) option -> unit
 (** Install (or clear) an event-loop hook called after every executed
-    callback with its scheduled time and wall-clock duration in seconds
-    ([Sys.time]-based).  Costs nothing when [None]. *)
+    callback with its scheduled time and wall-clock duration in seconds,
+    read from the monotonic clock (so it is elapsed time, not CPU time,
+    and other domains' work does not count).  Costs nothing when
+    [None]. *)
 
 val step : t -> bool
 (** Run the single next event.  Returns [false] when the queue is

@@ -83,6 +83,14 @@ val decimal : int -> string
     (negatives and [min_int] included), rendered without the C
     runtime's [snprintf]. *)
 
+val decimal_length : int -> int
+(** [String.length (decimal n)], counted without rendering. *)
+
+val put_decimal : bytes -> int -> int -> int -> unit
+(** [put_decimal b pos (decimal_length n) n] writes [decimal n] into
+    [b] at [pos], for callers that render several fields into one
+    buffer.  Unchecked: the caller guarantees the bytes fit. *)
+
 (** {1 Zmail stamps}
 
     §1.3: Zmail changes no SMTP verb; all protocol information rides in

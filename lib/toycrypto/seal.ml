@@ -6,8 +6,9 @@ type sealed = {
   mac : int64;
 }
 
-(* The 128-bit session key is carried as eight 15-bit chunks plus a
-   16th-bit remainder word, all below any possible 30-bit modulus. *)
+(* The 128-bit session key is carried as ten 14-bit chunks, five per
+   64-bit half (the fifth holds the half's top 8 bits); each chunk is
+   below 2^14, so below any RSA modulus {!Rsa.generate} produces. *)
 let chunk_bits = 14
 
 let key_to_chunks hi lo =
@@ -36,9 +37,7 @@ let mac_key hi lo = (hi, lo)
 
 let mac_input ~iv ~ciphertext =
   let b = Bytes.create (8 + String.length ciphertext) in
-  for i = 0 to 7 do
-    Bytes.set b i (Char.chr (Int64.to_int (Int64.shift_right_logical iv (8 * (7 - i))) land 0xff))
-  done;
+  Bytes.set_int64_be b 0 iv;
   Bytes.blit_string ciphertext 0 b 8 (String.length ciphertext);
   b
 
@@ -46,7 +45,8 @@ let seal rng pk payload =
   let hi = Sim.Rng.int64 rng and lo = Sim.Rng.int64 rng in
   let key = Xtea.key_of_int64s hi lo in
   let iv = Sim.Rng.int64 rng in
-  let ciphertext = Bytes.to_string (Xtea.encrypt_cbc key ~iv payload) in
+  (* The cipher's output buffer is fresh and never written again. *)
+  let ciphertext = Bytes.unsafe_to_string (Xtea.encrypt_cbc key ~iv payload) in
   let mac = Hash.siphash ~key:(mac_key hi lo) (mac_input ~iv ~ciphertext) in
   {
     recipient = Rsa.key_id pk;
@@ -65,8 +65,9 @@ let unseal sk sealed =
   in
   if expected <> sealed.mac then None
   else
+    (* [decrypt_cbc] only reads the ciphertext. *)
     Xtea.decrypt_cbc (Xtea.key_of_int64s hi lo) ~iv:sealed.iv
-      (Bytes.of_string sealed.ciphertext)
+      (Bytes.unsafe_of_string sealed.ciphertext)
 
 let recipient_id sealed = sealed.recipient
 

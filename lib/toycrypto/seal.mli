@@ -1,6 +1,7 @@
 (** Authenticated public-key encryption — the paper's [NCR]/[DCR].
 
-    Hybrid construction: a fresh XTEA session key is wrapped with the
+    Hybrid construction: a fresh 128-bit XTEA session key is split into
+    ten 14-bit chunks (five per 64-bit half), each wrapped with the
     recipient's RSA public key; the payload is XTEA-CBC encrypted under
     a random IV; a SipHash-2-4 MAC keyed by the session key
     authenticates IV and ciphertext.  [unseal] returns [None] on any

@@ -5,7 +5,8 @@
     of {!Seal}'s hybrid encryption. *)
 
 type key
-(** A 128-bit key. *)
+(** A 128-bit key, with its 32-round key schedule computed once when
+    the key is built. *)
 
 val key_of_words : int -> int -> int -> int -> key
 (** Build a key from four 32-bit words (values are masked to 32 bits). *)

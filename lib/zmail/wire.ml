@@ -12,25 +12,103 @@ type payload =
   | Transfer of { from_bank : int; to_bank : int; amount : Epenny.amount; xfer_id : int }
   | Transfer_ack of { xfer_id : int }
 
+(* [encode] writes each payload into one exactly sized buffer with the
+   digit writer of [Smtp.Message.decimal].  The bytes are those of the
+   [Printf] formats the wire was defined with ("buy %d %Ld",
+   "buyreply %Ld %b", "reply %d %d p:v,p:v", ...), which seal MACs and
+   bank signatures cover, so they must not move. *)
+let int_length = Smtp.Message.decimal_length
+
+(* Each [put_*] writes at [pos] and returns the position after. *)
+let put_int b pos n =
+  let len = int_length n in
+  Smtp.Message.put_decimal b pos len n;
+  pos + len
+
+(* An int64 outside the int range renders as its quotient by 10 (in
+   range, non-zero, same sign) followed by its last digit. *)
+let fits_int n = Int64.equal (Int64.of_int (Int64.to_int n)) n
+
+let int64_length n =
+  if fits_int n then int_length (Int64.to_int n)
+  else int_length (Int64.to_int (Int64.div n 10L)) + 1
+
+let put_int64 b pos n =
+  if fits_int n then put_int b pos (Int64.to_int n)
+  else begin
+    let pos = put_int b pos (Int64.to_int (Int64.div n 10L)) in
+    Bytes.unsafe_set b pos (Char.unsafe_chr (48 + abs (Int64.to_int (Int64.rem n 10L))));
+    pos + 1
+  end
+
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let put_char b pos c =
+  Bytes.unsafe_set b pos c;
+  pos + 1
+
+let finish b pos =
+  assert (pos = Bytes.length b);
+  Bytes.unsafe_to_string b
+
+(* [tag] carries its trailing space. *)
+let tag_int tag n =
+  let b = Bytes.create (String.length tag + int_length n) in
+  finish b (put_int b (put_string b 0 tag) n)
+
+let tag_int64_word tag x word =
+  let b = Bytes.create (String.length tag + int64_length x + String.length word) in
+  let pos = put_int64 b (put_string b 0 tag) x in
+  finish b (put_string b pos word)
+
+let tag_int_int64 tag n x =
+  let b = Bytes.create (String.length tag + int_length n + 1 + int64_length x) in
+  let pos = put_int b (put_string b 0 tag) n in
+  finish b (put_int64 b (put_char b pos ' ') x)
+
 let encode = function
-  | Buy { amount; nonce } -> Printf.sprintf "buy %d %Ld" amount nonce
+  | Buy { amount; nonce } -> tag_int_int64 "buy " amount nonce
   | Buy_reply { nonce; accepted } ->
-      Printf.sprintf "buyreply %Ld %b" nonce accepted
-  | Sell { amount; nonce } -> Printf.sprintf "sell %d %Ld" amount nonce
-  | Sell_reply { nonce } -> Printf.sprintf "sellreply %Ld" nonce
-  | Audit_request { seq } -> Printf.sprintf "request %d" seq
+      tag_int64_word "buyreply " nonce (if accepted then " true" else " false")
+  | Sell { amount; nonce } -> tag_int_int64 "sell " amount nonce
+  | Sell_reply { nonce } -> tag_int64_word "sellreply " nonce ""
+  | Audit_request { seq } -> tag_int "request " seq
   | Audit_reply { isp; seq; credit } ->
       (* "-" marks an empty row: the cells field must stay non-empty
          for the space-split decoder to see four words. *)
-      Printf.sprintf "reply %d %d %s" isp seq
-        (if Array.length credit = 0 then "-"
-         else
-           String.concat ","
-             (Array.to_list
-                (Array.map (fun (p, v) -> Printf.sprintf "%d:%d" p v) credit)))
+      let n = Array.length credit in
+      let len = ref (6 + int_length isp + 1 + int_length seq + 1) in
+      len := !len + if n = 0 then 1 else n - 1;
+      for i = 0 to n - 1 do
+        let p, v = credit.(i) in
+        len := !len + int_length p + 1 + int_length v
+      done;
+      let b = Bytes.create !len in
+      let pos = put_int b (put_string b 0 "reply ") isp in
+      let pos = put_char b (put_int b (put_char b pos ' ') seq) ' ' in
+      if n = 0 then finish b (put_char b pos '-')
+      else begin
+        let pos = ref pos in
+        for i = 0 to n - 1 do
+          let p, v = credit.(i) in
+          if i > 0 then pos := put_char b !pos ',';
+          pos := put_int b (put_char b (put_int b !pos p) ':') v
+        done;
+        finish b !pos
+      end
   | Transfer { from_bank; to_bank; amount; xfer_id } ->
-      Printf.sprintf "transfer %d %d %d %d" from_bank to_bank amount xfer_id
-  | Transfer_ack { xfer_id } -> Printf.sprintf "transferack %d" xfer_id
+      let b =
+        Bytes.create
+          (9 + int_length from_bank + 1 + int_length to_bank + 1 + int_length amount + 1
+         + int_length xfer_id)
+      in
+      let pos = put_int b (put_string b 0 "transfer ") from_bank in
+      let pos = put_int b (put_char b pos ' ') to_bank in
+      let pos = put_int b (put_char b pos ' ') amount in
+      finish b (put_int b (put_char b pos ' ') xfer_id)
+  | Transfer_ack { xfer_id } -> tag_int "transferack " xfer_id
 
 let decode s =
   let fail () = Error (Printf.sprintf "Wire.decode: cannot parse %S" s) in
@@ -168,20 +246,23 @@ let decode_bin r =
 
 type signed = { payload : payload; signature : int }
 
+(* An encoding or an unsealed payload is fresh, and the code it is
+   handed to only reads it, so it crosses between string and bytes
+   without a copy. *)
 let seal_for_bank rng bank_pk payload =
-  Toycrypto.Seal.seal rng bank_pk (Bytes.of_string (encode payload))
+  Toycrypto.Seal.seal rng bank_pk (Bytes.unsafe_of_string (encode payload))
 
 let open_at_bank bank_sk sealed =
   match Toycrypto.Seal.unseal bank_sk sealed with
   | None -> None
-  | Some bytes -> Result.to_option (decode (Bytes.to_string bytes))
+  | Some bytes -> Result.to_option (decode (Bytes.unsafe_to_string bytes))
 
 let sign_by_bank bank_sk payload =
-  let signature = Toycrypto.Rsa.sign bank_sk (Bytes.of_string (encode payload)) in
+  let signature = Toycrypto.Rsa.sign bank_sk (Bytes.unsafe_of_string (encode payload)) in
   { payload; signature }
 
 let verify_from_bank bank_pk { payload; signature } =
-  if Toycrypto.Rsa.verify_sig bank_pk (Bytes.of_string (encode payload)) signature
+  if Toycrypto.Rsa.verify_sig bank_pk (Bytes.unsafe_of_string (encode payload)) signature
   then Some payload
   else None
 

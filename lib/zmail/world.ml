@@ -1180,8 +1180,9 @@ let create cfg =
   (match t.serve with
   | Some d -> Serve.Dispatch.register_metrics d metrics
   | None -> ());
-  (* The engine monitor costs a [Sys.time] per callback, so it is only
-     armed when the caller explicitly asked for tracing. *)
+  (* The engine monitor costs two monotonic-clock reads and a closure
+     call per callback, so it is only armed when the caller explicitly
+     asked for tracing. *)
   (match cfg.tracer with
   | Some _ ->
       let wall = Obs.Metrics.summary metrics "engine.callback_wall" in

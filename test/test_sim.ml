@@ -807,6 +807,33 @@ let test_engine_nested_scheduling () =
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
+
+(* The monitor's [wall] is the callback's elapsed time on the monotonic
+   clock: a callback that spins for 2 ms of that clock reports at least
+   2 ms, and an empty one reports a small non-negative duration.  A
+   callback that sleeps 3 ms uses almost no CPU, so it tells elapsed
+   time from process CPU time ([Sys.time]). *)
+let test_engine_monitor_wall () =
+  let e = Sim.Engine.create () in
+  let walls = ref [] in
+  Sim.Engine.set_monitor e (Some (fun ~id:_ ~at:_ ~wall -> walls := wall :: !walls));
+  ignore
+    (Sim.Engine.schedule e ~at:1. (fun () ->
+         let start = Monotonic_clock.now () in
+         while Int64.sub (Monotonic_clock.now ()) start < 2_000_000L do
+           ()
+         done));
+  ignore (Sim.Engine.schedule e ~at:2. (fun () -> ()));
+  ignore (Sim.Engine.schedule e ~at:3. (fun () -> Unix.sleepf 3e-3));
+  Sim.Engine.run e;
+  match List.rev !walls with
+  | [ spin; noop; sleep ] ->
+      if not (spin >= 2e-3) then Alcotest.failf "spinning callback: wall %g < 2e-3" spin;
+      if not (noop >= 0. && noop < 2e-3) then
+        Alcotest.failf "empty callback: wall %g outside [0, 2e-3)" noop;
+      if not (sleep >= 3e-3) then Alcotest.failf "sleeping callback: wall %g < 3e-3" sleep
+  | walls -> Alcotest.failf "%d monitor calls, expected 3" (List.length walls)
+
 let test_summary_basic () =
   let s = Sim.Stats.Summary.create () in
   List.iter (Sim.Stats.Summary.add s) [ 1.; 2.; 3.; 4. ];
@@ -1347,6 +1374,7 @@ let () =
           Alcotest.test_case "periodic" `Quick test_engine_every;
           Alcotest.test_case "pending vs live" `Quick test_engine_pending_vs_live;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
+          Alcotest.test_case "monitor wall clock" `Quick test_engine_monitor_wall;
         ] );
       ( "stats",
         Alcotest.test_case "summary basic" `Quick test_summary_basic

@@ -200,6 +200,37 @@ let crc_continues =
     QCheck.(pair byte_string_arb byte_string_arb)
     (fun (a, b) -> Crc32.string ~crc:(Crc32.string a) b = Crc32.string (a ^ b))
 
+(* Slicing-by-8 folds eight bytes per step and finishes with a byte
+   loop, so every length 0..64 (empty, tail only, whole steps, steps
+   plus every tail) is checked at every start offset 0..7, aligned or
+   not, against the byte-at-a-time reference. *)
+let crc_sub_every_short_range =
+  QCheck.Test.make ~name:"crc32: sub equals the reference at lengths 0-64, pos 0-7"
+    ~count:50
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (return 72)))
+    (fun s ->
+      let ok = ref true in
+      for pos = 0 to 7 do
+        for len = 0 to 64 do
+          let piece = String.sub s pos len in
+          if Crc32.sub s ~pos ~len <> crc32_reference piece
+             || Crc32.sub ~crc:0x1234567 s ~pos ~len
+                <> Crc32.string ~crc:0x1234567 piece
+          then ok := false
+        done
+      done;
+      !ok)
+
+let crc_sub_allocates_nothing () =
+  let s = String.init 1000 (fun i -> Char.chr (i land 0xff)) in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Crc32.sub s ~pos:3 ~len:990))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then Alcotest.failf "Crc32.sub: %.0f words over 1000 calls" words
+
 let frame_matches_reference =
   QCheck.Test.make ~name:"wal: frame is byte-identical to the reference layout"
     ~count:300
@@ -526,6 +557,8 @@ let () =
           qtest crc_matches_reference;
           qtest crc_sub_is_string_of_sub;
           qtest crc_continues;
+          qtest crc_sub_every_short_range;
+          Alcotest.test_case "CRC-32 sub allocates nothing" `Quick crc_sub_allocates_nothing;
           qtest frame_matches_reference;
           Alcotest.test_case "frame rejects seq outside u32" `Quick
             frame_rejects_seq_outside_u32;
