@@ -80,6 +80,29 @@ let of_string s =
         let domain = lowercase_if_needed domain in
         Ok { local; domain; domain_id = intern_domain domain }
 
+(* Index of the ['@'] that ends a run of valid local-part characters
+   starting at [i], or -1. *)
+let rec local_end s i stop =
+  if i >= stop then -1
+  else
+    match String.unsafe_get s i with
+    | '@' -> i
+    | c -> if valid_char c then local_end s (i + 1) stop else -1
+
+let rec lowercase_domain_chars s i stop =
+  i >= stop
+  || (let c = String.unsafe_get s i in
+      valid_char c && (c < 'A' || c > 'Z') && lowercase_domain_chars s (i + 1) stop)
+
+let of_rendering s ~pos ~len =
+  let stop = pos + len in
+  let at = local_end s pos stop in
+  if at <= pos || at + 1 >= stop || not (lowercase_domain_chars s (at + 1) stop)
+  then None
+  else
+    let domain = String.sub s (at + 1) (stop - at - 1) in
+    Some { local = String.sub s pos (at - pos); domain; domain_id = intern_domain domain }
+
 let of_string_exn s =
   match of_string s with Ok a -> a | Error e -> invalid_arg ("Address.of_string_exn: " ^ e)
 

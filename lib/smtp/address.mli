@@ -28,6 +28,12 @@ val unsafe_of_parts : local:string -> domain:string -> domain_id:int -> t
 val of_string : string -> (t, string) result
 (** Parse ["local@domain"]. *)
 
+val of_rendering : string -> pos:int -> len:int -> t option
+(** [of_rendering s ~pos ~len] is the address whose {!to_string} is
+    exactly the [len] bytes of [s] at [pos], if there is one: a valid
+    local part, ['@'] and a valid {e lowercase} domain.  The bytes are
+    checked in place; strings are built only for a match. *)
+
 val of_string_exn : string -> t
 
 val to_string : t -> string

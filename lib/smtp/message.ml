@@ -1,21 +1,43 @@
-(* A message is its generic fields plus one typed slot per Zmail stamp.
-   Every field is validated when it enters a message (by [make],
-   [add_header], the stamp constructors or [of_lines]), so rendering
-   and re-parsing any message is exact and no later hop re-checks it.
-   The stamps are rendered only when the message is written out. *)
+(* A message is typed slots — the base block [make] sets (From, To,
+   Subject, Date) and one slot per Zmail stamp — plus the generic
+   fields [add_header] appends.  Every field is validated when it
+   enters a message (by [make], [field], the stamp constructors or
+   [of_lines]), so rendering and re-parsing any message is exact and no
+   later hop re-checks it.  No header text is kept: the slots are
+   rendered only when the message is written out, and [size] (the
+   rendered length) is updated by every constructor. *)
 
-type received = { from_domain : string; by : string; ms : int }
+type host = string
+
+(* [found] is [Some value], built once with the field, so a [header]
+   hit returns it without allocating. *)
+type field = { name : string; value : string; found : string option }
+
+(* [Text] never holds a value that reads back as [Seq]: see
+   [message_id_of_text]. *)
+type message_id = Seq of int * host | Text of string
+
+type received = { from_domain : string; by : host; ms : int }
 
 type t = {
-  fields_rev : (string * string) list;  (* generic fields, newest first *)
+  from : Address.t option;  (* [Some]: the message has a base block *)
+  to_ : Address.t list;
+  subject : string option;
+  date : int;  (* the rendered clock, packed by [pack_clock], or [no_date] *)
+  fields_rev : field list;  (* generic fields, newest first *)
   ack : string option;
   payment : int option;
   epoch : int option;
-  message_id : string option;
+  message_id : message_id option;
   received : received option;
   body : string;
+  size : int;  (* [String.length (to_string t)] *)
 }
 
+let from_header = "From"
+let to_header = "To"
+let subject_header = "Subject"
+let date_header = "Date"
 let zmail_payment_header = "X-Zmail-Payment"
 let zmail_ack_header = "X-Zmail-Ack"
 let zmail_epoch_header = "X-Zmail-Epoch"
@@ -30,14 +52,19 @@ let lower_char c =
   if c >= 'A' && c <= 'Z' then Char.unsafe_chr (Char.code c + 32) else c
 
 (* Top-level recursion rather than local closures: a closure that
-   captures [a]/[b] (or [name]) is allocated afresh on every call. *)
+   captures [a]/[b] (or [name]) is allocated afresh on every call.
+   Names almost always match in the same case, so equal bytes skip the
+   case folding, and a caller that looks a field up by the very string
+   it was built with matches without reading a byte. *)
 let rec ci_equal_from a b i n =
   i >= n
-  || (lower_char (String.unsafe_get a i) = lower_char (String.unsafe_get b i)
-      && ci_equal_from a b (i + 1) n)
+  || (let ca = String.unsafe_get a i and cb = String.unsafe_get b i in
+      (ca = cb || lower_char ca = lower_char cb) && ci_equal_from a b (i + 1) n)
 
 let ci_equal a b =
-  String.length a = String.length b && ci_equal_from a b 0 (String.length a)
+  a == b || (String.length a = String.length b && ci_equal_from a b 0 (String.length a))
+
+let is_some = function Some _ -> true | None -> false
 
 (* ---- Validation ---------------------------------------------------- *)
 
@@ -73,10 +100,11 @@ let zmail_prefix = "x-zmail-"
 
 (* The stamp names, in any case, belong to the typed slots. *)
 let reserved name =
-  let pl = String.length zmail_prefix in
-  (String.length name >= pl && ci_equal_from name zmail_prefix 0 pl)
-  || ci_equal name message_id_header
-  || ci_equal name received_header
+  let n = String.length name in
+  n >= String.length zmail_prefix
+  && (ci_equal_from name zmail_prefix 0 (String.length zmail_prefix)
+     || (n = String.length message_id_header && ci_equal_from name message_id_header 0 n)
+     || (n = String.length received_header && ci_equal_from name received_header 0 n))
 
 let check_header name value =
   if not (valid_name name) then Error (Printf.sprintf "invalid header name %S" name)
@@ -86,13 +114,33 @@ let check_header name value =
     Error (Printf.sprintf "invalid value for header %s: %S" name value)
   else Ok ()
 
+let or_invalid fn = function Ok t -> t | Error e -> invalid_arg ("Smtp.Message." ^ fn ^ ": " ^ e)
+
+let field name value =
+  match check_header name value with
+  | Ok () -> Ok { name; value; found = Some value }
+  | Error e -> Error e
+
+let field_exn name value = or_invalid "field" (field name value)
+
+(* A host token: printable, no space or [';'], so ["from D by B;
+   t=..."] splits back unambiguously. *)
+let rec token_chars s i len =
+  i >= len
+  || (let c = String.unsafe_get s i in
+      c > ' ' && c <= '~' && c <> ';' && token_chars s (i + 1) len)
+
+let host s =
+  if String.length s > 0 && token_chars s 0 (String.length s) then Ok s
+  else Error (Printf.sprintf "invalid host %S" s)
+
+let host_to_string h = h
+
 (* ---- Integers ------------------------------------------------------ *)
 
-(* [string_of_int] is [format_int "%d"], a C call into [snprintf], and
-   the per-message path renders integers into the Date header and the
-   Message-Id.  Digits
-   are produced from the non-positive image of [n], which exists for
-   every int, so [min_int] needs no special case ([m mod 10] is in
+(* [string_of_int] is [format_int "%d"], a C call into [snprintf].
+   Digits are produced from the non-positive image of [n], which exists
+   for every int, so [min_int] needs no special case ([m mod 10] is in
    [-9, 0] for [m <= 0]). *)
 let rec count_digits m len =
   if m > -10 then len else count_digits (m / 10) (len + 1)
@@ -101,7 +149,15 @@ let rec write_digits b i m =
   Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
   if m <= -10 then write_digits b (i - 1) (m / 10)
 
-let decimal_length n = (if n < 0 then 1 else 0) + count_digits (if n > 0 then -n else n) 1
+(* Digits of [n >= 0] by comparing with growing powers of ten: the
+   constructors size every stamp and the Date with it, and a multiply
+   is far cheaper than [count_digits]'s division per digit. *)
+let max_power_step = max_int / 10
+
+let rec nat_digits n p len =
+  if n < p then len else if p > max_power_step then len + 1 else nat_digits n (p * 10) (len + 1)
+
+let decimal_length n = if n >= 0 then nat_digits n 10 1 else 1 + count_digits n 1
 
 (* Write [decimal n], [len = decimal_length n] bytes, at [pos]. *)
 let put_decimal b pos len n =
@@ -121,34 +177,229 @@ let nat_of_string s =
   | Some n when n >= 0 && String.equal (decimal n) s -> Some n
   | Some _ | None -> None
 
+let is_digit c = c >= '0' && c <= '9'
+
+let rec digits_end s i stop =
+  if i < stop && is_digit (String.unsafe_get s i) then digits_end s (i + 1) stop else i
+
+(* The value of the digits [s.[i..stop-1]], or -1 past [max_int]. *)
+let rec nat_value s i stop acc =
+  if i >= stop then acc
+  else
+    let d = Char.code (String.unsafe_get s i) - 48 in
+    if acc > (max_int - d) / 10 then -1 else nat_value s (i + 1) stop ((acc * 10) + d)
+
+(* [decimal (nat_value s i stop 0)] is exactly those digits. *)
+let canonical_digits s i stop =
+  stop > i && (stop = i + 1 || String.unsafe_get s i <> '0') && nat_value s i stop 0 >= 0
+
+(* ---- Rendering primitives ------------------------------------------ *)
+
+(* Each writes its bytes at [i] and returns the position after them.
+   The buffers are sized from the matching [*_length]; the checked
+   [Bytes] operations keep a miscount from writing past them. *)
+let put b i s =
+  Bytes.blit_string s 0 b i (String.length s);
+  i + String.length s
+
+let put_char b i c =
+  Bytes.set b i c;
+  i + 1
+
+let put_nat b i n =
+  let len = decimal_length n in
+  if i < 0 || i + len > Bytes.length b then invalid_arg "Smtp.Message.put_nat";
+  put_decimal b i len n;
+  i + len
+
+let address_length (a : Address.t) = String.length a.local + 1 + String.length a.domain
+let put_address b i (a : Address.t) = put b (put_char b (put b i a.local) '@') a.domain
+
+let rec to_length_from acc = function
+  | [] -> acc
+  | a :: rest -> to_length_from (acc + 2 + address_length a) rest
+
+let to_length = function [] -> 0 | a :: rest -> to_length_from (address_length a) rest
+
+let rec put_to_rest b i = function
+  | [] -> i
+  | a :: rest -> put_to_rest b (put_address b (put b i ", ") a) rest
+
+let put_to b i = function [] -> i | a :: rest -> put_to_rest b (put_address b i a) rest
+
+let rec address_end s i stop =
+  if i < stop && String.unsafe_get s i <> ',' then address_end s (i + 1) stop else i
+
+(* The addresses [put_to] renders as exactly [s.[i..stop-1]]: no
+   address holds a [','] or a space, so the rendering splits back at
+   each [", "]. *)
+let rec addresses_of_rendering s i stop =
+  let e = address_end s i stop in
+  match Address.of_rendering s ~pos:i ~len:(e - i) with
+  | None -> None
+  | Some a ->
+      if e = stop then Some [ a ]
+      else if e + 2 < stop && String.unsafe_get s (e + 1) = ' ' then
+        match addresses_of_rendering s (e + 2) stop with
+        | Some rest -> Some (a :: rest)
+        | None -> None
+      else None
+
+let to_of_rendering s i stop = if i = stop then Some [] else addresses_of_rendering s i stop
+
+(* ---- Date ---------------------------------------------------------- *)
+
+(* Simulated-time date rendering: day counter plus time of day, which
+   keeps headers readable without a real calendar, written as
+   [Printf.sprintf "Day %d %02d:%02d:%02d +0000"].  The slot keeps the
+   four numbers that format prints, packed into one int, so a message
+   carries no Date text.  They are the clock the float arithmetic
+   below gives, not integer seconds: just below a midnight,
+   [seconds /. 86400.] can round up to the next day, and the header
+   must then read that day at 00:00:00. *)
+let no_date = -1
+let max_seconds = 1e15
+
+let pack_clock day h m s = (day lsl 24) lor (h lsl 16) lor (m lsl 8) lor s
+
+(* Within [0, 1e15] the day is below 2^34 and [h], [m], [s] are
+   truncations of values in [0, 60]; the mask check only guards that
+   reasoning. *)
+let date_of_seconds seconds =
+  if not (seconds >= 0. && seconds <= max_seconds) then no_date
+  else
+    let day = int_of_float (seconds /. 86400.) in
+    let rem = seconds -. (float_of_int day *. 86400.) in
+    let h = int_of_float (rem /. 3600.) in
+    let m = int_of_float ((rem -. (float_of_int h *. 3600.)) /. 60.) in
+    let s = int_of_float (rem -. (float_of_int h *. 3600.) -. (float_of_int m *. 60.)) in
+    if (h lor m lor s) land lnot 255 <> 0 then no_date else pack_clock day h m s
+
+let width_02d n = if n < 10 then 2 else decimal_length n
+
+let put_02d b i n =
+  if n < 10 then put_char b (put_char b i '0') (Char.unsafe_chr (48 + n)) else put_nat b i n
+
+let date_length d =
+  decimal_length (d lsr 24)
+  + width_02d ((d lsr 16) land 255)
+  + width_02d ((d lsr 8) land 255)
+  + width_02d (d land 255)
+  + 13
+
+let put_date b i d =
+  let i = put_nat b (put b i "Day ") (d lsr 24) in
+  let i = put_02d b (put_char b i ' ') ((d lsr 16) land 255) in
+  let i = put_02d b (put_char b i ':') ((d lsr 8) land 255) in
+  let i = put_02d b (put_char b i ':') (d land 255) in
+  put b i " +0000"
+
+let rec literal_at s i lit j =
+  j >= String.length lit
+  || (String.unsafe_get s (i + j) = String.unsafe_get lit j && literal_at s i lit (j + 1))
+
+(* End of a [%02d] field of a value in [0, 255] starting at [i], or
+   -1. *)
+let clock_field_end s i stop =
+  let e = digits_end s i stop in
+  match e - i with
+  | 2 -> e
+  | 3 when String.unsafe_get s i <> '0' && nat_value s i e 0 <= 255 -> e
+  | _ -> -1
+
+let separated s e stop c = e >= 0 && e < stop && String.unsafe_get s e = c
+
+(* The packed clock [put_date] renders as exactly [s.[i..stop-1]], or
+   [no_date].  Compared in place; no string is built. *)
+let date_of_rendering s i stop =
+  if stop - i < 20 || not (literal_at s i "Day " 0) then no_date
+  else
+    let de = digits_end s (i + 4) stop in
+    if de - (i + 4) > 12 || not (canonical_digits s (i + 4) de) || not (separated s de stop ' ')
+    then no_date
+    else
+      let he = clock_field_end s (de + 1) stop in
+      if not (separated s he stop ':') then no_date
+      else
+        let me = clock_field_end s (he + 1) stop in
+        if not (separated s me stop ':') then no_date
+        else
+          let se = clock_field_end s (me + 1) stop in
+          let day = nat_value s (i + 4) de 0 in
+          if se < 0 || stop - se <> 6 || (not (literal_at s se " +0000" 0)) || day >= 1 lsl 38
+          then no_date
+          else
+            pack_clock day
+              (nat_value s (de + 1) he 0)
+              (nat_value s (he + 1) me 0)
+              (nat_value s (me + 1) se 0)
+
+(* ---- Message-Id ---------------------------------------------------- *)
+
+let message_id_of_seq seq host =
+  if seq < 0 then invalid_arg "Smtp.Message.message_id_of_seq: negative sequence number";
+  Seq (seq, host)
+
+let message_id_length = function
+  | Seq (seq, host) -> decimal_length seq + String.length host + 3
+  | Text s -> String.length s
+
+let put_message_id b i = function
+  | Seq (seq, host) -> put_char b (put b (put_char b (put_nat b (put_char b i '<') seq) '@') host) '>'
+  | Text s -> put b i s
+
+(* [Seq] exactly when [v] is what a [Seq] renders, so each text has one
+   representation and [of_lines] reads back what it is given. *)
+let message_id_of_text v =
+  let len = String.length v in
+  if len < 4 || String.unsafe_get v 0 <> '<' || String.unsafe_get v (len - 1) <> '>' then
+    Text v
+  else
+    let d = digits_end v 1 (len - 1) in
+    if
+      canonical_digits v 1 d
+      && d + 1 < len - 1
+      && String.unsafe_get v d = '@'
+      && token_chars v (d + 1) (len - 1)
+    then Seq (nat_value v 1 d 0, String.sub v (d + 1) (len - d - 2))
+    else Text v
+
+let message_id_of_string v =
+  if valid_value v then Ok (message_id_of_text v)
+  else Error (Printf.sprintf "invalid %s value %S" message_id_header v)
+
+let message_id_to_string = function
+  | Text s -> s
+  | Seq _ as id ->
+      let b = Bytes.create (message_id_length id) in
+      ignore (put_message_id b 0 id);
+      Bytes.unsafe_to_string b
+
+let in_reply_to id =
+  let value = message_id_to_string id in
+  { name = "In-Reply-To"; value; found = Some value }
+
 (* ---- Received ------------------------------------------------------ *)
-
-(* A host token in the Received stamp: printable, no space or [';'],
-   so ["from D by B; t=..."] splits back unambiguously. *)
-let rec token_chars s i len =
-  i >= len
-  || (let c = String.unsafe_get s i in
-      c > ' ' && c <= '~' && c <> ';' && token_chars s (i + 1) len)
-
-let valid_token s = String.length s > 0 && token_chars s 0 (String.length s)
-
-let max_received_seconds = 1e15
 
 (* Milliseconds exactly as [Printf.sprintf "%.3f" x] rounds them.
    Scaled-integer rounding is exact except within a few ulp of a
    half-millisecond tie (where decimal rounding of the binary value
    could go either way), and for magnitudes where [x *. 1000.] loses
-   the unit; those defer to [sprintf] and read its digits back.  A
-   qcheck property in test_smtp pins the rendering against
-   [sprintf]. *)
+   the unit; those defer to [sprintf] and read its digits back.
+   [scaled *. epsilon_float] is at least the ulp of [scaled] and costs
+   no C call; over-estimating it only sends a few more near-ties to
+   the exact path.  Away from a tie, adding 0.5 and truncating rounds
+   as [Float.round] does.  A qcheck property in test_smtp pins the
+   rendering against [sprintf]. *)
 let millis_of_seconds x =
-  if not (x >= 0. && x <= max_received_seconds) then
+  if not (x >= 0. && x <= max_seconds) then
     invalid_arg (Printf.sprintf "Smtp.Message.stamp_received: time %h out of range" x);
   let scaled = x *. 1000. in
   let frac = scaled -. Float.of_int (int_of_float scaled) in
-  let ulp = Float.succ scaled -. scaled in
-  if scaled < 1e15 && Float.abs (frac -. 0.5) > 8. *. Float.max ulp epsilon_float
-  then int_of_float (Float.round scaled)
+  if
+    scaled < 1e15
+    && Float.abs (frac -. 0.5) > 8. *. Float.max (scaled *. epsilon_float) epsilon_float
+  then int_of_float (scaled +. 0.5)
   else
     let s = Printf.sprintf "%.3f" x in
     let dot = String.index s '.' in
@@ -160,24 +411,17 @@ let received_length r =
   + decimal_length (r.ms / 1000) + 4
 
 (* ["from " ^ from_domain ^ " by " ^ by ^ "; t=" ^ seconds with three
-   decimals], in one allocation past the digits. *)
-let put b i s =
-  Bytes.unsafe_blit_string s 0 b i (String.length s);
-  i + String.length s
+   decimals]. *)
+let put_received b i r =
+  let i = put b (put b (put b (put b i "from ") r.from_domain) " by ") r.by in
+  let i = put_nat b (put b i "; t=") (r.ms / 1000) in
+  let f = r.ms mod 1000 in
+  let i = put_char b (put_char b i '.') (Char.unsafe_chr (48 + (f / 100))) in
+  put_char b (put_char b i (Char.unsafe_chr (48 + (f / 10 mod 10)))) (Char.unsafe_chr (48 + (f mod 10)))
 
 let render_received r =
   let b = Bytes.create (received_length r) in
-  let i = put b 0 "from " in
-  let i = put b i r.from_domain in
-  let i = put b i " by " in
-  let i = put b i r.by in
-  let i = put b i "; t=" in
-  let i = put b i (decimal (r.ms / 1000)) in
-  Bytes.unsafe_set b i '.';
-  let f = r.ms mod 1000 in
-  Bytes.unsafe_set b (i + 1) (Char.unsafe_chr (48 + (f / 100)));
-  Bytes.unsafe_set b (i + 2) (Char.unsafe_chr (48 + (f / 10 mod 10)));
-  Bytes.unsafe_set b (i + 3) (Char.unsafe_chr (48 + (f mod 10)));
+  ignore (put_received b 0 r);
   Bytes.unsafe_to_string b
 
 (* The inverse of [render_received]: a value parses only if rendering
@@ -193,47 +437,114 @@ let parse_received s =
   | _ -> None
   | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
-(* ---- Construction -------------------------------------------------- *)
+(* ---- Slots --------------------------------------------------------- *)
 
-(* Simulated-time date rendering: day counter plus time of day, which
-   keeps headers readable without a real calendar.  Rendered by hand
-   into one allocation — byte-identical to
-   [Printf.sprintf "Day %d %02d:%02d:%02d +0000"] — because a Date
-   header is stamped on every generated message. *)
-let width_02d n = (if n < 10 then 1 else 0) + decimal_length n
+(* The typed fields in rendering order: the base block before the
+   generic fields, the stamps after them. *)
+type slot = From | To | Subject | Date | Ack | Payment | Epoch | Message_id | Received
 
-let put_02d b pos width n =
-  if n < 10 then begin
-    Bytes.unsafe_set b pos '0';
-    put_decimal b (pos + 1) (width - 1) n
-  end
-  else put_decimal b pos width n
+let base_slots = [ From; To; Subject; Date ]
+let base_slots_rev = [ Date; Subject; To; From ]
+let stamp_slots = [ Ack; Payment; Epoch; Message_id; Received ]
+let stamp_slots_rev = [ Received; Message_id; Epoch; Payment; Ack ]
 
-let render_date seconds =
-  let day = int_of_float (seconds /. 86400.) in
-  let rem = seconds -. (float_of_int day *. 86400.) in
-  let h = int_of_float (rem /. 3600.) in
-  let m = int_of_float ((rem -. (float_of_int h *. 3600.)) /. 60.) in
-  let s = int_of_float (rem -. (float_of_int h *. 3600.) -. (float_of_int m *. 60.)) in
-  let dl = decimal_length day and hl = width_02d h and ml = width_02d m in
-  let sl = width_02d s in
-  let b = Bytes.create (dl + hl + ml + sl + 13) in
-  Bytes.unsafe_blit_string "Day " 0 b 0 4;
-  put_decimal b 4 dl day;
-  let i = 4 + dl in
-  Bytes.unsafe_set b i ' ';
-  put_02d b (i + 1) hl h;
-  let i = i + 1 + hl in
-  Bytes.unsafe_set b i ':';
-  put_02d b (i + 1) ml m;
-  let i = i + 1 + ml in
-  Bytes.unsafe_set b i ':';
-  put_02d b (i + 1) sl s;
-  Bytes.unsafe_blit_string " +0000" 0 b (i + 1 + sl) 6;
+let slot_name = function
+  | From -> from_header
+  | To -> to_header
+  | Subject -> subject_header
+  | Date -> date_header
+  | Ack -> zmail_ack_header
+  | Payment -> zmail_payment_header
+  | Epoch -> zmail_epoch_header
+  | Message_id -> message_id_header
+  | Received -> received_header
+
+let present t = function
+  | From | To -> is_some t.from
+  | Subject -> is_some t.subject
+  | Date -> t.date <> no_date
+  | Ack -> is_some t.ack
+  | Payment -> is_some t.payment
+  | Epoch -> is_some t.epoch
+  | Message_id -> is_some t.message_id
+  | Received -> is_some t.received
+
+
+(* The rendered value's length, and its bytes written at [i]; 0 and
+   nothing for an absent slot. *)
+let value_length t = function
+  | From -> ( match t.from with Some a -> address_length a | None -> 0)
+  | To -> to_length t.to_
+  | Subject -> ( match t.subject with Some s -> String.length s | None -> 0)
+  | Date -> if t.date = no_date then 0 else date_length t.date
+  | Ack -> ( match t.ack with Some a -> String.length a | None -> 0)
+  | Payment -> ( match t.payment with Some p -> decimal_length p | None -> 0)
+  | Epoch -> ( match t.epoch with Some e -> decimal_length e | None -> 0)
+  | Message_id -> ( match t.message_id with Some id -> message_id_length id | None -> 0)
+  | Received -> ( match t.received with Some r -> received_length r | None -> 0)
+
+let put_value b i t = function
+  | From -> ( match t.from with Some a -> put_address b i a | None -> i)
+  | To -> put_to b i t.to_
+  | Subject -> ( match t.subject with Some s -> put b i s | None -> i)
+  | Date -> if t.date = no_date then i else put_date b i t.date
+  | Ack -> ( match t.ack with Some a -> put b i a | None -> i)
+  | Payment -> ( match t.payment with Some p -> put_nat b i p | None -> i)
+  | Epoch -> ( match t.epoch with Some e -> put_nat b i e | None -> i)
+  | Message_id -> ( match t.message_id with Some id -> put_message_id b i id | None -> i)
+  | Received -> ( match t.received with Some r -> put_received b i r | None -> i)
+
+let slot_value t s =
+  let b = Bytes.create (value_length t s) in
+  ignore (put_value b 0 t s);
   Bytes.unsafe_to_string b
+
+(* ["name: "] at [i]. *)
+let put_name b i name = put_char b (put_char b (put b i name) ':') ' '
+
+let slot_line t s =
+  let name = slot_name s in
+  let b = Bytes.create (String.length name + 2 + value_length t s) in
+  ignore (put_value b (put_name b 0 name) t s);
+  Bytes.unsafe_to_string b
+
+let field_line f =
+  let b = Bytes.create (String.length f.name + 2 + String.length f.value) in
+  ignore (put b (put_name b 0 f.name) f.value);
+  Bytes.unsafe_to_string b
+
+(* ---- Size ---------------------------------------------------------- *)
+
+(* [String.length (to_string t)]: each field renders as
+   ["name: value\n"], the blank separator adds one byte, and a
+   non-empty body follows it verbatim.  The constructors add and
+   subtract these terms; [of_lines] sums them once. *)
+let field_size name value_length = String.length name + value_length + 3
+let body_size body = if body = "" then 0 else String.length body + 1
+let slot_size t s = if present t s then field_size (slot_name s) (value_length t s) else 0
+
+let rec slots_size t acc = function
+  | [] -> acc
+  | s :: rest -> slots_size t (acc + slot_size t s) rest
+
+let rec fields_size acc = function
+  | [] -> acc
+  | f :: rest -> fields_size (acc + field_size f.name (String.length f.value)) rest
+
+let computed_size t =
+  slots_size t (slots_size t (fields_size (body_size t.body) t.fields_rev) base_slots)
+    stamp_slots
+
+let size_bytes t = t.size
+
+(* ---- Construction -------------------------------------------------- *)
 
 let empty =
   {
+    from = None;
+    to_ = [];
+    subject = None;
+    date = no_date;
     fields_rev = [];
     ack = None;
     payment = None;
@@ -241,63 +552,98 @@ let empty =
     message_id = None;
     received = None;
     body = "";
+    size = 0;
   }
 
 let make ~from ~to_ ?subject ?date ~body () =
-  match subject with
-  | Some s when not (valid_value s) ->
+  let packed = match date with None -> no_date | Some d -> date_of_seconds d in
+  match (subject, date) with
+  | Some s, _ when not (valid_value s) ->
       Error (Printf.sprintf "invalid value for header Subject: %S" s)
-  | Some _ | None ->
-      (* Field order: From, To, Subject?, Date? — built newest first. *)
-      let to_line =
-        match to_ with
-        | [ a ] -> Address.to_string a
-        | _ -> String.concat ", " (List.map Address.to_string to_)
+  | _, Some d when packed = no_date ->
+      Error (Printf.sprintf "Date %h outside [0, %g] seconds" d max_seconds)
+  | _, _ ->
+      let size =
+        field_size from_header (address_length from)
+        + field_size to_header (to_length to_)
+        + (match subject with None -> 0 | Some s -> field_size subject_header (String.length s))
+        + (if packed = no_date then 0 else field_size date_header (date_length packed))
+        + body_size body
       in
-      let fields = [ ("To", to_line); ("From", Address.to_string from) ] in
-      let fields = match subject with None -> fields | Some s -> ("Subject", s) :: fields in
-      let fields =
-        match date with None -> fields | Some d -> ("Date", render_date d) :: fields
-      in
-      Ok { empty with fields_rev = fields; body }
-
-let or_invalid fn = function Ok t -> t | Error e -> invalid_arg ("Smtp.Message." ^ fn ^ ": " ^ e)
+      Ok { empty with from = Some from; to_; subject; date = packed; body; size }
 
 let make_exn ~from ~to_ ?subject ?date ~body () =
   or_invalid "make" (make ~from ~to_ ?subject ?date ~body ())
 
+(* The same bytes rendered from a slot or from a generic field: a
+   [Subject] or [Date] appended straight after a base block that lacks
+   them, or a [To] after a lone [From], is exactly what [of_lines]
+   would read into the base block, so it goes there.  This keeps one
+   representation per rendering. *)
+let append t f size = { t with fields_rev = f :: t.fields_rev; size }
+
+let add_field t f =
+  let size = t.size + field_size f.name (String.length f.value) in
+  match t.fields_rev with
+  | [] when is_some t.from && t.date = no_date ->
+      if (not (is_some t.subject)) && String.equal f.name subject_header then
+        { t with subject = f.found; size }
+      else if String.equal f.name date_header then
+        let d = date_of_rendering f.value 0 (String.length f.value) in
+        if d = no_date then append t f size else { t with date = d; size }
+      else append t f size
+  | [ g ]
+    when (not (is_some t.from))
+         && String.equal g.name from_header
+         && String.equal f.name to_header -> (
+      match
+        ( Address.of_rendering g.value ~pos:0 ~len:(String.length g.value),
+          to_of_rendering f.value 0 (String.length f.value) )
+      with
+      | Some a, Some to_ -> { t with from = Some a; to_; fields_rev = []; size }
+      | _, _ -> append t f size)
+  | _ -> append t f size
+
 let add_header t name value =
-  match check_header name value with
-  | Ok () -> Ok { t with fields_rev = (name, value) :: t.fields_rev }
-  | Error e -> Error e
+  match field name value with Ok f -> Ok (add_field t f) | Error e -> Error e
 
 let add_header_exn t name value = or_invalid "add_header" (add_header t name value)
 
 let mark_payment ?epoch t ~epennies =
   if epennies < 0 then invalid_arg "Smtp.Message.mark_payment: negative payment";
-  (match epoch with
-  | Some e when e < 0 -> invalid_arg "Smtp.Message.mark_payment: negative epoch"
-  | Some _ | None -> ());
-  { t with payment = Some epennies; epoch }
-
-let stamp_value fn name value =
-  if not (valid_value value) then
-    invalid_arg (Printf.sprintf "Smtp.Message.%s: invalid %s value %S" fn name value)
+  let epoch_size =
+    match epoch with
+    | Some e when e < 0 -> invalid_arg "Smtp.Message.mark_payment: negative epoch"
+    | Some e -> field_size zmail_epoch_header (decimal_length e)
+    | None -> 0
+  in
+  let size =
+    t.size - slot_size t Payment - slot_size t Epoch
+    + field_size zmail_payment_header (decimal_length epennies)
+    + epoch_size
+  in
+  { t with payment = Some epennies; epoch; size }
 
 let mark_ack t ~of_id =
-  stamp_value "mark_ack" zmail_ack_header of_id;
-  { t with ack = Some of_id }
+  if not (valid_value of_id) then
+    invalid_arg
+      (Printf.sprintf "Smtp.Message.mark_ack: invalid %s value %S" zmail_ack_header of_id);
+  let size = t.size - slot_size t Ack + field_size zmail_ack_header (String.length of_id) in
+  { t with ack = Some of_id; size }
 
 let stamp_message_id t id =
-  stamp_value "stamp_message_id" message_id_header id;
-  { t with message_id = Some id }
+  let size =
+    t.size - slot_size t Message_id
+    + field_size message_id_header (message_id_length id)
+  in
+  { t with message_id = Some id; size }
 
-let stamp_received t ~from_domain ~by ~at =
-  if not (valid_token from_domain && valid_token by) then
-    invalid_arg
-      (Printf.sprintf "Smtp.Message.stamp_received: invalid host %S or %S"
-         from_domain by);
-  { t with received = Some { from_domain; by; ms = millis_of_seconds at } }
+let stamp_received t ~(from : Address.t) ~by ~at =
+  let r = { from_domain = from.domain; by; ms = millis_of_seconds at } in
+  let size =
+    t.size - slot_size t Received + field_size received_header (received_length r)
+  in
+  { t with received = Some r; size }
 
 (* ---- Reading ------------------------------------------------------- *)
 
@@ -307,76 +653,101 @@ let ack_of t = t.ack
 let message_id t = t.message_id
 let body t = t.body
 
-(* The stamps as (name, value) pairs, in their fixed rendering order. *)
-let stamp_fields t =
-  let tl =
-    match t.received with
-    | None -> []
-    | Some r -> [ (received_header, render_received r) ]
-  in
-  let tl = match t.message_id with None -> tl | Some id -> (message_id_header, id) :: tl in
-  let tl =
-    match t.epoch with None -> tl | Some e -> (zmail_epoch_header, decimal e) :: tl
-  in
-  let tl =
-    match t.payment with
-    | None -> tl
-    | Some p -> (zmail_payment_header, decimal p) :: tl
-  in
-  match t.ack with None -> tl | Some a -> (zmail_ack_header, a) :: tl
-
-let headers t = List.rev_append t.fields_rev (stamp_fields t)
-
 (* The oldest match wins: [fields_rev] is newest first. *)
 let rec find_oldest name found = function
   | [] -> found
-  | (n, v) :: rest -> find_oldest name (if ci_equal n name then Some v else found) rest
+  | f :: rest -> find_oldest name (if ci_equal f.name name then f.found else found) rest
+
+let slot_opt t s = if present t s then Some (slot_value t s) else None
 
 let stamp_header t name =
   if ci_equal name zmail_ack_header then t.ack
-  else if ci_equal name zmail_payment_header then Option.map decimal t.payment
-  else if ci_equal name zmail_epoch_header then Option.map decimal t.epoch
-  else if ci_equal name message_id_header then t.message_id
-  else if ci_equal name received_header then Option.map render_received t.received
+  else if ci_equal name zmail_payment_header then slot_opt t Payment
+  else if ci_equal name zmail_epoch_header then slot_opt t Epoch
+  else if ci_equal name message_id_header then slot_opt t Message_id
+  else if ci_equal name received_header then slot_opt t Received
   else None
 
+(* Generic fields never hold a stamp name, and a base name is found in
+   the generic fields only when its slot is empty.  The length picks
+   the base name to compare with. *)
 let header t name =
-  match find_oldest name None t.fields_rev with
-  | Some _ as v -> v
-  | None -> stamp_header t name
+  match String.length name with
+  | 2 when is_some t.from && ci_equal name to_header -> slot_opt t To
+  | 4 when is_some t.from && ci_equal name from_header -> slot_opt t From
+  | 4 when t.date <> no_date && ci_equal name date_header -> slot_opt t Date
+  | 7 when is_some t.subject && ci_equal name subject_header -> t.subject
+  | _ -> if reserved name then stamp_header t name else find_oldest name None t.fields_rev
 
-let from t = Option.bind (header t "From") (fun v -> Result.to_option (Address.of_string v))
+let from t =
+  match t.from with
+  | Some _ as a -> a
+  | None ->
+      Option.bind (find_oldest from_header None t.fields_rev) (fun v ->
+          Result.to_option (Address.of_string v))
 
 let recipients t =
-  match header t "To" with
-  | None -> []
-  | Some v ->
-      String.split_on_char ',' v
-      |> List.filter_map (fun s ->
-             Result.to_option (Address.of_string (String.trim s)))
+  match t.from with
+  | Some _ -> t.to_
+  | None -> (
+      match find_oldest to_header None t.fields_rev with
+      | None -> []
+      | Some v ->
+          String.split_on_char ',' v
+          |> List.filter_map (fun s -> Result.to_option (Address.of_string (String.trim s))))
 
-let subject t = header t "Subject"
+let subject t =
+  match t.subject with
+  | Some _ as s -> s
+  | None -> find_oldest subject_header None t.fields_rev
+
+let rec slot_pairs t acc = function
+  | [] -> acc
+  | s :: rest ->
+      slot_pairs t (if present t s then (slot_name s, slot_value t s) :: acc else acc) rest
+
+let headers t =
+  let tl = slot_pairs t [] stamp_slots_rev in
+  let tl = List.fold_left (fun acc f -> (f.name, f.value) :: acc) tl t.fields_rev in
+  slot_pairs t tl base_slots_rev
 
 (* ---- Wire form ----------------------------------------------------- *)
 
-let render_line (n, v) =
-  let nl = String.length n and vl = String.length v in
-  let b = Bytes.create (nl + 2 + vl) in
-  Bytes.unsafe_blit_string n 0 b 0 nl;
-  Bytes.unsafe_set b nl ':';
-  Bytes.unsafe_set b (nl + 1) ' ';
-  Bytes.unsafe_blit_string v 0 b (nl + 2) vl;
-  Bytes.unsafe_to_string b
-
 let split_lines s = if s = "" then [] else String.split_on_char '\n' s
 
+let rec prepend_slot_lines t acc = function
+  | [] -> acc
+  | s :: rest -> prepend_slot_lines t (if present t s then slot_line t s :: acc else acc) rest
+
+(* Newest first onto the front leaves the oldest field first. *)
+let rec prepend_field_lines acc = function
+  | [] -> acc
+  | f :: rest -> prepend_field_lines (field_line f :: acc) rest
+
 let to_lines t =
-  let tail =
-    List.fold_right
-      (fun f acc -> render_line f :: acc)
-      (stamp_fields t) ("" :: split_lines t.body)
-  in
-  List.fold_left (fun acc f -> render_line f :: acc) tail t.fields_rev
+  let lines = prepend_slot_lines t ("" :: split_lines t.body) stamp_slots_rev in
+  prepend_slot_lines t (prepend_field_lines lines t.fields_rev) base_slots_rev
+
+let rec put_slot_lines b i t = function
+  | [] -> i
+  | s :: rest ->
+      let i =
+        if present t s then put_char b (put_value b (put_name b i (slot_name s)) t s) '\n'
+        else i
+      in
+      put_slot_lines b i t rest
+
+(* Oldest first: the recursion reaches the oldest field before writing. *)
+let rec put_field_lines b i = function
+  | [] -> i
+  | f :: older -> put_char b (put b (put_name b (put_field_lines b i older) f.name) f.value) '\n'
+
+let to_string t =
+  let b = Bytes.create t.size in
+  let i = put_slot_lines b 0 t base_slots in
+  let i = put_slot_lines b (put_field_lines b i t.fields_rev) t stamp_slots in
+  if t.body <> "" then ignore (put b (put_char b i '\n') t.body);
+  Bytes.unsafe_to_string b
 
 (* Store one stamp line; a second copy of any stamp, an unknown
    [X-Zmail-*] name or a value that is not the exact rendering of a
@@ -386,82 +757,130 @@ let malformed name value = Error (Printf.sprintf "malformed %s value %S" name va
 
 let parse_stamp t name value =
   if ci_equal name zmail_ack_header then
-    if t.ack <> None then duplicate name else Ok { t with ack = Some value }
+    if is_some t.ack then duplicate name else Ok { t with ack = Some value }
   else if ci_equal name zmail_payment_header then
-    if t.payment <> None then duplicate name
+    if is_some t.payment then duplicate name
     else
       match nat_of_string value with
       | Some _ as p -> Ok { t with payment = p }
       | None -> malformed name value
   else if ci_equal name zmail_epoch_header then
-    if t.epoch <> None then duplicate name
+    if is_some t.epoch then duplicate name
     else
       match nat_of_string value with
       | Some _ as e -> Ok { t with epoch = e }
       | None -> malformed name value
   else if ci_equal name message_id_header then
-    if t.message_id <> None then duplicate name
-    else Ok { t with message_id = Some value }
+    if is_some t.message_id then duplicate name
+    else Ok { t with message_id = Some (message_id_of_text value) }
   else if ci_equal name received_header then
-    if t.received <> None then duplicate name
+    if is_some t.received then duplicate name
     else
       match parse_received value with
       | Some _ as r -> Ok { t with received = r }
       | None -> malformed name value
   else Error (Printf.sprintf "unknown Zmail header %S" name)
 
-let of_lines lines =
-  let rec parse stamps fields_rev = function
-    | [] -> Ok { stamps with fields_rev }
-    | "" :: rest -> Ok { stamps with fields_rev; body = String.concat "\n" rest }
-    | line :: rest -> (
-        match String.index_opt line ':' with
-        | None -> Error (Printf.sprintf "malformed header line %S" line)
-        | Some i ->
-            let name = String.sub line 0 i in
-            let value =
-              String.trim (String.sub line (i + 1) (String.length line - i - 1))
-            in
-            if not (valid_name name) then
-              Error (Printf.sprintf "malformed header name in %S" line)
-            else if not (valid_value value) then
-              Error (Printf.sprintf "malformed header value in %S" line)
-            else if reserved name then
-              match parse_stamp stamps name value with
-              | Ok stamps -> parse stamps fields_rev rest
-              | Error _ as e -> e
-            else parse stamps ((name, value) :: fields_rev) rest)
-  in
-  parse empty [] lines
+(* A header line's value is what follows its first [':'], with
+   [String.trim]'s spaces stripped from both ends. *)
+let rec skip_spaces line i stop =
+  if i < stop && is_trim_space (String.unsafe_get line i) then skip_spaces line (i + 1) stop
+  else i
 
-let to_string t = String.concat "\n" (to_lines t)
+let rec trim_end line start stop =
+  if stop > start && is_trim_space (String.unsafe_get line (stop - 1)) then
+    trim_end line start (stop - 1)
+  else stop
+
+(* The line's name, before the [':'] at [colon], is exactly [name]. *)
+let named line colon name = colon = String.length name && literal_at line 0 name 0
+
+let reserved_at line colon =
+  let pl = String.length zmail_prefix in
+  (colon >= pl && ci_equal_from line zmail_prefix 0 pl)
+  || (colon = String.length message_id_header && ci_equal_from line message_id_header 0 colon)
+  || (colon = String.length received_header && ci_equal_from line received_header 0 colon)
+
+(* The generic field a valid header line holds. *)
+let field_at line colon start stop =
+  let value = String.sub line start (stop - start) in
+  { name = String.sub line 0 colon; value; found = Some value }
+
+let field_of_line line =
+  let colon = String.index line ':' in
+  let start = skip_spaces line (colon + 1) (String.length line) in
+  field_at line colon start (trim_end line start (String.length line))
+
+(* Header lines are read in order.  Stamp lines go into their slots
+   wherever they stand.  The other lines become generic fields, except
+   that while no generic field has been read the base block is
+   filled, by the rules [add_field] follows: a [From] line that renders
+   from its address waits for a [To] line that renders from its list,
+   and a base block lacking them then takes a [Subject] and a
+   rendered [Date].  The checks compare in place; no string is built
+   for a line the base block takes whole.  [pending] is the waiting
+   [From] address, and [pending_line] its line. *)
+let rec parse t fields_rev pending pending_line = function
+  | [] -> Ok (finish t (flush fields_rev pending pending_line) "")
+  | "" :: rest ->
+      Ok (finish t (flush fields_rev pending pending_line) (String.concat "\n" rest))
+  | line :: rest as lines -> (
+      match String.index_opt line ':' with
+      | None -> Error (Printf.sprintf "malformed header line %S" line)
+      | Some colon ->
+          let len = String.length line in
+          let start = skip_spaces line (colon + 1) len in
+          let stop = trim_end line start len in
+          if colon = 0 || not (name_chars line 0 colon) then
+            Error (Printf.sprintf "malformed header name in %S" line)
+          else if not (value_chars line start stop) then
+            Error (Printf.sprintf "malformed header value in %S" line)
+          else if reserved_at line colon then
+            match
+              parse_stamp t (String.sub line 0 colon) (String.sub line start (stop - start))
+            with
+            | Ok t -> parse t fields_rev pending pending_line rest
+            | Error _ as e -> e
+          else
+            match (fields_rev, pending) with
+            | [], Some a -> (
+                match
+                  if named line colon to_header then to_of_rendering line start stop else None
+                with
+                | Some to_ -> parse { t with from = Some a; to_ } [] None "" rest
+                | None -> parse t [ field_of_line pending_line ] None "" lines)
+            | [], None when not (is_some t.from) -> (
+                match
+                  if named line colon from_header then
+                    Address.of_rendering line ~pos:start ~len:(stop - start)
+                  else None
+                with
+                | Some _ as a -> parse t [] a line rest
+                | None -> parse t [ field_at line colon start stop ] None "" rest)
+            | [], None when t.date = no_date ->
+                if (not (is_some t.subject)) && named line colon subject_header then
+                  let subject = Some (String.sub line start (stop - start)) in
+                  parse { t with subject } [] None "" rest
+                else
+                  let d =
+                    if named line colon date_header then date_of_rendering line start stop
+                    else no_date
+                  in
+                  if d = no_date then parse t [ field_at line colon start stop ] None "" rest
+                  else parse { t with date = d } [] None "" rest
+            | _, _ -> parse t (field_at line colon start stop :: fields_rev) None "" rest)
+
+(* A [From] line still waiting when the header block ends stays a
+   generic field. *)
+and flush fields_rev pending pending_line =
+  match pending with Some _ -> [ field_of_line pending_line ] | None -> fields_rev
+
+and finish t fields_rev body =
+  let t = { t with fields_rev; body } in
+  { t with size = computed_size t }
+
+let of_lines lines = parse empty [] None "" lines
 
 let of_string s = of_lines (String.split_on_char '\n' s)
-
-(* Arithmetically equal to [String.length (to_string t)] — each field
-   renders as ["name: value\n"], the blank separator adds one byte, and
-   a non-empty body follows the separator verbatim — without building
-   the rendering.  A qcheck property in test_smtp pins the
-   equivalence. *)
-let field_size name value_length = String.length name + value_length + 3
-
-let stamps_size t =
-  (match t.ack with None -> 0 | Some a -> field_size zmail_ack_header (String.length a))
-  + (match t.payment with None -> 0 | Some p -> field_size zmail_payment_header (decimal_length p))
-  + (match t.epoch with None -> 0 | Some e -> field_size zmail_epoch_header (decimal_length e))
-  + (match t.message_id with
-    | None -> 0
-    | Some id -> field_size message_id_header (String.length id))
-  + match t.received with
-    | None -> 0
-    | Some r -> field_size received_header (received_length r)
-
-let size_bytes t =
-  let fields =
-    List.fold_left
-      (fun acc (n, v) -> acc + field_size n (String.length v))
-      0 t.fields_rev
-  in
-  fields + stamps_size t + if t.body = "" then 0 else String.length t.body + 1
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

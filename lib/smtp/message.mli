@@ -1,15 +1,26 @@
 (** RFC-822-style messages: a header block and a body, with the
     [X-Zmail-*] stamps Zmail rides on.
 
-    A message is its generic header fields, in insertion order, plus one
-    typed slot per stamp: the mailing-list acknowledgment, the payment
-    and its epoch, the [Message-Id] and the [Received] stamp.  Every
-    field is validated once, when it enters the message, so rendering
-    and re-parsing is exact: [of_lines (to_lines m) = Ok m] for every
-    message.  The stamps are rendered only when the message is written
-    out ({!to_lines}, {!to_string}, {!headers}, {!header}), after the
-    generic fields and in the fixed order [X-Zmail-Ack],
-    [X-Zmail-Payment], [X-Zmail-Epoch], [Message-Id], [Received].
+    A message is typed slots plus the generic fields {!add_header}
+    appends.  Nothing is kept as header text: a field is rendered only
+    when the message is written out ({!to_lines}, {!to_string},
+    {!headers}, {!header}), always in this order:
+    - the {e base block} {!make} sets: [From] (an {!Address.t}), [To]
+      (an {!Address.t} list, rendered [", "]-separated), then [Subject]
+      and [Date] when given.  [Date] is kept as the rendered clock
+      (day, hours, minutes, seconds) and written as
+      ["Day %d %02d:%02d:%02d +0000"];
+    - the generic fields, in insertion order;
+    - the stamps, one slot each: [X-Zmail-Ack], [X-Zmail-Payment],
+      [X-Zmail-Epoch], [Message-Id] (kept as the stamping MTA's
+      sequence number and {!host}) and [Received].
+
+    Every field is validated once, when it enters the message, so
+    rendering and re-parsing is exact: [of_lines (to_lines m) = Ok m]
+    for every message, structurally.  {!size_bytes} is kept up to date
+    by every constructor.  Constant fields are validated once by their
+    owner: a {!field} is a checked name and value, a {!host} a checked
+    host token.
 
     Header field names are case-insensitive.  A valid name is printable
     US-ASCII (33–126) without [':']; a valid value contains no CR, LF or
@@ -28,10 +39,10 @@ val make :
   body:string ->
   unit ->
   (t, string) result
-(** Build a message with [From], [To], [Subject] and [Date] fields, in
-    that order.  [date] is simulated seconds since the epoch and is
-    rendered into the [Date] header.  [Error] when [subject] is not a
-    valid header value. *)
+(** Build a message whose base block is [From], [To], [Subject] and
+    [Date], in that order.  [date] is simulated seconds since the epoch,
+    kept as the clock it renders to.  [Error] when [subject] is not a
+    valid header value, or [date] is outside [\[0, 1e15\]]. *)
 
 val make_exn :
   from:Address.t ->
@@ -49,34 +60,56 @@ val check_header : string -> string -> (unit, string) result
     the field, and otherwise the [Error] it would return, which names
     the header. *)
 
+type field
+(** A header name and value that passed {!check_header}, for a field
+    added to many messages: validated once, when it is built. *)
+
+val field : string -> string -> (field, string) result
+(** [Error] exactly when {!check_header} is. *)
+
+val field_exn : string -> string -> field
+(** As {!field}.
+    @raise Invalid_argument when {!field} returns [Error]. *)
+
+val add_field : t -> field -> t
+(** Append a generic field.  Before any generic field, a [Subject]
+    appended to a base block with neither [Subject] nor [Date], or a
+    [Date] in its rendered form appended to a block without [Date],
+    fills that base slot instead: the rendering is the same bytes.  So
+    does a [To] appended after a lone [From] on a message without a
+    base block, when both render from their slots. *)
+
 val add_header : t -> string -> string -> (t, string) result
-(** Append a generic field.  [Error] for an invalid name or value, or a
-    reserved stamp name. *)
+(** [add_field] of [field name value]. *)
 
 val add_header_exn : t -> string -> string -> t
 (** As {!add_header}.
     @raise Invalid_argument when {!add_header} returns [Error]. *)
 
 val from : t -> Address.t option
-(** Parsed [From] header, if present and well-formed. *)
+(** The [From] address: the base slot, or else the first [From] field,
+    parsed. *)
 
 val recipients : t -> Address.t list
-(** Parsed [To] header addresses (comma separated). *)
+(** The [To] addresses: the base slot, or else the first [To] field,
+    parsed (comma separated). *)
 
 val subject : t -> string option
 val body : t -> string
 
 val header : t -> string -> string option
 (** [header t name] is the first value of field [name]
-    (case-insensitive); a stamp name renders its slot. *)
+    (case-insensitive) in rendering order.  Base and stamp names are
+    answered from their slots; any other name scans only the generic
+    fields, and a hit returns the option the field was built with. *)
 
 val headers : t -> (string * string) list
-(** All fields in rendering order: the generic fields, then the
-    stamps. *)
+(** All fields in rendering order: the base block, the generic fields,
+    then the stamps. *)
 
 val size_bytes : t -> int
-(** Rendered size, [String.length (to_string t)], computed without
-    rendering. *)
+(** Rendered size, [String.length (to_string t)], kept in the message:
+    O(1). *)
 
 val decimal : int -> string
 (** [decimal n] is [string_of_int n], byte for byte for every [int]
@@ -127,18 +160,42 @@ val mark_ack : t -> of_id:string -> t
 
 val ack_of : t -> string option
 
-val stamp_message_id : t -> string -> t
-(** Set the [Message-Id].
-    @raise Invalid_argument if the id is not a valid header value. *)
+type host
+(** A host name that can appear in a [Message-Id] and a [Received]
+    stamp: a non-empty printable token without space or [';'], so
+    ["from D by B; t=..."] splits back unambiguously. *)
 
-val message_id : t -> string option
+val host : string -> (host, string) result
+val host_to_string : host -> string
 
-val stamp_received : t -> from_domain:string -> by:string -> at:float -> t
+type message_id
+(** A [Message-Id] value.  [<seq\@host>] is kept as its two parts and
+    rendered only when written out; any other valid header value (read
+    off the wire) is kept as text. *)
+
+val message_id_of_seq : int -> host -> message_id
+(** [<seq\@host>], as an MTA stamps it.
+    @raise Invalid_argument on a negative [seq]. *)
+
+val message_id_of_string : string -> (message_id, string) result
+(** [Error] when the text is not a valid header value. *)
+
+val message_id_to_string : message_id -> string
+
+val in_reply_to : message_id -> field
+(** The [In-Reply-To] field naming a message; it needs no check, as
+    every {!message_id} renders to a valid value. *)
+
+val stamp_message_id : t -> message_id -> t
+(** Set the [Message-Id]. *)
+
+val message_id : t -> message_id option
+
+val stamp_received : t -> from:Address.t -> by:host -> at:float -> t
 (** Set the [Received] stamp, rendered as
-    [Printf.sprintf "from %s by %s; t=%.3f" from_domain by at].  The
-    time is kept in integer milliseconds, rounded as [%.3f] rounds.
-    @raise Invalid_argument unless both hosts are non-empty printable
-    tokens without space or [';'], and [0 <= at <= 1e15]. *)
+    [Printf.sprintf "from %s by %s; t=%.3f" (Address.domain from) by at].
+    The time is kept in integer milliseconds, rounded as [%.3f] rounds.
+    @raise Invalid_argument unless [0 <= at <= 1e15]. *)
 
 (** {1 Wire form} *)
 
@@ -146,13 +203,19 @@ val to_lines : t -> string list
 (** Render as header lines, a blank line, then body lines. *)
 
 val of_lines : string list -> (t, string) result
-(** Parse the rendering back, stamps into their slots.  [Error] on a
+(** Parse the rendering back.  Leading [From], [To] and optional
+    [Subject] and [Date] lines fill the base block only when rendering
+    it writes the same name and value (lowercase domains, [", "]
+    between addresses, [Date] digits as rendered); otherwise they stay
+    generic fields.  Stamps go into their slots.  [Error] on a
     malformed line, an invalid name or value, a stamp value that is not
     exactly what its constructor renders (for the payment and epoch:
     [decimal n] for some [n >= 0]), a repeated stamp, or an unknown
     [X-Zmail-*] name. *)
 
 val to_string : t -> string
+(** One allocation of {!size_bytes} bytes. *)
+
 val of_string : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

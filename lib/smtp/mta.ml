@@ -17,7 +17,7 @@ type stats = {
 type t = {
   net : network;
   host : Dns.host;
-  hostname : string;
+  hostname : Message.host;  (* validated once, at [create] *)
   domains : string list;
   policy : Server.policy;  (* one instance per MTA, shared by sessions *)
   mailboxes : Mailbox.t;
@@ -134,6 +134,11 @@ let engine net = net.engine
 let dns net = net.registry
 
 let create net ~hostname ~domains =
+  let hostname =
+    match Message.host hostname with
+    | Ok h -> h
+    | Error e -> invalid_arg ("Mta.create: " ^ e)
+  in
   List.iter
     (fun d ->
       match Dns.lookup net.registry ~domain:d with
@@ -186,7 +191,7 @@ let create net ~hostname ~domains =
   t
 
 let host t = t.host
-let hostname t = t.hostname
+let hostname t = Message.host_to_string t.hostname
 let domains t = t.domains
 let mailboxes t = t.mailboxes
 
@@ -212,8 +217,7 @@ let accept_locally t envelope message =
   let now = Sim.Engine.now t.net.engine in
   let sender = Envelope.sender envelope in
   let stamped =
-    Message.stamp_received message ~from_domain:(Address.domain sender)
-      ~by:t.hostname ~at:now
+    Message.stamp_received message ~from:sender ~by:t.hostname ~at:now
   in
   List.iter
     (fun rcpt ->
@@ -228,7 +232,7 @@ let accept_locally t envelope message =
 
 let bounce t envelope message reason =
   Log.warn (fun m ->
-      m "%s: bouncing %a: %s" t.hostname Envelope.pp envelope reason);
+      m "%s: bouncing %a: %s" (hostname t) Envelope.pp envelope reason);
   t.bounced <- t.bounced + List.length (Envelope.recipients envelope);
   t.dead <- (envelope, reason) :: t.dead;
   t.on_bounce envelope message reason
@@ -280,7 +284,7 @@ let retry_transient t ~dest_host envelope message ~attempt ~reason ~resubmit =
   end
   else begin
     Log.debug (fun m ->
-        m "%s: transient failure to host %d (attempt %d): %s" t.hostname
+        m "%s: transient failure to host %d (attempt %d): %s" (hostname t)
           dest_host (attempt + 1) reason);
     let backoff = Sim.Retry.delay t.net.backoff ~attempt in
     t.net.retrying <- t.net.retrying + 1;
@@ -323,19 +327,6 @@ and park t ~dest_host envelope message ~attempt reason =
     (retry_transient t ~dest_host envelope message ~attempt ~reason
        ~resubmit:(fun ~attempt -> transmit t ~dest_host envelope message ~attempt))
 
-(* ["<" ^ string_of_int seq ^ "@" ^ host ^ ">"], in one allocation
-   past the digits: stamped on every submitted message. *)
-let message_id_value seq host =
-  let d = Message.decimal seq in
-  let dl = String.length d and hl = String.length host in
-  let b = Bytes.create (dl + hl + 3) in
-  Bytes.unsafe_set b 0 '<';
-  Bytes.unsafe_blit_string d 0 b 1 dl;
-  Bytes.unsafe_set b (dl + 1) '@';
-  Bytes.unsafe_blit_string host 0 b (dl + 2) hl;
-  Bytes.unsafe_set b (dl + hl + 2) '>';
-  Bytes.unsafe_to_string b
-
 let submit t envelope message =
   t.submitted <- t.submitted + 1;
   (* Stamp a Message-Id on first submission, like any real MTA. *)
@@ -345,7 +336,7 @@ let submit t envelope message =
     | None ->
         t.next_message_id <- t.next_message_id + 1;
         Message.stamp_message_id message
-          (message_id_value t.next_message_id t.hostname)
+          (Message.message_id_of_seq t.next_message_id t.hostname)
   in
   let message = t.outbound_stamp envelope message in
   let route sub_envelope ~domain ~dest message =
@@ -429,7 +420,7 @@ let submit_checked t envelope message =
 
 (* ---- Serving-layer SPI (see lib/serve) ---------------------------- *)
 
-let open_server t = Server.create ~hostname:t.hostname ~policy:t.policy
+let open_server t = Server.create ~hostname:(hostname t) ~policy:t.policy
 let accept_from_remote t envelope message = accept_locally t envelope message
 let count_session t = t.sessions <- t.sessions + 1
 let note_bytes_sent t n = t.bytes_sent <- t.bytes_sent + n

@@ -98,9 +98,11 @@ type decision =
 val create : network -> hostname:string -> domains:string list -> t
 (** Create an MTA and register its domains in the network's MX
     registry.  [hostname] names the host in the [Message-Id] and
-    [Received] stamps, so it must be a printable token without space or
-    [';'] ({!Message.stamp_received}); stamping raises otherwise.
-    @raise Invalid_argument if a domain is already registered. *)
+    [Received] stamps, so it must be a {!Message.host}: a non-empty
+    printable token without space or [';'].  It is checked here, once,
+    so no delivery can fail on it later.
+    @raise Invalid_argument if [hostname] is not a valid host, or a
+    domain is already registered; nothing is registered then. *)
 
 val host : t -> Dns.host
 val hostname : t -> string
@@ -130,7 +132,7 @@ val set_retain_mail : t -> bool -> unit
 val submit : t -> Envelope.t -> Message.t -> unit
 (** Hand a message from a local user to this MTA for delivery
     (local and remote recipients are routed automatically).  A
-    [Message-Id] naming this host ({!Message.stamp_message_id}) is
+    [Message-Id] naming this host ({!Message.message_id_of_seq}) is
     stamped if the message lacks one.  With a
     serving layer installed, a remote submission refused at admission
     (queue full under the [`Drop] policy) bounces — the [on_bounce]

@@ -5,6 +5,7 @@ type member = {
 
 type t = {
   list_id : string;
+  list_field : Smtp.Message.field;  (* [List-Id: list_id] *)
   address : Smtp.Address.t;
   members : (Smtp.Address.t, member) Hashtbl.t;
   mutable spent : int;
@@ -13,10 +14,12 @@ type t = {
 }
 
 let create ~list_id ~address =
-  (match Smtp.Message.check_header "List-Id" list_id with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Listserv.create: " ^ e));
-  { list_id; address; members = Hashtbl.create 64; spent = 0; refunded = 0;
+  let list_field =
+    match Smtp.Message.field "List-Id" list_id with
+    | Ok f -> f
+    | Error e -> invalid_arg ("Listserv.create: " ^ e)
+  in
+  { list_id; list_field; address; members = Hashtbl.create 64; spent = 0; refunded = 0;
     post_open = false }
 
 let list_id t = t.list_id
@@ -46,7 +49,7 @@ let distribute t ~body ?date () =
           Smtp.Message.make_exn ~from:t.address ~to_:[ subscriber ]
             ~subject:("[" ^ t.list_id ^ "] post") ?date ~body ()
         in
-        (subscriber, Smtp.Message.add_header_exn message "List-Id" t.list_id))
+        (subscriber, Smtp.Message.add_field message t.list_field))
       (subscribers t)
   in
   expansions

@@ -207,7 +207,7 @@ let inject t msg =
     Smtp.Message.make_exn ~from:from_addr ~to_:[ to_addr ] ~subject:"note"
       ~date:msg.at ~body:"hello" ()
   in
-  let message = Smtp.Message.add_header_exn message "X-Sim-Label" "ham" in
+  let message = Smtp.Message.add_field message (World.label ~spam:false) in
   let envelope = Smtp.Envelope.v ~sender:from_addr ~recipients:[ to_addr ] in
   Smtp.Mta.accept_from_remote (World.mta dst msg.dst_isp) envelope message;
   t.cross_injected <- t.cross_injected + 1

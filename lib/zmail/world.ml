@@ -788,20 +788,18 @@ let rec submit_message t ~from:(i, u) ~to_addr ~build_msg =
               t.stats.blocked_limit <- t.stats.blocked_limit + 1);
           Rejected block)
 
-let send_email t ~from ~to_:(j, v) ?subject ?(spam = false) ?in_reply_to
-    ?(body = "hello") () =
-  (* Caller-supplied header values are checked before anything is
-     charged: [build_msg] runs after the charge lands. *)
-  let check name = function
-    | None -> ()
-    | Some value -> (
-        match Smtp.Message.check_header name value with
-        | Ok () -> ()
-        | Error e -> invalid_arg ("World.send_email: " ^ e))
-  in
-  check "Subject" subject;
-  check "In-Reply-To" in_reply_to;
-  let subject = match subject with Some s -> s | None -> "(no subject)" in
+(* The simulator's ground-truth label, a constant field validated
+   once.  Lookups pass the same name string, which [header] matches
+   without comparing bytes. *)
+let sim_label = "X-Sim-Label"
+let ham_label = Smtp.Message.field_exn sim_label "ham"
+let spam_label = Smtp.Message.field_exn sim_label "spam"
+let label ~spam = if spam then spam_label else ham_label
+
+(* [send_email] with [subject] already a valid header value and
+   [in_reply_to] a built field: the simulator's own replies come here
+   directly, with nothing left to check. *)
+let send_checked t ~from ~to_:(j, v) ~subject ~spam ?in_reply_to ~body () =
   let to_addr = address t ~isp:j ~user:v in
   let from_addr = address t ~isp:(fst from) ~user:(snd from) in
   let build_msg () =
@@ -811,12 +809,35 @@ let send_email t ~from ~to_:(j, v) ?subject ?(spam = false) ?in_reply_to
     in
     let msg =
       match in_reply_to with
-      | Some id -> Smtp.Message.add_header_exn msg "In-Reply-To" id
+      | Some field -> Smtp.Message.add_field msg field
       | None -> msg
     in
-    Smtp.Message.add_header_exn msg "X-Sim-Label" (if spam then "spam" else "ham")
+    Smtp.Message.add_field msg (label ~spam)
   in
   submit_message t ~from ~to_addr ~build_msg
+
+let send_email t ~from ~to_ ?subject ?(spam = false) ?in_reply_to
+    ?(body = "hello") () =
+  (* Caller-supplied header values are checked before anything is
+     charged: [build_msg] runs after the charge lands. *)
+  let invalid e = invalid_arg ("World.send_email: " ^ e) in
+  let subject =
+    match subject with
+    | None -> "(no subject)"
+    | Some s -> (
+        match Smtp.Message.check_header "Subject" s with
+        | Ok () -> s
+        | Error e -> invalid e)
+  in
+  let in_reply_to =
+    match in_reply_to with
+    | None -> None
+    | Some id -> (
+        match Smtp.Message.field "In-Reply-To" id with
+        | Ok field -> Some field
+        | Error e -> invalid e)
+  in
+  send_checked t ~from ~to_ ~subject ~spam ?in_reply_to ~body ()
 
 (* ------------------------------------------------------------------ *)
 (* Inbound processing                                                  *)
@@ -868,7 +889,7 @@ let inbound_filter t ~isp_index kernel ~sender ~rcpt message =
   | Some _ | None -> (
       match settle () with
       | `Paid ->
-          (match Smtp.Message.header message "X-Sim-Label" with
+          (match Smtp.Message.header message sim_label with
           | Some "spam" -> t.stats.spam_delivered <- t.stats.spam_delivered + 1
           | Some _ | None -> t.stats.ham_delivered <- t.stats.ham_delivered + 1);
           (match rcpt_user with
@@ -879,7 +900,7 @@ let inbound_filter t ~isp_index kernel ~sender ~rcpt message =
           Smtp.Mta.Deliver
       | `Unpaid -> (
           let deliver_unpaid () =
-            (match Smtp.Message.header message "X-Sim-Label" with
+            (match Smtp.Message.header message sim_label with
             | Some "spam" -> t.stats.spam_delivered <- t.stats.spam_delivered + 1
             | Some _ | None -> t.stats.ham_delivered <- t.stats.ham_delivered + 1);
             Smtp.Mta.Deliver
@@ -1346,7 +1367,7 @@ let attach_user_traffic t ?(mix = Econ.User_model.standard_mix) () =
              address validation) only runs for ham, never for the far
              more numerous spam deliveries. *)
           if
-            (match Smtp.Message.header message "X-Sim-Label" with
+            (match Smtp.Message.header message sim_label with
             | Some "ham" -> true
             | Some _ | None -> false)
             && Smtp.Message.ack_of message = None
@@ -1367,13 +1388,17 @@ let attach_user_traffic t ?(mix = Econ.User_model.standard_mix) () =
                           let think =
                             Sim.Dist.exponential t.rng ~rate:(1. /. 3600.)
                           in
-                          let in_reply_to = Smtp.Message.message_id message in
+                          let in_reply_to =
+                            Option.map Smtp.Message.in_reply_to
+                              (Smtp.Message.message_id message)
+                          in
                           ignore
                             (Sim.Engine.schedule_after t.engine ~delay:think
                                (fun () ->
                                  ignore
-                                   (send_email t ~from:(i, u) ~to_:sender_loc
-                                      ~subject:"re: note" ?in_reply_to ())))
+                                   (send_checked t ~from:(i, u) ~to_:sender_loc
+                                      ~subject:"re: note" ~spam:false ?in_reply_to
+                                      ~body:"hello" ())))
                         end
                     | None -> ()))))
     t.mtas

@@ -239,6 +239,10 @@ val send_email :
     ({!Smtp.Message.check_header}): a value with CR, LF or NUL, or with
     leading or trailing space. *)
 
+val label : spam:bool -> Smtp.Message.field
+(** The ground-truth label field {!send_email} adds,
+    [X-Sim-Label: spam] or [X-Sim-Label: ham], built once. *)
+
 (** {1 Mailing lists (§5)} *)
 
 val host_list : t -> isp:int -> user:int -> list_id:string -> Listserv.t

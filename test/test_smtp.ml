@@ -2,6 +2,12 @@
 
 let addr s = Smtp.Address.of_string_exn s
 
+let host s =
+  match Smtp.Message.host s with Ok h -> h | Error e -> invalid_arg e
+
+let mid s =
+  match Smtp.Message.message_id_of_string s with Ok id -> id | Error e -> invalid_arg e
+
 (* ------------------------------------------------------------------ *)
 (* Address                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -623,6 +629,40 @@ let test_mta_duplicate_domain_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A hostname that cannot be a stamp token used to pass [create] and
+   abort the run at the first delivery, when [Received] was stamped
+   inside an engine callback. *)
+let test_mta_invalid_hostname_rejected () =
+  let engine = Sim.Engine.create () in
+  let net = Smtp.Mta.network engine in
+  List.iter
+    (fun hostname ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" hostname) true
+        (try
+           ignore (Smtp.Mta.create net ~hostname ~domains:[ "a.com" ]);
+           false
+         with Invalid_argument _ -> true))
+    [ "mx 1"; "mx;1"; ""; "mx\t1"; "mx\n1"; "mx\1271" ];
+  (* Nothing was registered by the refused calls. *)
+  let mta_a = Smtp.Mta.create net ~hostname:"mx.a.com" ~domains:[ "a.com" ] in
+  let mta_b = Smtp.Mta.create net ~hostname:"mx.b.com" ~domains:[ "b.com" ] in
+  Alcotest.(check string) "valid host kept" "mx.a.com" (Smtp.Mta.hostname mta_a);
+  let from = addr "alice@a.com" and to_ = addr "bob@b.com" in
+  Smtp.Mta.submit mta_a
+    (Smtp.Envelope.v ~sender:from ~recipients:[ to_ ])
+    (Smtp.Message.make_exn ~from ~to_:[ to_ ] ~body:"x" ());
+  Sim.Engine.run engine;
+  match Smtp.Mailbox.messages (Smtp.Mta.mailboxes mta_b) to_ with
+  | [ m ] ->
+      let prefix = "from a.com by mx.b.com; t=" in
+      Alcotest.(check bool) "stamped" true
+        (match Smtp.Message.header m "Received" with
+        | Some r ->
+            String.length r > String.length prefix
+            && String.sub r 0 (String.length prefix) = prefix
+        | None -> false)
+  | _ -> Alcotest.fail "expected one message"
+
 let test_mta_stamps_message_id () =
   let engine, mta_a, mta_b = make_world () in
   send_simple mta_a ~from:(addr "alice@a.com") ~to_:(addr "bob@b.com") ~body:"one";
@@ -631,7 +671,9 @@ let test_mta_stamps_message_id () =
   match Smtp.Mailbox.messages (Smtp.Mta.mailboxes mta_b) (addr "bob@b.com") with
   | [ m1; m2 ] ->
       let id m =
-        match Smtp.Message.message_id m with Some id -> id | None -> Alcotest.fail "no id"
+        match Smtp.Message.message_id m with
+        | Some id -> Smtp.Message.message_id_to_string id
+        | None -> Alcotest.fail "no id"
       in
       Alcotest.(check bool) "distinct ids" true (id m1 <> id m2);
       Alcotest.(check bool) "id names the origin host" true
@@ -647,14 +689,14 @@ let test_mta_preserves_existing_message_id () =
   let message =
     Smtp.Message.stamp_message_id
       (Smtp.Message.make_exn ~from ~to_:[ to_ ] ~body:"x" ())
-      "<custom@elsewhere>"
+      (mid "<custom@elsewhere>")
   in
   Smtp.Mta.submit mta_a (Smtp.Envelope.v ~sender:from ~recipients:[ to_ ]) message;
   Sim.Engine.run engine;
   match Smtp.Mailbox.messages (Smtp.Mta.mailboxes mta_b) to_ with
   | [ m ] ->
       Alcotest.(check (option string)) "kept" (Some "<custom@elsewhere>")
-        (Smtp.Message.message_id m)
+        (Option.map Smtp.Message.message_id_to_string (Smtp.Message.message_id m))
   | _ -> Alcotest.fail "expected one message"
 
 let test_mta_latency_orders_delivery () =
@@ -861,30 +903,94 @@ let test_received_stamp_matches_sprintf =
       let m =
         Smtp.Message.make_exn ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ] ~body:"" ()
       in
-      match Smtp.Message.stamp_received m ~from_domain:"a.com" ~by:"mx.b.com" ~at:t with
+      match Smtp.Message.stamp_received m ~from:(addr "a@a.com") ~by:(host "mx.b.com") ~at:t with
       | m ->
           t <= 1e15
           && Smtp.Message.header m "Received"
              = Some (Printf.sprintf "from %s by %s; t=%.3f" "a.com" "mx.b.com" t)
       | exception Invalid_argument _ -> not (t >= 0. && t <= 1e15))
 
+(* The Date rendering the typed slot replaced, kept verbatim: the
+   bytes of every [Date] header must not move. *)
+let width_02d n = (if n < 10 then 1 else 0) + Smtp.Message.decimal_length n
+
+let put_02d b pos width n =
+  if n < 10 then begin
+    Bytes.unsafe_set b pos '0';
+    Smtp.Message.put_decimal b (pos + 1) (width - 1) n
+  end
+  else Smtp.Message.put_decimal b pos width n
+
+let render_date seconds =
+  let day = int_of_float (seconds /. 86400.) in
+  let rem = seconds -. (float_of_int day *. 86400.) in
+  let h = int_of_float (rem /. 3600.) in
+  let m = int_of_float ((rem -. (float_of_int h *. 3600.)) /. 60.) in
+  let s = int_of_float (rem -. (float_of_int h *. 3600.) -. (float_of_int m *. 60.)) in
+  let dl = Smtp.Message.decimal_length day and hl = width_02d h and ml = width_02d m in
+  let sl = width_02d s in
+  let b = Bytes.create (dl + hl + ml + sl + 13) in
+  Bytes.unsafe_blit_string "Day " 0 b 0 4;
+  Smtp.Message.put_decimal b 4 dl day;
+  let i = 4 + dl in
+  Bytes.unsafe_set b i ' ';
+  put_02d b (i + 1) hl h;
+  let i = i + 1 + hl in
+  Bytes.unsafe_set b i ':';
+  put_02d b (i + 1) ml m;
+  let i = i + 1 + ml in
+  Bytes.unsafe_set b i ':';
+  put_02d b (i + 1) sl s;
+  Bytes.unsafe_blit_string " +0000" 0 b (i + 1 + sl) 6;
+  Bytes.unsafe_to_string b
+
+(* Uniform times, every day/hour/minute boundary with the float just
+   below it (where [seconds /. 86400.] may round up to the next day),
+   0, and large values up to the 1e15 limit; past it, and below 0,
+   [make] refuses the date. *)
+let date_seconds =
+  QCheck.Gen.(
+    let boundary =
+      map2
+        (fun unit k -> float_of_int k *. unit)
+        (oneofl [ 86400.; 3600.; 60.; 1. ])
+        (oneof [ int_bound 400; int_bound 11_574_074_074 ])
+    in
+    oneof
+      [
+        float_bound_inclusive (200. *. 86400.);
+        boundary;
+        map Float.pred boundary;
+        map Float.succ boundary;
+        float_bound_inclusive 1e15;
+        oneofl
+          [
+            0.; Float.pred 86400.; Float.pred 1e15; 1e15; Float.succ 1e15; -0.5;
+            Float.pred 0.; infinity; nan;
+          ];
+      ])
+
 let test_date_header_matches_sprintf =
-  QCheck.Test.make ~name:"Date header matches sprintf" ~count:500
-    QCheck.(float_bound_inclusive (200. *. 86400.))
+  QCheck.Test.make ~name:"Date header matches sprintf" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") date_seconds)
     (fun seconds ->
-      let m =
-        Smtp.Message.make_exn ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ]
-          ~date:seconds ~body:"" ()
-      in
-      let day = int_of_float (seconds /. 86400.) in
-      let rem = seconds -. (float_of_int day *. 86400.) in
-      let h = int_of_float (rem /. 3600.) in
-      let mi = int_of_float ((rem -. (float_of_int h *. 3600.)) /. 60.) in
-      let s =
-        int_of_float (rem -. (float_of_int h *. 3600.) -. (float_of_int mi *. 60.))
-      in
-      Smtp.Message.header m "Date"
-      = Some (Printf.sprintf "Day %d %02d:%02d:%02d +0000" day h mi s))
+      match
+        Smtp.Message.make ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ] ~date:seconds
+          ~body:"" ()
+      with
+      | Error _ -> not (seconds >= 0. && seconds <= 1e15)
+      | Ok m ->
+          let day = int_of_float (seconds /. 86400.) in
+          let rem = seconds -. (float_of_int day *. 86400.) in
+          let h = int_of_float (rem /. 3600.) in
+          let mi = int_of_float ((rem -. (float_of_int h *. 3600.)) /. 60.) in
+          let s =
+            int_of_float (rem -. (float_of_int h *. 3600.) -. (float_of_int mi *. 60.))
+          in
+          seconds >= 0. && seconds <= 1e15
+          && Smtp.Message.header m "Date" = Some (render_date seconds)
+          && Smtp.Message.header m "Date"
+             = Some (Printf.sprintf "Day %d %02d:%02d:%02d +0000" day h mi s))
 
 (* deliver_direct vs the real dialogue.  The pool mixes two local
    domains with a foreign one so generated envelopes exercise accepts,
@@ -936,7 +1042,7 @@ let test_deliver_direct_matches_dialogue =
         else
           Smtp.Message.stamp_message_id
             (Smtp.Message.mark_payment ~epoch:3 message ~epennies:1)
-            "<9@mx.test>"
+            (mid "<9@mx.test>")
       in
       let policy =
         {
@@ -984,8 +1090,16 @@ let test_decimal_matches_string_of_int =
               int_range (-1000) 1000;
               oneofl
                 [ min_int; max_int; min_int + 1; max_int - 1; 0; 1; -1; 9; -9; 10; -10 ];
+              (* Each power of ten and its neighbours, either sign. *)
+              map3
+                (fun k d neg ->
+                  let p = int_of_string ("1" ^ String.make k '0') + d in
+                  if neg then -p else p)
+                (int_bound 18) (int_range (-1) 1) bool;
             ]))
-    (fun n -> Smtp.Message.decimal n = string_of_int n)
+    (fun n ->
+      Smtp.Message.decimal n = string_of_int n
+      && Smtp.Message.decimal_length n = String.length (string_of_int n))
 
 (* Names, values and bodies from the characters validation and
    [String.trim] treat specially, ['\011'] (not a trim space) included;
@@ -997,6 +1111,8 @@ let adversarial_string =
       ~gen:(oneofl [ 'a'; 'Z'; ' '; ':'; '\n'; '\t'; '\r'; '\012'; '\011'; '\000' ])
       (int_bound 4))
 
+(* The base names too, in any case, with values that are and are not
+   exactly what a base slot renders. *)
 let adversarial_name =
   QCheck.Gen.(
     frequency
@@ -1008,7 +1124,82 @@ let adversarial_name =
               "X-Zmail-Payment"; "x-zmail-epoch"; "X-ZMAIL-ACK"; "X-Zmail-Other";
               "Message-Id"; "message-ID"; "Received"; "X-Note";
             ] );
+        (1, oneofl [ "From"; "To"; "Subject"; "Date"; "subject"; "DATE" ]);
       ])
+
+let base_values =
+  [
+    "a@b.com"; "a@B.com"; "Name <a@b.com>"; "c@d.com, e@f.com"; "c@d.com,e@f.com"; "";
+    "Day 1 01:01:01 +0000"; "Day 01 01:01:01 +0000"; "Day 0 0:00:00 +0000";
+    "Day 3 100:200:255 +0000"; "Day 3 00:256:00 +0000"; "Day 2 23:59:59 +0000 ";
+  ]
+
+let extra_value =
+  QCheck.Gen.(frequency [ (3, adversarial_string); (2, oneofl base_values) ])
+
+(* Header lines for a parsed leading block: exact renderings of a base
+   block and near misses (an uppercase domain, [Name <a@b>], a
+   zero-padded day, a missing separator space), stamps and others. *)
+let raw_header_line =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          oneofl
+            [
+              "From: a@b.com"; "From: a@B.com"; "From: Name <a@b.com>";
+              "From:  a@b.com\t"; "From: a@b.com, c@d.com";
+            ] );
+        ( 2,
+          oneofl
+            [
+              "To: c@d.com"; "To: c@d.com, e@f.com"; "To: c@d.com,e@f.com"; "To: ";
+              "To:"; "To: c@D.com"; "To: c@d.com, ";
+            ] );
+        (1, oneofl [ "Subject: hi"; "Subject:"; "subject: lower"; "Subject:  x " ]);
+        ( 1,
+          oneofl
+            [
+              "Date: Day 1 01:01:01 +0000"; "Date: Day 01 00:00:00 +0000";
+              "Date: Day 0 0:00:00 +0000"; "Date: Day 3 100:200:255 +0000";
+              "Date: Day 3 00:256:00 +0000"; "Date:Day 0 00:00:00 +0000";
+            ] );
+        ( 1,
+          oneofl
+            [
+              "X-Note: v"; "X-Zmail-Payment: 1"; "Message-Id: <1@mx.a.com>";
+              "Message-Id: <01@x>"; "Message-Id: <x@y>"; "Message-Id: <5@a;b>";
+              "Received: from a.com by mx.b.com; t=1.000";
+            ] );
+      ])
+
+(* Where the message starts: [make] (a base block with zero to three
+   recipients, with or without a subject and a date), or [of_lines]
+   over raw header lines, which may or may not form a base block. *)
+type origin =
+  | Made of int * string option * float option
+  | Parsed of string list
+
+let origin_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          map3
+            (fun n subject date -> Made (n, subject, date))
+            (int_bound 3)
+            (opt (oneof [ return "probe"; adversarial_string ]))
+            (opt (oneofl [ 0.; 3661.25; Float.pred 86400.; 1e15; -1. ])) );
+        (1, map (fun lines -> Parsed lines) (list_size (int_range 0 5) raw_header_line));
+      ])
+
+let origin_print = function
+  | Made (n, subject, date) ->
+      Printf.sprintf "Made (%d, %s, %s)" n
+        (match subject with None -> "None" | Some s -> Printf.sprintf "%S" s)
+        (match date with None -> "None" | Some d -> Printf.sprintf "%h" d)
+  | Parsed lines ->
+      Printf.sprintf "Parsed [%s]" (String.concat "; " (List.map (Printf.sprintf "%S") lines))
 
 (* A stamp applied after the generic fields.  Arguments the
    constructors refuse are part of the draw. *)
@@ -1027,7 +1218,7 @@ let stamp_gen =
         map (fun v -> Ack v) adversarial_string;
         map
           (fun v -> Message_id v)
-          (oneof [ adversarial_string; return "<1@mx.a.com>" ]);
+          (oneof [ adversarial_string; return "<1@mx.a.com>"; return "<01@x>" ]);
         map2
           (fun by at -> Received (by, at))
           (oneofl [ "mx.b.com"; "b"; ""; "m x"; "a;b" ])
@@ -1044,13 +1235,14 @@ let stamp_print = function
 
 let adversarial_gen =
   QCheck.Gen.(
-    triple
-      (list_size (int_range 0 3) (pair adversarial_name adversarial_string))
-      (list_size (int_range 0 3) stamp_gen)
-      adversarial_string)
+    pair origin_gen
+      (triple
+         (list_size (int_range 0 3) (pair adversarial_name extra_value))
+         (list_size (int_range 0 3) stamp_gen)
+         adversarial_string))
 
-let adversarial_print (extra, stamps, body) =
-  Printf.sprintf "extra=[%s] stamps=[%s] body=%S"
+let adversarial_print (origin, (extra, stamps, body)) =
+  Printf.sprintf "origin=%s extra=[%s] stamps=[%s] body=%S" (origin_print origin)
     (String.concat "; " (List.map (fun (n, v) -> Printf.sprintf "(%S, %S)" n v) extra))
     (String.concat "; " (List.map stamp_print stamps))
     body
@@ -1058,20 +1250,34 @@ let adversarial_print (extra, stamps, body) =
 let apply_stamp m = function
   | Payment (epennies, epoch) -> Smtp.Message.mark_payment ?epoch m ~epennies
   | Ack of_id -> Smtp.Message.mark_ack m ~of_id
-  | Message_id id -> Smtp.Message.stamp_message_id m id
-  | Received (by, at) -> Smtp.Message.stamp_received m ~from_domain:"a.com" ~by ~at
+  | Message_id id -> Smtp.Message.stamp_message_id m (mid id)
+  | Received (by, at) ->
+      Smtp.Message.stamp_received m ~from:(addr "alice@a.com") ~by:(host by) ~at
 
-(* The message [make], [add_header] and the stamp constructors build
-   from a draw, skipping whatever they refuse. *)
-let adversarial_message (extra, stamps, body) =
+let recipients_pool = [ addr "bob@b.com"; addr "carol@c.com"; addr "Dan@d.com" ]
+
+(* The message [make] or [of_lines], then [add_header] and the stamp
+   constructors build from a draw, skipping whatever they refuse. *)
+let adversarial_message (origin, (extra, stamps, body)) =
+  let made ~to_ ?subject ?date () =
+    match Smtp.Message.make ~from:(addr "alice@a.com") ~to_ ?subject ?date ~body () with
+    | Ok m -> m
+    | Error _ -> Smtp.Message.make_exn ~from:(addr "alice@a.com") ~to_ ~body ()
+  in
+  let m =
+    match origin with
+    | Made (n, subject, date) ->
+        made ~to_:(List.filteri (fun i _ -> i < n) recipients_pool) ?subject ?date ()
+    | Parsed lines -> (
+        match Smtp.Message.of_lines (lines @ ("" :: String.split_on_char '\n' body)) with
+        | Ok m -> m
+        | Error _ -> made ~to_:[] ())
+  in
   let m =
     List.fold_left
       (fun m (n, v) ->
         match Smtp.Message.add_header m n v with Ok m -> m | Error _ -> m)
-      (Smtp.Message.make_exn ~from:(addr "alice@a.com")
-         ~to_:[ addr "bob@b.com"; addr "carol@c.com" ]
-         ~subject:"probe" ~date:3661.25 ~body ())
-      extra
+      m extra
   in
   List.fold_left
     (fun m st -> try apply_stamp m st with Invalid_argument _ -> m)
@@ -1079,16 +1285,20 @@ let adversarial_message (extra, stamps, body) =
 
 let adversarial = QCheck.make ~print:adversarial_print adversarial_gen
 
-(* [size_bytes] is computed arithmetically from the fields and the
-   stamp slots; it must match the length of the actual rendering. *)
+(* [size_bytes] is kept by the constructors; it must match the length
+   of the rendering, which [to_string] writes into one buffer of that
+   size and [to_lines] renders line by line. *)
 let test_size_bytes_is_rendered_length =
   QCheck.Test.make ~name:"size_bytes equals rendered length" ~count:1000 adversarial
     (fun case ->
       let m = adversarial_message case in
-      Smtp.Message.size_bytes m = String.length (Smtp.Message.to_string m))
+      let joined = String.concat "\n" (Smtp.Message.to_lines m) in
+      Smtp.Message.size_bytes m = String.length joined
+      && String.equal (Smtp.Message.to_string m) joined)
 
 (* Validation at construction is what makes the structural fast path
-   exact: whatever the constructors accept re-parses to itself. *)
+   exact: whatever the constructors accept re-parses to itself, and so
+   does whatever [of_lines] reads. *)
 let test_wire_round_trip =
   QCheck.Test.make ~name:"of_string (to_string m) = Ok m" ~count:3000 adversarial
     (fun case ->
@@ -1120,6 +1330,30 @@ let minor_words_of n f =
   done;
   Gc.minor_words () -. before
 
+(* A message as [World.send_email] and [Mta] build it: the base
+   block, the label (a constant field), the payment, the Message-Id
+   and the Received stamp. *)
+let world_label = Smtp.Message.field_exn "X-Sim-Label" "ham"
+let world_from = addr "u0@isp0.example"
+let world_to = [ addr "u1@isp1.example" ]
+let world_mx = host "mx.isp0.example"
+let world_by = host "mx.isp1.example"
+
+let world_shaped_message () =
+  let m =
+    Smtp.Message.make_exn ~from:world_from ~to_:world_to ~subject:"(no subject)"
+      ~date:(Sys.opaque_identity 3661.25) ~body:"hello" ()
+  in
+  let m = Smtp.Message.add_field m world_label in
+  let m = Smtp.Message.mark_payment ~epoch:3 m ~epennies:1 in
+  let m = Smtp.Message.stamp_message_id m (Smtp.Message.message_id_of_seq 1 world_mx) in
+  Smtp.Message.stamp_received m ~from:world_from ~by:world_by
+    ~at:(Sys.opaque_identity 0.026)
+
+(* Building one costs the slot records and nothing else: no header
+   text, no validation pass over a constant. *)
+let world_build_words = 96.
+
 let test_readers_and_lookup_allocate_nothing () =
   let m =
     Smtp.Message.make_exn ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
@@ -1128,8 +1362,10 @@ let test_readers_and_lookup_allocate_nothing () =
   let m = Smtp.Message.add_header_exn m "X-Last" "z" in
   let m = Smtp.Message.mark_ack m ~of_id:"list" in
   let m = Smtp.Message.mark_payment ~epoch:3 m ~epennies:1 in
-  let m = Smtp.Message.stamp_message_id m "<1@mx.a.com>" in
-  let m = Smtp.Message.stamp_received m ~from_domain:"a.com" ~by:"mx.b.com" ~at:1. in
+  let m = Smtp.Message.stamp_message_id m (mid "<1@mx.a.com>") in
+  let m =
+    Smtp.Message.stamp_received m ~from:(addr "x@a.com") ~by:(host "mx.b.com") ~at:1.
+  in
   Alcotest.(check int) "ten headers" 10 (List.length (Smtp.Message.headers m));
   let slack = 64. in
   let none what words =
@@ -1139,12 +1375,22 @@ let test_readers_and_lookup_allocate_nothing () =
   none "epoch" (minor_words_of 1000 (fun () -> Smtp.Message.epoch m));
   none "ack_of" (minor_words_of 1000 (fun () -> Smtp.Message.ack_of m));
   none "message_id" (minor_words_of 1000 (fun () -> Smtp.Message.message_id m));
-  (* A miss scans every field and allocates nothing; a hit allocates
-     only its [Some] (two words). *)
+  none "from" (minor_words_of 1000 (fun () -> Smtp.Message.from m));
+  none "subject" (minor_words_of 1000 (fun () -> Smtp.Message.subject m));
+  (* A miss scans the generic fields and allocates nothing; a hit
+     returns the option its field was built with. *)
   none "header (miss)" (minor_words_of 1000 (fun () -> Smtp.Message.header m "x-absent"));
-  let hit = minor_words_of 1000 (fun () -> Smtp.Message.header m "x-last") in
-  if hit > 2000. +. slack then
-    Alcotest.failf "header (hit): %.0f words over 1000 calls" hit
+  none "header (hit)" (minor_words_of 1000 (fun () -> Smtp.Message.header m "x-last"));
+  let w = world_shaped_message () in
+  Alcotest.(check (option string)) "label" (Some "ham") (Smtp.Message.header w "X-Sim-Label");
+  none "size_bytes" (minor_words_of 1000 (fun () -> Smtp.Message.size_bytes w));
+  none "header X-Sim-Label"
+    (minor_words_of 1000 (fun () -> Smtp.Message.header w "X-Sim-Label"));
+  none "header List-Id" (minor_words_of 1000 (fun () -> Smtp.Message.header w "List-Id"));
+  let build = minor_words_of 1000 world_shaped_message in
+  if build > (world_build_words *. 1000.) +. slack then
+    Alcotest.failf "building a World-shaped message: %.1f words each (bound %.0f)"
+      (build /. 1000.) world_build_words
 
 (* The bytes of a paid, a free, a list and an acknowledgment message
    as the simulator sends them, pinned from the rendering of the
@@ -1270,6 +1516,7 @@ let () =
           Alcotest.test_case "outbound stamp" `Quick test_mta_outbound_stamp;
           Alcotest.test_case "on_delivered hook" `Quick test_mta_on_delivered_hook;
           Alcotest.test_case "duplicate domain" `Quick test_mta_duplicate_domain_rejected;
+          Alcotest.test_case "invalid hostname" `Quick test_mta_invalid_hostname_rejected;
           Alcotest.test_case "latency ordering" `Quick test_mta_latency_orders_delivery;
           Alcotest.test_case "message-id stamping" `Quick test_mta_stamps_message_id;
           Alcotest.test_case "message-id preserved" `Quick
