@@ -51,8 +51,8 @@ let full_arg =
 let checkpoint_every_arg =
   let doc =
     "Write a world snapshot to the $(b,--snapshot) file every $(docv) \
-     simulated seconds (E2, E3, E16, E17, E18, E19, E20 and E21's world \
-     grids only)."
+     simulated seconds (E2, E3, E16-E21 and E23 only; any other \
+     experiment given a checkpoint flag exits with an error)."
   in
   Arg.(value & opt (some float) None & info [ "checkpoint-every" ] ~docv:"SECONDS" ~doc)
 
@@ -115,10 +115,7 @@ let run_experiments id seed full trace trace_format metrics checkpoint_every
           else Harness.Checkpoint.none
         in
         let result =
-          if id = "all" then begin
-            Harness.Experiments.run_all ~seed ~full ~obs ?domains ();
-            Ok ()
-          end
+          if id = "all" then Harness.Experiments.run_all ~seed ~full ~obs ?domains ()
           else Harness.Experiments.run_one ~seed ~full ~obs ~persist ?domains id
         in
         match result with

@@ -19,6 +19,7 @@ type t = {
   snapshot_file : string option;
   stop_at : float option;
   mutable pending : Persist.Snapshot.t option;
+  mutable driven : int;
   mutable verified : int;
   mutable written : int;
 }
@@ -32,6 +33,7 @@ let none =
     snapshot_file = None;
     stop_at = None;
     pending = None;
+    driven = 0;
     verified = 0;
     written = 0;
   }
@@ -76,6 +78,7 @@ let create ?checkpoint_every ?snapshot ?resume ?stop_at ~experiment () =
     snapshot_file = snapshot;
     stop_at;
     pending;
+    driven = 0;
     verified = 0;
     written = 0;
   }
@@ -122,6 +125,7 @@ let drive t ?(label = "") ~world ~days () =
   let horizon = Sim.Engine.now engine +. (days *. Sim.Engine.day) in
   if not (active t) then Sim.Engine.run engine ~until:horizon
   else begin
+    t.driven <- t.driven + 1;
     (* Resume: the first segment of the matching scenario that spans
        the capture time replays up to it and byte-verifies. *)
     (match t.pending with
@@ -166,6 +170,13 @@ let drive t ?(label = "") ~world ~days () =
 
 let finished t =
   match t.pending with
+  | None when active t && t.driven = 0 ->
+      Error
+        (Printf.sprintf
+           "experiment %s drove no checkpointed segment, so \
+            --checkpoint-every/--snapshot/--resume/--stop-at had no effect \
+            (E2, E3, E16-E21 and E23 support them)"
+           t.experiment)
   | None -> Ok ()
   | Some snap ->
       Error

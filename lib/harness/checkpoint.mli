@@ -57,9 +57,11 @@ val drive : t -> ?label:string -> world:Zmail.World.t -> days:float -> unit -> u
     @raise Failure if resume verification finds any divergence. *)
 
 val finished : t -> (unit, string) result
-(** Call after the experiment returns: [Error] if a loaded resume
-    snapshot was never matched by any {!drive} segment (wrong seed or
-    arguments — the run silently did NOT resume). *)
+(** Call after the experiment returns: [Error] if [t] is {!active} but
+    the experiment never called {!drive} (it does not checkpoint, so
+    the flags did nothing), or if a loaded resume snapshot was never
+    matched by any {!drive} segment (wrong seed or arguments — the run
+    silently did NOT resume). *)
 
 val snapshots_written : t -> int
 val resumes_verified : t -> int

@@ -4,10 +4,8 @@
    round-robins of the small experiments.
 
    The table reports only deterministic quantities (counts, audit
-   outcomes, residue): wall-clock performance at the same scale is
-   measured by bench/main.exe --json, which calls [run_scale] directly
-   and times it, so the experiment output stays byte-stable across
-   machines while the perf baseline lives in BENCH_*.json. *)
+   outcomes, residue), so the experiment output stays byte-stable
+   across machines. *)
 
 let hour = Sim.Engine.hour
 let day = Sim.Engine.day

@@ -11,11 +11,9 @@
     what keeps the heap flat at this scale.
 
     The table carries only deterministic counts (sends, deliveries,
-    audits, the cheater's detection day, minted-vs-residue); wall-clock
-    throughput at scale is measured separately by [bench/main.exe
-    --json] via {!run_scale} and recorded in the committed
-    [BENCH_*.json] baseline, so experiment output never varies by
-    machine.  The three online invariant checkers watch every row and
+    audits, the cheater's detection day, minted-vs-residue), so
+    experiment output never varies by machine; perfbench's
+    [zipf_scale] workload times the same shape of world.  The three online invariant checkers watch every row and
     each row is driven through checkpoint/resume when [persist] is
     active. *)
 
@@ -36,7 +34,7 @@ type outcome = {
   false_accusations : int;
   minted : int;
   residue : int;  (** Must equal [minted] at quiescence. *)
-  events : int;  (** Engine events fired — the denominator bench uses. *)
+  events : int;  (** Engine events fired. *)
   metrics : Sim.Table.t;
       (** Snapshot of the world's metric registry at quiescence;
           appended to the experiment output under [--metrics]. *)
@@ -54,8 +52,7 @@ val run_scale :
 (** One world at the given scale, driven to quiescence with invariant
     checkers attached ([sends_per_user] defaults to 3).  Raises
     {!Obs.Invariant.Violation} if any online checker trips.  Exposed so
-    the bench harness can time a reduced row without going through the
-    table renderer. *)
+    tests can drive a miniature row without the table renderer. *)
 
 val run :
   ?obs:Obs.Run.t ->

@@ -23,11 +23,7 @@
      refunds all unwind exactly — the e-penny residue is zero in every
      cell (no cheater exists here);
    - one non-compliant ISP keeps the Unpaid class populated, so the
-     per-class split itself is exercised.
-
-   Wall-clock cost of the serving path is measured separately by
-   bench/main.exe --json (the [latency] row) via {!run_cell}, mirroring
-   how E17 feeds the [e17_scale] row. *)
+     per-class split itself is exercised. *)
 
 let day = Sim.Engine.day
 
@@ -76,11 +72,10 @@ type outcome = {
   delivered : int;
   classes : (Serve.Slo.klass * class_stat) list;
   residue : int;
-  events : int;
   metrics : Sim.Table.t;
 }
 
-let run_cell ?tracer ?(persist = Checkpoint.none) ~seed ~label ~rate ~chaos () =
+let run_cell ~tracer ~persist ~seed ~label ~rate ~chaos =
   let compliant = Array.init n_isps (fun i -> i <> noncompliant) in
   let world =
     Zmail.World.create
@@ -108,7 +103,7 @@ let run_cell ?tracer ?(persist = Checkpoint.none) ~seed ~label ~rate ~chaos () =
               buy_amount = 100;
               maxavail = 120;
             });
-        tracer;
+        tracer = Some tracer;
       }
   in
   let checkers = Zmail.World.attach_invariants world in
@@ -207,7 +202,6 @@ let run_cell ?tracer ?(persist = Checkpoint.none) ~seed ~label ~rate ~chaos () =
             } ))
         Serve.Slo.classes;
     residue;
-    events = Sim.Engine.events_fired engine;
     metrics = Obs.Metrics.to_table (Zmail.World.metrics world);
   }
 
@@ -228,7 +222,7 @@ let run ?obs ?persist ?(seed = 20) ?(full = false) () =
     List.mapi
       (fun k ((load, rate), chaos) ->
         run_cell ~tracer ~persist ~seed:(seed + k)
-          ~label:(cell_label ~load ~chaos) ~rate ~chaos ())
+          ~label:(cell_label ~load ~chaos) ~rate ~chaos)
       cells
   in
   let summary =

@@ -18,52 +18,7 @@
     (paid/unpaid/bounced/retried).  One non-compliant ISP keeps the
     Unpaid class populated.  The three online invariant checkers watch
     every cell, and each cell drives through checkpoint/resume when
-    [persist] is active.
-
-    Wall-clock cost rides in bench/main.exe --json's [latency] row via
-    {!run_cell}, like E17's [e17_scale] row. *)
-
-type class_stat = {
-  count : int;
-  p50 : float;  (** Seconds; [nan] when the class is empty. *)
-  p99 : float;
-  p999 : float;
-}
-
-type outcome = {
-  load : string;  (** Sweep row label ("0.3x".."1.5x"). *)
-  rate : float;  (** Offered aggregate sends/second. *)
-  chaos : bool;
-  attempts : int;
-  paid : int;
-  free : int;
-  backpressured : int;
-      (** Sends refused at admission (421), paid ones refunded. *)
-  blocked : int;  (** Refused by the sender-side kernel. *)
-  deferred : int;  (** Full-queue parks into the MTA retry queue. *)
-  sessions : int;  (** SMTP sessions opened. *)
-  delivered : int;
-  classes : (Serve.Slo.klass * class_stat) list;
-      (** In {!Serve.Slo.classes} order. *)
-  residue : int;  (** Must be 0; {!run_cell} fails otherwise. *)
-  events : int;  (** Engine events fired — the bench denominator. *)
-  metrics : Sim.Table.t;
-}
-
-val run_cell :
-  ?tracer:Obs.Trace.t ->
-  ?persist:Checkpoint.t ->
-  seed:int ->
-  label:string ->
-  rate:float ->
-  chaos:bool ->
-  unit ->
-  outcome
-(** One cell: a fresh world at the given offered load, driven through
-    its 300 s load window and drained to quiescence with invariant
-    checkers attached.  Raises {!Obs.Invariant.Violation} on a checker
-    trip and [Failure] on a non-zero residue.  Exposed so the bench
-    harness can time a cell without the table renderer. *)
+    [persist] is active. *)
 
 val run :
   ?obs:Obs.Run.t ->

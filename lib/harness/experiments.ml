@@ -245,12 +245,20 @@ let print_experiment ~full ~seed ?obs ?persist ?domains e =
   Format.printf "claim: %s@.@." e.claim;
   List.iter Sim.Table.print (e.run ~full ~seed ~obs ~persist ~domains)
 
+let check_domains = function
+  | Some d when d < 1 ->
+      Error (Printf.sprintf "--domains must be at least 1 (got %d)" d)
+  | Some _ | None -> Ok ()
+
 let run_all ?(seed = 0) ?(full = false) ?obs ?domains () =
-  List.iter (print_experiment ~full ~seed ?obs ?domains) all
+  Result.map
+    (fun () -> List.iter (print_experiment ~full ~seed ?obs ?domains) all)
+    (check_domains domains)
 
 let run_one ?(seed = 0) ?(full = false) ?obs ?persist ?domains id =
-  match find id with
-  | Some e ->
+  match (find id, check_domains domains) with
+  | _, (Error _ as e) -> e
+  | Some e, Ok () ->
       print_experiment ~full ~seed ?obs ?persist ?domains e;
       Ok ()
-  | None -> Error (Printf.sprintf "unknown experiment %S (try e1..e23)" id)
+  | None, Ok () -> Error (Printf.sprintf "unknown experiment %S (try e1..e23)" id)

@@ -24,10 +24,10 @@ type t = {
           append the metric-registry table.  The world-backed
           experiments honour it; the rest ignore it.  Pass
           {!Obs.Run.none} when not tracing.  [persist] is the
-          checkpoint/resume driver (E2, E3, E16, E17, E18 and E19's
-          world grid honour it; E19's federation cells are pure
-          functions of their seed and re-execute identically on
-          resume; pass {!Checkpoint.none} otherwise).  [domains] is
+          checkpoint/resume driver (E2, E3, E16-E21 and E23 honour it;
+          E19's federation cells are pure functions of their seed and
+          re-execute identically on resume; the rest ignore it, which
+          {!Checkpoint.finished} reports as an error).  [domains] is
           the [--domains] axis: E17 switches to its sharded
           {!Zmail.Parworld} variant and E22 steps its multi-domain leg
           on that many domains; every other experiment ignores it, and
@@ -43,11 +43,14 @@ val find : string -> t option
 (** Case-insensitive lookup by id. *)
 
 val run_all :
-  ?seed:int -> ?full:bool -> ?obs:Obs.Run.t -> ?domains:int -> unit -> unit
-(** Run every experiment, printing each table to stdout. *)
+  ?seed:int -> ?full:bool -> ?obs:Obs.Run.t -> ?domains:int -> unit ->
+  (unit, string) result
+(** Run every experiment, printing each table to stdout.  [Error] before
+    any output when [domains] is below 1. *)
 
 val run_one :
   ?seed:int -> ?full:bool -> ?obs:Obs.Run.t -> ?persist:Checkpoint.t ->
   ?domains:int -> string -> (unit, string) result
-(** Run and print a single experiment by id.
+(** Run and print a single experiment by id.  [Error] before any output
+    for an unknown id or a [domains] below 1.
     @raise Checkpoint.Stopped when [persist] hits its stop point. *)

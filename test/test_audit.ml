@@ -396,6 +396,43 @@ let small_round_allocates_little () =
         claims words
   done
 
+(* A round's cost follows populated cells, not n^2: at a constant
+   average degree of 64, one claim-and-verify round over 10^4 ISPs
+   allocates at most 15x what it does over 10^3 (a dense n x n scan
+   would be ~100x).  Words, not time, so the bar is exact per input;
+   [Gc.allocated_bytes] also counts the large buffers allocated
+   straight into the major heap. *)
+let round_words ~n =
+  let degree = 64 in
+  let rng = Sim.Rng.create 5 in
+  let rows = Array.init n (fun _ -> Row.create ~n) in
+  for i = 0 to n - 1 do
+    for k = 1 to degree / 2 do
+      let j = (i + (k * 13)) mod n in
+      if j <> i then begin
+        let v = 1 + Sim.Rng.int rng 100 in
+        Row.add rows.(i) j v;
+        Row.add rows.(j) i (-v)
+      end
+    done
+  done;
+  let pairs = Array.map Row.pairs rows in
+  let present = Array.make n true in
+  let before = Gc.allocated_bytes () in
+  let acc = Verify.create ~expected_cells:(n * degree) ~present () in
+  Array.iteri
+    (fun reporter row ->
+      Array.iter (fun (peer, v) -> Verify.claim acc ~reporter ~peer v) row)
+    pairs;
+  ignore (Sys.opaque_identity (Verify.violations acc));
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+let round_scales_with_populated_cells () =
+  let small = round_words ~n:1_000 and large = round_words ~n:10_000 in
+  if large > 15. *. small then
+    Alcotest.failf "10^4 ISPs allocate %.0f words, 10^3 allocate %.0f (%.1fx > 15x)"
+      large small (large /. small)
+
 (* ------------------------------------------------------------------ *)
 (* Cycle-sum detection on synthetic rings                              *)
 (* ------------------------------------------------------------------ *)
@@ -554,6 +591,8 @@ let () =
           qtest radix_matches_naive;
           Alcotest.test_case "small round allocates little" `Quick
             small_round_allocates_little;
+          Alcotest.test_case "round scales with populated cells" `Quick
+            round_scales_with_populated_cells;
         ] );
       ( "cycle",
         [

@@ -207,15 +207,20 @@ let test_config_validation () =
        false
      with Invalid_argument _ -> true)
 
-(* Mesh-routed clearing ([Zmail.Clearing]): three banks pushed off the
-   mean by a cash ring, so a settlement round plans real transfers. *)
-let clearing_over plan ?retry_timeout () =
+(* Mesh-routed clearing ([Zmail.Clearing]): [n_banks] banks pushed off
+   the mean by cash [transfers] (from, to, amount), so a settlement
+   round plans real transfers. *)
+let clearing_over ?(n_banks = 3) ?(transfers = [ (0, 1, 900); (1, 2, 300) ])
+    plan ?retry_timeout () =
   let engine = Sim.Engine.create ~seed:3 () in
-  let _, fed = make ~n_banks:3 ~n_isps:6 () in
-  Zmail.Federation.apply_transfer fed ~from_bank:0 ~to_bank:1 ~amount:900;
-  Zmail.Federation.apply_transfer fed ~from_bank:1 ~to_bank:2 ~amount:300;
+  let _, fed = make ~n_banks ~n_isps:(2 * n_banks) () in
+  List.iter
+    (fun (from_bank, to_bank, amount) ->
+      Zmail.Federation.apply_transfer fed ~from_bank ~to_bank ~amount)
+    transfers;
   let mesh =
-    Sim.Fault.Mesh.create ~default:plan ~n_nodes:3 engine (Sim.Rng.create 8)
+    Sim.Fault.Mesh.create ~default:plan ~n_nodes:n_banks engine
+      (Sim.Rng.create 8)
   in
   let clr = Zmail.Clearing.create ?retry_timeout ~engine ~mesh fed in
   let plan = Zmail.Clearing.settle_round clr in
@@ -257,6 +262,30 @@ let test_clearing_retry_schedule () =
     (List.map sent_by [ 599.; 600.; 1800.; 4200.; 9000.; 16200.; 23400. ]);
   Alcotest.(check int) "cap holds" 7 (sent_by 30599.)
 
+(* Clearing drains at federation scale over a lossy mesh (10% drop,
+   20% delay): a cash ring with growing stakes displaces every bank
+   from the mean, so the plan is dense. *)
+let test_clearing_lossy_drains () =
+  List.iter
+    (fun n_banks ->
+      let engine, _, clr, transfers =
+        clearing_over ~n_banks
+          ~transfers:
+            (List.init n_banks (fun b ->
+                 (b, (b + 1) mod n_banks, 1000 * (b + 1))))
+          (Sim.Fault.plan ~drop:0.10 ~delay_prob:0.20 ~delay_max:30. ())
+          ~retry_timeout:60. ()
+      in
+      let check what = Printf.sprintf "%d banks: %s" n_banks what in
+      Alcotest.(check bool) (check "the round plans transfers") true
+        (transfers > 0);
+      Sim.Engine.run engine;
+      Alcotest.(check int) (check "every transfer acked") 0
+        (Zmail.Clearing.pending_count clr);
+      Alcotest.(check int) (check "carry drained") 0
+        (Zmail.Clearing.pending_amount clr))
+    [ 4; 16 ]
+
 let () =
   Alcotest.run "federation"
     [
@@ -275,6 +304,8 @@ let () =
           Alcotest.test_case "held transfer delivered, not re-drawn" `Quick
             test_clearing_delayed_delivers;
           Alcotest.test_case "retry schedule" `Quick test_clearing_retry_schedule;
+          Alcotest.test_case "lossy mesh drains at 4 and 16 banks" `Quick
+            test_clearing_lossy_drains;
         ] );
       ( "audit",
         [

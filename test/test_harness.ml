@@ -154,6 +154,39 @@ let test_registry () =
         (String.length e.Harness.Experiments.claim > 10))
     Harness.Experiments.all
 
+(* E1 never drives a checkpointed segment, so checkpoint flags given to
+   it must be reported, not silently ignored. *)
+let test_checkpoint_flags_need_a_segment () =
+  let file =
+    Filename.concat (Filename.get_temp_dir_name ()) "zmail_test_e1_unused.snap"
+  in
+  if Sys.file_exists file then Sys.remove file;
+  let persist =
+    Harness.Checkpoint.create ~stop_at:100. ~snapshot:file ~experiment:"e1" ()
+  in
+  let e1 = Option.get (Harness.Experiments.find "e1") in
+  ignore
+    (e1.Harness.Experiments.run ~full:false ~seed:0 ~obs:Obs.Run.none ~persist
+       ~domains:None);
+  (match Harness.Checkpoint.finished persist with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "flags that drove no segment were accepted");
+  Alcotest.(check bool) "no snapshot written" false (Sys.file_exists file);
+  Alcotest.(check bool) "inert driver still finishes clean" true
+    (Harness.Checkpoint.finished Harness.Checkpoint.none = Ok ())
+
+(* A domain count below 1 is refused before any experiment runs. *)
+let test_domains_below_one () =
+  List.iter
+    (fun d ->
+      (match Harness.Experiments.run_one ~domains:d "e22" with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "run_one accepted --domains %d" d);
+      match Harness.Experiments.run_all ~domains:d () with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "run_all accepted --domains %d" d)
+    [ 0; -1 ]
+
 (* The slower world-backed experiments, marked Slow so `dune runtest`
    stays fast in the default alcotest quick mode. *)
 let test_e2_runs () =
@@ -177,8 +210,9 @@ let test_e7_runs () =
 let test_e17_scale_runs () =
   (* A miniature scale row through the full E17 machinery: Zipf
      workload, scaled pools, online checkers, quiescent drain.  The
-     real scales live in the experiment itself (and CI's perf-smoke);
-     this pins the wiring and the zero-sum/detection outcome. *)
+     real scales live in the experiment itself (and perfbench's
+     zipf_scale); this pins the wiring and the zero-sum/detection
+     outcome. *)
   (* 30 sends/user: enough traffic that the Zipf head exhausts its
      balance and drives auto-topups through the ISP pool, so the
      buy/sell loop (and its exactly-once checker) engages even at this
@@ -285,7 +319,13 @@ let () =
           Alcotest.test_case "e15 federation" `Quick test_e15_shape;
         ] );
       ( "registry",
-        [ Alcotest.test_case "contents" `Quick test_registry ] );
+        [
+          Alcotest.test_case "contents" `Quick test_registry;
+          Alcotest.test_case "checkpoint flags need a segment" `Quick
+            test_checkpoint_flags_need_a_segment;
+          Alcotest.test_case "domains below one refused" `Quick
+            test_domains_below_one;
+        ] );
       ( "world-backed",
         [
           Alcotest.test_case "e2 runs" `Slow test_e2_runs;

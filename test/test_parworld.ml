@@ -201,6 +201,46 @@ let test_mark_isp_dirty () =
     (Invalid_argument "World.mark_isp_dirty: index out of range") (fun () ->
       Zmail.World.mark_isp_dirty world 6)
 
+(* The regime dirty tracking exists for: a wide world (400 ISPs x 2
+   users) where sixteen funded bulk senders at the low indices fill
+   mailboxes everywhere, and then only 1% of the ISPs, quiet receivers
+   at the high indices, change between captures.  The delta must skip
+   the clean 99%: it encodes to under a fifth of the full snapshot
+   (~9% at seed 12; the sections outside the ISPs are always carried),
+   where re-encoding every ISP would come near the full size. *)
+let test_incremental_one_percent_dirty_is_small () =
+  let n_isps = 400 in
+  let world =
+    Zmail.World.create
+      {
+        (Zmail.World.default_config ~n_isps ~users_per_isp:2) with
+        Zmail.World.seed = 12;
+        audit_period = Some (12. *. Sim.Engine.hour);
+        customize_isp =
+          (fun _ c ->
+            { c with Zmail.Isp.initial_balance = 1_000_000; daily_limit = max_int });
+      }
+  in
+  for k = 0 to 15 do
+    Zmail.World.attach_bulk_sender world ~isp:k ~user:0 ~per_day:4000. ()
+  done;
+  Zmail.World.run_days world 1.;
+  let base = snap ~label:"base" world (Zmail.World.capture world) in
+  ignore (Zmail.World.capture_incremental world);
+  for k = 1 to n_isps / 100 do
+    Zmail.World.mark_isp_dirty world (n_isps - k)
+  done;
+  let delta =
+    match delta_of ~base world (Zmail.World.capture_incremental world) with
+    | Ok d -> d
+    | Error e -> Alcotest.fail ("delta: " ^ e)
+  in
+  let bytes s = String.length (Persist.Snapshot.to_string s) in
+  let full = bytes base and delta = bytes delta in
+  if 5 * delta > full then
+    Alcotest.failf "1%%-dirty delta is %d bytes against a %d-byte full snapshot"
+      delta full
+
 let () =
   Alcotest.run "parworld"
     [
@@ -217,5 +257,7 @@ let () =
           Alcotest.test_case "stale base refused" `Quick
             test_incremental_over_stale_base_refused;
           Alcotest.test_case "mark_isp_dirty" `Quick test_mark_isp_dirty;
+          Alcotest.test_case "1%-dirty delta is small" `Quick
+            test_incremental_one_percent_dirty_is_small;
         ] );
     ]
