@@ -33,7 +33,7 @@ type run_report = {
   crash_time : float;  (** Simulated time of the crash; nan if never fired. *)
   crashed : bool;  (** The run reached the crash point. *)
   recovered : bool;  (** Every crash was matched by a recovery. *)
-  fallbacks : int;  (** [wal_fallbacks] — recoveries that abandoned the WAL. *)
+  fallbacks : int;  (** [wal_fallbacks] — WAL replays that returned [Error]. *)
   wal_replayed : int;  (** Victim's delta records replayed at recovery. *)
   torn_tails : int;  (** Torn fragments the victim's power cut left. *)
   lost_bytes : int;  (** Unflushed bytes the victim's power cut destroyed. *)

@@ -74,6 +74,9 @@ let run_scenario ~tracer ~persist ~seed sc =
         Zmail.World.seed;
         audit_period = Some (6. *. hour);
         bank_fault = sc.plan;
+        (* Crashes recover by WAL replay, so the world needs a disk; a
+           reliable one draws nothing and changes no figure. *)
+        disk = Some Sim.Disk.reliable;
         tracer = Some tracer;
         customize_isp =
           (fun i cfg ->

@@ -189,7 +189,7 @@ let run ?obs ?persist ?(seed = 23) ?(full = false) () =
       if not s.Crashpoint.all_recovered then
         failwith ("E23 " ^ c.label ^ ": a crash was not recovered");
       if s.Crashpoint.total_fallbacks <> 0 then
-        failwith ("E23 " ^ c.label ^ ": WAL recovery fell back to an image");
+        failwith ("E23 " ^ c.label ^ ": a WAL recovery returned an error");
       if not s.Crashpoint.all_conserved then
         failwith ("E23 " ^ c.label ^ ": conservation violated after a crash");
       if s.Crashpoint.total_false_convictions <> 0 then

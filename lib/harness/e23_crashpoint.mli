@@ -10,7 +10,7 @@
     final appends at group 4, torn plus bit rot at group 8) x mesh
     chaos (calm vs lossy bank link).  Per cell the table reports the
     baseline event count, crash points run, records replayed, WAL
-    fallbacks (zero), exact conservation (residue = cheat-minted in
+    fallbacks (failed replays: zero), exact conservation (residue = cheat-minted in
     every run, the no-double-billing oracle) and honest convictions
     (zero); any violation fails the run loudly.
 

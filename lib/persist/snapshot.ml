@@ -11,10 +11,13 @@ type t = {
    canonical sparse-pairs encoding (lib/audit), and Wire.Audit_reply
    binary payloads carry sparse rows.
    v6: subsystem RNG streams derive through Rng.stream (mixed
-   seed/tag) instead of [seed lxor tag], and delta snapshots exist
-   (see [delta]).  No migration from v5: the derivation change is
-   semantic — a v5 snapshot's replay-verify could never pass against
-   the new streams (same situation as v1->v2).
+   seed/tag) instead of [seed lxor tag], and delta snapshots (a
+   manifest first section plus the dirty sections) were added.  No
+   migration from v5: the derivation change is semantic — a v5
+   snapshot's replay-verify could never pass against the new streams
+   (same situation as v1->v2).  Delta snapshots were later removed,
+   having no caller left; a full snapshot did not change by a byte,
+   so the version stayed.
    v7: the world section gains the bank-up flag and the bank-crash /
    bank-recovery / lost-while-bank-down / WAL-fallback link counters
    (E23's durable-WAL work); disk-backed kernels and the bank append a
@@ -28,10 +31,6 @@ type t = {
    could never pass. *)
 let current_version = 8
 let magic = "ZMSNAP01"
-
-(* A delta snapshot's first section; the name is not a valid component
-   section name, so full and delta snapshots cannot be confused. *)
-let manifest_name = "__manifest"
 
 let v ~experiment ~label ~seed ~time sections =
   { version = current_version; experiment; label; seed; time; sections }
@@ -139,131 +138,6 @@ let read_file ~path =
   with
   | s -> of_string s
   | exception Sys_error msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Delta snapshots                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A delta is an ordinary snapshot whose first section is a manifest:
-   the full section list in capture order, each entry carrying a dirty
-   flag and the CRC-32 of the section body — the included body for
-   dirty entries, the base snapshot's body for clean ones.  Clean
-   bodies are not stored; [apply_delta] copies them from the base and
-   the recorded CRC catches a stale or wrong base before it can
-   reconstruct a subtly wrong world.  All the file-level integrity
-   machinery (per-section CRC, whole-file CRC, versioning) applies to
-   a delta unchanged because it *is* a snapshot. *)
-
-let is_delta t =
-  match t.sections with (name, _) :: _ -> name = manifest_name | [] -> false
-
-let encode_manifest w entries =
-  Codec.W.u32 w (List.length entries);
-  List.iter
-    (fun (name, dirty, crc) ->
-      Codec.W.str w name;
-      Codec.W.bool w dirty;
-      Codec.W.u32 w crc)
-    entries
-
-let decode_manifest r =
-  let n = Codec.R.u32 r in
-  List.init n (fun _ ->
-      let name = Codec.R.str r in
-      let dirty = Codec.R.bool r in
-      let crc = Codec.R.u32 r in
-      (name, dirty, crc))
-
-let delta ~base ~experiment ~label ~seed ~time sections =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if is_delta base then fail "delta: base is itself a delta snapshot"
-  else begin
-    let missing = ref None in
-    let entries =
-      List.map
-        (fun (name, body) ->
-          match body with
-          | Some b -> (name, true, Codec.Crc32.string b)
-          | None -> (
-              match List.assoc_opt name base.sections with
-              | Some b -> (name, false, Codec.Crc32.string b)
-              | None ->
-                  if !missing = None then missing := Some name;
-                  (name, false, 0)))
-        sections
-    in
-    match !missing with
-    | Some name ->
-        fail "delta: clean section %S is absent from the base snapshot" name
-    | None ->
-        let manifest =
-          Codec.to_string (fun w () -> encode_manifest w entries) ()
-        in
-        let dirty_bodies =
-          List.filter_map
-            (fun (name, body) -> Option.map (fun b -> (name, b)) body)
-            sections
-        in
-        Ok
-          {
-            version = current_version;
-            experiment;
-            label;
-            seed;
-            time;
-            sections = (manifest_name, manifest) :: dirty_bodies;
-          }
-  end
-
-let apply_delta ~base d =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if not (is_delta d) then fail "apply_delta: not a delta snapshot"
-  else if is_delta base then fail "apply_delta: base is itself a delta snapshot"
-  else if base.experiment <> d.experiment then
-    fail "apply_delta: experiment %S vs base %S" d.experiment base.experiment
-  else if base.seed <> d.seed then
-    fail "apply_delta: seed %d vs base %d" d.seed base.seed
-  else
-    match Codec.decode decode_manifest (List.assoc manifest_name d.sections) with
-    | Error e -> fail "apply_delta: manifest: %s" e
-    | Ok entries -> (
-        let stored = List.tl d.sections in
-        let rec build acc = function
-          | [] -> Ok (List.rev acc)
-          | (name, dirty, crc) :: rest ->
-              if dirty then (
-                match List.assoc_opt name stored with
-                | None -> fail "apply_delta: dirty section %S has no body" name
-                | Some body ->
-                    if Codec.Crc32.string body <> crc then
-                      fail "apply_delta: dirty section %S fails its manifest CRC"
-                        name
-                    else build ((name, body) :: acc) rest)
-              else
-                match List.assoc_opt name base.sections with
-                | None ->
-                    fail "apply_delta: clean section %S is absent from the base"
-                      name
-                | Some body ->
-                    if Codec.Crc32.string body <> crc then
-                      fail
-                        "apply_delta: stale base: section %S does not match the \
-                         delta's manifest CRC"
-                        name
-                    else build ((name, body) :: acc) rest
-        in
-        match build [] entries with
-        | Error _ as e -> e
-        | Ok sections ->
-            Ok
-              {
-                version = d.version;
-                experiment = d.experiment;
-                label = d.label;
-                seed = d.seed;
-                time = d.time;
-                sections;
-              })
 
 let diff a b =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in

@@ -59,41 +59,3 @@ val register_migration : from_version:int -> ((string * string) list -> (string 
 (** [register_migration ~from_version f] upgrades the section list of a
     version-[from_version] snapshot to version [from_version + 1].
     Migrations chain until {!current_version} is reached. *)
-
-(** {1 Delta snapshots}
-
-    A delta stores only the sections that changed since a base (full)
-    snapshot, plus a manifest recording every section's name, dirty
-    flag and body CRC-32 in capture order.  A delta is itself a
-    {!t} — the same file format, CRCs and versioning apply — but it
-    can only be turned back into a restorable full snapshot with
-    {!apply_delta} against the exact base it was built from: clean
-    sections are copied from the base and verified against the
-    manifest CRCs, so a stale or wrong base is an [Error], never a
-    subtly wrong world. *)
-
-val is_delta : t -> bool
-(** True iff [t] was produced by {!delta} (its first section is the
-    reserved manifest). *)
-
-val delta :
-  base:t ->
-  experiment:string ->
-  label:string ->
-  seed:int ->
-  time:float ->
-  (string * string option) list ->
-  (t, string) result
-(** [delta ~base ... sections] builds a delta snapshot from an
-    incremental capture ({!Zmail.World.capture_incremental}):
-    [Some body] entries are stored, [None] entries record the CRC of
-    the corresponding section of [base].  Errors if a [None] section
-    is absent from [base] or [base] is itself a delta. *)
-
-val apply_delta : base:t -> t -> (t, string) result
-(** Reconstruct the full snapshot a delta describes.  Errors if the
-    argument is not a delta, the base is, headers (experiment, seed)
-    disagree, any section is missing, or any body — stored or copied
-    from the base — fails its manifest CRC (a stale base).  On [Ok],
-    the result [diff]s clean against a full {!capture} of the same
-    world at the same instant. *)

@@ -87,11 +87,11 @@ type t = {
   mutable messages_out : int;
   rejects : int array;  (* indexed by [reject_index] *)
   mutable tracer : Obs.Trace.t;
-  (* Write-ahead-log plumbing, mirroring [Isp]: [disk = None] keeps
-     the bank implicitly durable with zero overhead.  The bank's
-     message path draws no randomness ([sign_by_bank] and
-     [open_at_bank] are deterministic), so replaying logged inputs
-     rebuilds the reply cache and audit state byte-identically. *)
+  (* Write-ahead-log plumbing, mirroring [Isp]: [disk = None] logs
+     nothing, costs nothing and cannot recover.  The bank's message
+     path draws no randomness ([sign_by_bank] and [open_at_bank] are
+     deterministic), so replaying logged inputs rebuilds the reply
+     cache and audit state byte-identically. *)
   disk : Sim.Disk.t option;
   mutable wal_seq : int;
   mutable wal_since_checkpoint : int;

@@ -68,8 +68,8 @@ val create : ?disk:Sim.Disk.t -> Sim.Rng.t -> config -> t
     cache and audit state byte-identically) and flushed immediately,
     and the initial checkpoint is written at once.  A completed audit
     round compacts the log to a fresh checkpoint, so completed rounds
-    never replay.  Without [disk] the bank is implicitly durable (the
-    legacy model) with zero overhead. *)
+    never replay.  Without [disk] the bank logs nothing, pays nothing
+    per operation and cannot recover. *)
 
 val set_tracer : t -> Obs.Trace.t -> unit
 (** Emit [bank/...] trace events (buy/sell with a replay flag, audit
@@ -190,7 +190,9 @@ val recover_wal : t -> (unit, string) result
     in flight is answered from the cache on retransmission — the crash
     cannot double-bill.  On success the log is compacted to a fresh
     checkpoint.  [Error] when no disk is attached, the log has no
-    intact leading checkpoint, or replay fails. *)
+    intact leading checkpoint (refused before anything is restored), or
+    replay diverges (the bank is left at the checkpoint plus the
+    records replayed before it, as for {!Isp.recover_wal}). *)
 
 val wal_appended : t -> int
 (** Delta records written over the bank's lifetime (checkpoints

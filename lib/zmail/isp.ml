@@ -80,9 +80,8 @@ type t = {
   mutable refunds : int;
   mutable crashes : int;
   mutable tracer : Obs.Trace.t;
-  (* Write-ahead-log plumbing.  [disk = None] keeps the legacy
-     write-through durability model ({!durable_image}/{!recover}) with
-     zero per-operation overhead. *)
+  (* Write-ahead-log plumbing.  [disk = None] logs nothing and pays
+     nothing per operation; such a kernel cannot recover. *)
   disk : Sim.Disk.t option;
   wal_group : int;
   mutable wal_seq : int;  (** Next frame sequence number on the device. *)
@@ -224,12 +223,10 @@ let restore_state r t =
       t.wal_replayed <- int r
 
 (* The kernel image is the unit of atomic durability: the payload of a
-   WAL checkpoint record, and — for kernels without a disk — the whole
-   legacy write-through durable record.  It carries its own CRC-32
-   trailer (like a snapshot section) so a flipped bit anywhere in it —
-   including inside a plain integer field the codec could otherwise
-   decode — aborts recovery instead of restoring a subtly wrong
-   kernel. *)
+   WAL checkpoint record.  It carries its own CRC-32 trailer (like a
+   snapshot section) so a flipped bit anywhere in it — including
+   inside a plain integer field the codec could otherwise decode —
+   aborts recovery instead of restoring a subtly wrong kernel. *)
 let durable_image t =
   let body = Persist.Codec.to_string encode_kernel t in
   let w = Persist.Codec.W.create () in
@@ -237,8 +234,9 @@ let durable_image t =
   Persist.Codec.W.u32 w (Persist.Codec.Crc32.string body);
   Persist.Codec.W.contents w
 
-(* Restore a kernel image without the crash bookkeeping — shared by
-   {!recover} (the caller-facing restart) and WAL checkpoint replay. *)
+(* Restore a checkpoint image without the crash bookkeeping.  The CRC
+   is checked before any field is restored, so a damaged image is
+   refused with the kernel unchanged. *)
 let restore_image t ~image =
   let restore r =
     let body = Persist.Codec.R.str r in
@@ -348,19 +346,6 @@ let wal_append t ~flush writer =
 
 let wal_appended t = t.wal_appended
 let wal_replayed t = t.wal_replayed
-
-let recover t ~image =
-  match restore_image t ~image with
-  | Error msg -> Error ("Isp.recover: corrupt durable image: " ^ msg)
-  | Ok () ->
-      t.crashes <- t.crashes + 1;
-      t.cansend <- true;
-      (* An image-based restart on a disk-backed kernel bypasses the
-         log, leaving records that describe a state other than the one
-         just installed; re-baseline so a later WAL recovery replays
-         from here, not from the stale history. *)
-      wal_checkpoint t;
-      Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)

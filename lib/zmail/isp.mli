@@ -16,13 +16,11 @@
 
     {2 Durability}
 
-    A kernel has two durability models.  Without a disk (the default),
-    it keeps the legacy write-through model: {!durable_image} captures
-    the complete protocol state as one atomic record and {!recover}
-    restores it, as if every mutation landed on stable storage the
-    instant it happened.  With a {!Sim.Disk} attached at {!create},
-    durability instead goes through an incremental write-ahead log:
-    every billing-relevant transition appends a CRC'd, sequence-numbered
+    A kernel is durable only with a {!Sim.Disk} attached at {!create};
+    without one it logs nothing and cannot recover.  Durability goes
+    through an incremental write-ahead log: the log starts with a
+    checkpoint record holding a {!durable_image}, and every
+    billing-relevant transition appends a CRC'd, sequence-numbered
     record ({!Persist.Wal} framing) under a group-commit flush policy —
     money-moving and message-emitting transitions flush immediately,
     counter-only ones ride until [wal_group] accumulate — and crash
@@ -74,8 +72,8 @@ val create : ?disk:Sim.Disk.t -> ?wal_group:int -> Sim.Rng.t -> config -> t
     immediately writes the initial checkpoint record, so the log is
     never without a recovery baseline; [wal_group] (default 8) is the
     group-commit window for lazy records.  Without [disk] the kernel
-    uses the legacy write-through model and pays zero per-operation
-    overhead.
+    logs nothing, pays no per-operation overhead and cannot
+    recover.
     @raise Invalid_argument on an out-of-range index, a compliance map
     of the wrong size, a non-compliant own index, an inverted pool
     band, or [wal_group < 1]. *)
@@ -114,27 +112,10 @@ val durable_image : t -> string
 (** An atomic capture of the kernel's complete protocol state (ledger,
     credit vectors, audit sequence, pending buy/sell records, RNG/nonce
     streams, counters) as one [Persist.Codec] string with its own
-    CRC-32 trailer.  Under the legacy write-through model this is the
-    durable record itself, read at crash time and fed back to
-    {!recover}; under the WAL model the same image is the payload of
-    checkpoint records, and the log's delta records describe everything
-    since the last one.  The storage device is deliberately {e not}
-    part of the image (a checkpoint that embedded the log would contain
-    itself). *)
-
-val recover : t -> image:string -> (unit, string) result
-(** Restart the kernel after a crash from [image] (a {!durable_image}).
-    The ledger, credit vector, audit sequence and pending buy/sell
-    records are durable state and are restored from the image; the
-    snapshot-freeze flag is volatile and is cleared (the bank's
-    audit-request retransmission restarts the freeze if one was in
-    progress).  Callers must separately retransmit any pending bank
-    requests to reconverge the pool.
-
-    On a corrupt image (bad CRC, truncated or malformed codec bytes)
-    the kernel is {e not} guaranteed unchanged — partial restore may
-    have happened — and [Error] is returned so the caller can fall back
-    to an older known-good image.  Never raises on corrupt input. *)
+    CRC-32 trailer: the payload of the WAL's checkpoint records, which
+    the log's delta records extend.  The storage device is deliberately
+    {e not} part of the image (a checkpoint that embedded the log would
+    contain itself). *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
@@ -266,9 +247,8 @@ val power_cut : t -> unit
 (** Apply a power cut to the attached device: the unflushed log tail is
     lost, modulo the device's fault plan ({!Sim.Disk.power_cut}).  The
     kernel's in-memory state is deliberately untouched — the caller
-    models the crash by discarding it, i.e. by following up with
-    {!recover_wal} (or by rebuilding the kernel and recovering there).
-    A no-op without a disk. *)
+    models the crash by following up with {!recover_wal}, which
+    discards it.  A no-op without a disk. *)
 
 val recover_wal : t -> (unit, string) result
 (** Rebuild the kernel from the surviving log: scan the device's
@@ -282,9 +262,20 @@ val recover_wal : t -> (unit, string) result
     recovered kernel matches the lost one bit for bit up to the last
     flushed record.  On success the crash is counted, the volatile
     freeze flag lifted, and the log compacted to a fresh checkpoint
-    (which also discards the damaged suffix).  [Error] when the log has
-    no intact leading checkpoint or replay fails; the caller falls back
-    to an older known-good image. *)
+    (which also discards the damaged suffix).  Damage past the
+    checkpoint is not an error: the log simply ends there, as at a torn
+    tail.
+
+    [Error] when no disk is attached, or when:
+    - the leading checkpoint is damaged (no intact first record, a
+      wrong tag, an image failing its CRC).  This is refused before
+      anything is restored: the kernel is unchanged.
+    - replay diverges: a record that frames correctly cannot be
+      re-applied.  That is a bug, not a device fault.  The kernel is
+      left at the checkpoint plus the records replayed before it; the
+      crash is not counted and the log is not compacted.
+
+    Never raises on a damaged log. *)
 
 val wal_appended : t -> int
 (** Delta records written to the log over the kernel's lifetime
@@ -321,4 +312,4 @@ val stats_refunds : t -> int
 (** Bounced paid sends refunded via {!refund_send}. *)
 
 val stats_crashes : t -> int
-(** Times {!recover} or {!recover_wal} has completed successfully. *)
+(** Times {!recover_wal} has completed successfully. *)

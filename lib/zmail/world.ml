@@ -30,10 +30,10 @@ type config = {
   retain_mail : bool;
   disk : Sim.Disk.plan option;
       (** Give every kernel (and the bank) a simulated log device with
-          this fault plan and switch durability from the write-through
-          image model to incremental write-ahead logs.  [None] (the
-          default) keeps the legacy model with zero per-operation
-          overhead. *)
+          this fault plan, so billing state is kept in write-ahead logs
+          and the world can crash.  [None] (the default) logs nothing
+          and pays no per-operation overhead, but {!crash_isp} and
+          {!crash_bank} refuse it. *)
   wal_group : int;
       (** Group-commit window for lazy ISP WAL records (see
           {!Isp.create}).  Ignored without [disk]. *)
@@ -135,19 +135,11 @@ type t = {
   up : bool array;  (* false while an ISP is crashed *)
   crash_gen : int array;  (* bumped per crash; invalidates stale timers *)
   mutable bank_up : bool;  (* false while the bank is crashed *)
-  (* Last known-good durable image per ISP, the fallback when a WAL
-     recovery reports a corrupt log; filled lazily (crash paths only)
-     so worlds that never crash pay nothing. *)
-  last_good : string option array;
   link : link_stats;
   tracer : Obs.Trace.t;
   metrics : Obs.Metrics.t;
   honest : bool array;  (* compliant AND not configured to cheat *)
   serve : Serve.Dispatch.t option;  (* serving path, when configured *)
-  isp_dirty : Sim.Bitset.t;
-      (* ISPs whose kernel state changed since the last
-         [capture_incremental]; starts all-set so the first incremental
-         capture is a full one. *)
 }
 
 let engine t = t.engine
@@ -222,21 +214,10 @@ let locate t addr =
     end
     else None
 
-(* Every world-mediated kernel mutation funnels through a handful of
-   sites; each calls [touch] so [capture_incremental] knows which
-   "isp/<i>" sections to re-serialize.  Callers that mutate a kernel
-   directly via [isp t i] must call [mark_isp_dirty] themselves. *)
-let touch t i = Sim.Bitset.set t.isp_dirty i
-let mark_isp_dirty t i =
-  if i < 0 || i >= t.cfg.n_isps then
-    invalid_arg "World.mark_isp_dirty: index out of range";
-  touch t i
-
 let drain_warnings t i =
   match t.kernels.(i) with
   | None -> ()
   | Some k ->
-      touch t i;
       let warned = Isp.limit_warnings k in
       t.stats.limit_warnings <- t.stats.limit_warnings + List.length warned
 
@@ -391,7 +372,6 @@ and bank_message_to_isp t i signed =
   match t.kernels.(i) with
   | None -> ()
   | Some kernel -> (
-      touch t i;
       match Isp.on_bank_message kernel signed with
       | Isp.No_reaction -> ()
       | Isp.Start_snapshot_timer ->
@@ -410,7 +390,6 @@ and bank_message_to_isp t i signed =
                      | Some s -> s
                      | None -> assert false (* frozen implies a round *)
                    in
-                   touch t i;
                    let reply = Isp.thaw kernel in
                    Log.debug (fun m ->
                        m "t=%.0f isp %d thawed, reporting" (Sim.Engine.now t.engine) i);
@@ -444,7 +423,6 @@ let pool_tick t i kernel =
   match Isp.pool_action kernel with
   | None -> ()
   | Some sealed ->
-      touch t i;
       (* Typed nonce compares: [=] on an [int64 option] is the
          polymorphic C primitive, and [still] runs on every retry. *)
       let same_nonce nonce = function
@@ -540,52 +518,31 @@ let start_audit_round t =
 (* Crash and recovery                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Restart one kernel's durable state after a crash.  WAL-backed
-   kernels recover by log scan + checkpoint restore + replay
-   ({!Isp.recover_wal}); legacy kernels reload their write-through
-   durable image.  Either way a typed recovery failure falls back to
-   the last known-good image instead of killing the run — and when no
-   older image exists (the kernel never crashed before), the reboot
-   proceeds on the intact in-memory state, counted so experiments can
-   assert the path never fired. *)
-let recover_kernel t i kernel =
-  let fallback why =
-    Log.warn (fun m ->
-        m "t=%.0f isp %d recovery failed (%s); falling back to last-good image"
-          (Sim.Engine.now t.engine) i why);
-    Sim.Stats.Counter.incr t.link.wal_fallbacks;
-    wev t ~actor:i "recover_fallback" [ ("why", Obs.Trace.Str why) ];
-    match t.last_good.(i) with
-    | Some image -> (
-        match Isp.recover kernel ~image with
-        | Ok () -> ()
-        | Error msg ->
-            (* The stored image was produced by [durable_image] and
-               verified once already; failing here means memory
-               corruption outside the model.  Keep the in-memory
-               state. *)
-            Log.err (fun m -> m "isp %d last-good image rejected: %s" i msg))
-    | None -> ()
-  in
-  (match Isp.disk kernel with
-  | Some _ -> (
-      match Isp.recover_wal kernel with Ok () -> () | Error msg -> fallback msg)
-  | None -> (
-      (* Legacy model: the kernel's billing state is write-through
-         durable — every mutation (including bounce refunds booked
-         while the MTA is unreachable) lands on stable storage — so
-         recovery reloads the latest durable image: a full
-         Persist.Codec round-trip of the kernel.  A crash loses only
-         volatile state: the snapshot-freeze flag and whatever was in
-         flight on the link. *)
-      match Isp.recover kernel ~image:(Isp.durable_image kernel) with
-      | Ok () -> ()
-      | Error msg -> fallback msg));
-  t.last_good.(i) <- Some (Isp.durable_image kernel)
+(* Every crash is a power cut of the victim's log device at the crash
+   instant and a WAL replay ([recover_wal]) at restart.  Flushed bytes
+   are never damaged, so an [Error] is outside the fault model: it is
+   logged, counted and traced here, and the run goes on from whatever
+   state the failed recovery left.  [actor] is the ISP; none means the
+   bank. *)
+let recovery_failed t ?actor why =
+  Log.warn (fun m ->
+      m "t=%.0f %s WAL recovery failed: %s" (Sim.Engine.now t.engine)
+        (match actor with Some i -> "isp " ^ string_of_int i | None -> "bank")
+        why);
+  Sim.Stats.Counter.incr t.link.wal_fallbacks;
+  wev t ?actor "recover_failed" [ ("why", Obs.Trace.Str why) ]
+
+let check_crash t fn ~downtime =
+  if Option.is_none t.cfg.disk then
+    invalid_arg (fn ^ ": the world has no disk, and recovery replays a WAL");
+  (* NaN fails both comparisons; an infinite downtime would schedule
+     the recovery at t = inf and hang [run_until_quiet]. *)
+  if not (downtime > 0. && downtime < Float.infinity) then
+    invalid_arg (fn ^ ": downtime must be positive and finite")
 
 let crash_isp t ~isp:i ~downtime =
   if i < 0 || i >= t.cfg.n_isps then invalid_arg "World.crash_isp: index out of range";
-  if downtime <= 0. then invalid_arg "World.crash_isp: downtime must be positive";
+  check_crash t "World.crash_isp" ~downtime;
   match t.kernels.(i) with
   | None -> invalid_arg "World.crash_isp: non-compliant ISPs have no kernel to crash"
   | Some kernel ->
@@ -598,7 +555,7 @@ let crash_isp t ~isp:i ~downtime =
       wev t ~actor:i "crash" [ ("downtime", Obs.Trace.Float downtime) ];
       (* The power cut happens at the crash instant: the unflushed WAL
          tail dies now (modulo the device's torn/rot plan), not at
-         recovery time.  No-op for legacy kernels. *)
+         recovery time. *)
       Isp.power_cut kernel;
       (* The MTA answers 421 while down; peers retry with backoff and
          eventually bounce (refunded via the bounce hook). *)
@@ -611,8 +568,9 @@ let crash_isp t ~isp:i ~downtime =
              Smtp.Mta.set_down t.mtas.(i) false;
              (* Restart from durable state (ledger, credit, pending
                 requests); the freeze flag is volatile and clears. *)
-             touch t i;
-             recover_kernel t i kernel;
+             (match Isp.recover_wal kernel with
+             | Ok () -> ()
+             | Error why -> recovery_failed t ~actor:i why);
              Sim.Stats.Counter.incr t.link.recoveries;
              wev t ~actor:i "recover" [];
              (* Recovery handshake: before reopening for business the
@@ -640,12 +598,10 @@ let crash_isp t ~isp:i ~downtime =
    every bank-origin send is lost (counted in [lost_bank_down]); the
    at-least-once retry loops on both sides re-drive the open exchanges
    after recovery, and the replayed reply cache keeps the re-driven
-   buys/sells exactly-once.  With a WAL-backed bank the power cut can
-   tear at most the final record (bank records flush at append); a
-   legacy bank is implicitly durable and recovery is a no-op on
-   state. *)
+   buys/sells exactly-once.  The power cut can tear at most the final
+   record (bank records flush at append). *)
 let crash_bank t ~downtime =
-  if downtime <= 0. then invalid_arg "World.crash_bank: downtime must be positive";
+  check_crash t "World.crash_bank" ~downtime;
   if not t.bank_up then invalid_arg "World.crash_bank: bank is already down";
   Log.info (fun m ->
       m "t=%.0f bank CRASH (down for %.0fs)" (Sim.Engine.now t.engine) downtime);
@@ -657,19 +613,9 @@ let crash_bank t ~downtime =
     (Sim.Engine.schedule_after t.engine ~delay:downtime (fun () ->
          Log.info (fun m -> m "t=%.0f bank recovered" (Sim.Engine.now t.engine));
          t.bank_up <- true;
-         (match Bank.disk t.the_bank with
-         | Some _ -> (
-             match Bank.recover_wal t.the_bank with
-             | Ok () -> ()
-             | Error msg ->
-                 (* The bank log's leading checkpoint is written by an
-                    atomic device reset and every record is flushed, so
-                    scan damage is bounded to the torn final record;
-                    reaching here is outside the fault model.  Keep the
-                    in-memory state, counted. *)
-                 Log.warn (fun m -> m "bank WAL recovery failed: %s" msg);
-                 Sim.Stats.Counter.incr t.link.wal_fallbacks)
-         | None -> ());
+         (match Bank.recover_wal t.the_bank with
+         | Ok () -> ()
+         | Error why -> recovery_failed t why);
          Sim.Stats.Counter.incr t.link.bank_recoveries;
          wev t "bank_recover" [];
          (* Re-drive the open audit round: the recovered audit state
@@ -737,7 +683,6 @@ let rec submit_message t ~from:(i, u) ~to_addr ~build_msg =
       | `Submitted -> Submitted `Free
       | `Backpressure -> backpressured ())
   | Some kernel -> (
-      touch t i;
       let charge () =
         if dest_isp >= 0 then Isp.charge_send kernel ~sender:u ~dest_isp
         else if Isp.frozen kernel then Isp.Deferred
@@ -863,7 +808,6 @@ let maybe_generate_ack t ~isp_index ~rcpt_user message =
     | (Some _ | None), _ -> ()
 
 let inbound_filter t ~isp_index kernel ~sender ~rcpt message =
-  touch t isp_index;
   let from_isp =
     match isp_of_addr t sender with
     | i when i >= 0 && t.cfg.compliant.(i) -> Some i
@@ -1095,7 +1039,6 @@ let create cfg =
       up = Array.make cfg.n_isps true;
       crash_gen = Array.make cfg.n_isps 0;
       bank_up = true;
-      last_good = Array.make cfg.n_isps None;
       link =
         {
           retransmits = Obs.Metrics.counter metrics "link.retransmits";
@@ -1116,10 +1059,6 @@ let create cfg =
       metrics;
       honest;
       serve;
-      isp_dirty =
-        (let d = Sim.Bitset.create ~capacity:cfg.n_isps () in
-         Array.iteri (fun i c -> if c then Sim.Bitset.set d i) cfg.compliant;
-         d);
     }
   in
   (* Route every component's events into the shared tracer and gather
@@ -1136,8 +1075,8 @@ let create cfg =
      fold time: on [false] the kernel reverts the fold and books the
      receive normally (an amendment to a closed round — the common
      case right after a partition heals — would silently erase the
-     receive).  Wiring, like the tracer: [Isp.recover] leaves it in
-     place across crashes. *)
+     receive).  Wiring, like the tracer: [Isp.recover_wal] leaves it
+     in place across crashes. *)
   Array.iteri
     (fun i -> function
       | Some kernel ->
@@ -1229,7 +1168,6 @@ let create cfg =
               if Smtp.Message.payment message <> None then
                 match locate t (Smtp.Envelope.sender envelope) with
                 | Some (si, u) when si = i ->
-                    touch t i;
                     List.iter
                       (fun rcpt ->
                         let dest_isp = isp_of_addr t rcpt in
@@ -1316,7 +1254,6 @@ let register_adversary t ~isp:i adv =
   | Some kernel ->
       if List.mem_assoc i t.adversaries then
         invalid_arg "World.register_adversary: ISP already has an adversary";
-      touch t i;
       Isp.set_audit_tamper kernel (Some (Adversary.tamper adv));
       t.honest.(i) <- false;
       t.adversaries <- t.adversaries @ [ (i, adv) ]
@@ -1544,37 +1481,3 @@ let capture t =
     | Some d -> [ sec "serve" (fun w () -> Serve.Dispatch.encode_state w d) ]
     | None -> [])
   @ [ sec "trace" (fun w () -> Obs.Trace.encode_state w t.tracer) ]
-
-(* Incremental capture: same section names in the same order as
-   [capture], but each "isp/<i>" body is serialized only when the
-   world-mediated mutation sites marked ISP [i] dirty since the last
-   incremental capture.  The non-ISP sections (engine, rng, mesh,
-   bank, world, serve, trace) are always serialized: they are
-   small, mutate on nearly every event, and tracking them would cost
-   more than re-encoding them.  The dirty set starts all-set, so the
-   first incremental capture of a world is a full one. *)
-let capture_incremental t =
-  let sec name encode = (name, Some (Persist.Codec.to_string encode ())) in
-  let sections =
-    [ sec "engine" (fun w () -> Sim.Engine.encode_state w t.engine);
-      sec "rng" (fun w () -> Sim.Rng.encode_state w t.rng);
-      sec "mesh" (fun w () -> Sim.Fault.Mesh.encode_state w t.mesh);
-      sec "bank" (fun w () -> Bank.encode_state w t.the_bank) ]
-    @ (Array.to_list t.kernels
-      |> List.mapi (fun i k -> (i, k))
-      |> List.filter_map (fun (i, k) ->
-             Option.map
-               (fun kernel ->
-                 let name = Printf.sprintf "isp/%d" i in
-                 if Sim.Bitset.mem t.isp_dirty i then
-                   sec name (fun w () -> Isp.encode_state w kernel)
-                 else (name, None))
-               k))
-    @ [ sec "world" (fun w () -> encode_world w t) ]
-    @ (match t.serve with
-      | Some d -> [ sec "serve" (fun w () -> Serve.Dispatch.encode_state w d) ]
-      | None -> [])
-    @ [ sec "trace" (fun w () -> Obs.Trace.encode_state w t.tracer) ]
-  in
-  Sim.Bitset.clear t.isp_dirty;
-  sections

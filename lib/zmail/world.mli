@@ -32,8 +32,9 @@
     out a freeze, [freeze_duration + 5] s) until acknowledged — and the
     protocol's nonces make the retries idempotent (the bank's reply cache absorbs
     duplicates, corrupt messages fail crypto verification and are
-    counted, never raised).  ISPs can also {!crash_isp} and recover
-    from their durable ledger state mid-run.  Audit rounds are
+    counted, never raised).  A world with a disk ([cfg.disk]) can
+    also {!crash_isp} or {!crash_bank} mid-run; recovery replays the
+    victim's write-ahead log.  Audit rounds are
     partition-tolerant: per [audit_unreachable], a round facing
     severed ISPs is deferred or runs on the reachable quorum, with the
     bank reconciling late cumulative reports after heal
@@ -130,16 +131,17 @@ type config = {
           {!Smtp.Mta.set_retain_mail}. *)
   disk : Sim.Disk.plan option;
       (** Attach a simulated storage device ({!Sim.Disk}) to every
-          compliant kernel and to the bank, switching durability from
-          the legacy write-through-image model to per-ISP write-ahead
-          logs: billing-relevant transitions are appended as CRC'd
+          compliant kernel and to the bank, each keeping a write-ahead
+          log: billing-relevant transitions are appended as CRC'd
           sequence-numbered records and crash recovery replays the
           surviving log ({!Isp.recover_wal}, {!Bank.recover_wal}).  The
           plan sets the devices' power-cut fault behavior (torn final
           append, bit rot on the torn fragment); each device draws its
           fault decisions from its own root-seeded stream, so attaching
           disks never perturbs workload randomness.  [None] (the
-          default) keeps the legacy model with zero overhead. *)
+          default) logs nothing and costs nothing per operation, but a
+          world without a disk cannot crash ({!crash_isp},
+          {!crash_bank}). *)
   wal_group : int;
       (** Group-commit factor for ISP WALs: lazy records (those that
           move no money and draw no randomness) are batched and flushed
@@ -289,16 +291,16 @@ val crash_isp : t -> isp:int -> downtime:float -> unit
     mail is refunded), bank messages addressed to it are lost, local
     submissions return {!Failed_down}, and any snapshot freeze is
     abandoned.  The crash instant applies a power cut to the kernel's
-    storage device (when [cfg.disk] is set): the unflushed WAL tail is
-    lost per the device's fault plan.  Recovery restarts the kernel
-    from durable state — the surviving write-ahead log
-    ({!Isp.recover_wal}) with [cfg.disk], the legacy durable image
-    ({!Isp.recover}) without; a recovery that fails its integrity
-    checks falls back to the last known-good image (counted in
-    [wal_fallbacks]).  Ledger, credit records and pending bank requests
-    survive; outstanding exchanges re-converge by retransmission.
-    @raise Invalid_argument for a non-compliant index, a non-positive
-    [downtime], or an ISP that is already down. *)
+    storage device: the unflushed WAL tail is lost per the device's
+    fault plan.  Recovery replays the surviving write-ahead log
+    ({!Isp.recover_wal}); an [Error] there is logged, traced and
+    counted in [wal_fallbacks], and the run goes on from the state it
+    left.  Ledger, credit records and pending bank requests survive;
+    outstanding exchanges re-converge by retransmission.
+    @raise Invalid_argument, before any state changes, for a world
+    without [cfg.disk], a non-compliant index, a [downtime] that is
+    not positive and finite (NaN included), or an ISP that is already
+    down. *)
 
 val crash_bank : t -> downtime:float -> unit
 (** Halt the bank now and restart it after [downtime] seconds.  While
@@ -309,11 +311,11 @@ val crash_bank : t -> downtime:float -> unit
     rebuilding accounts, the reply cache and the open audit round — and
     re-issues the outstanding audit requests.  The at-least-once retry
     loops on both sides re-drive everything that was in flight, and the
-    replayed reply cache keeps re-driven buys/sells exactly-once.
-    Without [cfg.disk] the bank is implicitly durable and only the
-    message loss is modeled.
-    @raise Invalid_argument for a non-positive [downtime] or a bank
-    that is already down. *)
+    replayed reply cache keeps re-driven buys/sells exactly-once.  A
+    failed replay is handled as in {!crash_isp}.
+    @raise Invalid_argument, before any state changes, for a world
+    without [cfg.disk], a [downtime] that is not positive and finite
+    (NaN included), or a bank that is already down. *)
 
 val isp_up : t -> int -> bool
 (** False between {!crash_isp} and the scheduled recovery. *)
@@ -398,10 +400,9 @@ type link_stats = {
           messages that arrived at the down bank plus bank-origin
           sends attempted while down. *)
   wal_fallbacks : Sim.Stats.Counter.t;
-      (** Crash recoveries whose primary path (WAL replay, or the
-          legacy image reload) failed integrity checks and fell back
-          to the last known-good image.  Zero in every E23 grid cell —
-          the fault model never damages acknowledged bytes. *)
+      (** Crash recoveries (ISP or bank) whose WAL replay returned
+          [Error].  Zero in every E23 grid cell — the fault model never
+          damages acknowledged bytes. *)
 }
 
 val link_stats : t -> link_stats
@@ -452,21 +453,3 @@ val capture : t -> (string * string) list
     capture byte-identically — that equality is the resume-determinism
     guarantee, and any mismatch is reported per section by
     {!Persist.Snapshot.diff}. *)
-
-val capture_incremental : t -> (string * string option) list
-(** As {!capture} — same section names, same order — but each
-    ["isp/<i>"] body is [Some] only when ISP [i]'s kernel changed since
-    the previous [capture_incremental] (the world tracks this at every
-    mutation site: charges, deliveries, bank messages, pool actions,
-    recoveries, daily resets).  Clean kernels yield [None].  The
-    non-ISP sections are always [Some]: they change on nearly every
-    event.  Resets the dirty set, so the capture itself is the new
-    baseline; the first call on a fresh world is a full capture.  Feed
-    to {!Persist.Snapshot.delta} together with the base snapshot the
-    previous capture produced. *)
-
-val mark_isp_dirty : t -> int -> unit
-(** Force ISP [i]'s section into the next {!capture_incremental}.
-    Needed only by callers that mutate a kernel {e directly} through
-    {!isp} — world-mediated mutations mark themselves.
-    @raise Invalid_argument for an out-of-range index. *)

@@ -327,7 +327,7 @@ let wire_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Isp durable image (the E16 crash-recovery record)                   *)
+(* Isp durable image, the WAL checkpoint payload                       *)
 (* ------------------------------------------------------------------ *)
 
 let mk_kernel () =
@@ -336,59 +336,69 @@ let mk_kernel () =
   let bank =
     Zmail.Bank.create rng (Zmail.Bank.default_config ~n_isps:2 ~compliant)
   in
-  Zmail.Isp.create rng
-    (Zmail.Isp.default_config ~index:0 ~n_isps:2 ~n_users:8 ~compliant
-       ~bank_public:(Zmail.Bank.public_key bank))
+  let disk = Sim.Disk.create (Sim.Rng.create 43) in
+  ( Zmail.Isp.create ~disk rng
+      (Zmail.Isp.default_config ~index:0 ~n_isps:2 ~n_users:8 ~compliant
+         ~bank_public:(Zmail.Bank.public_key bank)),
+    bank,
+    disk )
 
 let isp_durable_image () =
-  let k = mk_kernel () in
+  let k, _, disk = mk_kernel () in
   for u = 0 to 5 do
     ignore (Zmail.Isp.charge_send k ~sender:u ~dest_isp:1)
   done;
   ignore (Zmail.Isp.accept_delivery k ~from_isp:1 ~rcpt:2);
-  let crashes0 = Zmail.Isp.stats_crashes k in
-  let img = Zmail.Isp.durable_image k in
-  (* recover = restore the image, count the crash, clear the freeze. *)
-  (match Zmail.Isp.recover k ~image:img with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "recover refused a good image: %s" msg);
-  checki "crash counted" (crashes0 + 1) (Zmail.Isp.stats_crashes k);
-  checkb "freeze cleared" false (Zmail.Isp.frozen k);
-  let after_first = Zmail.Isp.durable_image k in
-  (* Recovering again from the same image must be deterministic: the
-     restored state depends only on the image, not on what happened
-     in between. *)
-  ignore (Zmail.Isp.charge_send k ~sender:7 ~dest_isp:1);
-  (match Zmail.Isp.recover k ~image:img with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "second recover refused: %s" msg);
-  checkb "recover is a pure function of the image" true
-    (Zmail.Isp.durable_image k = after_first);
-  (* A corrupted image must abort recovery, not restore a wrong world —
-     and it must report [Error], not raise: the caller falls back to
-     the last known-good image.  The image carries a CRC trailer, so
-     any single flipped bit — even inside a plain integer the codec
-     could decode — is refused, and the refusal leaves the kernel's
-     state untouched (the CRC is checked before any field is
-     restored). *)
+  (* Record 0 of the log is the checkpoint holding a durable image; the
+     charges above follow it as delta records. *)
+  let log = Sim.Disk.contents disk in
+  let record0 =
+    match (Persist.Wal.scan log).Persist.Wal.records with
+    | first :: _ :: _ -> Persist.Wal.frame ~seq:0 first
+    | _ -> Alcotest.fail "expected a checkpoint and delta records"
+  in
+  checkb "log starts with record 0" true
+    (String.starts_with ~prefix:record0 log);
+  (* Damage anywhere in the checkpoint must make recovery report
+     [Error], not raise and not restore a wrong kernel: every byte of
+     record 0 is covered by its frame CRC (and the image inside by its
+     own), and the refusal comes before any field is restored, so the
+     kernel's state is untouched. *)
   let reference = Zmail.Isp.durable_image k in
-  for pos = 0 to String.length img - 1 do
-    let bad = Bytes.of_string img in
+  let crashes0 = Zmail.Isp.stats_crashes k in
+  for pos = 0 to String.length record0 - 1 do
+    let bad = Bytes.of_string log in
     Bytes.set bad pos (Char.chr (Char.code (Bytes.get bad pos) lxor 0x40));
-    (match Zmail.Isp.recover k ~image:(Bytes.to_string bad) with
+    Sim.Disk.reset_to disk (Bytes.to_string bad);
+    (match Zmail.Isp.recover_wal k with
     | Error _ -> ()
-    | Ok () -> Alcotest.failf "flipped byte %d accepted by recover" pos
+    | Ok () -> Alcotest.failf "flipped byte %d of record 0 accepted" pos
     | exception e ->
         Alcotest.failf "flipped byte %d raised %s instead of Error" pos
           (Printexc.to_string e));
-    checkb "kernel untouched by refused image" true
+    checkb "kernel untouched by refused log" true
       (Zmail.Isp.durable_image k = reference)
   done;
+  checki "refused recoveries count no crash" crashes0
+    (Zmail.Isp.stats_crashes k);
   (* The refused kernel is still functional: a fresh send charges
-     normally — the typed error let the caller keep the live state. *)
+     normally. *)
   (match Zmail.Isp.charge_send k ~sender:3 ~dest_isp:1 with
   | Zmail.Isp.Sent_paid | Zmail.Isp.Sent_free | Zmail.Isp.Blocked _ -> ()
-  | Zmail.Isp.Deferred -> Alcotest.fail "kernel wedged after refused image")
+  | Zmail.Isp.Deferred -> Alcotest.fail "kernel wedged after refused log");
+  (* The §4.4 freeze is volatile: a kernel frozen by an audit request
+     comes back unfrozen from an intact log, with the crash counted. *)
+  let k, bank, _ = mk_kernel () in
+  let signed = List.assoc 0 (Zmail.Bank.start_audit bank) in
+  checkb "audit request freezes" true
+    (Zmail.Isp.on_bank_message k signed = Zmail.Isp.Start_snapshot_timer);
+  checkb "frozen before the crash" true (Zmail.Isp.frozen k);
+  Zmail.Isp.power_cut k;
+  (match Zmail.Isp.recover_wal k with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "recover_wal refused an intact log: %s" msg);
+  checkb "freeze cleared" false (Zmail.Isp.frozen k);
+  checki "crash counted" 1 (Zmail.Isp.stats_crashes k)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot container                                                  *)

@@ -572,8 +572,14 @@ let test_audit_request_retry_schedule () =
   Alcotest.(check (list (float 0.))) "audit request resend schedule"
     [ 605.; 900.; 900. ] timeouts
 
+(* Crash recovery replays each victim's write-ahead log, so a world
+   that crashes needs a disk; a reliable one loses exactly the
+   unflushed tail. *)
+let make_durable () =
+  make ~f:(fun c -> { c with Zmail.World.disk = Some Sim.Disk.reliable }) ()
+
 let test_crash_and_recovery () =
-  let w = make () in
+  let w = make_durable () in
   Zmail.World.crash_isp w ~isp:1 ~downtime:600.;
   Alcotest.(check bool) "down" false (Zmail.World.isp_up w 1);
   (match Zmail.World.send_email w ~from:(1, 0) ~to_:(0, 0) () with
@@ -608,7 +614,7 @@ let test_crash_mid_freeze_audit_completes () =
   (* Crash an ISP inside its snapshot freeze: the thaw timer is
      abandoned, the bank retransmits the audit request after the
      timeout, the recovered ISP re-freezes, and the audit completes. *)
-  let w = make () in
+  let w = make_durable () in
   Zmail.World.trigger_audit w;
   Sim.Engine.run ~until:1. (Zmail.World.engine w);
   Alcotest.(check bool) "frozen" true (Zmail.Isp.frozen (Zmail.World.isp w 0));
@@ -631,7 +637,7 @@ let test_crash_spanning_audit_epochs () =
      reopens) plus the epoch stamp on paid mail (early receives are
      buffered for the next billing period) must keep every round clean
      — without them the §4.4 check falsely accuses the crashed ISP. *)
-  let w = make () in
+  let w = make_durable () in
   let engine = Zmail.World.engine w in
   Zmail.World.crash_isp w ~isp:0 ~downtime:1200.;
   Zmail.World.trigger_audit w;
@@ -662,6 +668,39 @@ let test_crash_spanning_audit_epochs () =
       Alcotest.(check (list int)) "no false accusations" [] r.Zmail.Bank.suspects)
     audits;
   Alcotest.(check bool) "conservation" true (Zmail.World.conservation_holds w)
+
+(* A refused crash must leave no trace: both components stay up, no
+   crash is counted, no recovery is scheduled, and mail still flows. *)
+let check_crash_refused w ~downtime =
+  let link = Zmail.World.link_stats w in
+  let v c = Sim.Stats.Counter.value c in
+  let pending () = Sim.Engine.pending (Zmail.World.engine w) in
+  let pending0 = pending () in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted downtime %g" what downtime
+    | exception Invalid_argument _ -> ()
+  in
+  refused "crash_isp" (fun () -> Zmail.World.crash_isp w ~isp:0 ~downtime);
+  refused "crash_bank" (fun () -> Zmail.World.crash_bank w ~downtime);
+  Alcotest.(check bool) "isp still up" true (Zmail.World.isp_up w 0);
+  Alcotest.(check bool) "bank still up" true (Zmail.World.bank_up w);
+  Alcotest.(check int) "no isp crash counted" 0 (v link.Zmail.World.crashes);
+  Alcotest.(check int) "no bank crash counted" 0 (v link.Zmail.World.bank_crashes);
+  Alcotest.(check int) "no recovery scheduled" pending0 (pending ());
+  (match Zmail.World.send_email w ~from:(0, 0) ~to_:(1, 0) () with
+  | Zmail.World.Submitted `Paid -> ()
+  | _ -> Alcotest.fail "expected a paid send after the refused crash");
+  Zmail.World.run_until_quiet w;
+  Alcotest.(check int) "delivered" 101 (balance w ~isp:1 ~user:0)
+
+let test_crash_without_disk_refused () =
+  check_crash_refused (make ()) ~downtime:600.
+
+let test_crash_downtime_refused () =
+  List.iter
+    (fun downtime -> check_crash_refused (make_durable ()) ~downtime)
+    [ Float.nan; 0.; -1.; Float.neg_infinity; Float.infinity ]
 
 let test_determinism_under_faults () =
   (* Same seed + same fault plan ⇒ byte-identical metric summaries,
@@ -989,6 +1028,11 @@ let () =
             test_crash_mid_freeze_audit_completes;
           Alcotest.test_case "crash spanning audit epochs" `Quick
             test_crash_spanning_audit_epochs;
+          Alcotest.test_case "crash without a disk refused" `Quick
+            test_crash_without_disk_refused;
+          Alcotest.test_case
+            "crash with a NaN, non-positive or infinite downtime refused"
+            `Quick test_crash_downtime_refused;
           Alcotest.test_case "determinism under faults" `Slow
             test_determinism_under_faults;
           Alcotest.test_case "partition bounces and refunds" `Quick
