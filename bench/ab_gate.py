@@ -9,12 +9,15 @@ each workload in this checkout's BENCHMARK.json it runs PAIRS pairs of
 each tree, alternating which tree runs first, so both runs of a pair
 see the same host phase.  Each tree builds its own perfbench binary.
 
-This checkout (HEAD) fails a workload when:
-- it loses at least LOSSES_TO_FAIL of the PAIRS `ops_per_s` pairs and
-  the median HEAD/base ratio is worse than the metric's bound; or
-- its median `alloc_words_per_op` is worse than the base's median by
-  more than that metric's bound; or
-- its share of failed ops is higher than the base's.
+This checkout (HEAD) fails a workload when, for any end-to-end metric
+in BENCHMARK.json:
+- `alloc_words_per_op` (a count, the same in every run of a seed up to
+  noise far inside its bound): HEAD's median is worse than the base's
+  median by more than the metric's bound;
+- any other metric (host-dependent: `ops_per_s`, `peak_heap_mb`,
+  `setup_s`): HEAD loses at least LOSSES_TO_FAIL of the PAIRS pairs
+  and the median HEAD/base ratio is worse than the metric's bound;
+or when its share of failed ops is higher than the base's.
 
 Prints every pair and a verdict per workload; exits 1 if any workload
 fails and 2 if a run could not be made.
@@ -35,6 +38,8 @@ PAIRS = 5
 LOSSES_TO_FAIL = 4
 SEED = 1
 SECONDS = 2
+# Metrics judged on the median alone, without a vote of the pairs.
+MEDIAN_RULE = {"alloc_words_per_op"}
 
 
 def worse(head, base, better, bound):
@@ -44,31 +49,38 @@ def worse(head, base, better, bound):
     return head > base * (1 + bound)
 
 
+def ratio(head, base):
+    if base == 0:
+        return 1.0 if head == 0 else float("inf")
+    return head / base
+
+
 def decide(pairs, metrics):
     """The gate's verdict on one workload.
 
     [pairs] is a list of (head, base) results, each a dict with
     `attempted`, `failed` and a `metrics` dict of name -> value.
-    [metrics] maps `ops_per_s` and `alloc_words_per_op` to their
-    BENCHMARK.json entry ({"better": ..., "bound": ...}).  Returns the
-    reasons HEAD fails; an empty list is a pass.
+    [metrics] maps each end-to-end metric's name to its BENCHMARK.json
+    entry ({"better": ..., "bound": ...}).  Returns the reasons HEAD
+    fails; an empty list is a pass.
     """
     reasons = []
-    ops = metrics["ops_per_s"]
-    better = ops["better"]
-    heads = [h["metrics"]["ops_per_s"] for h, _ in pairs]
-    bases = [b["metrics"]["ops_per_s"] for _, b in pairs]
-    losses = sum(worse(h, b, better, 0.0) for h, b in zip(heads, bases))
-    ratio = statistics.median(h / b for h, b in zip(heads, bases))
-    if losses >= LOSSES_TO_FAIL and worse(ratio, 1.0, better, ops["bound"]):
-        reasons.append("ops_per_s: lost %d of %d pairs, median ratio %.3f"
-                       % (losses, len(pairs), ratio))
-    alloc = metrics["alloc_words_per_op"]
-    head_alloc = statistics.median(h["metrics"]["alloc_words_per_op"] for h, _ in pairs)
-    base_alloc = statistics.median(b["metrics"]["alloc_words_per_op"] for _, b in pairs)
-    if worse(head_alloc, base_alloc, alloc["better"], alloc["bound"]):
-        reasons.append("alloc_words_per_op: median %.1f against %.1f"
-                       % (head_alloc, base_alloc))
+    for name, spec in metrics.items():
+        better, bound = spec["better"], spec["bound"]
+        heads = [h["metrics"][name] for h, _ in pairs]
+        bases = [b["metrics"][name] for _, b in pairs]
+        if name in MEDIAN_RULE:
+            head_median = statistics.median(heads)
+            base_median = statistics.median(bases)
+            if worse(head_median, base_median, better, bound):
+                reasons.append("%s: median %.1f against %.1f"
+                               % (name, head_median, base_median))
+            continue
+        losses = sum(worse(h, b, better, 0.0) for h, b in zip(heads, bases))
+        median_ratio = statistics.median(ratio(h, b) for h, b in zip(heads, bases))
+        if losses >= LOSSES_TO_FAIL and worse(median_ratio, 1.0, better, bound):
+            reasons.append("%s: lost %d of %d pairs, median ratio %.3f"
+                           % (name, losses, len(pairs), median_ratio))
 
     def failed_share(side):
         return (sum(p[side]["failed"] for p in pairs)
@@ -126,12 +138,11 @@ def main():
                     base = run(base_tree, name)
                     head = run(ROOT, name)
                 pairs.append((head, base))
-                print("%s pair %d (%s first): ops_per_s head %.0f base %.0f, "
-                      "alloc_words_per_op head %.1f base %.1f"
+                print("%s pair %d (%s first): %s"
                       % (name, k + 1, "head" if k % 2 == 0 else "base",
-                         head["metrics"]["ops_per_s"], base["metrics"]["ops_per_s"],
-                         head["metrics"]["alloc_words_per_op"],
-                         base["metrics"]["alloc_words_per_op"]), flush=True)
+                         ", ".join("%s head %.4g base %.4g"
+                                   % (m, head["metrics"][m], base["metrics"][m])
+                                   for m in metrics)), flush=True)
             reasons = decide(pairs, metrics)
             print("%s: %s" % (name, "FAIL: " + "; ".join(reasons) if reasons else "pass"),
                   flush=True)

@@ -37,11 +37,6 @@ let v ~experiment ~label ~seed ~time sections =
 
 let section t name = List.assoc_opt name t.sections
 
-let migrations : (int, (string * string) list -> (string * string) list) Hashtbl.t =
-  Hashtbl.create 4
-
-let register_migration ~from_version f = Hashtbl.replace migrations from_version f
-
 let to_string t =
   (* Layout: magic bytes, u32 version, header fields, u32 section
      count, then each section as (name, crc32(body), body), and
@@ -87,23 +82,21 @@ let parse r =
   in
   { version; experiment; label; seed; time; sections }
 
-let migrate t =
-  let rec go version sections =
-    if version = current_version then Ok { t with version; sections }
-    else
-      match Hashtbl.find_opt migrations version with
-      | Some f -> go (version + 1) (f sections)
-      | None ->
-          Error
-            (Printf.sprintf
-               "snapshot version %d is not readable (current is %d, no migration)"
-               version current_version)
-  in
+(* Only the current version is read.  No bump so far could be
+   migrated (each changed RNG stream derivations or live state that an
+   older file does not hold), so an older file is refused like a newer
+   one. *)
+let check_version t =
   if t.version > current_version then
     Error
       (Printf.sprintf "snapshot version %d is newer than this build's %d"
          t.version current_version)
-  else go t.version t.sections
+  else if t.version < current_version then
+    Error
+      (Printf.sprintf
+         "snapshot version %d is not readable (current is %d, no migration)"
+         t.version current_version)
+  else Ok t
 
 let of_string s =
   (* Whole-file CRC first: a flipped bit anywhere (including inside
@@ -120,7 +113,7 @@ let of_string s =
     else
       match Codec.decode parse prefix with
       | Error _ as e -> e
-      | Ok t -> migrate t
+      | Ok t -> check_version t
   end
 
 let write_file ~path t =

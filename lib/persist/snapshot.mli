@@ -9,13 +9,13 @@
     subtly wrong world.
 
     Versioning: {!current_version} is bumped whenever any component's
-    encoding changes shape.  A reader that meets an older version
-    applies the registered migrations in order until it reaches the
-    current one; an unknown (newer, or unmigratable) version is an
-    error.  See DESIGN.md §8 for the bump procedure. *)
+    encoding changes shape.  Only the current version is readable:
+    {!of_string} refuses an older or a newer one with an error naming
+    both versions (snapshots are never migrated).  See DESIGN.md §8
+    for the bump procedure. *)
 
 type t = {
-  version : int;  (** Format version after migration (= {!current_version}). *)
+  version : int;  (** Format version; {!of_string} accepts only {!current_version}. *)
   experiment : string;  (** e.g. ["e16"]. *)
   label : string;  (** Scenario within the experiment, [""] if none. *)
   seed : int;  (** The world's seed, for refusing cross-seed resume. *)
@@ -43,7 +43,8 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Decode and verify.  Any corruption — bad magic, bad CRC anywhere,
-    truncation, trailing bytes — is an [Error], never a wrong value. *)
+    truncation, trailing bytes — is an [Error], never a wrong value, and
+    so is a version other than {!current_version}. *)
 
 val write_file : path:string -> t -> unit
 val read_file : path:string -> (t, string) result
@@ -54,8 +55,3 @@ val diff : t -> t -> (unit, string) result
     difference.  This is the resume-determinism check: the replayed
     world's capture must [diff] clean against the snapshot it is
     resuming from. *)
-
-val register_migration : from_version:int -> ((string * string) list -> (string * string) list) -> unit
-(** [register_migration ~from_version f] upgrades the section list of a
-    version-[from_version] snapshot to version [from_version + 1].
-    Migrations chain until {!current_version} is reached. *)

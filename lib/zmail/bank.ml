@@ -87,17 +87,9 @@ type t = {
   mutable messages_out : int;
   rejects : int array;  (* indexed by [reject_index] *)
   mutable tracer : Obs.Trace.t;
-  (* Write-ahead-log plumbing, mirroring [Isp]: [disk = None] logs
-     nothing, costs nothing and cannot recover.  The bank's message
-     path draws no randomness ([sign_by_bank] and [open_at_bank] are
-     deterministic), so replaying logged inputs rebuilds the reply
-     cache and audit state byte-identically. *)
-  disk : Sim.Disk.t option;
-  mutable wal_seq : int;
-  mutable wal_since_checkpoint : int;
-  mutable wal_appended : int;
-  mutable wal_replayed : int;
-  mutable replaying : bool;
+  wal : t Journal.t;
+      (* {!Journal.off} without a disk: logs nothing, costs nothing,
+         cannot recover. *)
 }
 
 let set_tracer t tracer = t.tracer <- tracer
@@ -109,9 +101,9 @@ let ev t name fields =
 let public_key t = t.public
 let account_balance t ~isp = t.account.(isp)
 let outstanding_epennies t = t.outstanding
-let disk t = t.disk
-let wal_appended t = t.wal_appended
-let wal_replayed t = t.wal_replayed
+let disk t = Journal.disk t.wal
+let wal_appended t = Journal.appended t.wal
+let wal_replayed t = Journal.replayed t.wal
 
 (* ------------------------------------------------------------------ *)
 (* State capture                                                       *)
@@ -123,9 +115,9 @@ let wal_replayed t = t.wal_replayed
    (isp, nonce) so equal banks encode identically regardless of
    Hashtbl internals.
 
-   [encode_kernel] is the protocol state only — the payload of WAL
-   checkpoint records; the public [encode_state] additionally captures
-   the storage device and WAL bookkeeping when a disk is attached. *)
+   [encode_kernel] is the protocol state only, the body of the WAL's
+   checkpoint images; the public [encode_state] adds the journal (the
+   storage device and WAL bookkeeping) when a disk is attached. *)
 let encode_kernel w t =
   let open Persist.Codec.W in
   int_array w t.account;
@@ -210,48 +202,13 @@ let restore_kernel r t =
 
 let encode_state w t =
   encode_kernel w t;
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.encode_state w d;
-      let open Persist.Codec.W in
-      int w t.wal_seq;
-      int w t.wal_since_checkpoint;
-      int w t.wal_appended;
-      int w t.wal_replayed
+  Journal.encode_state w t.wal
 
 let restore_state r t =
   restore_kernel r t;
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.restore_state r d;
-      let open Persist.Codec.R in
-      t.wal_seq <- int r;
-      t.wal_since_checkpoint <- int r;
-      t.wal_appended <- int r;
-      t.wal_replayed <- int r
+  Journal.restore_state r t.wal
 
-(* CRC-trailed kernel image, the payload of WAL checkpoint records —
-   the same discipline as [Isp.durable_image]. *)
-let durable_image t =
-  let body = Persist.Codec.to_string encode_kernel t in
-  let w = Persist.Codec.W.create () in
-  Persist.Codec.W.str w body;
-  Persist.Codec.W.u32 w (Persist.Codec.Crc32.string body);
-  Persist.Codec.W.contents w
-
-let restore_image t ~image =
-  let restore r =
-    let body = Persist.Codec.R.str r in
-    let crc = Persist.Codec.R.u32 r in
-    if Persist.Codec.Crc32.string body <> crc then
-      Persist.Codec.R.corrupt r "durable image CRC mismatch";
-    match Persist.Codec.decode (fun r -> restore_kernel r t) body with
-    | Ok () -> ()
-    | Error msg -> Persist.Codec.R.corrupt r msg
-  in
-  Persist.Codec.decode restore image
+let durable_image t = Journal.image encode_kernel t
 
 (* ------------------------------------------------------------------ *)
 (* The write-ahead log                                                 *)
@@ -266,46 +223,15 @@ let restore_image t ~image =
    of appending: completed rounds must never replay (their
    [Audit_complete] was already delivered to the world), and the
    checkpoint keeps recovery time bounded by the open round's
-   traffic. *)
+   traffic.  The message path draws no randomness ([sign_by_bank] and
+   [open_at_bank] are deterministic), so replaying the logged inputs
+   rebuilds the reply cache and audit state byte-identically.
 
-let tag_checkpoint = 0
+   Tag 0 is the journal's checkpoint record. *)
+
 let tag_msg = 1
 let tag_start = 2
 let tag_resend = 3
-
-let wal_compact_after = 512
-
-let checkpoint_frame t =
-  let payload =
-    Persist.Codec.to_string
-      (fun w () ->
-        Persist.Codec.W.u8 w tag_checkpoint;
-        Persist.Codec.W.str w (durable_image t))
-      ()
-  in
-  Persist.Wal.frame ~seq:0 payload
-
-let wal_checkpoint t =
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.reset_to d (checkpoint_frame t);
-      t.wal_seq <- 1;
-      t.wal_since_checkpoint <- 0
-
-let wal_append t writer =
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      if not t.replaying then begin
-        let payload = Persist.Codec.to_string (fun w () -> writer w) () in
-        Sim.Disk.append d (Persist.Wal.frame ~seq:t.wal_seq payload);
-        t.wal_seq <- t.wal_seq + 1;
-        t.wal_appended <- t.wal_appended + 1;
-        t.wal_since_checkpoint <- t.wal_since_checkpoint + 1;
-        Sim.Disk.flush d;
-        if t.wal_since_checkpoint >= wal_compact_after then wal_checkpoint t
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -335,15 +261,15 @@ let create ?disk rng config =
       messages_out = 0;
       rejects = Array.make n_reject_reasons 0;
       tracer = Obs.Trace.none;
-      disk;
-      wal_seq = 0;
-      wal_since_checkpoint = 0;
-      wal_appended = 0;
-      wal_replayed = 0;
-      replaying = false;
+      wal =
+        (match disk with
+        | None -> Journal.off
+        | Some d ->
+            Journal.create d ~commit:Every_record ~encode:encode_kernel
+              ~restore:restore_kernel);
     }
   in
-  wal_checkpoint t;
+  Journal.checkpoint t.wal t;
   t
 
 type audit_result = {
@@ -603,9 +529,9 @@ let on_isp_message t ~from_isp sealed =
          checkpoint rather than appended: a completed round must never
          replay (its result already reached the world), and the log
          stays bounded by the open round's traffic. *)
-      wal_checkpoint t
+      Journal.checkpoint t.wal t
   | Reply _ | Audit_progress | Rejected _ ->
-      wal_append t (fun w ->
+      Journal.append t.wal t ~flush:true (fun w ->
           Persist.Codec.W.u8 w tag_msg;
           Persist.Codec.W.int w from_isp;
           Toycrypto.Seal.encode_bin w sealed));
@@ -645,7 +571,7 @@ let start_audit_exec ?(except = []) t =
 
 let start_audit ?except t =
   let requests = start_audit_exec ?except t in
-  wal_append t (fun w ->
+  Journal.append t.wal t ~flush:true (fun w ->
       Persist.Codec.W.u8 w tag_start;
       Persist.Codec.W.list Persist.Codec.W.int w (Option.value ~default:[] except));
   requests
@@ -667,7 +593,7 @@ let resend_audit_request_exec t ~isp =
 let resend_audit_request t ~isp =
   let signed = resend_audit_request_exec t ~isp in
   if signed <> None then
-    wal_append t (fun w ->
+    Journal.append t.wal t ~flush:true (fun w ->
         Persist.Codec.W.u8 w tag_resend;
         Persist.Codec.W.int w isp);
   signed
@@ -681,11 +607,11 @@ let audit_waiting t =
 (* Crash and WAL recovery                                              *)
 (* ------------------------------------------------------------------ *)
 
-let power_cut t = Option.iter Sim.Disk.power_cut t.disk
+let power_cut t = Journal.power_cut t.wal
 
-let replay_record t payload =
-  let r = Persist.Codec.R.of_string payload in
-  let tag = Persist.Codec.R.u8 r in
+(* Replay re-runs the [_exec] bodies, never the logging wrappers, so it
+   appends nothing. *)
+let replay_record t tag r =
   if tag = tag_msg then begin
     let from_isp = Persist.Codec.R.int r in
     let sealed = Toycrypto.Seal.decode_bin r in
@@ -699,54 +625,11 @@ let replay_record t payload =
     let isp = Persist.Codec.R.int r in
     ignore (resend_audit_request_exec t ~isp)
   end
-  else Persist.Codec.R.corrupt r (Printf.sprintf "unknown bank WAL record tag %d" tag);
-  Persist.Codec.R.expect_end r
+  else Journal.unknown_tag r tag
 
 let recover_wal t =
-  match t.disk with
-  | None -> Error "Bank.recover_wal: bank has no disk"
-  | Some d -> (
-      let scan = Persist.Wal.scan (Sim.Disk.contents d) in
-      match scan.Persist.Wal.records with
-      | [] -> Error "Bank.recover_wal: no intact checkpoint record in the log"
-      | first :: deltas -> (
-          let checkpoint =
-            let open Persist.Codec in
-            decode
-              (fun r ->
-                if R.u8 r <> tag_checkpoint then
-                  R.corrupt r "first bank WAL record is not a checkpoint";
-                R.str r)
-              first
-          in
-          match checkpoint with
-          | Error msg -> Error ("Bank.recover_wal: " ^ msg)
-          | Ok image -> (
-              match restore_image t ~image with
-              | Error msg ->
-                  Error ("Bank.recover_wal: corrupt checkpoint image: " ^ msg)
-              | Ok () -> (
-                  let saved_tracer = t.tracer in
-                  t.replaying <- true;
-                  t.tracer <- Obs.Trace.none;
-                  let outcome =
-                    try
-                      List.iter (replay_record t) deltas;
-                      Ok ()
-                    with
-                    | Persist.Codec.Corrupt msg ->
-                        Error ("Bank.recover_wal: " ^ msg)
-                    | Failure msg | Invalid_argument msg ->
-                        Error ("Bank.recover_wal: replay diverged: " ^ msg)
-                  in
-                  t.replaying <- false;
-                  t.tracer <- saved_tracer;
-                  match outcome with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      t.wal_replayed <- List.length deltas;
-                      wal_checkpoint t;
-                      Ok ()))))
+  Journal.recover t.wal t ~name:"Bank.recover_wal" ~tracer:t.tracer ~set_tracer
+    ~replay:replay_record ~after:ignore
 
 type stats = {
   buys : int;

@@ -62,14 +62,14 @@ type t
 
 val create : ?disk:Sim.Disk.t -> Sim.Rng.t -> config -> t
 (** Generates the bank keypair from [rng].  With [disk] the bank keeps
-    a write-ahead log on it: every incoming ISP message, audit-round
-    start and request re-issue is logged (inputs, not outcomes — the
-    bank's message path is deterministic, so replay rebuilds the reply
-    cache and audit state byte-identically) and flushed immediately,
-    and the initial checkpoint is written at once.  A completed audit
-    round compacts the log to a fresh checkpoint, so completed rounds
-    never replay.  Without [disk] the bank logs nothing, pays nothing
-    per operation and cannot recover. *)
+    a write-ahead log on it (a {!Journal} in which every record
+    flushes): every incoming ISP message, audit-round start and request
+    re-issue is logged (inputs, not outcomes — the bank's message path
+    is deterministic, so replay rebuilds the reply cache and audit
+    state byte-identically).  A completed audit round checkpoints the
+    log instead, so completed rounds never replay.  Without [disk] the
+    bank logs nothing, pays nothing per operation and cannot
+    recover. *)
 
 val set_tracer : t -> Obs.Trace.t -> unit
 (** Emit [bank/...] trace events (buy/sell with a replay flag, audit
@@ -169,38 +169,32 @@ val restore_state : Persist.Codec.R.t -> t -> unit
     Restore raises [Persist.Codec.Corrupt] on malformed input or a
     shape mismatch. *)
 
-(** {1 Crash and WAL recovery} *)
+(** {1 Crash and WAL recovery}
+
+    The bank's {!Journal}; without a disk there is no device, the
+    counts stay zero and {!recover_wal} returns [Error]. *)
+
+val durable_image : t -> string
+(** The bank's protocol state (everything {!encode_state} captures but
+    the storage device and WAL bookkeeping) as a {!Journal.image}: the
+    payload of the WAL's checkpoint records. *)
 
 val disk : t -> Sim.Disk.t option
-(** The attached storage device, if any. *)
 
 val power_cut : t -> unit
-(** Apply a power cut to the attached device ({!Sim.Disk.power_cut}).
-    All bank records flush at append, so only a record whose flush was
-    interrupted mid-write (the torn-tail fault) can be damaged.  Follow
-    up with {!recover_wal} to model the crash.  A no-op without a
-    disk. *)
+(** {!Journal.power_cut}.  The in-memory state is untouched: the caller
+    models the crash by following up with {!recover_wal}. *)
 
 val recover_wal : t -> (unit, string) result
-(** Rebuild the bank from the surviving log: scan, truncate at the
-    first torn or corrupt record, restore the leading checkpoint image
-    and replay the logged messages through the normal handlers with
-    tracing suppressed.  The reply cache rebuilds exactly, so an ISP
-    whose request was applied before the crash but whose reply was lost
-    in flight is answered from the cache on retransmission — the crash
-    cannot double-bill.  On success the log is compacted to a fresh
-    checkpoint.  [Error] when no disk is attached, the log has no
-    intact leading checkpoint (refused before anything is restored), or
-    replay diverges (the bank is left at the checkpoint plus the
-    records replayed before it, as for {!Isp.recover_wal}). *)
+(** {!Journal.recover}: restore the log's checkpoint and replay the
+    logged messages through the normal handlers.  The reply cache
+    rebuilds exactly, so an ISP whose request was applied before the
+    crash but whose reply was lost in flight is answered from the
+    cache on retransmission — the crash cannot double-bill. *)
 
 val wal_appended : t -> int
-(** Delta records written over the bank's lifetime (checkpoints
-    excluded). *)
-
 val wal_replayed : t -> int
-(** Delta records replayed by the most recent successful
-    {!recover_wal}. *)
+(** {!Journal.appended} and {!Journal.replayed}. *)
 
 type stats = {
   buys : int;  (** Accepted buy transactions. *)

@@ -80,19 +80,9 @@ type t = {
   mutable refunds : int;
   mutable crashes : int;
   mutable tracer : Obs.Trace.t;
-  (* Write-ahead-log plumbing.  [disk = None] logs nothing and pays
-     nothing per operation; such a kernel cannot recover. *)
-  disk : Sim.Disk.t option;
-  wal_group : int;
-  mutable wal_seq : int;  (** Next frame sequence number on the device. *)
-  mutable wal_lazy : int;  (** Unflushed lazy records (group commit). *)
-  mutable wal_since_checkpoint : int;
-  mutable wal_appended : int;
-  mutable wal_replayed : int;
-  mutable replaying : bool;
-      (** True while {!recover_wal} re-applies logged operations: the
-          WAL writer and the amend transport are suppressed so replay
-          is silent and appends nothing. *)
+  wal : t Journal.t;
+      (** {!Journal.off} without a disk: logs nothing, pays nothing per
+          operation, cannot recover. *)
 }
 
 let set_tracer t tracer =
@@ -120,7 +110,7 @@ let pending_sell_nonce t = Option.map (fun p -> p.nonce) t.pending_sell
 let audit_seq t = t.seq
 let set_audit_tamper t f = t.audit_tamper <- f
 let set_amend_hook t f = t.amend_hook <- f
-let disk t = t.disk
+let disk t = Journal.disk t.wal
 
 (* ------------------------------------------------------------------ *)
 (* State capture                                                       *)
@@ -144,11 +134,9 @@ let decode_pending r =
    including the RNG and nonce streams, which must continue bit-for-bit
    for a resumed run to match the straight-through one — is here.
 
-   [encode_kernel] is the protocol state only; the public
-   {!encode_state} additionally captures the storage device and WAL
-   bookkeeping when a disk is attached.  The split matters because WAL
-   checkpoint records embed a kernel image: a checkpoint that included
-   the device would contain the log that contains the checkpoint. *)
+   [encode_kernel] is the protocol state only, the body of the WAL's
+   checkpoint images; the public {!encode_state} adds the journal (the
+   storage device and WAL bookkeeping) when a disk is attached. *)
 let encode_kernel w t =
   let open Persist.Codec.W in
   Sim.Rng.encode_state w t.rng;
@@ -198,56 +186,13 @@ let restore_kernel r t =
 
 let encode_state w t =
   encode_kernel w t;
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.encode_state w d;
-      let open Persist.Codec.W in
-      int w t.wal_seq;
-      int w t.wal_lazy;
-      int w t.wal_since_checkpoint;
-      int w t.wal_appended;
-      int w t.wal_replayed
+  Journal.encode_state w t.wal
 
 let restore_state r t =
   restore_kernel r t;
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.restore_state r d;
-      let open Persist.Codec.R in
-      t.wal_seq <- int r;
-      t.wal_lazy <- int r;
-      t.wal_since_checkpoint <- int r;
-      t.wal_appended <- int r;
-      t.wal_replayed <- int r
+  Journal.restore_state r t.wal
 
-(* The kernel image is the unit of atomic durability: the payload of a
-   WAL checkpoint record.  It carries its own CRC-32 trailer (like a
-   snapshot section) so a flipped bit anywhere in it — including
-   inside a plain integer field the codec could otherwise decode —
-   aborts recovery instead of restoring a subtly wrong kernel. *)
-let durable_image t =
-  let body = Persist.Codec.to_string encode_kernel t in
-  let w = Persist.Codec.W.create () in
-  Persist.Codec.W.str w body;
-  Persist.Codec.W.u32 w (Persist.Codec.Crc32.string body);
-  Persist.Codec.W.contents w
-
-(* Restore a checkpoint image without the crash bookkeeping.  The CRC
-   is checked before any field is restored, so a damaged image is
-   refused with the kernel unchanged. *)
-let restore_image t ~image =
-  let restore r =
-    let body = Persist.Codec.R.str r in
-    let crc = Persist.Codec.R.u32 r in
-    if Persist.Codec.Crc32.string body <> crc then
-      Persist.Codec.R.corrupt r "durable image CRC mismatch";
-    match Persist.Codec.decode (fun r -> restore_kernel r t) body with
-    | Ok () -> ()
-    | Error msg -> Persist.Codec.R.corrupt r msg
-  in
-  Persist.Codec.decode restore image
+let durable_image t = Journal.image encode_kernel t
 
 (* ------------------------------------------------------------------ *)
 (* The write-ahead log                                                 *)
@@ -278,9 +223,10 @@ let restore_image t ~image =
    appended and flushed inside the same engine callback as its
    operation is atomic with it; the meaningful write-ahead guarantee
    is "flushed before the next event can observe the effect", which
-   the policy above provides. *)
+   the policy above provides.
 
-let tag_checkpoint = 0
+   Tag 0 is the journal's checkpoint record. *)
+
 let tag_charge = 1
 let tag_deliver = 2
 let tag_refund = 3
@@ -291,61 +237,8 @@ let tag_thaw = 7
 let tag_end_of_day = 8
 let tag_warnings = 9
 
-(* Rewrite the log as one fresh checkpoint once this many delta
-   records accumulate.  Purely count-based, hence deterministic. *)
-let wal_compact_after = 512
-
-let checkpoint_frame t =
-  let payload =
-    Persist.Codec.to_string
-      (fun w () ->
-        Persist.Codec.W.u8 w tag_checkpoint;
-        Persist.Codec.W.str w (durable_image t))
-      ()
-  in
-  Persist.Wal.frame ~seq:0 payload
-
-let wal_checkpoint t =
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.reset_to d (checkpoint_frame t);
-      t.wal_seq <- 1;
-      t.wal_lazy <- 0;
-      t.wal_since_checkpoint <- 0
-
-let wal_append t ~flush writer =
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      if not t.replaying then begin
-        let payload =
-          Persist.Codec.to_string
-            (fun w () ->
-              writer w;
-              (* no result *))
-            ()
-        in
-        Sim.Disk.append d (Persist.Wal.frame ~seq:t.wal_seq payload);
-        t.wal_seq <- t.wal_seq + 1;
-        t.wal_appended <- t.wal_appended + 1;
-        t.wal_since_checkpoint <- t.wal_since_checkpoint + 1;
-        if flush then begin
-          Sim.Disk.flush d;
-          t.wal_lazy <- 0
-        end
-        else begin
-          t.wal_lazy <- t.wal_lazy + 1;
-          if t.wal_lazy >= t.wal_group then begin
-            Sim.Disk.flush d;
-            t.wal_lazy <- 0
-          end
-        end;
-        if t.wal_since_checkpoint >= wal_compact_after then wal_checkpoint t
-      end
-
-let wal_appended t = t.wal_appended
-let wal_replayed t = t.wal_replayed
+let wal_appended t = Journal.appended t.wal
+let wal_replayed t = Journal.replayed t.wal
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -390,20 +283,18 @@ let create ?disk ?(wal_group = 8) rng config =
       refunds = 0;
       crashes = 0;
       tracer = Obs.Trace.none;
-      disk;
-      wal_group;
-      wal_seq = 0;
-      wal_lazy = 0;
-      wal_since_checkpoint = 0;
-      wal_appended = 0;
-      wal_replayed = 0;
-      replaying = false;
+      wal =
+        (match disk with
+        | None -> Journal.off
+        | Some d ->
+            Journal.create d ~commit:(Group wal_group) ~encode:encode_kernel
+              ~restore:restore_kernel);
     }
   in
   (* A WAL-backed kernel is born with its initial state durable: the
      log always starts with a checkpoint record, so recovery never has
      to guess at a baseline. *)
-  wal_checkpoint t;
+  Journal.checkpoint t.wal t;
   t
 
 type send_outcome =
@@ -457,7 +348,7 @@ let charge_send t ~sender ~dest_isp =
   if not t.cansend then Deferred
   else begin
     let outcome = charge_exec t ~sender ~dest_isp in
-    wal_append t
+    Journal.append t.wal t
       ~flush:(match outcome with Sent_paid -> true | _ -> false)
       (fun w ->
         Persist.Codec.W.u8 w tag_charge;
@@ -484,7 +375,7 @@ let refund_exec t ~sender ~dest_isp =
 
 let refund_send t ~sender ~dest_isp =
   refund_exec t ~sender ~dest_isp;
-  wal_append t ~flush:true (fun w ->
+  Journal.append t.wal t ~flush:true (fun w ->
       Persist.Codec.W.u8 w tag_refund;
       Persist.Codec.W.int w sender;
       Persist.Codec.W.int w dest_isp)
@@ -559,7 +450,7 @@ let accept_delivery_stamped t ~sender_epoch ~from_isp ~rcpt =
   if not t.config.compliant.(from_isp) then `Unpaid
   else begin
     let amended = deliver_exec t ~replay_amend:None ~sender_epoch ~from_isp ~rcpt in
-    wal_append t ~flush:true (fun w ->
+    Journal.append t.wal t ~flush:true (fun w ->
         Persist.Codec.W.u8 w tag_deliver;
         Persist.Codec.W.opt Persist.Codec.W.int w sender_epoch;
         Persist.Codec.W.int w from_isp;
@@ -577,7 +468,7 @@ let user_topup t ~user ~amount =
   match Ledger.user_buy t.ledger ~user ~amount with
   | Error _ as e -> e
   | Ok () ->
-      wal_append t ~flush:true (fun w ->
+      Journal.append t.wal t ~flush:true (fun w ->
           Persist.Codec.W.u8 w tag_topup;
           Persist.Codec.W.int w user;
           Persist.Codec.W.int w amount);
@@ -616,7 +507,7 @@ let pool_action t =
      is durable before the sealed request can reach any wire.  The
      no-request path touches nothing and logs nothing. *)
   if request <> None then
-    wal_append t ~flush:true (fun w -> Persist.Codec.W.u8 w tag_pool);
+    Journal.append t.wal t ~flush:true (fun w -> Persist.Codec.W.u8 w tag_pool);
   request
 
 type reaction = No_reaction | Start_snapshot_timer
@@ -722,7 +613,7 @@ let on_bank_message t signed =
         | Wire.Buy_reply _ | Wire.Sell_reply _ -> true
         | _ -> false
       in
-      wal_append t ~flush (fun w ->
+      Journal.append t.wal t ~flush (fun w ->
           Persist.Codec.W.u8 w tag_bank_msg;
           Wire.encode_bin w payload);
       reaction
@@ -749,7 +640,7 @@ let thaw t =
   (* The epoch advance closes a billing period; everything after it
      books into the next one, so the stamp must be durable before the
      sealed reply leaves. *)
-  wal_append t ~flush:true (fun w -> Persist.Codec.W.u8 w tag_thaw);
+  Journal.append t.wal t ~flush:true (fun w -> Persist.Codec.W.u8 w tag_thaw);
   reply
 
 let apply_daily_cheat t =
@@ -780,7 +671,7 @@ let end_of_day t =
   let minted =
     match t.config.cheat with Fake_receives k -> k > 0 | Honest | Unreported_sends _ -> false
   in
-  wal_append t ~flush:minted (fun w -> Persist.Codec.W.u8 w tag_end_of_day)
+  Journal.append t.wal t ~flush:minted (fun w -> Persist.Codec.W.u8 w tag_end_of_day)
 
 let limit_warnings_exec t =
   let warnings = List.rev t.pending_warnings in
@@ -790,18 +681,21 @@ let limit_warnings_exec t =
 let limit_warnings t =
   let warnings = limit_warnings_exec t in
   if warnings <> [] then
-    wal_append t ~flush:false (fun w -> Persist.Codec.W.u8 w tag_warnings);
+    Journal.append t.wal t ~flush:false (fun w -> Persist.Codec.W.u8 w tag_warnings);
   warnings
 
 (* ------------------------------------------------------------------ *)
 (* Crash and WAL recovery                                              *)
 (* ------------------------------------------------------------------ *)
 
-let power_cut t = Option.iter Sim.Disk.power_cut t.disk
+let power_cut t = Journal.power_cut t.wal
 
-let replay_record t payload =
-  let r = Persist.Codec.R.of_string payload in
-  let tag = Persist.Codec.R.u8 r in
+(* Every branch re-runs the live call's mutation body (an [_exec]
+   function, never the logging wrapper), so replay appends nothing.
+   A replayed delivery folds a stale-epoch receive by its logged
+   amend-transport verdict ([replay_amend]) and never re-seals or
+   re-sends the amended reply. *)
+let replay_record t tag r =
   if tag = tag_charge then begin
     let sender = Persist.Codec.R.int r in
     let dest_isp = Persist.Codec.R.int r in
@@ -833,63 +727,19 @@ let replay_record t payload =
   else if tag = tag_thaw then ignore (thaw_exec t)
   else if tag = tag_end_of_day then end_of_day_exec t
   else if tag = tag_warnings then ignore (limit_warnings_exec t)
-  else Persist.Codec.R.corrupt r (Printf.sprintf "unknown WAL record tag %d" tag);
-  Persist.Codec.R.expect_end r
+  else Journal.unknown_tag r tag
+
+(* The restart steps, before the journal's post-recovery checkpoint
+   (which therefore holds them): count the crash and lift the §4.4
+   freeze, which is volatile — the bank's request retransmission
+   restarts it. *)
+let restart t =
+  t.crashes <- t.crashes + 1;
+  t.cansend <- true
 
 let recover_wal t =
-  match t.disk with
-  | None -> Error "Isp.recover_wal: kernel has no disk"
-  | Some d -> (
-      let scan = Persist.Wal.scan (Sim.Disk.contents d) in
-      match scan.Persist.Wal.records with
-      | [] -> Error "Isp.recover_wal: no intact checkpoint record in the log"
-      | first :: deltas -> (
-          let checkpoint =
-            let open Persist.Codec in
-            decode
-              (fun r ->
-                if R.u8 r <> tag_checkpoint then
-                  R.corrupt r "first WAL record is not a checkpoint";
-                R.str r)
-              first
-          in
-          match checkpoint with
-          | Error msg -> Error ("Isp.recover_wal: " ^ msg)
-          | Ok image -> (
-              match restore_image t ~image with
-              | Error msg ->
-                  Error ("Isp.recover_wal: corrupt checkpoint image: " ^ msg)
-              | Ok () -> (
-                  (* Replay is silent: nothing is traced, nothing is
-                     appended, no amended reply is re-sent — the world
-                     already saw all of it the first time. *)
-                  let saved_tracer = t.tracer in
-                  t.replaying <- true;
-                  set_tracer t Obs.Trace.none;
-                  let outcome =
-                    try
-                      List.iter (replay_record t) deltas;
-                      Ok ()
-                    with
-                    | Persist.Codec.Corrupt msg ->
-                        Error ("Isp.recover_wal: " ^ msg)
-                    | Failure msg | Invalid_argument msg ->
-                        Error ("Isp.recover_wal: replay diverged: " ^ msg)
-                  in
-                  t.replaying <- false;
-                  set_tracer t saved_tracer;
-                  match outcome with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      t.wal_replayed <- List.length deltas;
-                      t.crashes <- t.crashes + 1;
-                      t.cansend <- true;
-                      (* Compact: recovery is the natural checkpoint
-                         boundary, and rewriting the log here also
-                         truncates whatever torn or rotten suffix the
-                         power cut left behind. *)
-                      wal_checkpoint t;
-                      Ok ()))))
+  Journal.recover t.wal t ~name:"Isp.recover_wal" ~tracer:t.tracer ~set_tracer
+    ~replay:replay_record ~after:restart
 
 let total_epennies t = Ledger.total_epennies t.ledger
 

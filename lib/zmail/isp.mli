@@ -17,17 +17,12 @@
     {2 Durability}
 
     A kernel is durable only with a {!Sim.Disk} attached at {!create};
-    without one it logs nothing and cannot recover.  Durability goes
-    through an incremental write-ahead log: the log starts with a
-    checkpoint record holding a {!durable_image}, and every
-    billing-relevant transition appends a CRC'd, sequence-numbered
-    record ({!Persist.Wal} framing) under a group-commit flush policy —
-    money-moving and message-emitting transitions flush immediately,
-    counter-only ones ride until [wal_group] accumulate — and crash
-    recovery ({!power_cut} then {!recover_wal}) scans the surviving log,
-    restores the leading checkpoint image and replays the delta records
-    through the same mutation code, reproducing the lost kernel bit for
-    bit up to the last flushed record. *)
+    without one it logs nothing and cannot recover.  The log is a
+    {!Journal} (checkpoints, framing, compaction, recovery): every
+    billing-relevant transition appends a record of its inputs under
+    group commit — money-moving and message-emitting transitions flush
+    immediately, counter-only ones ride until [wal_group] accumulate —
+    and {!recover_wal} replays them through the same mutation code. *)
 
 type cheat =
   | Honest
@@ -109,13 +104,10 @@ val audit_seq : t -> int
 (** The next audit sequence number this kernel will accept. *)
 
 val durable_image : t -> string
-(** An atomic capture of the kernel's complete protocol state (ledger,
-    credit vectors, audit sequence, pending buy/sell records, RNG/nonce
-    streams, counters) as one [Persist.Codec] string with its own
-    CRC-32 trailer: the payload of the WAL's checkpoint records, which
-    the log's delta records extend.  The storage device is deliberately
-    {e not} part of the image (a checkpoint that embedded the log would
-    contain itself). *)
+(** The kernel's complete protocol state (ledger, credit vectors, audit
+    sequence, pending buy/sell records, RNG/nonce streams, counters) as
+    a {!Journal.image}: the payload of the WAL's checkpoint records.
+    The storage device is not part of it. *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
@@ -237,53 +229,24 @@ val set_amend_hook : t -> (seq:int -> Toycrypto.Seal.sealed -> bool) option -> u
 
 (** {1 Crash and WAL recovery}
 
-    The write-ahead path.  Only meaningful for kernels created with a
-    disk; see the module description for the logging discipline. *)
+    The kernel's {!Journal}; without a disk there is no device, the
+    counts stay zero and {!recover_wal} returns [Error]. *)
 
 val disk : t -> Sim.Disk.t option
-(** The attached storage device, if any. *)
 
 val power_cut : t -> unit
-(** Apply a power cut to the attached device: the unflushed log tail is
-    lost, modulo the device's fault plan ({!Sim.Disk.power_cut}).  The
-    kernel's in-memory state is deliberately untouched — the caller
-    models the crash by following up with {!recover_wal}, which
-    discards it.  A no-op without a disk. *)
+(** {!Journal.power_cut}.  The in-memory state is untouched: the caller
+    models the crash by following up with {!recover_wal}. *)
 
 val recover_wal : t -> (unit, string) result
-(** Rebuild the kernel from the surviving log: scan the device's
-    durable bytes ({!Persist.Wal.scan}), truncating at the first torn
-    or corrupt record; restore the leading checkpoint image; replay the
-    delta records through the same mutation code with tracing and
-    logging suppressed (the world already observed these transitions
-    the first time).  Because the checkpoint restores the RNG and nonce
-    streams and every stream-consuming transition is logged, replay
-    reproduces every probabilistic branch and sealing draw, so the
-    recovered kernel matches the lost one bit for bit up to the last
-    flushed record.  On success the crash is counted, the volatile
-    freeze flag lifted, and the log compacted to a fresh checkpoint
-    (which also discards the damaged suffix).  Damage past the
-    checkpoint is not an error: the log simply ends there, as at a torn
-    tail.
-
-    [Error] when no disk is attached, or when:
-    - the leading checkpoint is damaged (no intact first record, a
-      wrong tag, an image failing its CRC).  This is refused before
-      anything is restored: the kernel is unchanged.
-    - replay diverges: a record that frames correctly cannot be
-      re-applied.  That is a bug, not a device fault.  The kernel is
-      left at the checkpoint plus the records replayed before it; the
-      crash is not counted and the log is not compacted.
-
-    Never raises on a damaged log. *)
+(** {!Journal.recover}: restore the log's checkpoint and replay the
+    delta records after it.  Before the post-recovery checkpoint the
+    crash is counted ({!stats_crashes}) and the volatile §4.4 freeze is
+    lifted; the bank's request retransmission restarts it. *)
 
 val wal_appended : t -> int
-(** Delta records written to the log over the kernel's lifetime
-    (checkpoints excluded). *)
-
 val wal_replayed : t -> int
-(** Delta records replayed by the most recent successful
-    {!recover_wal}. *)
+(** {!Journal.appended} and {!Journal.replayed}. *)
 
 (** {1 Housekeeping} *)
 

@@ -461,7 +461,19 @@ let conservation_across_crash =
 
 (* Compaction: once the delta count crosses the threshold the log is
    rewritten as a fresh checkpoint; recovery from the compacted log
-   still lands on the live state. *)
+   still lands on the live state.  [recovered ~crash_first] runs the
+   same ops with the crash after them or before them (as in
+   [recovered] above) and returns the kernel's appended and replayed
+   counts and its durable image. *)
+let compaction_lands_on_live recovered =
+  let appended, replayed, image = recovered ~crash_first:false in
+  checkb "enough deltas to force compaction" true (appended > 512);
+  checkb "few records replayed after compaction" true (replayed < 512);
+  (* Replay crossed a compaction boundary and still lands where the
+     same ops run live after a checkpoint-only recovery. *)
+  let _, _, reference = recovered ~crash_first:true in
+  checkb "compacted replay equals live ops" true (String.equal image reference)
+
 let wal_compaction () =
   let ops k =
     for i = 0 to 699 do
@@ -469,15 +481,54 @@ let wal_compaction () =
       ignore (Zmail.Isp.accept_delivery k ~from_isp:1 ~rcpt:(i mod 3))
     done
   in
-  let k = recovered ~seed:5 ~crash_first:false ops in
-  checkb "enough deltas to force compaction" true (Zmail.Isp.wal_appended k > 512);
-  checkb "few records replayed after compaction" true
-    (Zmail.Isp.wal_replayed k < 512);
-  (* Replay crossed a compaction boundary and still lands where the
-     same ops run live after a checkpoint-only recovery. *)
-  checkb "compacted replay equals live ops" true
-    (String.equal (Zmail.Isp.durable_image k)
-       (Zmail.Isp.durable_image (recovered ~seed:5 ~crash_first:true ops)))
+  compaction_lands_on_live (fun ~crash_first ->
+      let k = recovered ~seed:5 ~crash_first ops in
+      (Zmail.Isp.wal_appended k, Zmail.Isp.wal_replayed k, Zmail.Isp.durable_image k))
+
+(* The bank's log under the same check: two ISPs buy one e-penny at a
+   time, 350 buys each, so 700 logged messages and no audit round to
+   checkpoint them away. *)
+let bank_wal_compaction () =
+  compaction_lands_on_live (fun ~crash_first ->
+      let rng = Sim.Rng.create 31 in
+      let compliant = [| true; true |] in
+      let disk = Sim.Disk.create (Sim.Rng.create 32) in
+      let bank =
+        Zmail.Bank.create ~disk rng (Zmail.Bank.default_config ~n_isps:2 ~compliant)
+      in
+      let kernels =
+        Array.init 2 (fun index ->
+            Zmail.Isp.create rng
+              {
+                (Zmail.Isp.default_config ~index ~n_isps:2 ~n_users:2 ~compliant
+                   ~bank_public:(Zmail.Bank.public_key bank))
+                with
+                Zmail.Isp.minavail = 1000;
+                initial_avail = 0;
+                buy_amount = 1;
+              })
+      in
+      let crash () =
+        Zmail.Bank.power_cut bank;
+        match Zmail.Bank.recover_wal bank with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "bank recover_wal failed: %s" e
+      in
+      if crash_first then crash ();
+      for _ = 1 to 350 do
+        Array.iteri
+          (fun index k ->
+            match Zmail.Isp.pool_action k with
+            | None -> Alcotest.fail "expected a buy request"
+            | Some sealed -> (
+                match Zmail.Bank.on_isp_message bank ~from_isp:index sealed with
+                | Zmail.Bank.Reply r -> ignore (Zmail.Isp.on_bank_message k r)
+                | _ -> Alcotest.fail "expected a buy reply"))
+          kernels
+      done;
+      if not crash_first then crash ();
+      (Zmail.Bank.wal_appended bank, Zmail.Bank.wal_replayed bank,
+       Zmail.Bank.durable_image bank))
 
 (* The bank's WAL: log the inputs, replay the messages — the reply
    cache must rebuild byte-identically so a post-crash retransmission
@@ -578,6 +629,7 @@ let () =
           qtest replay_equals_image;
           qtest conservation_across_crash;
           Alcotest.test_case "compaction" `Quick wal_compaction;
+          Alcotest.test_case "bank compaction" `Quick bank_wal_compaction;
           Alcotest.test_case "bank replay + reply cache" `Quick bank_wal_replay;
         ] );
     ]
