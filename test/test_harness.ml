@@ -1,6 +1,12 @@
 (* Smoke and shape tests for the experiment harness: every experiment
    must run, produce its tables, and exhibit the qualitative shape the
-   paper claims (the precise numbers live in EXPERIMENTS.md). *)
+   paper claims (the precise numbers live in EXPERIMENTS.md).  The
+   federation experiments' tables are also pinned byte for byte
+   against test/golden/federation_tables.txt; to regenerate it after
+   an intentional change:
+
+     ZMAIL_BLESS_GOLDEN=$PWD/test/golden dune exec test/test_harness.exe
+*)
 
 let rows table = Sim.Table.rows table
 
@@ -136,6 +142,28 @@ let test_e15_shape () =
           Alcotest.(check string) "no suspects" "-" suspects
       | _ -> Alcotest.fail "unexpected audit rows")
   | _ -> Alcotest.fail "expected three tables"
+
+(* E15 and E19 at their default seeds, rendered as the CLI prints
+   them, against the committed golden. *)
+let federation_golden = "golden/federation_tables.txt"
+
+let test_federation_golden () =
+  let live =
+    Format.asprintf "%a"
+      (Format.pp_print_list ~pp_sep:Format.pp_print_newline Sim.Table.pp)
+      (Harness.E15_federation.run () @ Harness.E19_bank_wire.run ())
+  in
+  match Sys.getenv_opt "ZMAIL_BLESS_GOLDEN" with
+  | Some dir ->
+      let out = Filename.concat dir (Filename.basename federation_golden) in
+      Out_channel.with_open_bin out (fun oc -> output_string oc live);
+      Printf.eprintf "blessed %s\n%!" out
+  | None ->
+      let golden = In_channel.with_open_bin federation_golden In_channel.input_all in
+      Alcotest.(check string)
+        "E15/E19 tables match the golden (regenerate per the header comment \
+         if the change is intentional)"
+        golden live
 
 let test_registry () =
   Alcotest.(check int) "twenty-two experiments" 22 (List.length Harness.Experiments.all);
@@ -317,6 +345,10 @@ let () =
           Alcotest.test_case "e13 audit period" `Slow test_e13_shape;
           Alcotest.test_case "e14 policies" `Slow test_e14_shape;
           Alcotest.test_case "e15 federation" `Quick test_e15_shape;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "e15 and e19 tables" `Quick test_federation_golden;
         ] );
       ( "registry",
         [
