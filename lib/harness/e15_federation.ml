@@ -1,6 +1,7 @@
 (* Four ISPs homed round-robin to two banks.  ISPs 0 and 2 (bank 0's
    members) send far more than they receive, so e-pennies migrate to
-   bank 1's members, whose pool sells then drain bank 1's cash. *)
+   bank 1's members, whose pool sells then drain bank 1's cash.  The
+   imbalance is then cleared over a reliable mesh by [Zmail.Clearing]. *)
 
 let run ?(seed = 15) () =
   let rng = Sim.Rng.create seed in
@@ -90,7 +91,15 @@ let run ?(seed = 15) () =
           Sim.Table.cell_int position;
         ])
     before;
-  let transfers = Zmail.Federation.settle federation in
+  (* Settle through the clearing driver on a reliable two-bank mesh,
+     and let every transfer land before reading the positions. *)
+  let engine = Sim.Engine.create ~seed () in
+  let mesh =
+    Sim.Fault.Mesh.create ~n_nodes:2 engine (Sim.Rng.stream ~seed ~tag:0xc1ea7)
+  in
+  let clr = Zmail.Clearing.create ~engine ~mesh federation in
+  let transfers = Zmail.Clearing.settle_round clr in
+  Sim.Engine.run engine;
   let clearing =
     Sim.Table.create ~title:"E15: clearing transfers and post-settlement positions"
       ~columns:[ "transfer"; "amount"; "positions after" ]

@@ -388,7 +388,7 @@ let run_fed_cell ~seed ~n_banks ~(chaos : chaos) ~behavior_name ~behavior =
       Zmail.Federation.behaviors }
   in
   let fed = Zmail.Federation.create rng fed_cfg in
-  let expected_money = n_isps * fed_cfg.Zmail.Federation.initial_account in
+  let expected_money = Zmail.Federation.total_money fed in
   let compliant = Array.make n_isps true in
   let kernels =
     Array.init n_isps (fun i ->

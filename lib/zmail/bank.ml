@@ -99,6 +99,8 @@ let ev t name fields =
     Obs.Trace.emit t.tracer ~fields ~comp:"bank" name
 
 let public_key t = t.public
+let sign t payload = Wire.sign_by_bank t.secret payload
+let open_sealed t sealed = Wire.open_at_bank t.secret sealed
 let account_balance t ~isp = t.account.(isp)
 let outstanding_epennies t = t.outstanding
 let disk t = Journal.disk t.wal

@@ -34,13 +34,15 @@ type reject =
       (** Unseal or decode failed: forged, bit-flipped, cross-signed
           (sealed to some other key) or garbage bytes. *)
   | Foreign_bank
-      (** Federation only: sealed to another member bank's key (the
-          recipient id names a real member that is not the sender's
-          home bank). *)
+      (** Sealed to another member bank's key (the recipient id names a
+          real member that is not the sender's home bank).  Decided by
+          {!Federation.on_isp_message} before the envelope reaches the
+          home bank; a bank alone never returns it. *)
   | Replayed
-      (** Federation only: a buy/sell nonce already served.  The
-          single bank answers replays from its reply cache instead
-          (counted in [replays_dropped], not here). *)
+      (** Returned by nothing: every bank, federation members included,
+          answers a duplicate buy/sell from its reply cache (counted in
+          [replays_dropped], not here).  The reason stays because the
+          per-reason counters are part of the bank's encoded state. *)
   | Wrong_state
       (** An audit reply when no audit is running, for a stale round,
           or through the wrong entry point. *)
@@ -76,6 +78,17 @@ val set_tracer : t -> Obs.Trace.t -> unit
     spans and replies, rejects).  Default: {!Obs.Trace.none}. *)
 
 val public_key : t -> Toycrypto.Rsa.public
+
+val sign : t -> Wire.payload -> Wire.signed
+(** Sign a bank-origin payload with this bank's key.  Counts nothing
+    and logs nothing: the federation signs its global audit requests
+    and clearing messages with its members' keys here. *)
+
+val open_sealed : t -> Toycrypto.Seal.sealed -> Wire.payload option
+(** Open an envelope sealed to this bank ([None] if it is unreadable).
+    Changes no state: the federation opens its global audit replies
+    here. *)
+
 val account_balance : t -> isp:int -> int
 val outstanding_epennies : t -> Epenny.amount
 
@@ -132,12 +145,11 @@ val start_audit : ?except:int list -> t -> (int * Wire.signed) list
     against what the reporters claimed this round.
 
     The carry matrix is a {e per-bank} device: it reconciles rounds run
-    through this bank's own [start_audit].  A federation-global audit
-    ({!Federation.start_audit}) addresses every member synchronously
-    and verifies the merged matrix directly, so it neither consumes nor
-    feeds any member bank's carry; mixing per-bank quorum rounds with
-    federation-global rounds over the same ISPs would double-count the
-    carried claims and is not supported.
+    through this bank's own [start_audit].  Federation members never
+    run one: a federation-global audit ({!Federation.start_audit})
+    signs its requests with {!sign}, opens the replies with
+    {!open_sealed} and verifies the merged matrix itself, so a
+    member's audit state and carry stay unused.
     @raise Invalid_argument if an audit is already in progress, or if
     [except] covers every compliant ISP (defer the round instead). *)
 

@@ -1,5 +1,5 @@
-(* Mesh-routed inter-bank clearing: the production path behind
-   [Federation.settle].  A settlement round plans its transfers
+(* Mesh-routed inter-bank clearing, the one way money moves between
+   member banks.  A settlement round plans its transfers
    ([Federation.settle_plan]), signs each one and pushes it through a
    [Sim.Fault.Mesh] link as a datagram — possibly lossy, delaying,
    partitioned, or owned by an [Adversary.Bank_wire] tap.  The sender
@@ -57,31 +57,36 @@ let tap t ~src ~dst = List.assoc_opt (src, dst) t.taps
 let mark_acked t xfer_id =
   List.iter (fun p -> if p.xfer_id = xfer_id then p.acked <- true) t.pending
 
+(* Offer one message to the wire from [src] to [dst]: through that
+   directed link's tap, if any, which may pass, drop, hold or
+   inject-then-pass it; whatever it lets through goes to [deliver]. *)
+let offer t ~src ~dst deliver msg =
+  t.messages <- t.messages + 1;
+  match tap t ~src ~dst with
+  | None -> deliver msg
+  | Some adv -> (
+      match
+        Adversary.Bank_wire.on_signed adv ~kind:Adversary.Bank_wire.Clearing_msg msg
+      with
+      | Adversary.Bank_wire.S_pass -> deliver msg
+      | Adversary.Bank_wire.S_drop -> ()
+      | Adversary.Bank_wire.S_delay d ->
+          ignore (Sim.Engine.schedule_after t.engine ~delay:d (fun () -> deliver msg))
+      | Adversary.Bank_wire.S_inject extra ->
+          deliver extra;
+          deliver msg)
+
 (* Ack path: receiving bank -> originating bank, through its own
    directed tap and mesh link.  Acks are not themselves retransmitted;
    a lost ack is recovered by the transfer retransmit, which the
    receiver answers with a fresh ack. *)
 let send_ack t ~from_bank ~to_bank ack =
-  let deliver =
-    Sim.Fault.Mesh.route t.mesh ~src:to_bank ~dst:from_bank (fun msg ->
-        match Federation.receive_ack t.fed ~to_bank msg with
-        | Ok xfer_id -> mark_acked t xfer_id
-        | Error _ -> ())
-  in
-  t.messages <- t.messages + 1;
-  match tap t ~src:to_bank ~dst:from_bank with
-  | None -> deliver ack
-  | Some adv -> (
-      match
-        Adversary.Bank_wire.on_signed adv ~kind:Adversary.Bank_wire.Clearing_msg ack
-      with
-      | Adversary.Bank_wire.S_pass -> deliver ack
-      | Adversary.Bank_wire.S_drop -> ()
-      | Adversary.Bank_wire.S_delay d ->
-          ignore (Sim.Engine.schedule_after t.engine ~delay:d (fun () -> deliver ack))
-      | Adversary.Bank_wire.S_inject extra ->
-          deliver extra;
-          deliver ack)
+  offer t ~src:to_bank ~dst:from_bank
+    (Sim.Fault.Mesh.route t.mesh ~src:to_bank ~dst:from_bank (fun msg ->
+         match Federation.receive_ack t.fed ~to_bank msg with
+         | Ok xfer_id -> mark_acked t xfer_id
+         | Error _ -> ()))
+    ack
 
 (* Forward path: the banks are read from the (signed) payload, so an
    injected replay of an old transfer is delivered — and deduped — on
@@ -101,24 +106,7 @@ let deliver_transfer t msg =
 
 let transmit t p =
   Sim.Retry.until_settled t.engine t.retry ~still:(fun () -> not p.acked)
-  @@ fun () ->
-  t.messages <- t.messages + 1;
-  match tap t ~src:p.from_bank ~dst:p.to_bank with
-  | None -> deliver_transfer t p.msg
-  | Some adv -> (
-      match
-        Adversary.Bank_wire.on_signed adv ~kind:Adversary.Bank_wire.Clearing_msg
-          p.msg
-      with
-      | Adversary.Bank_wire.S_pass -> deliver_transfer t p.msg
-      | Adversary.Bank_wire.S_drop -> ()
-      | Adversary.Bank_wire.S_delay d ->
-          ignore
-            (Sim.Engine.schedule_after t.engine ~delay:d (fun () ->
-                 deliver_transfer t p.msg))
-      | Adversary.Bank_wire.S_inject extra ->
-          deliver_transfer t extra;
-          deliver_transfer t p.msg)
+  @@ fun () -> offer t ~src:p.from_bank ~dst:p.to_bank (deliver_transfer t) p.msg
 
 (* Obligations issued but (as far as the planner can tell) not yet
    executed: unacked and not recorded at the destination's dedup

@@ -1,5 +1,5 @@
-(** Mesh-routed inter-bank clearing — {!Federation.settle} over an
-    unreliable wire.
+(** Mesh-routed inter-bank clearing: the one way money moves between
+    member banks, over whatever wire the caller gives it.
 
     A {!settle_round} plans its transfers with
     {!Federation.settle_plan}, signs each as a {!Wire.Transfer} and
@@ -19,7 +19,8 @@
     trapped behind a partition is {e carry} ({!pending_amount}), and a
     later round plans around it ([in_flight] adjustment) instead of
     re-issuing it; when the mesh heals, retries drain the carry to
-    zero.  E19's Byzantine-shard column runs this driver under chaos. *)
+    zero.  E15 runs this driver on a reliable mesh; E19's
+    Byzantine-shard column runs it under chaos. *)
 
 type t
 

@@ -12,9 +12,7 @@ type bank_behavior =
 type config = {
   n_banks : int;
   n_isps : int;
-  compliant : bool array;
   home : int array;
-  initial_account : int;
   behaviors : bank_behavior array;
 }
 
@@ -22,29 +20,9 @@ let default_config ~n_banks ~n_isps =
   {
     n_banks;
     n_isps;
-    compliant = Array.make n_isps true;
     home = Array.init n_isps (fun i -> i mod n_banks);
-    initial_account = 1_000_000;
     behaviors = Array.make n_banks Honest_bank;
   }
-
-type member_bank = {
-  public : Toycrypto.Rsa.public;
-  secret : Toycrypto.Rsa.secret;
-  seen_nonces : (int * int64, unit) Hashtbl.t;
-  seen_xfers : (int, unit) Hashtbl.t;
-      (* Clearing transfers already applied here: the dedup half of
-         exactly-once delivery over an at-least-once channel. *)
-  mutable issued : int;
-  mutable redeemed : int;
-  mutable cash : int;  (** Net real pennies from e-penny ops + clearing. *)
-  mutable net_cleared : int;  (** Net real pennies received via clearing. *)
-  mutable unbacked : int;
-      (** Ground truth of [Over_issue]: e-pennies issued without
-          collecting the backing cash.  Never declared — the audit has
-          to find it. *)
-  mutable members : int;
-}
 
 type audit_state = {
   audit_seq : int;
@@ -52,26 +30,37 @@ type audit_state = {
   reported : int array array;
 }
 
+(* Each member is a full [Bank.t]: accounts, reply cache, keypair and
+   buy/sell handler live there.  The federation keeps only its own
+   books: the clearing ledger ([net_cleared], [seen_xfers]), what
+   [Over_issue] banks handed back ([kickback] per ISP, [unbacked] per
+   bank) and the member counts the fair shares are pro rata by. *)
 type t = {
   config : config;
-  banks : member_bank array;
-  account : int array;  (* per ISP, at its home bank *)
+  banks : Bank.t array;
+  initial_account : int;
+  kickback : int array;
+      (* per ISP: pennies an [Over_issue] home bank handed back after
+         debiting a buy, so the ISP's balance is its bank account plus
+         this *)
+  unbacked : int array;
+      (* Ground truth of [Over_issue]: e-pennies issued without keeping
+         the backing cash.  Never declared — the audit has to find
+         it. *)
+  net_cleared : int array;  (* net real pennies received via clearing *)
+  seen_xfers : (int, unit) Hashtbl.t array;
+      (* Clearing transfers already applied at each bank: the dedup
+         half of exactly-once delivery over an at-least-once channel. *)
+  members : int array;
   mutable seq : int;
   mutable next_xfer : int;
   mutable audit : audit_state option;
-  mutable buys : int;
-  mutable sells : int;
   mutable transfers_applied : int;
   mutable transfers_duplicate : int;
-  mutable audits_completed : int;
-  rejects : int array;  (* indexed by [Bank.reject_index] *)
-  mutable tracer : Obs.Trace.t;
 }
 
 let create rng config =
   if config.n_banks <= 0 then invalid_arg "Federation.create: need at least one bank";
-  if Array.length config.compliant <> config.n_isps then
-    invalid_arg "Federation.create: compliance map size mismatch";
   if Array.length config.home <> config.n_isps then
     invalid_arg "Federation.create: home map size mismatch";
   if Array.length config.behaviors <> config.n_banks then
@@ -91,157 +80,113 @@ let create rng config =
           invalid_arg "Federation.create: Lie_in_audit needs a non-zero delta"
       | _ -> ())
     config.behaviors;
-  let banks =
-    Array.init config.n_banks (fun _ ->
-        let public, secret = Toycrypto.Rsa.generate rng in
-        { public; secret; seen_nonces = Hashtbl.create 64;
-          seen_xfers = Hashtbl.create 64; issued = 0; redeemed = 0; cash = 0;
-          net_cleared = 0; unbacked = 0; members = 0 })
+  let member_config b =
+    Bank.default_config ~n_isps:config.n_isps
+      ~compliant:(Array.map (fun h -> h = b) config.home)
   in
-  Array.iteri
-    (fun isp b -> if config.compliant.(isp) then banks.(b).members <- banks.(b).members + 1)
-    config.home;
+  let n = config.n_banks in
   {
     config;
-    banks;
-    account = Array.make config.n_isps config.initial_account;
+    banks = Array.init n (fun b -> Bank.create rng (member_config b));
+    initial_account = (member_config 0).initial_account;
+    kickback = Array.make config.n_isps 0;
+    unbacked = Array.make n 0;
+    net_cleared = Array.make n 0;
+    seen_xfers = Array.init n (fun _ -> Hashtbl.create 64);
+    members =
+      Array.init n (fun b ->
+          Array.fold_left (fun k h -> if h = b then k + 1 else k) 0 config.home);
     seq = 0;
     next_xfer = 0;
     audit = None;
-    buys = 0;
-    sells = 0;
     transfers_applied = 0;
     transfers_duplicate = 0;
-    audits_completed = 0;
-    rejects = Array.make Bank.n_reject_reasons 0;
-    tracer = Obs.Trace.none;
   }
-
-let set_tracer t tracer = t.tracer <- tracer
-
-let ev t name fields =
-  if Obs.Trace.active t.tracer then
-    Obs.Trace.emit t.tracer ~fields ~comp:"fed" name
 
 let n_banks t = t.config.n_banks
 let home_of t ~isp = t.config.home.(isp)
-let public_key t ~bank = t.banks.(bank).public
-let account_balance t ~isp = t.account.(isp)
-let outstanding t ~bank = t.banks.(bank).issued - t.banks.(bank).redeemed
+let public_key t ~bank = Bank.public_key t.banks.(bank)
+
+let account_balance t ~isp =
+  Bank.account_balance t.banks.(t.config.home.(isp)) ~isp + t.kickback.(isp)
+
+let outstanding t ~bank = Bank.outstanding_epennies t.banks.(bank)
 
 let total_outstanding t =
-  Array.fold_left (fun acc b -> acc + b.issued - b.redeemed) 0 t.banks
+  Array.fold_left (fun acc b -> acc + Bank.outstanding_epennies b) 0 t.banks
 
-let cash t ~bank = t.banks.(bank).cash
-let net_cleared t ~bank = t.banks.(bank).net_cleared
-let unbacked t ~bank = t.banks.(bank).unbacked
+(* A bank's till: what its members deposited for e-pennies net of
+   buy-backs, less what an [Over_issue] bank handed back, plus what
+   clearing brought in. *)
+let cash t b = outstanding t ~bank:b - t.unbacked.(b) + t.net_cleared.(b)
+let unbacked t ~bank = t.unbacked.(bank)
 
 (* Every real penny is either in an ISP account or in some bank's till;
    clearing and even Byzantine issue move pennies around without
-   creating any.  E19 asserts this total is [n_isps * initial_account]
-   at every step. *)
+   creating any.  E19 asserts this total is unchanged at every step. *)
 let total_money t =
-  Array.fold_left ( + ) 0 t.account
-  + Array.fold_left (fun acc b -> acc + b.cash) 0 t.banks
+  let accounts = ref 0 in
+  for isp = 0 to t.config.n_isps - 1 do
+    accounts := !accounts + account_balance t ~isp
+  done;
+  !accounts + Array.fold_left ( + ) 0 (Array.init t.config.n_banks (cash t))
 
 type response = Reply of Wire.signed | Rejected of Bank.reject
 
-let fresh_nonce bank ~from_isp nonce =
-  if Hashtbl.mem bank.seen_nonces (from_isp, nonce) then false
-  else begin
-    Hashtbl.replace bank.seen_nonces (from_isp, nonce) ();
-    true
-  end
-
-let reject t ~from_isp reason =
-  t.rejects.(Bank.reject_index reason) <- t.rejects.(Bank.reject_index reason) + 1;
-  ev t "reject"
-    [ ("isp", Obs.Trace.Int from_isp);
-      ("reason", Obs.Trace.Str (Bank.reject_to_string reason)) ];
-  Rejected reason
-
-(* Is [sealed] addressed to a real member bank other than [bank]?  The
-   recipient id is attacker-controlled plaintext, so this is only used
-   to pick the counter — never to accept anything. *)
-let foreign_member t bank sealed =
+(* Is [sealed] addressed to a real member bank other than [home]?  The
+   recipient id is attacker-controlled plaintext, so this only picks
+   the reason: such an envelope could not be opened at home anyway. *)
+let foreign_member t home sealed =
   let rid = Toycrypto.Seal.recipient_id sealed in
-  rid <> Toycrypto.Rsa.key_id bank.public
-  && Array.exists (fun b -> Toycrypto.Rsa.key_id b.public = rid) t.banks
+  rid <> Toycrypto.Rsa.key_id (public_key t ~bank:home)
+  && Array.exists (fun b -> Toycrypto.Rsa.key_id (Bank.public_key b) = rid) t.banks
 
 let on_isp_message t ~from_isp sealed =
-  if from_isp < 0 || from_isp >= t.config.n_isps then
-    reject t ~from_isp Bank.Unknown_isp
-  else if not t.config.compliant.(from_isp) then
-    reject t ~from_isp Bank.Non_compliant
+  if from_isp < 0 || from_isp >= t.config.n_isps then Rejected Bank.Unknown_isp
   else begin
     let home = t.config.home.(from_isp) in
     let bank = t.banks.(home) in
-    (* A foreign bank cannot open the envelope at all: unseal fails. *)
-    match Wire.open_at_bank bank.secret sealed with
-    | None ->
-        if foreign_member t bank sealed then reject t ~from_isp Bank.Foreign_bank
-        else reject t ~from_isp Bank.Unreadable
-    | Some (Wire.Buy { amount; nonce }) ->
-        if not (fresh_nonce bank ~from_isp nonce) then
-          reject t ~from_isp Bank.Replayed
-        else begin
-          let accepted = t.account.(from_isp) >= amount in
-          if accepted then begin
-            (* A Byzantine [Over_issue] bank issues the full amount of
-               e-pennies but collects less cash (a kickback to the
-               member): unbacked issue the clearing audit must find. *)
-            let short =
-              match t.config.behaviors.(home) with
-              | Over_issue d -> min d amount
-              | Honest_bank | Skim_position _ | Lie_in_audit _ -> 0
-            in
-            t.account.(from_isp) <- t.account.(from_isp) - (amount - short);
-            bank.issued <- bank.issued + amount;
-            bank.cash <- bank.cash + (amount - short);
-            bank.unbacked <- bank.unbacked + short;
-            t.buys <- t.buys + 1
-          end;
-          ev t "buy"
-            [ ("bank", Obs.Trace.Int home);
-              ("isp", Obs.Trace.Int from_isp);
-              ("amount", Obs.Trace.Int amount);
-              ("accepted", Obs.Trace.Bool accepted) ];
-          Reply (Wire.sign_by_bank bank.secret (Wire.Buy_reply { nonce; accepted }))
-        end
-    | Some (Wire.Sell { amount; nonce }) ->
-        if not (fresh_nonce bank ~from_isp nonce) then
-          reject t ~from_isp Bank.Replayed
-        else begin
-          t.account.(from_isp) <- t.account.(from_isp) + amount;
-          bank.redeemed <- bank.redeemed + amount;
-          bank.cash <- bank.cash - amount;
-          t.sells <- t.sells + 1;
-          ev t "sell"
-            [ ("bank", Obs.Trace.Int home);
-              ("isp", Obs.Trace.Int from_isp);
-              ("amount", Obs.Trace.Int amount) ];
-          Reply (Wire.sign_by_bank bank.secret (Wire.Sell_reply { nonce }))
-        end
-    | Some (Wire.Audit_reply _) -> reject t ~from_isp Bank.Wrong_state
-    | Some
-        ( Wire.Buy_reply _ | Wire.Sell_reply _ | Wire.Audit_request _
-        | Wire.Transfer _ | Wire.Transfer_ack _ ) ->
-        reject t ~from_isp Bank.Wrong_direction
+    if foreign_member t home sealed then Rejected Bank.Foreign_bank
+    else
+      let before = Bank.account_balance bank ~isp:from_isp in
+      match Bank.on_isp_message bank ~from_isp sealed with
+      | Bank.Reply signed ->
+          (* A Byzantine [Over_issue] bank issues the full amount of
+             e-pennies but hands part of the debit back to the member (a
+             kickback): unbacked issue the clearing audit must find.
+             Only an accepted first buy debits; a sell or a cached reply
+             moves nothing here. *)
+          (match t.config.behaviors.(home) with
+          | Over_issue d ->
+              let back = min d (before - Bank.account_balance bank ~isp:from_isp) in
+              if back > 0 then begin
+                t.kickback.(from_isp) <- t.kickback.(from_isp) + back;
+                t.unbacked.(home) <- t.unbacked.(home) + back
+              end
+          | Honest_bank | Skim_position _ | Lie_in_audit _ -> ());
+          Reply signed
+      | Bank.Rejected reason -> Rejected reason
+      | Bank.Audit_progress | Bank.Audit_complete _ ->
+          (* Audit replies reach a member only through [on_audit_reply];
+             a member never opens a round of its own. *)
+          assert false
   end
 
 (* ------------------------------------------------------------------ *)
 (* Global audits                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let compliant_isps t =
-  List.filter (fun i -> t.config.compliant.(i)) (List.init t.config.n_isps (fun i -> i))
+(* Every ISP of the federation is compliant: each is a member of its
+   home bank. *)
+let all_isps t = List.init t.config.n_isps (fun i -> i)
+let everyone t = Array.make t.config.n_isps true
 
 let audit_in_progress t = t.audit <> None
 
 let start_audit t =
   if t.audit <> None then
     invalid_arg "Federation.start_audit: audit already in progress";
-  let targets = compliant_isps t in
+  let targets = all_isps t in
   t.audit <-
     Some
       {
@@ -252,19 +197,17 @@ let start_audit t =
   List.map
     (fun isp ->
       let bank = t.banks.(t.config.home.(isp)) in
-      (isp, Wire.sign_by_bank bank.secret (Wire.Audit_request { seq = t.seq })))
+      (isp, Bank.sign bank (Wire.Audit_request { seq = t.seq })))
     targets
 
 let on_audit_reply t ~from_isp sealed =
   match t.audit with
   | None -> Error "no audit in progress"
   | Some audit -> (
-      if from_isp < 0 || from_isp >= t.config.n_isps || not t.config.compliant.(from_isp)
-      then Error "unknown or non-compliant ISP"
+      if from_isp < 0 || from_isp >= t.config.n_isps then Error "unknown ISP"
       else
         let home = t.config.home.(from_isp) in
-        let bank = t.banks.(home) in
-        match Wire.open_at_bank bank.secret sealed with
+        match Bank.open_sealed t.banks.(home) sealed with
         | Some (Wire.Audit_reply { isp; seq; credit })
           when isp = from_isp && seq = audit.audit_seq && List.mem isp audit.waiting ->
             (* The wire row is sparse; the federation's global matrix
@@ -288,10 +231,7 @@ let on_audit_reply t ~from_isp sealed =
               | Lie_in_audit d ->
                   Array.mapi
                     (fun peer v ->
-                      if
-                        peer <> isp && t.config.compliant.(peer)
-                        && t.config.home.(peer) <> home
-                      then v + d
+                      if peer <> isp && t.config.home.(peer) <> home then v + d
                       else v)
                     dense
               | Honest_bank | Over_issue _ | Skim_position _ -> dense
@@ -299,25 +239,19 @@ let on_audit_reply t ~from_isp sealed =
             audit.reported.(isp) <- credit;
             audit.waiting <- List.filter (fun i -> i <> isp) audit.waiting;
             if audit.waiting = [] then begin
+              let compliant = everyone t in
               let violations =
-                Credit.Audit.verify ~reported:audit.reported
-                  ~compliant:t.config.compliant
+                Credit.Audit.verify ~reported:audit.reported ~compliant
               in
               t.audit <- None;
               t.seq <- t.seq + 1;
-              t.audits_completed <- t.audits_completed + 1;
-              ev t "audit_complete"
-                [ ("seq", Obs.Trace.Int audit.audit_seq);
-                  ("violations", Obs.Trace.Int (List.length violations)) ];
               Ok
                 (Some
                    {
                      Bank.seq = audit.audit_seq;
                      violations;
-                     suspects =
-                       Credit.Audit.suspects ~compliant:t.config.compliant violations;
-                     convicted =
-                       Audit.Verify.offenders ~present:t.config.compliant violations;
+                     suspects = Credit.Audit.suspects ~compliant violations;
+                     convicted = Audit.Verify.offenders ~present:compliant violations;
                      (* The federation path keeps pairwise attribution
                         only: its Byzantine layer is the member banks
                         ([bank_suspects]), not colluding ISPs. *)
@@ -346,10 +280,10 @@ let bank_suspects t (result : Bank.audit_result) =
   List.filter
     (fun b ->
       let members =
-        List.filter (fun i -> home i = b) (compliant_isps t)
+        List.filter (fun i -> home i = b) (all_isps t)
       in
       let foreigners =
-        List.filter (fun i -> home i <> b) (compliant_isps t)
+        List.filter (fun i -> home i <> b) (all_isps t)
       in
       let cross_pairs = List.length members * List.length foreigners in
       let broken_cross =
@@ -379,7 +313,7 @@ let suspects_excluding_banks t (result : Bank.audit_result) ~banks =
   in
   let remaining = List.filter (fun v -> not (explained v)) result.violations in
   if remaining = [] then []
-  else Credit.Audit.suspects ~compliant:t.config.compliant remaining
+  else Credit.Audit.suspects ~compliant:(everyone t) remaining
 
 (* ------------------------------------------------------------------ *)
 (* Clearing statements                                                 *)
@@ -387,26 +321,26 @@ let suspects_excluding_banks t (result : Bank.audit_result) ~banks =
 
 type statement = {
   st_bank : int;
-  st_issued : int;
-  st_redeemed : int;
+  st_outstanding : int;
   st_cash : int;
   st_net_cleared : int;
 }
 
 (* What each bank {e declares} at settlement time — behavior-shaped.
    [Over_issue] declares its true books (the lie is in the money);
-   [Skim_position] inflates cash {e and} issue consistently, defeating
-   the self-check but not the member-deposit cross-check. *)
+   [Skim_position] inflates cash {e and} outstanding issue
+   consistently, defeating the self-check but not the member-deposit
+   cross-check. *)
 let statements t =
   List.init t.config.n_banks (fun b ->
-      let mb = t.banks.(b) in
       let base =
-        { st_bank = b; st_issued = mb.issued; st_redeemed = mb.redeemed;
-          st_cash = mb.cash; st_net_cleared = mb.net_cleared }
+        { st_bank = b; st_outstanding = outstanding t ~bank:b; st_cash = cash t b;
+          st_net_cleared = t.net_cleared.(b) }
       in
       match t.config.behaviors.(b) with
       | Skim_position d ->
-          { base with st_cash = base.st_cash + d; st_issued = base.st_issued + d }
+          { base with st_cash = base.st_cash + d;
+            st_outstanding = base.st_outstanding + d }
       | Honest_bank | Over_issue _ | Lie_in_audit _ -> base)
 
 (* ISP-attested net deposits at bank [b]: every penny a bank holds
@@ -416,8 +350,7 @@ let member_deposits t ~bank =
   let total = ref 0 in
   Array.iteri
     (fun isp b ->
-      if b = bank then
-        total := !total + (t.config.initial_account - t.account.(isp)))
+      if b = bank then total := !total + (t.initial_account - account_balance t ~isp))
     t.config.home;
   !total
 
@@ -431,7 +364,7 @@ let verify_statements t stmts =
   List.filter_map
     (fun s ->
       let holdings = s.st_cash - s.st_net_cleared in
-      if holdings <> s.st_issued - s.st_redeemed then
+      if holdings <> s.st_outstanding then
         Some (s.st_bank, "books do not balance (cash vs. liability)")
       else if holdings <> member_deposits t ~bank:s.st_bank then
         Some (s.st_bank, "declared cash contradicts member deposits")
@@ -446,12 +379,10 @@ let verify_statements t stmts =
    count (remainders to the lowest indices, deterministically). *)
 let fair_shares t =
   let total = total_outstanding t in
-  let members_total = Array.fold_left (fun acc b -> acc + b.members) 0 t.banks in
+  let members_total = Array.fold_left ( + ) 0 t.members in
   if members_total = 0 then Array.make t.config.n_banks 0
   else begin
-    let shares =
-      Array.map (fun b -> total * b.members / members_total) t.banks
-    in
+    let shares = Array.map (fun m -> total * m / members_total) t.members in
     let distributed = Array.fold_left ( + ) 0 shares in
     let remainder = total - distributed in
     let give = if remainder >= 0 then 1 else -1 in
@@ -461,7 +392,7 @@ let fair_shares t =
     shares
   end
 
-let position t ~bank = t.banks.(bank).cash - (fair_shares t).(bank)
+let position t ~bank = cash t bank - (fair_shares t).(bank)
 
 (* Plan the transfers bringing every included bank's position to the
    included subset's mean (deterministic remainders to the lowest
@@ -487,9 +418,7 @@ let settle_plan ?(exclude = []) ?(in_flight = []) t =
   let k = List.length included in
   if k <= 1 then []
   else begin
-    let pos =
-      List.map (fun b -> (b, t.banks.(b).cash + adjust.(b) - shares.(b))) included
-    in
+    let pos = List.map (fun b -> (b, cash t b + adjust.(b) - shares.(b))) included in
     let total = List.fold_left (fun acc (_, p) -> acc + p) 0 pos in
     let q = total / k and r = total - (total / k * k) in
     let give = if r >= 0 then 1 else -1 in
@@ -517,26 +446,6 @@ let settle_plan ?(exclude = []) ?(in_flight = []) t =
     List.rev !transfers
   end
 
-(* The cheque lands: debit and credit in one step, so the federation's
-   total cash is identical before, during and after any clearing round,
-   however lossy the channel that carried the instruction. *)
-let apply_transfer t ~from_bank ~to_bank ~amount =
-  ev t "settle_transfer"
-    [ ("from", Obs.Trace.Int from_bank);
-      ("to", Obs.Trace.Int to_bank);
-      ("amount", Obs.Trace.Int amount) ];
-  t.banks.(from_bank).cash <- t.banks.(from_bank).cash - amount;
-  t.banks.(to_bank).cash <- t.banks.(to_bank).cash + amount;
-  t.banks.(from_bank).net_cleared <- t.banks.(from_bank).net_cleared - amount;
-  t.banks.(to_bank).net_cleared <- t.banks.(to_bank).net_cleared + amount
-
-let settle ?exclude t =
-  let transfers = settle_plan ?exclude t in
-  List.iter
-    (fun (from_bank, to_bank, amount) -> apply_transfer t ~from_bank ~to_bank ~amount)
-    transfers;
-  transfers
-
 (* ------------------------------------------------------------------ *)
 (* Clearing wire messages                                              *)
 (* ------------------------------------------------------------------ *)
@@ -547,78 +456,47 @@ let next_xfer_id t =
   id
 
 let sign_transfer t ~from_bank ~to_bank ~amount ~xfer_id =
-  Wire.sign_by_bank t.banks.(from_bank).secret
-    (Wire.Transfer { from_bank; to_bank; amount; xfer_id })
+  Bank.sign t.banks.(from_bank) (Wire.Transfer { from_bank; to_bank; amount; xfer_id })
 
+(* The cheque lands: debit and credit in one step, so the federation's
+   total cash is identical before, during and after any clearing round,
+   however lossy the channel that carried the instruction.  A duplicate
+   is acked again and applies nothing. *)
 let receive_transfer t (msg : Wire.signed) =
   match msg.Wire.payload with
   | Wire.Transfer { from_bank; to_bank; amount; xfer_id }
     when from_bank >= 0 && from_bank < t.config.n_banks
          && to_bank >= 0 && to_bank < t.config.n_banks && from_bank <> to_bank -> (
-      match Wire.verify_from_bank t.banks.(from_bank).public msg with
-      | None ->
-          t.rejects.(Bank.reject_index Bank.Unreadable) <-
-            t.rejects.(Bank.reject_index Bank.Unreadable) + 1;
-          Error Bank.Unreadable
+      match Wire.verify_from_bank (public_key t ~bank:from_bank) msg with
+      | None -> Error Bank.Unreadable
       | Some _ ->
-          let ack =
-            Wire.sign_by_bank t.banks.(to_bank).secret
-              (Wire.Transfer_ack { xfer_id })
-          in
-          if Hashtbl.mem t.banks.(to_bank).seen_xfers xfer_id then begin
-            (* Duplicate delivery: ack again, apply nothing. *)
-            t.transfers_duplicate <- t.transfers_duplicate + 1;
-            Ok (xfer_id, ack)
-          end
+          if Hashtbl.mem t.seen_xfers.(to_bank) xfer_id then
+            t.transfers_duplicate <- t.transfers_duplicate + 1
           else begin
-            Hashtbl.replace t.banks.(to_bank).seen_xfers xfer_id ();
-            apply_transfer t ~from_bank ~to_bank ~amount;
-            t.transfers_applied <- t.transfers_applied + 1;
-            Ok (xfer_id, ack)
-          end)
-  | Wire.Transfer _ ->
-      t.rejects.(Bank.reject_index Bank.Unreadable) <-
-        t.rejects.(Bank.reject_index Bank.Unreadable) + 1;
-      Error Bank.Unreadable
-  | _ ->
-      t.rejects.(Bank.reject_index Bank.Wrong_state) <-
-        t.rejects.(Bank.reject_index Bank.Wrong_state) + 1;
-      Error Bank.Wrong_state
+            Hashtbl.replace t.seen_xfers.(to_bank) xfer_id ();
+            t.net_cleared.(from_bank) <- t.net_cleared.(from_bank) - amount;
+            t.net_cleared.(to_bank) <- t.net_cleared.(to_bank) + amount;
+            t.transfers_applied <- t.transfers_applied + 1
+          end;
+          Ok (xfer_id, Bank.sign t.banks.(to_bank) (Wire.Transfer_ack { xfer_id })))
+  | Wire.Transfer _ -> Error Bank.Unreadable
+  | _ -> Error Bank.Wrong_state
 
-let transfer_applied t ~to_bank ~xfer_id =
-  Hashtbl.mem t.banks.(to_bank).seen_xfers xfer_id
+let transfer_applied t ~to_bank ~xfer_id = Hashtbl.mem t.seen_xfers.(to_bank) xfer_id
 
 let receive_ack t ~to_bank (msg : Wire.signed) =
   if to_bank < 0 || to_bank >= t.config.n_banks then Error Bank.Unreadable
   else
-    match Wire.verify_from_bank t.banks.(to_bank).public msg with
+    match Wire.verify_from_bank (public_key t ~bank:to_bank) msg with
     | Some (Wire.Transfer_ack { xfer_id }) -> Ok xfer_id
     | Some _ -> Error Bank.Wrong_state
-    | None ->
-        t.rejects.(Bank.reject_index Bank.Unreadable) <-
-          t.rejects.(Bank.reject_index Bank.Unreadable) + 1;
-        Error Bank.Unreadable
+    | None -> Error Bank.Unreadable
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type stats = {
-  buys : int;
-  sells : int;
-  transfers_applied : int;
-  transfers_duplicate : int;
-  audits_completed : int;
-  rejects : (Bank.reject * int) list;
-}
+type stats = { transfers_applied : int; transfers_duplicate : int }
 
 let stats (t : t) =
-  {
-    buys = t.buys;
-    sells = t.sells;
-    transfers_applied = t.transfers_applied;
-    transfers_duplicate = t.transfers_duplicate;
-    audits_completed = t.audits_completed;
-    rejects =
-      List.map (fun r -> (r, t.rejects.(Bank.reject_index r))) Bank.all_rejects;
-  }
+  { transfers_applied = t.transfers_applied; transfers_duplicate = t.transfers_duplicate }

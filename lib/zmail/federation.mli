@@ -5,10 +5,15 @@
     straightforward to extend the Zmail protocol to incorporate
     multiple collaborating banks."  This module is that extension.
 
-    Each compliant ISP is {e homed} to one member bank, which holds its
-    real-money account and serves its §4.3 buy/sell requests (sealed to
-    that bank's key; requests to a foreign bank are rejected).  Two
-    things require collaboration:
+    Every member is a full {!Bank.t}.  Each ISP is {e homed} to one
+    member, which holds its real-money account and serves its §4.3
+    buy/sell requests through {!Bank.on_isp_message} (sealed to that
+    bank's key; requests sealed to a foreign member are rejected), so
+    a federation member keeps the single bank's reply cache and
+    answers a retransmitted request exactly once.  This module keeps
+    only what is federation-level: the home map, the Byzantine
+    behaviours, the clearing books and statements, and the global
+    audit.  Two things require collaboration:
 
     - {b Global audits.}  Credit consistency is a property of ISP
       {e pairs}, which may be homed to different banks.  The federation
@@ -18,17 +23,16 @@
       partition-carry matrix — see {!Bank.start_audit}.)
     - {b Clearing.}  E-pennies issued by bank A migrate inside email to
       ISPs homed at bank B, whose buy-backs then pay out cash B never
-      collected.  Each bank's {!position} drifts accordingly; {!settle}
-      computes the inter-bank transfers that return every position to
-      the federation mean, conserving money.
+      collected.  Each bank's {!position} drifts accordingly;
+      {!settle_plan} computes the inter-bank transfers that return
+      every position to the federation mean, conserving money.
 
-    Clearing is {e not} assumed to run over a perfect channel.  The
-    instant {!settle} remains the degenerate synchronous path (E15,
-    unit tests); the production path signs each transfer as a
-    {!Wire.Transfer}, ships it through whatever lossy, delaying,
-    partitioning or tampered link the caller routes it over
-    ({!Clearing} drives it through a {!Sim.Fault.Mesh} with
-    retry/backoff), and applies money {b exactly once} at delivery:
+    Clearing is {e not} assumed to run over a perfect channel.  Each
+    transfer is signed as a {!Wire.Transfer} and shipped through
+    whatever lossy, delaying, partitioning or tampered link the caller
+    routes it over ({!Clearing} drives it through a {!Sim.Fault.Mesh}
+    with retry/backoff, and E15 runs it on a reliable one), and money
+    moves {b exactly once} at delivery:
     the receiving bank dedups on the transfer id ({!receive_transfer})
     and acks, the sender retransmits until acked.  Debit and credit
     land atomically at delivery, so total federation cash is conserved
@@ -41,18 +45,18 @@
     {!statements} are checked by {!verify_statements} (book
     self-consistency plus the member-deposit cross-check), audit-time
     lies are attributed by {!bank_suspects}, and a flagged bank is
-    contained by settling around it ([settle ~exclude]).
+    contained by settling around it ([settle_plan ~exclude]).
 
     The single-bank protocol is the [n_banks = 1] special case. *)
 
 type bank_behavior =
   | Honest_bank
   | Over_issue of int
-      (** On every accepted member buy, issue the full e-penny amount
-          but collect up to this many pennies less (a kickback to the
-          member): unbacked issue.  The money and the books disagree,
-          so the bank's truthful statement fails the self-consistency
-          check. *)
+      (** After every accepted member buy, hand up to this many of the
+          debited pennies back to the member (a kickback) while the
+          full e-penny amount stays issued: unbacked issue.  The money
+          and the books disagree, so the bank's truthful statement
+          fails the self-consistency check. *)
   | Skim_position of int
       (** Declare this many pennies of phantom cash {e and} phantom
           issue in clearing statements, to extract larger transfers.
@@ -69,23 +73,20 @@ type bank_behavior =
 type config = {
   n_banks : int;
   n_isps : int;
-  compliant : bool array;
   home : int array;  (** [home.(isp)] is the ISP's member bank. *)
-  initial_account : int;  (** Real pennies per ISP, at its home bank. *)
   behaviors : bank_behavior array;  (** Per member bank. *)
 }
 
 val default_config : n_banks:int -> n_isps:int -> config
-(** All ISPs compliant, homed round-robin, accounts of 1,000,000,
-    every bank honest. *)
+(** ISPs homed round-robin, every bank honest. *)
 
 type t
 
 val create : Sim.Rng.t -> config -> t
-
-val set_tracer : t -> Obs.Trace.t -> unit
-(** Emit [fed/...] trace events (member-bank buy/sell, rejects, global
-    audit completion, clearing transfers).  Default: {!Obs.Trace.none}. *)
+(** Member [b] is [Bank.create rng (Bank.default_config ~n_isps
+    ~compliant)], created in bank order, where [compliant] marks the
+    ISPs homed at [b]: every ISP is compliant at its home bank and
+    holds its {!Bank.default_config} account there. *)
 
 val n_banks : t -> int
 val home_of : t -> isp:int -> int
@@ -93,6 +94,9 @@ val public_key : t -> bank:int -> Toycrypto.Rsa.public
 (** ISPs seal their traffic to their home bank's key. *)
 
 val account_balance : t -> isp:int -> int
+(** The ISP's account at its home bank, plus any {!Over_issue}
+    kickback it received. *)
+
 val outstanding : t -> bank:int -> Epenny.amount
 (** E-pennies issued minus redeemed by one member bank (may be
     negative: the bank redeemed foreign issue). *)
@@ -100,11 +104,6 @@ val outstanding : t -> bank:int -> Epenny.amount
 val total_outstanding : t -> Epenny.amount
 (** Federation-wide liability; equals the sum of every ISP's e-penny
     growth (the conservation invariant). *)
-
-val cash : t -> bank:int -> int
-val net_cleared : t -> bank:int -> int
-(** Net real pennies this bank has received through clearing
-    transfers (negative: net payer). *)
 
 val unbacked : t -> bank:int -> int
 (** Ground truth of {!Over_issue}: e-pennies this bank issued without
@@ -114,26 +113,27 @@ val unbacked : t -> bank:int -> int
 val total_money : t -> int
 (** Sum of every ISP account and every bank till.  Buys, sells,
     clearing and even Byzantine issue only move pennies around, so
-    this is constant at [n_isps * initial_account] — the exact-money-
+    this is constant at its value at {!create} — the exact-money-
     conservation check E19 runs in every cell. *)
 
 type response =
   | Reply of Wire.signed  (** Signed by the ISP's home bank. *)
   | Rejected of Bank.reject
-      (** Typed like the single bank's; {!Bank.Foreign_bank} and
-          {!Bank.Replayed} only occur here.  Counted per reason in
-          {!stats}. *)
+      (** {!Bank.Unknown_isp} and {!Bank.Foreign_bank} are decided
+          here; every other reason is the home bank's, counted in its
+          {!Bank.stats}. *)
 
 val on_isp_message : t -> from_isp:int -> Toycrypto.Seal.sealed -> response
-(** Serve a §4.3 buy/sell.  The envelope must be sealed to the sender's
-    home bank; anything else (foreign bank, forgery, replay, audit
-    payloads outside an audit) is rejected. *)
+(** Serve a §4.3 buy/sell at the sender's home bank
+    ({!Bank.on_isp_message}).  An envelope sealed to another member is
+    rejected as {!Bank.Foreign_bank} before it reaches the home bank;
+    forgeries and audit payloads are rejected there.  A retransmitted
+    buy or sell gets the home bank's cached reply and moves no money. *)
 
 (** {1 Global audits} *)
 
 val start_audit : t -> (int * Wire.signed) list
-(** Audit requests for every compliant ISP, each signed by the ISP's
-    home bank.
+(** Audit requests for every ISP, each signed by the ISP's home bank.
     @raise Invalid_argument if an audit is in progress. *)
 
 val on_audit_reply : t -> from_isp:int -> Toycrypto.Seal.sealed ->
@@ -162,8 +162,7 @@ val suspects_excluding_banks : t -> Bank.audit_result -> banks:int list -> int l
 
 type statement = {
   st_bank : int;
-  st_issued : int;
-  st_redeemed : int;
+  st_outstanding : int;  (** E-pennies issued minus redeemed. *)
   st_cash : int;
   st_net_cleared : int;
 }
@@ -179,7 +178,7 @@ val member_deposits : t -> bank:int -> int
 
 val verify_statements : t -> statement list -> (int * string) list
 (** Flag inconsistent statements, with a reason.  Per bank: the books
-    must self-balance ([cash - net_cleared = issued - redeemed],
+    must self-balance ([cash - net_cleared = outstanding],
     catches {!Over_issue}) and the declared holdings must match the
     member-attested deposits (catches {!Skim_position}).  A liar
     consistent against {e both} checks would need its members' issuance
@@ -203,24 +202,13 @@ val settle_plan :
     transfers already issued but not yet delivered; they are treated as
     executed so a partition round is never planned twice. *)
 
-val settle : ?exclude:int list -> t -> (int * int * int) list
-(** {!settle_plan} applied instantly — the synchronous, perfect-channel
-    degenerate path (E15, unit tests).  Total money is conserved;
-    repeated settlement with no new traffic is a no-op.  [exclude]
-    contains a flagged Byzantine bank: its surplus or deficit stays
-    frozen with it while the honest rest equalize among themselves. *)
-
-val apply_transfer : t -> from_bank:int -> to_bank:int -> amount:int -> unit
-(** Book one cleared transfer: debit, credit and both [net_cleared]
-    lines move in one step (total cash invariant at every instant).
-    Normally called via {!receive_transfer}. *)
-
 (** {1 Clearing wire messages}
 
-    The async path: the sender plans with {!settle_plan}, wraps each
-    transfer with {!sign_transfer} and retransmits it over the lossy
-    channel until the matching ack arrives; the receiver applies it
-    exactly once.  See {!Clearing} for the mesh-routed driver. *)
+    The only way money moves between banks: the sender plans with
+    {!settle_plan}, wraps each transfer with {!sign_transfer} and
+    retransmits it over the lossy channel until the matching ack
+    arrives; the receiver applies it exactly once.  See {!Clearing}
+    for the mesh-routed driver. *)
 
 val next_xfer_id : t -> int
 (** Fresh monotone transfer id (the dedup key). *)
@@ -232,10 +220,11 @@ val sign_transfer :
 val receive_transfer : t -> Wire.signed -> (int * Wire.signed, Bank.reject) result
 (** Deliver one transfer message at its destination bank.  Verifies the
     claimed origin bank's signature (forged or bit-flipped transfers
-    are [Error Unreadable] and counted), applies the money exactly once
-    (a duplicate is acked again without a second application), and
-    returns [(xfer_id, ack)] where the ack is signed by the receiving
-    bank. *)
+    are [Error Unreadable]), applies the money exactly once — debit,
+    credit and both banks' clearing lines in one step, so total cash
+    is invariant at every instant — (a duplicate is acked again
+    without a second application), and returns [(xfer_id, ack)] where
+    the ack is signed by the receiving bank. *)
 
 val receive_ack : t -> to_bank:int -> Wire.signed -> (int, Bank.reject) result
 (** Verify an ack signed by [to_bank] and return the acked transfer
@@ -249,12 +238,10 @@ val transfer_applied : t -> to_bank:int -> xfer_id:int -> bool
 (** {1 Stats} *)
 
 type stats = {
-  buys : int;
-  sells : int;
   transfers_applied : int;
-  transfers_duplicate : int;
-  audits_completed : int;
-  rejects : (Bank.reject * int) list;
+  transfers_duplicate : int;  (** Redelivered transfers acked again. *)
 }
+(** Per-member buy/sell and reject counts are in each member's
+    {!Bank.stats}. *)
 
 val stats : t -> stats

@@ -2,6 +2,13 @@ let log_src = Logs.Src.create "zmail.world" ~doc:"Assembled Zmail simulation"
 
 module Log = (val Logs.src_log log_src)
 
+(* One-way latency of the ISP<->bank accounting link, in seconds. *)
+let bank_link_latency = 0.1
+
+(* A round facing partition-severed ISPs runs without them iff at least
+   this share of the compliant population is reachable. *)
+let audit_quorum = 0.5
+
 type unpaid_policy =
   | Unpaid_deliver
   | Unpaid_discard
@@ -15,7 +22,6 @@ type config = {
   shard_tag : string;
   audit_period : float option;
   freeze_duration : float;
-  bank_link_latency : float;
   pool_check_period : float;
   unpaid_policy : unpaid_policy;
   auto_ack : bool;
@@ -26,7 +32,6 @@ type config = {
   mesh_links : ((int * int) * Sim.Fault.plan) list;
   partitions : Sim.Fault.Mesh.partition list;
   bank_wire : (int * Adversary.Bank_wire.wire_behavior) list;
-  audit_unreachable : [ `Defer | `Quorum of float ];
   retain_mail : bool;
   disk : Sim.Disk.plan option;
       (** Give every kernel (and the bank) a simulated log device with
@@ -57,7 +62,6 @@ let default_config ~n_isps ~users_per_isp =
     shard_tag = "";
     audit_period = None;
     freeze_duration = 10. *. Sim.Engine.minute;
-    bank_link_latency = 0.1;
     pool_check_period = Sim.Engine.hour;
     unpaid_policy = Unpaid_deliver;
     auto_ack = true;
@@ -68,7 +72,6 @@ let default_config ~n_isps ~users_per_isp =
     mesh_links = [];
     partitions = [];
     bank_wire = [];
-    audit_unreachable = `Quorum 0.5;
     retain_mail = true;
     disk = None;
     wal_group = 8;
@@ -324,7 +327,7 @@ and bank_link t i sealed =
     ~corrupt:Toycrypto.Seal.flip_bit
     (fun sealed ->
       ignore
-        (Sim.Engine.schedule_after t.engine ~delay:t.cfg.bank_link_latency
+        (Sim.Engine.schedule_after t.engine ~delay:bank_link_latency
            (fun () ->
              if not t.bank_up then
                (* A crashed bank accepts no connections; the sender's
@@ -362,7 +365,7 @@ and send_to_isp t i signed =
   Sim.Fault.Mesh.route t.mesh ~src:(bank_node t) ~dst:i ~corrupt:corrupt_signed
     (fun signed ->
       ignore
-        (Sim.Engine.schedule_after t.engine ~delay:t.cfg.bank_link_latency
+        (Sim.Engine.schedule_after t.engine ~delay:bank_link_latency
            (fun () ->
              if t.up.(i) then bank_message_to_isp t i signed
              else Sim.Stats.Counter.incr t.link.lost_isp_down)))
@@ -451,7 +454,7 @@ let pool_tick t i kernel =
    severs from the bank's cannot answer no matter how often the
    request is resent, so the round either runs without them (the bank
    carries their peers' claims forward for reconciliation at heal) or
-   is deferred entirely, per [audit_unreachable].  Only
+   is deferred entirely, per [audit_quorum].  Only
    partition-severed ISPs are excluded — a merely {e crashed} ISP
    keeps its request retransmitted until recovery, preserving the E16
    behavior. *)
@@ -478,12 +481,8 @@ let start_audit_round t =
   let reachable = compliant_count - List.length severed in
   let proceed =
     severed = []
-    ||
-    match t.cfg.audit_unreachable with
-    | `Defer -> false
-    | `Quorum q ->
-        reachable > 0
-        && float_of_int reachable >= q *. float_of_int compliant_count
+    || reachable > 0
+       && float_of_int reachable >= audit_quorum *. float_of_int compliant_count
   in
   if not proceed then begin
     Sim.Stats.Counter.incr t.link.audits_deferred;

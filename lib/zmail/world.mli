@@ -35,10 +35,14 @@
     counted, never raised).  A world with a disk ([cfg.disk]) can
     also {!crash_isp} or {!crash_bank} mid-run; recovery replays the
     victim's write-ahead log.  Audit rounds are
-    partition-tolerant: per [audit_unreachable], a round facing
-    severed ISPs is deferred or runs on the reachable quorum, with the
-    bank reconciling late cumulative reports after heal
-    ({!Bank.start_audit}).  Byzantine report tampering is modeled by
+    partition-tolerant: a round facing partition-severed ISPs runs
+    without them iff at least half of the compliant population is
+    reachable (their peers' claims are carried forward, and the bank
+    reconciles their late cumulative reports after heal —
+    {!Bank.start_audit}); otherwise it is deferred, counted in
+    [audits_deferred].  Only partition-severed ISPs count as
+    unreachable; crashed ISPs keep their requests retransmitted until
+    recovery.  ISP↔bank datagrams take 0.1 s each way.  Byzantine report tampering is modeled by
     {!register_adversary}. *)
 
 (** Fate of unpaid mail (from non-compliant ISPs) at a compliant ISP —
@@ -72,7 +76,6 @@ type config = {
       (** Run a §4.4 audit every this many seconds ([None]: only
           manual {!trigger_audit}). *)
   freeze_duration : float;  (** The paper's 10 minutes. *)
-  bank_link_latency : float;
   pool_check_period : float;
       (** How often ISPs evaluate §4.3 pool thresholds. *)
   unpaid_policy : unpaid_policy;
@@ -115,15 +118,6 @@ type config = {
           conviction of it is a false positive (E19 asserts zero).
           Duplicate, out-of-range or non-compliant indices are
           rejected by {!create}. *)
-  audit_unreachable : [ `Defer | `Quorum of float ];
-      (** Policy when an audit round starts while partition windows
-          sever some compliant ISPs from the bank.  [`Defer] skips the
-          round (counted in [audits_deferred]); [`Quorum q] (default
-          [`Quorum 0.5]) runs it without the severed ISPs iff at least
-          [q] of the compliant population is reachable — their peers'
-          claims are carried forward and reconciled after heal.  Only
-          partition-severed ISPs count as unreachable; crashed ISPs
-          keep the established retransmit-until-recovery behavior. *)
   retain_mail : bool;
       (** Store delivered messages in MTA mailboxes (default [true]).
           Million-user runs set [false]: deliveries are still counted,
@@ -262,9 +256,9 @@ val post_to_list : t -> Listserv.t -> body:string -> int
 
 val trigger_audit : t -> unit
 (** Start a §4.4 audit now (requests go over the faulty link with
-    retransmission, like periodic audits).  Subject to the
-    [audit_unreachable] policy: the round may run without
-    partition-severed ISPs or be deferred outright.
+    retransmission, like periodic audits).  Subject to the half
+    quorum: the round may run without partition-severed ISPs or be
+    deferred outright.
     @raise Invalid_argument if one is already running. *)
 
 val register_adversary : t -> isp:int -> Adversary.t -> unit
@@ -391,8 +385,8 @@ type link_stats = {
       (** E-pennies refunded out of bounced paid mail. *)
   audits_deferred : Sim.Stats.Counter.t;
       (** Audit rounds skipped because partition-severed ISPs broke
-          the [audit_unreachable] policy, or because the bank itself
-          was down at round start. *)
+          the half quorum, or because the bank itself was down at
+          round start. *)
   bank_crashes : Sim.Stats.Counter.t;
   bank_recoveries : Sim.Stats.Counter.t;
   lost_bank_down : Sim.Stats.Counter.t;

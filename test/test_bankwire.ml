@@ -1,11 +1,37 @@
 (* Fuzz and property tests for the bank-wire threat model (E19's
    kernel-level counterpart): whatever an adversary owning the ISP-bank
    link injects — random bytes, bit-flipped envelopes, wrong-key seals,
-   replays — the bank and the federation always answer [Rejected],
-   never raise, and never move a penny.  Plus the clearing-settlement
+   replays — the bank and the federation never raise and never move a
+   penny: hostile envelopes are [Rejected], and a replay of a served
+   request gets the cached reply.  Plus the clearing-settlement
    properties the federation relies on. *)
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(* Move cash between banks the exactly-once way: a signed transfer
+   delivered at its destination. *)
+let transfer fed (from_bank, to_bank, amount) =
+  let xfer_id = Zmail.Federation.next_xfer_id fed in
+  match
+    Zmail.Federation.receive_transfer fed
+      (Zmail.Federation.sign_transfer fed ~from_bank ~to_bank ~amount ~xfer_id)
+  with
+  | Ok _ -> ()
+  | Error r -> Alcotest.fail (Zmail.Bank.reject_to_string r)
+
+(* Arbitrary drift: cash shuffled between random bank pairs. *)
+let drift fed ~n_banks moves =
+  List.iter
+    (fun (a, b, amount) ->
+      let from_bank = a mod n_banks and to_bank = b mod n_banks in
+      if from_bank <> to_bank then transfer fed (from_bank, to_bank, amount))
+    moves
+
+(* Plan a settlement and land every planned transfer. *)
+let settle ?exclude fed =
+  let plan = Zmail.Federation.settle_plan ?exclude fed in
+  List.iter (transfer fed) plan;
+  plan
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
@@ -139,8 +165,8 @@ let bank_rejects_are_counted =
 let federation_front_door_hostile =
   QCheck.Test.make
     ~name:
-      "federation: hostile + foreign-bank + replayed envelopes all Rejected, \
-       money exact"
+      "federation: hostile + foreign-bank + replayed envelopes: hostile \
+       Rejected, replay answered from cache, money exact"
     ~count:80
     QCheck.(pair small_nat (make Gen.(list_size (int_range 1 15) attack_gen)))
     (fun (seed, attacks) ->
@@ -158,11 +184,13 @@ let federation_front_door_hostile =
       (* A legitimate buy first, so the replay below targets a nonce the
          federation has genuinely served. *)
       let good_sealed = valid_buy kernel in
-      (match Zmail.Federation.on_isp_message fed ~from_isp:0 good_sealed with
-      | Zmail.Federation.Reply _ -> ()
-      | Zmail.Federation.Rejected r ->
-          Alcotest.failf "legitimate buy rejected: %s"
-            (Zmail.Bank.reject_to_string r));
+      let good_reply =
+        match Zmail.Federation.on_isp_message fed ~from_isp:0 good_sealed with
+        | Zmail.Federation.Reply signed -> signed
+        | Zmail.Federation.Rejected r ->
+            Alcotest.failf "legitimate buy rejected: %s"
+              (Zmail.Bank.reject_to_string r)
+      in
       let foreign_bank = (home0 + 1) mod n_banks in
       let snapshot () =
         ( List.init n_isps (fun i ->
@@ -185,9 +213,13 @@ let federation_front_door_hostile =
                  ~good_sealed attack))
           attacks
       in
-      (* Replay of the served buy, and a buy sealed to a foreign member
-         bank: both typed rejects specific to the federation. *)
-      let replay_ok = rejected good_sealed in
+      (* Replay of the served buy: the home bank's cached reply.  A buy
+         sealed to a foreign member bank: the federation's own typed
+         reject. *)
+      let replay_ok =
+        Zmail.Federation.on_isp_message fed ~from_isp:0 good_sealed
+        = Zmail.Federation.Reply good_reply
+      in
       let foreign_ok =
         rejected
           (Toycrypto.Seal.seal rng
@@ -222,19 +254,14 @@ let settle_zeroes_positions =
           (Zmail.Federation.default_config ~n_banks ~n_isps:(2 * n_banks))
       in
       let money0 = Zmail.Federation.total_money fed in
-      List.iter
-        (fun (a, b, amount) ->
-          let from_bank = a mod n_banks and to_bank = b mod n_banks in
-          if from_bank <> to_bank then
-            Zmail.Federation.apply_transfer fed ~from_bank ~to_bank ~amount)
-        moves;
-      ignore (Zmail.Federation.settle fed);
+      drift fed ~n_banks moves;
+      ignore (settle fed);
       let positions =
         List.init n_banks (fun b -> Zmail.Federation.position fed ~bank:b)
       in
       List.for_all (fun p -> p = 0) positions
       && Zmail.Federation.total_money fed = money0
-      && Zmail.Federation.settle fed = [])
+      && settle fed = [])
 
 (* Settling around a Byzantine shard: the excluded bank's position is
    frozen untouched, the honest rest equalize to their own mean (exact
@@ -259,14 +286,9 @@ let settle_excludes_byzantine_shard =
           (Zmail.Federation.default_config ~n_banks ~n_isps:(2 * n_banks))
       in
       let money0 = Zmail.Federation.total_money fed in
-      List.iter
-        (fun (a, b, amount) ->
-          let from_bank = a mod n_banks and to_bank = b mod n_banks in
-          if from_bank <> to_bank then
-            Zmail.Federation.apply_transfer fed ~from_bank ~to_bank ~amount)
-        moves;
+      drift fed ~n_banks moves;
       let bad_before = Zmail.Federation.position fed ~bank:bad in
-      let transfers = Zmail.Federation.settle ~exclude:[ bad ] fed in
+      let transfers = settle ~exclude:[ bad ] fed in
       let included =
         List.filter (fun b -> b <> bad) (List.init n_banks (fun b -> b))
       in
@@ -301,12 +323,7 @@ let honest_statements_always_pass =
         Zmail.Federation.create rng
           (Zmail.Federation.default_config ~n_banks ~n_isps:(2 * n_banks))
       in
-      List.iter
-        (fun (a, b, amount) ->
-          let from_bank = a mod n_banks and to_bank = b mod n_banks in
-          if from_bank <> to_bank then
-            Zmail.Federation.apply_transfer fed ~from_bank ~to_bank ~amount)
-        moves;
+      drift fed ~n_banks moves;
       Zmail.Federation.verify_statements fed (Zmail.Federation.statements fed)
       = [])
 

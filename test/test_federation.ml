@@ -10,6 +10,23 @@ let seal_to t ~isp payload =
   let bank = Zmail.Federation.home_of t ~isp in
   Zmail.Wire.seal_for_bank (rng ()) (Zmail.Federation.public_key t ~bank) payload
 
+(* Move cash between banks the exactly-once way: a signed transfer
+   delivered at its destination. *)
+let transfer fed (from_bank, to_bank, amount) =
+  let xfer_id = Zmail.Federation.next_xfer_id fed in
+  match
+    Zmail.Federation.receive_transfer fed
+      (Zmail.Federation.sign_transfer fed ~from_bank ~to_bank ~amount ~xfer_id)
+  with
+  | Ok _ -> ()
+  | Error r -> Alcotest.fail (Zmail.Bank.reject_to_string r)
+
+(* Plan a settlement and land every planned transfer. *)
+let settle fed =
+  let plan = Zmail.Federation.settle_plan fed in
+  List.iter (transfer fed) plan;
+  plan
+
 let test_homing () =
   let _, t = make () in
   Alcotest.(check int) "round robin 0" 0 (Zmail.Federation.home_of t ~isp:0);
@@ -50,17 +67,74 @@ let test_foreign_bank_rejected () =
         (Zmail.Federation.total_outstanding t)
   | Zmail.Federation.Reply _ -> Alcotest.fail "foreign-bank envelope must be rejected"
 
-let test_replay_rejected () =
+(* A replayed buy is answered from the home bank's reply cache: the
+   same signed reply, and no money moves. *)
+let test_replay_answered_from_cache () =
   let _, t = make () in
   let sealed = seal_to t ~isp:1 (Zmail.Wire.Buy { amount = 100; nonce = 3L }) in
-  (match Zmail.Federation.on_isp_message t ~from_isp:1 sealed with
-  | Zmail.Federation.Reply _ -> ()
-  | Zmail.Federation.Rejected r -> Alcotest.fail (Zmail.Bank.reject_to_string r));
-  (match Zmail.Federation.on_isp_message t ~from_isp:1 sealed with
-  | Zmail.Federation.Rejected _ -> ()
-  | Zmail.Federation.Reply _ -> Alcotest.fail "replay must be rejected");
+  let serve () =
+    match Zmail.Federation.on_isp_message t ~from_isp:1 sealed with
+    | Zmail.Federation.Reply signed -> signed
+    | Zmail.Federation.Rejected r -> Alcotest.fail (Zmail.Bank.reject_to_string r)
+  in
+  let first = serve () in
+  Alcotest.(check bool) "the replay gets the cached reply" true (serve () = first);
   Alcotest.(check int) "debited once" (1_000_000 - 100)
-    (Zmail.Federation.account_balance t ~isp:1)
+    (Zmail.Federation.account_balance t ~isp:1);
+  Alcotest.(check int) "issued once" 100 (Zmail.Federation.total_outstanding t)
+
+(* The reply to a buy is lost on the way back and the ISP retransmits
+   the same sealed envelope.  The home bank must answer from its reply
+   cache: the same accepted [Buy_reply], no second debit, and once the
+   kernel reads it the pending buy clears and the kernel's e-penny
+   growth equals the federation's liability. *)
+let test_lost_reply_retransmit () =
+  let n_isps = 2 in
+  let _, t = make ~n_isps () in
+  let kernel =
+    Zmail.Isp.create (rng ())
+      { (Zmail.Isp.default_config ~index:0 ~n_isps ~n_users:2
+           ~compliant:(Array.make n_isps true)
+           ~bank_public:(Zmail.Federation.public_key t ~bank:0))
+        with
+        Zmail.Isp.minavail = 2000;
+        maxavail = 4000;
+        initial_avail = 1000;
+        buy_amount = 500;
+      }
+  in
+  let initial = Zmail.Isp.total_epennies kernel in
+  let sealed =
+    match Zmail.Isp.pool_action kernel with
+    | Some sealed -> sealed
+    | None -> Alcotest.fail "kernel emitted no buy"
+  in
+  let nonce =
+    match Zmail.Isp.pending_buy_nonce kernel with
+    | Some n -> n
+    | None -> Alcotest.fail "no pending buy"
+  in
+  let serve () =
+    match Zmail.Federation.on_isp_message t ~from_isp:0 sealed with
+    | Zmail.Federation.Reply signed -> signed
+    | Zmail.Federation.Rejected r -> Alcotest.fail (Zmail.Bank.reject_to_string r)
+  in
+  let lost = serve () in
+  let retransmitted = serve () in
+  (match
+     Zmail.Wire.verify_from_bank (Zmail.Federation.public_key t ~bank:0) retransmitted
+   with
+  | Some (Zmail.Wire.Buy_reply { nonce = n; accepted = true }) when n = nonce -> ()
+  | _ -> Alcotest.fail "expected the accepted buy reply for the pending nonce");
+  Alcotest.(check bool) "the cached reply, byte for byte" true (lost = retransmitted);
+  Alcotest.(check int) "debited once" (1_000_000 - 500)
+    (Zmail.Federation.account_balance t ~isp:0);
+  ignore (Zmail.Isp.on_bank_message kernel retransmitted);
+  Alcotest.(check bool) "pending buy cleared" true
+    (Zmail.Isp.pending_buy_nonce kernel = None);
+  Alcotest.(check int) "e-penny growth equals the federation's liability"
+    (Zmail.Federation.total_outstanding t)
+    (Zmail.Isp.total_epennies kernel - initial)
 
 let test_clearing () =
   let _, t = make ~n_banks:2 ~n_isps:2 () in
@@ -75,13 +149,13 @@ let test_clearing () =
   Alcotest.(check int) "total outstanding" 600 (Zmail.Federation.total_outstanding t);
   Alcotest.(check int) "bank 0 position" 700 (Zmail.Federation.position t ~bank:0);
   Alcotest.(check int) "bank 1 position" (-700) (Zmail.Federation.position t ~bank:1);
-  (match Zmail.Federation.settle t with
+  (match settle t with
   | [ (0, 1, 700) ] -> ()
   | transfers -> Alcotest.failf "unexpected transfers (%d)" (List.length transfers));
   Alcotest.(check int) "positions cleared (0)" 0 (Zmail.Federation.position t ~bank:0);
   Alcotest.(check int) "positions cleared (1)" 0 (Zmail.Federation.position t ~bank:1);
   Alcotest.(check (list (triple int int int))) "settle is idempotent" []
-    (List.map (fun (a, b, c) -> (a, b, c)) (Zmail.Federation.settle t));
+    (settle t);
   (* Outstanding is unchanged by clearing: it is a liability, not cash. *)
   Alcotest.(check int) "outstanding preserved" 600 (Zmail.Federation.total_outstanding t)
 
@@ -96,7 +170,7 @@ let test_clearing_three_banks () =
   ignore
     (Zmail.Federation.on_isp_message t ~from_isp:2
        (seal_to t ~isp:2 (Zmail.Wire.Sell { amount = 300; nonce = 22L })));
-  let transfers = Zmail.Federation.settle t in
+  let transfers = settle t in
   Alcotest.(check bool) "some transfers" true (transfers <> []);
   for b = 0 to 2 do
     Alcotest.(check int) (Printf.sprintf "bank %d cleared" b) 0
@@ -195,7 +269,7 @@ let test_single_bank_degenerate () =
        (seal_to t ~isp:0 (Zmail.Wire.Buy { amount = 777; nonce = 30L })));
   Alcotest.(check int) "position zero" 0 (Zmail.Federation.position t ~bank:0);
   Alcotest.(check (list (triple int int int))) "nothing to settle" []
-    (List.map (fun x -> x) (Zmail.Federation.settle t))
+    (settle t)
 
 let test_config_validation () =
   Alcotest.(check bool) "bad home map" true
@@ -211,18 +285,15 @@ let test_config_validation () =
    the mean by cash [transfers] (from, to, amount), so a settlement
    round plans real transfers. *)
 let clearing_over ?(n_banks = 3) ?(transfers = [ (0, 1, 900); (1, 2, 300) ])
-    plan ?retry_timeout () =
+    ?(taps = []) plan ?retry_timeout () =
   let engine = Sim.Engine.create ~seed:3 () in
   let _, fed = make ~n_banks ~n_isps:(2 * n_banks) () in
-  List.iter
-    (fun (from_bank, to_bank, amount) ->
-      Zmail.Federation.apply_transfer fed ~from_bank ~to_bank ~amount)
-    transfers;
+  List.iter (transfer fed) transfers;
   let mesh =
     Sim.Fault.Mesh.create ~default:plan ~n_nodes:n_banks engine
       (Sim.Rng.create 8)
   in
-  let clr = Zmail.Clearing.create ?retry_timeout ~engine ~mesh fed in
+  let clr = Zmail.Clearing.create ~taps ?retry_timeout ~engine ~mesh fed in
   let plan = Zmail.Clearing.settle_round clr in
   (engine, mesh, clr, List.length plan)
 
@@ -286,6 +357,58 @@ let test_clearing_lossy_drains () =
         (Zmail.Clearing.pending_amount clr))
     [ 4; 16 ]
 
+(* A tap on every directed link between 4 banks, one behaviour at a
+   time, over a 30%-drop mesh (so retransmissions re-cross the taps):
+   whatever the taps forge, replay, hold or drop, every transfer lands
+   exactly once — positions reach the mean, money is exact — and the
+   taps did act. *)
+let test_clearing_tapped () =
+  let module BW = Zmail.Adversary.Bank_wire in
+  List.iter
+    (fun behavior ->
+      let n_banks = 4 in
+      let taps =
+        List.concat_map
+          (fun a ->
+            List.filter_map
+              (fun b ->
+                if a = b then None
+                else
+                  Some ((a, b), BW.create (Sim.Rng.create ((10 * a) + b)) behavior))
+              (List.init n_banks Fun.id))
+          (List.init n_banks Fun.id)
+      in
+      let engine, _, clr, transfers =
+        clearing_over ~n_banks ~taps
+          ~transfers:
+            (List.init n_banks (fun b -> (b, (b + 1) mod n_banks, 1000 * (b + 1))))
+          (Sim.Fault.plan ~drop:0.3 ()) ~retry_timeout:60. ()
+      in
+      let fed = Zmail.Clearing.federation clr in
+      let money = Zmail.Federation.total_money fed in
+      let check what = Printf.sprintf "%s: %s" (BW.name behavior) what in
+      Alcotest.(check bool) (check "the round plans transfers") true (transfers > 0);
+      Sim.Engine.run engine;
+      Alcotest.(check int) (check "every transfer acked") 0
+        (Zmail.Clearing.pending_count clr);
+      Alcotest.(check int) (check "drift and plan applied once each")
+        (n_banks + transfers)
+        (Zmail.Federation.stats fed).Zmail.Federation.transfers_applied;
+      for b = 0 to n_banks - 1 do
+        Alcotest.(check int) (check (Printf.sprintf "bank %d at the mean" b)) 0
+          (Zmail.Federation.position fed ~bank:b)
+      done;
+      Alcotest.(check int) (check "money exact") money (Zmail.Federation.total_money fed);
+      let acted =
+        List.fold_left
+          (fun acc (_, tap) ->
+            acc + BW.forged tap + BW.replayed tap + BW.delayed tap + BW.dropped tap)
+          0 taps
+      in
+      Alcotest.(check bool) (check "the taps acted") true (acted > 0))
+    [ BW.Forge_garbage 0.5; BW.Replay_captured 0.5; BW.Reorder (0.5, 30.);
+      BW.Drop_selective (BW.Clearing_msg, 0.5) ]
+
 let () =
   Alcotest.run "federation"
     [
@@ -294,7 +417,10 @@ let () =
           Alcotest.test_case "homing" `Quick test_homing;
           Alcotest.test_case "buy at home bank" `Quick test_buy_at_home_bank;
           Alcotest.test_case "foreign bank rejected" `Quick test_foreign_bank_rejected;
-          Alcotest.test_case "replay rejected" `Quick test_replay_rejected;
+          Alcotest.test_case "replay answered from cache" `Quick
+            test_replay_answered_from_cache;
+          Alcotest.test_case "lost reply: retransmit answered from cache" `Quick
+            test_lost_reply_retransmit;
         ] );
       ( "clearing",
         [
@@ -306,6 +432,8 @@ let () =
           Alcotest.test_case "retry schedule" `Quick test_clearing_retry_schedule;
           Alcotest.test_case "lossy mesh drains at 4 and 16 banks" `Quick
             test_clearing_lossy_drains;
+          Alcotest.test_case "tapped links land every transfer once" `Quick
+            test_clearing_tapped;
         ] );
       ( "audit",
         [

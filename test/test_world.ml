@@ -796,39 +796,33 @@ let test_partition_bounces_and_refunds () =
   Alcotest.(check int) "sender refunded" 100 (balance w ~isp:0 ~user:0)
 
 (* Audit rounds across a partition: the severed ISP is recorded absent
-   under the quorum policy (never suspected), the deferred policy skips
-   the round entirely, and after the heal the late cumulative report
-   reconciles with zero violations. *)
+   by the half quorum (never suspected), and after the heal the late
+   cumulative report reconciles with zero violations. *)
 let test_partition_quorum_audit () =
   let hour = Sim.Engine.hour in
   let day = Sim.Engine.day in
   let groups = [| 0; 0; 1; 0 |] in
-  let run policy =
-    let w =
-      make ~n_isps:3 ~users:2
-        ~f:(fun c ->
-          {
-            c with
-            Zmail.World.audit_period = Some (6. *. hour);
-            audit_unreachable = policy;
-            partitions =
-              [ Sim.Fault.Mesh.partition ~start:(0.3 *. day) ~stop:(0.9 *. day)
-                  ~groups ];
-          })
-        ()
-    in
-    (* Cross traffic before the cut so every ISP has credit flows to
-       report (including claims against the soon-severed ISP 2). *)
-    for u = 0 to 1 do
-      ignore (Zmail.World.send_email w ~from:(0, u) ~to_:(2, u) ());
-      ignore (Zmail.World.send_email w ~from:(2, u) ~to_:(1, u) ());
-      ignore (Zmail.World.send_email w ~from:(1, u) ~to_:(0, u) ())
-    done;
-    Zmail.World.run_days w 1.5;
-    Zmail.World.run_until_quiet w;
-    w
+  let w =
+    make ~n_isps:3 ~users:2
+      ~f:(fun c ->
+        {
+          c with
+          Zmail.World.audit_period = Some (6. *. hour);
+          partitions =
+            [ Sim.Fault.Mesh.partition ~start:(0.3 *. day) ~stop:(0.9 *. day)
+                ~groups ];
+        })
+      ()
   in
-  let w = run (`Quorum 0.5) in
+  (* Cross traffic before the cut so every ISP has credit flows to
+     report (including claims against the soon-severed ISP 2). *)
+  for u = 0 to 1 do
+    ignore (Zmail.World.send_email w ~from:(0, u) ~to_:(2, u) ());
+    ignore (Zmail.World.send_email w ~from:(2, u) ~to_:(1, u) ());
+    ignore (Zmail.World.send_email w ~from:(1, u) ~to_:(0, u) ())
+  done;
+  Zmail.World.run_days w 1.5;
+  Zmail.World.run_until_quiet w;
   let audits = Zmail.World.audit_results w in
   let absences =
     List.fold_left (fun acc r -> acc + List.length r.Zmail.Bank.absent) 0 audits
@@ -847,20 +841,7 @@ let test_partition_quorum_audit () =
   Alcotest.(check int) "no rounds deferred under quorum" 0
     (Sim.Stats.Counter.value
        (Zmail.World.link_stats w).Zmail.World.audits_deferred);
-  Alcotest.(check bool) "conservation" true (Zmail.World.conservation_holds w);
-  (* Same world under `Defer: severed rounds are skipped instead. *)
-  let w = run `Defer in
-  Alcotest.(check bool) "deferred rounds counted" true
-    (Sim.Stats.Counter.value
-       (Zmail.World.link_stats w).Zmail.World.audits_deferred
-    > 0);
-  List.iter
-    (fun (r : Zmail.Bank.audit_result) ->
-      Alcotest.(check (list int)) "completed rounds ran full-strength" []
-        r.Zmail.Bank.absent)
-    (Zmail.World.audit_results w);
-  Alcotest.(check bool) "conservation under defer" true
-    (Zmail.World.conservation_holds w)
+  Alcotest.(check bool) "conservation" true (Zmail.World.conservation_holds w)
 
 let test_partition_determinism () =
   (* Same seed + same partition schedule + lossy mesh ⇒ byte-identical
