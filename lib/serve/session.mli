@@ -20,6 +20,7 @@ type outcome =
   | `Permanent of string ]
 
 val start :
+  ?tap:(Smtp.Client.transport -> Smtp.Client.transport) ->
   engine:Sim.Engine.t ->
   rng:Sim.Rng.t ->
   rtt:(Sim.Rng.t -> float) ->
@@ -34,4 +35,8 @@ val start :
     first phase fires one [rtt] later and [on_close] is called exactly
     once, from inside the final phase's event.  On [`Delivered],
     acceptance, the [Received] stamp and inbound filtering have already
-    run via {!Smtp.Mta.accept_from_remote}. *)
+    run via {!Smtp.Mta.accept_from_remote}.
+
+    [tap] wraps the session's line transport before the first phase; it
+    observes the wire (a test records the transcript with it) and must
+    pass every line and reply through unchanged.  Default: none. *)
