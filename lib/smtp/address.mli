@@ -28,6 +28,12 @@ val unsafe_of_parts : local:string -> domain:string -> domain_id:int -> t
 val of_string : string -> (t, string) result
 (** Parse ["local@domain"]. *)
 
+val of_sub : string -> pos:int -> len:int -> (t, string) result
+(** [of_sub s ~pos ~len] is [of_string (String.sub s pos len)], errors
+    included, read in place: only the local part and the domain are
+    copied out.
+    @raise Invalid_argument if the slice is not inside [s]. *)
+
 val of_rendering : string -> pos:int -> len:int -> t option
 (** [of_rendering s ~pos ~len] is the address whose {!to_string} is
     exactly the [len] bytes of [s] at [pos], if there is one: a valid

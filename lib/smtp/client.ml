@@ -29,6 +29,10 @@ let failure_to_string = function
 let stuff line =
   if String.length line >= 1 && line.[0] = '.' then "." ^ line else line
 
+let send_data transport message =
+  Message.iter_lines message (fun line -> ignore (transport.exchange (stuff line)));
+  transport.exchange "."
+
 let command transport cmd =
   let line = Command.to_line cmd in
   match transport.exchange line with
@@ -42,6 +46,20 @@ let expect_positive transport cmd =
       if Reply.is_positive reply then Ok reply
       else Error (Protocol_error { at = line; reply })
 
+(* One RCPT per recipient, in envelope order; both lists are built
+   newest first. *)
+let rec send_recipients transport accepted_rev rejected_rev = function
+  | [] -> (List.rev accepted_rev, List.rev rejected_rev)
+  | rcpt :: rest -> (
+      match command transport (Command.Rcpt_to rcpt) with
+      | Ok (_, reply) when Reply.is_positive reply ->
+          send_recipients transport (rcpt :: accepted_rev) rejected_rev rest
+      | Ok (_, reply) -> send_recipients transport accepted_rev ((rcpt, reply) :: rejected_rev) rest
+      | Error _ ->
+          send_recipients transport accepted_rev
+            ((rcpt, Reply.v 500 "no reply") :: rejected_rev)
+            rest)
+
 let deliver transport ~hostname envelope message =
   let banner = transport.greeting () in
   if banner.Reply.code <> 220 then Error (Connection_refused banner)
@@ -49,32 +67,19 @@ let deliver transport ~hostname envelope message =
     let ( let* ) = Result.bind in
     let* _ = expect_positive transport (Command.Helo hostname) in
     let* _ = expect_positive transport (Command.Mail_from (Envelope.sender envelope)) in
-    let accepted, rejected =
-      List.fold_left
-        (fun (acc, rej) rcpt ->
-          match command transport (Command.Rcpt_to rcpt) with
-          | Ok (_, reply) when Reply.is_positive reply -> (acc @ [ rcpt ], rej)
-          | Ok (_, reply) -> (acc, rej @ [ (rcpt, reply) ])
-          | Error _ -> (acc, rej @ [ (rcpt, Reply.v 500 "no reply") ]))
-        ([], [])
-        (Envelope.recipients envelope)
-    in
-    if accepted = [] then begin
-      (* Close the session politely before reporting failure. *)
-      ignore (command transport Command.Quit);
-      Error (All_recipients_rejected rejected)
-    end
-    else
-      let* data_reply = expect_positive transport Command.Data in
-      if data_reply.Reply.code <> 354 then
-        Error (Protocol_error { at = "DATA"; reply = data_reply })
-      else begin
-        let lines = Message.to_lines message in
-        List.iter (fun l -> ignore (transport.exchange (stuff l))) lines;
-        match transport.exchange "." with
-        | Some reply when Reply.is_positive reply ->
-            ignore (command transport Command.Quit);
-            Ok { accepted; rejected }
-        | Some reply -> Error (Protocol_error { at = "."; reply })
-        | None -> Error (Protocol_error { at = "."; reply = Reply.v 500 "no reply" })
-      end
+    match send_recipients transport [] [] (Envelope.recipients envelope) with
+    | [], rejected ->
+        (* Close the session politely before reporting failure. *)
+        ignore (command transport Command.Quit);
+        Error (All_recipients_rejected rejected)
+    | accepted, rejected -> (
+        let* data_reply = expect_positive transport Command.Data in
+        if data_reply.Reply.code <> 354 then
+          Error (Protocol_error { at = "DATA"; reply = data_reply })
+        else
+          match send_data transport message with
+          | Some reply when Reply.is_positive reply ->
+              ignore (command transport Command.Quit);
+              Ok { accepted; rejected }
+          | Some reply -> Error (Protocol_error { at = "."; reply })
+          | None -> Error (Protocol_error { at = "."; reply = Reply.v 500 "no reply" }))

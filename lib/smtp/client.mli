@@ -30,17 +30,19 @@ type failure =
 val deliver :
   transport -> hostname:string -> Envelope.t -> Message.t ->
   (outcome, failure) result
-(** Run the dialogue synchronously.  Message content is dot-stuffed per
-    RFC 821 §4.5.2.  Delivery succeeds if at least one recipient is
-    accepted; per-recipient rejections are reported in the outcome.
+(** Run the dialogue synchronously.  Delivery succeeds if at least one
+    recipient is accepted; per-recipient rejections are reported in the
+    outcome, in envelope order.
 
     [Serve.Session] runs the same dialogue against the same transport
-    but spreads it over engine events, one round trip per phase;
-    {!stuff} is shared so both paths put identical bytes on the
-    wire. *)
+    but spreads it over engine events, one round trip per phase; both
+    put the body on the wire with {!send_data}. *)
 
-val stuff : string -> string
-(** Dot-stuff one data line (RFC 821 §4.5.2): a leading ['.'] is
-    doubled.  The server's reader undoes it symmetrically. *)
+val send_data : transport -> Message.t -> Reply.t option
+(** After DATA's 354: send each line of {!Message.iter_lines},
+    dot-stuffed per RFC 821 §4.5.2 (a leading ['.'] is doubled, which
+    the server's reader undoes), then the terminating ["."], and return
+    the reply to the dot.  The one body writer, so both dialogue
+    drivers put identical bytes on the wire. *)
 
 val failure_to_string : failure -> string
