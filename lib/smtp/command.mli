@@ -11,9 +11,14 @@ type t =
   | Vrfy of string
 
 val to_line : t -> string
+(** The wire line, built in one allocation for every verb. *)
+
 val of_line : string -> (t, string) result
 (** Parse a command line; verbs are case-insensitive, as RFC 821
-    requires. *)
+    requires.  The line is read in place as if [String.trim]med: verbs
+    are matched without an upper-cased copy, and only the argument is
+    allocated (the host of HELO/EHLO/VRFY, or the path of MAIL/RCPT
+    read by {!Address.of_sub}, bare or in angle brackets). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,9 +1,12 @@
 (** Server side of an SMTP session: the RFC 821 command state machine.
 
     One {!t} handles one connection.  Feed it command lines with
-    {!on_line}; during a DATA block every line (dot-stuffing removed)
-    accumulates until the terminating ["."].  Completed messages are
-    queued and retrieved with {!take_received}.
+    {!on_line}; during a DATA block every line goes, dot-stuffing
+    removed, to one {!Message.reader}, which parses the header lines as
+    they arrive, until the terminating ["."].  Completed messages are
+    queued and retrieved with {!take_received}.  A DATA text that does
+    not parse (a forged or repeated stamp, a malformed header line) is
+    kept whole as the body of a message with no stamps.
 
     Recipient acceptance is delegated to the [accept] policy so the MTA
     (or a Zmail ISP, or a spam filter baseline) can refuse mailboxes. *)
@@ -13,8 +16,10 @@ type policy = {
       (** Checked at RCPT TO time; [Error why] yields a 550. *)
   max_recipients : int;  (** RCPT TO beyond this count gets a 554. *)
   max_message_bytes : int;
-      (** Messages larger than this (measured over the received data
-          lines) are refused with 552 at the end of DATA. *)
+      (** Messages larger than this, measured as the sum of (length + 1)
+          over the received data lines, are refused with 552 at the end
+          of DATA.  The sum is kept as lines arrive, and lines past the
+          cap are counted but not kept. *)
 }
 
 val default_policy : local_domains:string list -> policy
