@@ -41,11 +41,103 @@ let float_repr f =
       let s = format_float "%.17g" f in
       if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
 
+type value = Int of int | Float of float | Bool of bool | Str of string
+
+(* Int lists travel as comma-joined strings ("1,2,3"), as they always
+   have in the exported forms. *)
+let int_list l = Str (String.concat "," (List.map string_of_int l))
+
+(* Each kind's exported identity: component, name and fields in
+   rendering order.  The typed payload is what the simulator emits and
+   the checkers read; this view exists only for the text forms. *)
+let view : Trace.payload -> string * string * (string * value) list = function
+  | Isp_charge { user; dest } -> ("isp", "charge", [ ("user", Int user); ("dest", Int dest) ])
+  | Isp_refund { user; dest } -> ("isp", "refund", [ ("user", Int user); ("dest", Int dest) ])
+  | Isp_settle { from; rcpt } -> ("isp", "settle", [ ("from", Int from); ("rcpt", Int rcpt) ])
+  | Isp_mint { peer; user } -> ("isp", "mint", [ ("peer", Int peer); ("user", Int user) ])
+  | Isp_buy_begin { nonce; amount } ->
+      ("isp", "buy", [ ("nonce", Int nonce); ("amount", Int amount) ])
+  | Isp_buy_end { accepted } -> ("isp", "buy", [ ("accepted", Bool accepted) ])
+  | Isp_sell_begin { nonce; amount } ->
+      ("isp", "sell", [ ("nonce", Int nonce); ("amount", Int amount) ])
+  | Isp_sell_end { accepted } -> ("isp", "sell", [ ("accepted", Bool accepted) ])
+  | Isp_buy_apply { nonce; amount; accepted } ->
+      ( "isp", "buy_apply",
+        [ ("nonce", Int nonce); ("amount", Int amount); ("accepted", Bool accepted) ] )
+  | Isp_sell_apply { nonce; amount; taken } ->
+      ( "isp", "sell_apply",
+        [ ("nonce", Int nonce); ("amount", Int amount); ("taken", Int taken) ] )
+  | Isp_freeze { seq } -> ("isp", "freeze", [ ("seq", Int seq) ])
+  | Isp_thaw { seq } -> ("isp", "thaw", [ ("seq", Int seq) ])
+  | Credit_send { peer } -> ("credit", "send", [ ("peer", Int peer) ])
+  | Credit_recv { peer } -> ("credit", "recv", [ ("peer", Int peer); ("early", Bool false) ])
+  | Credit_recv_early { peer; epoch } ->
+      ( "credit", "recv",
+        [ ("peer", Int peer); ("early", Bool true); ("epoch", Int epoch) ] )
+  | Credit_recv_amended { peer; epoch } ->
+      ( "credit", "recv",
+        [ ("peer", Int peer); ("early", Bool false); ("amended", Bool true);
+          ("epoch", Int epoch) ] )
+  | Credit_cancel { peer } -> ("credit", "cancel", [ ("peer", Int peer) ])
+  | Credit_fold { upto; count } -> ("credit", "fold", [ ("upto", Int upto); ("count", Int count) ])
+  | Credit_reset { promoted } -> ("credit", "reset", [ ("promoted", Int promoted) ])
+  | Bank_buy { isp; nonce; amount; accepted } ->
+      ( "bank", "buy",
+        [ ("isp", Int isp); ("nonce", Int nonce); ("amount", Int amount);
+          ("accepted", Bool accepted); ("replay", Bool false) ] )
+  | Bank_buy_replay { isp; nonce; amount } ->
+      ( "bank", "buy",
+        [ ("isp", Int isp); ("nonce", Int nonce); ("amount", Int amount);
+          ("replay", Bool true) ] )
+  | Bank_sell { isp; nonce; amount } ->
+      ( "bank", "sell",
+        [ ("isp", Int isp); ("nonce", Int nonce); ("amount", Int amount);
+          ("replay", Bool false) ] )
+  | Bank_sell_replay { isp; nonce; amount } ->
+      ( "bank", "sell",
+        [ ("isp", Int isp); ("nonce", Int nonce); ("amount", Int amount);
+          ("replay", Bool true) ] )
+  | Bank_audit_reply { isp; seq; amended } ->
+      ( "bank", "audit_reply",
+        [ ("isp", Int isp); ("seq", Int seq); ("amended", Bool amended) ] )
+  | Bank_reject { isp; reason } -> ("bank", "reject", [ ("isp", Int isp); ("reason", Str reason) ])
+  | Bank_audit_begin { seq; absent } ->
+      ("bank", "audit", [ ("seq", Int seq); ("absent", Int absent) ])
+  | Bank_audit_end a ->
+      ( "bank", "audit",
+        [ ("seq", Int a.seq); ("violations", Int a.violations);
+          ("suspects", Int a.suspects); ("absent", Int a.absent);
+          ("rings", Int a.rings); ("convicted", Int a.convicted);
+          ("cleared", Int a.cleared); ("lied_volume", Int a.lied_volume);
+          ("ring_volume", Int a.ring_volume);
+          ("convicted_isps", int_list a.convicted_isps);
+          ("ring_isps", int_list a.ring_isps);
+          ("cleared_isps", int_list a.cleared_isps) ] )
+  | World_retransmit { timeout } -> ("world", "retransmit", [ ("timeout", Float timeout) ])
+  | World_bankwire_drop { kind } -> ("world", "bankwire_drop", [ ("kind", Str kind) ])
+  | World_bankwire_delay { delay } -> ("world", "bankwire_delay", [ ("delay", Float delay) ])
+  | World_bankwire_inject { kind } -> ("world", "bankwire_inject", [ ("kind", Str kind) ])
+  | World_audit_deferred_bank_down -> ("world", "audit_deferred", [ ("bank_down", Bool true) ])
+  | World_audit_deferred { unreachable } ->
+      ("world", "audit_deferred", [ ("unreachable", Int unreachable) ])
+  | World_recover_failed { why } -> ("world", "recover_failed", [ ("why", Str why) ])
+  | World_crash { downtime } -> ("world", "crash", [ ("downtime", Float downtime) ])
+  | World_recover -> ("world", "recover", [])
+  | World_bank_crash { downtime } -> ("world", "bank_crash", [ ("downtime", Float downtime) ])
+  | World_bank_recover -> ("world", "bank_recover", [])
+  | World_backpressured -> ("world", "backpressured", [])
+  | World_refused_down -> ("world", "refused_down", [])
+  | World_deferred -> ("world", "deferred", [])
+  | Obs_checkpoint { total; outstanding; minted; quiescent } ->
+      ( "obs", "checkpoint",
+        [ ("total", Int total); ("outstanding", Int outstanding);
+          ("minted", Int minted); ("quiescent", Bool quiescent) ] )
+
 let add_value buf = function
-  | Trace.Int i -> Buffer.add_string buf (string_of_int i)
-  | Trace.Float f -> Buffer.add_string buf (float_repr f)
-  | Trace.Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Trace.Str s -> escape_string buf s
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (float_repr f)
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Str s -> escape_string buf s
 
 let phase_code = function
   | Trace.Instant -> "I"
@@ -66,22 +158,23 @@ let add_fields buf fields =
 (* Serializers append into a shared document buffer: a 30k-event trace
    goes through here per event, so no intermediate strings. *)
 let add_event_json buf (ev : Trace.event) =
+  let comp, name, fields = view ev.payload in
   Buffer.add_string buf "{\"seq\":";
   Buffer.add_string buf (string_of_int ev.seq);
   Buffer.add_string buf ",\"t\":";
   Buffer.add_string buf (float_repr ev.time);
   Buffer.add_string buf ",\"comp\":";
-  escape_string buf ev.comp;
+  escape_string buf comp;
   Buffer.add_string buf ",\"actor\":";
   Buffer.add_string buf (string_of_int ev.actor);
   Buffer.add_string buf ",\"ph\":\"";
   Buffer.add_string buf (phase_code ev.phase);
   Buffer.add_string buf "\",\"name\":";
-  escape_string buf ev.name;
+  escape_string buf name;
   Buffer.add_string buf ",\"span\":";
   Buffer.add_string buf (string_of_int ev.span);
   Buffer.add_string buf ",\"fields\":";
-  add_fields buf ev.fields;
+  add_fields buf fields;
   Buffer.add_char buf '}'
 
 let event_to_json ev =
@@ -252,10 +345,127 @@ and parse_flat lx =
     (parse_object lx)
 
 let value_of_json = function
-  | Jint i -> Trace.Int i
-  | Jfloat f -> Trace.Float f
-  | Jbool b -> Trace.Bool b
-  | Jstr s -> Trace.Str s
+  | Jint i -> Int i
+  | Jfloat f -> Float f
+  | Jbool b -> Bool b
+  | Jstr s -> Str s
+
+(* The inverse of [view]: the constructor is picked by component, name
+   and (for span kinds) phase, its fields are read by key, and the
+   payload must render back to exactly the fields given. *)
+let payload_of ~comp ~name ~phase fields : Trace.payload =
+  let kind = comp ^ "/" ^ name in
+  let get key =
+    match List.assoc_opt key fields with
+    | Some v -> v
+    | None -> fail (kind ^ ": missing field " ^ key)
+  in
+  let bad key what = fail (Printf.sprintf "%s: %s: expected %s" kind key what) in
+  let int key = match get key with Int i -> i | _ -> bad key "int" in
+  let bool key = match get key with Bool b -> b | _ -> bad key "bool" in
+  let float key = match get key with Float f -> f | _ -> bad key "float" in
+  let str key = match get key with Str s -> s | _ -> bad key "string" in
+  let ints key =
+    match str key with
+    | "" -> []
+    | s ->
+        List.map
+          (fun part ->
+            match int_of_string_opt part with
+            | Some i -> i
+            | None -> bad key "comma-separated ints")
+          (String.split_on_char ',' s)
+  in
+  let payload : Trace.payload =
+    match (comp, name, phase) with
+    | "isp", "charge", _ -> Isp_charge { user = int "user"; dest = int "dest" }
+    | "isp", "refund", _ -> Isp_refund { user = int "user"; dest = int "dest" }
+    | "isp", "settle", _ -> Isp_settle { from = int "from"; rcpt = int "rcpt" }
+    | "isp", "mint", _ -> Isp_mint { peer = int "peer"; user = int "user" }
+    | "isp", "buy", Trace.Begin ->
+        Isp_buy_begin { nonce = int "nonce"; amount = int "amount" }
+    | "isp", "buy", Trace.End -> Isp_buy_end { accepted = bool "accepted" }
+    | "isp", "sell", Trace.Begin ->
+        Isp_sell_begin { nonce = int "nonce"; amount = int "amount" }
+    | "isp", "sell", Trace.End -> Isp_sell_end { accepted = bool "accepted" }
+    | "isp", "buy_apply", _ ->
+        Isp_buy_apply
+          { nonce = int "nonce"; amount = int "amount"; accepted = bool "accepted" }
+    | "isp", "sell_apply", _ ->
+        Isp_sell_apply { nonce = int "nonce"; amount = int "amount"; taken = int "taken" }
+    | "isp", "freeze", _ -> Isp_freeze { seq = int "seq" }
+    | "isp", "thaw", _ -> Isp_thaw { seq = int "seq" }
+    | "credit", "send", _ -> Credit_send { peer = int "peer" }
+    | "credit", "recv", _ ->
+        if bool "early" then Credit_recv_early { peer = int "peer"; epoch = int "epoch" }
+        else if List.mem_assoc "amended" fields then
+          Credit_recv_amended { peer = int "peer"; epoch = int "epoch" }
+        else Credit_recv { peer = int "peer" }
+    | "credit", "cancel", _ -> Credit_cancel { peer = int "peer" }
+    | "credit", "fold", _ -> Credit_fold { upto = int "upto"; count = int "count" }
+    | "credit", "reset", _ -> Credit_reset { promoted = int "promoted" }
+    | "bank", "buy", _ ->
+        if bool "replay" then
+          Bank_buy_replay { isp = int "isp"; nonce = int "nonce"; amount = int "amount" }
+        else
+          Bank_buy
+            { isp = int "isp"; nonce = int "nonce"; amount = int "amount";
+              accepted = bool "accepted" }
+    | "bank", "sell", _ ->
+        if bool "replay" then
+          Bank_sell_replay { isp = int "isp"; nonce = int "nonce"; amount = int "amount" }
+        else Bank_sell { isp = int "isp"; nonce = int "nonce"; amount = int "amount" }
+    | "bank", "audit_reply", _ ->
+        Bank_audit_reply { isp = int "isp"; seq = int "seq"; amended = bool "amended" }
+    | "bank", "reject", _ -> Bank_reject { isp = int "isp"; reason = str "reason" }
+    | "bank", "audit", Trace.Begin ->
+        Bank_audit_begin { seq = int "seq"; absent = int "absent" }
+    | "bank", "audit", Trace.End ->
+        Bank_audit_end
+          {
+            seq = int "seq";
+            violations = int "violations";
+            suspects = int "suspects";
+            absent = int "absent";
+            rings = int "rings";
+            convicted = int "convicted";
+            cleared = int "cleared";
+            lied_volume = int "lied_volume";
+            ring_volume = int "ring_volume";
+            convicted_isps = ints "convicted_isps";
+            ring_isps = ints "ring_isps";
+            cleared_isps = ints "cleared_isps";
+          }
+    | "world", "retransmit", _ -> World_retransmit { timeout = float "timeout" }
+    | "world", "bankwire_drop", _ -> World_bankwire_drop { kind = str "kind" }
+    | "world", "bankwire_delay", _ -> World_bankwire_delay { delay = float "delay" }
+    | "world", "bankwire_inject", _ -> World_bankwire_inject { kind = str "kind" }
+    | "world", "audit_deferred", _ ->
+        if List.mem_assoc "bank_down" fields then World_audit_deferred_bank_down
+        else World_audit_deferred { unreachable = int "unreachable" }
+    | "world", "recover_failed", _ -> World_recover_failed { why = str "why" }
+    | "world", "crash", _ -> World_crash { downtime = float "downtime" }
+    | "world", "recover", _ -> World_recover
+    | "world", "bank_crash", _ -> World_bank_crash { downtime = float "downtime" }
+    | "world", "bank_recover", _ -> World_bank_recover
+    | "world", "backpressured", _ -> World_backpressured
+    | "world", "refused_down", _ -> World_refused_down
+    | "world", "deferred", _ -> World_deferred
+    | "obs", "checkpoint", _ ->
+        Obs_checkpoint
+          {
+            total = int "total";
+            outstanding = int "outstanding";
+            minted = int "minted";
+            quiescent = bool "quiescent";
+          }
+    | _ ->
+        fail
+          (Printf.sprintf "unknown event kind %s (phase %s)" kind (phase_code phase))
+  in
+  let _, _, rendered = view payload in
+  if rendered <> fields then fail (kind ^ ": fields do not match the kind");
+  payload
 
 let event_of_json line =
   try
@@ -296,12 +506,10 @@ let event_of_json line =
       {
         Trace.seq = int "seq";
         time;
-        comp = str "comp";
         actor = int "actor";
         phase;
-        name = str "name";
         span = int "span";
-        fields;
+        payload = payload_of ~comp:(str "comp") ~name:(str "name") ~phase fields;
       }
   with Parse_error msg -> Error msg
 
@@ -328,11 +536,12 @@ let add_chrome_fields buf fields =
 
 let add_chrome_event buf (ev : Trace.event) =
   let ts = ev.time *. 1e6 in
+  let comp, name, fields = view ev.payload in
   let common ph =
     Buffer.add_string buf "{\"name\":";
-    escape_string buf ev.name;
+    escape_string buf name;
     Buffer.add_string buf ",\"cat\":";
-    escape_string buf ev.comp;
+    escape_string buf comp;
     Buffer.add_string buf ",\"ph\":\"";
     Buffer.add_string buf ph;
     Buffer.add_string buf "\",\"ts\":";
@@ -356,7 +565,7 @@ let add_chrome_event buf (ev : Trace.event) =
   | Trace.End ->
       common "e";
       span_id ());
-  add_chrome_fields buf ev.fields;
+  add_chrome_fields buf fields;
   Buffer.add_char buf '}'
 
 let to_chrome events =
@@ -403,5 +612,25 @@ let write_file ~path ~format events =
       | `Jsonl -> output_string oc (to_jsonl events)
       | `Chrome -> output_string oc (to_chrome events))
 
+let pp_value ppf = function
+  | Int i -> Format.pp_print_int ppf i
+  | Float f -> Format.fprintf ppf "%g" f
+  | Bool b -> Format.pp_print_bool ppf b
+  | Str s -> Format.fprintf ppf "%S" s
+
+let pp_event ppf (ev : Trace.event) =
+  let comp, name, fields = view ev.payload in
+  let phase =
+    match ev.phase with
+    | Trace.Instant -> ""
+    | Trace.Begin -> Format.sprintf "[>%d] " ev.span
+    | Trace.End -> Format.sprintf "[<%d] " ev.span
+  in
+  let actor =
+    if ev.actor < 0 then comp else Format.sprintf "%s/%d" comp ev.actor
+  in
+  Format.fprintf ppf "[%12.3fs] %-10s %s%s" ev.time actor phase name;
+  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) fields
+
 let pp_events ppf events =
-  List.iter (fun ev -> Format.fprintf ppf "%a@." Trace.pp_event ev) events
+  List.iter (fun ev -> Format.fprintf ppf "%a@." pp_event ev) events

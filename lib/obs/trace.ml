@@ -1,24 +1,82 @@
-type value = Int of int | Float of float | Bool of bool | Str of string
-
 type phase = Instant | Begin | End
+
+type payload =
+  | Isp_charge of { user : int; dest : int }
+  | Isp_refund of { user : int; dest : int }
+  | Isp_settle of { from : int; rcpt : int }
+  | Isp_mint of { peer : int; user : int }
+  | Isp_buy_begin of { nonce : int; amount : int }
+  | Isp_buy_end of { accepted : bool }
+  | Isp_sell_begin of { nonce : int; amount : int }
+  | Isp_sell_end of { accepted : bool }
+  | Isp_buy_apply of { nonce : int; amount : int; accepted : bool }
+  | Isp_sell_apply of { nonce : int; amount : int; taken : int }
+  | Isp_freeze of { seq : int }
+  | Isp_thaw of { seq : int }
+  | Credit_send of { peer : int }
+  | Credit_recv of { peer : int }
+  | Credit_recv_early of { peer : int; epoch : int }
+  | Credit_recv_amended of { peer : int; epoch : int }
+  | Credit_cancel of { peer : int }
+  | Credit_fold of { upto : int; count : int }
+  | Credit_reset of { promoted : int }
+  | Bank_buy of { isp : int; nonce : int; amount : int; accepted : bool }
+  | Bank_buy_replay of { isp : int; nonce : int; amount : int }
+  | Bank_sell of { isp : int; nonce : int; amount : int }
+  | Bank_sell_replay of { isp : int; nonce : int; amount : int }
+  | Bank_audit_reply of { isp : int; seq : int; amended : bool }
+  | Bank_reject of { isp : int; reason : string }
+  | Bank_audit_begin of { seq : int; absent : int }
+  | Bank_audit_end of {
+      seq : int;
+      violations : int;
+      suspects : int;
+      absent : int;
+      rings : int;
+      convicted : int;
+      cleared : int;
+      lied_volume : int;
+      ring_volume : int;
+      convicted_isps : int list;
+      ring_isps : int list;
+      cleared_isps : int list;
+    }
+  | World_retransmit of { timeout : float }
+  | World_bankwire_drop of { kind : string }
+  | World_bankwire_delay of { delay : float }
+  | World_bankwire_inject of { kind : string }
+  | World_audit_deferred_bank_down
+  | World_audit_deferred of { unreachable : int }
+  | World_recover_failed of { why : string }
+  | World_crash of { downtime : float }
+  | World_recover
+  | World_bank_crash of { downtime : float }
+  | World_bank_recover
+  | World_backpressured
+  | World_refused_down
+  | World_deferred
+  | Obs_checkpoint of {
+      total : int;
+      outstanding : int;
+      minted : int;
+      quiescent : bool;
+    }
 
 type event = {
   seq : int;
   time : float;
-  comp : string;
   actor : int;
   phase : phase;
-  name : string;
   span : int;
-  fields : (string * value) list;
+  payload : payload;
 }
 
 (* Placeholder for unwritten ring slots, so the ring is a plain
    [event array] and storing a record is one array write with no
    [Some] box.  Never returned: reads are bounded by [stored]. *)
 let sentinel =
-  { seq = -1; time = 0.; comp = ""; actor = -1; phase = Instant; name = "";
-    span = 0; fields = [] }
+  { seq = -1; time = 0.; actor = -1; phase = Instant; span = 0;
+    payload = World_recover }
 
 type t = {
   capacity : int;
@@ -58,43 +116,37 @@ let subscribe t sink =
 
 let unsubscribe t sink = t.sinks <- List.filter (fun s -> s != sink) t.sinks
 
-let record t ev =
+(* A direct loop: [List.iter] with a closure over [ev] would allocate
+   that closure on every event. *)
+let rec notify ev = function
+  | [] -> ()
+  | sink :: rest ->
+      sink ev;
+      notify ev rest
+
+let push t ~actor ~phase ~span payload =
+  let ev = { seq = t.next_seq; time = t.clock (); actor; phase; span; payload } in
+  t.next_seq <- t.next_seq + 1;
   if t.capacity > 0 then begin
     t.ring.(t.stored mod t.capacity) <- ev;
     t.stored <- t.stored + 1
   end;
-  List.iter (fun sink -> sink ev) t.sinks
+  notify ev t.sinks
 
-let push t ~actor ~fields ~comp ~phase ~span name =
-  let ev =
-    {
-      seq = t.next_seq;
-      time = t.clock ();
-      comp;
-      actor;
-      phase;
-      name;
-      span;
-      fields;
-    }
-  in
-  t.next_seq <- t.next_seq + 1;
-  record t ev
+let emit t ~actor payload =
+  if active t then push t ~actor ~phase:Instant ~span:0 payload
 
-let emit t ?(actor = -1) ?(fields = []) ~comp name =
-  if active t then push t ~actor ~fields ~comp ~phase:Instant ~span:0 name
-
-let span_begin t ?(actor = -1) ?(fields = []) ~comp name =
+let span_begin t ~actor payload =
   if active t then begin
     t.next_span <- t.next_span + 1;
     let span = t.next_span in
-    push t ~actor ~fields ~comp ~phase:Begin ~span name;
+    push t ~actor ~phase:Begin ~span payload;
     span
   end
   else 0
 
-let span_end t ?(actor = -1) ?(fields = []) ~span ~comp name =
-  if active t then push t ~actor ~fields ~comp ~phase:End ~span name
+let span_end t ~actor ~span payload =
+  if active t then push t ~actor ~phase:End ~span payload
 
 let events t =
   if t.capacity = 0 then []
@@ -131,24 +183,3 @@ let restore_state r t =
   if t.inert then Persist.Codec.R.corrupt r "cannot restore into Trace.none";
   t.next_seq <- Persist.Codec.R.int r;
   t.next_span <- Persist.Codec.R.int r
-
-let pp_value ppf = function
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
-  | Bool b -> Format.pp_print_bool ppf b
-  | Str s -> Format.fprintf ppf "%S" s
-
-let pp_event ppf ev =
-  let phase =
-    match ev.phase with
-    | Instant -> ""
-    | Begin -> Format.sprintf "[>%d] " ev.span
-    | End -> Format.sprintf "[<%d] " ev.span
-  in
-  let actor =
-    if ev.actor < 0 then ev.comp else Format.sprintf "%s/%d" ev.comp ev.actor
-  in
-  Format.fprintf ppf "[%12.3fs] %-10s %s%s" ev.time actor phase ev.name;
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v)
-    ev.fields

@@ -94,9 +94,11 @@ type t = {
 
 let set_tracer t tracer = t.tracer <- tracer
 
-let ev t name fields =
-  if Obs.Trace.active t.tracer then
-    Obs.Trace.emit t.tracer ~fields ~comp:"bank" name
+(* Call sites guard on [tracing] so the payload (an argument, so built
+   eagerly) is not allocated when no tracer is attached. *)
+let tracing t = Obs.Trace.active t.tracer
+
+let ev t payload = Obs.Trace.emit t.tracer ~actor:(-1) payload
 
 let public_key t = t.public
 let sign t payload = Wire.sign_by_bank t.secret payload
@@ -387,34 +389,31 @@ let finish_audit t (audit : audit_state) =
     List.sort_uniq compare (offenders @ Audit.Cycle.convicted rings)
   in
   let cleared = Audit.Cycle.cleared rings in
-  if Obs.Trace.active t.tracer then begin
+  if tracing t then begin
     let ring_volume =
       List.fold_left (fun acc (r : Audit.Cycle.ring) -> acc + r.residue) 0 rings
     in
-    Obs.Trace.span_end t.tracer ~span:audit.span ~comp:"bank" "audit"
-      ~fields:
-        [ ("seq", Obs.Trace.Int audit.audit_seq);
-          ("violations", Obs.Trace.Int (List.length violations));
-          ("suspects", Obs.Trace.Int (List.length suspects));
-          ("absent", Obs.Trace.Int (List.length audit.absent));
-          ("rings", Obs.Trace.Int (List.length rings));
-          ("convicted", Obs.Trace.Int (List.length convicted));
-          ("cleared", Obs.Trace.Int (List.length cleared));
-          ("lied_volume", Obs.Trace.Int (Audit.Verify.lied_volume violations));
-          ("ring_volume", Obs.Trace.Int ring_volume);
-          (* Identity lists (comma-joined) so online checkers can test
-             membership, not just counts.  [ring_isps] carries only the
-             cycle detector's convictions: majority offenders can be
-             transient (in-flight traffic at the snapshot) and are not
-             held to the ring attribution's soundness bar. *)
-          ( "convicted_isps",
-            Obs.Trace.Str (String.concat "," (List.map string_of_int convicted)) );
-          ( "ring_isps",
-            Obs.Trace.Str
-              (String.concat ","
-                 (List.map string_of_int (Audit.Cycle.convicted rings))) );
-          ( "cleared_isps",
-            Obs.Trace.Str (String.concat "," (List.map string_of_int cleared)) ) ]
+    (* Identity lists so online checkers can test membership, not just
+       counts.  [ring_isps] carries only the cycle detector's
+       convictions: majority offenders can be transient (in-flight
+       traffic at the snapshot) and are not held to the ring
+       attribution's soundness bar. *)
+    Obs.Trace.span_end t.tracer ~actor:(-1) ~span:audit.span
+      (Bank_audit_end
+         {
+           seq = audit.audit_seq;
+           violations = List.length violations;
+           suspects = List.length suspects;
+           absent = List.length audit.absent;
+           rings = List.length rings;
+           convicted = List.length convicted;
+           cleared = List.length cleared;
+           lied_volume = Audit.Verify.lied_volume violations;
+           ring_volume;
+           convicted_isps = convicted;
+           ring_isps = Audit.Cycle.convicted rings;
+           cleared_isps = cleared;
+         })
   end;
   Audit_complete
     { seq = audit.audit_seq; violations; suspects; convicted; rings; cleared;
@@ -426,11 +425,10 @@ let on_payload t ~from_isp payload =
       match cached_reply t ~from_isp nonce with
       | Some payload ->
           t.replays_dropped <- t.replays_dropped + 1;
-          ev t "buy"
-            [ ("isp", Obs.Trace.Int from_isp);
-              ("nonce", Obs.Trace.Int (Int64.to_int nonce));
-              ("amount", Obs.Trace.Int amount);
-              ("replay", Obs.Trace.Bool true) ];
+          if tracing t then
+            ev t
+              (Bank_buy_replay
+                 { isp = from_isp; nonce = Int64.to_int nonce; amount });
           reply t payload
       | None ->
           let accepted = t.account.(from_isp) >= amount in
@@ -446,33 +444,27 @@ let on_payload t ~from_isp payload =
               Wire.Buy_reply { nonce; accepted = false }
             end
           in
-          ev t "buy"
-            [ ("isp", Obs.Trace.Int from_isp);
-              ("nonce", Obs.Trace.Int (Int64.to_int nonce));
-              ("amount", Obs.Trace.Int amount);
-              ("accepted", Obs.Trace.Bool accepted);
-              ("replay", Obs.Trace.Bool false) ];
+          if tracing t then
+            ev t
+              (Bank_buy
+                 { isp = from_isp; nonce = Int64.to_int nonce; amount; accepted });
           cache_reply t ~from_isp nonce payload;
           reply t payload)
   | Wire.Sell { amount; nonce } -> (
       match cached_reply t ~from_isp nonce with
       | Some payload ->
           t.replays_dropped <- t.replays_dropped + 1;
-          ev t "sell"
-            [ ("isp", Obs.Trace.Int from_isp);
-              ("nonce", Obs.Trace.Int (Int64.to_int nonce));
-              ("amount", Obs.Trace.Int amount);
-              ("replay", Obs.Trace.Bool true) ];
+          if tracing t then
+            ev t
+              (Bank_sell_replay
+                 { isp = from_isp; nonce = Int64.to_int nonce; amount });
           reply t payload
       | None ->
           t.account.(from_isp) <- t.account.(from_isp) + amount;
           t.outstanding <- t.outstanding - amount;
           t.sells <- t.sells + 1;
-          ev t "sell"
-            [ ("isp", Obs.Trace.Int from_isp);
-              ("nonce", Obs.Trace.Int (Int64.to_int nonce));
-              ("amount", Obs.Trace.Int amount);
-              ("replay", Obs.Trace.Bool false) ];
+          if tracing t then
+            ev t (Bank_sell { isp = from_isp; nonce = Int64.to_int nonce; amount });
           let payload = Wire.Sell_reply { nonce } in
           cache_reply t ~from_isp nonce payload;
           reply t payload)
@@ -493,10 +485,8 @@ let on_payload t ~from_isp payload =
           audit.reported.(isp) <- credit;
           if first then
             audit.waiting <- List.filter (fun i -> i <> isp) audit.waiting;
-          ev t "audit_reply"
-            [ ("isp", Obs.Trace.Int isp);
-              ("seq", Obs.Trace.Int seq);
-              ("amended", Obs.Trace.Bool (not first)) ];
+          if tracing t then
+            ev t (Bank_audit_reply { isp; seq; amended = not first });
           if audit.waiting = [] then finish_audit t audit else Audit_progress
       | Some _ -> Rejected Wrong_state
       | None -> Rejected Wrong_state)
@@ -517,9 +507,8 @@ let on_isp_message_exec t ~from_isp sealed =
   (match result with
   | Rejected reason ->
       t.rejects.(reject_index reason) <- t.rejects.(reject_index reason) + 1;
-      ev t "reject"
-        [ ("isp", Obs.Trace.Int from_isp);
-          ("reason", Obs.Trace.Str (reject_to_string reason)) ]
+      if tracing t then
+        ev t (Bank_reject { isp = from_isp; reason = reject_to_string reason })
   | Reply _ | Audit_progress | Audit_complete _ -> ());
   result
 
@@ -551,10 +540,10 @@ let start_audit_exec ?(except = []) t =
   if waiting = [] then
     invalid_arg "Bank.start_audit: every compliant ISP excluded";
   let span =
-    Obs.Trace.span_begin t.tracer ~comp:"bank" "audit"
-      ~fields:
-        [ ("seq", Obs.Trace.Int t.seq);
-          ("absent", Obs.Trace.Int (List.length absent)) ]
+    if tracing t then
+      Obs.Trace.span_begin t.tracer ~actor:(-1)
+        (Bank_audit_begin { seq = t.seq; absent = List.length absent })
+    else 0
   in
   t.audit <-
     Some

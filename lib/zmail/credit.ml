@@ -49,14 +49,11 @@ let set_tracer t ~owner tracer =
   t.tracer <- tracer;
   t.owner <- owner
 
-(* Per-message call sites must guard on [tracing] themselves so the
-   fields list (an argument, so built eagerly) is not allocated when
-   no tracer is attached. *)
+(* Call sites guard on [tracing] so the payload (an argument, so built
+   eagerly) is not allocated when no tracer is attached. *)
 let tracing t = Obs.Trace.active t.tracer
 
-let ev t name fields =
-  if Obs.Trace.active t.tracer then
-    Obs.Trace.emit t.tracer ~actor:t.owner ~fields ~comp:"credit" name
+let ev t payload = Obs.Trace.emit t.tracer ~actor:t.owner payload
 
 let n t = t.n
 
@@ -64,12 +61,11 @@ let get t peer = Row.get t.now peer
 
 let record_send t ~peer =
   Row.add t.now peer 1;
-  if tracing t then ev t "send" [ ("peer", Obs.Trace.Int peer) ]
+  if tracing t then ev t (Credit_send { peer })
 
 let record_receive t ~peer =
   Row.add t.now peer (-1);
-  if tracing t then
-    ev t "recv" [ ("peer", Obs.Trace.Int peer); ("early", Obs.Trace.Bool false) ]
+  if tracing t then ev t (Credit_recv { peer })
 
 let bucket t ~epoch =
   match List.assoc_opt epoch t.early with
@@ -83,13 +79,7 @@ let bucket t ~epoch =
 let record_receive_early t ~epoch ~peer =
   let row = bucket t ~epoch in
   Row.add row peer (-1);
-  if tracing t then
-    ev t "recv"
-      [
-        ("peer", Obs.Trace.Int peer);
-        ("early", Obs.Trace.Bool true);
-        ("epoch", Obs.Trace.Int epoch);
-      ]
+  if tracing t then ev t (Credit_recv_early { peer; epoch })
 
 (* The late mirror of [record_receive_early]: a receive stamped with
    the round we just answered.  The sender booked the send in its
@@ -114,14 +104,7 @@ let amend_receive t ~epoch ~peer ~deliver =
   | Some (s, row) when s = epoch ->
       Row.add row peer (-1);
       if deliver (Row.pairs row) then begin
-        if tracing t then
-          ev t "recv"
-            [
-              ("peer", Obs.Trace.Int peer);
-              ("early", Obs.Trace.Bool false);
-              ("amended", Obs.Trace.Bool true);
-              ("epoch", Obs.Trace.Int epoch);
-            ];
+        if tracing t then ev t (Credit_recv_amended { peer; epoch });
         true
       end
       else begin
@@ -132,7 +115,7 @@ let amend_receive t ~epoch ~peer ~deliver =
 
 let cancel_send t ~peer =
   Row.add t.now peer (-1);
-  if tracing t then ev t "cancel" [ ("peer", Obs.Trace.Int peer) ]
+  if tracing t then ev t (Credit_cancel { peer })
 
 let early_pending t =
   -List.fold_left (fun acc (_, row) -> acc + Row.sum row) 0 t.early
@@ -160,14 +143,13 @@ let reset_upto t ~seq =
        (fun acc (e, row) -> if e <= seq then acc + Row.sum row else acc)
        0 t.early
   in
-  if folded > 0 then
-    ev t "fold" [ ("upto", Obs.Trace.Int seq); ("count", Obs.Trace.Int folded) ];
+  if folded > 0 && tracing t then ev t (Credit_fold { upto = seq; count = folded });
   let promoted =
     match List.assoc_opt (seq + 1) t.early with
     | Some row -> -Row.sum row
     | None -> 0
   in
-  ev t "reset" [ ("promoted", Obs.Trace.Int promoted) ];
+  if tracing t then ev t (Credit_reset { promoted });
   t.now <-
     (match List.assoc_opt (seq + 1) t.early with
     | Some row -> Row.copy row

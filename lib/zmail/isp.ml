@@ -89,14 +89,11 @@ let set_tracer t tracer =
   t.tracer <- tracer;
   Credit.set_tracer t.credit ~owner:t.config.index tracer
 
-(* Per-message call sites must guard on [tracing] themselves so the
-   fields list (an argument, so built eagerly) is not allocated when
-   no tracer is attached. *)
+(* Call sites guard on [tracing] so the payload (an argument, so built
+   eagerly) is not allocated when no tracer is attached. *)
 let tracing t = Obs.Trace.active t.tracer
 
-let ev t name fields =
-  if Obs.Trace.active t.tracer then
-    Obs.Trace.emit t.tracer ~actor:t.config.index ~fields ~comp:"isp" name
+let ev t payload = Obs.Trace.emit t.tracer ~actor:t.config.index payload
 
 let index t = t.config.index
 let compliant_peer t j = t.config.compliant.(j)
@@ -334,9 +331,7 @@ let charge_exec t ~sender ~dest_isp =
         if dest_isp <> t.config.index && not (skip_credit_increment t) then
           Credit.record_send t.credit ~peer:dest_isp;
         t.sent_paid <- t.sent_paid + 1;
-        if tracing t then
-          ev t "charge"
-            [ ("user", Obs.Trace.Int sender); ("dest", Obs.Trace.Int dest_isp) ];
+        if tracing t then ev t (Isp_charge { user = sender; dest = dest_isp });
         note_limit_warning t sender;
         Sent_paid
 
@@ -371,7 +366,7 @@ let refund_exec t ~sender ~dest_isp =
     && t.config.compliant.(dest_isp)
   then Credit.cancel_send t.credit ~peer:dest_isp;
   t.refunds <- t.refunds + 1;
-  ev t "refund" [ ("user", Obs.Trace.Int sender); ("dest", Obs.Trace.Int dest_isp) ]
+  if tracing t then ev t (Isp_refund { user = sender; dest = dest_isp })
 
 let refund_send t ~sender ~dest_isp =
   refund_exec t ~sender ~dest_isp;
@@ -441,9 +436,7 @@ let deliver_exec t ~replay_amend ~sender_epoch ~from_isp ~rcpt =
     end
   in
   t.received_paid <- t.received_paid + 1;
-  if tracing t then
-    ev t "settle"
-      [ ("from", Obs.Trace.Int from_isp); ("rcpt", Obs.Trace.Int rcpt) ];
+  if tracing t then ev t (Isp_settle { from = from_isp; rcpt });
   amended
 
 let accept_delivery_stamped t ~sender_epoch ~from_isp ~rcpt =
@@ -474,17 +467,18 @@ let user_topup t ~user ~amount =
           Persist.Codec.W.int w amount);
       Ok ()
 
-let request_span t name ~nonce ~amount =
-  Obs.Trace.span_begin t.tracer ~actor:t.config.index ~comp:"isp" name
-    ~fields:
-      [ ("nonce", Obs.Trace.Int (Int64.to_int nonce));
-        ("amount", Obs.Trace.Int amount) ]
+let request_span t payload =
+  if tracing t then Obs.Trace.span_begin t.tracer ~actor:t.config.index payload
+  else 0
 
 let pool_action_exec t =
   let avail = Ledger.avail t.ledger in
   if avail < t.config.minavail && t.pending_buy = None then begin
     let nonce = Toycrypto.Nonce.next t.nonces in
-    let span = request_span t "buy" ~nonce ~amount:t.config.buy_amount in
+    let span =
+      request_span t
+        (Isp_buy_begin { nonce = Int64.to_int nonce; amount = t.config.buy_amount })
+    in
     t.pending_buy <- Some { nonce; amount = t.config.buy_amount; span };
     Some
       (Wire.seal_for_bank t.rng t.config.bank_public
@@ -495,7 +489,9 @@ let pool_action_exec t =
     (* Sell down to the midpoint of the band. *)
     let target = (t.config.minavail + t.config.maxavail) / 2 in
     let amount = max 1 (min avail (avail - target)) in
-    let span = request_span t "sell" ~nonce ~amount in
+    let span =
+      request_span t (Isp_sell_begin { nonce = Int64.to_int nonce; amount })
+    in
     t.pending_sell <- Some { nonce; amount; span };
     Some (Wire.seal_for_bank t.rng t.config.bank_public (Wire.Sell { amount; nonce }))
   end
@@ -514,10 +510,8 @@ type reaction = No_reaction | Start_snapshot_timer
 
 let apply_buy t ~nonce amount accepted =
   if accepted then Ledger.add_pool t.ledger amount;
-  ev t "buy_apply"
-    [ ("nonce", Obs.Trace.Int (Int64.to_int nonce));
-      ("amount", Obs.Trace.Int amount);
-      ("accepted", Obs.Trace.Bool accepted) ]
+  if tracing t then
+    ev t (Isp_buy_apply { nonce = Int64.to_int nonce; amount; accepted })
 
 let apply_sell t ~nonce amount =
   let taken =
@@ -531,15 +525,13 @@ let apply_sell t ~nonce amount =
         | Ok () -> avail
         | Error _ -> 0)
   in
-  ev t "sell_apply"
-    [ ("nonce", Obs.Trace.Int (Int64.to_int nonce));
-      ("amount", Obs.Trace.Int amount);
-      ("taken", Obs.Trace.Int taken) ]
+  if tracing t then
+    ev t (Isp_sell_apply { nonce = Int64.to_int nonce; amount; taken })
 
-let close_span t span name ~accepted =
-  if span <> 0 then
-    Obs.Trace.span_end t.tracer ~actor:t.config.index ~span ~comp:"isp" name
-      ~fields:[ ("accepted", Obs.Trace.Bool accepted) ]
+(* Callers test [span <> 0] first: a span was only opened while
+   tracing, so an untraced run builds no payload here. *)
+let close_span t span payload =
+  Obs.Trace.span_end t.tracer ~actor:t.config.index ~span payload
 
 let on_buy_reply t ~nonce ~accepted =
   match t.pending_buy with
@@ -547,7 +539,7 @@ let on_buy_reply t ~nonce ~accepted =
       t.pending_buy <- None;
       t.last_buy <- Some p;
       apply_buy t ~nonce amount accepted;
-      close_span t span "buy" ~accepted
+      if span <> 0 then close_span t span (Isp_buy_end { accepted })
   | Some _ -> ()  (* nonce mismatch: stale or forged reply *)
   | None -> (
       (* No outstanding buy.  The paper's literal rule only compares
@@ -565,7 +557,7 @@ let on_sell_reply t ~nonce =
       t.pending_sell <- None;
       t.last_sell <- Some p;
       apply_sell t ~nonce amount;
-      close_span t span "sell" ~accepted:true
+      if span <> 0 then close_span t span (Isp_sell_end { accepted = true })
   | Some _ -> ()
   | None -> (
       match t.last_sell with
@@ -590,7 +582,7 @@ let apply_bank_payload t payload =
       if seq >= t.seq && t.cansend then begin
         t.cansend <- false;
         t.freeze_for <- seq;
-        ev t "freeze" [ ("seq", Obs.Trace.Int seq) ];
+        if tracing t then ev t (Isp_freeze { seq });
         Start_snapshot_timer
       end
       else No_reaction
@@ -629,7 +621,7 @@ let thaw_exec t =
     Wire.seal_for_bank t.rng t.config.bank_public
       (Wire.Audit_reply { isp = t.config.index; seq; credit })
   in
-  ev t "thaw" [ ("seq", Obs.Trace.Int seq) ];
+  if tracing t then ev t (Isp_thaw { seq });
   Credit.reset_upto t.credit ~seq;
   t.seq <- seq + 1;
   t.cansend <- true;
@@ -654,7 +646,7 @@ let apply_daily_cheat t =
             let user = Sim.Rng.int t.rng t.config.n_users in
             Ledger.credit_receive t.ledger ~user;
             t.cheat_minted <- t.cheat_minted + 1;
-            ev t "mint" [ ("peer", Obs.Trace.Int peer); ("user", Obs.Trace.Int user) ]
+            if tracing t then ev t (Isp_mint { peer; user })
           done
       done
   | Honest | Unreported_sends _ -> ()

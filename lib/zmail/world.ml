@@ -228,9 +228,9 @@ let drain_warnings t i =
 (* Observability                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let wev t ?actor name fields =
-  if Obs.Trace.active t.tracer then
-    Obs.Trace.emit t.tracer ?actor ~fields ~comp:"world" name
+(* Every world event is off the per-message path, so the payload is
+   built unguarded; [emit] drops it when no tracer is attached. *)
+let wev t ?(actor = -1) payload = Obs.Trace.emit t.tracer ~actor payload
 
 let fold_kernels t f =
   Array.fold_left
@@ -243,13 +243,14 @@ let fold_kernels t f =
    checkpoint.  [quiescent] asserts no paid mail is in flight. *)
 let check_invariants ?(quiescent = false) t =
   if Obs.Trace.active t.tracer then
-    Obs.Trace.emit t.tracer ~comp:"obs" "checkpoint"
-      ~fields:
-        [ ("total", Obs.Trace.Int (fold_kernels t Isp.total_epennies));
-          ( "outstanding",
-            Obs.Trace.Int (Bank.outstanding_epennies t.the_bank) );
-          ("minted", Obs.Trace.Int (fold_kernels t Isp.stats_cheat_minted));
-          ("quiescent", Obs.Trace.Bool quiescent) ]
+    Obs.Trace.emit t.tracer ~actor:(-1)
+      (Obs_checkpoint
+         {
+           total = fold_kernels t Isp.total_epennies;
+           outstanding = Bank.outstanding_epennies t.the_bank;
+           minted = fold_kernels t Isp.stats_cheat_minted;
+           quiescent;
+         })
 
 let attach_invariants ?honest t =
   let honest = match honest with Some h -> h | None -> t.honest in
@@ -296,7 +297,7 @@ let bank_retry = Sim.Retry.policy ~initial:5. ~factor:2. ~cap:900.
 let resend_until_settled t policy ~still send =
   Sim.Retry.until_settled t.engine policy ~still send ~on_resend:(fun timeout ->
       Sim.Stats.Counter.incr t.link.retransmits;
-      wev t "retransmit" [ ("timeout", Obs.Trace.Float timeout) ])
+      wev t (World_retransmit { timeout }))
 
 (* The ISP->bank hop, from the top: a configured [Bank_wire] tap sees
    the envelope first (it owns the wire, so it acts before the mesh
@@ -309,16 +310,16 @@ let rec to_bank t ~kind i sealed =
       match Adversary.Bank_wire.on_sealed tap ~kind sealed with
       | Adversary.Bank_wire.Pass -> bank_link t i sealed
       | Adversary.Bank_wire.Drop ->
-          wev t ~actor:i "bankwire_drop"
-            [ ("kind", Obs.Trace.Str (Adversary.Bank_wire.kind_name kind)) ]
+          wev t ~actor:i
+            (World_bankwire_drop { kind = Adversary.Bank_wire.kind_name kind })
       | Adversary.Bank_wire.Delay d ->
-          wev t ~actor:i "bankwire_delay" [ ("delay", Obs.Trace.Float d) ];
+          wev t ~actor:i (World_bankwire_delay { delay = d });
           ignore
             (Sim.Engine.schedule_after t.engine ~delay:d (fun () ->
                  bank_link t i sealed))
       | Adversary.Bank_wire.Inject extra ->
-          wev t ~actor:i "bankwire_inject"
-            [ ("kind", Obs.Trace.Str (Adversary.Bank_wire.kind_name kind)) ];
+          wev t ~actor:i
+            (World_bankwire_inject { kind = Adversary.Bank_wire.kind_name kind });
           bank_link t i extra;
           bank_link t i sealed)
 
@@ -463,7 +464,7 @@ let start_audit_round t =
     (* No bank, no round: the next periodic tick (or manual trigger)
        after recovery starts it. *)
     Sim.Stats.Counter.incr t.link.audits_deferred;
-    wev t "audit_deferred" [ ("bank_down", Obs.Trace.Bool true) ]
+    wev t World_audit_deferred_bank_down
   end
   else
   let severed =
@@ -486,8 +487,7 @@ let start_audit_round t =
   in
   if not proceed then begin
     Sim.Stats.Counter.incr t.link.audits_deferred;
-    wev t "audit_deferred"
-      [ ("unreachable", Obs.Trace.Int (List.length severed)) ]
+    wev t (World_audit_deferred { unreachable = List.length severed })
   end
   else begin
     let requests = Bank.start_audit ~except:severed t.the_bank in
@@ -529,7 +529,7 @@ let recovery_failed t ?actor why =
         (match actor with Some i -> "isp " ^ string_of_int i | None -> "bank")
         why);
   Sim.Stats.Counter.incr t.link.wal_fallbacks;
-  wev t ?actor "recover_failed" [ ("why", Obs.Trace.Str why) ]
+  wev t ?actor (World_recover_failed { why })
 
 let check_crash t fn ~downtime =
   if Option.is_none t.cfg.disk then
@@ -551,7 +551,7 @@ let crash_isp t ~isp:i ~downtime =
       t.up.(i) <- false;
       t.crash_gen.(i) <- t.crash_gen.(i) + 1;
       Sim.Stats.Counter.incr t.link.crashes;
-      wev t ~actor:i "crash" [ ("downtime", Obs.Trace.Float downtime) ];
+      wev t ~actor:i (World_crash { downtime });
       (* The power cut happens at the crash instant: the unflushed WAL
          tail dies now (modulo the device's torn/rot plan), not at
          recovery time. *)
@@ -571,7 +571,7 @@ let crash_isp t ~isp:i ~downtime =
              | Ok () -> ()
              | Error why -> recovery_failed t ~actor:i why);
              Sim.Stats.Counter.incr t.link.recoveries;
-             wev t ~actor:i "recover" [];
+             wev t ~actor:i World_recover;
              (* Recovery handshake: before reopening for business the
                 ISP fetches pending protocol state from the bank.  If
                 an audit round is still waiting on us, the re-issued
@@ -606,7 +606,7 @@ let crash_bank t ~downtime =
       m "t=%.0f bank CRASH (down for %.0fs)" (Sim.Engine.now t.engine) downtime);
   t.bank_up <- false;
   Sim.Stats.Counter.incr t.link.bank_crashes;
-  wev t "bank_crash" [ ("downtime", Obs.Trace.Float downtime) ];
+  wev t (World_bank_crash { downtime });
   Bank.power_cut t.the_bank;
   ignore
     (Sim.Engine.schedule_after t.engine ~delay:downtime (fun () ->
@@ -616,7 +616,7 @@ let crash_bank t ~downtime =
          | Ok () -> ()
          | Error why -> recovery_failed t why);
          Sim.Stats.Counter.incr t.link.bank_recoveries;
-         wev t "bank_recover" [];
+         wev t World_bank_recover;
          (* Re-drive the open audit round: the recovered audit state
             knows who still owes a reply; re-issue their requests now
             rather than waiting out the request retry loops. *)
@@ -663,7 +663,7 @@ let rec submit_message t ~from:(i, u) ~to_addr ~build_msg =
   in
   let backpressured () =
     t.stats.backpressured_sends <- t.stats.backpressured_sends + 1;
-    wev t ~actor:i "backpressured" [];
+    wev t ~actor:i World_backpressured;
     Backpressured
   in
   let dest_isp = isp_of_addr t to_addr (* -1: outside world *) in
@@ -671,7 +671,7 @@ let rec submit_message t ~from:(i, u) ~to_addr ~build_msg =
     (* The user's own ISP is down: the submission MSA is unreachable,
        the message never enters the system (no charge, no queue). *)
     Sim.Stats.Counter.incr t.link.sends_failed_down;
-    wev t ~actor:i "refused_down" [];
+    wev t ~actor:i World_refused_down;
     Failed_down
   end
   else
@@ -718,7 +718,7 @@ let rec submit_message t ~from:(i, u) ~to_addr ~build_msg =
           | `Backpressure -> backpressured ())
       | Isp.Deferred ->
           t.stats.deferred_sends <- t.stats.deferred_sends + 1;
-          wev t ~actor:i "deferred" [];
+          wev t ~actor:i World_deferred;
           Queue.push
             ( Sim.Engine.now t.engine,
               fun () -> ignore (submit_message t ~from:(i, u) ~to_addr ~build_msg) )

@@ -547,8 +547,8 @@ let retransmit_timeouts ?(customize = fun _ k -> k) ?(start = ignore) ~links
   Sim.Engine.run ~until (Zmail.World.engine w);
   List.filter_map
     (fun (e : Obs.Trace.event) ->
-      match (e.Obs.Trace.name, e.Obs.Trace.fields) with
-      | "retransmit", [ ("timeout", Obs.Trace.Float d) ] -> Some d
+      match e.payload with
+      | Obs.Trace.World_retransmit { timeout } -> Some timeout
       | _ -> None)
     (Obs.Trace.events tracer)
 
