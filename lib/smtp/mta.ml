@@ -19,7 +19,7 @@ type t = {
   host : Dns.host;
   hostname : Message.host;  (* validated once, at [create] *)
   domains : string list;
-  policy : Server.policy;  (* one instance per MTA, shared by sessions *)
+  listener : Server.listener;  (* one instance per MTA, shared by sessions *)
   mailboxes : Mailbox.t;
   mutable outbound_stamp : Envelope.t -> Message.t -> Message.t;
   mutable inbound_filter : sender:Address.t -> rcpt:Address.t -> Message.t -> decision;
@@ -165,7 +165,8 @@ let create net ~hostname ~domains =
       host = net.host_count;
       hostname;
       domains;
-      policy;
+      listener =
+        Server.listener ~hostname:(Message.host_to_string hostname) ~policy;
       mailboxes = Mailbox.create ();
       outbound_stamp = (fun _ m -> m);
       inbound_filter = (fun ~sender:_ ~rcpt:_ _ -> Deliver);
@@ -210,7 +211,7 @@ let find_host net id =
 (* Accept every mailbox within our domains; actual per-message policy
    runs in the inbound filter after DATA completes, like real ISPs
    filtering after acceptance. *)
-let session_policy t = t.policy
+let session_policy t = Server.listener_policy t.listener
 
 (* Deliver a message that has fully arrived at this (receiving) MTA. *)
 let accept_locally t envelope message =
@@ -420,7 +421,7 @@ let submit_checked t envelope message =
 
 (* ---- Serving-layer SPI (see lib/serve) ---------------------------- *)
 
-let open_server t = Server.create ~hostname:(hostname t) ~policy:t.policy
+let open_server t = Server.accept t.listener
 let accept_from_remote t envelope message = accept_locally t envelope message
 let count_session t = t.sessions <- t.sessions + 1
 let note_bytes_sent t n = t.bytes_sent <- t.bytes_sent + n

@@ -33,16 +33,35 @@ type phase =
     }
   | Quit_received
 
-type t = {
+(* The 220 and 221 lines name the host, so they are rendered once per
+   listener rather than once per session. *)
+type listener = {
   hostname : string;
   policy : policy;
+  ready : Reply.t;
+  closing : Reply.t;
+}
+
+let listener ~hostname ~policy =
+  {
+    hostname;
+    policy;
+    ready = Reply.service_ready ~hostname;
+    closing = Reply.closing ~hostname;
+  }
+
+let listener_policy l = l.policy
+
+type t = {
+  host : listener;
   mutable phase : phase;
   mutable inbox : (Envelope.t * Message.t) list;  (* reversed *)
 }
 
-let create ~hostname ~policy = { hostname; policy; phase = Start; inbox = [] }
+let accept host = { host; phase = Start; inbox = [] }
+let create ~hostname ~policy = accept (listener ~hostname ~policy)
 
-let greeting t = Reply.service_ready ~hostname:t.hostname
+let greeting t = t.host.ready
 
 let closed t = t.phase = Quit_received
 
@@ -52,7 +71,7 @@ let reset_transaction t = t.phase <- Idle
    the cap, later lines are counted but no longer kept. *)
 let finish_data t sender recipients reader size =
   t.phase <- Idle;
-  if size > t.policy.max_message_bytes then
+  if size > t.host.policy.max_message_bytes then
     Reply.v 552 "Requested mail action aborted: exceeded storage allocation"
   else begin
     let message =
@@ -69,7 +88,7 @@ let finish_data t sender recipients reader size =
     Reply.completed
   end
 
-let greets t peer = Reply.completed_text (t.hostname ^ " greets " ^ peer)
+let greets t peer = Reply.completed_text (t.host.hostname ^ " greets " ^ peer)
 
 let on_command t command =
   match (t.phase, (command : Command.t)) with
@@ -77,7 +96,7 @@ let on_command t command =
   | _, Command.Noop -> Reply.completed
   | _, Command.Quit ->
       t.phase <- Quit_received;
-      Reply.closing ~hostname:t.hostname
+      t.host.closing
   | _, Command.Rset ->
       (match t.phase with Start -> () | _ -> reset_transaction t);
       Reply.completed
@@ -97,7 +116,7 @@ let on_command t command =
   | Idle, (Command.Rcpt_to _ | Command.Data) -> Reply.bad_sequence
   | Have_sender _, Command.Mail_from _ -> Reply.bad_sequence
   | Have_sender sender, Command.Rcpt_to rcpt -> (
-      match t.policy.accept_recipient rcpt with
+      match t.host.policy.accept_recipient rcpt with
       | Ok () ->
           t.phase <- Collecting { sender; recipients_rev = [ rcpt ]; count = 1 };
           Reply.completed
@@ -105,12 +124,12 @@ let on_command t command =
   | Have_sender _, Command.Data -> Reply.bad_sequence
   | Collecting _, Command.Mail_from _ -> Reply.bad_sequence
   | Collecting { sender; recipients_rev; count }, Command.Rcpt_to rcpt ->
-      if count >= t.policy.max_recipients then Reply.transaction_failed "too many recipients"
+      if count >= t.host.policy.max_recipients then Reply.transaction_failed "too many recipients"
       else if List.exists (Address.equal rcpt) recipients_rev then
         (* Idempotent accept: RFC allows repeating a recipient. *)
         Reply.completed
       else (
-        match t.policy.accept_recipient rcpt with
+        match t.host.policy.accept_recipient rcpt with
         | Ok () ->
             t.phase <-
               Collecting { sender; recipients_rev = rcpt :: recipients_rev; count = count + 1 };
@@ -139,7 +158,7 @@ let on_line t line =
         in
         let size = size + String.length line - pos + 1 in
         d.size <- size;
-        if size <= t.policy.max_message_bytes then Message.add_line reader line ~pos;
+        if size <= t.host.policy.max_message_bytes then Message.add_line reader line ~pos;
         None
       end
   | Start | Idle | Have_sender _ | Collecting _ | Quit_received -> (

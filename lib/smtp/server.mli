@@ -26,9 +26,22 @@ val default_policy : local_domains:string list -> policy
 (** Accept any mailbox in one of [local_domains]; 100 recipients max;
     1 MiB message cap. *)
 
+type listener
+(** What every session of one receiving host shares: its name, its
+    policy, and its 220 greeting and 221 closing replies, rendered once
+    here rather than per session. *)
+
+val listener : hostname:string -> policy:policy -> listener
+
+val listener_policy : listener -> policy
+
 type t
 
+val accept : listener -> t
+(** A fresh session on the listener. *)
+
 val create : hostname:string -> policy:policy -> t
+(** [accept (listener ~hostname ~policy)]. *)
 
 val greeting : t -> Reply.t
 (** The 220 banner; must be read (conceptually) before commands. *)
