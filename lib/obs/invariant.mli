@@ -7,30 +7,36 @@
     context, so a chaos run fails at the first inconsistent action
     instead of producing a wrong number at the end.
 
-    The checkers consume the event taxonomy documented in DESIGN.md
-    §Observability (emitted by [Zmail.Isp], [Zmail.Bank],
-    [Zmail.Credit] and [Zmail.World]):
+    The checkers match {!Trace.payload} constructors (DESIGN.md §7
+    tabulates which kinds each one reads), so evaluating an event reads
+    record fields; only storing something new (a first credit pair, an
+    applied nonce) allocates:
 
     - {b zero-sum} (§1.2, E2): replays every money movement
-      ([isp/charge], [isp/settle], [isp/refund], [isp/buy_apply],
-      [isp/sell_apply], [isp/mint]) into an expected system total and
+      ([Isp_charge], [Isp_settle], [Isp_refund], [Isp_buy_apply],
+      [Isp_sell_apply], [Isp_mint]) into an expected system total and
       compares it against the measured total carried by each
-      [obs/checkpoint] event.  At a quiescent checkpoint it also
-      requires zero e-pennies in flight.
+      [Obs_checkpoint].  At a quiescent checkpoint it also requires
+      zero e-pennies in flight.
     - {b credit antisymmetry} (§4.4, E3/E4): tracks cumulative
       sends/receives per ordered pair of {e honest} ISPs from
-      [credit/send], [credit/recv] and [credit/cancel]; a receive or
-      cancellation without a matching send — a double credit — trips
-      immediately.  Pairs involving a cheating ISP are excluded: their
-      books are {e supposed} to disagree (that is what the audit
-      detects).
-    - {b exactly-once} (E16): every non-replay [bank/buy]/[bank/sell]
-      and every [isp/buy_apply]/[isp/sell_apply] must occur at most
-      once per (ISP, nonce) despite duplication and retransmission on
-      the bank link.
-    - {b cycle-residue} (§4.4 collusion, E21): the closing [bank/audit]
-      span must account for its lied volume consistently between rings
-      and residue, and never convict an honest ISP. *)
+      [Credit_send], the three [Credit_recv*] kinds and
+      [Credit_cancel]; a receive or cancellation without a matching
+      send — a double credit — trips immediately.  Pairs involving a
+      cheating ISP are excluded: their books are {e supposed} to
+      disagree (that is what the audit detects).  A quiescent
+      [Obs_checkpoint] requires every pair settled.
+    - {b exactly-once} (E16): every [Bank_buy]/[Bank_sell] (the
+      non-replay kinds) and every [Isp_buy_apply]/[Isp_sell_apply]
+      must occur at most once per (ISP, nonce) despite duplication and
+      retransmission on the bank link.
+    - {b cycle-residue} (§4.4 collusion, E21): the closing
+      [Bank_audit_end] must account for its lied volume consistently
+      between rings and residue, and never convict an honest ISP.
+
+    {!checks} counts one evaluation per checkpoint (zero-sum; and
+    antisymmetry when quiescent), per honest-pair credit event, per
+    exactly-once kind and per closing audit. *)
 
 type violation = {
   time : float;  (** simulated time of the offending event *)
@@ -75,7 +81,7 @@ val attach_exactly_once : ?context:int -> Trace.t -> t
 
 val attach_cycle_residue : ?context:int -> Trace.t -> honest:bool array -> t
 (** Audit-attribution accounting (§4.4 collusion).  Consumes the bank's
-    closing [bank/audit] span events and fails fast when the cycle
+    closing [Bank_audit_end] span events and fails fast when the cycle
     detector's books stop adding up — ring volume exceeding the round's
     lied volume, rings without members, an ISP both cleared and
     ring-convicted — or when a {e ring} conviction lands on an ISP
