@@ -106,10 +106,15 @@ let bench_audit_verify =
       done
     done
   in
-  let compliant = Array.make n true in
+  let present = Array.make n true in
   Bechamel.Test.make ~name:"zmail: audit verify 20x20"
     (Bechamel.Staged.stage (fun () ->
-         ignore (Zmail.Credit.Audit.verify ~reported ~compliant)))
+         let acc = Audit.Verify.create ~present () in
+         Array.iteri
+           (fun reporter row ->
+             Array.iteri (fun peer v -> Audit.Verify.claim acc ~reporter ~peer v) row)
+           reported;
+         ignore (Audit.Verify.violations acc)))
 
 let bench_hashcash_verify =
   let rng = Sim.Rng.create 4 in

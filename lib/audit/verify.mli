@@ -13,8 +13,9 @@
     accumulator lazily; interleaving further {!claim}s afterwards is
     legal and simply re-finalizes on the next read.
 
-    The violation record is re-exported as [Zmail.Credit.Audit.violation],
-    so sparse and dense results are interchangeable. *)
+    The violation record is re-exported as [Zmail.Credit.Audit.violation];
+    the test suite's dense scan ([test/dense_verify.ml]) returns the same
+    record, so the two engines' results compare directly. *)
 
 type violation = {
   isp_a : int;
@@ -50,8 +51,7 @@ val populated : acc -> int
 
 val violations : acc -> violation list
 (** All pairs whose claims do not cancel, sorted by [(isp_a, isp_b)]
-    with [isp_a < isp_b] — byte-compatible with the dense
-    [Credit.Audit.verify] output order. *)
+    with [isp_a < isp_b] — the order of a dense row-major pair scan. *)
 
 val directed_claim : acc -> reporter:int -> peer:int -> int
 (** The accumulated directed claim (0 when silent). *)

@@ -2,11 +2,12 @@
    the p-th event boundary, recover from durable state, run to
    quiescence and check the money oracles.  See crashpoint.mli. *)
 
-type victim = Isp of int | Bank
+type victim = Isp of int | Bank of int
 
 let victim_to_string = function
   | Isp i -> Printf.sprintf "isp%d" i
-  | Bank -> "bank"
+  | Bank 0 -> "bank"
+  | Bank b -> Printf.sprintf "bank%d" b
 
 type run_report = {
   point : int;
@@ -64,7 +65,7 @@ let crash_run ?persist ?label ~build ~days ~downtime ~honest ~point ~victim () =
            crash_time := Sim.Engine.now engine;
            (match victim with
            | Isp i -> Zmail.World.crash_isp world ~isp:i ~downtime
-           | Bank -> Zmail.World.crash_bank world ~downtime);
+           | Bank bank -> Zmail.World.crash_bank ~bank world ~downtime);
            Sim.Engine.set_monitor engine None
          end));
   (match (persist, label) with
@@ -78,18 +79,17 @@ let crash_run ?persist ?label ~build ~days ~downtime ~honest ~point ~victim () =
   let recovered =
     match victim with
     | Isp _ -> v link.Zmail.World.recoveries = v link.Zmail.World.crashes
-    | Bank ->
+    | Bank _ ->
         v link.Zmail.World.bank_recoveries = v link.Zmail.World.bank_crashes
   in
-  let victim_disk =
+  let victim_disk, wal_replayed =
     match victim with
-    | Isp i -> Zmail.Isp.disk (Zmail.World.isp world i)
-    | Bank -> Zmail.Bank.disk (Zmail.World.bank world)
-  in
-  let wal_replayed =
-    match victim with
-    | Isp i -> Zmail.Isp.wal_replayed (Zmail.World.isp world i)
-    | Bank -> Zmail.Bank.wal_replayed (Zmail.World.bank world)
+    | Isp i ->
+        let k = Zmail.World.isp world i in
+        (Zmail.Isp.disk k, Zmail.Isp.wal_replayed k)
+    | Bank b ->
+        let bank = Zmail.Federation.bank (Zmail.World.federation world) b in
+        (Zmail.Bank.disk bank, Zmail.Bank.wal_replayed bank)
   in
   let residue = Zmail.World.epenny_residue world in
   let minted = Zmail.World.cheat_minted world in
@@ -121,19 +121,21 @@ let crash_run ?persist ?label ~build ~days ~downtime ~honest ~point ~victim () =
     false_convictions;
   }
 
-let sweep ?persist ?label_prefix ~build ~days ~downtime ~honest ~n_isps
-    ~stride () =
+let sweep ?persist ?label_prefix ?(n_banks = 1) ~build ~days ~downtime ~honest
+    ~n_isps ~stride () =
   if stride < 1 then invalid_arg "Crashpoint.sweep: stride must be >= 1";
   if n_isps < 1 then invalid_arg "Crashpoint.sweep: need at least one ISP";
+  if n_banks < 1 then invalid_arg "Crashpoint.sweep: need at least one bank";
   let n = baseline_events ~build ~days in
   let runs = ref [] in
   let k = ref 0 in
   let point = ref stride in
   while !point <= n do
-    (* Round-robin the victim so every ISP and the bank each take
+    (* Round-robin the victim so every ISP and every bank each take
        crashes spread across the whole timeline; with stride 1 every
        event boundary is crashed by some victim. *)
-    let victim = if !k mod (n_isps + 1) = n_isps then Bank else Isp (!k mod (n_isps + 1)) in
+    let v = !k mod (n_isps + n_banks) in
+    let victim = if v < n_isps then Isp v else Bank (v - n_isps) in
     let label =
       Option.map
         (fun p -> Printf.sprintf "%s/p%d-%s" p !point (victim_to_string victim))
@@ -163,7 +165,7 @@ type summary = {
 }
 
 let summarize r =
-  let is_bank = function Bank -> true | Isp _ -> false in
+  let is_bank = function Bank _ -> true | Isp _ -> false in
   {
     points = List.length r.runs;
     isp_crashes = List.length (List.filter (fun x -> not (is_bank x.victim)) r.runs);

@@ -15,17 +15,18 @@
     event" well-defined), crashes one victim there, lets the scheduled
     recovery replay its durable state, drains to quiescence and reads
     the money oracles.  Victims rotate round-robin over the compliant
-    ISPs and the bank, so with [stride = 1] every event boundary in the
-    scenario is crashed by some victim.
+    ISPs and the member banks, so with [stride = 1] every event
+    boundary in the scenario is crashed by some victim.
 
     Double-billing shows up in the residue oracle: a retried buy/sell
     applied twice by the bank would raise outstanding e-pennies twice
     against a single pool credit, so [residue <> minted] — exact
     conservation at quiescence {e is} the no-double-billing claim. *)
 
-type victim = Isp of int | Bank
+type victim = Isp of int | Bank of int  (** A member bank. *)
 
 val victim_to_string : victim -> string
+(** ["isp<i>"], ["bank"] for member 0 and ["bank<b>"] for any other. *)
 
 type run_report = {
   point : int;  (** Crash after this many executed events. *)
@@ -76,6 +77,7 @@ val crash_run :
 val sweep :
   ?persist:Checkpoint.t ->
   ?label_prefix:string ->
+  ?n_banks:int ->
   build:(unit -> Zmail.World.t) ->
   days:float ->
   downtime:float ->
@@ -86,9 +88,9 @@ val sweep :
   report
 (** The full sweep at one grid cell: baseline count, then one
     {!crash_run} per point with round-robin victims ([n_isps] compliant
-    ISPs then the bank).  Run labels are
+    ISPs, then the [n_banks] member banks, default 1).  Run labels are
     ["<label_prefix>/p<point>-<victim>"].
-    @raise Invalid_argument on a stride or ISP count below 1. *)
+    @raise Invalid_argument on a stride, ISP or bank count below 1. *)
 
 type summary = {
   points : int;

@@ -13,16 +13,18 @@
    residue at quiescence — watched online by the invariant checkers
    and checkpoint/resume-clean via [Checkpoint.drive].
 
-   Part 2 (Byzantine-shard column): a member-bank federation clears
-   over a [Sim.Fault.Mesh] through [Zmail.Clearing] while one bank
-   misbehaves — over-issues unbacked e-pennies, skims its declared
-   clearing position, or lies in the global audit on its members'
+   Part 2 (Byzantine-shard column): a World whose ISPs bank at member
+   banks, with E15's traffic shape and daily audits, clears over a
+   [Sim.Fault.Mesh] of the banks through [Zmail.Clearing] while one
+   bank misbehaves — over-issues unbacked e-pennies, skims its
+   declared clearing position, or lies in the audit on its members'
    behalf.  Statement verification or audit block-attribution must
-   flag exactly the Byzantine bank, wrongly implicated member ISPs
-   must be cleared, settlement must route around the flagged bank, the
-   partition carry must drain to zero after heal, and total federation
-   money must stay exact in every cell.  These cells are pure
-   functions of their seed (no world snapshot), so resumed runs
+   flag exactly the Byzantine bank in every round, wrongly implicated
+   member ISPs must be cleared, settlement must route around the
+   flagged bank and bring the rest to their mean, the clearing carry
+   must drain to zero after heal, total federation money must stay
+   exact, and the online checkers watch the world.  These cells are
+   pure functions of their seed (no world snapshot), so resumed runs
    reproduce them byte-identically by re-execution. *)
 
 let hour = Sim.Engine.hour
@@ -101,35 +103,6 @@ type outcome = {
   residue : int;
   metrics : Sim.Table.t;
 }
-
-(* Strict-majority convictions recomputed from the raw violation list
-   (same rule as E18): convicted = violates with strictly more than
-   half of the round's present peers; the suspect-list fallback to
-   "everyone implicated" is §4.4 investigation, not conviction. *)
-let convictions ~compliant (r : Zmail.Bank.audit_result) =
-  let n = Array.length compliant in
-  let present i = compliant.(i) && not (List.mem i r.Zmail.Bank.absent) in
-  let present_count = ref 0 in
-  for i = 0 to n - 1 do
-    if present i then incr present_count
-  done;
-  let counts = Array.make n 0 in
-  List.iter
-    (fun (v : Zmail.Credit.Audit.violation) ->
-      counts.(v.Zmail.Credit.Audit.isp_a) <- counts.(v.Zmail.Credit.Audit.isp_a) + 1;
-      counts.(v.Zmail.Credit.Audit.isp_b) <- counts.(v.Zmail.Credit.Audit.isp_b) + 1)
-    r.Zmail.Bank.violations;
-  let threshold = (!present_count - 1) / 2 in
-  List.filter
-    (fun i -> present i && counts.(i) > threshold)
-    (List.init n (fun i -> i))
-
-let implicated_of (r : Zmail.Bank.audit_result) =
-  List.concat_map
-    (fun (v : Zmail.Credit.Audit.violation) ->
-      [ v.Zmail.Credit.Audit.isp_a; v.Zmail.Credit.Audit.isp_b ])
-    r.Zmail.Bank.violations
-  |> List.sort_uniq compare
 
 let reject_count stats reason =
   match List.assoc_opt reason stats.Zmail.Bank.rejects with
@@ -258,18 +231,12 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
         failwith ("E19: checker " ^ Obs.Invariant.name c ^ " never ran");
       Obs.Invariant.detach c)
     checkers;
-  let compliant = (Zmail.World.config world).Zmail.World.compliant in
-  let audits = Zmail.World.audit_results_timed world in
-  let convicted =
-    List.fold_left
-      (fun acc (_, r) -> acc + List.length (convictions ~compliant r))
-      0 audits
-  in
-  let implicated =
-    List.fold_left
-      (fun acc (_, r) -> acc + List.length (implicated_of r))
-      0 audits
-  in
+  (* The bank's convictions are strict-majority offenders plus ring
+     members; everyone it merely implicates is §4.4 investigation. *)
+  let audits = Zmail.World.audit_results world in
+  let count f = List.fold_left (fun acc r -> acc + List.length (f r)) 0 audits in
+  let convicted = count (fun r -> r.Zmail.Bank.convicted) in
+  let implicated = count (fun r -> Zmail.Credit.Audit.implicated r.Zmail.Bank.violations) in
   let residue = Zmail.World.epenny_residue world in
   if convicted > 0 then
     failwith
@@ -344,22 +311,6 @@ let bank_behaviors =
     ("lie-audit", Zmail.Federation.Lie_in_audit 7);
   ]
 
-type fed_outcome = {
-  rounds : int;
-  clr_messages : int;
-  applied : int;
-  duplicates : int;
-  max_carry : int;
-  end_carry : int;
-  flagged : (int * string) list;  (* last statement verification *)
-  fed_unbacked : int;
-  violations : int;
-  suspects_raw : int list;
-  bank_sus : int list;
-  suspects_cleared : int list;
-  money_ok : bool;
-}
-
 let ints l = if l = [] then "-" else String.concat "," (List.map string_of_int l)
 
 (* The clearing mesh severs the last bank from everyone else across
@@ -370,202 +321,128 @@ let fed_partition ~n_banks =
   groups.(n_banks - 1) <- 1;
   [ Sim.Fault.Mesh.partition ~start:(4. *. day) ~stop:(8. *. day) ~groups ]
 
+(* One cell: a World whose ISPs bank at [n_banks] members, bank
+   [byz_bank] misbehaving, with E15's traffic shape (members of the
+   lower half of the banks send far more to the upper half than they
+   get back) and daily audits.  Settlement runs every [settle_every]
+   days over a separate bank mesh on the world's engine. *)
 let run_fed_cell ~seed ~n_banks ~(chaos : chaos) ~behavior_name ~behavior =
   let label = Printf.sprintf "%s/%s" behavior_name chaos.clabel in
+  let fail fmt = Printf.ksprintf (fun m -> failwith ("E19 federation cell " ^ label ^ ": " ^ m)) fmt in
   let n_isps = 2 * n_banks in
-  let engine = Sim.Engine.create ~seed () in
-  let rng = Sim.Rng.stream ~seed ~tag:0xfed19 in
+  let behaviors = Array.make n_banks Zmail.Federation.Honest_bank in
+  behaviors.(byz_bank) <- behavior;
+  let world =
+    Zmail.World.create
+      (E15_federation.config ~seed
+         { (Zmail.Federation.default_config ~n_banks ~n_isps) with behaviors })
+  in
+  let checkers = Zmail.World.attach_invariants world in
+  let fed = Zmail.World.federation world in
+  let engine = Zmail.World.engine world in
   let mesh =
     Sim.Fault.Mesh.create ~default:chaos.plan
       ~partitions:(if chaos.partitioned then fed_partition ~n_banks else [])
       ~n_nodes:n_banks engine
       (Sim.Rng.stream ~seed ~tag:0xc1ea7)
   in
-  let behaviors = Array.make n_banks Zmail.Federation.Honest_bank in
-  behaviors.(byz_bank) <- behavior;
-  let fed_cfg =
-    { (Zmail.Federation.default_config ~n_banks ~n_isps) with
-      Zmail.Federation.behaviors }
-  in
-  let fed = Zmail.Federation.create rng fed_cfg in
-  let expected_money = Zmail.Federation.total_money fed in
-  let compliant = Array.make n_isps true in
-  let kernels =
-    Array.init n_isps (fun i ->
-        let bank = Zmail.Federation.home_of fed ~isp:i in
-        Zmail.Isp.create rng
-          { (Zmail.Isp.default_config ~index:i ~n_isps ~n_users:5 ~compliant
-               ~bank_public:(Zmail.Federation.public_key fed ~bank))
-            with
-            Zmail.Isp.initial_balance = 400;
-            daily_limit = 10_000;
-            minavail = 200;
-            maxavail = 900;
-            initial_avail = 500;
-            buy_amount = 500;
-          })
-  in
-  (* ISP<->bank pool exchanges run on a perfect synchronous link here —
-     part 1 already stresses that hop; this column stresses the
-     bank<->bank wire only. *)
-  let exchange_pools () =
-    Array.iteri
-      (fun i kernel ->
-        match Zmail.Isp.pool_action kernel with
-        | None -> ()
-        | Some sealed -> (
-            match Zmail.Federation.on_isp_message fed ~from_isp:i sealed with
-            | Zmail.Federation.Reply signed ->
-                ignore (Zmail.Isp.on_bank_message kernel signed)
-            | Zmail.Federation.Rejected _ -> ()))
-      kernels
-  in
   let clr = Zmail.Clearing.create ~engine ~mesh fed in
-  (* Asymmetric cross-bank flow: members of the lower-half banks blast
-     members of the upper half, so e-pennies and cash positions drift
-     across the clearing boundary (E15's scenario, mesh-routed). *)
-  let senders =
-    List.filter
-      (fun i -> Zmail.Federation.home_of fed ~isp:i < n_banks / 2)
-      (List.init n_isps (fun i -> i))
-  in
-  let receivers =
-    List.filter
-      (fun i -> Zmail.Federation.home_of fed ~isp:i >= n_banks / 2)
-      (List.init n_isps (fun i -> i))
-  in
-  let pick rng l = List.nth l (Sim.Rng.int rng (List.length l)) in
+  let expected_money = Zmail.Federation.total_money fed in
+  let homed p = List.filter (fun i -> p (Zmail.Federation.home_of fed ~isp:i)) (List.init n_isps Fun.id) in
+  let senders = homed (fun b -> b < n_banks / 2) in
+  E15_federation.attach_flow world
+    ~rng:(Sim.Rng.stream ~seed ~tag:0xfed19)
+    ~days:fed_days ~senders ~receivers:(homed (fun b -> b >= n_banks / 2))
+    ~forward:(60 * List.length senders) ~reverse:15;
   let max_carry = ref 0 in
   let flagged = ref [] in
-  let money_ok = ref true in
   let check_money () =
-    if Zmail.Federation.total_money fed <> expected_money then begin
-      money_ok := false;
-      failwith
-        (Printf.sprintf
-           "E19 federation cell %s: total money %d <> %d — conservation \
-            broken"
-           label
-           (Zmail.Federation.total_money fed)
-           expected_money)
-    end
+    let money = Zmail.Federation.total_money fed in
+    if money <> expected_money then
+      fail "total money %d <> %d — conservation broken" money expected_money
   in
   let settle () =
-    let statements = Zmail.Federation.statements fed in
-    flagged := Zmail.Federation.verify_statements fed statements;
-    let exclude = List.map fst !flagged in
-    ignore (Zmail.Clearing.settle_round ~exclude clr);
+    flagged := Zmail.Federation.verify_statements fed (Zmail.Federation.statements fed);
+    ignore (Zmail.Clearing.settle_round ~exclude:(List.map fst !flagged) clr);
     max_carry := Stdlib.max !max_carry (Zmail.Clearing.pending_amount clr)
   in
   for d = 1 to fed_days do
-    for _ = 1 to 60 * List.length senders do
-      let s = pick rng senders and r = pick rng receivers in
-      if Zmail.Isp.charge_send kernels.(s) ~sender:0 ~dest_isp:r
-         = Zmail.Isp.Sent_paid
-      then ignore (Zmail.Isp.accept_delivery kernels.(r) ~from_isp:s ~rcpt:0)
-    done;
-    for _ = 1 to 15 do
-      let s = pick rng receivers and r = pick rng senders in
-      if Zmail.Isp.charge_send kernels.(s) ~sender:1 ~dest_isp:r
-         = Zmail.Isp.Sent_paid
-      then ignore (Zmail.Isp.accept_delivery kernels.(r) ~from_isp:s ~rcpt:1)
-    done;
-    Array.iter
-      (fun kernel ->
-        let ledger = Zmail.Isp.ledger kernel in
-        for u = 0 to 4 do
-          let balance = Zmail.Ledger.balance ledger ~user:u in
-          if balance > 450 then
-            ignore (Zmail.Ledger.user_sell ledger ~user:u ~amount:(balance - 400));
-          if balance < 50 then
-            ignore (Zmail.Ledger.user_buy ledger ~user:u ~amount:100)
-        done)
-      kernels;
-    exchange_pools ();
-    Array.iter Zmail.Isp.end_of_day kernels;
-    if d mod settle_every = 0 then settle ();
-    Sim.Engine.run engine ~until:(float_of_int d *. day);
-    max_carry := Stdlib.max !max_carry (Zmail.Clearing.pending_amount clr);
-    check_money ()
+    ignore
+      (Sim.Engine.schedule_after engine ~delay:((float_of_int d -. 0.02) *. day) (fun () ->
+           if d mod settle_every = 0 then settle ();
+           max_carry := Stdlib.max !max_carry (Zmail.Clearing.pending_amount clr);
+           check_money ()))
   done;
   (* Heal and drain: every partition window is over, so retries must
      deliver the carry; a final round converges the included banks. *)
-  Sim.Engine.run engine;
+  Zmail.World.run_until_quiet world;
   settle ();
-  Sim.Engine.run engine;
+  Zmail.World.run_until_quiet world;
   check_money ();
-  let end_carry = Zmail.Clearing.pending_amount clr in
-  if end_carry <> 0 then
-    failwith
-      (Printf.sprintf
-         "E19 federation cell %s: %d pennies of carry never drained" label
-         end_carry);
-  (* Global audit across bank lines: a lying home bank tampers its
-     members' rows, so the violation pattern must attribute to the
-     bank and clear the members. *)
-  let requests = Zmail.Federation.start_audit fed in
-  let result = ref None in
+  Zmail.World.check_invariants ~quiescent:true world;
   List.iter
-    (fun (i, signed) ->
-      ignore (Zmail.Isp.on_bank_message kernels.(i) signed);
-      let reply = Zmail.Isp.thaw kernels.(i) in
-      match Zmail.Federation.on_audit_reply fed ~from_isp:i reply with
-      | Ok (Some r) -> result := Some r
-      | Ok None | Error _ -> ())
-    requests;
-  let violations, suspects_raw, bank_sus, suspects_cleared =
-    match !result with
-    | None -> failwith (Printf.sprintf "E19 federation cell %s: audit never completed" label)
-    | Some r ->
-        let bank_sus = Zmail.Federation.bank_suspects fed r in
-        let cleared =
-          Zmail.Federation.suspects_excluding_banks fed r ~banks:bank_sus
-        in
-        (List.length r.Zmail.Bank.violations, r.Zmail.Bank.suspects, bank_sus, cleared)
+    (fun c ->
+      if Obs.Invariant.checks c = 0 then fail "checker %s never ran" (Obs.Invariant.name c);
+      Obs.Invariant.detach c)
+    checkers;
+  let end_carry = Zmail.Clearing.pending_amount clr in
+  if end_carry <> 0 then fail "%d pennies of carry never drained" end_carry;
+  let excluded = List.map fst !flagged in
+  let included =
+    List.filter_map
+      (fun b ->
+        if List.mem b excluded then None else Some (Zmail.Federation.position fed ~bank:b))
+      (List.init n_banks Fun.id)
   in
-  if suspects_cleared <> [] then
-    failwith
-      (Printf.sprintf
-         "E19 federation cell %s: honest member ISPs [%s] still suspect \
-          after bank attribution"
-         label (ints suspects_cleared));
+  if List.fold_left Stdlib.max min_int included - List.fold_left Stdlib.min max_int included > 1
+  then fail "positions [%s] did not return to their mean" (ints included);
+  (* Every daily round checked pairs across bank lines: a lying home
+     bank's rewrite must attribute to the bank and clear its
+     members, round after round. *)
+  let results = Zmail.World.audit_results world in
+  let attributed =
+    List.map
+      (fun r ->
+        let bank_sus = Zmail.Federation.bank_suspects fed r in
+        (r, bank_sus, Zmail.Federation.suspects_excluding_banks fed r ~banks:bank_sus))
+      results
+  in
+  let last, bank_sus, suspects_cleared =
+    match List.rev attributed with
+    | last :: _ -> last
+    | [] -> fail "no audit round completed"
+  in
+  List.iter
+    (fun (r, banks, cleared) ->
+      if cleared <> [] then
+        fail "honest member ISPs [%s] still suspect after bank attribution (round %d)"
+          (ints cleared) r.Zmail.Bank.seq;
+      match behavior with
+      | Zmail.Federation.Lie_in_audit _ ->
+          if banks <> [ byz_bank ] then
+            fail "audit lie attributed to banks [%s] in round %d, expected [%d]"
+              (ints banks) r.Zmail.Bank.seq byz_bank
+      | Zmail.Federation.Honest_bank | Zmail.Federation.Over_issue _
+      | Zmail.Federation.Skim_position _ ->
+          if banks <> [] then fail "bank flagged by the audit — false positive")
+    attributed;
   (match behavior with
   | Zmail.Federation.Honest_bank ->
-      if !flagged <> [] || bank_sus <> [] then
-        failwith
-          (Printf.sprintf
-             "E19 federation cell %s: honest bank flagged — false positive"
-             label)
+      if !flagged <> [] then fail "honest bank flagged — false positive"
   | Zmail.Federation.Over_issue _ | Zmail.Federation.Skim_position _ ->
-      if not (List.mem_assoc byz_bank !flagged) then
-        failwith
-          (Printf.sprintf
-             "E19 federation cell %s: Byzantine bank escaped statement \
-              verification"
-             label)
-  | Zmail.Federation.Lie_in_audit _ ->
-      if bank_sus <> [ byz_bank ] then
-        failwith
-          (Printf.sprintf
-             "E19 federation cell %s: audit lie attributed to banks [%s], \
-              expected [%d]"
-             label (ints bank_sus) byz_bank));
+      if List.map fst !flagged <> [ byz_bank ] then
+        fail "statement checks flagged [%s], expected [%d]" (ints excluded) byz_bank
+  | Zmail.Federation.Lie_in_audit _ -> ());
+  (* The table row; a cell whose money moved has failed above. *)
   let s = Zmail.Federation.stats fed in
-  {
-    rounds = Zmail.Clearing.rounds clr;
-    clr_messages = Zmail.Clearing.messages clr;
-    applied = s.Zmail.Federation.transfers_applied;
-    duplicates = s.Zmail.Federation.transfers_duplicate;
-    max_carry = !max_carry;
-    end_carry;
-    flagged = !flagged;
-    fed_unbacked = Zmail.Federation.unbacked fed ~bank:byz_bank;
-    violations;
-    suspects_raw;
-    bank_sus;
-    suspects_cleared;
-    money_ok = !money_ok;
-  }
+  List.map Sim.Table.cell_int
+    [ Zmail.Clearing.rounds clr; Zmail.Clearing.messages clr;
+      s.Zmail.Federation.transfers_applied; s.Zmail.Federation.transfers_duplicate;
+      !max_carry; end_carry; Zmail.Federation.unbacked fed ~bank:byz_bank ]
+  @ [ (if excluded = [] then "-"
+       else String.concat ";" (List.map (Printf.sprintf "bank %d") excluded));
+      Sim.Table.cell_int (List.length last.Zmail.Bank.violations);
+      ints last.Zmail.Bank.suspects; ints bank_sus; ints suspects_cleared; "exact" ]
 
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)
@@ -682,15 +559,6 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
       (fun (name, b) -> List.map (fun c -> (name, b, c)) chaos_levels)
       bank_behaviors
   in
-  let fed_outcomes =
-    List.mapi
-      (fun k (name, b, chaos) ->
-        ( name,
-          chaos,
-          run_fed_cell ~seed:(seed + 1000 + k) ~n_banks ~chaos
-            ~behavior_name:name ~behavior:b ))
-      fed_cells
-  in
   let federation =
     Sim.Table.create
       ~title:
@@ -719,31 +587,13 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
           "money";
         ]
   in
-  List.iter
-    (fun (name, chaos, o) ->
+  List.iteri
+    (fun k (name, behavior, chaos) ->
       Sim.Table.add_row federation
-        [
-          name;
-          chaos.clabel;
-          Sim.Table.cell_int o.rounds;
-          Sim.Table.cell_int o.clr_messages;
-          Sim.Table.cell_int o.applied;
-          Sim.Table.cell_int o.duplicates;
-          Sim.Table.cell_int o.max_carry;
-          Sim.Table.cell_int o.end_carry;
-          Sim.Table.cell_int o.fed_unbacked;
-          (match o.flagged with
-          | [] -> "-"
-          | l ->
-              String.concat ";"
-                (List.map (fun (b, _) -> Printf.sprintf "bank %d" b) l));
-          Sim.Table.cell_int o.violations;
-          ints o.suspects_raw;
-          ints o.bank_sus;
-          ints o.suspects_cleared;
-          (if o.money_ok then "exact" else "BROKEN");
-        ])
-    fed_outcomes;
+        (name :: chaos.clabel
+        :: run_fed_cell ~seed:(seed + 1000 + k) ~n_banks ~chaos ~behavior_name:name
+             ~behavior))
+    fed_cells;
   if obs.Obs.Run.metrics then
     match List.rev outcomes with
     | (_, _, last) :: _ -> [ traffic; detection; federation; last.metrics ]

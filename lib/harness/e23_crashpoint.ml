@@ -74,12 +74,13 @@ let fake_receives_per_day = 2
 let days = 1.2 (* crosses one midnight so the cheat actually mints *)
 let downtime = 1. *. hour
 
-let build ~seed ~c () =
+let build ~tracer ~seed ~c () =
   let world =
     Zmail.World.create
       {
         (Zmail.World.default_config ~n_isps ~users_per_isp) with
         Zmail.World.seed;
+        tracer = Some tracer;
         audit_period = Some (6. *. hour);
         disk = Some c.plan;
         wal_group = c.wal_group;
@@ -129,8 +130,8 @@ let build ~seed ~c () =
   done;
   world
 
-let run_cell ~persist ~seed c =
-  let build = build ~seed ~c in
+let run_cell ~tracer ~persist ~seed c =
+  let build = build ~tracer ~seed ~c in
   (* A sampled cell still spreads its crash points across the whole
      timeline: the stride targets ~16 points over the baseline count.
      The sweep re-measures the baseline itself; this probe only sizes
@@ -147,10 +148,12 @@ let run_cell ~persist ~seed c =
 let run ?obs ?persist ?(seed = 23) ?(full = false) () =
   let obs = Option.value obs ~default:Obs.Run.none in
   let persist = Option.value persist ~default:Checkpoint.none in
-  ignore obs;
+  (* Every swept world, baselines included, emits into the front end's
+     tracer, so crash and recovery events reach its export. *)
+  let tracer = Obs.Run.tracer_or obs ~capacity:512 in
   let cells = cells ~full in
   let reports =
-    List.mapi (fun k c -> (c, run_cell ~persist ~seed:(seed + k) c)) cells
+    List.mapi (fun k c -> (c, run_cell ~tracer ~persist ~seed:(seed + k) c)) cells
   in
   let table =
     Sim.Table.create

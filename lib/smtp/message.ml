@@ -436,9 +436,11 @@ let is_scanf_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
    format space skips [is_scanf_space] characters), so exactly the
    values that scan and re-render to themselves are read: no sign,
    leading zero or underscore, exactly three fraction digits, and one
-   space at each separator.  Like that format, it also reads back a
-   host that is empty or holds spaces.  A test keeps the [Scanf]
-   reader as the reference. *)
+   space at each separator.  Unlike that format, it refuses a host
+   that {!host} refuses (empty, or holding a space or control
+   character), so a stamp no constructor could write never reads
+   back.  A test keeps the [Scanf] reader, so restricted, as the
+   reference. *)
 let received_at s i stop =
   let d = i + 5 in
   if d >= stop || (not (literal_at s i "from " 0)) || is_scanf_space (String.unsafe_get s d)
@@ -451,7 +453,8 @@ let received_at s i stop =
     else
       let be = index_at s b stop ';' in
       let n = be + 4 in
-      if n > stop || not (literal_at s be "; t=" 0) then None
+      if n > stop || be = b || (not (token_chars s b be)) || not (literal_at s be "; t=" 0)
+      then None
       else
         let ne = digits_end s n stop in
         if

@@ -47,11 +47,12 @@ let reject_to_string = function
 
 type audit_state = {
   audit_seq : int;
-  mutable waiting : int list;
+  awaiting : bool array;  (* per ISP: reply still outstanding *)
+  mutable left : int;  (* how many [awaiting] cells are set *)
   absent : int list;  (* excluded at round start: unreachable, not guilty *)
   reported : (int * int) array array;
       (* per-ISP sparse rows as they came off the wire *)
-  span : int;  (* trace span opened at start_audit *)
+  span : int;  (* trace span opened at start_audit; 0 on other members *)
 }
 
 type t = {
@@ -102,7 +103,6 @@ let ev t payload = Obs.Trace.emit t.tracer ~actor:(-1) payload
 
 let public_key t = t.public
 let sign t payload = Wire.sign_by_bank t.secret payload
-let open_sealed t sealed = Wire.open_at_bank t.secret sealed
 let account_balance t ~isp = t.account.(isp)
 let outstanding_epennies t = t.outstanding
 let disk t = Journal.disk t.wal
@@ -142,7 +142,9 @@ let encode_kernel w t =
   opt
     (fun w (a : audit_state) ->
       int w a.audit_seq;
-      list int w a.waiting;
+      (* the awaited ISPs, ascending *)
+      list int w
+        (List.filter (Array.get a.awaiting) (List.init (Array.length a.awaiting) Fun.id));
       list int w a.absent;
       array (array (pair int int)) w a.reported;
       int w a.span)
@@ -179,18 +181,25 @@ let restore_kernel r t =
   t.outstanding <- int r;
   t.seq <- int r;
   (* [audit_state] is rebuilt wholesale: nothing outside the bank holds
-     a reference to it (callers poll {!audit_waiting} instead). *)
+     a reference to it (callers poll {!awaits_reply} instead). *)
   t.audit <-
     opt
       (fun r ->
         let audit_seq = int r in
         let waiting = list int r in
         let absent = list int r in
+        let in_range i =
+          if i < 0 || i >= t.config.n_isps then corrupt r "Bank: audited ISP out of range"
+        in
+        List.iter in_range absent;
+        let awaiting = Array.make t.config.n_isps false in
+        List.iter (fun i -> in_range i; awaiting.(i) <- true) waiting;
         let reported = array (array (pair int int)) r in
         let span = int r in
         if Array.length reported <> t.config.n_isps then
           corrupt r "Bank: audit matrix size mismatch";
-        { audit_seq; waiting; absent; reported; span })
+        let left = Array.fold_left (fun n a -> if a then n + 1 else n) 0 awaiting in
+        { audit_seq; awaiting; left; absent; reported; span })
       r;
   t.buys <- int r;
   t.buys_rejected <- int r;
@@ -313,66 +322,92 @@ let reply t payload =
   t.messages_out <- t.messages_out + 1;
   Reply (Wire.sign_by_bank t.secret payload)
 
-(* Close the round.  The pair check runs over the ISPs that actually
-   reported: each reporter's row is adjusted by the carry of what its
+(* Close the round of every member at once ([members] is one bank for
+   a standalone bank, every member in bank order for a federation).
+   Their collected rows and their carries feed one claim accumulator,
+   so pairs whose ISPs bank at different members are checked like any
+   other.  Cost follows the populated cell count, never n^2.
+
+   Each reporter's row is adjusted by the carry of what its
    absent-round peers' earlier reports claimed against it, so a row
    that is cumulative over missed rounds reconciles to zero instead of
    implicating both sides of a healed partition.  Then the carry is
    rolled forward: reporters' rows are consumed, and what they just
-   claimed against this round's absentees is accumulated for the round
-   those absentees eventually answer.
-
-   Everything runs through the sparse claim accumulator: cost follows
-   the populated cell count, never n^2.  After the pairwise pass the
-   cycle-sum detector walks the violating edges for collusion rings —
-   coordinated liars whose star balances at an honest victim — and
-   attribution convicts the ring while clearing the framed center. *)
-let finish_audit t (audit : audit_state) =
-  let n = t.config.n_isps in
+   claimed against this round's absentees is carried, at the
+   reporter's member, for the round those absentees eventually answer.
+   After the pairwise pass the cycle-sum detector walks the violating
+   edges for collusion rings — coordinated liars whose star balances
+   at an honest victim — and attribution convicts the ring while
+   clearing the framed center. *)
+let close_round ?rewrite members =
+  let rounds =
+    Array.map
+      (fun t ->
+        match t.audit with
+        | Some a when a.left = 0 -> a
+        | Some _ | None -> invalid_arg "Bank.close_round: a member is still collecting")
+      members
+  in
+  let lead = members.(0) and audit = rounds.(0) in
+  let n = lead.config.n_isps in
+  let absent =
+    List.sort_uniq Int.compare
+      (List.concat_map (fun (a : audit_state) -> a.absent) (Array.to_list rounds))
+  in
+  let is_absent = Array.make n false in
+  List.iter (fun i -> is_absent.(i) <- true) absent;
   let present = Array.make n false in
-  for i = 0 to n - 1 do
-    present.(i) <- t.config.compliant.(i) && not (List.mem i audit.absent)
-  done;
+  Array.iter
+    (fun t ->
+      Array.iteri (fun i c -> if c && not is_absent.(i) then present.(i) <- true) t.config.compliant)
+    members;
+  (* A Byzantine member's rewrite replaces the rows it collected, for
+     the check and the carry alike. *)
+  let rows =
+    Array.mapi
+      (fun m (a : audit_state) ->
+        match rewrite with
+        | None -> a.reported
+        | Some f -> Array.mapi (fun isp row -> f ~member:m ~isp row) a.reported)
+      rounds
+  in
+  let cells f = Array.fold_left (fun acc row -> acc + f row) in
   let expected_cells =
-    Array.fold_left (fun a row -> a + Array.length row) 0 audit.reported
-    + Array.fold_left (fun a row -> a + Audit.Row.cardinal row) 0 t.carry
+    Array.fold_left (cells Array.length) 0 rows
+    + Array.fold_left (fun acc t -> cells Audit.Row.cardinal acc t.carry) 0 members
   in
   let acc = Audit.Verify.create ~expected_cells ~present () in
-  Array.iteri
-    (fun a row ->
-      if present.(a) then
-        Array.iter (fun (b, v) -> Audit.Verify.claim acc ~reporter:a ~peer:b v) row)
-    audit.reported;
-  (* Carry adjustment: [carry.(x)] cell [y -> v] means reporter [y]
-     claimed [v] against [x] in a round [x] missed; feed it as part of
-     [y]'s row so [x]'s cumulative report reconciles against it.
-     Claims touching a still-absent [x] are ignored by the accumulator
-     (x is not present) and stay carried. *)
-  Array.iteri
-    (fun x row ->
-      Audit.Row.iter (fun y v -> Audit.Verify.claim acc ~reporter:y ~peer:x v) row)
-    t.carry;
+  Array.iter
+    (Array.iteri (fun a row ->
+         if present.(a) then
+           Array.iter (fun (b, v) -> Audit.Verify.claim acc ~reporter:a ~peer:b v) row))
+    rows;
+  (* [carry.(x)] cell [y -> v]: reporter [y] claimed [v] against [x] in
+     a round [x] missed, fed as part of [y]'s row.  Claims touching a
+     still-absent [x] are ignored by the accumulator and stay carried. *)
+  Array.iter
+    (fun t ->
+      Array.iteri
+        (fun x row ->
+          Audit.Row.iter (fun y v -> Audit.Verify.claim acc ~reporter:y ~peer:x v) row)
+        t.carry)
+    members;
   let violations = Audit.Verify.violations acc in
-  for x = 0 to n - 1 do
-    if present.(x) then Audit.Row.clear t.carry.(x)
-  done;
-  let absent_compliant = Hashtbl.create 8 in
-  List.iter
-    (fun x -> if t.config.compliant.(x) then Hashtbl.replace absent_compliant x ())
-    audit.absent;
-  if Hashtbl.length absent_compliant > 0 then
-    Array.iteri
-      (fun y row ->
-        if present.(y) then
-          Array.iter
-            (fun (b, v) ->
-              if b >= 0 && b < n && Hashtbl.mem absent_compliant b then
-                Audit.Row.add t.carry.(b) y v)
-            row)
-      audit.reported;
-  t.audit <- None;
-  t.seq <- t.seq + 1;
-  t.audits_completed <- t.audits_completed + 1;
+  Array.iteri
+    (fun m t ->
+      Array.iteri (fun x row -> if present.(x) then Audit.Row.clear row) t.carry;
+      if absent <> [] then
+        Array.iteri
+          (fun y row ->
+            if present.(y) then
+              Array.iter
+                (fun (b, v) -> if b >= 0 && b < n && is_absent.(b) then Audit.Row.add t.carry.(b) y v)
+                row)
+          rows.(m);
+      t.audit <- None;
+      t.seq <- t.seq + 1;
+      t.audits_completed <- t.audits_completed + 1)
+    members;
   let offenders = Audit.Verify.offenders ~present violations in
   let rings =
     Audit.Cycle.detect ~violations ~offenders
@@ -389,7 +424,7 @@ let finish_audit t (audit : audit_state) =
     List.sort_uniq compare (offenders @ Audit.Cycle.convicted rings)
   in
   let cleared = Audit.Cycle.cleared rings in
-  if tracing t then begin
+  if tracing lead then begin
     let ring_volume =
       List.fold_left (fun acc (r : Audit.Cycle.ring) -> acc + r.residue) 0 rings
     in
@@ -398,13 +433,13 @@ let finish_audit t (audit : audit_state) =
        convictions: majority offenders can be transient (in-flight
        traffic at the snapshot) and are not held to the ring
        attribution's soundness bar. *)
-    Obs.Trace.span_end t.tracer ~actor:(-1) ~span:audit.span
+    Obs.Trace.span_end lead.tracer ~actor:(-1) ~span:audit.span
       (Bank_audit_end
          {
            seq = audit.audit_seq;
            violations = List.length violations;
            suspects = List.length suspects;
-           absent = List.length audit.absent;
+           absent = List.length absent;
            rings = List.length rings;
            convicted = List.length convicted;
            cleared = List.length cleared;
@@ -415,9 +450,9 @@ let finish_audit t (audit : audit_state) =
            cleared_isps = cleared;
          })
   end;
-  Audit_complete
-    { seq = audit.audit_seq; violations; suspects; convicted; rings; cleared;
-      absent = audit.absent }
+  (* A closed round never replays: every member checkpoints. *)
+  Array.iter (fun t -> Journal.checkpoint t.wal t) members;
+  { seq = audit.audit_seq; violations; suspects; convicted; rings; cleared; absent }
 
 let on_payload t ~from_isp payload =
   match (payload : Wire.payload) with
@@ -481,13 +516,15 @@ let on_payload t ~from_isp payload =
       | Some audit
         when audit.audit_seq = seq && isp = from_isp
              && not (List.mem isp audit.absent) ->
-          let first = List.mem isp audit.waiting in
+          let first = audit.awaiting.(isp) in
           audit.reported.(isp) <- credit;
-          if first then
-            audit.waiting <- List.filter (fun i -> i <> isp) audit.waiting;
+          if first then begin
+            audit.awaiting.(isp) <- false;
+            audit.left <- audit.left - 1
+          end;
           if tracing t then
             ev t (Bank_audit_reply { isp; seq; amended = not first });
-          if audit.waiting = [] then finish_audit t audit else Audit_progress
+          Audit_progress
       | Some _ -> Rejected Wrong_state
       | None -> Rejected Wrong_state)
   | Wire.Buy_reply _ | Wire.Sell_reply _ | Wire.Audit_request _
@@ -512,44 +549,48 @@ let on_isp_message_exec t ~from_isp sealed =
   | Reply _ | Audit_progress | Audit_complete _ -> ());
   result
 
-let on_isp_message t ~from_isp sealed =
+let audit_collected t =
+  match t.audit with Some a -> a.left = 0 | None -> false
+
+(* A message that leaves this bank's round collected asks [close]
+   whether the round closes now.  If it does, the close checkpointed
+   every member instead of this message being appended: a completed
+   round must never replay (its result already reached the world),
+   and the log stays bounded by the open round's traffic. *)
+let on_isp_message ?close t ~from_isp sealed =
   let result = on_isp_message_exec t ~from_isp sealed in
-  (match result with
-  | Audit_complete _ ->
-      (* The message that closed the round is folded into a fresh
-         checkpoint rather than appended: a completed round must never
-         replay (its result already reached the world), and the log
-         stays bounded by the open round's traffic. *)
-      Journal.checkpoint t.wal t
-  | Reply _ | Audit_progress | Rejected _ ->
+  let closed =
+    match result with
+    | Audit_progress when audit_collected t -> (
+        match close with
+        | None -> Some (close_round [| t |])
+        | Some close -> close ())
+    | Reply _ | Audit_progress | Audit_complete _ | Rejected _ -> None
+  in
+  match closed with
+  | Some r -> Audit_complete r
+  | None ->
       Journal.append t.wal t ~flush:true (fun w ->
           Persist.Codec.W.u8 w tag_msg;
           Persist.Codec.W.int w from_isp;
-          Toycrypto.Seal.encode_bin w sealed));
-  result
+          Toycrypto.Seal.encode_bin w sealed);
+      result
 
-let start_audit_exec ?(except = []) t =
-  if t.audit <> None then invalid_arg "Bank.start_audit: audit already in progress";
-  let compliant_isps =
-    List.filter
-      (fun i -> t.config.compliant.(i))
-      (List.init t.config.n_isps (fun i -> i))
-  in
-  let absent = List.filter (fun i -> List.mem i except) compliant_isps in
-  let waiting = List.filter (fun i -> not (List.mem i except)) compliant_isps in
-  if waiting = [] then
-    invalid_arg "Bank.start_audit: every compliant ISP excluded";
-  let span =
-    if tracing t then
-      Obs.Trace.span_begin t.tracer ~actor:(-1)
-        (Bank_audit_begin { seq = t.seq; absent = List.length absent })
-    else 0
-  in
+(* The compliant ISPs this bank audits (ascending), split by [except]
+   into the absent and the awaited. *)
+let round_plan t except =
+  List.filter (Array.get t.config.compliant) (List.init t.config.n_isps Fun.id)
+  |> List.partition (fun i -> List.mem i except)
+
+let start_audit_exec t (absent, waiting) ~span =
+  let awaiting = Array.make t.config.n_isps false in
+  List.iter (fun i -> awaiting.(i) <- true) waiting;
   t.audit <-
     Some
       {
         audit_seq = t.seq;
-        waiting;
+        awaiting;
+        left = List.length waiting;
         absent;
         reported = Array.make t.config.n_isps [||];
         span;
@@ -560,12 +601,34 @@ let start_audit_exec ?(except = []) t =
       (isp, Wire.sign_by_bank t.secret (Wire.Audit_request { seq = t.seq })))
     waiting
 
-let start_audit ?except t =
-  let requests = start_audit_exec ?except t in
-  Journal.append t.wal t ~flush:true (fun w ->
-      Persist.Codec.W.u8 w tag_start;
-      Persist.Codec.W.list Persist.Codec.W.int w (Option.value ~default:[] except));
-  requests
+let start_round ?(except = []) members =
+  if Array.exists (fun t -> t.audit <> None) members then
+    invalid_arg "Bank.start_audit: audit already in progress";
+  let plans = Array.map (fun t -> round_plan t except) members in
+  if Array.for_all (fun (_, waiting) -> waiting = []) plans then
+    invalid_arg "Bank.start_audit: every compliant ISP excluded";
+  let lead = members.(0) in
+  let span =
+    if tracing lead then
+      Obs.Trace.span_begin lead.tracer ~actor:(-1)
+        (Bank_audit_begin
+           {
+             seq = lead.seq;
+             absent = Array.fold_left (fun n (absent, _) -> n + List.length absent) 0 plans;
+           })
+    else 0
+  in
+  List.concat
+    (List.mapi
+       (fun m t ->
+         let requests = start_audit_exec t plans.(m) ~span:(if m = 0 then span else 0) in
+         Journal.append t.wal t ~flush:true (fun w ->
+             Persist.Codec.W.u8 w tag_start;
+             Persist.Codec.W.list Persist.Codec.W.int w except);
+         requests)
+       (Array.to_list members))
+
+let start_audit ?except t = start_round ?except [| t |]
 
 let audit_in_progress t = t.audit <> None
 
@@ -576,7 +639,7 @@ let audit_in_progress t = t.audit <> None
    epoch boundary. *)
 let resend_audit_request_exec t ~isp =
   match t.audit with
-  | Some audit when List.mem isp audit.waiting ->
+  | Some audit when isp >= 0 && isp < t.config.n_isps && audit.awaiting.(isp) ->
       t.messages_out <- t.messages_out + 1;
       Some (Wire.sign_by_bank t.secret (Wire.Audit_request { seq = audit.audit_seq }))
   | Some _ | None -> None
@@ -589,10 +652,12 @@ let resend_audit_request t ~isp =
         Persist.Codec.W.int w isp);
   signed
 
-let audit_waiting t =
+let audit_seq (t : t) = t.seq
+
+let awaits_reply t ~seq ~isp =
   match t.audit with
-  | None -> None
-  | Some audit -> Some (audit.audit_seq, audit.waiting)
+  | Some audit -> audit.audit_seq = seq && audit.awaiting.(isp)
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Crash and WAL recovery                                              *)
@@ -610,7 +675,7 @@ let replay_record t tag r =
   end
   else if tag = tag_start then begin
     let except = Persist.Codec.R.list Persist.Codec.R.int r in
-    ignore (start_audit_exec ~except t)
+    ignore (start_audit_exec t (round_plan t except) ~span:0)
   end
   else if tag = tag_resend then begin
     let isp = Persist.Codec.R.int r in

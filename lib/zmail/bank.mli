@@ -1,5 +1,6 @@
-(** The central bank (§4.3–§4.4): ISP real-money accounts, e-penny
-    issue and buy-back, and the periodic credit audit.
+(** The bank (§4.3–§4.4), alone or as one member of a {!Federation}:
+    ISP real-money accounts, e-penny issue and buy-back, and the
+    periodic credit audit.
 
     Note that no inter-ISP settlement is needed: e-pennies migrate
     between ISPs inside email, and the backing money flows through the
@@ -81,13 +82,8 @@ val public_key : t -> Toycrypto.Rsa.public
 
 val sign : t -> Wire.payload -> Wire.signed
 (** Sign a bank-origin payload with this bank's key.  Counts nothing
-    and logs nothing: the federation signs its global audit requests
-    and clearing messages with its members' keys here. *)
-
-val open_sealed : t -> Toycrypto.Seal.sealed -> Wire.payload option
-(** Open an envelope sealed to this bank ([None] if it is unreadable).
-    Changes no state: the federation opens its global audit replies
-    here. *)
+    and logs nothing: the federation signs its clearing messages with
+    its members' keys here. *)
 
 val account_balance : t -> isp:int -> int
 val outstanding_epennies : t -> Epenny.amount
@@ -133,33 +129,66 @@ type response =
           Each rejection increments the matching per-reason counter in
           {!stats}. *)
 
-val on_isp_message : t -> from_isp:int -> Toycrypto.Seal.sealed -> response
-(** Handle a sealed ISP-origin message. *)
+val on_isp_message :
+  ?close:(unit -> audit_result option) ->
+  t -> from_isp:int -> Toycrypto.Seal.sealed -> response
+(** Handle a sealed ISP-origin message.  A message that leaves this
+    bank's round with no reply outstanding calls [close]: by default
+    [close_round [| t |]]; a federation's closes every member's round
+    once all have collected, or returns [None] and this bank's round
+    stays open, still accepting amended replies. *)
 
 val start_audit : ?except:int list -> t -> (int * Wire.signed) list
 (** Begin a §4.4 audit: returns the signed request for every compliant
     ISP not listed in [except] (default none).  Excluded ISPs are
     recorded as the round's [absent] set — the quorum path for
     partition-severed ISPs: the round completes without them and the
-    bank's carry matrix reconciles their later cumulative report
-    against what the reporters claimed this round.
+    carry matrix reconciles their later cumulative report against what
+    the reporters claimed this round.  [start_round ?except [| t |]].
 
-    The carry matrix is a {e per-bank} device: it reconciles rounds run
-    through this bank's own [start_audit].  Federation members never
-    run one: a federation-global audit ({!Federation.start_audit})
-    signs its requests with {!sign}, opens the replies with
-    {!open_sealed} and verifies the merged matrix itself, so a
-    member's audit state and carry stay unused.
+    The carry works across the members of a federation
+    ({!start_round}, {!close_round}).  What a reporter claimed against
+    an absentee is carried at the {e reporter's} home member, whoever
+    the absentee's home is.  At the close every member feeds its whole
+    carry into the shared check, so the absentee's cumulative row
+    reconciles against all its peers' claims at once, and every member
+    then clears the carried claims against ISPs that reported.
     @raise Invalid_argument if an audit is already in progress, or if
     [except] covers every compliant ISP (defer the round instead). *)
 
+val start_round : ?except:int list -> t array -> (int * Wire.signed) list
+(** Open a round at every member for the compliant ISPs it audits
+    (requests signed by each ISP's home member; a member may await
+    nobody).  One [bank/audit] span opens, on the first member.
+    @raise Invalid_argument if a member's audit is in progress, or if
+    [except] covers every compliant ISP of every member. *)
+
+val audit_collected : t -> bool
+(** A round is open and no reply is outstanding. *)
+
+val close_round :
+  ?rewrite:(member:int -> isp:int -> (int * int) array -> (int * int) array) ->
+  t array -> audit_result
+(** Close every member's collected round at once: all rows and
+    carries feed one {!Audit.Verify} pass and the verdict (offenders,
+    {!Audit.Cycle} rings, suspects) runs once, closing the first
+    member's span.  [rewrite ~member ~isp row] replaces the row
+    [member] collected from [isp] before it is checked or carried (a
+    Byzantine member's lie).  Every member rolls its carry forward,
+    advances its sequence number and checkpoints its log.
+    @raise Invalid_argument if a member is not {!audit_collected}. *)
+
 val audit_in_progress : t -> bool
 
-val audit_waiting : t -> (int * int list) option
-(** [(seq, isps)] of the in-progress audit: its sequence number and
-    the ISPs whose reply is still outstanding.  [None] when no audit is
-    running — the predicate a retransmission layer polls to decide
-    whether an audit request or reply still needs resending. *)
+val audit_seq : t -> int
+(** The sequence number of the open round, or of the next one when
+    none is open. *)
+
+val awaits_reply : t -> seq:int -> isp:int -> bool
+(** Round [seq] is open and [isp]'s reply is still outstanding: the
+    predicate a retransmission layer polls to decide whether an audit
+    request or reply still needs resending.  Allocates nothing.
+    [isp] must be in range. *)
 
 val resend_audit_request : t -> isp:int -> Wire.signed option
 (** Re-issue the in-progress round's signed request iff [isp]'s reply

@@ -192,40 +192,15 @@ let restore_state r t =
         (s, row))
       r
 
-(* The dense reference verifier.  [Audit.Verify] (the sparse engine in
-   lib/audit) is what the bank runs at scale; this O(n^2) scan is kept
-   as the executable specification the property tests compare it
-   against, and for the small dense matrices of the federation path.
-   The violation record is one and the same type. *)
+(* Attribution over a round's violations.  The pair check itself is
+   the sparse claim accumulator ([Audit.Verify] in lib/audit); the
+   violation record is one and the same type. *)
 module Audit = struct
   type violation = Sparse.violation = {
     isp_a : int;
     isp_b : int;
     discrepancy : int;
   }
-
-  let verify ~reported ~compliant =
-    let n = Array.length compliant in
-    if Array.length reported <> n then
-      invalid_arg "Credit.Audit.verify: reported size mismatch";
-    Array.iteri
-      (fun i row ->
-        if compliant.(i) && Array.length row <> n then
-          invalid_arg
-            (Printf.sprintf "Credit.Audit.verify: row %d has length %d, expected %d"
-               i (Array.length row) n))
-      reported;
-    let violations = ref [] in
-    for a = 0 to n - 1 do
-      for b = a + 1 to n - 1 do
-        if compliant.(a) && compliant.(b) then begin
-          let discrepancy = reported.(a).(b) + reported.(b).(a) in
-          if discrepancy <> 0 then
-            violations := { isp_a = a; isp_b = b; discrepancy } :: !violations
-        end
-      done
-    done;
-    List.rev !violations
 
   let implicated violations =
     List.concat_map (fun v -> [ v.isp_a; v.isp_b ]) violations

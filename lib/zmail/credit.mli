@@ -115,24 +115,15 @@ val restore_state : Persist.Codec.R.t -> t -> unit
     binding is wiring, not state, and is untouched.  Restore raises
     [Persist.Codec.Corrupt] on an out-of-range peer or malformed row. *)
 
-(** The dense reference verifier.  At scale the bank runs the sparse
-    engine ({!Audit.Verify} in [lib/audit]); this O(n^2) scan over
-    dense matrices is the executable specification the property tests
-    compare it against, and serves the federation's small dense path.
-    [violation] is the {e same type} as [Audit.Verify.violation], so
-    results from either engine mix freely. *)
+(** Attribution over a round's violations.  The pair check is the
+    sparse engine ({!Audit.Verify} in [lib/audit]); [violation] is the
+    {e same type} as [Audit.Verify.violation]. *)
 module Audit : sig
   type violation = Audit.Verify.violation = {
     isp_a : int;
     isp_b : int;
     discrepancy : int;  (** [credit_a(b) + credit_b(a)], non-zero. *)
   }
-
-  val verify : reported:int array array -> compliant:bool array -> violation list
-  (** [reported.(i)] is ISP [i]'s snapshot (rows for non-compliant ISPs
-      are ignored).  Returns all inconsistent compliant pairs with
-      [isp_a < isp_b].
-      @raise Invalid_argument on ragged input. *)
 
   val implicated : violation list -> int list
   (** Sorted distinct ISPs appearing in any violation — the §4.4

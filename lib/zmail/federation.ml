@@ -24,20 +24,20 @@ let default_config ~n_banks ~n_isps =
     behaviors = Array.make n_banks Honest_bank;
   }
 
-type audit_state = {
-  audit_seq : int;
-  mutable waiting : int list;
-  reported : int array array;
-}
-
-(* Each member is a full [Bank.t]: accounts, reply cache, keypair and
-   buy/sell handler live there.  The federation keeps only its own
-   books: the clearing ledger ([net_cleared], [seen_xfers]), what
-   [Over_issue] banks handed back ([kickback] per ISP, [unbacked] per
-   bank) and the member counts the fair shares are pro rata by. *)
+(* Each member is a full [Bank.t]: accounts, reply cache, keypair,
+   buy/sell handler and audit round live there.  The federation keeps
+   only its own books: the clearing ledger ([net_cleared],
+   [seen_xfers]), what [Over_issue] banks handed back ([kickback] per
+   ISP, [unbacked] per bank) and the member counts the fair shares are
+   pro rata by. *)
 type t = {
   config : config;
+  compliant : bool array;
   banks : Bank.t array;
+  key_ids : int array;  (* per member, for the foreign-bank check *)
+  rewrite :
+    (member:int -> isp:int -> (int * int) array -> (int * int) array) option;
+      (* the [Lie_in_audit] members' row rewrite, if any member lies *)
   initial_account : int;
   kickback : int array;
       (* per ISP: pennies an [Over_issue] home bank handed back after
@@ -52,14 +52,52 @@ type t = {
       (* Clearing transfers already applied at each bank: the dedup
          half of exactly-once delivery over an at-least-once channel. *)
   members : int array;
-  mutable seq : int;
+  mutable close_now : (unit -> Bank.audit_result option) option;
+      (* [close_round] over this federation, built once: a member's
+         message path takes it without allocating a closure *)
   mutable next_xfer : int;
-  mutable audit : audit_state option;
   mutable transfers_applied : int;
   mutable transfers_duplicate : int;
 }
 
-let create rng config =
+(* The federation-wide round closes once, when every member has
+   collected its ISPs' replies. *)
+let close_round t =
+  if Array.for_all Bank.audit_collected t.banks then
+    Some (Bank.close_round ?rewrite:t.rewrite t.banks)
+  else None
+
+let close_never = Some (fun () -> None)
+
+(* A [Lie_in_audit] home bank rewrites its own members' rows against
+   every foreign-homed compliant peer before they are checked: every
+   cross-bank pair involving its members breaks antisymmetry, while
+   intra-bank pairs stay clean — the block signature [bank_suspects]
+   detects. *)
+let lie_rewrite config compliant =
+  if
+    not
+      (Array.exists (function Lie_in_audit _ -> true | _ -> false) config.behaviors)
+  then None
+  else
+    Some
+      (fun ~member ~isp row ->
+        match config.behaviors.(member) with
+        | Lie_in_audit d when config.home.(isp) = member ->
+            let dense = Array.make config.n_isps 0 in
+            Array.iter
+              (fun (p, v) -> if p >= 0 && p < config.n_isps then dense.(p) <- dense.(p) + v)
+              row;
+            let lied = ref [] in
+            for p = config.n_isps - 1 downto 0 do
+              let foreign = p <> isp && compliant.(p) && config.home.(p) <> member in
+              let v = if foreign then dense.(p) + d else dense.(p) in
+              if foreign || v <> 0 then lied := (p, v) :: !lied
+            done;
+            Array.of_list !lied
+        | Lie_in_audit _ | Honest_bank | Over_issue _ | Skim_position _ -> row)
+
+let create ?(disk = fun _ -> None) ?compliant rng config =
   if config.n_banks <= 0 then invalid_arg "Federation.create: need at least one bank";
   if Array.length config.home <> config.n_isps then
     invalid_arg "Federation.create: home map size mismatch";
@@ -80,30 +118,44 @@ let create rng config =
           invalid_arg "Federation.create: Lie_in_audit needs a non-zero delta"
       | _ -> ())
     config.behaviors;
+  let compliant =
+    match compliant with
+    | Some c when Array.length c = config.n_isps -> c
+    | Some _ -> invalid_arg "Federation.create: compliance map size mismatch"
+    | None -> Array.make config.n_isps true
+  in
   let member_config b =
     Bank.default_config ~n_isps:config.n_isps
-      ~compliant:(Array.map (fun h -> h = b) config.home)
+      ~compliant:(Array.mapi (fun i h -> compliant.(i) && h = b) config.home)
   in
   let n = config.n_banks in
-  {
-    config;
-    banks = Array.init n (fun b -> Bank.create rng (member_config b));
-    initial_account = (member_config 0).initial_account;
-    kickback = Array.make config.n_isps 0;
-    unbacked = Array.make n 0;
-    net_cleared = Array.make n 0;
-    seen_xfers = Array.init n (fun _ -> Hashtbl.create 64);
-    members =
-      Array.init n (fun b ->
-          Array.fold_left (fun k h -> if h = b then k + 1 else k) 0 config.home);
-    seq = 0;
-    next_xfer = 0;
-    audit = None;
-    transfers_applied = 0;
-    transfers_duplicate = 0;
-  }
+  let banks = Array.init n (fun b -> Bank.create ?disk:(disk b) rng (member_config b)) in
+  let t =
+    {
+      config;
+      compliant;
+      banks;
+      key_ids = Array.map (fun b -> Toycrypto.Rsa.key_id (Bank.public_key b)) banks;
+      rewrite = lie_rewrite config compliant;
+      initial_account = (Bank.default_config ~n_isps:config.n_isps ~compliant).initial_account;
+      kickback = Array.make config.n_isps 0;
+      unbacked = Array.make n 0;
+      net_cleared = Array.make n 0;
+      seen_xfers = Array.init n (fun _ -> Hashtbl.create 8);
+      members =
+        Array.init n (fun b ->
+            Array.fold_left (fun k h -> if h = b then k + 1 else k) 0 config.home);
+      close_now = None;
+      next_xfer = 0;
+      transfers_applied = 0;
+      transfers_duplicate = 0;
+    }
+  in
+  t.close_now <- Some (fun () -> close_round t);
+  t
 
 let n_banks t = t.config.n_banks
+let bank t b = t.banks.(b)
 let home_of t ~isp = t.config.home.(isp)
 let public_key t ~bank = Bank.public_key t.banks.(bank)
 
@@ -131,141 +183,48 @@ let total_money t =
   done;
   !accounts + Array.fold_left ( + ) 0 (Array.init t.config.n_banks (cash t))
 
-type response = Reply of Wire.signed | Rejected of Bank.reject
-
 (* Is [sealed] addressed to a real member bank other than [home]?  The
    recipient id is attacker-controlled plaintext, so this only picks
    the reason: such an envelope could not be opened at home anyway. *)
 let foreign_member t home sealed =
   let rid = Toycrypto.Seal.recipient_id sealed in
-  rid <> Toycrypto.Rsa.key_id (public_key t ~bank:home)
-  && Array.exists (fun b -> Toycrypto.Rsa.key_id (Bank.public_key b) = rid) t.banks
+  rid <> t.key_ids.(home) && Array.exists (Int.equal rid) t.key_ids
 
-let on_isp_message t ~from_isp sealed =
-  if from_isp < 0 || from_isp >= t.config.n_isps then Rejected Bank.Unknown_isp
+let open_round ?except t = Bank.start_round ?except t.banks
+
+let on_isp_message ?(ready = true) t ~from_isp sealed =
+  if from_isp < 0 || from_isp >= t.config.n_isps then Bank.Rejected Bank.Unknown_isp
   else begin
     let home = t.config.home.(from_isp) in
     let bank = t.banks.(home) in
-    if foreign_member t home sealed then Rejected Bank.Foreign_bank
+    if foreign_member t home sealed then Bank.Rejected Bank.Foreign_bank
     else
       let before = Bank.account_balance bank ~isp:from_isp in
-      match Bank.on_isp_message bank ~from_isp sealed with
-      | Bank.Reply signed ->
-          (* A Byzantine [Over_issue] bank issues the full amount of
-             e-pennies but hands part of the debit back to the member (a
-             kickback): unbacked issue the clearing audit must find.
-             Only an accepted first buy debits; a sell or a cached reply
-             moves nothing here. *)
-          (match t.config.behaviors.(home) with
-          | Over_issue d ->
-              let back = min d (before - Bank.account_balance bank ~isp:from_isp) in
-              if back > 0 then begin
-                t.kickback.(from_isp) <- t.kickback.(from_isp) + back;
-                t.unbacked.(home) <- t.unbacked.(home) + back
-              end
-          | Honest_bank | Skim_position _ | Lie_in_audit _ -> ());
-          Reply signed
-      | Bank.Rejected reason -> Rejected reason
-      | Bank.Audit_progress | Bank.Audit_complete _ ->
-          (* Audit replies reach a member only through [on_audit_reply];
-             a member never opens a round of its own. *)
-          assert false
+      let close = if ready then t.close_now else close_never in
+      let response = Bank.on_isp_message ?close bank ~from_isp sealed in
+      (* A Byzantine [Over_issue] bank issues the full amount of
+         e-pennies but hands part of the debit back to the member (a
+         kickback): unbacked issue the clearing audit must find.  Only
+         an accepted first buy debits; a sell or a cached reply moves
+         nothing here. *)
+      (match (response, t.config.behaviors.(home)) with
+      | Bank.Reply _, Over_issue d ->
+          let back = min d (before - Bank.account_balance bank ~isp:from_isp) in
+          if back > 0 then begin
+            t.kickback.(from_isp) <- t.kickback.(from_isp) + back;
+            t.unbacked.(home) <- t.unbacked.(home) + back
+          end
+      | _, (Honest_bank | Over_issue _ | Skim_position _ | Lie_in_audit _) -> ());
+      response
   end
 
 (* ------------------------------------------------------------------ *)
-(* Global audits                                                       *)
+(* Audit attribution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Every ISP of the federation is compliant: each is a member of its
-   home bank. *)
-let all_isps t = List.init t.config.n_isps (fun i -> i)
-let everyone t = Array.make t.config.n_isps true
-
-let audit_in_progress t = t.audit <> None
-
-let start_audit t =
-  if t.audit <> None then
-    invalid_arg "Federation.start_audit: audit already in progress";
-  let targets = all_isps t in
-  t.audit <-
-    Some
-      {
-        audit_seq = t.seq;
-        waiting = targets;
-        reported = Array.make_matrix t.config.n_isps t.config.n_isps 0;
-      };
-  List.map
-    (fun isp ->
-      let bank = t.banks.(t.config.home.(isp)) in
-      (isp, Bank.sign bank (Wire.Audit_request { seq = t.seq })))
-    targets
-
-let on_audit_reply t ~from_isp sealed =
-  match t.audit with
-  | None -> Error "no audit in progress"
-  | Some audit -> (
-      if from_isp < 0 || from_isp >= t.config.n_isps then Error "unknown ISP"
-      else
-        let home = t.config.home.(from_isp) in
-        match Bank.open_sealed t.banks.(home) sealed with
-        | Some (Wire.Audit_reply { isp; seq; credit })
-          when isp = from_isp && seq = audit.audit_seq && List.mem isp audit.waiting ->
-            (* The wire row is sparse; the federation's global matrix
-               stays dense (it is small — a handful of member banks'
-               worth of ISPs — and [bank_suspects] reasons over whole
-               blocks of it).  Out-of-range cells in a malformed row
-               count for nothing. *)
-            let dense = Array.make t.config.n_isps 0 in
-            Array.iter
-              (fun (p, v) ->
-                if p >= 0 && p < t.config.n_isps then dense.(p) <- dense.(p) + v)
-              credit;
-            (* A [Lie_in_audit] home bank rewrites its own members'
-               rows against foreign-homed peers before merging them
-               into the global matrix: every cross-bank pair involving
-               its members breaks antisymmetry, while intra-bank pairs
-               stay clean — the block signature [bank_suspects]
-               detects. *)
-            let credit =
-              match t.config.behaviors.(home) with
-              | Lie_in_audit d ->
-                  Array.mapi
-                    (fun peer v ->
-                      if peer <> isp && t.config.home.(peer) <> home then v + d
-                      else v)
-                    dense
-              | Honest_bank | Over_issue _ | Skim_position _ -> dense
-            in
-            audit.reported.(isp) <- credit;
-            audit.waiting <- List.filter (fun i -> i <> isp) audit.waiting;
-            if audit.waiting = [] then begin
-              let compliant = everyone t in
-              let violations =
-                Credit.Audit.verify ~reported:audit.reported ~compliant
-              in
-              t.audit <- None;
-              t.seq <- t.seq + 1;
-              Ok
-                (Some
-                   {
-                     Bank.seq = audit.audit_seq;
-                     violations;
-                     suspects = Credit.Audit.suspects ~compliant violations;
-                     convicted = Audit.Verify.offenders ~present:compliant violations;
-                     (* The federation path keeps pairwise attribution
-                        only: its Byzantine layer is the member banks
-                        ([bank_suspects]), not colluding ISPs. *)
-                     rings = [];
-                     cleared = [];
-                     (* A federation round addresses every member
-                        synchronously; there is no quorum path here. *)
-                     absent = [];
-                   })
-            end
-            else Ok None
-        | Some (Wire.Audit_reply _) -> Error "stale, duplicate or misattributed reply"
-        | Some _ -> Error "not an audit reply"
-        | None -> Error "unreadable (wrong bank, forged or corrupted)")
+(* The ISPs a round checked: compliant and not absent. *)
+let present t (result : Bank.audit_result) =
+  Array.mapi (fun i c -> c && not (List.mem i result.absent)) t.compliant
 
 (* Which member banks explain the violation pattern?  A lying home bank
    tampers every member row against every foreign peer, so {e all} its
@@ -277,14 +236,12 @@ let on_audit_reply t ~from_isp sealed =
 let bank_suspects t (result : Bank.audit_result) =
   let home i = t.config.home.(i) in
   let cross (v : Credit.Audit.violation) = home v.isp_a <> home v.isp_b in
+  let present = present t result in
+  let checked = List.filter (Array.get present) (List.init t.config.n_isps Fun.id) in
   List.filter
     (fun b ->
-      let members =
-        List.filter (fun i -> home i = b) (all_isps t)
-      in
-      let foreigners =
-        List.filter (fun i -> home i <> b) (all_isps t)
-      in
+      let members = List.filter (fun i -> home i = b) checked in
+      let foreigners = List.filter (fun i -> home i <> b) checked in
       let cross_pairs = List.length members * List.length foreigners in
       let broken_cross =
         List.length
@@ -313,7 +270,7 @@ let suspects_excluding_banks t (result : Bank.audit_result) ~banks =
   in
   let remaining = List.filter (fun v -> not (explained v)) result.violations in
   if remaining = [] then []
-  else Credit.Audit.suspects ~compliant:(everyone t) remaining
+  else Credit.Audit.suspects ~compliant:(present t result) remaining
 
 (* ------------------------------------------------------------------ *)
 (* Clearing statements                                                 *)

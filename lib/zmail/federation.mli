@@ -12,20 +12,22 @@
     a federation member keeps the single bank's reply cache and
     answers a retransmitted request exactly once.  This module keeps
     only what is federation-level: the home map, the Byzantine
-    behaviours, the clearing books and statements, and the global
-    audit.  Two things require collaboration:
+    behaviours, the clearing books and statements, and the close of
+    the shared audit round.
 
-    - {b Global audits.}  Credit consistency is a property of ISP
-      {e pairs}, which may be homed to different banks.  The federation
-      gathers every member bank's collected credit rows and runs the
-      §4.4 verification over the global matrix.  (These rounds address
-      every member synchronously and never use a member bank's
-      partition-carry matrix — see {!Bank.start_audit}.)
-    - {b Clearing.}  E-pennies issued by bank A migrate inside email to
-      ISPs homed at bank B, whose buy-backs then pay out cash B never
-      collected.  Each bank's {!position} drifts accordingly;
-      {!settle_plan} computes the inter-bank transfers that return
-      every position to the federation mean, conserving money.
+    Audits run through {!World}, on the member banks' own rounds
+    ({!Bank.start_round}): each member collects its ISPs' replies with
+    the single bank's retransmission, quorum, partition carry and
+    amended replies.  Credit consistency is a property of ISP
+    {e pairs}, which may be homed to different banks, so the round
+    closes once for the whole federation ({!close_round}), checking
+    every member's rows in one pass.
+
+    {b Clearing.}  E-pennies issued by bank A migrate inside email to
+    ISPs homed at bank B, whose buy-backs then pay out cash B never
+    collected.  Each bank's {!position} drifts accordingly;
+    {!settle_plan} computes the inter-bank transfers that return every
+    position to the federation mean, conserving money.
 
     Clearing is {e not} assumed to run over a perfect channel.  Each
     transfer is signed as a {!Wire.Transfer} and shipped through
@@ -41,7 +43,7 @@
 
     A member bank can also be {e Byzantine} ({!bank_behavior}): it may
     over-issue unbacked e-pennies, misreport its clearing position, or
-    lie in the global audit on its members' behalf.  Settlement-time
+    lie in the audit on its members' behalf.  Settlement-time
     {!statements} are checked by {!verify_statements} (book
     self-consistency plus the member-deposit cross-check), audit-time
     lies are attributed by {!bank_suspects}, and a flagged bank is
@@ -64,7 +66,8 @@ type bank_behavior =
           members attest to having deposited. *)
   | Lie_in_audit of int
       (** Add this delta to each own-member audit row entry against
-          foreign-homed peers before merging into the global matrix.
+          every foreign-homed compliant peer before the rows are
+          checked.
           Breaks antisymmetry on {e every} cross-bank pair involving
           its members while intra-bank pairs stay clean — the block
           signature {!bank_suspects} detects; {!suspects_excluding_banks}
@@ -82,13 +85,19 @@ val default_config : n_banks:int -> n_isps:int -> config
 
 type t
 
-val create : Sim.Rng.t -> config -> t
-(** Member [b] is [Bank.create rng (Bank.default_config ~n_isps
-    ~compliant)], created in bank order, where [compliant] marks the
-    ISPs homed at [b]: every ISP is compliant at its home bank and
-    holds its {!Bank.default_config} account there. *)
+val create :
+  ?disk:(int -> Sim.Disk.t option) -> ?compliant:bool array -> Sim.Rng.t -> config -> t
+(** Member [b] is [Bank.create ?disk:(disk b) rng (Bank.default_config
+    ~n_isps ~compliant:c)], created in bank order, where [c] marks the
+    compliant ISPs homed at [b] ([compliant] defaults to every ISP):
+    each compliant ISP is audited by its home bank, and every ISP holds
+    its {!Bank.default_config} account there.  With one bank this is
+    exactly the single bank a {!World} always had. *)
 
 val n_banks : t -> int
+val bank : t -> int -> Bank.t
+(** Member [b]. *)
+
 val home_of : t -> isp:int -> int
 val public_key : t -> bank:int -> Toycrypto.Rsa.public
 (** ISPs seal their traffic to their home bank's key. *)
@@ -116,39 +125,34 @@ val total_money : t -> int
     this is constant at its value at {!create} — the exact-money-
     conservation check E19 runs in every cell. *)
 
-type response =
-  | Reply of Wire.signed  (** Signed by the ISP's home bank. *)
-  | Rejected of Bank.reject
-      (** {!Bank.Unknown_isp} and {!Bank.Foreign_bank} are decided
-          here; every other reason is the home bank's, counted in its
-          {!Bank.stats}. *)
+val on_isp_message :
+  ?ready:bool -> t -> from_isp:int -> Toycrypto.Seal.sealed -> Bank.response
+(** Serve an ISP-origin message at the sender's home bank
+    ({!Bank.on_isp_message}): a §4.3 buy/sell, or an audit reply.  An
+    envelope sealed to another member is rejected as
+    {!Bank.Foreign_bank} before it reaches the home bank (and so is a
+    sender out of range, as {!Bank.Unknown_isp}); forgeries are
+    rejected there.  A retransmitted buy or sell gets the home bank's
+    cached reply and moves no money.  A reply that completes its
+    member's collection closes the round ({!close_round}) iff [ready]
+    (default [true]; a world passes "every member is up"); the
+    result is then {!Bank.Audit_complete}. *)
 
-val on_isp_message : t -> from_isp:int -> Toycrypto.Seal.sealed -> response
-(** Serve a §4.3 buy/sell at the sender's home bank
-    ({!Bank.on_isp_message}).  An envelope sealed to another member is
-    rejected as {!Bank.Foreign_bank} before it reaches the home bank;
-    forgeries and audit payloads are rejected there.  A retransmitted
-    buy or sell gets the home bank's cached reply and moves no money. *)
+(** {1 Audit rounds} *)
 
-(** {1 Global audits} *)
+val open_round : ?except:int list -> t -> (int * Wire.signed) list
+(** {!Bank.start_round} at every member: the request for each
+    compliant ISP not in [except], signed by its home bank. *)
 
-val start_audit : t -> (int * Wire.signed) list
-(** Audit requests for every ISP, each signed by the ISP's home bank.
-    @raise Invalid_argument if an audit is in progress. *)
-
-val on_audit_reply : t -> from_isp:int -> Toycrypto.Seal.sealed ->
-  (Bank.audit_result option, string) result
-(** Feed one ISP's sealed snapshot to its home bank.  [Ok None] while
-    replies are outstanding; [Ok (Some result)] when the last reply
-    completes the {e global} pairwise verification.  A {!Lie_in_audit}
-    home bank tampers its members' rows here, before the merge. *)
-
-val audit_in_progress : t -> bool
+val close_round : t -> Bank.audit_result option
+(** Close the open round iff every member has collected its ISPs'
+    replies ({!Bank.close_round}), applying each {!Lie_in_audit}
+    member's rewrite to the rows it collected.  [None] otherwise. *)
 
 val bank_suspects : t -> Bank.audit_result -> int list
 (** Member banks whose lie explains the violation pattern: every
-    cross-bank pair involving the bank's members broken, every
-    intra-bank pair clean.  A single lying ISP breaks its intra-bank
+    cross-bank pair the round checked involving the bank's members
+    broken, every intra-bank pair clean.  A single lying ISP breaks its intra-bank
     pairs too, so it never matches (except the degenerate
     one-member-bank case, where bank and member are indistinguishable). *)
 

@@ -51,6 +51,9 @@ type config = {
       (** Record protocol events here (and enable the engine monitor).
           [None]: the world keeps a private, initially-inert tracer
           that only wakes up if checkers subscribe to it. *)
+  banks : Federation.config;
+      (** The member banks: each ISP's home and each member's
+          behaviour.  Default: one honest bank. *)
 }
 
 let default_config ~n_isps ~users_per_isp =
@@ -77,6 +80,7 @@ let default_config ~n_isps ~users_per_isp =
     wal_group = 8;
     serving = None;
     tracer = None;
+    banks = Federation.default_config ~n_banks:1 ~n_isps;
   }
 
 type counters = {
@@ -114,7 +118,7 @@ type t = {
   rng : Sim.Rng.t;
   mtas : Smtp.Mta.t array;
   kernels : Isp.t option array;
-  the_bank : Bank.t;
+  fed : Federation.t;
   (* Per-delivery routing: ISP index by interned domain ID (see
      Smtp.Address).  IDs beyond the array (domains interned by other
      worlds or tests after this one was built) and [-1] slots are
@@ -132,12 +136,13 @@ type t = {
   mutable profiles : Econ.User_model.profile array option;
   initial : Epenny.amount;
   initial_balance_of : int array;  (* per ISP, after customization *)
-  mesh : Sim.Fault.Mesh.t;  (* per-link faults + partitions; bank = node n_isps *)
+  mesh : Sim.Fault.Mesh.t;
+      (* per-link faults + partitions; member bank b = node n_isps + b *)
   mutable adversaries : (int * Adversary.t) list;  (* by ISP, registration order *)
   bank_taps : (int * Adversary.Bank_wire.t) list;  (* ISP->bank wire adversaries *)
   up : bool array;  (* false while an ISP is crashed *)
   crash_gen : int array;  (* bumped per crash; invalidates stale timers *)
-  mutable bank_up : bool;  (* false while the bank is crashed *)
+  bank_up : bool array;  (* per member: false while it is crashed *)
   link : link_stats;
   tracer : Obs.Trace.t;
   metrics : Obs.Metrics.t;
@@ -147,7 +152,8 @@ type t = {
 
 let engine t = t.engine
 let config t = t.cfg
-let bank t = t.the_bank
+let federation t = t.fed
+let bank t = Federation.bank t.fed 0
 let tracer t = t.tracer
 let metrics t = t.metrics
 let mta t i = t.mtas.(i)
@@ -157,7 +163,8 @@ let adversaries t = t.adversaries
 let bank_wire_taps t = t.bank_taps
 let link_stats t = t.link
 let isp_up t i = t.up.(i)
-let bank_up t = t.bank_up
+let bank_up ?(bank = 0) t = t.bank_up.(bank)
+let all_banks_up t = Array.for_all Fun.id t.bank_up
 let serve t = t.serve
 let deferral_delay t = t.deferral
 let initial_epennies t = t.initial
@@ -247,7 +254,7 @@ let check_invariants ?(quiescent = false) t =
       (Obs_checkpoint
          {
            total = fold_kernels t Isp.total_epennies;
-           outstanding = Bank.outstanding_epennies t.the_bank;
+           outstanding = Federation.total_outstanding t.fed;
            minted = fold_kernels t Isp.stats_cheat_minted;
            quiescent;
          })
@@ -285,11 +292,14 @@ let attach_invariants ?honest t =
 let corrupt_signed (s : Wire.signed) =
   { s with Wire.signature = s.Wire.signature + 1 }
 
-(* The bank hangs off the same physical mesh as the ISPs, as node
-   [n_isps]: a scheduled partition that severs an ISP's group from the
-   bank's silences its audit traffic exactly as it silences its mail,
-   and [bank_fault] is nothing but the plan of the ISP<->bank links. *)
-let bank_node t = t.cfg.n_isps
+(* The member banks hang off the same physical mesh as the ISPs, as
+   nodes [n_isps …]: a scheduled partition that severs an ISP's group
+   from its home bank's silences its audit traffic exactly as it
+   silences its mail, and [bank_fault] is nothing but the plan of the
+   ISP<->home-bank links. *)
+let home t i = Federation.home_of t.fed ~isp:i
+let home_bank t i = Federation.bank t.fed (home t i)
+let bank_node t i = t.cfg.n_isps + home t i
 
 (* Bank exchanges resend after 5 s, doubling up to 900 s. *)
 let bank_retry = Sim.Retry.policy ~initial:5. ~factor:2. ~cap:900.
@@ -298,6 +308,17 @@ let resend_until_settled t policy ~still send =
   Sim.Retry.until_settled t.engine policy ~still send ~on_resend:(fun timeout ->
       Sim.Stats.Counter.incr t.link.retransmits;
       wev t (World_retransmit { timeout }))
+
+let audit_complete t result =
+  Log.info (fun m ->
+      m "t=%.0f audit %d complete: %d violations, suspects [%s]"
+        (Sim.Engine.now t.engine) result.Bank.seq
+        (List.length result.Bank.violations)
+        (String.concat "," (List.map string_of_int result.Bank.suspects)));
+  t.audits <- (Sim.Engine.now t.engine, result) :: t.audits;
+  (* An audit round just closed every book: a natural instant to
+     cross-check the money supply. *)
+  check_invariants t
 
 (* The ISP->bank hop, from the top: a configured [Bank_wire] tap sees
    the envelope first (it owns the wire, so it acts before the mesh
@@ -324,30 +345,25 @@ let rec to_bank t ~kind i sealed =
           bank_link t i sealed)
 
 and bank_link t i sealed =
-  Sim.Fault.Mesh.route t.mesh ~src:i ~dst:(bank_node t)
+  Sim.Fault.Mesh.route t.mesh ~src:i ~dst:(bank_node t i)
     ~corrupt:Toycrypto.Seal.flip_bit
     (fun sealed ->
       ignore
         (Sim.Engine.schedule_after t.engine ~delay:bank_link_latency
            (fun () ->
-             if not t.bank_up then
+             if not t.bank_up.(home t i) then
                (* A crashed bank accepts no connections; the sender's
                   retry loop re-drives the exchange after recovery. *)
                Sim.Stats.Counter.incr t.link.lost_bank_down
              else
-             match Bank.on_isp_message t.the_bank ~from_isp:i sealed with
+             (* A crashed member cannot take part in closing the round;
+                its recovery closes it instead. *)
+             match
+               Federation.on_isp_message ~ready:(all_banks_up t) t.fed
+                 ~from_isp:i sealed
+             with
              | Bank.Reply signed -> send_to_isp t i signed
-             | Bank.Audit_complete result ->
-                 Log.info (fun m ->
-                     m "t=%.0f audit %d complete: %d violations, suspects [%s]"
-                       (Sim.Engine.now t.engine) result.Bank.seq
-                       (List.length result.Bank.violations)
-                       (String.concat ","
-                          (List.map string_of_int result.Bank.suspects)));
-                 t.audits <- (Sim.Engine.now t.engine, result) :: t.audits;
-                 (* An audit round just closed every book: a natural
-                    instant to cross-check the money supply. *)
-                 check_invariants t
+             | Bank.Audit_complete result -> audit_complete t result
              | Bank.Audit_progress -> ()
              | Bank.Rejected reason ->
                  (* Corruption, forgery or an out-of-protocol duplicate:
@@ -361,9 +377,9 @@ and bank_link t i sealed =
     sealed
 
 and send_to_isp t i signed =
-  if not t.bank_up then Sim.Stats.Counter.incr t.link.lost_bank_down
+  if not t.bank_up.(home t i) then Sim.Stats.Counter.incr t.link.lost_bank_down
   else
-  Sim.Fault.Mesh.route t.mesh ~src:(bank_node t) ~dst:i ~corrupt:corrupt_signed
+  Sim.Fault.Mesh.route t.mesh ~src:(bank_node t i) ~dst:i ~corrupt:corrupt_signed
     (fun signed ->
       ignore
         (Sim.Engine.schedule_after t.engine ~delay:bank_link_latency
@@ -397,11 +413,8 @@ and bank_message_to_isp t i signed =
                    let reply = Isp.thaw kernel in
                    Log.debug (fun m ->
                        m "t=%.0f isp %d thawed, reporting" (Sim.Engine.now t.engine) i);
-                   let still () =
-                     match Bank.audit_waiting t.the_bank with
-                     | Some (s, waiting) -> s = seq && List.mem i waiting
-                     | None -> false
-                   in
+                   let bank = home_bank t i in
+                   let still () = Bank.awaits_reply bank ~seq ~isp:i in
                    resend_until_settled t bank_retry ~still (fun () ->
                        if t.up.(i) then
                          to_bank t ~kind:Adversary.Bank_wire.Audit_reply_msg i
@@ -451,18 +464,22 @@ let pool_tick t i kernel =
    a request that did arrive is only ever acknowledged by the audit
    reply sent at thaw, so probing earlier proves nothing.
 
+   Every member bank opens the round for the ISPs homed at it, and the
+   round closes once, when the last member has collected its replies.
+
    Partition tolerance: ISPs whose group a partition window currently
-   severs from the bank's cannot answer no matter how often the
-   request is resent, so the round either runs without them (the bank
-   carries their peers' claims forward for reconciliation at heal) or
+   severs from their home bank's cannot answer no matter how often the
+   request is resent, so the round either runs without them (the banks
+   carry their peers' claims forward for reconciliation at heal) or
    is deferred entirely, per [audit_quorum].  Only
    partition-severed ISPs are excluded — a merely {e crashed} ISP
    keeps its request retransmitted until recovery, preserving the E16
    behavior. *)
 let start_audit_round t =
-  if not t.bank_up then begin
-    (* No bank, no round: the next periodic tick (or manual trigger)
-       after recovery starts it. *)
+  if not (all_banks_up t) then begin
+    (* Every member takes part, so one crashed bank defers the round:
+       the next periodic tick (or manual trigger) after recovery
+       starts it. *)
     Sim.Stats.Counter.incr t.link.audits_deferred;
     wev t World_audit_deferred_bank_down
   end
@@ -473,7 +490,7 @@ let start_audit_round t =
       List.filter
         (fun i ->
           t.cfg.compliant.(i)
-          && Sim.Fault.Mesh.severed t.mesh ~a:i ~b:(bank_node t))
+          && Sim.Fault.Mesh.severed t.mesh ~a:i ~b:(bank_node t i))
         (List.init t.cfg.n_isps (fun i -> i))
   in
   let compliant_count =
@@ -490,12 +507,8 @@ let start_audit_round t =
     wev t (World_audit_deferred { unreachable = List.length severed })
   end
   else begin
-    let requests = Bank.start_audit ~except:severed t.the_bank in
-    let seq =
-      match Bank.audit_waiting t.the_bank with
-      | Some (seq, _) -> seq
-      | None -> assert false
-    in
+    let seq = Bank.audit_seq (bank t) in
+    let requests = Federation.open_round ~except:severed t.fed in
     (* The cap never cuts below the first, freeze-long wait. *)
     let first = t.cfg.freeze_duration +. bank_retry.Sim.Retry.initial in
     let policy =
@@ -504,11 +517,8 @@ let start_audit_round t =
     in
     List.iter
       (fun (i, signed) ->
-        let still () =
-          match Bank.audit_waiting t.the_bank with
-          | Some (s, waiting) -> s = seq && List.mem i waiting
-          | None -> false
-        in
+        let bank = home_bank t i in
+        let still () = Bank.awaits_reply bank ~seq ~isp:i in
         resend_until_settled t policy ~still (fun () -> send_to_isp t i signed))
       requests
   end
@@ -583,8 +593,8 @@ let crash_isp t ~isp:i ~downtime =
                 chain still covers it regardless.  A crashed bank
                 cannot answer the handshake; its own recovery re-issues
                 the requests instead. *)
-             (if t.bank_up then
-                match Bank.resend_audit_request t.the_bank ~isp:i with
+             (if t.bank_up.(home t i) then
+                match Bank.resend_audit_request (home_bank t i) ~isp:i with
                 | Some signed -> bank_message_to_isp t i signed
                 | None -> ());
              if not (Isp.frozen kernel) then flush_deferred t i;
@@ -593,26 +603,32 @@ let crash_isp t ~isp:i ~downtime =
                 bank's reply cache absorbs duplicates. *)
              pool_tick t i kernel))
 
-(* Crash the bank itself.  While down, every ISP-origin message and
-   every bank-origin send is lost (counted in [lost_bank_down]); the
+(* Crash one member bank.  While down, every ISP-origin message to it
+   and every send from it is lost (counted in [lost_bank_down]); the
    at-least-once retry loops on both sides re-drive the open exchanges
    after recovery, and the replayed reply cache keeps the re-driven
    buys/sells exactly-once.  The power cut can tear at most the final
-   record (bank records flush at append). *)
-let crash_bank t ~downtime =
+   record (bank records flush at append).  A round whose last member
+   collected while this one was down closes at its recovery. *)
+let crash_bank ?(bank = 0) t ~downtime =
+  if bank < 0 || bank >= Federation.n_banks t.fed then
+    invalid_arg "World.crash_bank: bank out of range";
   check_crash t "World.crash_bank" ~downtime;
-  if not t.bank_up then invalid_arg "World.crash_bank: bank is already down";
+  if not t.bank_up.(bank) then invalid_arg "World.crash_bank: bank is already down";
   Log.info (fun m ->
-      m "t=%.0f bank CRASH (down for %.0fs)" (Sim.Engine.now t.engine) downtime);
-  t.bank_up <- false;
+      m "t=%.0f bank %d CRASH (down for %.0fs)" (Sim.Engine.now t.engine) bank
+        downtime);
+  let member = Federation.bank t.fed bank in
+  t.bank_up.(bank) <- false;
   Sim.Stats.Counter.incr t.link.bank_crashes;
   wev t (World_bank_crash { downtime });
-  Bank.power_cut t.the_bank;
+  Bank.power_cut member;
   ignore
     (Sim.Engine.schedule_after t.engine ~delay:downtime (fun () ->
-         Log.info (fun m -> m "t=%.0f bank recovered" (Sim.Engine.now t.engine));
-         t.bank_up <- true;
-         (match Bank.recover_wal t.the_bank with
+         Log.info (fun m ->
+             m "t=%.0f bank %d recovered" (Sim.Engine.now t.engine) bank);
+         t.bank_up.(bank) <- true;
+         (match Bank.recover_wal member with
          | Ok () -> ()
          | Error why -> recovery_failed t why);
          Sim.Stats.Counter.incr t.link.bank_recoveries;
@@ -620,16 +636,16 @@ let crash_bank t ~downtime =
          (* Re-drive the open audit round: the recovered audit state
             knows who still owes a reply; re-issue their requests now
             rather than waiting out the request retry loops. *)
-         match Bank.audit_waiting t.the_bank with
-         | Some (_, waiting) ->
-             List.iter
-               (fun i ->
-                 if t.up.(i) then
-                   match Bank.resend_audit_request t.the_bank ~isp:i with
-                   | Some signed -> send_to_isp t i signed
-                   | None -> ())
-               waiting
-         | None -> ()))
+         for i = 0 to t.cfg.n_isps - 1 do
+           if t.up.(i) && home t i = bank then
+             match Bank.resend_audit_request member ~isp:i with
+             | Some signed -> send_to_isp t i signed
+             | None -> ()
+         done;
+         if all_banks_up t then
+           match Federation.close_round t.fed with
+           | Some result -> audit_complete t result
+           | None -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* Send path                                                           *)
@@ -896,17 +912,19 @@ let create cfg =
      (torn-tail cut points, rot flips) from their own root-seeded
      stream — like the fault, mesh, bank-wire and serving models — so
      attaching disks never perturbs workload randomness.  Device
-     n_isps is the bank's. *)
+     n_isps + b is member bank b's. *)
   let disk_for n =
     match cfg.disk with
     | None -> None
     | Some plan ->
         Some (Sim.Disk.create ~plan (Sim.Rng.stream_n ~seed:cfg.seed ~tag:0xd15c n))
   in
-  let the_bank =
-    Bank.create ?disk:(disk_for cfg.n_isps) rng
-      (Bank.default_config ~n_isps:cfg.n_isps ~compliant:cfg.compliant)
+  let fed =
+    Federation.create
+      ~disk:(fun b -> disk_for (cfg.n_isps + b))
+      ~compliant:cfg.compliant rng cfg.banks
   in
+
   let mtas =
     Array.init cfg.n_isps (fun i ->
         Smtp.Mta.create net
@@ -921,7 +939,8 @@ let create cfg =
           let base =
             Isp.default_config ~index:i ~n_isps:cfg.n_isps
               ~n_users:cfg.users_per_isp ~compliant:cfg.compliant
-              ~bank_public:(Bank.public_key the_bank)
+              ~bank_public:
+                (Federation.public_key fed ~bank:(Federation.home_of fed ~isp:i))
           in
           let final = cfg.customize_isp i base in
           initial_balance_of.(i) <- final.Isp.initial_balance;
@@ -989,7 +1008,7 @@ let create cfg =
       rng;
       mtas;
       kernels;
-      the_bank;
+      fed;
       isp_of_did;
       domains;
       domain_ids;
@@ -1015,29 +1034,29 @@ let create cfg =
       initial_balance_of;
       (* The mesh draws from its own root-seeded stream so that enabling
          faults does not perturb workload randomness: the same seed
-         generates the same traffic under any plan.  Node n_isps is the
-         bank; [bank_fault] becomes the plan of both directions of
-         every ISP<->bank link, and explicit [mesh_links] entries,
-         listed after it, win. *)
+         generates the same traffic under any plan.  Node n_isps + b is
+         member bank b; [bank_fault] becomes the plan of both directions
+         of every ISP<->home-bank link, and explicit [mesh_links]
+         entries, listed after it, win. *)
       mesh =
         (let bank_links =
            if cfg.bank_fault = Sim.Fault.reliable then []
            else
              List.concat_map
                (fun i ->
-                 [ ((i, cfg.n_isps), cfg.bank_fault);
-                   ((cfg.n_isps, i), cfg.bank_fault) ])
+                 let b = cfg.n_isps + Federation.home_of fed ~isp:i in
+                 [ ((i, b), cfg.bank_fault); ((b, i), cfg.bank_fault) ])
                (List.init cfg.n_isps Fun.id)
          in
          Sim.Fault.Mesh.create ~default:cfg.mesh_default
            ~links:(bank_links @ cfg.mesh_links) ~partitions:cfg.partitions
-           ~n_nodes:(cfg.n_isps + 1) engine
+           ~n_nodes:(cfg.n_isps + Federation.n_banks fed) engine
            (Sim.Rng.stream ~seed:cfg.seed ~tag:0x3a7e5));
       adversaries = [];
       bank_taps;
       up = Array.make cfg.n_isps true;
       crash_gen = Array.make cfg.n_isps 0;
-      bank_up = true;
+      bank_up = Array.make (Federation.n_banks fed) true;
       link =
         {
           retransmits = Obs.Metrics.counter metrics "link.retransmits";
@@ -1062,7 +1081,9 @@ let create cfg =
   in
   (* Route every component's events into the shared tracer and gather
      the scattered counters under one registry. *)
-  Bank.set_tracer t.the_bank tracer;
+  for b = 0 to Federation.n_banks fed - 1 do
+    Bank.set_tracer (Federation.bank fed b) tracer
+  done;
   Array.iter
     (function Some kernel -> Isp.set_tracer kernel tracer | None -> ())
     t.kernels;
@@ -1082,10 +1103,9 @@ let create cfg =
           Isp.set_amend_hook kernel
             (Some
                (fun ~seq reply ->
+                 let bank = home_bank t i in
                  let still () =
-                   match Bank.audit_waiting t.the_bank with
-                   | Some (s, _) -> s = seq
-                   | None -> false
+                   Bank.audit_in_progress bank && Bank.audit_seq bank = seq
                  in
                  still ()
                  && begin
@@ -1115,7 +1135,7 @@ let create cfg =
   Obs.Metrics.gauge metrics "engine.fired" (fun () ->
       float_of_int (Sim.Engine.events_fired engine));
   Obs.Metrics.gauge metrics "bank.outstanding" (fun () ->
-      float_of_int (Bank.outstanding_epennies t.the_bank));
+      float_of_int (Federation.total_outstanding t.fed));
   Obs.Metrics.gauge metrics "world.total_epennies" (fun () ->
       float_of_int (fold_kernels t Isp.total_epennies));
   Obs.Metrics.gauge metrics "world.cheat_minted" (fun () ->
@@ -1201,7 +1221,7 @@ let create cfg =
   | Some period ->
       ignore
         (Sim.Engine.every engine ~period (fun () ->
-             if not (Bank.audit_in_progress t.the_bank) then start_audit_round t))
+             if not (Bank.audit_in_progress (bank t)) then start_audit_round t))
   | None -> ());
   t
 
@@ -1368,10 +1388,10 @@ let total_epennies t =
     0 t.kernels
 
 let conservation_holds t =
-  total_epennies t - t.initial = Bank.outstanding_epennies t.the_bank
+  total_epennies t - t.initial = Federation.total_outstanding t.fed
 
 let epenny_residue t =
-  total_epennies t - t.initial - Bank.outstanding_epennies t.the_bank
+  total_epennies t - t.initial - Federation.total_outstanding t.fed
 
 let cheat_minted t =
   Array.fold_left
@@ -1441,7 +1461,7 @@ let encode_world w t =
     [ t.link.retransmits; t.link.bank_rejects; t.link.lost_isp_down;
       t.link.sends_failed_down; t.link.crashes; t.link.recoveries;
       t.link.bounce_refunds; t.link.audits_deferred ];
-  bool w t.bank_up;
+  bool w t.bank_up.(0);
   List.iter
     (Sim.Stats.Counter.encode_state w)
     [ t.link.bank_crashes; t.link.bank_recoveries; t.link.lost_bank_down;
@@ -1462,11 +1482,13 @@ let encode_world w t =
   int w (Hashtbl.length t.lists)
 
 let capture t =
+  if Federation.n_banks t.fed > 1 then
+    invalid_arg "World.capture: a world on several banks cannot be captured";
   let sec name encode = (name, Persist.Codec.to_string encode ()) in
   [ sec "engine" (fun w () -> Sim.Engine.encode_state w t.engine);
     sec "rng" (fun w () -> Sim.Rng.encode_state w t.rng);
     sec "mesh" (fun w () -> Sim.Fault.Mesh.encode_state w t.mesh);
-    sec "bank" (fun w () -> Bank.encode_state w t.the_bank) ]
+    sec "bank" (fun w () -> Bank.encode_state w (bank t)) ]
   @ (Array.to_list t.kernels
     |> List.mapi (fun i k -> (i, k))
     |> List.filter_map (fun (i, k) ->

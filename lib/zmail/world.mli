@@ -1,6 +1,7 @@
 (** The assembled Zmail Internet: n ISPs × m users on the simulated
-    SMTP network, a central bank on reliable signed/sealed links, and
-    workload generators — the substrate every timed experiment runs on.
+    SMTP network, k member banks on signed/sealed links (§5's "set of
+    distributed banks"; one honest bank by default), and workload
+    generators — the substrate every timed experiment runs on.
 
     Layering per message: a user send first passes the sender-side
     kernel ({!Isp.charge_send}); if paid it is stamped with the
@@ -18,12 +19,16 @@
     queues, capped exponential backoff and bounce-with-refund when a
     message dies on a dead link ({!Smtp.Mta.set_retry_policy}).
 
+    Each ISP banks at its home member ([banks]), which holds its
+    account, serves its buys and sells and audits it; every
+    ISP-to-bank envelope goes through {!Federation.on_isp_message}.
     Bank traffic bypasses SMTP — the paper describes the ISP–bank
     relationship as a direct accounting link — and travels as datagrams
-    with configurable latency over the same physical mesh (the bank is
-    mesh node [n_isps], {!Sim.Fault.Mesh.route}), so a partition that
-    severs an ISP from the bank's group silences its audit traffic
-    exactly as it silences its mail.  The ISP↔bank links can be
+    with configurable latency over the same physical mesh (member [b]
+    is mesh node [n_isps + b], for [b] in [0 … k−1];
+    {!Sim.Fault.Mesh.route}), so a partition that severs an ISP from
+    its home bank's group silences its audit traffic exactly as it
+    silences its mail.  The ISP↔bank links can be
     degraded through [bank_fault]: dropped, duplicated, delayed,
     corrupted or cut by outage windows.  The world compensates with
     at-least-once delivery — every buy/sell/audit exchange is
@@ -34,15 +39,18 @@
     duplicates, corrupt messages fail crypto verification and are
     counted, never raised).  A world with a disk ([cfg.disk]) can
     also {!crash_isp} or {!crash_bank} mid-run; recovery replays the
-    victim's write-ahead log.  Audit rounds are
-    partition-tolerant: a round facing partition-severed ISPs runs
-    without them iff at least half of the compliant population is
-    reachable (their peers' claims are carried forward, and the bank
-    reconciles their late cumulative reports after heal —
-    {!Bank.start_audit}); otherwise it is deferred, counted in
-    [audits_deferred].  Only partition-severed ISPs count as
-    unreachable; crashed ISPs keep their requests retransmitted until
-    recovery.  ISP↔bank datagrams take 0.1 s each way.  Byzantine report tampering is modeled by
+    victim's write-ahead log.  An audit round opens at every member
+    for the ISPs homed there and closes once, when the last member has
+    collected its replies, checking all rows in one pass
+    ({!Federation.close_round}).  Audit rounds are
+    partition-tolerant: a round facing ISPs that a partition severs
+    from their home bank runs without them iff at least half of the
+    compliant population is reachable (their peers' claims are
+    carried forward, and the banks reconcile their late cumulative
+    reports after heal — {!Bank.start_audit}); otherwise it is
+    deferred, counted in [audits_deferred].  Only partition-severed
+    ISPs count as unreachable; crashed ISPs keep their requests
+    retransmitted until recovery.  ISP↔bank datagrams take 0.1 s each way.  Byzantine report tampering is modeled by
     {!register_adversary}. *)
 
 (** Fate of unpaid mail (from non-compliant ISPs) at a compliant ISP —
@@ -92,7 +100,8 @@ type config = {
   bank_fault : Sim.Fault.plan;
       (** Fault plan of every ISP↔bank link, in both directions
           (default {!Sim.Fault.reliable}).  Shorthand for [mesh_links]
-          overrides [(i, n_isps)] and [(n_isps, i)] for every ISP [i];
+          overrides [(i, h)] and [(h, i)] for every ISP [i], where
+          [h = n_isps + home i] is its home bank's node;
           an explicit [mesh_links] entry for the same link wins.  A
           non-reliable [bank_fault] {e replaces} [mesh_default] on the
           bank links — the two plans do not compound. *)
@@ -104,7 +113,7 @@ type config = {
           component applies to datagrams). *)
   mesh_links : ((int * int) * Sim.Fault.plan) list;
       (** Directed [(src, dst)] overrides of [mesh_default] (and of
-          [bank_fault]); node [n_isps] is the bank. *)
+          [bank_fault]); nodes [n_isps …] are the member banks. *)
   partitions : Sim.Fault.Mesh.partition list;
       (** Scheduled partition windows: while active, every cross-group
           attempt — mail or bank traffic — is lost. *)
@@ -125,7 +134,7 @@ type config = {
           {!Smtp.Mta.set_retain_mail}. *)
   disk : Sim.Disk.plan option;
       (** Attach a simulated storage device ({!Sim.Disk}) to every
-          compliant kernel and to the bank, each keeping a write-ahead
+          compliant kernel and to every member bank, each keeping a write-ahead
           log: billing-relevant transitions are appended as CRC'd
           sequence-numbered records and crash recovery replays the
           surviving log ({!Isp.recover_wal}, {!Bank.recover_wal}).  The
@@ -157,6 +166,12 @@ type config = {
           [None] (the default): the world keeps a private, initially
           inert tracer that only starts emitting if invariant checkers
           subscribe to it — zero overhead otherwise. *)
+  banks : Federation.config;
+      (** The bank layout: each ISP's home member and each member's
+          {!Federation.bank_behavior} ([n_isps] must match).  Default
+          [Federation.default_config ~n_banks:1 ~n_isps]: one honest
+          bank.  A world on more than one bank cannot be
+          {!capture}d. *)
 }
 
 val default_config : n_isps:int -> users_per_isp:int -> config
@@ -175,7 +190,12 @@ val isp : t -> int -> Isp.t
 (** @raise Invalid_argument for a non-compliant index (they have no
     kernel). *)
 
+val federation : t -> Federation.t
+(** The member banks and their clearing books. *)
+
 val bank : t -> Bank.t
+(** Member bank 0 — the only bank of a default world. *)
+
 val mta : t -> int -> Smtp.Mta.t
 
 (** {1 Observability} *)
@@ -191,7 +211,7 @@ val metrics : t -> Obs.Metrics.t
 
 val check_invariants : ?quiescent:bool -> t -> unit
 (** Emit an [obs/checkpoint] event carrying independently-measured
-    system totals (Σ ISP e-pennies, bank outstanding, cheat-minted) for
+    system totals (Σ ISP e-pennies, banks' outstanding, cheat-minted) for
     the online checkers to compare their event-derived models against.
     [quiescent] (default false) additionally asserts that no paid mail
     is in flight.  Also fired automatically after every completed audit
@@ -296,26 +316,29 @@ val crash_isp : t -> isp:int -> downtime:float -> unit
     not positive and finite (NaN included), or an ISP that is already
     down. *)
 
-val crash_bank : t -> downtime:float -> unit
-(** Halt the bank now and restart it after [downtime] seconds.  While
-    down, every ISP-origin message and every bank-origin send is lost
-    (counted in [lost_bank_down]) and periodic audit rounds are
-    deferred.  The crash instant applies a power cut to the bank's
+val crash_bank : ?bank:int -> t -> downtime:float -> unit
+(** Halt member [bank] (default 0) now and restart it after [downtime]
+    seconds.  While down, every ISP-origin message to it and every send
+    from it is lost (counted in [lost_bank_down]) and new audit rounds
+    are deferred.  The crash instant applies a power cut to the bank's
     device; recovery replays the bank WAL ({!Bank.recover_wal}) —
-    rebuilding accounts, the reply cache and the open audit round — and
-    re-issues the outstanding audit requests.  The at-least-once retry
-    loops on both sides re-drive everything that was in flight, and the
+    rebuilding accounts, the reply cache and the open audit round —
+    re-issues the outstanding audit requests, and closes the round if
+    every member has collected by then.  The at-least-once retry loops
+    on both sides re-drive everything that was in flight, and the
     replayed reply cache keeps re-driven buys/sells exactly-once.  A
     failed replay is handled as in {!crash_isp}.
-    @raise Invalid_argument, before any state changes, for a world
-    without [cfg.disk], a [downtime] that is not positive and finite
-    (NaN included), or a bank that is already down. *)
+    @raise Invalid_argument, before any state changes, for a bank out
+    of range, a world without [cfg.disk], a [downtime] that is not
+    positive and finite (NaN included), or a bank that is already
+    down. *)
 
 val isp_up : t -> int -> bool
 (** False between {!crash_isp} and the scheduled recovery. *)
 
-val bank_up : t -> bool
-(** False between {!crash_bank} and the scheduled recovery. *)
+val bank_up : ?bank:int -> t -> bool
+(** False between {!crash_bank} of member [bank] (default 0) and the
+    scheduled recovery. *)
 
 val serve : t -> Serve.Dispatch.t option
 (** The live serving-path dispatcher when [cfg.serving] was set —
@@ -385,7 +408,7 @@ type link_stats = {
       (** E-pennies refunded out of bounced paid mail. *)
   audits_deferred : Sim.Stats.Counter.t;
       (** Audit rounds skipped because partition-severed ISPs broke
-          the half quorum, or because the bank itself was down at
+          the half quorum, or because a member bank was down at
           round start. *)
   bank_crashes : Sim.Stats.Counter.t;
   bank_recoveries : Sim.Stats.Counter.t;
@@ -404,20 +427,21 @@ val link_stats : t -> link_stats
 val mesh : t -> Sim.Fault.Mesh.t
 (** The physical mesh fault layer — the only fault surface mail and
     bank traffic cross (for its counters and {!Sim.Fault.Mesh.severed}
-    probes); node [n_isps] is the bank. *)
+    probes); nodes [n_isps …] are the member banks. *)
 
 val deferral_delay : t -> Sim.Stats.Summary.t
 (** Seconds each snapshot-deferred message waited before submission. *)
 
 val initial_epennies : t -> Epenny.amount
 val conservation_holds : t -> bool
-(** Σ compliant-ISP e-pennies − initial issue = bank outstanding —
+(** Σ compliant-ISP e-pennies − initial issue = the banks' total
+    outstanding ({!Federation.total_outstanding}) —
     false only if the implementation leaked or minted money.  Note:
     transiently false while paid mail or bank replies are in flight;
     check at quiescence or between bursts. *)
 
 val epenny_residue : t -> Epenny.amount
-(** Σ compliant-ISP e-pennies − initial issue − bank outstanding.
+(** Σ compliant-ISP e-pennies − initial issue − banks' outstanding.
     Zero when {!conservation_holds}; at quiescence it equals
     {!cheat_minted} exactly — cheat-minted pennies are the only
     un-backed money in the system, whatever the link did. *)
@@ -446,4 +470,5 @@ val capture : t -> (string * string) list
     worlds built from the same seed and driven to the same time
     capture byte-identically — that equality is the resume-determinism
     guarantee, and any mismatch is reported per section by
-    {!Persist.Snapshot.diff}. *)
+    {!Persist.Snapshot.diff}.
+    @raise Invalid_argument for a world on more than one bank. *)

@@ -1,7 +1,7 @@
 (* Property tests for the sparse audit engine (lib/audit) and the
    sparse credit vector built on it.
 
-   The dense [Credit.Audit.verify] scan is the executable specification
+   The dense [Dense_verify.verify] scan is the executable specification
    the sparse accumulator must match byte-for-byte; the credit vector
    is checked against a hand-written dense reference model under random
    interleaved operation sequences; the cycle-sum detector is exercised
@@ -247,7 +247,7 @@ let credit_vs_dense_model =
 
 (* Random reported matrices (mostly antisymmetric with injected noise)
    through both engines: the sparse accumulator's sorted violation list
-   must equal the dense [Credit.Audit.verify] output exactly. *)
+   must equal the dense [Dense_verify.verify] output exactly. *)
 let sparse_matches_dense_verify =
   QCheck.Test.make ~name:"verify: sparse violations = dense reference scan"
     ~count:200
@@ -273,7 +273,7 @@ let sparse_matches_dense_verify =
           if i <> j then reported.(i).(j) <- reported.(i).(j) + v)
         noise;
       let compliant = Array.init n (fun i -> i = 0 || Sim.Rng.int rng 5 > 0) in
-      let dense = Zmail.Credit.Audit.verify ~reported ~compliant in
+      let dense = Dense_verify.verify ~reported ~compliant in
       let acc = Verify.create ~present:compliant () in
       Array.iteri
         (fun i row ->

@@ -186,10 +186,12 @@ let federation_front_door_hostile =
       let good_sealed = valid_buy kernel in
       let good_reply =
         match Zmail.Federation.on_isp_message fed ~from_isp:0 good_sealed with
-        | Zmail.Federation.Reply signed -> signed
-        | Zmail.Federation.Rejected r ->
+        | Zmail.Bank.Reply signed -> signed
+        | Zmail.Bank.Rejected r ->
             Alcotest.failf "legitimate buy rejected: %s"
               (Zmail.Bank.reject_to_string r)
+        | Zmail.Bank.Audit_progress | Zmail.Bank.Audit_complete _ ->
+            Alcotest.fail "a buy got an audit response"
       in
       let foreign_bank = (home0 + 1) mod n_banks in
       let snapshot () =
@@ -201,8 +203,9 @@ let federation_front_door_hostile =
       let before = snapshot () in
       let rejected sealed =
         match Zmail.Federation.on_isp_message fed ~from_isp:0 sealed with
-        | Zmail.Federation.Rejected _ -> true
-        | Zmail.Federation.Reply _ -> false
+        | Zmail.Bank.Rejected _ -> true
+        | Zmail.Bank.Reply _ | Zmail.Bank.Audit_progress | Zmail.Bank.Audit_complete _ ->
+            false
       in
       let hostile_ok =
         List.for_all
@@ -218,7 +221,7 @@ let federation_front_door_hostile =
          reject. *)
       let replay_ok =
         Zmail.Federation.on_isp_message fed ~from_isp:0 good_sealed
-        = Zmail.Federation.Reply good_reply
+        = Zmail.Bank.Reply good_reply
       in
       let foreign_ok =
         rejected

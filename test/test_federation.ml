@@ -10,6 +10,12 @@ let seal_to t ~isp payload =
   let bank = Zmail.Federation.home_of t ~isp in
   Zmail.Wire.seal_for_bank (rng ()) (Zmail.Federation.public_key t ~bank) payload
 
+let reply_exn = function
+  | Zmail.Bank.Reply signed -> signed
+  | Zmail.Bank.Rejected r -> Alcotest.fail (Zmail.Bank.reject_to_string r)
+  | Zmail.Bank.Audit_progress | Zmail.Bank.Audit_complete _ ->
+      Alcotest.fail "a buy or sell got an audit response"
+
 (* Move cash between banks the exactly-once way: a signed transfer
    delivered at its destination. *)
 let transfer fed (from_bank, to_bank, amount) =
@@ -39,14 +45,12 @@ let test_homing () =
 let test_buy_at_home_bank () =
   let _, t = make () in
   let sealed = seal_to t ~isp:0 (Zmail.Wire.Buy { amount = 500; nonce = 1L }) in
-  (match Zmail.Federation.on_isp_message t ~from_isp:0 sealed with
-  | Zmail.Federation.Reply signed -> (
-      match
-        Zmail.Wire.verify_from_bank (Zmail.Federation.public_key t ~bank:0) signed
-      with
-      | Some (Zmail.Wire.Buy_reply { accepted = true; nonce = 1L }) -> ()
-      | _ -> Alcotest.fail "expected an accepted buy reply signed by bank 0")
-  | Zmail.Federation.Rejected r -> Alcotest.fail (Zmail.Bank.reject_to_string r));
+  (match
+     Zmail.Wire.verify_from_bank (Zmail.Federation.public_key t ~bank:0)
+       (reply_exn (Zmail.Federation.on_isp_message t ~from_isp:0 sealed))
+   with
+  | Some (Zmail.Wire.Buy_reply { accepted = true; nonce = 1L }) -> ()
+  | _ -> Alcotest.fail "expected an accepted buy reply signed by bank 0");
   Alcotest.(check int) "account debited" (1_000_000 - 500)
     (Zmail.Federation.account_balance t ~isp:0);
   Alcotest.(check int) "bank 0 outstanding" 500 (Zmail.Federation.outstanding t ~bank:0);
@@ -62,21 +66,17 @@ let test_foreign_bank_rejected () =
       (Zmail.Wire.Buy { amount = 500; nonce = 2L })
   in
   match Zmail.Federation.on_isp_message t ~from_isp:0 sealed with
-  | Zmail.Federation.Rejected _ ->
+  | Zmail.Bank.Rejected Zmail.Bank.Foreign_bank ->
       Alcotest.(check int) "nothing issued anywhere" 0
         (Zmail.Federation.total_outstanding t)
-  | Zmail.Federation.Reply _ -> Alcotest.fail "foreign-bank envelope must be rejected"
+  | _ -> Alcotest.fail "foreign-bank envelope must be rejected"
 
 (* A replayed buy is answered from the home bank's reply cache: the
    same signed reply, and no money moves. *)
 let test_replay_answered_from_cache () =
   let _, t = make () in
   let sealed = seal_to t ~isp:1 (Zmail.Wire.Buy { amount = 100; nonce = 3L }) in
-  let serve () =
-    match Zmail.Federation.on_isp_message t ~from_isp:1 sealed with
-    | Zmail.Federation.Reply signed -> signed
-    | Zmail.Federation.Rejected r -> Alcotest.fail (Zmail.Bank.reject_to_string r)
-  in
+  let serve () = reply_exn (Zmail.Federation.on_isp_message t ~from_isp:1 sealed) in
   let first = serve () in
   Alcotest.(check bool) "the replay gets the cached reply" true (serve () = first);
   Alcotest.(check int) "debited once" (1_000_000 - 100)
@@ -114,11 +114,7 @@ let test_lost_reply_retransmit () =
     | Some n -> n
     | None -> Alcotest.fail "no pending buy"
   in
-  let serve () =
-    match Zmail.Federation.on_isp_message t ~from_isp:0 sealed with
-    | Zmail.Federation.Reply signed -> signed
-    | Zmail.Federation.Rejected r -> Alcotest.fail (Zmail.Bank.reject_to_string r)
-  in
+  let serve () = reply_exn (Zmail.Federation.on_isp_message t ~from_isp:0 sealed) in
   let lost = serve () in
   let retransmitted = serve () in
   (match
@@ -182,83 +178,6 @@ let test_clearing_three_banks () =
     List.fold_left (fun acc (_, _, amount) -> acc + amount) 0 transfers
   in
   Alcotest.(check bool) "transfers positive" true (net > 0)
-
-let test_global_audit_with_kernels () =
-  (* Four real ISP kernels homed to two banks; cross traffic including
-     a cheater; the federation audit must catch it across bank lines. *)
-  let n_isps = 4 in
-  let compliant = Array.make n_isps true in
-  let r = rng () in
-  let cfg, t = make ~n_banks:2 ~n_isps () in
-  ignore cfg;
-  let kernels =
-    Array.init n_isps (fun i ->
-        let bank = Zmail.Federation.home_of t ~isp:i in
-        let base =
-          Zmail.Isp.default_config ~index:i ~n_isps ~n_users:2 ~compliant
-            ~bank_public:(Zmail.Federation.public_key t ~bank)
-        in
-        let cfg =
-          if i = 3 then { base with Zmail.Isp.cheat = Zmail.Isp.Fake_receives 2 }
-          else base
-        in
-        Zmail.Isp.create r cfg)
-  in
-  (* Honest cross traffic between every ordered pair. *)
-  Array.iteri
-    (fun i sender ->
-      Array.iteri
-        (fun j receiver ->
-          if i <> j then begin
-            ignore (Zmail.Isp.charge_send sender ~sender:0 ~dest_isp:j);
-            ignore (Zmail.Isp.accept_delivery receiver ~from_isp:i ~rcpt:1)
-          end)
-        kernels)
-    kernels;
-  (* The cheat applies at end of day. *)
-  Array.iter Zmail.Isp.end_of_day kernels;
-  (* Audit choreography through the federation. *)
-  let requests = Zmail.Federation.start_audit t in
-  Alcotest.(check int) "requests for all" n_isps (List.length requests);
-  Alcotest.(check bool) "in progress" true (Zmail.Federation.audit_in_progress t);
-  let result = ref None in
-  List.iter
-    (fun (i, signed) ->
-      Alcotest.(check bool) "kernel accepts its home bank's signature" true
-        (Zmail.Isp.on_bank_message kernels.(i) signed = Zmail.Isp.Start_snapshot_timer);
-      let reply = Zmail.Isp.thaw kernels.(i) in
-      match Zmail.Federation.on_audit_reply t ~from_isp:i reply with
-      | Ok (Some r) -> result := Some r
-      | Ok None -> ()
-      | Error e -> Alcotest.fail e)
-    requests;
-  match !result with
-  | Some r ->
-      Alcotest.(check bool) "violations found" true (r.Zmail.Bank.violations <> []);
-      Alcotest.(check (list int)) "cross-bank cheater caught" [ 3 ] r.Zmail.Bank.suspects
-  | None -> Alcotest.fail "audit did not complete"
-
-let test_audit_reply_validation () =
-  let _, t = make () in
-  (* No audit running. *)
-  let reply =
-    seal_to t ~isp:0 (Zmail.Wire.Audit_reply { isp = 0; seq = 0; credit = [||] })
-  in
-  (match Zmail.Federation.on_audit_reply t ~from_isp:0 reply with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "reply outside an audit must fail");
-  ignore (Zmail.Federation.start_audit t);
-  (* Misattributed reply: ISP 1 sends a row claiming to be ISP 0. *)
-  let forged =
-    seal_to t ~isp:1 (Zmail.Wire.Audit_reply { isp = 0; seq = 0; credit = [||] })
-  in
-  (match Zmail.Federation.on_audit_reply t ~from_isp:1 forged with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "misattributed reply must fail");
-  (* Audit replies must not go through the buy/sell entry point. *)
-  match Zmail.Federation.on_isp_message t ~from_isp:0 reply with
-  | Zmail.Federation.Rejected _ -> ()
-  | Zmail.Federation.Reply _ -> Alcotest.fail "wrong entry point must reject"
 
 let test_single_bank_degenerate () =
   (* n_banks = 1 behaves like the plain protocol: positions are always
@@ -409,6 +328,211 @@ let test_clearing_tapped () =
     [ BW.Forge_garbage 0.5; BW.Replay_captured 0.5; BW.Reorder (0.5, 30.);
       BW.Drop_selective (BW.Clearing_msg, 0.5) ]
 
+(* ------------------------------------------------------------------ *)
+(* Audits on a World of member banks                                   *)
+(* ------------------------------------------------------------------ *)
+
+let hour = Sim.Engine.hour
+let day = Sim.Engine.day
+
+(* Two ISPs per member bank, homed round-robin: with two banks, ISPs
+   0 and 2 at bank 0, 1 and 3 at bank 1. *)
+let world ?(behaviors = [| Zmail.Federation.Honest_bank; Zmail.Federation.Honest_bank |])
+    ?(f = fun c -> c) () =
+  let n_banks = Array.length behaviors in
+  let n_isps = 2 * n_banks in
+  Zmail.World.create
+    (f
+       {
+         (Zmail.World.default_config ~n_isps ~users_per_isp:2) with
+         Zmail.World.banks =
+           { (Zmail.Federation.default_config ~n_banks ~n_isps) with behaviors };
+       })
+
+(* One paid message between every ordered pair of ISPs. *)
+let cross_traffic w =
+  let n = (Zmail.World.config w).Zmail.World.n_isps in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then ignore (Zmail.World.send_email w ~from:(i, 0) ~to_:(j, 1) ())
+    done
+  done
+
+(* A cheater homed at bank 1 is caught by the shared round: its pairs
+   with ISPs at both banks are checked in one pass. *)
+let test_global_audit_with_kernels () =
+  let w =
+    world
+      ~f:(fun c ->
+        {
+          c with
+          Zmail.World.customize_isp =
+            (fun i cfg ->
+              if i = 3 then { cfg with Zmail.Isp.cheat = Zmail.Isp.Fake_receives 2 }
+              else cfg);
+        })
+      ()
+  in
+  cross_traffic w;
+  (* The cheat applies at end of day. *)
+  Zmail.World.run_days w 1.1;
+  Zmail.World.trigger_audit w;
+  Zmail.World.run_until_quiet w;
+  match Zmail.World.audit_results w with
+  | [ r ] ->
+      Alcotest.(check bool) "violations found" true (r.Zmail.Bank.violations <> []);
+      Alcotest.(check (list int)) "cross-bank cheater caught" [ 3 ] r.Zmail.Bank.suspects;
+      Alcotest.(check (list int)) "no bank to blame" []
+        (Zmail.Federation.bank_suspects (Zmail.World.federation w) r)
+  | l -> Alcotest.failf "expected one round, got %d" (List.length l)
+
+(* The federation's front door for audit replies: each member collects
+   its own ISPs' replies, turning away stale, misattributed and
+   foreign-sealed ones, and the round closes exactly once, on the last
+   reply of either member. *)
+let test_audit_reply_validation () =
+  let _, t = make () in
+  let reply ?(seal_isp = 0) ~from_isp ~isp () =
+    Zmail.Federation.on_isp_message t ~from_isp
+      (seal_to t ~isp:seal_isp (Zmail.Wire.Audit_reply { isp; seq = 0; credit = [||] }))
+  in
+  let rejected what reason r =
+    match r with
+    | Zmail.Bank.Rejected got when got = reason -> ()
+    | _ -> Alcotest.fail (what ^ " must be rejected")
+  in
+  rejected "a reply outside a round" Zmail.Bank.Wrong_state (reply ~from_isp:0 ~isp:0 ());
+  Alcotest.(check int) "a request per ISP, each from its home bank" 4
+    (List.length (Zmail.Federation.open_round t));
+  rejected "a misattributed reply" Zmail.Bank.Wrong_state
+    (reply ~seal_isp:1 ~from_isp:1 ~isp:0 ());
+  rejected "a reply sealed to the other member" Zmail.Bank.Foreign_bank
+    (reply ~seal_isp:1 ~from_isp:0 ~isp:0 ());
+  let progress isp =
+    match reply ~seal_isp:isp ~from_isp:isp ~isp () with
+    | Zmail.Bank.Audit_progress -> ()
+    | _ -> Alcotest.failf "reply of ISP %d must leave the round open" isp
+  in
+  List.iter progress [ 1; 3; 0 ];
+  Alcotest.(check bool) "bank 1 collected, the round still open" true
+    (Zmail.Bank.audit_collected (Zmail.Federation.bank t 1));
+  (match reply ~seal_isp:2 ~from_isp:2 ~isp:2 () with
+  | Zmail.Bank.Audit_complete r ->
+      Alcotest.(check int) "clean" 0 (List.length r.Zmail.Bank.violations)
+  | _ -> Alcotest.fail "the last reply must close the round");
+  rejected "a reply after the close" Zmail.Bank.Wrong_state (reply ~from_isp:0 ~isp:0 ());
+  Alcotest.(check (option int)) "nothing left to close" None
+    (Option.map (fun r -> r.Zmail.Bank.seq) (Zmail.Federation.close_round t))
+
+(* A member lying in the audit breaks every cross-bank pair of its
+   members and nothing else: the block signature names the bank, and
+   its members are cleared once its lie is explained away.  It takes
+   three banks: with two, every cross-bank pair involves both, and
+   the signature fits the honest bank as well as the liar. *)
+let test_lie_in_audit_on_world () =
+  let w =
+    world
+      ~behaviors:
+        [| Zmail.Federation.Honest_bank; Zmail.Federation.Lie_in_audit 7;
+           Zmail.Federation.Honest_bank |]
+      ()
+  in
+  cross_traffic w;
+  Zmail.World.run_until_quiet w;
+  Zmail.World.trigger_audit w;
+  Zmail.World.run_until_quiet w;
+  let fed = Zmail.World.federation w in
+  match Zmail.World.audit_results w with
+  | [ r ] ->
+      Alcotest.(check int) "every cross-bank pair of the liar's members broken" 8
+        (List.length r.Zmail.Bank.violations);
+      let banks = Zmail.Federation.bank_suspects fed r in
+      Alcotest.(check (list int)) "the liar is named" [ 1 ] banks;
+      Alcotest.(check (list int)) "its members are cleared" []
+        (Zmail.Federation.suspects_excluding_banks fed r ~banks);
+      Alcotest.(check bool) "conservation" true (Zmail.World.conservation_holds w)
+  | l -> Alcotest.failf "expected one round, got %d" (List.length l)
+
+(* ISP 3, homed at bank 1, is cut off from its bank (and everyone)
+   across several rounds.  The rounds run on quorum without it; what
+   bank 0's ISPs claimed against it is carried and reconciles with its
+   cumulative report after the heal: no violation, ever. *)
+let test_partition_carry_across_banks () =
+  let groups = [| 0; 0; 0; 1; 0; 0 |] in  (* 4 ISPs, banks at nodes 4 and 5 *)
+  let w =
+    world
+      ~f:(fun c ->
+        {
+          c with
+          Zmail.World.audit_period = Some (6. *. hour);
+          partitions =
+            [ Sim.Fault.Mesh.partition ~start:(0.3 *. day) ~stop:(0.9 *. day) ~groups ];
+        })
+      ()
+  in
+  let engine = Zmail.World.engine w in
+  (* Traffic with ISP 3 after the first round and before the cut, so
+     the first severed round carries claims against it. *)
+  ignore
+    (Sim.Engine.schedule_after engine ~delay:(0.27 *. day) (fun () ->
+         ignore (Zmail.World.send_email w ~from:(0, 0) ~to_:(3, 0) ());
+         ignore (Zmail.World.send_email w ~from:(3, 1) ~to_:(2, 1) ());
+         ignore (Zmail.World.send_email w ~from:(2, 0) ~to_:(3, 1) ())));
+  cross_traffic w;
+  Zmail.World.run_days w 1.5;
+  Zmail.World.run_until_quiet w;
+  let audits = Zmail.World.audit_results w in
+  Alcotest.(check bool) "rounds ran without ISP 3" true
+    (List.exists (fun r -> r.Zmail.Bank.absent = [ 3 ]) audits);
+  Alcotest.(check bool) "and with it after the heal" true
+    (match List.rev audits with r :: _ -> r.Zmail.Bank.absent = [] | [] -> false);
+  List.iter
+    (fun (r : Zmail.Bank.audit_result) ->
+      Alcotest.(check int) "honest books reconcile across the heal" 0
+        (List.length r.Zmail.Bank.violations);
+      Alcotest.(check (list int)) "nobody convicted" [] r.Zmail.Bank.convicted;
+      List.iter (fun a -> Alcotest.(check int) "only ISP 3 absent" 3 a) r.Zmail.Bank.absent)
+    audits;
+  Alcotest.(check int) "no round deferred" 0
+    (Sim.Stats.Counter.value (Zmail.World.link_stats w).Zmail.World.audits_deferred);
+  Alcotest.(check bool) "conservation" true (Zmail.World.conservation_holds w)
+
+(* Bank 1 crashes after collecting its ISPs' replies, while bank 0
+   still waits for ISP 0 (down inside its freeze).  Bank 0 collects
+   while bank 1 is down, so the round closes at bank 1's recovery,
+   from its replayed log. *)
+let test_crash_bank_mid_round () =
+  let w = world ~f:(fun c -> { c with Zmail.World.disk = Some Sim.Disk.reliable }) () in
+  let engine = Zmail.World.engine w in
+  cross_traffic w;
+  Zmail.World.run_until_quiet w;
+  let t0 = Sim.Engine.now engine in
+  Zmail.World.trigger_audit w;
+  Sim.Engine.run ~until:(t0 +. 60.) engine;
+  Zmail.World.crash_isp w ~isp:0 ~downtime:1200.;
+  Sim.Engine.run ~until:(t0 +. 700.) engine;
+  Alcotest.(check bool) "bank 1 collected" true
+    (Zmail.Bank.audit_collected (Zmail.Federation.bank (Zmail.World.federation w) 1));
+  Zmail.World.crash_bank ~bank:1 w ~downtime:3600.;
+  Alcotest.(check bool) "bank 0 still up" true (Zmail.World.bank_up w);
+  Alcotest.(check bool) "bank 1 down" false (Zmail.World.bank_up ~bank:1 w);
+  Alcotest.(check bool) "a world on two banks cannot be captured" true
+    (match Zmail.World.capture w with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Zmail.World.run_until_quiet w;
+  (match Zmail.World.audit_results_timed w with
+  | [ (at, r) ] ->
+      Alcotest.(check bool) "closed at bank 1's recovery" true (at >= t0 +. 700. +. 3600.);
+      Alcotest.(check int) "clean" 0 (List.length r.Zmail.Bank.violations)
+  | l -> Alcotest.failf "expected one round, got %d" (List.length l));
+  let link = Zmail.World.link_stats w in
+  Alcotest.(check int) "bank recovered" 1
+    (Sim.Stats.Counter.value link.Zmail.World.bank_recoveries);
+  Alcotest.(check int) "by WAL replay" 0
+    (Sim.Stats.Counter.value link.Zmail.World.wal_fallbacks);
+  Alcotest.(check bool) "conservation" true (Zmail.World.conservation_holds w)
+
 let () =
   Alcotest.run "federation"
     [
@@ -440,6 +564,10 @@ let () =
           Alcotest.test_case "global audit with kernels" `Quick
             test_global_audit_with_kernels;
           Alcotest.test_case "reply validation" `Quick test_audit_reply_validation;
+          Alcotest.test_case "lie in audit on a world" `Quick test_lie_in_audit_on_world;
+          Alcotest.test_case "partition carry across banks" `Quick
+            test_partition_carry_across_banks;
+          Alcotest.test_case "bank 1 crashes mid-round" `Quick test_crash_bank_mid_round;
         ] );
       ( "config",
         [ Alcotest.test_case "validation" `Quick test_config_validation ] );

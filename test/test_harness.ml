@@ -331,6 +331,59 @@ let test_crashpoint_sweep () =
   in
   Alcotest.(check bool) "sweep is deterministic" true (r = r')
 
+(* A sampled sweep of a world on two member banks: victims rotate over
+   the four ISPs and both banks, so bank 1 takes crashes too, with
+   rounds that close only once both banks have collected. *)
+let test_crashpoint_two_banks () =
+  let n_isps = 4 and users_per_isp = 2 and days = 0.5 in
+  let build () =
+    let world =
+      Zmail.World.create
+        {
+          (Zmail.World.default_config ~n_isps ~users_per_isp) with
+          Zmail.World.seed = 231;
+          audit_period = Some (4. *. Sim.Engine.hour);
+          disk = Some (Sim.Disk.plan ~torn:0.5 ());
+          banks = Zmail.Federation.default_config ~n_banks:2 ~n_isps;
+          customize_isp =
+            (fun _ cfg ->
+              { cfg with Zmail.Isp.initial_avail = 150; minavail = 200; buy_amount = 300 });
+        }
+    in
+    let engine = Zmail.World.engine world in
+    for g = 0 to (n_isps * users_per_isp) - 1 do
+      for k = 0 to 1 do
+        ignore
+          (Sim.Engine.schedule_after engine
+             ~delay:(float_of_int ((g * 701) + (k * 13000)))
+             (fun () ->
+               let target = (g + 3) mod (n_isps * users_per_isp) in
+               ignore
+                 (Zmail.World.send_email world
+                    ~from:(g / users_per_isp, g mod users_per_isp)
+                    ~to_:(target / users_per_isp, target mod users_per_isp)
+                    ())))
+      done
+    done;
+    world
+  in
+  let n = Harness.Crashpoint.baseline_events ~build ~days in
+  let r =
+    Harness.Crashpoint.sweep ~n_banks:2 ~build ~days ~downtime:(0.5 *. Sim.Engine.hour)
+      ~honest:(fun _ -> true)
+      ~n_isps ~stride:(max 1 (n / 12)) ()
+  in
+  let s = Harness.Crashpoint.summarize r in
+  Alcotest.(check bool) "bank 1 took a crash" true
+    (List.exists
+       (fun run -> run.Harness.Crashpoint.victim = Harness.Crashpoint.Bank 1)
+       r.Harness.Crashpoint.runs);
+  Alcotest.(check bool) "every point crashed" true s.Harness.Crashpoint.all_crashed;
+  Alcotest.(check bool) "every crash recovered" true s.Harness.Crashpoint.all_recovered;
+  Alcotest.(check int) "no WAL fallbacks" 0 s.Harness.Crashpoint.total_fallbacks;
+  Alcotest.(check bool) "conserved at every point" true s.Harness.Crashpoint.all_conserved;
+  Alcotest.(check int) "no convictions" 0 s.Harness.Crashpoint.total_false_convictions
+
 let () =
   Alcotest.run "harness"
     [
@@ -364,5 +417,7 @@ let () =
           Alcotest.test_case "e7 runs" `Slow test_e7_runs;
           Alcotest.test_case "e17 scale runs" `Slow test_e17_scale_runs;
           Alcotest.test_case "crashpoint sweep" `Quick test_crashpoint_sweep;
+          Alcotest.test_case "crashpoint sweep on two banks" `Quick
+            test_crashpoint_two_banks;
         ] );
     ]

@@ -143,14 +143,14 @@ let test_audit_consistent () =
   in
   let compliant = [| true; true; true |] in
   Alcotest.(check int) "no violations" 0
-    (List.length (Zmail.Credit.Audit.verify ~reported ~compliant))
+    (List.length (Dense_verify.verify ~reported ~compliant))
 
 let test_audit_detects_mismatch () =
   let reported =
     [| [| 0; 3; -1 |]; [| -2; 0; 2 |]; [| 1; -2; 0 |] |]
   in
   let compliant = [| true; true; true |] in
-  match Zmail.Credit.Audit.verify ~reported ~compliant with
+  match Dense_verify.verify ~reported ~compliant with
   | [ v ] ->
       Alcotest.(check int) "pair a" 0 v.Zmail.Credit.Audit.isp_a;
       Alcotest.(check int) "pair b" 1 v.Zmail.Credit.Audit.isp_b;
@@ -163,7 +163,7 @@ let test_audit_ignores_noncompliant () =
   let reported = [| [| 0; 5 |]; [| 9; 0 |] |] in
   let compliant = [| true; false |] in
   Alcotest.(check int) "non-compliant rows skipped" 0
-    (List.length (Zmail.Credit.Audit.verify ~reported ~compliant))
+    (List.length (Dense_verify.verify ~reported ~compliant))
 
 (* ------------------------------------------------------------------ *)
 (* Wire                                                                *)
