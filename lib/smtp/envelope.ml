@@ -1,11 +1,10 @@
 type t = { sender : Address.t; recipients : Address.t list }
 
+let rec mem r = function [] -> false | x :: xs -> Address.equal r x || mem r xs
+let rec dup_free = function [] -> true | r :: rest -> (not (mem r rest)) && dup_free rest
+
 let v ~sender ~recipients =
   if recipients = [] then invalid_arg "Envelope.v: no recipients";
-  let rec dup_free = function
-    | [] -> true
-    | r :: rest -> (not (List.exists (Address.equal r) rest)) && dup_free rest
-  in
   if not (dup_free recipients) then invalid_arg "Envelope.v: duplicate recipient";
   { sender; recipients }
 

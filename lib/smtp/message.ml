@@ -580,25 +580,24 @@ let empty =
     size = 0;
   }
 
-let make ~from ~to_ ?subject ?date ~body () =
-  let packed = match date with None -> no_date | Some d -> date_of_seconds d in
-  match (subject, date) with
-  | Some s, _ when not (valid_value s) ->
-      Error (Printf.sprintf "invalid value for header Subject: %S" s)
-  | _, Some d when packed = no_date ->
-      Error (Printf.sprintf "Date %h outside [0, %g] seconds" d max_seconds)
-  | _, _ ->
-      let size =
-        field_size from_header (address_length from)
-        + field_size to_header (to_length to_)
-        + (match subject with None -> 0 | Some s -> field_size subject_header (String.length s))
-        + (if packed = no_date then 0 else field_size date_header (date_length packed))
-        + body_size body
-      in
-      Ok { empty with from = Some from; to_; subject; date = packed; body; size }
+(* A checked [Subject] value: validated once, when it is built. *)
+type subject_line = string
 
-let make_exn ~from ~to_ ?subject ?date ~body () =
-  or_invalid "make" (make ~from ~to_ ?subject ?date ~body ())
+let subject_error s = Printf.sprintf "invalid value for header Subject: %S" s
+let date_error d = Printf.sprintf "Date %h outside [0, %g] seconds" d max_seconds
+
+let subject_line s = if valid_value s then Ok s else Error (subject_error s)
+let subject_line_exn s = or_invalid "subject_line" (subject_line s)
+
+(* The size of a base block and body, before any other field. *)
+let base_size from to_ subject date body =
+  field_size from_header (address_length from)
+  + field_size to_header (to_length to_)
+  + (match subject with None -> 0 | Some s -> field_size subject_header (String.length s))
+  + (if date = no_date then 0 else field_size date_header (date_length date))
+  + body_size body
+
+let packed_date = function None -> no_date | Some d -> date_of_seconds d
 
 (* The same bytes rendered from a slot or from a generic field: a
    [Subject] or [Date] appended straight after a base block that lacks
@@ -634,27 +633,89 @@ let add_header t name value =
 
 let add_header_exn t name value = or_invalid "add_header" (add_header t name value)
 
-let mark_payment ?epoch t ~epennies =
-  if epennies < 0 then invalid_arg "Smtp.Message.mark_payment: negative payment";
+(* The sizes a stamp constructor [fn] adds, checked first. *)
+let payment_size fn epennies epoch =
+  if epennies < 0 then invalid_arg ("Smtp.Message." ^ fn ^ ": negative payment");
   let epoch_size =
     match epoch with
-    | Some e when e < 0 -> invalid_arg "Smtp.Message.mark_payment: negative epoch"
+    | Some e when e < 0 -> invalid_arg ("Smtp.Message." ^ fn ^ ": negative epoch")
     | Some e -> field_size zmail_epoch_header (decimal_length e)
     | None -> 0
   in
+  field_size zmail_payment_header (decimal_length epennies) + epoch_size
+
+let mark_payment ?epoch t ~epennies =
   let size =
-    t.size - slot_size t Payment - slot_size t Epoch
-    + field_size zmail_payment_header (decimal_length epennies)
-    + epoch_size
+    t.size - slot_size t Payment - slot_size t Epoch + payment_size "mark_payment" epennies epoch
   in
   { t with payment = Some epennies; epoch; size }
 
-let mark_ack t ~of_id =
+let ack_size fn of_id =
   if not (valid_value of_id) then
     invalid_arg
-      (Printf.sprintf "Smtp.Message.mark_ack: invalid %s value %S" zmail_ack_header of_id);
-  let size = t.size - slot_size t Ack + field_size zmail_ack_header (String.length of_id) in
+      (Printf.sprintf "Smtp.Message.%s: invalid %s value %S" fn zmail_ack_header of_id);
+  field_size zmail_ack_header (String.length of_id)
+
+let mark_ack t ~of_id =
+  let size = t.size - slot_size t Ack + ack_size "mark_ack" of_id in
   { t with ack = Some of_id; size }
+
+let rec fields_size size = function
+  | [] -> size
+  | f :: rest -> fields_size (size + field_size f.name (String.length f.value)) rest
+
+(* [fields] newest first; a list of at most one field is its own
+   reverse. *)
+let rev_fields = function ([] | [ _ ]) as fields -> fields | fields -> List.rev fields
+
+(* One record for what [make], [add_field], [mark_ack] and
+   [mark_payment] build in turn.  The stamps only add their sizes, and
+   the generic fields go straight to [fields_rev]: [add_field] folds a
+   field into the base block only while it has no [Date], and that
+   rare case takes [add_field] itself. *)
+let build ~from ~to_ ?subject ?date ~fields ?ack ?payment ?epoch ~body () =
+  let packed = packed_date date in
+  (match date with
+  | Some d when packed = no_date -> invalid_arg ("Smtp.Message.build: " ^ date_error d)
+  | Some _ | None -> ());
+  let ack_size = match ack with Some a -> ack_size "build" a | None -> 0 in
+  let payment_size =
+    match (payment, epoch) with
+    | Some p, _ -> payment_size "build" p epoch
+    | None, Some _ -> invalid_arg "Smtp.Message.build: epoch without payment"
+    | None, None -> 0
+  in
+  let size = base_size from to_ subject packed body + ack_size + payment_size in
+  match fields with
+  | _ :: _ when packed = no_date ->
+      let t =
+        List.fold_left add_field { empty with from = Some from; to_; subject; body; size } fields
+      in
+      { t with ack; payment; epoch }
+  | _ ->
+      {
+        from = Some from;
+        to_;
+        subject;
+        date = packed;
+        fields_rev = rev_fields fields;
+        ack;
+        payment;
+        epoch;
+        message_id = None;
+        received = None;
+        body;
+        size = fields_size size fields;
+      }
+
+let make ~from ~to_ ?subject ?date ~body () =
+  match (subject, date) with
+  | Some s, _ when not (valid_value s) -> Error (subject_error s)
+  | _, Some d when date_of_seconds d = no_date -> Error (date_error d)
+  | _, _ -> Ok (build ~from ~to_ ?subject ?date ~fields:[] ~body ())
+
+let make_exn ~from ~to_ ?subject ?date ~body () =
+  or_invalid "make" (make ~from ~to_ ?subject ?date ~body ())
 
 let stamp_message_id t id =
   let size =

@@ -5,9 +5,9 @@
     appends.  Nothing is kept as header text: a field is rendered only
     when the message is written out ({!iter_lines}, {!to_lines},
     {!to_string}, {!headers}, {!header}), always in this order:
-    - the {e base block} {!make} sets: [From] (an {!Address.t}), [To]
-      (an {!Address.t} list, rendered [", "]-separated), then [Subject]
-      and [Date] when given.  [Date] is kept as the rendered clock
+    - the {e base block} {!make} and {!build} set: [From] (an
+      {!Address.t}), [To] (an {!Address.t} list, rendered
+      [", "]-separated), then [Subject] and [Date] when given.  [Date] is kept as the rendered clock
       (day, hours, minutes, seconds) and written as
       ["Day %d %02d:%02d:%02d +0000"];
     - the generic fields, in insertion order;
@@ -19,8 +19,8 @@
     rendering and re-parsing is exact: [of_lines (to_lines m) = Ok m]
     for every message, structurally.  {!size_bytes} is kept up to date
     by every constructor.  Constant fields are validated once by their
-    owner: a {!field} is a checked name and value, a {!host} a checked
-    host token.
+    owner: a {!field} is a checked name and value, a {!subject_line} a
+    checked subject, a {!host} a checked host token.
 
     Header field names are case-insensitive.  A valid name is printable
     US-ASCII (33–126) without [':']; a valid value contains no CR, LF or
@@ -44,7 +44,8 @@ val make :
 (** Build a message whose base block is [From], [To], [Subject] and
     [Date], in that order.  [date] is simulated seconds since the epoch,
     kept as the clock it renders to.  [Error] when [subject] is not a
-    valid header value, or [date] is outside [\[0, 1e15\]]. *)
+    valid header value, or [date] is outside [\[0, 1e15\]]; otherwise
+    [Ok] of {!build} with no fields or stamps. *)
 
 val make_exn :
   from:Address.t ->
@@ -56,6 +57,17 @@ val make_exn :
   t
 (** As {!make}.
     @raise Invalid_argument when {!make} returns [Error]. *)
+
+type subject_line
+(** A [Subject] value that passed {!check_header}, for a subject used
+    by many messages: validated once, when it is built. *)
+
+val subject_line : string -> (subject_line, string) result
+(** [Error] exactly when {!make} refuses the subject, with its text. *)
+
+val subject_line_exn : string -> subject_line
+(** As {!subject_line}.
+    @raise Invalid_argument when {!subject_line} returns [Error]. *)
 
 val check_header : string -> string -> (unit, string) result
 (** [check_header name value] is [Ok ()] when {!add_header} would accept
@@ -80,6 +92,39 @@ val add_field : t -> field -> t
     fills that base slot instead: the rendering is the same bytes.  So
     does a [To] appended after a lone [From] on a message without a
     base block, when both render from their slots. *)
+
+val build :
+  from:Address.t ->
+  to_:Address.t list ->
+  ?subject:subject_line ->
+  ?date:float ->
+  fields:field list ->
+  ?ack:string ->
+  ?payment:int ->
+  ?epoch:int ->
+  body:string ->
+  unit ->
+  t
+(** A whole message in one record, checked values taken as they are:
+    [build ~from ~to_ ?subject ?date ~fields ?ack ?payment ?epoch ~body ()]
+    is [=] to the chain
+    {[
+      make_exn ~from ~to_ ?subject ?date ~body ()
+      |> fun m -> List.fold_left add_field m fields
+      |> fun m -> (match ack with Some of_id -> mark_ack m ~of_id | None -> m)
+      |> fun m -> (match payment with Some epennies -> mark_payment ?epoch m ~epennies | None -> m)
+    ]}
+    (with the subject as a string): the same slots, generic fields in
+    the same order ([fields] is in insertion order), the same
+    {!size_bytes} and the same rendering.  The chain copies the record
+    once per step; [build] allocates one, plus the [fields] list
+    reversed when it has two or more.  As in the chain, without a
+    [date] a leading [Subject] or [Date] field fills its empty base
+    slot.  A qcheck property in test_smtp holds [build] to the chain.
+    @raise Invalid_argument where the chain raises or [make] returns
+    [Error]: a [date] outside [\[0, 1e15\]], an [ack] that is not a
+    valid header value, a negative [payment] or [epoch]; and for an
+    [epoch] without a [payment], which the chain cannot build. *)
 
 val add_header : t -> string -> string -> (t, string) result
 (** [add_field] of [field name value]. *)

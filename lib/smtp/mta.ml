@@ -213,6 +213,18 @@ let find_host net id =
    filtering after acceptance. *)
 let session_policy t = Server.listener_policy t.listener
 
+let rec accept_all t ~now ~sender stamped = function
+  | [] -> ()
+  | rcpt :: rest ->
+      (match t.inbound_filter ~sender ~rcpt stamped with
+      | Deliver ->
+          if t.retain_mail then Mailbox.deliver t.mailboxes rcpt ~time:now stamped;
+          t.delivered <- t.delivered + 1;
+          t.on_delivered ~rcpt stamped
+      | Intercept -> t.intercepted <- t.intercepted + 1
+      | Discard _ -> t.discarded <- t.discarded + 1);
+      accept_all t ~now ~sender stamped rest
+
 (* Deliver a message that has fully arrived at this (receiving) MTA. *)
 let accept_locally t envelope message =
   let now = Sim.Engine.now t.net.engine in
@@ -220,16 +232,7 @@ let accept_locally t envelope message =
   let stamped =
     Message.stamp_received message ~from:sender ~by:t.hostname ~at:now
   in
-  List.iter
-    (fun rcpt ->
-      match t.inbound_filter ~sender ~rcpt stamped with
-      | Deliver ->
-          if t.retain_mail then Mailbox.deliver t.mailboxes rcpt ~time:now stamped;
-          t.delivered <- t.delivered + 1;
-          t.on_delivered ~rcpt stamped
-      | Intercept -> t.intercepted <- t.intercepted + 1
-      | Discard _ -> t.discarded <- t.discarded + 1)
-    (Envelope.recipients envelope)
+  accept_all t ~now ~sender stamped (Envelope.recipients envelope)
 
 let bounce t envelope message reason =
   Log.warn (fun m ->
@@ -328,6 +331,30 @@ and park t ~dest_host envelope message ~attempt reason =
     (retry_transient t ~dest_host envelope message ~attempt ~reason
        ~resubmit:(fun ~attempt -> transmit t ~dest_host envelope message ~attempt))
 
+let route t sub_envelope ~domain ~dest message =
+  match dest with
+  | None -> bounce t sub_envelope message (Printf.sprintf "no MX for %s" domain)
+  | Some dest_host when dest_host = t.host ->
+      ignore
+        (Sim.Engine.schedule_after t.net.engine ~delay:t.net.local_latency
+           (fun () -> accept_locally t sub_envelope message))
+  | Some dest_host -> (
+      match t.net.serving with
+      | Some s -> (
+          (* Admission happens at submission time so that a full
+             queue can push back on the submitter; the session layer
+             models all transmission latency itself. *)
+          match s.serve_admit ~src:t ~dest_host sub_envelope message with
+          | `Queued -> ()
+          | `Refused ->
+              bounce t sub_envelope message
+                "421 service not available (admission queue full)")
+      | None ->
+          let delay = t.net.latency t.net.rng in
+          ignore
+            (Sim.Engine.schedule_after t.net.engine ~delay (fun () ->
+                 transmit t ~dest_host sub_envelope message ~attempt:0)))
+
 let submit t envelope message =
   t.submitted <- t.submitted + 1;
   (* Stamp a Message-Id on first submission, like any real MTA. *)
@@ -340,36 +367,12 @@ let submit t envelope message =
           (Message.message_id_of_seq t.next_message_id t.hostname)
   in
   let message = t.outbound_stamp envelope message in
-  let route sub_envelope ~domain ~dest message =
-    match dest with
-    | None -> bounce t sub_envelope message (Printf.sprintf "no MX for %s" domain)
-    | Some dest_host when dest_host = t.host ->
-        ignore
-          (Sim.Engine.schedule_after t.net.engine ~delay:t.net.local_latency
-             (fun () -> accept_locally t sub_envelope message))
-    | Some dest_host -> (
-        match t.net.serving with
-        | Some s -> (
-            (* Admission happens at submission time so that a full
-               queue can push back on the submitter; the session layer
-               models all transmission latency itself. *)
-            match s.serve_admit ~src:t ~dest_host sub_envelope message with
-            | `Queued -> ()
-            | `Refused ->
-                bounce t sub_envelope message
-                  "421 service not available (admission queue full)")
-        | None ->
-            let delay = t.net.latency t.net.rng in
-            ignore
-              (Sim.Engine.schedule_after t.net.engine ~delay (fun () ->
-                   transmit t ~dest_host sub_envelope message ~attempt:0)))
-  in
   match Envelope.recipients envelope with
   | [ rcpt ] ->
       (* Dominant case: one recipient means one destination domain, so
          skip the group-by-domain allocation and resolve by interned
          domain ID. *)
-      route envelope ~domain:(Address.domain rcpt)
+      route t envelope ~domain:(Address.domain rcpt)
         ~dest:(Dns.lookup_addr t.net.registry rcpt)
         message
   | _ ->
@@ -383,7 +386,7 @@ let submit t envelope message =
           let sub_envelope =
             Envelope.v ~sender:(Envelope.sender envelope) ~recipients
           in
-          route sub_envelope ~domain
+          route t sub_envelope ~domain
             ~dest:(Dns.lookup t.net.registry ~domain)
             message)
         by_domain

@@ -175,49 +175,49 @@ let take_received t =
 
 (* ---- Structural fast path ------------------------------------------- *)
 
-let deliver_direct ~policy envelope message =
-  (* Mirrors the RCPT/DATA decision sequence of the session state
-     machine in [on_command]/[finish_data], recipient by recipient in
-     envelope order, without rendering the message to lines and
-     re-parsing it.  Every message re-parses to itself, so the message
-     the dialogue would deliver is [message].  A qcheck property in
-     test_smtp pins this equivalence against the real dialogue. *)
-  let accepted_rev, rejected_rev =
-    List.fold_left
-      (fun (acc, rej) rcpt ->
-        if acc = [] then
-          match policy.accept_recipient rcpt with
-          | Ok () -> ([ rcpt ], rej)
-          | Error who -> (acc, (rcpt, Reply.mailbox_unavailable who) :: rej)
-        else if List.length acc >= policy.max_recipients then
-          (acc, (rcpt, Reply.transaction_failed "too many recipients") :: rej)
-        else if List.exists (Address.equal rcpt) acc then
+(* Mirrors the RCPT/DATA decision sequence of the session state
+   machine in [on_command]/[finish_data], recipient by recipient in
+   envelope order, without rendering the message to lines and
+   re-parsing it.  Every message re-parses to itself, so the message
+   the dialogue would deliver is [message].  A qcheck property in
+   test_smtp pins this equivalence against the real dialogue. *)
+let rec deliver_from ~policy envelope message accepted_rev rejected_rev = function
+  | rcpt :: rest -> (
+      match accepted_rev with
+      | _ :: _ when List.length accepted_rev >= policy.max_recipients ->
+          deliver_from ~policy envelope message accepted_rev
+            ((rcpt, Reply.transaction_failed "too many recipients") :: rejected_rev)
+            rest
+      | _ :: _ when List.exists (Address.equal rcpt) accepted_rev ->
           (* Idempotent repeat: accepted on the wire, not re-added. *)
-          (acc, rej)
-        else
+          deliver_from ~policy envelope message accepted_rev rejected_rev rest
+      | _ -> (
           match policy.accept_recipient rcpt with
-          | Ok () -> (rcpt :: acc, rej)
-          | Error who -> (acc, (rcpt, Reply.mailbox_unavailable who) :: rej))
-      ([], [])
-      (Envelope.recipients envelope)
-  in
-  let rejected = List.rev rejected_rev in
-  if accepted_rev = [] then `All_rejected rejected
-  else begin
-    (* The dialogue's size check in [finish_data] sums (line + 1) over
-       the rendered lines, which is [Message.size_bytes] plus one. *)
-    let wire_size = Message.size_bytes message + 1 in
-    if wire_size > policy.max_message_bytes then `Size_exceeded
-    else
-      let envelope' =
-        (* Nothing rejected means every recipient was accepted in
-           order ([Envelope.v] already forbids duplicates), so the
-           rebuilt envelope would equal the original — reuse it. *)
-        if rejected = [] then envelope
-        else
-          Envelope.v
-            ~sender:(Envelope.sender envelope)
-            ~recipients:(List.rev accepted_rev)
-      in
-      `Delivered (envelope', message, rejected)
-  end
+          | Ok () -> deliver_from ~policy envelope message (rcpt :: accepted_rev) rejected_rev rest
+          | Error who ->
+              deliver_from ~policy envelope message accepted_rev
+                ((rcpt, Reply.mailbox_unavailable who) :: rejected_rev)
+                rest))
+  | [] -> (
+      let rejected = List.rev rejected_rev in
+      match accepted_rev with
+      | [] -> `All_rejected rejected
+      | _ :: _ when Message.size_bytes message + 1 > policy.max_message_bytes ->
+          (* The dialogue's size check in [finish_data] sums (line + 1)
+             over the rendered lines, which is [Message.size_bytes] plus
+             one. *)
+          `Size_exceeded
+      | _ :: _ ->
+          let envelope' =
+            (* Nothing rejected means every recipient was accepted in
+               order ([Envelope.v] already forbids duplicates), so the
+               rebuilt envelope would equal the original — reuse it. *)
+            match rejected with
+            | [] -> envelope
+            | _ :: _ ->
+                Envelope.v ~sender:(Envelope.sender envelope) ~recipients:(List.rev accepted_rev)
+          in
+          `Delivered (envelope', message, rejected))
+
+let deliver_direct ~policy envelope message =
+  deliver_from ~policy envelope message [] [] (Envelope.recipients envelope)

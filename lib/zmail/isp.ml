@@ -343,12 +343,13 @@ let charge_send t ~sender ~dest_isp =
   if not t.cansend then Deferred
   else begin
     let outcome = charge_exec t ~sender ~dest_isp in
-    Journal.append t.wal t
-      ~flush:(match outcome with Sent_paid -> true | _ -> false)
-      (fun w ->
-        Persist.Codec.W.u8 w tag_charge;
-        Persist.Codec.W.int w sender;
-        Persist.Codec.W.int w dest_isp);
+    if Journal.logging t.wal then
+      Journal.append t.wal t
+        ~flush:(match outcome with Sent_paid -> true | _ -> false)
+        (fun w ->
+          Persist.Codec.W.u8 w tag_charge;
+          Persist.Codec.W.int w sender;
+          Persist.Codec.W.int w dest_isp);
     outcome
   end
 
@@ -370,10 +371,11 @@ let refund_exec t ~sender ~dest_isp =
 
 let refund_send t ~sender ~dest_isp =
   refund_exec t ~sender ~dest_isp;
-  Journal.append t.wal t ~flush:true (fun w ->
-      Persist.Codec.W.u8 w tag_refund;
-      Persist.Codec.W.int w sender;
-      Persist.Codec.W.int w dest_isp)
+  if Journal.logging t.wal then
+    Journal.append t.wal t ~flush:true (fun w ->
+        Persist.Codec.W.u8 w tag_refund;
+        Persist.Codec.W.int w sender;
+        Persist.Codec.W.int w dest_isp)
 
 (* [sender_epoch] is the audit sequence number stamped on the message
    when the sender charged it.  A newer epoch than ours means the
@@ -443,12 +445,13 @@ let accept_delivery_stamped t ~sender_epoch ~from_isp ~rcpt =
   if not t.config.compliant.(from_isp) then `Unpaid
   else begin
     let amended = deliver_exec t ~replay_amend:None ~sender_epoch ~from_isp ~rcpt in
-    Journal.append t.wal t ~flush:true (fun w ->
-        Persist.Codec.W.u8 w tag_deliver;
-        Persist.Codec.W.opt Persist.Codec.W.int w sender_epoch;
-        Persist.Codec.W.int w from_isp;
-        Persist.Codec.W.int w rcpt;
-        Persist.Codec.W.bool w amended);
+    if Journal.logging t.wal then
+      Journal.append t.wal t ~flush:true (fun w ->
+          Persist.Codec.W.u8 w tag_deliver;
+          Persist.Codec.W.opt Persist.Codec.W.int w sender_epoch;
+          Persist.Codec.W.int w from_isp;
+          Persist.Codec.W.int w rcpt;
+          Persist.Codec.W.bool w amended);
     `Paid
   end
 
@@ -461,10 +464,11 @@ let user_topup t ~user ~amount =
   match Ledger.user_buy t.ledger ~user ~amount with
   | Error _ as e -> e
   | Ok () ->
-      Journal.append t.wal t ~flush:true (fun w ->
-          Persist.Codec.W.u8 w tag_topup;
-          Persist.Codec.W.int w user;
-          Persist.Codec.W.int w amount);
+      if Journal.logging t.wal then
+        Journal.append t.wal t ~flush:true (fun w ->
+            Persist.Codec.W.u8 w tag_topup;
+            Persist.Codec.W.int w user;
+            Persist.Codec.W.int w amount);
       Ok ()
 
 let request_span t payload =

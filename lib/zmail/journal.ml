@@ -24,6 +24,7 @@ let create disk ~commit ~encode ~restore =
       appended = 0; replayed = 0 }
 
 let disk = function Off -> None | On j -> Some j.disk
+let logging = function Off -> false | On _ -> true
 let appended = function Off -> 0 | On j -> j.appended
 let replayed = function Off -> 0 | On j -> j.replayed
 let power_cut = function Off -> () | On j -> Sim.Disk.power_cut j.disk

@@ -56,6 +56,11 @@ val create :
 
 val disk : 'k t -> Sim.Disk.t option
 
+val logging : 'k t -> bool
+(** [false] for {!off}.  A per-message call site tests it before
+    building its record's writer: the writer is a closure over the
+    record's fields, and {!append} on {!off} would only drop it. *)
+
 val appended : 'k t -> int
 (** Delta records appended since creation (checkpoints excluded). *)
 

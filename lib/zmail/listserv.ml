@@ -5,7 +5,8 @@ type member = {
 
 type t = {
   list_id : string;
-  list_field : Smtp.Message.field;  (* [List-Id: list_id] *)
+  list_fields : Smtp.Message.field list;  (* [List-Id: list_id] *)
+  post_subject : Smtp.Message.subject_line;  (* ["[list_id] post"] *)
   address : Smtp.Address.t;
   members : (Smtp.Address.t, member) Hashtbl.t;
   mutable spent : int;
@@ -19,8 +20,17 @@ let create ~list_id ~address =
     | Ok f -> f
     | Error e -> invalid_arg ("Listserv.create: " ^ e)
   in
-  { list_id; list_field; address; members = Hashtbl.create 64; spent = 0; refunded = 0;
-    post_open = false }
+  {
+    list_id;
+    list_fields = [ list_field ];
+    (* A valid [list_id] makes a valid subject. *)
+    post_subject = Smtp.Message.subject_line_exn ("[" ^ list_id ^ "] post");
+    address;
+    members = Hashtbl.create 64;
+    spent = 0;
+    refunded = 0;
+    post_open = false;
+  }
 
 let list_id t = t.list_id
 let address t = t.address
@@ -45,11 +55,9 @@ let distribute t ~body ?date () =
     List.map
       (fun subscriber ->
         t.spent <- t.spent + 1;
-        let message =
-          Smtp.Message.make_exn ~from:t.address ~to_:[ subscriber ]
-            ~subject:("[" ^ t.list_id ^ "] post") ?date ~body ()
-        in
-        (subscriber, Smtp.Message.add_field message t.list_field))
+        ( subscriber,
+          Smtp.Message.build ~from:t.address ~to_:[ subscriber ] ~subject:t.post_subject ?date
+            ~fields:t.list_fields ~body () ))
       (subscribers t)
   in
   expansions

@@ -193,6 +193,10 @@ let create cfg =
   Array.iter (attach_workload t) t.shards;
   t
 
+(* A cross-group message's subject and label, validated once. *)
+let note_subject = Smtp.Message.subject_line_exn "note"
+let note_fields = [ World.label ~spam:false ]
+
 (* Deliver one barrier-held message into its destination shard.  The
    receiving MTA stamps Received and runs the inbound filter
    synchronously — no events are scheduled, so injection order (fixed
@@ -203,12 +207,12 @@ let inject t msg =
   let dst = t.shards.(msg.dst_group).world in
   let from_addr = World.address src ~isp:msg.src_isp ~user:msg.src_user in
   let to_addr = World.address dst ~isp:msg.dst_isp ~user:msg.dst_user in
+  let rcpts = [ to_addr ] in
   let message =
-    Smtp.Message.make_exn ~from:from_addr ~to_:[ to_addr ] ~subject:"note"
-      ~date:msg.at ~body:"hello" ()
+    Smtp.Message.build ~from:from_addr ~to_:rcpts ~subject:note_subject ~date:msg.at
+      ~fields:note_fields ~body:"hello" ()
   in
-  let message = Smtp.Message.add_field message (World.label ~spam:false) in
-  let envelope = Smtp.Envelope.v ~sender:from_addr ~recipients:[ to_addr ] in
+  let envelope = Smtp.Envelope.v ~sender:from_addr ~recipients:rcpts in
   Smtp.Mta.accept_from_remote (World.mta dst msg.dst_isp) envelope message;
   t.cross_injected <- t.cross_injected + 1
 

@@ -112,6 +112,20 @@ type link_stats = {
   wal_fallbacks : Sim.Stats.Counter.t;
 }
 
+(* What a send carries until its charge is known: the message is built
+   once charged, and a send deferred by a snapshot freeze is queued as
+   its draft. *)
+type draft =
+  | Compose of {
+      subject : Smtp.Message.subject_line;
+      fields : Smtp.Message.field list;
+      body : string;
+    }
+  | Ack of string  (* the list id a subscriber acknowledges *)
+  | Built of Smtp.Message.t  (* a list expansion, built by [Listserv.distribute] *)
+
+type deferred_send = { at : float; user : int; to_addr : Smtp.Address.t; draft : draft }
+
 type t = {
   cfg : config;
   engine : Sim.Engine.t;
@@ -129,7 +143,7 @@ type t = {
   domain_ids : int array;  (* per-ISP interned domain ID *)
   locals : string array;  (* "u0".."uN-1", shared across ISPs *)
   lists : (Smtp.Address.t, Listserv.t) Hashtbl.t;
-  deferred : (float * (unit -> unit)) Queue.t array;
+  deferred : deferred_send Queue.t array;  (* per sending ISP *)
   stats : counters;
   deferral : Sim.Stats.Summary.t;
   mutable audits : (float * Bank.audit_result) list;  (* reversed *)
@@ -197,32 +211,32 @@ let isp_of_addr t addr =
   let did = Smtp.Address.domain_id addr in
   if did < Array.length t.isp_of_did then t.isp_of_did.(did) else -1
 
-let locate t addr =
-  let i = isp_of_addr t addr in
-  if i < 0 then None
+(* The user [local.[k..]] names: plain decimal digits below [users],
+   or -1.  (Deliberately stricter than [int_of_string_opt], which would
+   also admit "u0x1f" or "u1_0" — no generated address uses those
+   forms.)  A value past [users] stops the scan, so it cannot wrap. *)
+let rec user_digits local k u ~users =
+  if k = String.length local then u
   else
-    (* Locals are "u" followed by plain decimal digits; parse without
-       allocating a substring.  (Deliberately stricter than
-       [int_of_string_opt], which would also admit "u0x1f" or "u1_0" —
-       no generated address uses those forms.) *)
+    let c = String.unsafe_get local k in
+    if c >= '0' && c <= '9' then
+      let u = (u * 10) + (Char.code c - 48) in
+      if u < users then user_digits local (k + 1) u ~users else -1
+    else -1
+
+(* The user index of a world address, -1 outside the world.  Locals
+   are "u" followed by the index, read without a substring. *)
+let user_of_addr t addr =
+  if isp_of_addr t addr < 0 then -1
+  else
     let local = Smtp.Address.local addr in
-    let n = String.length local in
-    if n >= 2 && local.[0] = 'u' then begin
-      let u = ref 0 in
-      let ok = ref true in
-      (try
-         for k = 1 to n - 1 do
-           let c = local.[k] in
-           if c >= '0' && c <= '9' then u := (!u * 10) + (Char.code c - 48)
-           else begin
-             ok := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !ok && !u < t.cfg.users_per_isp then Some (i, !u) else None
-    end
-    else None
+    if String.length local >= 2 && local.[0] = 'u' then
+      user_digits local 1 0 ~users:t.cfg.users_per_isp
+    else -1
+
+let locate t addr =
+  let u = user_of_addr t addr in
+  if u < 0 then None else Some (isp_of_addr t addr, u)
 
 let drain_warnings t i =
   match t.kernels.(i) with
@@ -272,6 +286,180 @@ let attach_invariants ?honest t =
     (Sim.Engine.every t.engine ~period:Sim.Engine.hour (fun () ->
          check_invariants t));
   [ zero_sum; antisymmetry; exactly_once; cycle_residue ]
+
+(* ------------------------------------------------------------------ *)
+(* Send path                                                           *)
+(* ------------------------------------------------------------------ *)
+
+type send_result =
+  | Submitted of [ `Paid | `Free ]
+  | Deferred_snapshot
+  | Failed_down
+  | Backpressured
+  | Rejected of Ledger.block
+
+(* The simulator's ground-truth label, a constant field validated
+   once.  Lookups pass the same name string, which [header] matches
+   without comparing bytes. *)
+let sim_label = "X-Sim-Label"
+let ham_label = Smtp.Message.field_exn sim_label "ham"
+let spam_label = Smtp.Message.field_exn sim_label "spam"
+let label ~spam = if spam then spam_label else ham_label
+let ham_fields = [ ham_label ]
+let spam_fields = [ spam_label ]
+
+(* The simulator's own subjects, validated once. *)
+let no_subject = Smtp.Message.subject_line_exn "(no subject)"
+let note_subject = Smtp.Message.subject_line_exn "note"
+let reply_subject = Smtp.Message.subject_line_exn "re: note"
+let ack_subject = Smtp.Message.subject_line_exn "ack"
+
+(* A paid message carries one e-penny. *)
+let one_epenny = Some 1
+
+(* The message a send's draft becomes once its charge is known (a
+   paid one with its payment and epoch stamps), built in one record.
+   [rcpts] is the one-recipient list the envelope shares. *)
+let message_of_draft t ~from ~rcpts ?payment ?epoch = function
+  | Compose { subject; fields; body } ->
+      Smtp.Message.build ~from ~to_:rcpts ~subject ~date:(Sim.Engine.now t.engine) ~fields
+        ?payment ?epoch ~body ()
+  | Ack list_id ->
+      Smtp.Message.build ~from ~to_:rcpts ~subject:ack_subject
+        ~date:(Sim.Engine.now t.engine) ~fields:[] ~ack:list_id ?payment ?epoch ~body:"" ()
+  | Built message -> (
+      match payment with
+      | Some epennies -> Smtp.Message.mark_payment ?epoch message ~epennies
+      | None -> message)
+
+(* Hand the message to ISP [i]'s MTA.  [submit_checked] probes the
+   serving layer's admission capacity before any side effect, so a
+   421 here leaves no trace in the MTA and the caller can unwind
+   cleanly (refund below).  Without a serving layer it is exactly
+   [submit]. *)
+let submit t i ~from_addr ~to_addr ?payment ?epoch draft =
+  let rcpts = [ to_addr ] in
+  let message = message_of_draft t ~from:from_addr ~rcpts ?payment ?epoch draft in
+  Smtp.Mta.submit_checked t.mtas.(i)
+    (Smtp.Envelope.v ~sender:from_addr ~recipients:rcpts)
+    message
+
+let backpressured t i =
+  t.stats.backpressured_sends <- t.stats.backpressured_sends + 1;
+  wev t ~actor:i World_backpressured;
+  Backpressured
+
+let submit_free t i ~from_addr ~to_addr draft =
+  match submit t i ~from_addr ~to_addr draft with
+  | `Submitted -> Submitted `Free
+  | `Backpressure -> backpressured t i
+
+(* [dest_isp] is [-1] for the outside world. *)
+let charge kernel ~user ~dest_isp =
+  if dest_isp >= 0 then Isp.charge_send kernel ~sender:user ~dest_isp
+  else if Isp.frozen kernel then Isp.Deferred
+  else Isp.Sent_free
+
+(* §1.2: the user buffers fluctuations by buying e-pennies from the
+   ISP pool, then the send is retried once. *)
+let charge_with_topup t kernel ~user ~dest_isp =
+  match charge kernel ~user ~dest_isp with
+  | Isp.Blocked Ledger.Insufficient_balance as blocked -> (
+      match t.cfg.auto_topup with
+      | Some amount -> (
+          match Isp.user_topup kernel ~user ~amount with
+          | Ok () -> charge kernel ~user ~dest_isp
+          | Error _ -> blocked)
+      | None -> blocked)
+  | outcome -> outcome
+
+(* The message is built after the charge lands, so a paid one is
+   stamped as it is built.  Everything a send needs is passed down:
+   no closure is built per send, and a deferred send is queued as its
+   draft. *)
+let submit_message t i ~user ~from_addr ~to_addr draft =
+  if not t.up.(i) then begin
+    (* The user's own ISP is down: the submission MSA is unreachable,
+       the message never enters the system (no charge, no queue). *)
+    Sim.Stats.Counter.incr t.link.sends_failed_down;
+    wev t ~actor:i World_refused_down;
+    Failed_down
+  end
+  else
+    match t.kernels.(i) with
+    | None ->
+        (* Non-compliant sender: plain SMTP, no accounting. *)
+        submit_free t i ~from_addr ~to_addr draft
+    | Some kernel -> (
+        let dest_isp = isp_of_addr t to_addr in
+        let outcome = charge_with_topup t kernel ~user ~dest_isp in
+        drain_warnings t i;
+        match outcome with
+        | Isp.Sent_paid -> (
+            (* Paid mail carries the sender's audit epoch so a receiver
+               whose snapshot lags (crash recovery) can book it into
+               the matching billing period. *)
+            match
+              submit t i ~from_addr ~to_addr ?payment:one_epenny ~epoch:(Isp.audit_seq kernel)
+                draft
+            with
+            | `Submitted -> Submitted `Paid
+            | `Backpressure ->
+                (* The serving layer refused admission after the charge
+                   landed; the message never entered the system, so the
+                   charge is unwound like a bounce refund — both ledger
+                   and credit-record legs. *)
+                Isp.refund_send kernel ~sender:user ~dest_isp;
+                backpressured t i)
+        | Isp.Sent_free -> submit_free t i ~from_addr ~to_addr draft
+        | Isp.Deferred ->
+            t.stats.deferred_sends <- t.stats.deferred_sends + 1;
+            wev t ~actor:i World_deferred;
+            Queue.push { at = Sim.Engine.now t.engine; user; to_addr; draft } t.deferred.(i);
+            Deferred_snapshot
+        | Isp.Blocked block ->
+            (match block with
+            | Ledger.Insufficient_balance ->
+                t.stats.blocked_balance <- t.stats.blocked_balance + 1
+            | Ledger.Daily_limit_reached ->
+                t.stats.blocked_limit <- t.stats.blocked_limit + 1);
+            Rejected block)
+
+(* [send_email] with [subject] already checked and [in_reply_to] a
+   built field: the simulator's own sends come here directly, with
+   nothing left to check. *)
+let send_checked t ~from:(i, u) ~to_:(j, v) ~subject ~spam ?in_reply_to ~body () =
+  let to_addr = address t ~isp:j ~user:v in
+  let from_addr = address t ~isp:i ~user:u in
+  let fields =
+    match in_reply_to with
+    | Some field -> [ field; label ~spam ]
+    | None -> if spam then spam_fields else ham_fields
+  in
+  submit_message t i ~user:u ~from_addr ~to_addr (Compose { subject; fields; body })
+
+let send_email t ~from ~to_ ?subject ?(spam = false) ?in_reply_to
+    ?(body = "hello") () =
+  (* Caller-supplied header values are checked before anything is
+     charged: the message is built after the charge lands. *)
+  let invalid e = invalid_arg ("World.send_email: " ^ e) in
+  let subject =
+    match subject with
+    | None -> no_subject
+    | Some s -> (
+        match Smtp.Message.subject_line s with
+        | Ok s -> s
+        | Error e -> invalid e)
+  in
+  let in_reply_to =
+    match in_reply_to with
+    | None -> None
+    | Some id -> (
+        match Smtp.Message.field "In-Reply-To" id with
+        | Ok field -> Some field
+        | Error e -> invalid e)
+  in
+  send_checked t ~from ~to_ ~subject ~spam ?in_reply_to ~body ()
 
 (* ------------------------------------------------------------------ *)
 (* Bank links                                                          *)
@@ -426,9 +614,10 @@ and flush_deferred t i =
   let queue = t.deferred.(i) in
   let now = Sim.Engine.now t.engine in
   while not (Queue.is_empty queue) do
-    let submitted_at, retry = Queue.pop queue in
-    Sim.Stats.Summary.add t.deferral (now -. submitted_at);
-    retry ()
+    let { at; user; to_addr; draft } = Queue.pop queue in
+    Sim.Stats.Summary.add t.deferral (now -. at);
+    ignore
+      (submit_message t i ~user ~from_addr:(address t ~isp:i ~user) ~to_addr draft)
   done
 
 (* Evaluate §4.3 pool thresholds for one ISP and, if a buy/sell came
@@ -648,158 +837,6 @@ let crash_bank ?(bank = 0) t ~downtime =
            | None -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* Send path                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type send_result =
-  | Submitted of [ `Paid | `Free ]
-  | Deferred_snapshot
-  | Failed_down
-  | Backpressured
-  | Rejected of Ledger.block
-
-(* [build_msg ~paid] constructs the message (payment stamp applied by
-   the caller of the MTA, i.e. here). *)
-let rec submit_message t ~from:(i, u) ~to_addr ~build_msg =
-  let from_addr = address t ~isp:i ~user:u in
-  let submit ?epoch paid =
-    let msg = build_msg () in
-    (* Paid mail carries the sender's audit epoch so a receiver whose
-       snapshot lags (crash recovery) can book it into the matching
-       billing period. *)
-    let msg =
-      if paid then Smtp.Message.mark_payment ?epoch msg ~epennies:1 else msg
-    in
-    let envelope = Smtp.Envelope.v ~sender:from_addr ~recipients:[ to_addr ] in
-    (* [submit_checked] probes the serving layer's admission capacity
-       before any side effect, so a 421 here leaves no trace in the MTA
-       and the caller can unwind cleanly (refund below).  Without a
-       serving layer it is exactly [submit]. *)
-    Smtp.Mta.submit_checked t.mtas.(i) envelope msg
-  in
-  let backpressured () =
-    t.stats.backpressured_sends <- t.stats.backpressured_sends + 1;
-    wev t ~actor:i World_backpressured;
-    Backpressured
-  in
-  let dest_isp = isp_of_addr t to_addr (* -1: outside world *) in
-  if not t.up.(i) then begin
-    (* The user's own ISP is down: the submission MSA is unreachable,
-       the message never enters the system (no charge, no queue). *)
-    Sim.Stats.Counter.incr t.link.sends_failed_down;
-    wev t ~actor:i World_refused_down;
-    Failed_down
-  end
-  else
-  match t.kernels.(i) with
-  | None -> (
-      (* Non-compliant sender: plain SMTP, no accounting. *)
-      match submit false with
-      | `Submitted -> Submitted `Free
-      | `Backpressure -> backpressured ())
-  | Some kernel -> (
-      let charge () =
-        if dest_isp >= 0 then Isp.charge_send kernel ~sender:u ~dest_isp
-        else if Isp.frozen kernel then Isp.Deferred
-        else Isp.Sent_free
-      in
-      let outcome =
-        match charge () with
-        | Isp.Blocked Ledger.Insufficient_balance as blocked -> (
-            (* §1.2: the user buffers fluctuations by buying e-pennies
-               from the ISP pool, then the send is retried once. *)
-            match t.cfg.auto_topup with
-            | Some amount -> (
-                match Isp.user_topup kernel ~user:u ~amount with
-                | Ok () -> charge ()
-                | Error _ -> blocked)
-            | None -> blocked)
-        | outcome -> outcome
-      in
-      drain_warnings t i;
-      match outcome with
-      | Isp.Sent_paid -> (
-          match submit ~epoch:(Isp.audit_seq kernel) true with
-          | `Submitted -> Submitted `Paid
-          | `Backpressure ->
-              (* The serving layer refused admission after the charge
-                 landed; the message never entered the system, so the
-                 charge is unwound like a bounce refund — both ledger
-                 and credit-record legs. *)
-              Isp.refund_send kernel ~sender:u ~dest_isp;
-              backpressured ())
-      | Isp.Sent_free -> (
-          match submit false with
-          | `Submitted -> Submitted `Free
-          | `Backpressure -> backpressured ())
-      | Isp.Deferred ->
-          t.stats.deferred_sends <- t.stats.deferred_sends + 1;
-          wev t ~actor:i World_deferred;
-          Queue.push
-            ( Sim.Engine.now t.engine,
-              fun () -> ignore (submit_message t ~from:(i, u) ~to_addr ~build_msg) )
-            t.deferred.(i);
-          Deferred_snapshot
-      | Isp.Blocked block ->
-          (match block with
-          | Ledger.Insufficient_balance ->
-              t.stats.blocked_balance <- t.stats.blocked_balance + 1
-          | Ledger.Daily_limit_reached ->
-              t.stats.blocked_limit <- t.stats.blocked_limit + 1);
-          Rejected block)
-
-(* The simulator's ground-truth label, a constant field validated
-   once.  Lookups pass the same name string, which [header] matches
-   without comparing bytes. *)
-let sim_label = "X-Sim-Label"
-let ham_label = Smtp.Message.field_exn sim_label "ham"
-let spam_label = Smtp.Message.field_exn sim_label "spam"
-let label ~spam = if spam then spam_label else ham_label
-
-(* [send_email] with [subject] already a valid header value and
-   [in_reply_to] a built field: the simulator's own replies come here
-   directly, with nothing left to check. *)
-let send_checked t ~from ~to_:(j, v) ~subject ~spam ?in_reply_to ~body () =
-  let to_addr = address t ~isp:j ~user:v in
-  let from_addr = address t ~isp:(fst from) ~user:(snd from) in
-  let build_msg () =
-    let msg =
-      Smtp.Message.make_exn ~from:from_addr ~to_:[ to_addr ] ~subject
-        ~date:(Sim.Engine.now t.engine) ~body ()
-    in
-    let msg =
-      match in_reply_to with
-      | Some field -> Smtp.Message.add_field msg field
-      | None -> msg
-    in
-    Smtp.Message.add_field msg (label ~spam)
-  in
-  submit_message t ~from ~to_addr ~build_msg
-
-let send_email t ~from ~to_ ?subject ?(spam = false) ?in_reply_to
-    ?(body = "hello") () =
-  (* Caller-supplied header values are checked before anything is
-     charged: [build_msg] runs after the charge lands. *)
-  let invalid e = invalid_arg ("World.send_email: " ^ e) in
-  let subject =
-    match subject with
-    | None -> "(no subject)"
-    | Some s -> (
-        match Smtp.Message.check_header "Subject" s with
-        | Ok () -> s
-        | Error e -> invalid e)
-  in
-  let in_reply_to =
-    match in_reply_to with
-    | None -> None
-    | Some id -> (
-        match Smtp.Message.field "In-Reply-To" id with
-        | Ok field -> Some field
-        | Error e -> invalid e)
-  in
-  send_checked t ~from ~to_ ~subject ~spam ?in_reply_to ~body ()
-
-(* ------------------------------------------------------------------ *)
 (* Inbound processing                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -807,65 +844,51 @@ let maybe_generate_ack t ~isp_index ~rcpt_user message =
   if t.cfg.auto_ack then
     match (Smtp.Message.header message "List-Id", Smtp.Message.from message) with
     | Some list_id, Some distributor ->
-        let build_msg () =
-          let msg =
-            Smtp.Message.make_exn
-              ~from:(address t ~isp:isp_index ~user:rcpt_user)
-              ~to_:[ distributor ] ~subject:"ack"
-              ~date:(Sim.Engine.now t.engine) ~body:"" ()
-          in
-          Smtp.Message.mark_ack msg ~of_id:list_id
-        in
         t.stats.acks_generated <- t.stats.acks_generated + 1;
         ignore
-          (submit_message t ~from:(isp_index, rcpt_user) ~to_addr:distributor
-             ~build_msg)
+          (submit_message t isp_index ~user:rcpt_user
+             ~from_addr:(address t ~isp:isp_index ~user:rcpt_user)
+             ~to_addr:distributor (Ack list_id))
     | (Some _ | None), _ -> ()
+
+(* A delivery's payment settles for mail from a compliant ISP
+   ([from_isp >= 0]) to a world user ([rcpt_user >= 0]). *)
+let settle kernel ~from_isp ~rcpt_user message =
+  if from_isp >= 0 && rcpt_user >= 0 then
+    Isp.accept_delivery_stamped kernel ~sender_epoch:(Smtp.Message.epoch message) ~from_isp
+      ~rcpt:rcpt_user
+  else `Unpaid
+
+let deliver t message =
+  (match Smtp.Message.header message sim_label with
+  | Some "spam" -> t.stats.spam_delivered <- t.stats.spam_delivered + 1
+  | Some _ | None -> t.stats.ham_delivered <- t.stats.ham_delivered + 1);
+  Smtp.Mta.Deliver
 
 let inbound_filter t ~isp_index kernel ~sender ~rcpt message =
   let from_isp =
-    match isp_of_addr t sender with
-    | i when i >= 0 && t.cfg.compliant.(i) -> Some i
-    | _ -> None
+    let i = isp_of_addr t sender in
+    if i >= 0 && t.cfg.compliant.(i) then i else -1
   in
-  let rcpt_user =
-    match locate t rcpt with Some (_, u) -> Some u | None -> None
-  in
-  let settle () =
-    match (from_isp, rcpt_user) with
-    | Some fi, Some u ->
-        Isp.accept_delivery_stamped kernel
-          ~sender_epoch:(Smtp.Message.epoch message) ~from_isp:fi ~rcpt:u
-    | _, _ -> `Unpaid
-  in
+  let rcpt_user = user_of_addr t rcpt in
   (* Mailing-list acknowledgments are protocol traffic: settle the
      payment, inform the distributor's list state, never deliver. *)
   match Smtp.Message.ack_of message with
   | Some list_id when Hashtbl.mem t.lists rcpt ->
-      ignore (settle ());
+      ignore (settle kernel ~from_isp ~rcpt_user message);
       ignore (Listserv.on_ack (Hashtbl.find t.lists rcpt) ~from:sender ~list_id);
       Smtp.Mta.Intercept
   | Some _ | None -> (
-      match settle () with
+      match settle kernel ~from_isp ~rcpt_user message with
       | `Paid ->
-          (match Smtp.Message.header message sim_label with
-          | Some "spam" -> t.stats.spam_delivered <- t.stats.spam_delivered + 1
-          | Some _ | None -> t.stats.ham_delivered <- t.stats.ham_delivered + 1);
-          (match rcpt_user with
-          | Some u ->
-              if Smtp.Message.header message "List-Id" <> None then
-                maybe_generate_ack t ~isp_index ~rcpt_user:u message
+          let decision = deliver t message in
+          (match Smtp.Message.header message "List-Id" with
+          | Some _ -> maybe_generate_ack t ~isp_index ~rcpt_user message
           | None -> ());
-          Smtp.Mta.Deliver
+          decision
       | `Unpaid -> (
-          let deliver_unpaid () =
-            (match Smtp.Message.header message sim_label with
-            | Some "spam" -> t.stats.spam_delivered <- t.stats.spam_delivered + 1
-            | Some _ | None -> t.stats.ham_delivered <- t.stats.ham_delivered + 1);
-            Smtp.Mta.Deliver
-          in
           match t.cfg.unpaid_policy with
-          | Unpaid_deliver -> deliver_unpaid ()
+          | Unpaid_deliver -> deliver t message
           | Unpaid_discard ->
               t.stats.unpaid_discarded <- t.stats.unpaid_discarded + 1;
               Smtp.Mta.Discard "unpaid mail from non-compliant ISP"
@@ -883,7 +906,7 @@ let inbound_filter t ~isp_index kernel ~sender ~rcpt message =
                 t.stats.unpaid_discarded <- t.stats.unpaid_discarded + 1;
                 Smtp.Mta.Discard "unpaid mail failed the spam filter"
               end
-              else deliver_unpaid ()))
+              else deliver t message))
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -1240,13 +1263,12 @@ let post_to_list t ls ~body =
   let distributor = Listserv.address ls in
   match locate t distributor with
   | None -> invalid_arg "World.post_to_list: distributor is not a world user"
-  | Some from ->
+  | Some (i, user) ->
+      let from_addr = address t ~isp:i ~user in
       let submitted = ref 0 in
       List.iter
         (fun (subscriber, message) ->
-          match
-            submit_message t ~from ~to_addr:subscriber ~build_msg:(fun () -> message)
-          with
+          match submit_message t i ~user ~from_addr ~to_addr:subscriber (Built message) with
           | Submitted _ | Deferred_snapshot -> incr submitted
           | Failed_down | Backpressured | Rejected _ -> ())
         (Listserv.distribute ls ~body ~date:(Sim.Engine.now t.engine) ());
@@ -1306,8 +1328,8 @@ let attach_user_traffic t ?(mix = Econ.User_model.standard_mix) () =
         (Sim.Engine.schedule_after t.engine ~delay (fun () ->
              let target = Econ.User_model.pick_correspondent t.rng ~self:g ~universe profile in
              ignore
-               (send_email t ~from:(of_global t g) ~to_:(of_global t target)
-                  ~subject:"note" ());
+               (send_checked t ~from:(of_global t g) ~to_:(of_global t target)
+                  ~subject:note_subject ~spam:false ~body:"hello" ());
              schedule_user g))
   in
   for g = 0 to universe - 1 do
@@ -1326,37 +1348,36 @@ let attach_user_traffic t ?(mix = Econ.User_model.standard_mix) () =
             (match Smtp.Message.header message sim_label with
             | Some "ham" -> true
             | Some _ | None -> false)
-            && Smtp.Message.ack_of message = None
+            && Option.is_none (Smtp.Message.ack_of message)
           then
-            match locate t rcpt with
-            | None -> ()
-            | Some (_, u) -> (
-                match Smtp.Message.from message with
-                | None -> ()
-                | Some original_sender -> (
-                    match locate t original_sender with
-                    | Some sender_loc ->
-                        let profile = profiles.(global_index t (i, u)) in
-                        if
-                          Sim.Dist.bernoulli t.rng
-                            profile.Econ.User_model.reply_probability
-                        then begin
-                          let think =
-                            Sim.Dist.exponential t.rng ~rate:(1. /. 3600.)
-                          in
-                          let in_reply_to =
-                            Option.map Smtp.Message.in_reply_to
-                              (Smtp.Message.message_id message)
-                          in
-                          ignore
-                            (Sim.Engine.schedule_after t.engine ~delay:think
-                               (fun () ->
-                                 ignore
-                                   (send_checked t ~from:(i, u) ~to_:sender_loc
-                                      ~subject:"re: note" ~spam:false ?in_reply_to
-                                      ~body:"hello" ())))
-                        end
-                    | None -> ()))))
+            let u = user_of_addr t rcpt in
+            if u >= 0 then
+              match Smtp.Message.from message with
+              | None -> ()
+              | Some original_sender -> (
+                  match locate t original_sender with
+                  | Some sender_loc ->
+                      let profile = profiles.(global_index t (i, u)) in
+                      if
+                        Sim.Dist.bernoulli t.rng
+                          profile.Econ.User_model.reply_probability
+                      then begin
+                        let think =
+                          Sim.Dist.exponential t.rng ~rate:(1. /. 3600.)
+                        in
+                        let in_reply_to =
+                          Option.map Smtp.Message.in_reply_to
+                            (Smtp.Message.message_id message)
+                        in
+                        ignore
+                          (Sim.Engine.schedule_after t.engine ~delay:think
+                             (fun () ->
+                               ignore
+                                 (send_checked t ~from:(i, u) ~to_:sender_loc
+                                    ~subject:reply_subject ~spam:false ?in_reply_to
+                                    ~body:"hello" ())))
+                      end
+                  | None -> ())))
     t.mtas
 
 let attach_bulk_sender t ~isp:i ~user ~per_day () =
@@ -1431,8 +1452,8 @@ let encode_audit_result w (ar : Bank.audit_result) =
 
 (* The world's own bookkeeping: mail counters, audit history, link
    counters, crash state and the deferred-send queues (times only —
-   the queued retries are closures, re-created by replay like every
-   other pending event). *)
+   the queued drafts are re-created by replay like every other
+   pending event). *)
 let encode_world w t =
   let open Persist.Codec.W in
   int w t.stats.ham_delivered;
@@ -1477,7 +1498,7 @@ let encode_world w t =
       Adversary.Bank_wire.encode_state w tap)
     w t.bank_taps;
   array
-    (fun w q -> list (fun w (time, _) -> float w time) w (List.of_seq (Queue.to_seq q)))
+    (fun w q -> list (fun w d -> float w d.at) w (List.of_seq (Queue.to_seq q)))
     w t.deferred;
   int w (Hashtbl.length t.lists)
 

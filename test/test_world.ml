@@ -34,6 +34,47 @@ let test_paid_delivery_end_to_end () =
     ((Zmail.Isp.credit_vector (Zmail.World.isp w 0)).(1)
     + (Zmail.Isp.credit_vector (Zmail.World.isp w 1)).(0))
 
+(* Minor words per paid send, end to end: [send_email] (charge, one
+   message record, envelope, MTA submission and its scheduled event)
+   and the delivery event [Engine.run] fires (the session fast path,
+   the Received stamp, the inbound filter and the receiver's
+   settlement), on a warmed-up 3-ISP world with the online checkers
+   attached and no audits.  The trace events the checkers consume are
+   part of it.  Measured 277 words when a send copied its message at
+   every step and built closures, 163 with one record and none; the
+   bound is that plus 8%. *)
+let paid_send_words = 176.
+
+let test_paid_send_allocation () =
+  let users = 50 in
+  let w = make ~n_isps:3 ~users ~f:(fun c -> { c with Zmail.World.retain_mail = false }) () in
+  ignore (Zmail.World.attach_invariants w);
+  let engine = Zmail.World.engine w in
+  let round k0 n =
+    for k = k0 to k0 + n - 1 do
+      match
+        Zmail.World.send_email w ~from:(k mod 3, k / 3 mod users)
+          ~to_:((k + 1) mod 3, (k / 3 + 7) mod users) ()
+      with
+      | Zmail.World.Submitted `Paid -> ()
+      | _ -> Alcotest.failf "send %d was not a paid submission" k
+    done;
+    Sim.Engine.run engine
+  in
+  round 0 150;
+  let n = 150 in
+  let before = Gc.minor_words () in
+  round 150 n;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  let delivered =
+    List.fold_left
+      (fun acc i -> acc + (Smtp.Mta.stats (Zmail.World.mta w i)).Smtp.Mta.delivered)
+      0 [ 0; 1; 2 ]
+  in
+  Alcotest.(check int) "all delivered" 300 delivered;
+  if words > paid_send_words then
+    Alcotest.failf "a paid send: %.1f words (bound %.0f)" words paid_send_words
+
 (* A header value that would smuggle a stamp is refused before the
    sender is charged, like [Address.v] refuses bad parts. *)
 let test_send_rejects_header_injection () =
@@ -967,6 +1008,7 @@ let () =
           Alcotest.test_case "unpaid filter" `Quick test_unpaid_policy_filter;
           Alcotest.test_case "exhaustion and topup" `Quick
             test_balance_exhaustion_and_topup;
+          Alcotest.test_case "a paid send's allocation" `Quick test_paid_send_allocation;
         ] );
       ( "audit",
         [
