@@ -45,27 +45,6 @@ let days = 3.
 let fake_receives_per_day = 3
 let sends_per_user = 30
 
-type outcome = {
-  attempts : int;
-  delivered : int;
-  refunds : int;
-  failed_down : int;
-  link_dropped : int;
-  duplicated : int;
-  corrupted : int;
-  outage_dropped : int;
-  retransmits : int;
-  replays_absorbed : int;
-  crashes : int;
-  recoveries : int;
-  audits : int;
-  first_flagged : float option;
-  false_convictions : int;
-  implicated : int;
-  minted : int;
-  residue : int;
-}
-
 let run_scenario ~tracer ~persist ~seed sc =
   let world =
     Zmail.World.create
@@ -132,24 +111,7 @@ let run_scenario ~tracer ~persist ~seed sc =
         (Sim.Engine.schedule_after engine ~delay:at (fun () ->
              Zmail.World.crash_isp world ~isp ~downtime)))
     sc.crashes;
-  (try
-     Checkpoint.drive persist ~label:sc.label ~world ~days:(days +. 0.5) ();
-     Zmail.World.run_until_quiet world;
-     (* Drained: every paid message settled or was refunded, so the
-        checkers may also demand zero credits in flight. *)
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     (* Fail loudly with the ring-buffer context — the whole point of
-        tracing the chaos run — then let the failure propagate. *)
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E16: checker " ^ Obs.Invariant.name c ^ " never ran");
-      (* Scenarios share the tracer; a checker left attached would see
-         the next scenario's events against this scenario's model. *)
-      Obs.Invariant.detach c)
+  Cell.finish ~name:"E16" ~persist ~label:sc.label ~days:(days +. 0.5) world
     checkers;
   let c = Zmail.World.counters world in
   let mesh = Zmail.World.mesh world in
@@ -184,26 +146,37 @@ let run_scenario ~tracer ~persist ~seed sc =
                r.Zmail.Bank.suspects))
       0 audits
   in
-  ( {
-    attempts = !attempts;
-    delivered = c.Zmail.World.ham_delivered;
-    refunds = v link.Zmail.World.bounce_refunds;
-    failed_down = v link.Zmail.World.sends_failed_down;
-    link_dropped = Sim.Fault.Mesh.link_dropped mesh;
-    duplicated = Sim.Fault.Mesh.duplicated mesh;
-    corrupted = Sim.Fault.Mesh.corrupted mesh;
-    outage_dropped = Sim.Fault.Mesh.outage_dropped mesh;
-    retransmits = v link.Zmail.World.retransmits;
-    replays_absorbed = (Zmail.Bank.stats (Zmail.World.bank world)).Zmail.Bank.replays_dropped;
-    crashes = v link.Zmail.World.crashes;
-    recoveries = v link.Zmail.World.recoveries;
-    audits = List.length audits;
-    first_flagged;
-    false_convictions;
-    implicated;
-    minted = Zmail.World.cheat_minted world;
-    residue = Zmail.World.epenny_residue world;
-  },
+  let residue = Zmail.World.epenny_residue world in
+  let minted = Zmail.World.cheat_minted world in
+  let n = Sim.Table.cell_int in
+  ( [
+      sc.label;
+      n !attempts;
+      n c.Zmail.World.ham_delivered;
+      Sim.Table.cell_pct
+        (float_of_int c.Zmail.World.ham_delivered /. float_of_int !attempts);
+      n (v link.Zmail.World.bounce_refunds);
+      n (v link.Zmail.World.sends_failed_down);
+      n (Sim.Fault.Mesh.link_dropped mesh);
+      n (Sim.Fault.Mesh.duplicated mesh);
+      n (Sim.Fault.Mesh.corrupted mesh);
+      n (Sim.Fault.Mesh.outage_dropped mesh);
+      n (v link.Zmail.World.retransmits);
+      n (Zmail.Bank.stats (Zmail.World.bank world)).Zmail.Bank.replays_dropped;
+      n (v link.Zmail.World.crashes);
+    ],
+    [
+      sc.label;
+      n (List.length audits);
+      (match first_flagged with
+      | Some time -> Printf.sprintf "day %.1f" (time /. day)
+      | None -> "never");
+      n false_convictions;
+      n implicated;
+      n minted;
+      n residue;
+      (if residue = minted then "yes" else "NO");
+    ],
     Obs.Metrics.to_table (Zmail.World.metrics world) )
 
 let run ?obs ?persist ?(seed = 16) () =
@@ -212,17 +185,9 @@ let run ?obs ?persist ?(seed = 16) () =
   (* Chaos runs always trace: with no front-end tracer the events go
      into a small private ring whose tail is dumped on violation. *)
   let tracer = Obs.Run.tracer_or obs ~capacity:512 in
-  let outcomes =
-    List.mapi
-      (fun k sc -> (sc, run_scenario ~tracer ~persist ~seed:(seed + k) sc))
-      scenarios
+  let results =
+    List.mapi (fun k sc -> run_scenario ~tracer ~persist ~seed:(seed + k) sc) scenarios
   in
-  let metrics_table =
-    match List.rev outcomes with
-    | (_, (_, m)) :: _ -> m
-    | [] -> assert false
-  in
-  let outcomes = List.map (fun (sc, (o, _)) -> (sc, o)) outcomes in
   let faults =
     Sim.Table.create
       ~title:
@@ -247,25 +212,6 @@ let run ?obs ?persist ?(seed = 16) () =
           "crashes";
         ]
   in
-  List.iter
-    (fun (sc, o) ->
-      Sim.Table.add_row faults
-        [
-          sc.label;
-          Sim.Table.cell_int o.attempts;
-          Sim.Table.cell_int o.delivered;
-          Sim.Table.cell_pct (float_of_int o.delivered /. float_of_int o.attempts);
-          Sim.Table.cell_int o.refunds;
-          Sim.Table.cell_int o.failed_down;
-          Sim.Table.cell_int o.link_dropped;
-          Sim.Table.cell_int o.duplicated;
-          Sim.Table.cell_int o.corrupted;
-          Sim.Table.cell_int o.outage_dropped;
-          Sim.Table.cell_int o.retransmits;
-          Sim.Table.cell_int o.replays_absorbed;
-          Sim.Table.cell_int o.crashes;
-        ])
-    outcomes;
   let invariants =
     Sim.Table.create
       ~title:
@@ -285,20 +231,8 @@ let run ?obs ?persist ?(seed = 16) () =
         ]
   in
   List.iter
-    (fun (sc, o) ->
-      Sim.Table.add_row invariants
-        [
-          sc.label;
-          Sim.Table.cell_int o.audits;
-          (match o.first_flagged with
-          | Some time -> Printf.sprintf "day %.1f" (time /. day)
-          | None -> "never");
-          Sim.Table.cell_int o.false_convictions;
-          Sim.Table.cell_int o.implicated;
-          Sim.Table.cell_int o.minted;
-          Sim.Table.cell_int o.residue;
-          (if o.residue = o.minted then "yes" else "NO");
-        ])
-    outcomes;
-  if obs.Obs.Run.metrics then [ faults; invariants; metrics_table ]
-  else [ faults; invariants ]
+    (fun (f, i, _) ->
+      Sim.Table.add_row faults f;
+      Sim.Table.add_row invariants i)
+    results;
+  Cell.tables obs [ faults; invariants ] (List.map (fun (_, _, m) -> m) results)

@@ -34,15 +34,6 @@ type outcome = {
   metrics : Sim.Table.t;
 }
 
-(* A multiplier coprime to [universe] scatters Zipf ranks across the
-   global user space: rank 1 (the heaviest sender) lands on an
-   arbitrary ISP instead of every heavy rank piling onto ISP 0, which
-   would turn the experiment into a single-ISP hot spot. *)
-let stride_for universe =
-  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-  let rec find c = if gcd c universe = 1 then c else find (c + 1) in
-  find 7919
-
 let run_scale ?tracer ?(persist = Checkpoint.none) ~seed ~n_isps ~users_per_isp
     ?(sends_per_user = 3) () =
   let world =
@@ -58,97 +49,39 @@ let run_scale ?tracer ?(persist = Checkpoint.none) ~seed ~n_isps ~users_per_isp
         tracer;
         customize_isp =
           (fun i cfg ->
-            (* Zombie containment (E6) is deliberately out of the way:
-               a Zipf head sender would saturate the default 500/day
-               limit and the run would measure the throttle, not the
-               economics.  Balance blocks remain live (auto_topup
-               rescues them) and are reported. *)
-            let cfg = { cfg with Zmail.Isp.daily_limit = 1_000_000 } in
             (* The default pool bounds are sized for 25-user toy
                worlds; at 1000 users/ISP the hourly §4.3 check cannot
-               refill fast enough and auto-topups starve mid-hour.
-               Scale the pool with the population — lean enough that
-               heavy-sender ISPs keep crossing minavail (so the
-               buy/sell loop and its exactly-once checker stay live),
-               refilling in population-sized buys so a block means
-               "the kernel said no", not "the pool ran dry". *)
-            let cfg =
-              {
-                cfg with
-                Zmail.Isp.initial_avail = 2 * users_per_isp;
-                minavail = users_per_isp;
-                buy_amount = 5 * users_per_isp;
-                maxavail = 20 * users_per_isp;
-              }
-            in
+               refill fast enough and auto-topups starve mid-hour. *)
+            let cfg = Cell.pool ~users_per_isp cfg in
             if i = cheater then
               { cfg with Zmail.Isp.cheat = Zmail.Isp.Fake_receives fake_receives_per_day }
             else cfg);
       }
   in
   let checkers = Zmail.World.attach_invariants world in
-  let engine = Zmail.World.engine world in
-  let rng = Sim.Engine.rng engine in
-  let universe = n_isps * users_per_isp in
-  let stride = stride_for universe in
-  let of_global g = (g / users_per_isp, g mod users_per_isp) in
-  (* One shared Zipf sampler: the O(universe) cdf is built once and
-     each draw is a binary search. *)
-  let rank = Sim.Dist.zipf ~n:universe ~s:1.1 in
   let attempts = ref 0 in
   let paid = ref 0 in
   let free = ref 0 in
   let deferred = ref 0 in
   let blocked = ref 0 in
   let failed = ref 0 in
-  let send () =
-    let g = (rank rng - 1) * stride mod universe in
-    let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-    let t = if t >= g then t + 1 else t in
-    incr attempts;
-    match Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) () with
-    | Zmail.World.Submitted `Paid -> incr paid
-    | Zmail.World.Submitted `Free -> incr free
-    | Zmail.World.Deferred_snapshot -> incr deferred
-    | Zmail.World.Failed_down -> incr failed
-    | Zmail.World.Backpressured -> incr failed
-    | Zmail.World.Rejected _ -> incr blocked
-  in
-  (* The workload is a fixed budget of sends spread over [days] by a
-     small fleet of self-rescheduling generators — the pending-event
-     heap stays O(generators + mail in flight) instead of O(budget),
-     which is what lets the million-user row fit in memory. *)
-  let total_sends = universe * sends_per_user in
-  let n_gen = Stdlib.min generators total_sends in
-  let per_gen = total_sends / n_gen in
-  let rate = float_of_int per_gen /. (0.9 *. days *. day) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + (if i < total_sends mod n_gen then 1 else 0) in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 13.) (step budget))
-  done;
-  (try
-     Checkpoint.drive persist ~label:(string_of_int universe) ~world
-       ~days:(days +. 0.5) ();
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E17: checker " ^ Obs.Invariant.name c ^ " never ran");
-      Obs.Invariant.detach c)
-    checkers;
+  (* A fixed budget of sends from a small generator fleet: the
+     pending-event heap stays O(generators + mail in flight) instead
+     of O(budget), which is what lets the million-user row fit in
+     memory. *)
+  Cell.zipf_fleet world ~generators ~stride_from:7919 ~sends_per_user ~days
+    (fun r ->
+      incr attempts;
+      match r with
+      | Zmail.World.Submitted `Paid -> incr paid
+      | Zmail.World.Submitted `Free -> incr free
+      | Zmail.World.Deferred_snapshot -> incr deferred
+      | Zmail.World.Failed_down -> incr failed
+      | Zmail.World.Backpressured -> incr failed
+      | Zmail.World.Rejected _ -> incr blocked);
+  let universe = n_isps * users_per_isp in
+  Cell.finish ~name:"E17" ~persist ~label:(string_of_int universe)
+    ~days:(days +. 0.5) world checkers;
   let c = Zmail.World.counters world in
   let audits = Zmail.World.audit_results_timed world in
   let first_flagged =
@@ -177,7 +110,7 @@ let run_scale ?tracer ?(persist = Checkpoint.none) ~seed ~n_isps ~users_per_isp
     false_accusations;
     minted = Zmail.World.cheat_minted world;
     residue = Zmail.World.epenny_residue world;
-    events = Sim.Engine.events_fired engine;
+    events = Sim.Engine.events_fired (Zmail.World.engine world);
     metrics = Obs.Metrics.to_table (Zmail.World.metrics world);
   }
 

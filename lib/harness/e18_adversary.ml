@@ -22,31 +22,8 @@
    Unlike E16/E17 there is no Fake_receives cheater: money is honest
    everywhere and only the *reports* lie. *)
 
-let hour = Sim.Engine.hour
-let day = Sim.Engine.day
-
-let days = 2.0
-let audit_period = 6. *. hour
 let adversary_isp = 2
 let crosscheck_victim = 5
-let generators = 16
-
-type fault_level = { flabel : string; mesh : Sim.Fault.plan; partitioned : bool }
-
-let fault_levels =
-  [
-    { flabel = "calm"; mesh = Sim.Fault.reliable; partitioned = false };
-    {
-      flabel = "lossy";
-      mesh = Sim.Fault.plan ~drop:0.05 ~delay_prob:0.10 ~delay_max:2.0 ();
-      partitioned = false;
-    };
-    {
-      flabel = "partitioned";
-      mesh = Sim.Fault.plan ~drop:0.02 ~delay_prob:0.05 ~delay_max:2.0 ();
-      partitioned = true;
-    };
-  ]
 
 let adversaries =
   [
@@ -56,255 +33,126 @@ let adversaries =
     Some (Zmail.Adversary.Drop_crosscheck crosscheck_victim);
   ]
 
-(* Two windows, both covering audit rounds (audits fire every 6 h =
-   0.25 d): the long one spans the 0.5 d and 0.75 d rounds — two
-   consecutive quorum rounds, so the carry matrix accumulates across a
-   multi-round lag — and the short one re-severs around the 1.5 d
-   round after a healed interval.  Group 1 is the adversary's side of
-   the split (with one honest companion, ISP 3); the bank and everyone
-   else stay in group 0. *)
-let partition_windows ~n_isps =
-  let groups = Array.make (n_isps + 1) 0 in
-  groups.(adversary_isp) <- 1;
-  groups.(3) <- 1;
-  [
-    Sim.Fault.Mesh.partition ~start:(0.3 *. day) ~stop:(0.95 *. day) ~groups;
-    Sim.Fault.Mesh.partition ~start:(1.45 *. day) ~stop:(1.55 *. day) ~groups;
-  ]
-
-type outcome = {
-  attempts : int;
-  paid : int;
-  delivered : int;
-  bounced : int;
-  refunds : int;
-  partition_dropped : int;
-  link_dropped : int;
-  audits : int;
-  deferred_rounds : int;
-  absences : int;  (* Σ |absent| over completed rounds *)
-  adv_implicated : float option;
-  adv_convicted : float option;
-  honest_convicted : int;  (* false accusations; must be 0 *)
-  honest_implicated : int;  (* investigation leads: allowed, reported *)
-  tampered : int;
-  residue : int;
-  metrics : Sim.Table.t;
-}
-
-(* Strict-majority convictions recomputed from the raw violation list:
-   an ISP is convicted when it violates with strictly more than half
-   of the round's *present* peers.  [Bank.audit_result.suspects] falls
-   back to "everyone implicated" when nobody crosses the threshold
-   (investigation leads per §4.4) — for measuring false accusations
-   the two must not be conflated, so E18 applies the majority rule
-   itself and never treats the fallback as a conviction. *)
-let convictions ~compliant (r : Zmail.Bank.audit_result) =
-  let n = Array.length compliant in
-  let present i = compliant.(i) && not (List.mem i r.Zmail.Bank.absent) in
-  let present_count = ref 0 in
-  for i = 0 to n - 1 do
-    if present i then incr present_count
-  done;
-  let counts = Array.make n 0 in
-  List.iter
-    (fun (v : Zmail.Credit.Audit.violation) ->
-      counts.(v.Zmail.Credit.Audit.isp_a) <- counts.(v.Zmail.Credit.Audit.isp_a) + 1;
-      counts.(v.Zmail.Credit.Audit.isp_b) <- counts.(v.Zmail.Credit.Audit.isp_b) + 1)
-    r.Zmail.Bank.violations;
-  let threshold = (!present_count - 1) / 2 in
-  List.filter
-    (fun i -> present i && counts.(i) > threshold)
-    (List.init n (fun i -> i))
-
-let implicated (r : Zmail.Bank.audit_result) =
-  List.concat_map
-    (fun (v : Zmail.Credit.Audit.violation) ->
-      [ v.Zmail.Credit.Audit.isp_a; v.Zmail.Credit.Audit.isp_b ])
-    r.Zmail.Bank.violations
-  |> List.sort_uniq compare
-
-let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
-    ~(fl : fault_level) ~behavior =
-  let world =
-    Zmail.World.create
-      {
-        (Zmail.World.default_config ~n_isps ~users_per_isp) with
-        Zmail.World.seed;
-        audit_period = Some audit_period;
-        retain_mail = false;
-        tracer = Some tracer;
-        mesh_default = fl.mesh;
-        partitions = (if fl.partitioned then partition_windows ~n_isps else []);
-        customize_isp =
-          (fun _ cfg ->
-            let cfg = { cfg with Zmail.Isp.daily_limit = 1_000_000 } in
-            {
-              cfg with
-              Zmail.Isp.initial_avail = 2 * users_per_isp;
-              minavail = users_per_isp;
-              buy_amount = 5 * users_per_isp;
-              maxavail = 20 * users_per_isp;
-            });
-      }
+(* Convictions are the strict majority of present peers, without the
+   bank's ring members: [Bank.audit_result.suspects] falls back to
+   "everyone implicated" when nobody crosses the threshold (§4.4
+   investigation leads), and measuring false accusations must not
+   conflate the two. *)
+let offenders world (r : Zmail.Bank.audit_result) =
+  let present =
+    Array.mapi
+      (fun i c -> c && not (List.mem i r.Zmail.Bank.absent))
+      (Zmail.World.config world).Zmail.World.compliant
   in
+  Audit.Verify.offenders ~present r.Zmail.Bank.violations
+
+(* One cell: its row of the traffic table, its row of the detection
+   table and its metrics. *)
+let run_cell grid ~seed (fault : Cell.fault_level) behavior =
   let adv = Option.map Zmail.Adversary.create behavior in
-  (match adv with
-  | Some adv -> Zmail.World.register_adversary world ~isp:adversary_isp adv
-  | None -> ());
-  (* After register_adversary: the honest mask must already exclude the
-     tampering ISP when the antisymmetry checker subscribes. *)
-  let checkers = Zmail.World.attach_invariants world in
-  let engine = Zmail.World.engine world in
-  let rng = Sim.Engine.rng engine in
-  let universe = n_isps * users_per_isp in
-  let of_global g = (g / users_per_isp, g mod users_per_isp) in
-  let rank = Sim.Dist.zipf ~n:universe ~s:1.1 in
-  let stride =
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let rec find c = if gcd c universe = 1 then c else find (c + 1) in
-    find 97
+  let name =
+    match behavior with Some b -> Zmail.Adversary.name b | None -> "none"
   in
-  let attempts = ref 0 in
-  let paid = ref 0 in
-  let send () =
-    let g = (rank rng - 1) * stride mod universe in
-    let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-    let t = if t >= g then t + 1 else t in
-    incr attempts;
-    match
-      Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) ()
-    with
-    | Zmail.World.Submitted `Paid -> incr paid
-    | Zmail.World.Submitted `Free | Zmail.World.Deferred_snapshot
-    | Zmail.World.Failed_down | Zmail.World.Backpressured
-    | Zmail.World.Rejected _ ->
-        ()
+  let adversaries = if Option.is_none adv then [] else [ adversary_isp ] in
+  (* The tamperer registers before the checkers attach, so the honest
+     mask already excludes it when the antisymmetry checker subscribes. *)
+  let cell =
+    Cell.run grid ~seed fault ~label:(name ^ "/" ^ fault.flabel)
+      ?arm:
+        (Option.map
+           (fun adv world ->
+             Zmail.World.register_adversary world ~isp:adversary_isp adv)
+           adv)
+      ~convicted:offenders ~adversaries ()
   in
-  let total_sends = universe * sends_per_user in
-  let n_gen = Stdlib.min generators total_sends in
-  let per_gen = total_sends / n_gen in
-  let rate = float_of_int per_gen /. (0.9 *. days *. day) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + if i < total_sends mod n_gen then 1 else 0 in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore
-      (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 13.)
-         (step budget))
-  done;
-  let label =
-    Printf.sprintf "%s/%s"
-      (match behavior with
-      | Some b -> Zmail.Adversary.name b
-      | None -> "none")
-      fl.flabel
-  in
-  (try
-     Checkpoint.drive persist ~label ~world ~days:(days +. 0.5) ();
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E18: checker " ^ Obs.Invariant.name c ^ " never ran");
-      Obs.Invariant.detach c)
-    checkers;
-  let compliant = (Zmail.World.config world).Zmail.World.compliant in
-  let audits = Zmail.World.audit_results_timed world in
+  let world = cell.world in
   let first p =
-    List.find_map (fun (time, r) -> if p r then Some time else None) audits
-  in
-  let adv_implicated =
-    match behavior with
-    | None -> None
-    | Some _ -> first (fun r -> List.mem adversary_isp (implicated r))
-  in
-  let adv_convicted =
-    match behavior with
-    | None -> None
-    | Some _ ->
-        first (fun r -> List.mem adversary_isp (convictions ~compliant r))
-  in
-  let honest_of l = List.filter (fun i -> i <> adversary_isp) l in
-  let honest_convicted =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc + List.length (honest_of (convictions ~compliant r)))
-      0 audits
+    if Option.is_none adv then None
+    else
+      List.find_map
+        (fun (time, r) -> if p r then Some time else None)
+        cell.audits
   in
   let honest_implicated =
     List.fold_left
-      (fun acc (_, r) -> acc + List.length (honest_of (implicated r)))
-      0 audits
+      (fun acc (_, r) ->
+        acc
+        + List.length
+            (List.filter
+               (fun i -> not (List.mem i adversaries))
+               (Zmail.Credit.Audit.implicated r.Zmail.Bank.violations)))
+      0 cell.audits
   in
-  let c = Zmail.World.counters world in
+  let delivered = (Zmail.World.counters world).Zmail.World.ham_delivered in
   let link = Zmail.World.link_stats world in
   let mesh = Zmail.World.mesh world in
-  let mta_bounced =
-    let sum = ref 0 in
-    for i = 0 to n_isps - 1 do
-      sum := !sum + (Smtp.Mta.stats (Zmail.World.mta world i)).Smtp.Mta.bounced
-    done;
-    !sum
+  let bounced =
+    List.init grid.Cell.n_isps (fun i ->
+        (Smtp.Mta.stats (Zmail.World.mta world i)).Smtp.Mta.bounced)
+    |> List.fold_left ( + ) 0
   in
-  {
-    attempts = !attempts;
-    paid = !paid;
-    delivered = c.Zmail.World.ham_delivered;
-    bounced = mta_bounced;
-    refunds = Sim.Stats.Counter.value link.Zmail.World.bounce_refunds;
-    partition_dropped = Sim.Fault.Mesh.partition_dropped mesh;
-    link_dropped = Sim.Fault.Mesh.link_dropped mesh;
-    audits = List.length audits;
-    deferred_rounds = Sim.Stats.Counter.value link.Zmail.World.audits_deferred;
-    absences =
-      List.fold_left
-        (fun acc (_, r) -> acc + List.length r.Zmail.Bank.absent)
-        0 audits;
-    adv_implicated;
-    adv_convicted;
-    honest_convicted;
-    honest_implicated;
-    tampered = (match adv with Some a -> Zmail.Adversary.tampered a | None -> 0);
-    residue = Zmail.World.epenny_residue world;
-    metrics = Obs.Metrics.to_table (Zmail.World.metrics world);
-  }
+  ( [
+      name;
+      fault.flabel;
+      Sim.Table.cell_int cell.attempts;
+      Sim.Table.cell_int cell.paid;
+      Sim.Table.cell_int delivered;
+      Sim.Table.cell_pct (float_of_int delivered /. float_of_int cell.attempts);
+      Sim.Table.cell_int bounced;
+      Sim.Table.cell_int (Sim.Stats.Counter.value link.Zmail.World.bounce_refunds);
+      Sim.Table.cell_int (Sim.Fault.Mesh.link_dropped mesh);
+      Sim.Table.cell_int (Sim.Fault.Mesh.partition_dropped mesh);
+    ],
+    [
+      name;
+      fault.flabel;
+      Sim.Table.cell_int (List.length cell.audits);
+      Sim.Table.cell_int
+        (Sim.Stats.Counter.value link.Zmail.World.audits_deferred);
+      Sim.Table.cell_int
+        (List.fold_left
+           (fun acc (_, r) -> acc + List.length r.Zmail.Bank.absent)
+           0 cell.audits);
+      Sim.Table.cell_int
+        (match adv with Some a -> Zmail.Adversary.tampered a | None -> 0);
+      Cell.day_of
+        (first (fun r ->
+             List.mem adversary_isp
+               (Zmail.Credit.Audit.implicated r.Zmail.Bank.violations)));
+      Cell.day_of (first (fun r -> List.mem adversary_isp (offenders world r)));
+      Sim.Table.cell_int honest_implicated;
+      Sim.Table.cell_int cell.honest_convicted;
+      Sim.Table.cell_int cell.residue;
+      (if cell.residue = 0 then "yes" else "NO");
+    ],
+    Obs.Metrics.to_table (Zmail.World.metrics world) )
 
 let run ?obs ?persist ?(seed = 18) ?(full = false) () =
   let obs = Option.value obs ~default:Obs.Run.none in
-  let persist = Option.value persist ~default:Checkpoint.none in
-  let tracer = Obs.Run.tracer_or obs ~capacity:512 in
-  let n_isps, users_per_isp, sends_per_user =
-    if full then (100, 1000, 3) else (10, 100, 3)
+  let n_isps, users_per_isp = if full then (100, 1000) else (10, 100) in
+  let grid =
+    {
+      Cell.name = "E18";
+      tracer = Obs.Run.tracer_or obs ~capacity:512;
+      persist = Option.value persist ~default:Checkpoint.none;
+      n_isps;
+      users_per_isp;
+      sends_per_user = 3;
+      (* The adversary's side of the split, with one honest companion. *)
+      severed = [ adversary_isp; 3 ];
+    }
   in
   let cells =
     List.concat_map
-      (fun behavior -> List.map (fun fl -> (behavior, fl)) fault_levels)
+      (fun behavior ->
+        List.map (fun fault -> (behavior, fault))
+          [ Cell.calm; Cell.lossy; Cell.partitioned ])
       adversaries
   in
-  let outcomes =
+  let results =
     List.mapi
-      (fun k (behavior, fl) ->
-        ( behavior,
-          fl,
-          run_cell ~tracer ~persist ~seed:(seed + k) ~n_isps ~users_per_isp
-            ~sends_per_user ~fl ~behavior ))
+      (fun k (behavior, fault) -> run_cell grid ~seed:(seed + k) fault behavior)
       cells
-  in
-  let day_of = function
-    | Some time -> Printf.sprintf "day %.2f" (time /. day)
-    | None -> "never"
   in
   let traffic =
     Sim.Table.create
@@ -313,7 +161,9 @@ let run ?obs ?persist ?(seed = 18) ?(full = false) () =
            "E18 (adversarial robustness): goodput and refunds under mesh \
             chaos (%d ISPs x %d users, %.0f days, audits every %g h, \
             adversary = ISP %d tampering its audit reports)"
-           n_isps users_per_isp days (audit_period /. hour) adversary_isp)
+           n_isps users_per_isp Cell.days
+           (Cell.audit_period /. Sim.Engine.hour)
+           adversary_isp)
       ~columns:
         [
           "adversary";
@@ -328,25 +178,6 @@ let run ?obs ?persist ?(seed = 18) ?(full = false) () =
           "partition drops";
         ]
   in
-  List.iter
-    (fun (behavior, fl, o) ->
-      Sim.Table.add_row traffic
-        [
-          (match behavior with
-          | Some b -> Zmail.Adversary.name b
-          | None -> "none");
-          fl.flabel;
-          Sim.Table.cell_int o.attempts;
-          Sim.Table.cell_int o.paid;
-          Sim.Table.cell_int o.delivered;
-          Sim.Table.cell_pct
-            (float_of_int o.delivered /. float_of_int o.attempts);
-          Sim.Table.cell_int o.bounced;
-          Sim.Table.cell_int o.refunds;
-          Sim.Table.cell_int o.link_dropped;
-          Sim.Table.cell_int o.partition_dropped;
-        ])
-    outcomes;
   let detection =
     Sim.Table.create
       ~title:
@@ -371,27 +202,8 @@ let run ?obs ?persist ?(seed = 18) ?(full = false) () =
         ]
   in
   List.iter
-    (fun (behavior, fl, o) ->
-      Sim.Table.add_row detection
-        [
-          (match behavior with
-          | Some b -> Zmail.Adversary.name b
-          | None -> "none");
-          fl.flabel;
-          Sim.Table.cell_int o.audits;
-          Sim.Table.cell_int o.deferred_rounds;
-          Sim.Table.cell_int o.absences;
-          Sim.Table.cell_int o.tampered;
-          day_of o.adv_implicated;
-          day_of o.adv_convicted;
-          Sim.Table.cell_int o.honest_implicated;
-          Sim.Table.cell_int o.honest_convicted;
-          Sim.Table.cell_int o.residue;
-          (if o.residue = 0 then "yes" else "NO");
-        ])
-    outcomes;
-  if obs.Obs.Run.metrics then
-    match List.rev outcomes with
-    | (_, _, last) :: _ -> [ traffic; detection; last.metrics ]
-    | [] -> [ traffic; detection ]
-  else [ traffic; detection ]
+    (fun (t, d, _) ->
+      Sim.Table.add_row traffic t;
+      Sim.Table.add_row detection d)
+    results;
+  Cell.tables obs [ traffic; detection ] (List.map (fun (_, _, m) -> m) results)

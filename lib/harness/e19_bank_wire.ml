@@ -34,29 +34,9 @@ let day = Sim.Engine.day
 (* Part 1: bank-wire adversary x fault-level grid                      *)
 (* ------------------------------------------------------------------ *)
 
-let days = 2.0
-let audit_period = 6. *. hour
 let tapped_isp = 2
-let generators = 16
 
 module BW = Zmail.Adversary.Bank_wire
-
-type fault_level = { flabel : string; mesh : Sim.Fault.plan; partitioned : bool }
-
-let fault_levels =
-  [
-    { flabel = "calm"; mesh = Sim.Fault.reliable; partitioned = false };
-    {
-      flabel = "lossy";
-      mesh = Sim.Fault.plan ~drop:0.05 ~delay_prob:0.10 ~delay_max:2.0 ();
-      partitioned = false;
-    };
-    {
-      flabel = "partitioned";
-      mesh = Sim.Fault.plan ~drop:0.02 ~delay_prob:0.05 ~delay_max:2.0 ();
-      partitioned = true;
-    };
-  ]
 
 let wire_adversaries =
   [
@@ -68,215 +48,113 @@ let wire_adversaries =
     Some (BW.Drop_selective (BW.Audit_reply_msg, 0.5));
   ]
 
-(* Same shape as E18's windows: the tapped ISP's side of the split
-   (with one honest companion) is severed from the bank across audit
-   rounds, once for a multi-round stretch and once briefly after a
-   healed interval. *)
-let partition_windows ~n_isps =
-  let groups = Array.make (n_isps + 1) 0 in
-  groups.(tapped_isp) <- 1;
-  groups.(3) <- 1;
-  [
-    Sim.Fault.Mesh.partition ~start:(0.3 *. day) ~stop:(0.95 *. day) ~groups;
-    Sim.Fault.Mesh.partition ~start:(1.45 *. day) ~stop:(1.55 *. day) ~groups;
-  ]
-
-type outcome = {
-  attempts : int;
-  paid : int;
-  delivered : int;
-  buys : int;
-  sells : int;
-  retransmits : int;
-  bank_rejects : int;  (* total ISP-origin messages the bank refused *)
-  rej_unreadable : int;
-  rej_replayed : int;
-  rej_wrong_state : int;
-  tap_forged : int;
-  tap_replayed : int;
-  tap_delayed : int;
-  tap_dropped : int;
-  audits : int;
-  deferred_rounds : int;
-  convicted : int;  (* anyone, any round — everyone is honest, must be 0 *)
-  implicated : int;  (* §4.4 investigation leads, reported not convicted *)
-  residue : int;
-  metrics : Sim.Table.t;
-}
-
 let reject_count stats reason =
   match List.assoc_opt reason stats.Zmail.Bank.rejects with
   | Some n -> n
   | None -> 0
 
-let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
-    ~(fl : fault_level) ~behavior =
-  let world =
-    Zmail.World.create
-      {
-        (Zmail.World.default_config ~n_isps ~users_per_isp) with
-        Zmail.World.seed;
-        audit_period = Some audit_period;
-        retain_mail = false;
-        tracer = Some tracer;
-        mesh_default = fl.mesh;
-        partitions = (if fl.partitioned then partition_windows ~n_isps else []);
-        bank_wire =
-          (match behavior with Some b -> [ (tapped_isp, b) ] | None -> []);
-        customize_isp =
-          (fun i cfg ->
-            let cfg = { cfg with Zmail.Isp.daily_limit = 1_000_000 } in
-            {
-              cfg with
-              Zmail.Isp.initial_avail = 2 * users_per_isp;
-              minavail = users_per_isp;
-              (* The tapped ISP refills in small slices so the bulk
-                 blast below drives a steady stream of buy_msgs through
-                 the tap instead of one big one. *)
-              buy_amount =
-                (if i = tapped_isp then users_per_isp else 5 * users_per_isp);
-              maxavail = 20 * users_per_isp;
-            });
-      }
-  in
-  (* No [register_adversary]: the tap owns the wire, not the books, so
-     every ISP stays in the honest mask and the antisymmetry checker
-     covers all of them. *)
-  let checkers = Zmail.World.attach_invariants world in
+(* A finite bulk blast from the tapped ISP, rotated over ten of its
+   users: their auto-topups drain the ISP pool across [minavail], so
+   the pool issues a steady stream of real buy_msgs for the tap to
+   forge, replay or drop — without it the tapped link carries almost
+   nothing but audit replies.  Finite budget, so the run still
+   quiesces. *)
+let blast world =
+  let cfg = Zmail.World.config world in
+  let users_per_isp = cfg.Zmail.World.users_per_isp in
+  let universe = cfg.Zmail.World.n_isps * users_per_isp in
   let engine = Zmail.World.engine world in
   let rng = Sim.Engine.rng engine in
-  let universe = n_isps * users_per_isp in
-  let of_global g = (g / users_per_isp, g mod users_per_isp) in
-  let rank = Sim.Dist.zipf ~n:universe ~s:1.1 in
-  let stride =
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let rec find c = if gcd c universe = 1 then c else find (c + 1) in
-    find 97
-  in
-  let attempts = ref 0 in
-  let paid = ref 0 in
-  let send () =
-    let g = (rank rng - 1) * stride mod universe in
-    let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-    let t = if t >= g then t + 1 else t in
-    incr attempts;
-    match
-      Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) ()
-    with
-    | Zmail.World.Submitted `Paid -> incr paid
-    | Zmail.World.Submitted `Free | Zmail.World.Deferred_snapshot
-    | Zmail.World.Failed_down | Zmail.World.Backpressured
-    | Zmail.World.Rejected _ ->
-        ()
-  in
-  let total_sends = universe * sends_per_user in
-  let n_gen = Stdlib.min generators total_sends in
-  let per_gen = total_sends / n_gen in
-  let rate = float_of_int per_gen /. (0.9 *. days *. day) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + if i < total_sends mod n_gen then 1 else 0 in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore
-      (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 13.)
-         (step budget))
-  done;
-  (* A finite bulk blast from the tapped ISP, rotated over ten of its
-     users: their auto-topups drain the ISP pool across [minavail], so
-     the pool issues a steady stream of real buy_msgs for the tap to
-     forge, replay or drop — without it the tapped link carries almost
-     nothing but audit replies.  Finite budget, so the run still
-     quiesces. *)
-  let blast_budget = 20 * users_per_isp in
-  let blast_users = Stdlib.min 10 users_per_isp in
-  let blast_rate = float_of_int blast_budget /. (0.8 *. days *. day) in
-  let rec blast remaining () =
+  let budget = 20 * users_per_isp in
+  let users = Stdlib.min 10 users_per_isp in
+  let rate = float_of_int budget /. (0.8 *. Cell.days *. day) in
+  let rec go remaining () =
     if remaining > 0 then begin
-      let u = remaining mod blast_users in
+      let u = remaining mod users in
       let self = (tapped_isp * users_per_isp) + u in
       let tgt = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
       let tgt = if tgt >= self then tgt + 1 else tgt in
       ignore
         (Zmail.World.send_email world ~from:(tapped_isp, u)
-           ~to_:(of_global tgt) ~spam:true ());
+           ~to_:(tgt / users_per_isp, tgt mod users_per_isp)
+           ~spam:true ());
       ignore
         (Sim.Engine.schedule_after engine
-           ~delay:(Sim.Dist.exponential rng ~rate:blast_rate)
-           (blast (remaining - 1)))
+           ~delay:(Sim.Dist.exponential rng ~rate)
+           (go (remaining - 1)))
     end
   in
-  ignore (Sim.Engine.schedule_after engine ~delay:7. (blast blast_budget));
-  let label =
-    Printf.sprintf "%s/%s"
-      (match behavior with Some b -> BW.name b | None -> "none")
-      fl.flabel
+  ignore (Sim.Engine.schedule_after engine ~delay:7. (go budget))
+
+(* One cell: its traffic row, its detection row and its metrics.  No
+   [register_adversary]: the tap owns the wire, not the books, so every
+   ISP stays in the honest mask, the antisymmetry checker covers all of
+   them, and any conviction at all fails the cell. *)
+let run_cell grid ~seed (fault : Cell.fault_level) behavior =
+  let name = match behavior with Some b -> BW.name b | None -> "none" in
+  let users_per_isp = grid.Cell.users_per_isp in
+  let cell =
+    Cell.run grid ~seed fault ~label:(name ^ "/" ^ fault.flabel)
+      ~configure:(fun cfg ->
+        {
+          cfg with
+          Zmail.World.bank_wire =
+            (match behavior with Some b -> [ (tapped_isp, b) ] | None -> []);
+          (* The tapped ISP refills in small slices so the blast drives
+             a steady stream of buy_msgs through the tap instead of one
+             big one. *)
+          customize_isp =
+            (fun i isp ->
+              let isp = cfg.Zmail.World.customize_isp i isp in
+              if i = tapped_isp then { isp with Zmail.Isp.buy_amount = users_per_isp }
+              else isp);
+        })
+      ~traffic:blast ()
   in
-  (try
-     Checkpoint.drive persist ~label ~world ~days:(days +. 0.5) ();
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E19: checker " ^ Obs.Invariant.name c ^ " never ran");
-      Obs.Invariant.detach c)
-    checkers;
-  (* The bank's convictions are strict-majority offenders plus ring
-     members; everyone it merely implicates is §4.4 investigation. *)
-  let audits = Zmail.World.audit_results world in
-  let count f = List.fold_left (fun acc r -> acc + List.length (f r)) 0 audits in
-  let convicted = count (fun r -> r.Zmail.Bank.convicted) in
-  let implicated = count (fun r -> Zmail.Credit.Audit.implicated r.Zmail.Bank.violations) in
-  let residue = Zmail.World.epenny_residue world in
-  if convicted > 0 then
-    failwith
-      (Printf.sprintf
-         "E19 cell %s: %d convictions of honest ISPs — the wire adversary \
-          must never get anyone convicted"
-         label convicted);
-  if residue <> 0 then
-    failwith
-      (Printf.sprintf "E19 cell %s: e-penny residue %d at quiescence" label
-         residue);
-  let c = Zmail.World.counters world in
+  let world = cell.world in
+  let delivered = (Zmail.World.counters world).Zmail.World.ham_delivered in
   let link = Zmail.World.link_stats world in
   let bstats = Zmail.Bank.stats (Zmail.World.bank world) in
-  let tap =
-    match Zmail.World.bank_wire_taps world with (_, t) :: _ -> Some t | [] -> None
+  let tap f =
+    match Zmail.World.bank_wire_taps world with
+    | (_, t) :: _ -> Sim.Table.cell_int (f t)
+    | [] -> "0"
   in
-  let tap_count f = match tap with Some t -> f t | None -> 0 in
-  {
-    attempts = !attempts;
-    paid = !paid;
-    delivered = c.Zmail.World.ham_delivered;
-    buys = bstats.Zmail.Bank.buys;
-    sells = bstats.Zmail.Bank.sells;
-    retransmits = Sim.Stats.Counter.value link.Zmail.World.retransmits;
-    bank_rejects = Sim.Stats.Counter.value link.Zmail.World.bank_rejects;
-    rej_unreadable = reject_count bstats Zmail.Bank.Unreadable;
-    rej_replayed = reject_count bstats Zmail.Bank.Replayed;
-    rej_wrong_state = reject_count bstats Zmail.Bank.Wrong_state;
-    tap_forged = tap_count BW.forged;
-    tap_replayed = tap_count BW.replayed;
-    tap_delayed = tap_count BW.delayed;
-    tap_dropped = tap_count BW.dropped;
-    audits = List.length audits;
-    deferred_rounds = Sim.Stats.Counter.value link.Zmail.World.audits_deferred;
-    convicted;
-    implicated;
-    residue;
-    metrics = Obs.Metrics.to_table (Zmail.World.metrics world);
-  }
+  let implicated =
+    List.fold_left
+      (fun acc (_, r) ->
+        acc + List.length (Zmail.Credit.Audit.implicated r.Zmail.Bank.violations))
+      0 cell.audits
+  in
+  ( [
+      name;
+      fault.flabel;
+      Sim.Table.cell_int cell.attempts;
+      Sim.Table.cell_int cell.paid;
+      Sim.Table.cell_int delivered;
+      Sim.Table.cell_pct (float_of_int delivered /. float_of_int cell.attempts);
+      Sim.Table.cell_int bstats.Zmail.Bank.buys;
+      Sim.Table.cell_int bstats.Zmail.Bank.sells;
+      Sim.Table.cell_int (Sim.Stats.Counter.value link.Zmail.World.retransmits);
+      Sim.Table.cell_int (Sim.Stats.Counter.value link.Zmail.World.bank_rejects);
+      Sim.Table.cell_int (List.length cell.audits);
+      Sim.Table.cell_int (Sim.Stats.Counter.value link.Zmail.World.audits_deferred);
+    ],
+    [
+      name;
+      fault.flabel;
+      tap BW.forged;
+      tap BW.replayed;
+      tap BW.delayed;
+      tap BW.dropped;
+      Sim.Table.cell_int (reject_count bstats Zmail.Bank.Unreadable);
+      Sim.Table.cell_int (reject_count bstats Zmail.Bank.Replayed);
+      Sim.Table.cell_int (reject_count bstats Zmail.Bank.Wrong_state);
+      Sim.Table.cell_int implicated;
+      Sim.Table.cell_int cell.honest_convicted;
+      Sim.Table.cell_int cell.residue;
+    ],
+    Obs.Metrics.to_table (Zmail.World.metrics world) )
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: Byzantine member banks clearing over a chaotic mesh         *)
@@ -380,11 +258,7 @@ let run_fed_cell ~seed ~n_banks ~(chaos : chaos) ~behavior_name ~behavior =
   Zmail.World.run_until_quiet world;
   check_money ();
   Zmail.World.check_invariants ~quiescent:true world;
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then fail "checker %s never ran" (Obs.Invariant.name c);
-      Obs.Invariant.detach c)
-    checkers;
+  Cell.detach ~name:("E19 federation cell " ^ label) checkers;
   let end_carry = Zmail.Clearing.pending_amount clr in
   if end_carry <> 0 then fail "%d pennies of carry never drained" end_carry;
   let excluded = List.map fst !flagged in
@@ -450,26 +324,31 @@ let run_fed_cell ~seed ~n_banks ~(chaos : chaos) ~behavior_name ~behavior =
 
 let run ?obs ?persist ?(seed = 19) ?(full = false) () =
   let obs = Option.value obs ~default:Obs.Run.none in
-  let persist = Option.value persist ~default:Checkpoint.none in
-  let tracer = Obs.Run.tracer_or obs ~capacity:512 in
-  let n_isps, users_per_isp, sends_per_user =
-    if full then (100, 1000, 3) else (10, 100, 3)
+  let n_isps, users_per_isp = if full then (100, 1000) else (10, 100) in
+  let grid =
+    {
+      Cell.name = "E19";
+      tracer = Obs.Run.tracer_or obs ~capacity:512;
+      persist = Option.value persist ~default:Checkpoint.none;
+      n_isps;
+      users_per_isp;
+      sends_per_user = 3;
+      (* The tapped ISP's side of the split, with one honest companion. *)
+      severed = [ tapped_isp; 3 ];
+    }
   in
   let cells =
     List.concat_map
-      (fun behavior -> List.map (fun fl -> (behavior, fl)) fault_levels)
+      (fun behavior ->
+        List.map (fun fault -> (behavior, fault))
+          [ Cell.calm; Cell.lossy; Cell.partitioned ])
       wire_adversaries
   in
-  let outcomes =
+  let results =
     List.mapi
-      (fun k (behavior, fl) ->
-        ( behavior,
-          fl,
-          run_cell ~tracer ~persist ~seed:(seed + k) ~n_isps ~users_per_isp
-            ~sends_per_user ~fl ~behavior ))
+      (fun k (behavior, fault) -> run_cell grid ~seed:(seed + k) fault behavior)
       cells
   in
-  let adv_name = function Some b -> BW.name b | None -> "none" in
   let traffic =
     Sim.Table.create
       ~title:
@@ -477,7 +356,8 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
            "E19 (Byzantine bank wire): goodput under a tapped ISP%d-bank \
             link (%d ISPs x %d users, %.0f days, audits every %g h; every \
             ISP honest)"
-           tapped_isp n_isps users_per_isp days (audit_period /. hour))
+           tapped_isp n_isps users_per_isp Cell.days
+           (Cell.audit_period /. hour))
       ~columns:
         [
           "adversary";
@@ -494,24 +374,6 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
           "deferred";
         ]
   in
-  List.iter
-    (fun (behavior, fl, o) ->
-      Sim.Table.add_row traffic
-        [
-          adv_name behavior;
-          fl.flabel;
-          Sim.Table.cell_int o.attempts;
-          Sim.Table.cell_int o.paid;
-          Sim.Table.cell_int o.delivered;
-          Sim.Table.cell_pct (float_of_int o.delivered /. float_of_int o.attempts);
-          Sim.Table.cell_int o.buys;
-          Sim.Table.cell_int o.sells;
-          Sim.Table.cell_int o.retransmits;
-          Sim.Table.cell_int o.bank_rejects;
-          Sim.Table.cell_int o.audits;
-          Sim.Table.cell_int o.deferred_rounds;
-        ])
-    outcomes;
   let detection =
     Sim.Table.create
       ~title:
@@ -536,23 +398,10 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
         ]
   in
   List.iter
-    (fun (behavior, fl, o) ->
-      Sim.Table.add_row detection
-        [
-          adv_name behavior;
-          fl.flabel;
-          Sim.Table.cell_int o.tap_forged;
-          Sim.Table.cell_int o.tap_replayed;
-          Sim.Table.cell_int o.tap_delayed;
-          Sim.Table.cell_int o.tap_dropped;
-          Sim.Table.cell_int o.rej_unreadable;
-          Sim.Table.cell_int o.rej_replayed;
-          Sim.Table.cell_int o.rej_wrong_state;
-          Sim.Table.cell_int o.implicated;
-          Sim.Table.cell_int o.convicted;
-          Sim.Table.cell_int o.residue;
-        ])
-    outcomes;
+    (fun (t, d, _) ->
+      Sim.Table.add_row traffic t;
+      Sim.Table.add_row detection d)
+    results;
   let n_banks = if full then 16 else 4 in
   let fed_cells =
     List.concat_map
@@ -594,8 +443,5 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
         :: run_fed_cell ~seed:(seed + 1000 + k) ~n_banks ~chaos ~behavior_name:name
              ~behavior))
     fed_cells;
-  if obs.Obs.Run.metrics then
-    match List.rev outcomes with
-    | (_, _, last) :: _ -> [ traffic; detection; federation; last.metrics ]
-    | [] -> [ traffic; detection; federation ]
-  else [ traffic; detection; federation ]
+  Cell.tables obs [ traffic; detection; federation ]
+    (List.map (fun (_, _, m) -> m) results)

@@ -56,25 +56,10 @@ let loads ~full =
   [ ("0.3x", 9.); ("0.6x", 18.); ("0.9x", 27.); ("1.2x", 36.) ]
   @ if full then [ ("1.5x", 45.) ] else []
 
-type class_stat = { count : int; p50 : float; p99 : float; p999 : float }
+let fmt_q s = if Float.is_nan s then "-" else Printf.sprintf "%.3f" s
 
-type outcome = {
-  load : string;
-  rate : float;
-  chaos : bool;
-  attempts : int;
-  paid : int;
-  free : int;
-  backpressured : int;
-  blocked : int;
-  deferred : int;
-  sessions : int;
-  delivered : int;
-  classes : (Serve.Slo.klass * class_stat) list;
-  residue : int;
-  metrics : Sim.Table.t;
-}
-
+(* One cell: its admission row, its per-class latency rows and its
+   metrics. *)
 let run_cell ~tracer ~persist ~seed ~label ~rate ~chaos =
   let compliant = Array.init n_isps (fun i -> i <> noncompliant) in
   let world =
@@ -107,8 +92,7 @@ let run_cell ~tracer ~persist ~seed ~label ~rate ~chaos =
       }
   in
   let checkers = Zmail.World.attach_invariants world in
-  let engine = Zmail.World.engine world in
-  let rng = Sim.Engine.rng engine in
+  let rng = Sim.Engine.rng (Zmail.World.engine world) in
   let universe = n_isps * users_per_isp in
   let of_global g = (g / users_per_isp, g mod users_per_isp) in
   let attempts = ref 0 in
@@ -116,55 +100,24 @@ let run_cell ~tracer ~persist ~seed ~label ~rate ~chaos =
   let free = ref 0 in
   let backpressured = ref 0 in
   let blocked = ref 0 in
-  let send () =
-    let g = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 1) in
-    let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-    let t = if t >= g then t + 1 else t in
-    incr attempts;
-    match Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) () with
-    | Zmail.World.Submitted `Paid -> incr paid
-    | Zmail.World.Submitted `Free -> incr free
-    | Zmail.World.Backpressured -> incr backpressured
-    | Zmail.World.Rejected _ -> incr blocked
-    | Zmail.World.Deferred_snapshot | Zmail.World.Failed_down -> ()
-  in
   (* A fixed budget (deterministic cell size) offered over the first
-     90% of [duration] by self-rescheduling Poisson generators — the
-     same heap-flat shape as E17's workload. *)
-  let total_sends = int_of_float (rate *. duration) in
-  let n_gen = Stdlib.min generators total_sends in
-  let per_gen = total_sends / n_gen in
-  let gen_rate = float_of_int per_gen /. (0.9 *. duration) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + (if i < total_sends mod n_gen then 1 else 0) in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate:gen_rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore
-      (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 0.37)
-         (step budget))
-  done;
-  (try
-     Checkpoint.drive persist ~label ~world ~days:(duration /. day) ();
-     (* Drain: in-flight sessions, backoff chains and bounce refunds
-        all settle before anything is measured. *)
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E20: checker " ^ Obs.Invariant.name c ^ " never ran");
-      Obs.Invariant.detach c)
-    checkers;
+     90% of [duration] by uniform senders. *)
+  Cell.fleet (Zmail.World.engine world) ~generators
+    ~total:(int_of_float (rate *. duration)) ~span:duration ~spacing:0.37
+    (fun () ->
+      let g = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 1) in
+      let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
+      let t = if t >= g then t + 1 else t in
+      incr attempts;
+      match Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) () with
+      | Zmail.World.Submitted `Paid -> incr paid
+      | Zmail.World.Submitted `Free -> incr free
+      | Zmail.World.Backpressured -> incr backpressured
+      | Zmail.World.Rejected _ -> incr blocked
+      | Zmail.World.Deferred_snapshot | Zmail.World.Failed_down -> ());
+  (* Drain: in-flight sessions, backoff chains and bounce refunds all
+     settle before anything is measured. *)
+  Cell.finish ~name:"E20" ~persist ~label ~days:(duration /. day) world checkers;
   let dispatch =
     match Zmail.World.serve world with
     | Some d -> d
@@ -177,37 +130,41 @@ let run_cell ~tracer ~persist ~seed ~label ~rate ~chaos =
       (Printf.sprintf "E20: cell %s%s leaked %d e-pennies" label
          (if chaos then " (chaos)" else "")
          residue);
-  let c = Zmail.World.counters world in
-  {
-    load = label;
-    rate;
-    chaos;
-    attempts = !attempts;
-    paid = !paid;
-    free = !free;
-    backpressured = !backpressured;
-    blocked = !blocked;
-    deferred = Serve.Dispatch.deferred dispatch;
-    sessions = Serve.Dispatch.sessions_started dispatch;
-    delivered = c.Zmail.World.ham_delivered;
-    classes =
-      List.map
-        (fun k ->
-          ( k,
-            {
-              count = Serve.Slo.count slo k;
-              p50 = Serve.Slo.quantile slo k 0.5;
-              p99 = Serve.Slo.quantile slo k 0.99;
-              p999 = Serve.Slo.quantile slo k 0.999;
-            } ))
-        Serve.Slo.classes;
-    residue;
-    metrics = Obs.Metrics.to_table (Zmail.World.metrics world);
-  }
+  let mesh = if chaos then "chaos" else "calm" in
+  let n = Sim.Table.cell_int in
+  ( [
+      label;
+      mesh;
+      n !attempts;
+      n !paid;
+      n !free;
+      n !backpressured;
+      n !blocked;
+      n (Serve.Dispatch.deferred dispatch);
+      n (Serve.Dispatch.sessions_started dispatch);
+      n (Zmail.World.counters world).Zmail.World.ham_delivered;
+      n (Serve.Slo.count slo Serve.Slo.Bounced);
+      n residue;
+    ],
+    List.filter_map
+      (fun k ->
+        let count = Serve.Slo.count slo k in
+        if count = 0 then None
+        else
+          Some
+            [
+              label;
+              mesh;
+              Serve.Slo.klass_name k;
+              n count;
+              fmt_q (Serve.Slo.quantile slo k 0.5);
+              fmt_q (Serve.Slo.quantile slo k 0.99);
+              fmt_q (Serve.Slo.quantile slo k 0.999);
+            ])
+      Serve.Slo.classes,
+    Obs.Metrics.to_table (Zmail.World.metrics world) )
 
 let cell_label ~load ~chaos = load ^ if chaos then "/chaos" else "/calm"
-
-let fmt_q s = if Float.is_nan s then "-" else Printf.sprintf "%.3f" s
 
 let run ?obs ?persist ?(seed = 20) ?(full = false) () =
   let obs = Option.value obs ~default:Obs.Run.none in
@@ -218,7 +175,7 @@ let run ?obs ?persist ?(seed = 20) ?(full = false) () =
       (fun chaos -> List.map (fun l -> (l, chaos)) (loads ~full))
       [ false; true ]
   in
-  let outcomes =
+  let results =
     List.mapi
       (fun k ((load, rate), chaos) ->
         run_cell ~tracer ~persist ~seed:(seed + k)
@@ -250,27 +207,6 @@ let run ?obs ?persist ?(seed = 20) ?(full = false) () =
           "residue";
         ]
   in
-  List.iter
-    (fun o ->
-      Sim.Table.add_row summary
-        [
-          o.load;
-          (if o.chaos then "chaos" else "calm");
-          Sim.Table.cell_int o.attempts;
-          Sim.Table.cell_int o.paid;
-          Sim.Table.cell_int o.free;
-          Sim.Table.cell_int o.backpressured;
-          Sim.Table.cell_int o.blocked;
-          Sim.Table.cell_int o.deferred;
-          Sim.Table.cell_int o.sessions;
-          Sim.Table.cell_int o.delivered;
-          Sim.Table.cell_int
-            (match List.assoc_opt Serve.Slo.Bounced o.classes with
-            | Some s -> s.count
-            | None -> 0);
-          Sim.Table.cell_int o.residue;
-        ])
-    outcomes;
   let latency =
     Sim.Table.create
       ~title:
@@ -279,24 +215,8 @@ let run ?obs ?persist ?(seed = 20) ?(full = false) () =
       ~columns:[ "load"; "mesh"; "class"; "count"; "p50"; "p99"; "p999" ]
   in
   List.iter
-    (fun o ->
-      List.iter
-        (fun (k, s) ->
-          if s.count > 0 then
-            Sim.Table.add_row latency
-              [
-                o.load;
-                (if o.chaos then "chaos" else "calm");
-                Serve.Slo.klass_name k;
-                Sim.Table.cell_int s.count;
-                fmt_q s.p50;
-                fmt_q s.p99;
-                fmt_q s.p999;
-              ])
-        o.classes)
-    outcomes;
-  if obs.Obs.Run.metrics then
-    match List.rev outcomes with
-    | last :: _ -> [ summary; latency; last.metrics ]
-    | [] -> [ summary; latency ]
-  else [ summary; latency ]
+    (fun (row, rows, _) ->
+      Sim.Table.add_row summary row;
+      List.iter (Sim.Table.add_row latency) rows)
+    results;
+  Cell.tables obs [ summary; latency ] (List.map (fun (_, _, m) -> m) results)

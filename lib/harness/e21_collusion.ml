@@ -26,13 +26,6 @@
    Under --full the grid also rises to 10^4 ISPs — feasible only on the
    sparse representation; dense rows alone would need ~800 MB. *)
 
-let hour = Sim.Engine.hour
-let day = Sim.Engine.day
-
-let days = 2.0
-let audit_period = 6. *. hour
-let generators = 16
-
 (* A collusion plan: which ISPs tamper, whom they frame, and the
    per-member behaviors from the {!Zmail.Adversary} plan builders. *)
 type plan = {
@@ -65,295 +58,134 @@ let ring_plan k =
     assignments = Zmail.Adversary.collusion_ring ~members ~victims ~delta:2 ();
   }
 
-type fault_level = { flabel : string; mesh : Sim.Fault.plan; partitioned : bool }
-
-let fault_levels =
-  [
-    { flabel = "calm"; mesh = Sim.Fault.reliable; partitioned = false };
-    {
-      flabel = "partitioned";
-      mesh = Sim.Fault.plan ~drop:0.02 ~delay_prob:0.05 ~delay_max:2.0 ();
-      partitioned = true;
-    };
-  ]
-
-(* Same window shape as E18: coalition member 2 (every plan includes
-   it) and an honest companion are severed from the bank across the
-   0.5 d and 0.75 d audit rounds, then briefly again around 1.5 d.
-   The member's tampered row only reaches the bank after the heal, so
-   ring conviction must ride the carry-matrix reconciliation. *)
-let partition_windows ~n_isps =
-  let groups = Array.make (n_isps + 1) 0 in
-  groups.(2) <- 1;
-  groups.(3) <- 1;
-  [
-    Sim.Fault.Mesh.partition ~start:(0.3 *. day) ~stop:(0.95 *. day) ~groups;
-    Sim.Fault.Mesh.partition ~start:(1.45 *. day) ~stop:(1.55 *. day) ~groups;
-  ]
-
-type outcome = {
-  attempts : int;
-  paid : int;
-  delivered : int;
-  audits : int;
-  deferred_rounds : int;
-  absences : int;
-  rings_found : int;
-  ring_volume : int;
-  first_ring : float option;  (* first round with any ring conviction *)
-  all_convicted : float option;  (* first round convicting every member *)
-  post_heal : float option;
-      (* first full-coalition conviction after the first partition
-         window heals — the round whose verification leans on the
-         carry matrix for the severed member's late report *)
-  victims_cleared : int;  (* Σ |cleared ∩ victims| over rounds *)
-  honest_convicted : int;  (* must be 0 in every cell *)
-  tampered : int;
-  residue : int;
-  metrics : Sim.Table.t;
-}
-
-let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
-    ~(fl : fault_level) ~(plan : plan) =
-  let world =
-    Zmail.World.create
-      {
-        (Zmail.World.default_config ~n_isps ~users_per_isp) with
-        Zmail.World.seed;
-        audit_period = Some audit_period;
-        retain_mail = false;
-        tracer = Some tracer;
-        mesh_default = fl.mesh;
-        partitions = (if fl.partitioned then partition_windows ~n_isps else []);
-        customize_isp =
-          (fun _ cfg ->
-            let cfg = { cfg with Zmail.Isp.daily_limit = 1_000_000 } in
-            {
-              cfg with
-              Zmail.Isp.initial_avail = 2 * users_per_isp;
-              minavail = users_per_isp;
-              buy_amount = 5 * users_per_isp;
-              maxavail = 20 * users_per_isp;
-            });
-      }
-  in
+(* One cell: its detection row (labelled [label]) and its metrics. *)
+let run_cell grid ~seed (fault : Cell.fault_level) ~label (plan : plan) =
   let advs =
     List.map
-      (fun (isp, behavior) ->
-        let adv = Zmail.Adversary.create behavior in
-        Zmail.World.register_adversary world ~isp adv;
-        adv)
+      (fun (isp, behavior) -> (isp, Zmail.Adversary.create behavior))
       plan.assignments
   in
-  (* After register_adversary: the honest mask excludes every coalition
-     member before the antisymmetry and cycle-residue checkers
-     subscribe — a victim conviction trips cycle-residue instantly. *)
-  let checkers = Zmail.World.attach_invariants world in
-  let engine = Zmail.World.engine world in
-  let rng = Sim.Engine.rng engine in
-  let universe = n_isps * users_per_isp in
-  let of_global g = (g / users_per_isp, g mod users_per_isp) in
-  let rank = Sim.Dist.zipf ~n:universe ~s:1.1 in
-  let stride =
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let rec find c = if gcd c universe = 1 then c else find (c + 1) in
-    find 97
+  (* The coalition registers before the checkers attach: the honest
+     mask excludes every member before the antisymmetry and
+     cycle-residue checkers subscribe, so a victim conviction trips
+     cycle-residue instantly. *)
+  let cell_label = plan.plabel ^ "/" ^ fault.flabel in
+  let cell =
+    Cell.run grid ~seed fault ~label:cell_label
+      ~arm:(fun world ->
+        List.iter
+          (fun (isp, adv) -> Zmail.World.register_adversary world ~isp adv)
+          advs)
+      ~adversaries:plan.colluders ()
   in
-  let attempts = ref 0 in
-  let paid = ref 0 in
-  let send () =
-    let g = (rank rng - 1) * stride mod universe in
-    let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-    let t = if t >= g then t + 1 else t in
-    incr attempts;
-    match
-      Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) ()
-    with
-    | Zmail.World.Submitted `Paid -> incr paid
-    | Zmail.World.Submitted `Free | Zmail.World.Deferred_snapshot
-    | Zmail.World.Failed_down | Zmail.World.Backpressured
-    | Zmail.World.Rejected _ ->
-        ()
+  let fail fmt =
+    Printf.ksprintf (fun m -> failwith ("E21 " ^ cell_label ^ ": " ^ m)) fmt
   in
-  let total_sends = universe * sends_per_user in
-  let n_gen = Stdlib.min generators total_sends in
-  let per_gen = total_sends / n_gen in
-  let rate = float_of_int per_gen /. (0.9 *. days *. day) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + if i < total_sends mod n_gen then 1 else 0 in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore
-      (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 13.)
-         (step budget))
-  done;
-  let label = Printf.sprintf "%s/%s" plan.plabel fl.flabel in
-  (try
-     Checkpoint.drive persist ~label ~world ~days:(days +. 0.5) ();
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E21: checker " ^ Obs.Invariant.name c ^ " never ran");
-      Obs.Invariant.detach c)
-    checkers;
-  let audits = Zmail.World.audit_results_timed world in
+  let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 cell.audits in
   let first p =
-    List.find_map (fun (time, r) -> if p r then Some time else None) audits
+    List.find_map (fun (time, r) -> if p time r then Some time else None) cell.audits
   in
-  let first_ring =
-    first (fun r -> r.Zmail.Bank.rings <> [])
-  in
+  let first_ring = first (fun _ r -> r.Zmail.Bank.rings <> []) in
   let full_conviction (r : Zmail.Bank.audit_result) =
     List.for_all (fun m -> List.mem m r.Zmail.Bank.convicted) plan.colluders
   in
-  let all_convicted =
-    match plan.colluders with [] -> None | _ -> first full_conviction
-  in
-  let post_heal =
+  let all_convicted, post_heal =
     match plan.colluders with
-    | [] -> None
+    | [] -> (None, None)
     | _ ->
-        List.find_map
-          (fun (time, r) ->
-            if time > 0.95 *. day && full_conviction r then Some time else None)
-          audits
+        ( first (fun _ r -> full_conviction r),
+          (* The round whose verification leans on the carry matrix for
+             the severed member's late report. *)
+          first (fun time r -> time > Cell.first_heal && full_conviction r) )
   in
-  let honest_convicted =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc
-        + List.length
-            (List.filter
-               (fun i -> not (List.mem i plan.colluders))
-               r.Zmail.Bank.convicted))
-      0 audits
-  in
-  let victims_cleared =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc
-        + List.length
-            (List.filter (fun i -> List.mem i plan.victims) r.Zmail.Bank.cleared))
-      0 audits
-  in
-  let rings_found =
-    List.fold_left
-      (fun acc (_, r) -> acc + List.length r.Zmail.Bank.rings)
-      0 audits
-  in
-  let ring_volume =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc
-        + List.fold_left
-            (fun a (ring : Audit.Cycle.ring) -> a + ring.Audit.Cycle.residue)
-            0 r.Zmail.Bank.rings)
-      0 audits
-  in
-  (* The cell's hard promises, checked here so a regression fails the
-     experiment rather than shading a table cell. *)
-  if honest_convicted > 0 then
-    failwith
-      (Printf.sprintf "E21 %s: %d honest conviction(s) — the detector framed \
-                       a compliant ISP" label honest_convicted);
   if plan.colluders <> [] && all_convicted = None then
-    failwith
-      (Printf.sprintf
-         "E21 %s: coalition never fully convicted (first ring %s)" label
-         (match first_ring with
-         | Some t -> Printf.sprintf "at day %.2f" (t /. day)
-         | None -> "never"));
-  (* Partition cells must re-convict after the heal: the severed
-     member's tampered report only reaches that round through the
-     carry matrix, so a missing post-heal conviction means the carry
-     path lost the coalition's trail. *)
-  if plan.colluders <> [] && fl.partitioned && post_heal = None then
-    failwith
-      (Printf.sprintf
-         "E21 %s: no full-coalition conviction after the partition healed"
-         label);
-  let residue = Zmail.World.epenny_residue world in
-  if residue <> 0 then
-    failwith
-      (Printf.sprintf "E21 %s: e-penny residue %d (tampers must be \
-                       balance-neutral)" label residue);
-  let c = Zmail.World.counters world in
+    fail "coalition never fully convicted (first ring %s)"
+      (match first_ring with
+      | Some t -> Printf.sprintf "at day %.2f" (t /. Sim.Engine.day)
+      | None -> "never");
+  (* Partition cells must re-convict after the heal: a missing post-heal
+     conviction means the carry path lost the coalition's trail. *)
+  if plan.colluders <> [] && fault.partitioned && post_heal = None then
+    fail "no full-coalition conviction after the partition healed";
+  let world = cell.world in
   let link = Zmail.World.link_stats world in
-  {
-    attempts = !attempts;
-    paid = !paid;
-    delivered = c.Zmail.World.ham_delivered;
-    audits = List.length audits;
-    deferred_rounds = Sim.Stats.Counter.value link.Zmail.World.audits_deferred;
-    absences =
-      List.fold_left
-        (fun acc (_, r) -> acc + List.length r.Zmail.Bank.absent)
-        0 audits;
-    rings_found;
-    ring_volume;
-    first_ring;
-    all_convicted;
-    post_heal;
-    victims_cleared;
-    honest_convicted;
-    tampered =
-      List.fold_left (fun acc a -> acc + Zmail.Adversary.tampered a) 0 advs;
-    residue;
-    metrics = Obs.Metrics.to_table (Zmail.World.metrics world);
-  }
+  ( [
+      label;
+      fault.flabel;
+      Sim.Table.cell_int cell.attempts;
+      Sim.Table.cell_int (Zmail.World.counters world).Zmail.World.ham_delivered;
+      Sim.Table.cell_int (List.length cell.audits);
+      Sim.Table.cell_int (Sim.Stats.Counter.value link.Zmail.World.audits_deferred);
+      Sim.Table.cell_int (sum (fun r -> List.length r.Zmail.Bank.absent));
+      Sim.Table.cell_int
+        (List.fold_left (fun acc (_, a) -> acc + Zmail.Adversary.tampered a) 0 advs);
+      Sim.Table.cell_int (sum (fun r -> List.length r.Zmail.Bank.rings));
+      Sim.Table.cell_int
+        (sum (fun r ->
+             List.fold_left
+               (fun a (ring : Audit.Cycle.ring) -> a + ring.Audit.Cycle.residue)
+               0 r.Zmail.Bank.rings));
+      Cell.day_of first_ring;
+      Cell.day_of all_convicted;
+      Cell.day_of post_heal;
+      Sim.Table.cell_int
+        (sum (fun r ->
+             List.length
+               (List.filter (fun i -> List.mem i plan.victims) r.Zmail.Bank.cleared)));
+      Sim.Table.cell_int cell.honest_convicted;
+      Sim.Table.cell_int cell.residue;
+    ],
+    Obs.Metrics.to_table (Zmail.World.metrics world) )
 
 let run ?obs ?persist ?(seed = 21) ?(full = false) () =
   let obs = Option.value obs ~default:Obs.Run.none in
-  let persist = Option.value persist ~default:Checkpoint.none in
-  let tracer = Obs.Run.tracer_or obs ~capacity:512 in
-  let n_isps, users_per_isp, sends_per_user =
-    if full then (40, 200, 3) else (16, 60, 3)
+  let n_isps, users_per_isp = if full then (40, 200) else (16, 60) in
+  let grid =
+    {
+      Cell.name = "E21";
+      tracer = Obs.Run.tracer_or obs ~capacity:512;
+      persist = Option.value persist ~default:Checkpoint.none;
+      n_isps;
+      users_per_isp;
+      sends_per_user = 3;
+      (* Coalition member 2 (every plan includes it) and an honest
+         companion: the member's tampered row only reaches the bank
+         after the heal, so ring conviction must ride the carry-matrix
+         reconciliation. *)
+      severed = [ 2; 3 ];
+    }
   in
   let plans =
     [ no_collusion; pair_plan; ring_plan 3 ]
-    @ (if full then [ ring_plan 5 ] else [])
+    @ if full then [ ring_plan 5 ] else []
   in
   let cells =
     List.concat_map
-      (fun plan -> List.map (fun fl -> (plan, fl)) fault_levels)
+      (fun plan -> List.map (fun fault -> (plan, fault)) [ Cell.calm; Cell.partitioned ])
       plans
   in
-  let outcomes =
+  let results =
     List.mapi
-      (fun k (plan, fl) ->
-        ( plan,
-          fl,
-          run_cell ~tracer ~persist ~seed:(seed + k) ~n_isps ~users_per_isp
-            ~sends_per_user ~fl ~plan ))
+      (fun k (plan, fault) ->
+        run_cell grid ~seed:(seed + k) fault ~label:plan.plabel plan)
       cells
   in
   (* The 10^4-ISP row (--full): the scale §4.4 names, representable
      only sparsely.  One calm 3-ring cell — the conviction property at
-     four orders of magnitude, not a fault sweep. *)
-  let scale =
+     four orders of magnitude, not a fault sweep.  25 users per ISP:
+     the population-sized pool (2 x users) must cover one 50-penny
+     auto-topup, or every heavy sender is blocked before its pool drops
+     below minavail and no buy or sell ever reaches the exactly-once
+     checker. *)
+  let results =
     if full then
-      let plan = ring_plan 3 and fl = List.hd fault_levels in
-      Some
-        ( plan,
-          run_cell ~tracer ~persist ~seed:(seed + 97) ~n_isps:10_000
-            ~users_per_isp:1 ~sends_per_user:1 ~fl ~plan )
-    else None
-  in
-  let day_of = function
-    | Some time -> Printf.sprintf "day %.2f" (time /. day)
-    | None -> "never"
+      results
+      @ [
+          run_cell
+            { grid with n_isps = 10_000; users_per_isp = 25; sends_per_user = 1 }
+            ~seed:(seed + 97) Cell.calm ~label:"ring3@10^4 isps" (ring_plan 3);
+        ]
+    else results
   in
   let detection =
     Sim.Table.create
@@ -364,7 +196,7 @@ let run ?obs ?persist ?(seed = 21) ?(full = false) () =
             convicted = strict majority OR cycle-ring membership; the framed \
             victim must be cleared, honest convictions must be 0, residue \
             must be 0)"
-           n_isps users_per_isp days (audit_period /. hour))
+           n_isps users_per_isp Cell.days (Cell.audit_period /. Sim.Engine.hour))
       ~columns:
         [
           "collusion";
@@ -385,36 +217,5 @@ let run ?obs ?persist ?(seed = 21) ?(full = false) () =
           "residue";
         ]
   in
-  let add_row table label flabel (o : outcome) =
-    Sim.Table.add_row table
-      [
-        label;
-        flabel;
-        Sim.Table.cell_int o.attempts;
-        Sim.Table.cell_int o.delivered;
-        Sim.Table.cell_int o.audits;
-        Sim.Table.cell_int o.deferred_rounds;
-        Sim.Table.cell_int o.absences;
-        Sim.Table.cell_int o.tampered;
-        Sim.Table.cell_int o.rings_found;
-        Sim.Table.cell_int o.ring_volume;
-        day_of o.first_ring;
-        day_of o.all_convicted;
-        day_of o.post_heal;
-        Sim.Table.cell_int o.victims_cleared;
-        Sim.Table.cell_int o.honest_convicted;
-        Sim.Table.cell_int o.residue;
-      ]
-  in
-  List.iter
-    (fun (plan, fl, o) -> add_row detection plan.plabel fl.flabel o)
-    outcomes;
-  (match scale with
-  | Some (plan, o) ->
-      add_row detection (plan.plabel ^ "@10^4 isps") "calm" o
-  | None -> ());
-  if obs.Obs.Run.metrics then
-    match List.rev outcomes with
-    | (_, _, last) :: _ -> [ detection; last.metrics ]
-    | [] -> [ detection ]
-  else [ detection ]
+  List.iter (fun (row, _) -> Sim.Table.add_row detection row) results;
+  Cell.tables obs [ detection ] (List.map snd results)

@@ -13,8 +13,8 @@
     reports, never money).
 
     [full] raises the grid scale, adds the 5-ring plan, and appends a
-    calm 3-ring cell at 10^4 ISPs — the population §4.4 gestures at,
-    representable only on the sparse rows. *)
+    calm 3-ring cell at 10^4 ISPs × 25 users — the population §4.4
+    gestures at, representable only on the sparse rows. *)
 
 val run :
   ?obs:Obs.Run.t ->
