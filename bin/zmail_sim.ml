@@ -51,7 +51,7 @@ let full_arg =
 let checkpoint_every_arg =
   let doc =
     "Write a world snapshot to the $(b,--snapshot) file every $(docv) \
-     simulated seconds (E2, E3, E16-E21 and E23 only; any other \
+     simulated seconds (E2-E4, E16-E21 and E23 only; any other \
      experiment given a checkpoint flag exits with an error)."
   in
   Arg.(value & opt (some float) None & info [ "checkpoint-every" ] ~docv:"SECONDS" ~doc)

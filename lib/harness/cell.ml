@@ -1,28 +1,48 @@
 (* The cell machinery the world-backed experiments share: the finish
-   every cell of E16-E21 ends with, the generator fleet E17-E21 offer
-   their mail through, the population-sized ISP pool, and the adversary
-   grid cell of E18, E19 and E21. *)
+   every world ends with, the generator fleet E17-E21 offer their mail
+   through, the population-sized ISP pool, and the adversary grid cell
+   of E18, E19 and E21. *)
 
 let day = Sim.Engine.day
 
-let detach ~name checkers =
+(* A violation leaves with its ring-buffer context on stderr. *)
+let guard ~name f =
+  try f ()
+  with Obs.Invariant.Violation v ->
+    Format.eprintf "%s: %a@." name Obs.Invariant.pp_violation v;
+    raise (Obs.Invariant.Violation v)
+
+let detach ~name ~idle checkers =
   List.iter
     (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith (name ^ ": checker " ^ Obs.Invariant.name c ^ " never ran");
+      let n = Obs.Invariant.name c in
+      if Obs.Invariant.checks c = 0 && not (List.mem n idle) then
+        failwith (name ^ ": checker " ^ n ^ " never ran");
       Obs.Invariant.detach c)
     checkers
 
-let finish ~name ~persist ~label ~days world checkers =
-  (try
-     Checkpoint.drive persist ~label ~world ~days ();
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     (* Fail loudly with the ring-buffer context, then propagate. *)
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  detach ~name checkers
+let drain ~name ?(idle = []) world checkers =
+  guard ~name (fun () ->
+      Zmail.World.run_until_quiet world;
+      Zmail.World.check_invariants ~quiescent:true world);
+  let residue = Zmail.World.epenny_residue world in
+  let minted = Zmail.World.cheat_minted world in
+  if residue <> minted then
+    failwith
+      (Printf.sprintf
+         "%s: e-penny residue %d at quiescence, but the cheat minted %d" name
+         residue minted);
+  detach ~name ~idle checkers
+
+let finish ~name ~persist ?label ?idle ~days world checkers =
+  guard ~name (fun () -> Checkpoint.drive persist ?label ~world ~days ());
+  drain ~name ?idle world checkers
+
+let finish_live ~name ~persist ?label ?(idle = []) ~days world checkers =
+  guard ~name (fun () ->
+      Checkpoint.drive persist ?label ~world ~days ();
+      Zmail.World.check_invariants world);
+  detach ~name ~idle checkers
 
 let fleet engine ~generators ~total ~span ~spacing send =
   let rng = Sim.Engine.rng engine in
@@ -68,14 +88,41 @@ let zipf_fleet world ~generators ~stride_from ~sends_per_user ~days on_result =
       on_result
         (Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) ()))
 
-let pool ~users_per_isp cfg =
+let rotation world ~sends_per_user ~days ~offset ~step on_result =
+  let cfg = Zmail.World.config world in
+  let users_per_isp = cfg.Zmail.World.users_per_isp in
+  let universe = cfg.Zmail.World.n_isps * users_per_isp in
+  let of_global g = (g / users_per_isp, g mod users_per_isp) in
+  let engine = Zmail.World.engine world in
+  for g = 0 to universe - 1 do
+    for k = 0 to sends_per_user - 1 do
+      let at =
+        (float_of_int k *. days *. day /. float_of_int sends_per_user)
+        +. (float_of_int g *. offset)
+      in
+      ignore
+        (Sim.Engine.schedule_after engine ~delay:at (fun () ->
+             let target = (g + (step * k) + 1) mod universe in
+             let target = if target = g then (target + 1) mod universe else target in
+             on_result
+               (Zmail.World.send_email world ~from:(of_global g)
+                  ~to_:(of_global target) ())))
+    done
+  done
+
+let pool (world : Zmail.World.config) cfg =
+  let u =
+    match world.auto_topup with
+    | Some topup -> Stdlib.max world.users_per_isp ((topup + 1) / 2)
+    | None -> world.users_per_isp
+  in
   {
     cfg with
     Zmail.Isp.daily_limit = 1_000_000;
-    initial_avail = 2 * users_per_isp;
-    minavail = users_per_isp;
-    buy_amount = 5 * users_per_isp;
-    maxavail = 20 * users_per_isp;
+    initial_avail = 2 * u;
+    minavail = u;
+    buy_amount = 5 * u;
+    maxavail = 20 * u;
   }
 
 let days = 2.0
@@ -138,22 +185,21 @@ let run g ~seed fault ~label ?(configure = Fun.id) ?(arm = ignore)
     ?(traffic = ignore) ?(convicted = fun _ r -> r.Zmail.Bank.convicted)
     ?(adversaries = []) () =
   let { n_isps; users_per_isp; _ } = g in
+  let cfg =
+    {
+      (Zmail.World.default_config ~n_isps ~users_per_isp) with
+      Zmail.World.seed;
+      audit_period = Some audit_period;
+      retain_mail = false;
+      tracer = Some g.tracer;
+      mesh_default = fault.mesh;
+      partitions =
+        (if fault.partitioned then partition_windows ~severed:g.severed ~n_isps
+         else []);
+    }
+  in
   let world =
-    Zmail.World.create
-      (configure
-         {
-           (Zmail.World.default_config ~n_isps ~users_per_isp) with
-           Zmail.World.seed;
-           audit_period = Some audit_period;
-           retain_mail = false;
-           tracer = Some g.tracer;
-           mesh_default = fault.mesh;
-           partitions =
-             (if fault.partitioned then
-                partition_windows ~severed:g.severed ~n_isps
-              else []);
-           customize_isp = (fun _ cfg -> pool ~users_per_isp cfg);
-         })
+    Zmail.World.create (configure { cfg with customize_isp = (fun _ -> pool cfg) })
   in
   arm world;
   let checkers = Zmail.World.attach_invariants world in
@@ -168,8 +214,8 @@ let run g ~seed fault ~label ?(configure = Fun.id) ?(arm = ignore)
       | Zmail.World.Rejected _ ->
           ());
   traffic world;
-  finish ~name:g.name ~persist:g.persist ~label ~days:(days +. 0.5) world
-    checkers;
+  let name = g.name ^ " cell " ^ label in
+  finish ~name ~persist:g.persist ~label ~days:(days +. 0.5) world checkers;
   let audits = Zmail.World.audit_results_timed world in
   let honest_convicted =
     List.fold_left
@@ -181,17 +227,19 @@ let run g ~seed fault ~label ?(configure = Fun.id) ?(arm = ignore)
                (convicted world r)))
       0 audits
   in
-  let fail fmt =
-    Printf.ksprintf (fun m -> failwith (g.name ^ " cell " ^ label ^ ": " ^ m)) fmt
-  in
   if honest_convicted > 0 then
-    fail "%d honest conviction(s) — an audit convicted a compliant ISP"
-      honest_convicted;
-  let residue = Zmail.World.epenny_residue world in
-  if residue <> 0 then
-    fail "e-penny residue %d at quiescence (tampers must be balance-neutral)"
-      residue;
-  { world; attempts = !attempts; paid = !paid; audits; honest_convicted; residue }
+    failwith
+      (Printf.sprintf
+         "%s: %d honest conviction(s) — an audit convicted a compliant ISP" name
+         honest_convicted);
+  {
+    world;
+    attempts = !attempts;
+    paid = !paid;
+    audits;
+    honest_convicted;
+    residue = Zmail.World.epenny_residue world;
+  }
 
 let tables (obs : Obs.Run.t) ts metrics =
   match List.rev metrics with

@@ -1,37 +1,63 @@
 (** The machinery the world-backed experiment cells share.
 
-    Every cell of E16–E21 ends the same way ({!finish}); E17–E21 offer
-    their mail through the same self-rescheduling generator fleet
-    ({!fleet}, {!zipf_fleet}); E17–E19 and E21 size the ISP pools to
-    the population ({!pool}).  The adversary grids — E18 (tampering
-    ISPs), E19 part 1 (a hostile bank wire) and E21 (collusion rings) —
-    run each cell through {!run}: one world per (adversary × fault
-    level), Zipf traffic, audits every 6 h for two days, and the §4.4
-    hard promises (no honest ISP convicted, zero e-penny residue)
-    enforced before the experiment reads a single figure. *)
+    Every world an experiment builds ends here: {!finish} (or {!drain}
+    for a world already driven) for the worlds that run until quiet,
+    {!finish_live} for the few whose organic traffic never stops.
+    E17–E21 offer their mail through the same self-rescheduling
+    generator fleet ({!fleet}, {!zipf_fleet}); E17–E19 and E21 size the
+    ISP pools to the population ({!pool}).  The adversary grids — E18
+    (tampering ISPs), E19 part 1 (a hostile bank wire) and E21
+    (collusion rings) — run each cell through {!run}: one world per
+    (adversary × fault level), Zipf traffic, audits every 6 h for two
+    days, and the §4.4 hard promises (no honest ISP convicted, zero
+    e-penny residue) enforced before the experiment reads a single
+    figure. *)
 
-(** {1 Finishing a cell} *)
+(** {1 Finishing a world}
+
+    [name] heads every failure and every violation printed on stderr;
+    [idle] names the checkers allowed to see nothing (default none: a
+    checker that watched nothing proved nothing).  Each function
+    detaches the checkers: cells share a tracer, so a checker left
+    attached would judge the next cell's events against this cell's
+    model. *)
 
 val finish :
   name:string ->
   persist:Checkpoint.t ->
-  label:string ->
+  ?label:string ->
+  ?idle:string list ->
   days:float ->
   Zmail.World.t ->
   Obs.Invariant.t list ->
   unit
 (** Drive the world [days] simulated days through [persist] (the
-    segment is [label]), run it until quiet and check every invariant
-    with [~quiescent:true]: the run has drained, so the checkers may
-    also demand zero credits in flight.  A violation is printed on
-    stderr with its trace context and re-raised.  Then {!detach}. *)
+    segment is [label]), then {!drain}. *)
 
-val detach : name:string -> Obs.Invariant.t list -> unit
-(** Detach each checker.  Cells share a tracer, so a checker left
-    attached would judge the next cell's events against this cell's
-    model.
-    @raise Failure ["<name>: checker <c> never ran"] for a checker that
-    saw no event: it watched nothing, so it proved nothing. *)
+val drain :
+  name:string -> ?idle:string list -> Zmail.World.t -> Obs.Invariant.t list -> unit
+(** Run the world until quiet and check every invariant with
+    [~quiescent:true]: the run has drained, so the checkers may also
+    demand zero credits in flight.  A violation is printed on stderr
+    with its trace context and re-raised.
+    @raise Failure if the e-penny residue differs from what the
+    world's cheaters minted (§3's zero-sum at quiescence), or if a
+    checker outside [idle] never ran. *)
+
+val finish_live :
+  name:string ->
+  persist:Checkpoint.t ->
+  ?label:string ->
+  ?idle:string list ->
+  days:float ->
+  Zmail.World.t ->
+  Obs.Invariant.t list ->
+  unit
+(** {!finish} for a world whose traffic never drains (E2–E4's
+    [attach_user_traffic]): drive [days], then check every invariant
+    without [~quiescent] — mail is still in flight, so neither the
+    in-flight count nor the residue can be demanded.
+    @raise Failure if a checker outside [idle] never ran. *)
 
 (** {1 Traffic} *)
 
@@ -64,12 +90,28 @@ val zipf_fleet :
     instead of piling onto ISP 0; each recipient is uniform among the
     other users.  Each send's result goes to the callback. *)
 
+val rotation :
+  Zmail.World.t ->
+  sends_per_user:int ->
+  days:float ->
+  offset:float ->
+  step:int ->
+  (Zmail.World.send_result -> unit) ->
+  unit
+(** A finite, deterministic workload, so the run drains to quiescence
+    and the residue check sees no mail in flight: global user [g]'s
+    [k]-th of [sends_per_user] sends leaves at [k/sends_per_user] of
+    [days] plus [g × offset] seconds, to user [g + step × k + 1] (the
+    next one if that is [g]).  Each send's result goes to the
+    callback. *)
+
 (** {1 Worlds} *)
 
-val pool : users_per_isp:int -> Zmail.Isp.config -> Zmail.Isp.config
-(** The ISP pool sized to the population: pool bounds
-    [users_per_isp]/[20 × users_per_isp], starting at [2 ×] and
-    refilling [5 × users_per_isp] at a time, so heavy senders keep
+val pool : Zmail.World.config -> Zmail.Isp.config -> Zmail.Isp.config
+(** The ISP pool sized to the world's population: with [u] the larger
+    of [users_per_isp] and half an [auto_topup], pool bounds
+    [u]/[20 × u], starting at [2 × u] (so the pool can always serve
+    one top-up) and refilling [5 × u] at a time.  Heavy senders keep
     crossing [minavail] (the buy/sell loop and its exactly-once checker
     stay live) and a block means the kernel said no, not that the pool
     ran dry.  The daily limit is lifted out of the way: a Zipf head
@@ -121,7 +163,7 @@ type t = {
   paid : int;
   audits : (float * Zmail.Bank.audit_result) list;  (** Timed, oldest first. *)
   honest_convicted : int;  (** Always 0: {!run} fails otherwise. *)
-  residue : int;  (** Always 0: {!run} fails otherwise. *)
+  residue : int;  (** Always 0: {!drain} fails otherwise. *)
 }
 
 val run :
@@ -142,10 +184,11 @@ val run :
     (adversary registration, which must precede the checkers so the
     honest mask excludes the tamperers), the invariant checkers, the
     Zipf fleet (16 generators, strides from 97), [traffic] (extra load
-    scheduled after the fleet), and {!finish} over [days + 0.5].
+    scheduled after the fleet), and {!finish} over [days + 0.5].  No
+    grid world has a cheater, so {!drain} demands zero residue.
     @raise Failure if any audit round's [convicted] (default: the
     bank's [convicted]) names an ISP outside [adversaries] (default
-    none), or if any e-penny residue is left: the §4.4 promises. *)
+    none): the §4.4 promise. *)
 
 val tables : Obs.Run.t -> Sim.Table.t list -> Sim.Table.t list -> Sim.Table.t list
 (** [tables obs ts metrics] is [ts], followed under [--metrics] by the

@@ -175,7 +175,7 @@ let finished t =
         (Printf.sprintf
            "experiment %s drove no checkpointed segment, so \
             --checkpoint-every/--snapshot/--resume/--stop-at had no effect \
-            (E2, E3, E16-E21 and E23 support them)"
+            (E2-E4, E16-E21 and E23 support them)"
            t.experiment)
   | None -> Ok ()
   | Some snap ->

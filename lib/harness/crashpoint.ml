@@ -1,6 +1,7 @@
 (* Exhaustive crash-point sweep: deterministically crash one victim at
-   the p-th event boundary, recover from durable state, run to
-   quiescence and check the money oracles.  See crashpoint.mli. *)
+   the p-th event boundary, recover from durable state, and end the
+   world through Cell: the online checkers, exact conservation at
+   quiescence, and the sweep's own bars.  See crashpoint.mli. *)
 
 type victim = Isp of int | Bank of int
 
@@ -13,16 +14,11 @@ type run_report = {
   point : int;
   victim : victim;
   crash_time : float;
-  crashed : bool;
-  recovered : bool;
-  fallbacks : int;
   wal_replayed : int;
   torn_tails : int;
   lost_bytes : int;
   residue : int;
   minted : int;
-  conserved : bool;
-  false_convictions : int;
 }
 
 type report = {
@@ -31,11 +27,13 @@ type report = {
   runs : run_report list;
 }
 
-let baseline_events ~build ~days =
+let baseline ~name ~build ~days =
   let world = build () in
-  Zmail.World.run_days world days;
-  Zmail.World.run_until_quiet world;
+  Cell.finish ~name ~persist:Checkpoint.none ~days world
+    (Zmail.World.attach_invariants world);
   Sim.Engine.events_fired (Zmail.World.engine world)
+
+let baseline_events = baseline ~name:"crash sweep baseline"
 
 (* One crashed run.  The engine monitor fires after every executed
    callback, so "the p-th event boundary" is precisely the instant the
@@ -47,41 +45,47 @@ let baseline_events ~build ~days =
    engine's two monotonic-clock reads for the [wall] this monitor
    ignores (a vDSO read each, no syscall); the monitor is cleared once
    the crash fires, so the remainder of the run pays nothing.  Note
-   this claims the
-   engine's monitor slot: a cfg.tracer-armed wall-clock monitor is
-   displaced for the sweep run. *)
-let crash_run ?persist ?label ~build ~days ~downtime ~honest ~point ~victim () =
+   this claims the engine's monitor slot: a cfg.tracer-armed
+   wall-clock monitor is displaced for the sweep run. *)
+let crash_run ~persist ~label ~build ~days ~downtime ~honest ~point ~victim =
+  let name = "crash run " ^ label in
+  let fail fmt = Printf.ksprintf (fun m -> failwith (name ^ ": " ^ m)) fmt in
   let world = build () in
+  let checkers = Zmail.World.attach_invariants world in
   let engine = Zmail.World.engine world in
   let fired = ref 0 in
   let crash_time = ref nan in
-  let crashed = ref false in
   Sim.Engine.set_monitor engine
     (Some
        (fun ~id:_ ~at:_ ~wall:_ ->
          incr fired;
          if !fired = point then begin
-           crashed := true;
            crash_time := Sim.Engine.now engine;
            (match victim with
            | Isp i -> Zmail.World.crash_isp world ~isp:i ~downtime
            | Bank bank -> Zmail.World.crash_bank ~bank world ~downtime);
            Sim.Engine.set_monitor engine None
          end));
-  (match (persist, label) with
-  | Some persist, Some label ->
-      Checkpoint.drive persist ~label ~world ~days ()
-  | _ -> Zmail.World.run_days world days);
-  Zmail.World.run_until_quiet world;
+  Cell.finish ~name ~persist ~label ~days world checkers;
   Sim.Engine.set_monitor engine None;
+  if Float.is_nan !crash_time then fail "the crash point was never reached";
   let link = Zmail.World.link_stats world in
   let v c = Sim.Stats.Counter.value c in
-  let recovered =
+  let crashes, recoveries =
     match victim with
-    | Isp _ -> v link.Zmail.World.recoveries = v link.Zmail.World.crashes
-    | Bank _ ->
-        v link.Zmail.World.bank_recoveries = v link.Zmail.World.bank_crashes
+    | Isp _ -> (link.Zmail.World.crashes, link.Zmail.World.recoveries)
+    | Bank _ -> (link.Zmail.World.bank_crashes, link.Zmail.World.bank_recoveries)
   in
+  if v recoveries <> v crashes then
+    fail "%d crash(es) but %d recovery(ies)" (v crashes) (v recoveries);
+  if v link.Zmail.World.wal_fallbacks <> 0 then
+    fail "%d WAL replay(s) returned an error" (v link.Zmail.World.wal_fallbacks);
+  List.iter
+    (fun r ->
+      match List.filter honest r.Zmail.Bank.convicted with
+      | [] -> ()
+      | i :: _ -> fail "honest ISP %d convicted in audit round %d" i r.Zmail.Bank.seq)
+    (Zmail.World.audit_results world);
   let victim_disk, wal_replayed =
     match victim with
     | Isp i ->
@@ -91,42 +95,28 @@ let crash_run ?persist ?label ~build ~days ~downtime ~honest ~point ~victim () =
         let bank = Zmail.Federation.bank (Zmail.World.federation world) b in
         (Zmail.Bank.disk bank, Zmail.Bank.wal_replayed bank)
   in
-  let residue = Zmail.World.epenny_residue world in
-  let minted = Zmail.World.cheat_minted world in
-  let false_convictions =
-    List.fold_left
-      (fun acc r ->
-        acc + List.length (List.filter honest r.Zmail.Bank.convicted))
-      0
-      (Zmail.World.audit_results world)
-  in
   {
     point;
     victim;
     crash_time = !crash_time;
-    crashed = !crashed;
-    recovered;
-    fallbacks = v link.Zmail.World.wal_fallbacks;
     wal_replayed;
     torn_tails =
       (match victim_disk with Some d -> Sim.Disk.torn_tails d | None -> 0);
     lost_bytes =
       (match victim_disk with Some d -> Sim.Disk.lost_bytes d | None -> 0);
-    residue;
-    minted;
-    (* The E16 bar: at quiescence the only un-backed money is what the
-       cheat minted — [conservation_holds] itself is deliberately false
-       in any run with a resident cheater. *)
-    conserved = residue = minted;
-    false_convictions;
+    residue = Zmail.World.epenny_residue world;
+    minted = Zmail.World.cheat_minted world;
   }
 
-let sweep ?persist ?label_prefix ?(n_banks = 1) ~build ~days ~downtime ~honest
-    ~n_isps ~stride () =
+let sweep ?(persist = Checkpoint.none) ?label_prefix ?(n_banks = 1) ~build
+    ~days ~downtime ~honest ~n_isps ~stride () =
   if stride < 1 then invalid_arg "Crashpoint.sweep: stride must be >= 1";
   if n_isps < 1 then invalid_arg "Crashpoint.sweep: need at least one ISP";
   if n_banks < 1 then invalid_arg "Crashpoint.sweep: need at least one bank";
-  let n = baseline_events ~build ~days in
+  let run_label run =
+    match label_prefix with Some p -> p ^ "/" ^ run | None -> run
+  in
+  let n = baseline ~name:("crash run " ^ run_label "baseline") ~build ~days in
   let runs = ref [] in
   let k = ref 0 in
   let point = ref stride in
@@ -137,13 +127,11 @@ let sweep ?persist ?label_prefix ?(n_banks = 1) ~build ~days ~downtime ~honest
     let v = !k mod (n_isps + n_banks) in
     let victim = if v < n_isps then Isp v else Bank (v - n_isps) in
     let label =
-      Option.map
-        (fun p -> Printf.sprintf "%s/p%d-%s" p !point (victim_to_string victim))
-        label_prefix
+      run_label (Printf.sprintf "p%d-%s" !point (victim_to_string victim))
     in
     runs :=
-      crash_run ?persist ?label ~build ~days ~downtime ~honest ~point:!point
-        ~victim ()
+      crash_run ~persist ~label ~build ~days ~downtime ~honest ~point:!point
+        ~victim
       :: !runs;
     incr k;
     point := !point + stride
@@ -154,29 +142,20 @@ type summary = {
   points : int;
   isp_crashes : int;
   bank_crashes : int;
-  all_crashed : bool;
-  all_recovered : bool;
-  total_fallbacks : int;
   max_replayed : int;
   total_torn_tails : int;
   total_lost_bytes : int;
-  all_conserved : bool;
-  total_false_convictions : int;
 }
 
 let summarize r =
   let is_bank = function Bank _ -> true | Isp _ -> false in
+  let banks = List.length (List.filter (fun x -> is_bank x.victim) r.runs) in
+  let points = List.length r.runs in
   {
-    points = List.length r.runs;
-    isp_crashes = List.length (List.filter (fun x -> not (is_bank x.victim)) r.runs);
-    bank_crashes = List.length (List.filter (fun x -> is_bank x.victim) r.runs);
-    all_crashed = List.for_all (fun x -> x.crashed) r.runs;
-    all_recovered = List.for_all (fun x -> x.recovered) r.runs;
-    total_fallbacks = List.fold_left (fun a x -> a + x.fallbacks) 0 r.runs;
+    points;
+    isp_crashes = points - banks;
+    bank_crashes = banks;
     max_replayed = List.fold_left (fun a x -> max a x.wal_replayed) 0 r.runs;
     total_torn_tails = List.fold_left (fun a x -> a + x.torn_tails) 0 r.runs;
     total_lost_bytes = List.fold_left (fun a x -> a + x.lost_bytes) 0 r.runs;
-    all_conserved = List.for_all (fun x -> x.conserved) r.runs;
-    total_false_convictions =
-      List.fold_left (fun a x -> a + x.false_convictions) 0 r.runs;
   }

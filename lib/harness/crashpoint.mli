@@ -13,15 +13,18 @@
     fresh world from the same seed (so the first [p] events are
     byte-identical to the baseline's — determinism makes "the p-th
     event" well-defined), crashes one victim there, lets the scheduled
-    recovery replay its durable state, drains to quiescence and reads
-    the money oracles.  Victims rotate round-robin over the compliant
-    ISPs and the member banks, so with [stride = 1] every event
-    boundary in the scenario is crashed by some victim.
+    recovery replay its durable state and ends through {!Cell.finish}.
+    Victims rotate round-robin over the compliant ISPs and the member
+    banks, so with [stride = 1] every event boundary in the scenario is
+    crashed by some victim.
 
-    Double-billing shows up in the residue oracle: a retried buy/sell
+    Every world of the sweep, the baseline included, runs the four
+    online invariant checkers ({!Zmail.World.attach_invariants}) and
+    must leave at quiescence an e-penny residue equal to what its
+    cheaters minted.  Double-billing shows up there: a retried buy/sell
     applied twice by the bank would raise outstanding e-pennies twice
-    against a single pool credit, so [residue <> minted] — exact
-    conservation at quiescence {e is} the no-double-billing claim. *)
+    against a single pool credit — exact conservation at quiescence
+    {e is} the no-double-billing claim. *)
 
 type victim = Isp of int | Bank of int  (** A member bank. *)
 
@@ -31,20 +34,12 @@ val victim_to_string : victim -> string
 type run_report = {
   point : int;  (** Crash after this many executed events. *)
   victim : victim;
-  crash_time : float;  (** Simulated time of the crash; nan if never fired. *)
-  crashed : bool;  (** The run reached the crash point. *)
-  recovered : bool;  (** Every crash was matched by a recovery. *)
-  fallbacks : int;  (** [wal_fallbacks] — WAL replays that returned [Error]. *)
+  crash_time : float;  (** Simulated time of the crash. *)
   wal_replayed : int;  (** Victim's delta records replayed at recovery. *)
   torn_tails : int;  (** Torn fragments the victim's power cut left. *)
   lost_bytes : int;  (** Unflushed bytes the victim's power cut destroyed. *)
-  residue : int;
+  residue : int;  (** Equal to [minted]: the run fails otherwise. *)
   minted : int;
-  conserved : bool;
-      (** residue = cheat-minted at quiescence — zero-sum modulo
-          exactly the cheat, the strongest claim a run with a resident
-          cheater can make ({!Zmail.World.epenny_residue}). *)
-  false_convictions : int;  (** Honest ISPs convicted by any audit round. *)
 }
 
 type report = {
@@ -55,24 +50,8 @@ type report = {
 
 val baseline_events : build:(unit -> Zmail.World.t) -> days:float -> int
 (** Events fired by one undisturbed run of the scenario: [build] a
-    world (workload attached), advance [days], drain to quiescence. *)
-
-val crash_run :
-  ?persist:Checkpoint.t ->
-  ?label:string ->
-  build:(unit -> Zmail.World.t) ->
-  days:float ->
-  downtime:float ->
-  honest:(int -> bool) ->
-  point:int ->
-  victim:victim ->
-  unit ->
-  run_report
-(** One crashed run.  [honest i] scopes the false-conviction count.
-    With [persist] and [label] the run advances through
-    {!Checkpoint.drive} (snapshot/resume-aware); the label must be
-    unique per run within the experiment.  Claims the engine monitor
-    for the event counter until the crash fires. *)
+    world (workload attached), attach the checkers, advance [days] and
+    drain through {!Cell.drain}. *)
 
 val sweep :
   ?persist:Checkpoint.t ->
@@ -86,27 +65,32 @@ val sweep :
   stride:int ->
   unit ->
   report
-(** The full sweep at one grid cell: baseline count, then one
-    {!crash_run} per point with round-robin victims ([n_isps] compliant
-    ISPs, then the [n_banks] member banks, default 1).  Run labels are
-    ["<label_prefix>/p<point>-<victim>"].
+(** The full sweep at one grid cell: baseline count, then one crashed
+    run per point with round-robin victims ([n_isps] compliant ISPs,
+    then the [n_banks] member banks, default 1), each down for
+    [downtime] seconds.  Runs are labelled
+    ["<label_prefix>/p<point>-<victim>"] (["p<point>-<victim>"] with no
+    prefix); with [persist] each run is its own snapshot/resume-aware
+    segment under that label.  The run claims the engine monitor for
+    its event counter until the crash fires.
+    @raise Failure naming the run's label if, in any run, the crash
+    point is never reached, a crash is not recovered, a WAL replay
+    returns [Error], an ISP for which [honest] holds is convicted, the
+    residue differs from the cheat-minted total, or a checker never
+    ran.
+    @raise Obs.Invariant.Violation at the first inconsistent event.
     @raise Invalid_argument on a stride, ISP or bank count below 1. *)
 
 type summary = {
   points : int;
   isp_crashes : int;
   bank_crashes : int;
-  all_crashed : bool;
-  all_recovered : bool;
-  total_fallbacks : int;
   max_replayed : int;
   total_torn_tails : int;
       (** Across runs: evidence the torn-tail fault actually fired. *)
   total_lost_bytes : int;
       (** Across runs: unflushed bytes the power cuts destroyed —
           non-zero whenever group commit left a lazy suffix volatile. *)
-  all_conserved : bool;
-  total_false_convictions : int;
 }
 
 val summarize : report -> summary

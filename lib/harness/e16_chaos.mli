@@ -6,14 +6,15 @@
     that also hosts a cheating ISP.  Two tables come out: goodput with
     every per-fault counter, and the protocol invariants — the E2
     zero-sum residue equals exactly what the cheat minted, the §4.4
-    audit still flags the cheater (and nobody else), whatever the link
-    did.
+    audit still convicts the cheater (and nobody else), whatever the
+    link did.  A scenario whose residue differs from the cheat-minted
+    total, or that convicts an honest ISP, fails the run.
 
     Every scenario is traced — into [obs]'s shared tracer when the
     front end supplies one (for [--trace] export), otherwise into a
-    small private ring — and the three online checkers of
+    small private ring — and the four online checkers of
     {!Obs.Invariant} (zero-sum, credit antisymmetry, exactly-once
-    buy/sell) watch the stream; a violation aborts the scenario with
+    buy/sell, cycle residue) watch the stream; a violation aborts the scenario with
     the offending event and the last traced events on stderr. *)
 
 val run :

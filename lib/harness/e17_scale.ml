@@ -36,23 +36,28 @@ type outcome = {
 
 let run_scale ?tracer ?(persist = Checkpoint.none) ~seed ~n_isps ~users_per_isp
     ?(sends_per_user = 3) () =
+  let base =
+    {
+      (Zmail.World.default_config ~n_isps ~users_per_isp) with
+      Zmail.World.seed;
+      audit_period = Some (12. *. hour);
+      (* Mailboxes are the one structure that grows linearly with
+         delivered mail; at 10^5+ users retaining every message is the
+         difference between a flat and an unbounded heap. *)
+      retain_mail = false;
+      tracer;
+    }
+  in
   let world =
     Zmail.World.create
       {
-        (Zmail.World.default_config ~n_isps ~users_per_isp) with
-        Zmail.World.seed;
-        audit_period = Some (12. *. hour);
-        (* Mailboxes are the one structure that grows linearly with
-           delivered mail; at 10^5+ users retaining every message is
-           the difference between a flat and an unbounded heap. *)
-        retain_mail = false;
-        tracer;
+        base with
         customize_isp =
           (fun i cfg ->
             (* The default pool bounds are sized for 25-user toy
                worlds; at 1000 users/ISP the hourly §4.3 check cannot
                refill fast enough and auto-topups starve mid-hour. *)
-            let cfg = Cell.pool ~users_per_isp cfg in
+            let cfg = Cell.pool base cfg in
             if i = cheater then
               { cfg with Zmail.Isp.cheat = Zmail.Isp.Fake_receives fake_receives_per_day }
             else cfg);
@@ -80,8 +85,8 @@ let run_scale ?tracer ?(persist = Checkpoint.none) ~seed ~n_isps ~users_per_isp
       | Zmail.World.Backpressured -> incr failed
       | Zmail.World.Rejected _ -> incr blocked);
   let universe = n_isps * users_per_isp in
-  Cell.finish ~name:"E17" ~persist ~label:(string_of_int universe)
-    ~days:(days +. 0.5) world checkers;
+  Cell.finish ~name:(Printf.sprintf "E17 %d users" universe) ~persist
+    ~label:(string_of_int universe) ~days:(days +. 0.5) world checkers;
   let c = Zmail.World.counters world in
   let audits = Zmail.World.audit_results_timed world in
   let first_flagged =
@@ -149,7 +154,6 @@ let run_sharded ~seed ~domains ~million =
           "events";
           "audits";
           "residue";
-          "zero-sum holds";
         ]
   in
   List.iter
@@ -166,6 +170,8 @@ let run_sharded ~seed ~domains ~million =
       in
       Zmail.Parworld.run pw ~domains;
       let residue = Zmail.Parworld.residue pw in
+      if residue <> 0 then
+        failwith (Printf.sprintf "E17 sharded %s: e-penny residue %d" label residue);
       Sim.Table.add_row table
         [
           label;
@@ -179,7 +185,6 @@ let run_sharded ~seed ~domains ~million =
           Sim.Table.cell_int (Zmail.Parworld.events_fired pw);
           Sim.Table.cell_int (Zmail.Parworld.audits pw);
           Sim.Table.cell_int residue;
-          (if residue = 0 then "yes" else "NO");
         ])
     scales;
   [ table ]
@@ -222,7 +227,6 @@ let run ?obs ?persist ?(seed = 17) ?(million = false) ?domains () =
           "false accusations";
           "minted";
           "residue";
-          "zero-sum holds";
         ]
   in
   List.iter
@@ -245,14 +249,8 @@ let run ?obs ?persist ?(seed = 17) ?(million = false) ?domains () =
           Sim.Table.cell_int o.false_accusations;
           Sim.Table.cell_int o.minted;
           Sim.Table.cell_int o.residue;
-          (if o.residue = o.minted then "yes" else "NO");
         ])
     outcomes;
   (* Rows share nothing (each is its own world); under [--metrics]
-     report the registry of the last — largest — row, mirroring E16's
-     single metrics table. *)
-  if obs.Obs.Run.metrics then
-    match List.rev outcomes with
-    | (_, last) :: _ -> [ table; last.metrics ]
-    | [] -> [ table ]
-  else [ table ]
+     report the registry of the last — largest — row. *)
+  Cell.tables obs [ table ] (List.map (fun (_, o) -> o.metrics) outcomes)

@@ -13,9 +13,10 @@
     The table carries only deterministic counts (sends, deliveries,
     audits, the cheater's detection day, minted-vs-residue), so
     experiment output never varies by machine; perfbench's
-    [zipf_scale] workload times the same shape of world.  The three online invariant checkers watch every row and
-    each row is driven through checkpoint/resume when [persist] is
-    active. *)
+    [zipf_scale] workload times the same shape of world.  The four
+    online invariant checkers watch every row, a row whose residue
+    differs from the cheat-minted total fails the run, and each row is
+    driven through checkpoint/resume when [persist] is active. *)
 
 type outcome = {
   isps : int;
@@ -50,9 +51,11 @@ val run_scale :
   unit ->
   outcome
 (** One world at the given scale, driven to quiescence with invariant
-    checkers attached ([sends_per_user] defaults to 3).  Raises
-    {!Obs.Invariant.Violation} if any online checker trips.  Exposed so
-    tests can drive a miniature row without the table renderer. *)
+    checkers attached ([sends_per_user] defaults to 3), through
+    {!Cell.finish}.  Raises {!Obs.Invariant.Violation} if any online
+    checker trips, and [Failure] if the residue differs from the
+    cheat-minted total or a checker never ran.  Exposed so tests can
+    drive a miniature row without the table renderer. *)
 
 val run :
   ?obs:Obs.Run.t ->

@@ -123,7 +123,6 @@ let run_cell grid ~seed (fault : Cell.fault_level) behavior =
       Sim.Table.cell_int honest_implicated;
       Sim.Table.cell_int cell.honest_convicted;
       Sim.Table.cell_int cell.residue;
-      (if cell.residue = 0 then "yes" else "NO");
     ],
     Obs.Metrics.to_table (Zmail.World.metrics world) )
 
@@ -198,7 +197,6 @@ let run ?obs ?persist ?(seed = 18) ?(full = false) () =
           "honest implicated";
           "honest convicted";
           "residue";
-          "zero-sum holds";
         ]
   in
   List.iter

@@ -255,10 +255,8 @@ let run_fed_cell ~seed ~n_banks ~(chaos : chaos) ~behavior_name ~behavior =
      deliver the carry; a final round converges the included banks. *)
   Zmail.World.run_until_quiet world;
   settle ();
-  Zmail.World.run_until_quiet world;
+  Cell.drain ~name:("E19 federation cell " ^ label) world checkers;
   check_money ();
-  Zmail.World.check_invariants ~quiescent:true world;
-  Cell.detach ~name:("E19 federation cell " ^ label) checkers;
   let end_carry = Zmail.Clearing.pending_amount clr in
   if end_carry <> 0 then fail "%d pennies of carry never drained" end_carry;
   let excluded = List.map fst !flagged in

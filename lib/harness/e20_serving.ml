@@ -117,7 +117,8 @@ let run_cell ~tracer ~persist ~seed ~label ~rate ~chaos =
       | Zmail.World.Deferred_snapshot | Zmail.World.Failed_down -> ());
   (* Drain: in-flight sessions, backoff chains and bounce refunds all
      settle before anything is measured. *)
-  Cell.finish ~name:"E20" ~persist ~label ~days:(duration /. day) world checkers;
+  Cell.finish ~name:("E20 " ^ label) ~persist ~label ~days:(duration /. day)
+    world checkers;
   let dispatch =
     match Zmail.World.serve world with
     | Some d -> d

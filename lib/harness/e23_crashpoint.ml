@@ -2,17 +2,17 @@
    swept over an exhaustive grid of crash points.  Every compliant
    kernel and the bank keep a WAL on a simulated storage device
    (Sim.Disk); the Crashpoint driver crashes one victim at the p-th
-   event boundary, recovery replays the surviving log, and the money
-   oracles are checked at quiescence.  The grid crosses crash-point
-   density (every boundary vs sampled) x disk-fault level (reliable
-   devices at group 1; torn final appends at group 4; torn plus bit
-   rot at group 8) x mesh chaos (calm vs a lossy bank link).  A
+   event boundary, recovery replays the surviving log, and every world
+   runs the online checkers and is checked at quiescence.  The grid
+   crosses crash-point density (every boundary vs sampled) x
+   disk-fault level (reliable devices at group 1; torn final appends
+   at group 4; torn plus bit rot at group 8) x mesh chaos (calm vs a
+   lossy bank link).  A
    resident cheater (ISP 1, Fake_receives) keeps the residue oracle
    sharp: residue must equal exactly what the cheat minted, in every
    cell, whichever victim crashed wherever. *)
 
 let hour = Sim.Engine.hour
-let day = Sim.Engine.day
 
 type density = Dense  (* stride 1: every event boundary *) | Sampled
 
@@ -107,27 +107,7 @@ let build ~tracer ~seed ~c () =
             else cfg);
       }
   in
-  (* Finite deterministic workload, as in E16: every user sends on a
-     fixed cadence to a rotating correspondent, so the run drains to
-     quiescence and the residue oracle sees no mail in flight. *)
-  let engine = Zmail.World.engine world in
-  let universe = n_isps * users_per_isp in
-  let of_global g = (g / users_per_isp, g mod users_per_isp) in
-  for g = 0 to universe - 1 do
-    for k = 0 to sends_per_user - 1 do
-      let at =
-        (float_of_int k *. days *. day /. float_of_int sends_per_user)
-        +. (float_of_int g *. 307.)
-      in
-      ignore
-        (Sim.Engine.schedule_after engine ~delay:at (fun () ->
-             let target = (g + (5 * k) + 1) mod universe in
-             let target = if target = g then (target + 1) mod universe else target in
-             ignore
-               (Zmail.World.send_email world ~from:(of_global g)
-                  ~to_:(of_global target) ())))
-    done
-  done;
+  Cell.rotation world ~sends_per_user ~days ~offset:307. ~step:5 ignore;
   world
 
 let run_cell ~tracer ~persist ~seed c =
@@ -171,32 +151,18 @@ let run ?obs ?persist ?(seed = 23) ?(full = false) () =
           "crash points";
           "isp crashes";
           "bank crashes";
-          "recovered";
           "max records replayed";
           "torn tails";
           "bytes lost";
-          "WAL fallbacks";
-          "conserved (residue=minted)";
-          "honest convictions";
         ]
   in
+  (* The hard claims — every scheduled crash fired and was recovered,
+     no recovery abandoned its WAL, money is exactly conserved in every
+     run and no honest ISP was convicted — fail inside the sweep, so a
+     printed row is already a pass. *)
   List.iter
     (fun (c, r) ->
       let s = Crashpoint.summarize r in
-      (* The hard claims, enforced loudly: every scheduled crash fired
-         and was recovered, no recovery abandoned its WAL, money is
-         exactly conserved in every run of every cell — bank crashes
-         included — and no honest ISP was ever convicted. *)
-      if not s.Crashpoint.all_crashed then
-        failwith ("E23 " ^ c.label ^ ": a crash point was never reached");
-      if not s.Crashpoint.all_recovered then
-        failwith ("E23 " ^ c.label ^ ": a crash was not recovered");
-      if s.Crashpoint.total_fallbacks <> 0 then
-        failwith ("E23 " ^ c.label ^ ": a WAL recovery returned an error");
-      if not s.Crashpoint.all_conserved then
-        failwith ("E23 " ^ c.label ^ ": conservation violated after a crash");
-      if s.Crashpoint.total_false_convictions <> 0 then
-        failwith ("E23 " ^ c.label ^ ": honest ISP convicted");
       Sim.Table.add_row table
         [
           c.label;
@@ -205,13 +171,9 @@ let run ?obs ?persist ?(seed = 23) ?(full = false) () =
           Sim.Table.cell_int s.Crashpoint.points;
           Sim.Table.cell_int s.Crashpoint.isp_crashes;
           Sim.Table.cell_int s.Crashpoint.bank_crashes;
-          (if s.Crashpoint.all_recovered then "all" else "NO");
           Sim.Table.cell_int s.Crashpoint.max_replayed;
           Sim.Table.cell_int s.Crashpoint.total_torn_tails;
           Sim.Table.cell_int s.Crashpoint.total_lost_bytes;
-          Sim.Table.cell_int s.Crashpoint.total_fallbacks;
-          (if s.Crashpoint.all_conserved then "yes" else "NO");
-          Sim.Table.cell_int s.Crashpoint.total_false_convictions;
         ])
     reports;
   [ table ]

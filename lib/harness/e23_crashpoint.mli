@@ -9,10 +9,12 @@
     vs sampled) x disk-fault level (reliable at group-commit 1, torn
     final appends at group 4, torn plus bit rot at group 8) x mesh
     chaos (calm vs lossy bank link).  Per cell the table reports the
-    baseline event count, crash points run, records replayed, WAL
-    fallbacks (failed replays: zero), exact conservation (residue = cheat-minted in
-    every run, the no-double-billing oracle) and honest convictions
-    (zero); any violation fails the run loudly.
+    baseline event count, crash points run, records replayed, torn
+    tails and bytes lost.  Every swept world runs the online checkers;
+    a missed crash point, an unrecovered crash, a WAL fallback, a
+    residue other than the cheat-minted total (the no-double-billing
+    oracle) or an honest conviction fails the run loudly, naming the
+    cell, crash point and victim.
 
     [full] runs the complete density x fault x chaos cross at stride
     1.  Deterministic per seed; snapshot/resume-aware through

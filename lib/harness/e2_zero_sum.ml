@@ -9,19 +9,12 @@ let run ?obs ?persist ?(seed = 2) ?(days = 21.) ?(isps = 4) ?(users_per_isp = 10
   in
   let checkers = Zmail.World.attach_invariants world in
   Zmail.World.attach_user_traffic world ();
-  Checkpoint.drive persist ~world ~days ();
-  (* Final checkpoint (non-quiescent: organic traffic never drains). *)
-  Zmail.World.check_invariants world;
-  List.iter
-    (fun c ->
-      (* E2 runs no bank audits, so the audit-driven checkers stay idle
-         (exactly-once watches buy/sell, cycle-residue watches audit
-         spans); the traffic-driven checkers must have fired. *)
-      if
-        (not (List.mem (Obs.Invariant.name c) [ "exactly-once"; "cycle-residue" ]))
-        && Obs.Invariant.checks c = 0
-      then failwith ("E2: checker " ^ Obs.Invariant.name c ^ " never ran"))
-    checkers;
+  (* E2 runs no audits, so cycle-residue has nothing to watch; a small
+     world (test_harness's 2 x 30) may end before any pool buys or
+     sells, leaving exactly-once idle too (DESIGN §5). *)
+  Cell.finish_live ~name:"E2" ~persist
+    ~idle:[ "exactly-once"; "cycle-residue" ]
+    ~days world checkers;
   (* Aggregate drift per behavioural profile. *)
   let by_profile = Hashtbl.create 8 in
   for i = 0 to isps - 1 do
@@ -72,21 +65,12 @@ let run ?obs ?persist ?(seed = 2) ?(days = 21.) ?(isps = 4) ?(users_per_isp = 10
     Sim.Table.create ~title:"E2: flow totals"
       ~columns:[ "delivered"; "blocked (balance)"; "blocked (limit)"; "conservation residue" ]
   in
-  let residue =
-    let total = ref 0 in
-    for i = 0 to isps - 1 do
-      total := !total + Zmail.Isp.total_epennies (Zmail.World.isp world i)
-    done;
-    !total - Zmail.World.initial_epennies world
-    - Zmail.Bank.outstanding_epennies (Zmail.World.bank world)
-  in
   Sim.Table.add_row totals
     [
       Sim.Table.cell_int c.Zmail.World.ham_delivered;
       Sim.Table.cell_int c.Zmail.World.blocked_balance;
       Sim.Table.cell_int c.Zmail.World.blocked_limit;
-      Printf.sprintf "%d (in-flight mail)" residue;
+      Printf.sprintf "%d (in-flight mail)" (Zmail.World.epenny_residue world);
     ];
-  if obs.Obs.Run.metrics then
-    [ table; totals; Obs.Metrics.to_table (Zmail.World.metrics world) ]
-  else [ table; totals ]
+  Cell.tables obs [ table; totals ]
+    [ Obs.Metrics.to_table (Zmail.World.metrics world) ]

@@ -23,11 +23,9 @@ let scenarios =
     };
   ]
 
-let score ~truth ~accused ~n =
-  let in_list l i = List.mem i l in
-  let tp = List.length (List.filter (in_list truth) accused) in
+let score ~truth ~accused =
+  let tp = List.length (List.filter (fun i -> List.mem i truth) accused) in
   let fp = List.length accused - tp in
-  let fn = List.length truth - tp in
   let precision =
     if accused = [] then if truth = [] then 1. else 0.
     else float_of_int tp /. float_of_int (List.length accused)
@@ -35,8 +33,6 @@ let score ~truth ~accused ~n =
   let recall =
     if truth = [] then 1. else float_of_int tp /. float_of_int (List.length truth)
   in
-  ignore fn;
-  ignore n;
   (tp, fp, precision, recall)
 
 let run_scenario ~obs ~persist ~seed scenario =
@@ -58,25 +54,19 @@ let run_scenario ~obs ~persist ~seed scenario =
      supposed to disagree — the audit detecting them is the claim. *)
   let checkers = Zmail.World.attach_invariants world in
   Zmail.World.attach_user_traffic world ();
-  Checkpoint.drive persist ~label:scenario.label ~world ~days:3. ();
+  let label = scenario.label in
+  Checkpoint.drive persist ~label ~world ~days:3. ();
   Zmail.World.trigger_audit world;
-  (* Let the audit (requests, 10-minute freezes, replies) finish. *)
-  Checkpoint.drive persist ~label:scenario.label ~world ~days:0.1 ();
-  List.iter
-    (fun c ->
-      if
-        Obs.Invariant.name c <> "exactly-once"
-        && Obs.Invariant.checks c = 0
-      then failwith ("E3: checker " ^ Obs.Invariant.name c ^ " never ran");
-      (* Scenarios may share the front end's tracer; detach so the next
-         scenario's events do not feed this scenario's models. *)
-      Obs.Invariant.detach c)
-    checkers;
+  (* Let the audit (requests, 10-minute freezes, replies) finish.  A
+     3-day run rarely draws the default pool (1,000 pennies) below its
+     200-penny band, so exactly-once may see no buy or sell (DESIGN §5). *)
+  Cell.finish_live ~name:("E3 " ^ label) ~persist ~label
+    ~idle:[ "exactly-once" ] ~days:0.1 world checkers;
   match Zmail.World.audit_results world with
   | [ result ] ->
       let truth = List.map fst scenario.cheats in
       let accused = result.Zmail.Bank.suspects in
-      let tp, fp, precision, recall = score ~truth ~accused ~n:n_isps in
+      let tp, fp, precision, recall = score ~truth ~accused in
       ( List.length result.Zmail.Bank.violations,
         accused,
         tp,

@@ -9,4 +9,7 @@
     Runs the same mail volume through both schemes and compares ledger
     operations, settlement messages and bytes, and human effort. *)
 
-val run : ?obs:Obs.Run.t -> ?seed:int -> unit -> Sim.Table.t list
+val run :
+  ?obs:Obs.Run.t -> ?persist:Checkpoint.t -> ?seed:int -> unit -> Sim.Table.t list
+(** [persist] (default {!Checkpoint.none}) drives the Zmail side through
+    the checkpoint/resume layer. *)

@@ -42,7 +42,7 @@ let all =
       claim =
         "§2.3: Zmail handles payments in bulk so handling cost is small; \
          SHRED's per-payment cost can exceed the penny collected.";
-      run = (fun ~full:_ ~seed ~obs ~persist:_ ~domains:_ -> E4_accounting.run ~obs ~seed ());
+      run = (fun ~full:_ ~seed ~obs ~persist ~domains:_ -> E4_accounting.run ~obs ~persist ~seed ());
     };
     {
       id = "e5";

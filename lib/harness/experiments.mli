@@ -24,7 +24,7 @@ type t = {
           append the metric-registry table.  The world-backed
           experiments honour it; the rest ignore it.  Pass
           {!Obs.Run.none} when not tracing.  [persist] is the
-          checkpoint/resume driver (E2, E3, E16-E21 and E23 honour it;
+          checkpoint/resume driver (E2-E4, E16-E21 and E23 honour it;
           E19's federation cells are pure functions of their seed and
           re-execute identically on resume; the rest ignore it, which
           {!Checkpoint.finished} reports as an error).  [domains] is
