@@ -133,7 +133,12 @@ let run_experiments id seed full trace trace_format metrics checkpoint_every
         (match (trace, tracer) with
         | Some path, Some tr ->
             let events = Obs.Trace.events tr in
-            Obs.Export.write_file ~path ~format:trace_format events;
+            let doc =
+              match trace_format with
+              | `Jsonl -> Obs.Export.to_jsonl events
+              | `Chrome -> Obs.Export.to_chrome events
+            in
+            Out_channel.with_open_bin path (fun oc -> output_string oc doc);
             Format.printf
               "trace: %d events written to %s (%d emitted, %d evicted)@."
               (List.length events) path (Obs.Trace.emitted tr)

@@ -28,9 +28,6 @@ type ('s, 'm) outcome =
 val initial : ('s, 'm) Spec.protocol -> ('s, 'm) global
 (** The protocol's initial global state (all channels empty). *)
 
-val successors : ('s, 'm) Spec.protocol -> ('s, 'm) global -> (string * ('s, 'm) global) list
-(** All one-action successor states, tagged with the action name. *)
-
 val run :
   ?max_states:int ->
   ?max_depth:int ->

@@ -25,10 +25,6 @@ type ring = {
                       edges. *)
 }
 
-val max_star : int
-(** Stars wider than this are left to majority attribution instead of
-    being probed quadratically for connectivity. *)
-
 val detect :
   violations:Verify.violation list ->
   offenders:int list ->

@@ -45,10 +45,6 @@ val pairs : t -> (int * int) array
 val to_dense : t -> int array
 (** Dense [n]-array copy, for small-world compatibility paths. *)
 
-val of_pairs : n:int -> (int * int) array -> t
-(** Inverse of {!pairs}.  Zero values are dropped.
-    @raise Invalid_argument on an out-of-range or duplicate peer. *)
-
 val of_dense : int array -> t
 
 val add_row : t -> t -> unit

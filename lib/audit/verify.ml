@@ -248,9 +248,6 @@ let consistent_nonzero t a b =
   && (directed_claim t ~reporter:a ~peer:b <> 0
       || directed_claim t ~reporter:b ~peer:a <> 0)
 
-let present_count t =
-  Array.fold_left (fun acc p -> if p then acc + 1 else acc) 0 t.present
-
 (* Strict-majority offenders, with no ambiguous-pair fallback: an ISP
    violating with more than half of its possible peers lied (a
    fraudulent row disagrees with nearly everyone).  This is the

@@ -63,8 +63,6 @@ val consistent_nonzero : acc -> int -> int -> bool
     colluders fabricating mutual claims to keep their own pair clean
     produce exactly this signature. *)
 
-val present_count : acc -> int
-
 val offenders : present:bool array -> violation list -> int list
 (** Strict-majority conviction, sorted: ISPs violating with more than
     [(present-1)/2] peers.  Unlike [Credit.Audit.suspects] there is no

@@ -10,9 +10,6 @@ type t
 
 val create : unit -> t
 
-val train : t -> Econ.Corpus.document -> unit
-(** Incorporate one labelled document. *)
-
 val train_all : t -> Econ.Corpus.document list -> unit
 
 val spam_probability : t -> string list -> float
@@ -38,5 +35,3 @@ val recall : evaluation -> float
 
 val false_positive_rate : evaluation -> float
 (** Fraction of ham wrongly discarded; 0 when there was no ham. *)
-
-val vocabulary_size : t -> int

@@ -1,15 +1,9 @@
-type t = {
-  banned : (string, unit) Hashtbl.t;
-  trusted : (string, unit) Hashtbl.t;
-}
+type t = { banned : (string, unit) Hashtbl.t }
 
-let create () = { banned = Hashtbl.create 32; trusted = Hashtbl.create 32 }
-
+let create () = { banned = Hashtbl.create 32 }
 let ban_domain t d = Hashtbl.replace t.banned (String.lowercase_ascii d) ()
-let unban_domain t d = Hashtbl.remove t.banned (String.lowercase_ascii d)
-let trust_sender t s = Hashtbl.replace t.trusted s ()
 
-type verdict = Accept_whitelisted | Reject_blacklisted | Accept_unknown
+type verdict = Reject_blacklisted | Accept_unknown
 
 let sender_domain sender =
   match String.index_opt sender '@' with
@@ -17,10 +11,6 @@ let sender_domain sender =
   | Some i -> String.sub sender (i + 1) (String.length sender - i - 1)
 
 let check t ~sender =
-  if Hashtbl.mem t.trusted sender then Accept_whitelisted
-  else if Hashtbl.mem t.banned (String.lowercase_ascii (sender_domain sender)) then
+  if Hashtbl.mem t.banned (String.lowercase_ascii (sender_domain sender)) then
     Reject_blacklisted
   else Accept_unknown
-
-let banned_count t = Hashtbl.length t.banned
-let trusted_count t = Hashtbl.length t.trusted

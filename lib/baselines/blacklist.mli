@@ -1,27 +1,18 @@
-(** Header-based filtering — the §2.2 blacklist / whitelist baseline.
+(** Header-based filtering — the §2.2 blacklist baseline.
 
-    A blacklist of sending domains (MAPS-RBL style) and a whitelist of
-    sender addresses; the paper notes spammers evade blacklists by
-    relaying through clean hosts and exploit whitelists by forging
-    senders, so both evasions are modelled explicitly in E8. *)
+    A blacklist of sending domains (MAPS-RBL style); the paper notes
+    spammers evade blacklists by relaying through clean hosts, and E8
+    models that evasion explicitly. *)
 
 type t
 
 val create : unit -> t
-
 val ban_domain : t -> string -> unit
-val unban_domain : t -> string -> unit
-val trust_sender : t -> string -> unit
-(** Whitelist an exact sender address string. *)
 
 type verdict =
-  | Accept_whitelisted  (** Sender explicitly trusted — skips all checks. *)
   | Reject_blacklisted
-  | Accept_unknown  (** Neither listed: passes (or goes on to a content filter). *)
+  | Accept_unknown  (** Not listed: passes (or goes on to a content filter). *)
 
 val check : t -> sender:string -> verdict
 (** [sender] is a full address string; the domain part is matched
     against the blacklist case-insensitively. *)
-
-val banned_count : t -> int
-val trusted_count : t -> int

@@ -29,8 +29,4 @@ let mint rng ~recipient ~difficulty =
 
 let verify s = valid ~recipient:s.recipient ~nonce:s.nonce ~difficulty:s.difficulty
 
-let expected_work ~difficulty = 2. ** float_of_int difficulty
-
 let seconds_per_hash = 1e-7
-
-let cpu_seconds ~hashes = float_of_int hashes *. seconds_per_hash

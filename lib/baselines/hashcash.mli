@@ -16,12 +16,7 @@ val mint : Sim.Rng.t -> recipient:string -> difficulty:int -> stamp * int
 val verify : stamp -> bool
 (** One hash evaluation. *)
 
-val expected_work : difficulty:int -> float
-(** 2{^difficulty} hash evaluations. *)
-
 val seconds_per_hash : float
 (** Cost model for E9: ~10⁻⁷ s per hash on 2004-era hardware
     (documented constant, not measured at runtime, so experiment
     output is deterministic). *)
-
-val cpu_seconds : hashes:int -> float

@@ -25,9 +25,6 @@ let viable t ~price = profit_per_message t ~price > 0.
 
 let monthly_volume t = t.list_size * t.blasts_per_month
 
-let monthly_profit t ~price =
-  float_of_int (monthly_volume t) *. profit_per_message t ~price
-
 let break_even_response_rate ~value_per_response ~infra ~price =
   if value_per_response <= 0. then infinity else (infra +. price) /. value_per_response
 

@@ -35,8 +35,6 @@ val viable : t -> price:float -> bool
 val monthly_volume : t -> int
 (** Messages per month if the campaign runs: [list_size * blasts]. *)
 
-val monthly_profit : t -> price:float -> float
-
 val break_even_response_rate : value_per_response:float -> infra:float -> price:float -> float
 (** The response rate at which profit per message is exactly zero. *)
 

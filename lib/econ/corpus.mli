@@ -35,4 +35,3 @@ val misspell : Sim.Rng.t -> string -> string
 
 val ham_vocabulary : string array
 val spam_vocabulary : string array
-val common_vocabulary : string array

@@ -111,11 +111,7 @@ let rotation world ~sends_per_user ~days ~offset ~step on_result =
   done
 
 let pool (world : Zmail.World.config) cfg =
-  let u =
-    match world.auto_topup with
-    | Some topup -> Stdlib.max world.users_per_isp ((topup + 1) / 2)
-    | None -> world.users_per_isp
-  in
+  let u = Stdlib.max world.users_per_isp ((Zmail.World.auto_topup + 1) / 2) in
   {
     cfg with
     Zmail.Isp.daily_limit = 1_000_000;

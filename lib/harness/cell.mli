@@ -109,7 +109,7 @@ val rotation :
 
 val pool : Zmail.World.config -> Zmail.Isp.config -> Zmail.Isp.config
 (** The ISP pool sized to the world's population: with [u] the larger
-    of [users_per_isp] and half an [auto_topup], pool bounds
+    of [users_per_isp] and half a {!Zmail.World.auto_topup}, pool bounds
     [u]/[20 × u], starting at [2 × u] (so the pool can always serve
     one top-up) and refilling [5 × u] at a time.  Heavy senders keep
     crossing [minavail] (the buy/sell loop and its exactly-once checker

@@ -20,8 +20,6 @@ type t = {
   stop_at : float option;
   mutable pending : Persist.Snapshot.t option;
   mutable driven : int;
-  mutable verified : int;
-  mutable written : int;
 }
 
 exception Stopped of { time : float; file : string option }
@@ -34,8 +32,6 @@ let none =
     stop_at = None;
     pending = None;
     driven = 0;
-    verified = 0;
-    written = 0;
   }
 
 (* All operator-facing notes go to stderr: stdout must stay
@@ -79,16 +75,11 @@ let create ?checkpoint_every ?snapshot ?resume ?stop_at ~experiment () =
     stop_at;
     pending;
     driven = 0;
-    verified = 0;
-    written = 0;
   }
 
 let active t =
   t.checkpoint_every <> None || t.snapshot_file <> None || t.pending <> None
   || t.stop_at <> None
-
-let snapshots_written t = t.written
-let resumes_verified t = t.verified
 
 let seed_of world = (Zmail.World.config world).Zmail.World.seed
 
@@ -102,14 +93,12 @@ let write t ~label ~world =
   | Some file ->
       let time = Sim.Engine.now (Zmail.World.engine world) in
       Persist.Snapshot.write_file ~path:file (capture_as t ~label ~time world);
-      t.written <- t.written + 1;
       note "wrote %s (label %S, t=%.0f)" file label time
 
 let verify_resume t snap ~label ~world =
   let live = capture_as t ~label ~time:snap.Persist.Snapshot.time world in
   match Persist.Snapshot.diff snap live with
   | Ok () ->
-      t.verified <- t.verified + 1;
       note "resume verified: replayed world matches the snapshot at t=%.0f"
         snap.Persist.Snapshot.time
   | Error msg ->

@@ -62,6 +62,3 @@ val finished : t -> (unit, string) result
     the flags did nothing), or if a loaded resume snapshot was never
     matched by any {!drive} segment (wrong seed or arguments — the run
     silently did NOT resume). *)
-
-val snapshots_written : t -> int
-val resumes_verified : t -> int

@@ -33,8 +33,6 @@ let baseline ~name ~build ~days =
     (Zmail.World.attach_invariants world);
   Sim.Engine.events_fired (Zmail.World.engine world)
 
-let baseline_events = baseline ~name:"crash sweep baseline"
-
 (* One crashed run.  The engine monitor fires after every executed
    callback, so "the p-th event boundary" is precisely the instant the
    p-th callback has finished and the (p+1)-th has not started: the
@@ -110,13 +108,14 @@ let crash_run ~persist ~label ~build ~days ~downtime ~honest ~point ~victim =
 
 let sweep ?(persist = Checkpoint.none) ?label_prefix ?(n_banks = 1) ~build
     ~days ~downtime ~honest ~n_isps ~stride () =
-  if stride < 1 then invalid_arg "Crashpoint.sweep: stride must be >= 1";
   if n_isps < 1 then invalid_arg "Crashpoint.sweep: need at least one ISP";
   if n_banks < 1 then invalid_arg "Crashpoint.sweep: need at least one bank";
   let run_label run =
     match label_prefix with Some p -> p ^ "/" ^ run | None -> run
   in
   let n = baseline ~name:("crash run " ^ run_label "baseline") ~build ~days in
+  let stride = stride n in
+  if stride < 1 then invalid_arg "Crashpoint.sweep: stride must be >= 1";
   let runs = ref [] in
   let k = ref 0 in
   let point = ref stride in

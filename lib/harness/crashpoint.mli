@@ -9,13 +9,14 @@
 
     The sweep first runs an undisturbed baseline of the scenario to
     measure its total event count [N], then runs the scenario once per
-    crash point [p = stride, 2*stride, ... <= N].  Each run builds a
-    fresh world from the same seed (so the first [p] events are
-    byte-identical to the baseline's — determinism makes "the p-th
-    event" well-defined), crashes one victim there, lets the scheduled
-    recovery replay its durable state and ends through {!Cell.finish}.
+    crash point [p = s, 2s, ... <= N] for the stride [s = stride N].
+    Each run builds a fresh world from the same seed (so the first [p]
+    events are byte-identical to the baseline's — determinism makes
+    "the p-th event" well-defined), crashes one victim there, lets the
+    scheduled recovery replay its durable state and ends through
+    {!Cell.finish}.
     Victims rotate round-robin over the compliant ISPs and the member
-    banks, so with [stride = 1] every event boundary in the scenario is
+    banks, so with a stride of 1 every event boundary in the scenario is
     crashed by some victim.
 
     Every world of the sweep, the baseline included, runs the four
@@ -27,9 +28,6 @@
     {e is} the no-double-billing claim. *)
 
 type victim = Isp of int | Bank of int  (** A member bank. *)
-
-val victim_to_string : victim -> string
-(** ["isp<i>"], ["bank"] for member 0 and ["bank<b>"] for any other. *)
 
 type run_report = {
   point : int;  (** Crash after this many executed events. *)
@@ -48,11 +46,6 @@ type report = {
   runs : run_report list;  (** In crash-point order. *)
 }
 
-val baseline_events : build:(unit -> Zmail.World.t) -> days:float -> int
-(** Events fired by one undisturbed run of the scenario: [build] a
-    world (workload attached), attach the checkers, advance [days] and
-    drain through {!Cell.drain}. *)
-
 val sweep :
   ?persist:Checkpoint.t ->
   ?label_prefix:string ->
@@ -62,10 +55,12 @@ val sweep :
   downtime:float ->
   honest:(int -> bool) ->
   n_isps:int ->
-  stride:int ->
+  stride:(int -> int) ->
   unit ->
   report
-(** The full sweep at one grid cell: baseline count, then one crashed
+(** The full sweep at one grid cell: the baseline (one undisturbed run
+    of [build] through {!Cell.finish}, checkers attached) measures [N],
+    [stride N] sets the stride, then one crashed
     run per point with round-robin victims ([n_isps] compliant ISPs,
     then the [n_banks] member banks, default 1), each down for
     [downtime] seconds.  Runs are labelled
@@ -79,7 +74,8 @@ val sweep :
     residue differs from the cheat-minted total, or a checker never
     ran.
     @raise Obs.Invariant.Violation at the first inconsistent event.
-    @raise Invalid_argument on a stride, ISP or bank count below 1. *)
+    @raise Invalid_argument on a stride, ISP or bank count below 1
+    (the stride checked once the baseline has run). *)
 
 type summary = {
   points : int;

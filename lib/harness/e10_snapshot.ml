@@ -9,8 +9,13 @@ let run_intensity ~seed users_per_isp =
         audit_period = Some (6. *. Sim.Engine.hour);
       }
   in
+  let checkers = Zmail.World.attach_invariants world in
   Zmail.World.attach_user_traffic world ();
-  Zmail.World.run_days world 1.0;
+  (* E10 makes no buy or sell, so exactly-once has nothing to watch
+     (DESIGN §5). *)
+  Cell.finish_live
+    ~name:(Printf.sprintf "E10 %d users/ISP" users_per_isp)
+    ~persist:Checkpoint.none ~idle:[ "exactly-once" ] ~days:1.0 world checkers;
   let c = Zmail.World.counters world in
   let audits = Zmail.World.audit_results world in
   let violations =

@@ -24,8 +24,13 @@ let run_period ~seed period =
             else cfg);
       }
   in
+  let checkers = Zmail.World.attach_invariants world in
   Zmail.World.attach_user_traffic world ();
-  Zmail.World.run_days world days;
+  (* E13 makes no buy or sell, so exactly-once has nothing to watch
+     (DESIGN §5). *)
+  Cell.finish_live
+    ~name:(Printf.sprintf "E13 period %.0f s" period)
+    ~persist:Checkpoint.none ~idle:[ "exactly-once" ] ~days world checkers;
   let audits = Zmail.World.audit_results_timed world in
   let detection =
     List.find_map

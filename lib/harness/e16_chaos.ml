@@ -155,7 +155,6 @@ let run_scenario ~tracer ~persist ~seed sc =
       (match first_flagged with
       | Some time -> Printf.sprintf "day %.1f" (time /. day)
       | None -> "never");
-      n false_convictions;
       n implicated;
       n minted;
       n residue;
@@ -206,7 +205,6 @@ let run ?obs ?persist ?(seed = 16) () =
           "scenario";
           "audits completed";
           "cheater convicted";
-          "false convictions";
           "implicated (transient)";
           "cheat minted";
           "residue";

@@ -121,8 +121,6 @@ let run_cell grid ~seed (fault : Cell.fault_level) behavior =
                (Zmail.Credit.Audit.implicated r.Zmail.Bank.violations)));
       Cell.day_of (first (fun r -> List.mem adversary_isp (offenders world r)));
       Sim.Table.cell_int honest_implicated;
-      Sim.Table.cell_int cell.honest_convicted;
-      Sim.Table.cell_int cell.residue;
     ],
     Obs.Metrics.to_table (Zmail.World.metrics world) )
 
@@ -195,8 +193,6 @@ let run ?obs ?persist ?(seed = 18) ?(full = false) () =
           "adv implicated";
           "adv convicted";
           "honest implicated";
-          "honest convicted";
-          "residue";
         ]
   in
   List.iter

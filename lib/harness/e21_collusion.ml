@@ -132,8 +132,6 @@ let run_cell grid ~seed (fault : Cell.fault_level) ~label (plan : plan) =
         (sum (fun r ->
              List.length
                (List.filter (fun i -> List.mem i plan.victims) r.Zmail.Bank.cleared)));
-      Sim.Table.cell_int cell.honest_convicted;
-      Sim.Table.cell_int cell.residue;
     ],
     Obs.Metrics.to_table (Zmail.World.metrics world) )
 
@@ -213,8 +211,6 @@ let run ?obs ?persist ?(seed = 21) ?(full = false) () =
           "all convicted";
           "post-heal";
           "victims cleared";
-          "honest convicted";
-          "residue";
         ]
   in
   List.iter (fun (row, _) -> Sim.Table.add_row detection row) results;

@@ -113,13 +113,9 @@ let build ~tracer ~seed ~c () =
 let run_cell ~tracer ~persist ~seed c =
   let build = build ~tracer ~seed ~c in
   (* A sampled cell still spreads its crash points across the whole
-     timeline: the stride targets ~16 points over the baseline count.
-     The sweep re-measures the baseline itself; this probe only sizes
-     the stride, deterministically. *)
+     timeline: the stride targets ~16 points over the baseline count. *)
   let stride =
-    match c.density with
-    | Dense -> 1
-    | Sampled -> max 1 (Crashpoint.baseline_events ~build ~days / 16)
+    match c.density with Dense -> fun _ -> 1 | Sampled -> fun n -> max 1 (n / 16)
   in
   Crashpoint.sweep ~persist ~label_prefix:c.label ~build ~days ~downtime
     ~honest:(fun i -> i <> cheater)

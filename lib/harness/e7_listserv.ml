@@ -24,6 +24,7 @@ let run_scenario ~seed s =
           (fun _ c -> { c with Zmail.Isp.initial_balance = 1000; daily_limit = 5000 });
       }
   in
+  let checkers = Zmail.World.attach_invariants world in
   let ls = Zmail.World.host_list world ~isp:0 ~user:0 ~list_id:"zmail-news" in
   (* Live subscribers split across the two compliant ISPs; dead ones at
      the non-compliant ISP. *)
@@ -39,6 +40,10 @@ let run_scenario ~seed s =
     Zmail.World.run_days world 0.05;
     Zmail.Listserv.note_post_complete ls
   done;
+  (* No buy, sell or audit round happens here, so exactly-once and
+     cycle-residue have nothing to watch (DESIGN §5). *)
+  Cell.finish_live ~name:("E7 " ^ s.label) ~persist:Checkpoint.none
+    ~idle:[ "exactly-once"; "cycle-residue" ] ~days:0. world checkers;
   let pruned = Zmail.Listserv.prune ls ~max_missed:3 in
   (ls, pruned)
 

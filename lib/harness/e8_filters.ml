@@ -41,7 +41,7 @@ let blacklist_row rng =
       in
       match Baselines.Blacklist.check bl ~sender with
       | Baselines.Blacklist.Reject_blacklisted -> incr blocked
-      | Baselines.Blacklist.Accept_whitelisted | Baselines.Blacklist.Accept_unknown -> ()
+      | Baselines.Blacklist.Accept_unknown -> ()
     end
   done;
   ("blacklist (60% relay evasion)", float_of_int !blocked /. float_of_int !spam, 0.)

@@ -177,11 +177,6 @@ let add_event_json buf (ev : Trace.event) =
   add_fields buf fields;
   Buffer.add_char buf '}'
 
-let event_to_json ev =
-  let buf = Buffer.create 128 in
-  add_event_json buf ev;
-  Buffer.contents buf
-
 let to_jsonl events =
   let buf = Buffer.create 65536 in
   List.iter
@@ -603,15 +598,6 @@ let to_chrome events =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let write_file ~path ~format events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      match format with
-      | `Jsonl -> output_string oc (to_jsonl events)
-      | `Chrome -> output_string oc (to_chrome events))
-
 let pp_value ppf = function
   | Int i -> Format.pp_print_int ppf i
   | Float f -> Format.fprintf ppf "%g" f
@@ -631,6 +617,3 @@ let pp_event ppf (ev : Trace.event) =
   in
   Format.fprintf ppf "[%12.3fs] %-10s %s%s" ev.time actor phase name;
   List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) fields
-
-let pp_events ppf events =
-  List.iter (fun ev -> Format.fprintf ppf "%a@." pp_event ev) events

@@ -12,8 +12,8 @@
     constructor has one component/name pair and a fixed field order
     (DESIGN.md §7), and its [int list] fields are written as
     comma-joined strings (["1,2,3"], [""] when empty).  Numbers are
-    printed so they re-parse exactly — {!event_of_json} inverts
-    {!event_to_json} (the round trip over random typed payloads is
+    printed so they re-parse exactly — {!of_jsonl} inverts
+    {!to_jsonl} (the round trip over random typed payloads is
     property-tested).
 
     The Chrome form is a single JSON object [{"traceEvents":[...]}] in
@@ -25,17 +25,14 @@
     — bank/world scope — lands on tid [0], which is name-tagged by
     metadata events). *)
 
-val event_to_json : Trace.event -> string
-(** One-line JSON encoding (no trailing newline). *)
-
 val event_of_json : string -> (Trace.event, string) result
-(** Parse a line produced by {!event_to_json} back to the same payload
+(** Parse one line of {!to_jsonl} back to the same payload
     constructor.  [Error] names the component/name of an unknown kind
     and rejects fields that the kind would not render (missing, extra,
     mistyped or reordered). *)
 
 val to_jsonl : Trace.event list -> string
-(** Newline-terminated concatenation of {!event_to_json} lines. *)
+(** One one-line JSON object per event, each newline-terminated. *)
 
 val of_jsonl : string -> (Trace.event list, string) result
 (** Parse a JSONL document (blank lines ignored). *)
@@ -43,13 +40,6 @@ val of_jsonl : string -> (Trace.event list, string) result
 val to_chrome : Trace.event list -> string
 (** Chrome [trace_event] JSON document. *)
 
-val write_file :
-  path:string -> format:[ `Jsonl | `Chrome ] -> Trace.event list -> unit
-(** Write the events to [path] in the given format. *)
-
 val pp_event : Format.formatter -> Trace.event -> unit
 (** One-line human-readable rendering, e.g.
     ["[   864.000s] isp/2      charge user=17 dest=0"]. *)
-
-val pp_events : Format.formatter -> Trace.event list -> unit
-(** Human-readable dump, one event per line (via {!pp_event}). *)

@@ -8,14 +8,15 @@
     bit-flipped snapshot fails to decode — it can never restore a
     subtly wrong world.
 
-    Versioning: {!current_version} is bumped whenever any component's
-    encoding changes shape.  Only the current version is readable:
-    {!of_string} refuses an older or a newer one with an error naming
-    both versions (snapshots are never migrated).  See DESIGN.md §8
+    Versioning: the format version ([version], set by {!v}) is bumped
+    whenever any component's encoding changes shape.  Only the current
+    version is readable: {!of_string} refuses an older or a newer one
+    with an error naming both versions (snapshots are never
+    migrated).  See DESIGN.md §8
     for the bump procedure. *)
 
 type t = {
-  version : int;  (** Format version; {!of_string} accepts only {!current_version}. *)
+  version : int;  (** Format version; {!of_string} accepts only the current one. *)
   experiment : string;  (** e.g. ["e16"]. *)
   label : string;  (** Scenario within the experiment, [""] if none. *)
   seed : int;  (** The world's seed, for refusing cross-seed resume. *)
@@ -23,7 +24,6 @@ type t = {
   sections : (string * string) list;  (** [(name, body)] in capture order. *)
 }
 
-val current_version : int
 val magic : string
 
 val v :
@@ -44,7 +44,7 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Decode and verify.  Any corruption — bad magic, bad CRC anywhere,
     truncation, trailing bytes — is an [Error], never a wrong value, and
-    so is a version other than {!current_version}. *)
+    so is a version other than the current one. *)
 
 val write_file : path:string -> t -> unit
 val read_file : path:string -> (t, string) result

@@ -1,4 +1,4 @@
-type queue_policy = Drop | Defer
+type queue_policy = Drop
 
 type t = {
   queue_depth : int;

@@ -1,22 +1,21 @@
 (** Tuning knobs for the serving path (one record shared by
-    {!Dispatch}, {!Session} and {!Slo}). *)
+    {!Dispatch}, {!Session} and {!Slo}).
 
-(** What happens to a remote submission when its destination lane's
-    admission queue is full. *)
-type queue_policy =
-  | Drop
-      (** Refuse it (421-style): {!Smtp.Mta.submit} bounces the
-          envelope, {!Smtp.Mta.submit_checked} reports backpressure to
-          the submitter without side effects. *)
-  | Defer
-      (** Accept it but park it in the MTA's bounded retry queue with
-          capped exponential backoff — it burns a session attempt and
-          re-enters admission later.  Nothing is refused, so
-          [submit_checked] never backpressures under this policy. *)
+    A full admission queue has one policy, [Drop]: a first submission
+    to a full lane is refused (421-style) — {!Smtp.Mta.submit} bounces
+    the envelope, {!Smtp.Mta.submit_checked} reports backpressure to
+    the submitter without side effects — and a backoff re-admission
+    that finds it full is parked in the MTA's retry queue again,
+    burning a session attempt. *)
+
+type queue_policy = Drop
 
 type t = {
   queue_depth : int;  (** Admission-queue capacity per directed MTA pair. *)
   queue_policy : queue_policy;
+      (** Always [Drop]; nothing reads it.  perfbench's serving config
+          is a [{ default with ... }] literal naming every other field,
+          so the field goes when that literal changes. *)
   max_sessions : int;  (** Concurrent SMTP sessions per directed MTA pair. *)
   rtt : Sim.Rng.t -> float;
       (** Round-trip time drawn once per session phase (connect, HELO,
@@ -29,13 +28,10 @@ type t = {
           ({!Dispatch.register_metrics}). *)
 }
 
-val default_rtt : Sim.Rng.t -> float
-(** 10 ms floor plus exponential with mean 50 ms — the MTA's one-way
-    latency model, paid once per phase. *)
-
 val default : t
-(** Depth 64, [Drop], 4 sessions per lane, {!default_rtt}, 1 MB/s,
-    60 s sampling. *)
+(** Depth 64, 4 sessions per lane, an RTT of 10 ms plus an
+    exponential with mean 50 ms (the MTA's one-way latency model, paid
+    once per phase), 1 MB/s, 60 s sampling. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on a non-positive depth, session cap,

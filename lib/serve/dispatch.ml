@@ -21,7 +21,7 @@ type t = {
   rng : Sim.Rng.t;
   slo : Slo.t;
   lanes : (int, lane) Hashtbl.t;  (* key = (src lsl 20) lor dst *)
-  mutable backpressured : int;  (* first admissions refused (Drop) *)
+  mutable backpressured : int;  (* first admissions refused *)
   mutable deferred : int;  (* full-queue parks into the MTA retry queue *)
   mutable started : int;  (* sessions opened *)
 }
@@ -74,22 +74,23 @@ let rec offer t lane (entry : Queue.entry) ~first =
   else
     match Queue.push lane.queue entry with
     | `Ok -> `Queued
-    | `Full -> (
-        match t.cfg.queue_policy with
-        | Config.Drop when first ->
-            (* 421 at the front door: the submitter hears about it
-               (bounce from [submit], [`Backpressure] from
-               [submit_checked]) and the load stays the offerer's
-               problem — it must not teleport into the queue. *)
-            t.backpressured <- t.backpressured + 1;
-            `Refused
-        | Config.Drop | Config.Defer ->
-            (* Deferral, or a re-admission finding the queue full
-               again: park in the MTA's bounded backoff queue.  This
-               burns a session attempt, so a lane that stays saturated
-               bounces (and refunds) rather than parking forever. *)
-            park t lane entry "421 admission queue full";
-            `Queued)
+    | `Full ->
+        if first then begin
+          (* 421 at the front door: the submitter hears about it
+             (bounce from [submit], [`Backpressure] from
+             [submit_checked]) and the load stays the offerer's
+             problem — it must not teleport into the queue. *)
+          t.backpressured <- t.backpressured + 1;
+          `Refused
+        end
+        else begin
+          (* A re-admission finding the queue full again: park in the
+             MTA's backoff queue.  This burns a session attempt, so a
+             lane that stays saturated bounces (and refunds) rather
+             than parking forever. *)
+          park t lane entry "421 admission queue full";
+          `Queued
+        end
 
 and park t lane (entry : Queue.entry) reason =
   t.deferred <- t.deferred + 1;
@@ -161,11 +162,8 @@ and pump t lane =
   done
 
 let serve_capacity t ~src ~dest_host =
-  match t.cfg.queue_policy with
-  | Config.Defer -> true  (* nothing is ever refused, only parked *)
-  | Config.Drop ->
-      let lane = lane_of t ~src ~dst:dest_host in
-      lane.active < t.cfg.max_sessions || not (Queue.is_full lane.queue)
+  let lane = lane_of t ~src ~dst:dest_host in
+  lane.active < t.cfg.max_sessions || not (Queue.is_full lane.queue)
 
 let serve_admit t ~(src : Smtp.Mta.t) ~dest_host envelope message =
   let lane = lane_of t ~src:(Smtp.Mta.host src) ~dst:dest_host in

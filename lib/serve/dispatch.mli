@@ -2,8 +2,8 @@
     concurrent SMTP sessions, per directed MTA pair ("lane").
 
     {!attach} installs itself as the network's {!Smtp.Mta.serving}
-    layer, after which every remote submission flows: admission (queue
-    or refuse per {!Config.queue_policy}) → a session slot (at most
+    layer, after which every remote submission flows: admission (queue,
+    or refuse when the lane's queue is full) → a session slot (at most
     [max_sessions] concurrent {!Session}s per lane) → completion.
     Tempfails re-enter admission through the MTA's own bounded
     retry/backoff queue ({!Smtp.Mta.retry_transient}); permanent
@@ -40,7 +40,7 @@ val active_sessions : t -> int
 val sessions_started : t -> int
 
 val backpressured : t -> int
-(** First admissions refused under [`Drop] via {!Smtp.Mta.submit},
+(** First admissions refused at a full queue via {!Smtp.Mta.submit},
     each surfaced to the submitter as a 421-style bounce.  Refusals
     probed through {!Smtp.Mta.submit_checked} are side-effect-free and
     are NOT counted here — the caller owns that accounting (e.g.
@@ -48,9 +48,8 @@ val backpressured : t -> int
     re-offer. *)
 
 val deferred : t -> int
-(** Full-queue encounters parked into the MTA retry queue (the
-    [`Defer] policy, and every re-admission that found the queue full
-    again). *)
+(** Re-admissions that found the queue full again and were parked
+    into the MTA retry queue. *)
 
 val register_metrics : t -> Obs.Metrics.t -> unit
 (** Register the SLO gauges ({!Slo.register}), the

@@ -2,9 +2,9 @@
     remote deliveries for one directed MTA pair.
 
     A full queue never grows — {!push} reports [`Full] and counts the
-    refusal; what happens next (drop with backpressure, or defer into
-    the MTA retry queue) is the {!Config.queue_policy}'s decision, made
-    by {!Dispatch}. *)
+    refusal; what happens next (a first admission is refused with
+    backpressure, a re-admission is parked in the MTA retry queue) is
+    {!Dispatch}'s decision. *)
 
 type entry = {
   envelope : Smtp.Envelope.t;

@@ -43,8 +43,6 @@ let create ?(plan = reliable) rng =
     lost_bytes = Stats.Counter.create "lost_bytes";
   }
 
-let active_plan t = t.plan
-
 let append t bytes =
   Stats.Counter.incr t.appends;
   Buffer.add_string t.tail bytes
@@ -92,7 +90,6 @@ let power_cut t =
 
 let contents t = Buffer.contents t.durable
 let durable_size t = Buffer.length t.durable
-let tail_size t = Buffer.length t.tail
 
 (* Reuses the durable buffer: [contents] hands out copies, so nothing
    outside the device aliases it. *)
@@ -103,9 +100,7 @@ let reset_to t bytes =
 
 let appends t = Stats.Counter.value t.appends
 let flushes t = Stats.Counter.value t.flushes
-let power_cuts t = Stats.Counter.value t.power_cuts
 let torn_tails t = Stats.Counter.value t.torn_tails
-let rot_flips t = Stats.Counter.value t.rot_flips
 let lost_bytes t = Stats.Counter.value t.lost_bytes
 
 let counters t =

@@ -41,8 +41,6 @@ val create : ?plan:plan -> Rng.t -> t
 (** [create ~plan rng] validates [plan] (default {!reliable}) and
     splits a private stream off [rng]. *)
 
-val active_plan : t -> plan
-
 val append : t -> string -> unit
 (** Buffer bytes into the volatile tail. *)
 
@@ -62,7 +60,6 @@ val contents : t -> string
     Unflushed tail bytes are {e not} included. *)
 
 val durable_size : t -> int
-val tail_size : t -> int
 
 val reset_to : t -> string -> unit
 (** Atomically replace the entire durable contents (and discard any
@@ -75,13 +72,9 @@ val reset_to : t -> string -> unit
 
 val appends : t -> int
 val flushes : t -> int
-val power_cuts : t -> int
 
 val torn_tails : t -> int
 (** Power cuts that left a torn fragment behind. *)
-
-val rot_flips : t -> int
-(** Bits flipped inside torn fragments. *)
 
 val lost_bytes : t -> int
 (** Unflushed bytes destroyed by power cuts (tail minus surviving

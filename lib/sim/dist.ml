@@ -28,22 +28,6 @@ let pareto rng ~scale ~shape =
     invalid_arg "Dist.pareto: scale and shape must be positive";
   scale /. ((1. -. Rng.unit_float rng) ** (1. /. shape))
 
-let poisson_small rng mean =
-  let limit = exp (-.mean) in
-  let rec loop k p =
-    let p = p *. Rng.unit_float rng in
-    if p <= limit then k else loop (k + 1) p
-  in
-  loop 0 1.
-
-let poisson rng ~mean =
-  if mean < 0. then invalid_arg "Dist.poisson: mean must be non-negative";
-  if mean = 0. then 0
-  else if mean <= 64. then poisson_small rng mean
-  else
-    let x = normal rng ~mean ~stddev:(sqrt mean) in
-    Stdlib.max 0 (int_of_float (Float.round x))
-
 let geometric rng ~p =
   if p <= 0. || p > 1. then invalid_arg "Dist.geometric: p must be in (0, 1]";
   if p = 1. then 0

@@ -27,10 +27,6 @@ val lognormal : Rng.t -> mu:float -> sigma:float -> float
 val pareto : Rng.t -> scale:float -> shape:float -> float
 (** Pareto with minimum [scale] and tail index [shape]; both positive. *)
 
-val poisson : Rng.t -> mean:float -> int
-(** Poisson-distributed count.  Uses Knuth's product method for small
-    means and a normal approximation above [mean = 64]. *)
-
 val geometric : Rng.t -> p:float -> int
 (** Number of failures before the first success, [p] in [(0, 1\]]. *)
 

@@ -39,10 +39,6 @@ let stream_n ~seed ~tag n =
 
 let copy t = { state = t.state }
 
-let state t = t.state
-let set_state t s = t.state <- s
-let of_state s = { state = s }
-
 let encode_state w t = Persist.Codec.W.i64 w t.state
 let restore_state r t = t.state <- Persist.Codec.R.i64 r
 
@@ -73,19 +69,6 @@ let float t bound = unit_float t *. bound
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ :: _ -> List.nth l (int t (List.length l))

@@ -38,13 +38,6 @@ val split : t -> t
 (** [split t] derives a new generator from [t]'s stream, advancing [t].
     Streams of the parent and child are statistically independent. *)
 
-val state : t -> int64
-(** The raw SplitMix64 state word.  [of_state (state t)] continues
-    [t]'s stream exactly. *)
-
-val set_state : t -> int64 -> unit
-val of_state : int64 -> t
-
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
 (** Snapshot capture/restore of the single state word (see
@@ -69,13 +62,6 @@ val unit_float : t -> float
 val bool : t -> bool
 (** Fair coin. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array.
     @raise Invalid_argument on an empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** Uniformly random element of a non-empty list.
-    @raise Invalid_argument on an empty list. *)

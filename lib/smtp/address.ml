@@ -34,11 +34,6 @@ let intern_domain domain =
 
 let interned_domains () = !intern_count
 
-let interned_domain id =
-  if id < 0 || id >= !intern_count then
-    invalid_arg "Address.interned_domain: unknown id";
-  !intern_names.(id)
-
 (* [String.lowercase_ascii] always copies; the simulator's generated
    domains are already lowercase, so skip the copy when nothing would
    change. *)

@@ -66,11 +66,6 @@ val interned_domains : unit -> int
 (** Number of distinct domains interned so far (= the exclusive upper
     bound of all live IDs). *)
 
-val interned_domain : int -> string
-(** The domain string behind an ID.
-    @raise Invalid_argument on an ID never returned by
-    {!intern_domain}. *)
-
 val equal : t -> t -> bool
 (** Case-insensitive on the domain, case-sensitive on the local part
     (the common conservative interpretation). *)

@@ -37,8 +37,4 @@ let lookup_id t id =
 
 let lookup_addr t addr = lookup_id t (Address.domain_id addr)
 
-let domains_of t host =
-  Hashtbl.fold (fun d h acc -> if h = host then d :: acc else acc) t.by_name []
-  |> List.sort String.compare
-
 let size t = Hashtbl.length t.by_name

@@ -17,15 +17,9 @@ val register : t -> domain:string -> host -> unit
 
 val lookup : t -> domain:string -> host option
 
-val lookup_id : t -> int -> host option
-(** Resolve by interned domain ID (see {!Address.domain_id}): a bounds
-    check and an array load, no string hashing.  Unknown or negative
-    IDs resolve to [None]. *)
-
 val lookup_addr : t -> Address.t -> host option
-(** [lookup_id] on the address's own domain ID. *)
-
-val domains_of : t -> host -> string list
-(** All domains currently served by a host, sorted. *)
+(** Resolve by the address's interned domain ID (see
+    {!Address.domain_id}): a bounds check and an array load, no string
+    hashing.  Unknown IDs resolve to [None]. *)
 
 val size : t -> int

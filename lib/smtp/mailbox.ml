@@ -27,12 +27,10 @@ let deliver t address ~time message =
   let e = entry t address in
   e.items <- (time, message) :: e.items
 
-let messages_with_times t address =
+let messages t address =
   match H.find_opt t address with
   | None -> []
-  | Some e -> List.rev e.items
-
-let messages t address = List.map snd (messages_with_times t address)
+  | Some e -> List.rev_map snd e.items
 
 let count t address =
   match H.find_opt t address with None -> 0 | Some e -> List.length e.items

@@ -10,8 +10,6 @@ val deliver : t -> Address.t -> time:float -> Message.t -> unit
 val messages : t -> Address.t -> Message.t list
 (** Inbox contents, oldest first; empty for unknown users. *)
 
-val messages_with_times : t -> Address.t -> (float * Message.t) list
-
 val count : t -> Address.t -> int
 
 val total : t -> int

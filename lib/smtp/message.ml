@@ -1,6 +1,6 @@
 (* A message is typed slots — the base block [make] sets (From, To,
    Subject, Date) and one slot per Zmail stamp — plus the generic
-   fields [add_header] appends.  Every field is validated when it
+   fields [add_field] appends.  Every field is validated when it
    enters a message (by [make], [field], the stamp constructors or
    [of_lines]), so rendering and re-parsing any message is exact and no
    later hop re-checks it.  No header text is kept: the slots are
@@ -369,10 +369,6 @@ let message_id_at v i stop =
     then Seq (nat_value v (i + 1) d 0, String.sub v (d + 1) (stop - d - 2))
     else Text (String.sub v i (stop - i))
 
-let message_id_of_string v =
-  if valid_value v then Ok (message_id_at v 0 (String.length v))
-  else Error (Printf.sprintf "invalid %s value %S" message_id_header v)
-
 let message_id_to_string = function
   | Text s -> s
   | Seq _ as id ->
@@ -481,9 +477,7 @@ let received_at s i stop =
 type slot = From | To | Subject | Date | Ack | Payment | Epoch | Message_id | Received
 
 let base_slots = [ From; To; Subject; Date ]
-let base_slots_rev = [ Date; Subject; To; From ]
 let stamp_slots = [ Ack; Payment; Epoch; Message_id; Received ]
-let stamp_slots_rev = [ Received; Message_id; Epoch; Payment; Ack ]
 
 let slot_name = function
   | From -> from_header
@@ -627,11 +621,6 @@ let add_field t f =
       | Some a, Some to_ -> { t with from = Some a; to_; fields_rev = []; size }
       | _, _ -> append t f size)
   | _ -> append t f size
-
-let add_header t name value =
-  match field name value with Ok f -> Ok (add_field t f) | Error e -> Error e
-
-let add_header_exn t name value = or_invalid "add_header" (add_header t name value)
 
 (* The sizes a stamp constructor [fn] adds, checked first. *)
 let payment_size fn epennies epoch =
@@ -787,16 +776,6 @@ let subject t =
   | Some _ as s -> s
   | None -> find_oldest subject_header None t.fields_rev
 
-let rec slot_pairs t acc = function
-  | [] -> acc
-  | s :: rest ->
-      slot_pairs t (if present t s then (slot_name s, slot_value t s) :: acc else acc) rest
-
-let headers t =
-  let tl = slot_pairs t [] stamp_slots_rev in
-  let tl = List.fold_left (fun acc f -> (f.name, f.value) :: acc) tl t.fields_rev in
-  slot_pairs t tl base_slots_rev
-
 (* ---- Wire form ----------------------------------------------------- *)
 
 let rec iter_slot_lines t f = function
@@ -827,11 +806,6 @@ let iter_lines t f =
   iter_slot_lines t f stamp_slots;
   f "";
   if t.body <> "" then iter_body_lines t.body f 0
-
-let to_lines t =
-  let lines = ref [] in
-  iter_lines t (fun l -> lines := l :: !lines);
-  List.rev !lines
 
 let rec put_slot_lines b i t = function
   | [] -> i

@@ -1,10 +1,10 @@
 (** RFC-822-style messages: a header block and a body, with the
     [X-Zmail-*] stamps Zmail rides on.
 
-    A message is typed slots plus the generic fields {!add_header}
+    A message is typed slots plus the generic fields {!add_field}
     appends.  Nothing is kept as header text: a field is rendered only
-    when the message is written out ({!iter_lines}, {!to_lines},
-    {!to_string}, {!headers}, {!header}), always in this order:
+    when the message is written out ({!iter_lines}, {!to_string},
+    {!header}), always in this order:
     - the {e base block} {!make} and {!build} set: [From] (an
       {!Address.t}), [To] (an {!Address.t} list, rendered
       [", "]-separated), then [Subject] and [Date] when given.  [Date] is kept as the rendered clock
@@ -16,7 +16,7 @@
       sequence number and {!host}) and [Received].
 
     Every field is validated once, when it enters the message, so
-    rendering and re-parsing is exact: [of_lines (to_lines m) = Ok m]
+    rendering and re-parsing is exact: [of_string (to_string m) = Ok m]
     for every message, structurally.  {!size_bytes} is kept up to date
     by every constructor.  Constant fields are validated once by their
     owner: a {!field} is a checked name and value, a {!subject_line} a
@@ -59,8 +59,8 @@ val make_exn :
     @raise Invalid_argument when {!make} returns [Error]. *)
 
 type subject_line
-(** A [Subject] value that passed {!check_header}, for a subject used
-    by many messages: validated once, when it is built. *)
+(** A [Subject] value that passed the header-value check, for a
+    subject used by many messages: validated once, when it is built. *)
 
 val subject_line : string -> (subject_line, string) result
 (** [Error] exactly when {!make} refuses the subject, with its text. *)
@@ -69,17 +69,13 @@ val subject_line_exn : string -> subject_line
 (** As {!subject_line}.
     @raise Invalid_argument when {!subject_line} returns [Error]. *)
 
-val check_header : string -> string -> (unit, string) result
-(** [check_header name value] is [Ok ()] when {!add_header} would accept
-    the field, and otherwise the [Error] it would return, which names
-    the header. *)
-
 type field
-(** A header name and value that passed {!check_header}, for a field
+(** A header name and value that passed the header check, for a field
     added to many messages: validated once, when it is built. *)
 
 val field : string -> string -> (field, string) result
-(** [Error] exactly when {!check_header} is. *)
+(** [Error], naming the header, when [name] is not a valid name, is
+    a reserved stamp name, or [value] is not a valid value. *)
 
 val field_exn : string -> string -> field
 (** As {!field}.
@@ -126,13 +122,6 @@ val build :
     valid header value, a negative [payment] or [epoch]; and for an
     [epoch] without a [payment], which the chain cannot build. *)
 
-val add_header : t -> string -> string -> (t, string) result
-(** [add_field] of [field name value]. *)
-
-val add_header_exn : t -> string -> string -> t
-(** As {!add_header}.
-    @raise Invalid_argument when {!add_header} returns [Error]. *)
-
 val from : t -> Address.t option
 (** The [From] address: the base slot, or else the first [From] field,
     parsed. *)
@@ -149,10 +138,6 @@ val header : t -> string -> string option
     (case-insensitive) in rendering order.  Base and stamp names are
     answered from their slots; any other name scans only the generic
     fields, and a hit returns the option the field was built with. *)
-
-val headers : t -> (string * string) list
-(** All fields in rendering order: the base block, the generic fields,
-    then the stamps. *)
 
 val size_bytes : t -> int
 (** Rendered size, [String.length (to_string t)], kept in the message:
@@ -175,23 +160,17 @@ val put_decimal : bytes -> int -> int -> int -> unit
 
     §1.3: Zmail changes no SMTP verb; all protocol information rides in
     the message header block.  Each stamp has one constructor, which
-    replaces any earlier value of its slot, and an O(1) reader. *)
-
-val zmail_payment_header : string
-(** ["X-Zmail-Payment"] — stamped by a compliant sending ISP with the
-    e-penny amount attached to the message. *)
-
-val zmail_ack_header : string
-(** ["X-Zmail-Ack"] — marks the automatic mailing-list acknowledgment
-    (§5); such messages are processed by the ISP and never delivered to
-    a human inbox. *)
-
-val zmail_epoch_header : string
-(** ["X-Zmail-Epoch"] — the sending ISP's audit sequence number at the
-    moment the message was charged.  The receiving ISP uses it to book
-    the receive into the matching billing period when its own snapshot
-    lags (e.g. after a crash), so the §4.4 audit never blames honest
-    ISPs for mail that crossed an epoch boundary. *)
+    replaces any earlier value of its slot, and an O(1) reader:
+    - [X-Zmail-Payment]: stamped by a compliant sending ISP with the
+      e-penny amount attached to the message;
+    - [X-Zmail-Epoch]: the sending ISP's audit sequence number when the
+      message was charged.  The receiving ISP uses it to book the
+      receive into the matching billing period when its own snapshot
+      lags (e.g. after a crash), so the §4.4 audit never blames honest
+      ISPs for mail that crossed an epoch boundary;
+    - [X-Zmail-Ack]: marks the automatic mailing-list acknowledgment
+      (§5); such messages are processed by the ISP and never delivered
+      to a human inbox. *)
 
 val mark_payment : ?epoch:int -> t -> epennies:int -> t
 (** Set the payment stamp and the epoch stamp ([None] without
@@ -224,11 +203,6 @@ val message_id_of_seq : int -> host -> message_id
 (** [<seq\@host>], as an MTA stamps it.
     @raise Invalid_argument on a negative [seq]. *)
 
-val message_id_of_string : string -> (message_id, string) result
-(** [Error] when the text is not a valid header value. *)
-
-val message_id_to_string : message_id -> string
-
 val in_reply_to : message_id -> field
 (** The [In-Reply-To] field naming a message; it needs no check, as
     every {!message_id} renders to a valid value. *)
@@ -246,13 +220,11 @@ val stamp_received : t -> from:Address.t -> by:host -> at:float -> t
 
 (** {1 Wire form} *)
 
-val to_lines : t -> string list
-(** Render as header lines, a blank line, then body lines. *)
-
 val iter_lines : t -> (string -> unit) -> unit
-(** [iter_lines t f] calls [f] on each line of [to_lines t], in order,
-    rendering one line at a time and building no list.  A body without
-    a newline is passed as the very {!body} string. *)
+(** [iter_lines t f] calls [f] on each line of the rendering in order
+    (header lines, a blank line, then body lines), rendering one line
+    at a time and building no list.  A body without a newline is
+    passed as the very {!body} string. *)
 
 type reader
 (** A streaming reader of a rendering: it takes one line at a time and

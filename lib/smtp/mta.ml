@@ -34,7 +34,6 @@ type t = {
   mutable discarded : int;
   mutable bounced : int;
   mutable bytes_sent : int;
-  mutable dead : (Envelope.t * string) list;  (* reversed *)
   mutable next_message_id : int;
 }
 
@@ -52,7 +51,6 @@ and network = {
   mutable retry : retry_policy;
   mutable backoff : Sim.Retry.policy;  (* [retry]'s backoff, validated *)
   mutable retrying : int;  (* envelopes currently parked in backoff *)
-  mutable retry_overflows : int;
   mutable serving : serving option;
 }
 
@@ -108,7 +106,6 @@ let network ?(latency = default_latency) ?(local_latency = 0.001) engine =
     retry = default_retry;
     backoff = backoff_of default_retry;
     retrying = 0;
-    retry_overflows = 0;
     serving = None;
   }
 
@@ -128,10 +125,8 @@ let set_retry_policy net p =
 
 let retry_policy net = net.retry
 let retry_queue_length net = net.retrying
-let retry_overflows net = net.retry_overflows
 
 let engine net = net.engine
-let dns net = net.registry
 
 let create net ~hostname ~domains =
   let hostname =
@@ -181,7 +176,6 @@ let create net ~hostname ~domains =
       discarded = 0;
       bounced = 0;
       bytes_sent = 0;
-      dead = [];
       next_message_id = 0;
     }
   in
@@ -238,7 +232,6 @@ let bounce t envelope message reason =
   Log.warn (fun m ->
       m "%s: bouncing %a: %s" (hostname t) Envelope.pp envelope reason);
   t.bounced <- t.bounced + List.length (Envelope.recipients envelope);
-  t.dead <- (envelope, reason) :: t.dead;
   t.on_bounce envelope message reason
 
 (* Run one SMTP session from [t] to [dest] for [envelope]/[message];
@@ -282,7 +275,6 @@ let retry_transient t ~dest_host envelope message ~attempt ~reason ~resubmit =
     `Bounced
   end
   else if t.net.retrying >= p.queue_cap then begin
-    t.net.retry_overflows <- t.net.retry_overflows + 1;
     bounce t envelope message (reason ^ " (retry queue full)");
     `Bounced
   end
@@ -439,5 +431,3 @@ let stats t =
     bounced = t.bounced;
     bytes_sent = t.bytes_sent;
   }
-
-let dead_letters t = List.rev t.dead

@@ -34,7 +34,6 @@ val network :
     same-host delivery on both paths. *)
 
 val engine : network -> Sim.Engine.t
-val dns : network -> Dns.t
 
 val set_link_fault :
   network ->
@@ -63,8 +62,7 @@ type retry_policy = {
   backoff_cap : float;  (** Upper bound on any single backoff. *)
   queue_cap : int;
       (** Max envelopes parked in backoff network-wide; an arriving
-          retry beyond this bounces immediately (counted in
-          {!retry_overflows}). *)
+          retry beyond this bounces immediately. *)
 }
 
 val default_retry : retry_policy
@@ -84,9 +82,6 @@ val retry_policy : network -> retry_policy
 
 val retry_queue_length : network -> int
 (** Envelopes currently parked in backoff across the whole network. *)
-
-val retry_overflows : network -> int
-(** Messages bounced because the retry queue was full. *)
 
 type t
 
@@ -133,10 +128,9 @@ val submit : t -> Envelope.t -> Message.t -> unit
 (** Hand a message from a local user to this MTA for delivery
     (local and remote recipients are routed automatically).  A
     [Message-Id] naming this host ({!Message.message_id_of_seq}) is
-    stamped if the message lacks one.  With a
-    serving layer installed, a remote submission refused at admission
-    (queue full under the [`Drop] policy) bounces — the [on_bounce]
-    hook still fires, so paid mail is still refunded. *)
+    stamped if the message lacks one.  With a serving layer installed,
+    a remote submission refused at admission (queue full) bounces —
+    the [on_bounce] hook still fires, so paid mail is still refunded. *)
 
 val submit_checked : t -> Envelope.t -> Message.t -> [ `Submitted | `Backpressure ]
 (** As {!submit}, but when a serving layer is installed and any remote
@@ -158,9 +152,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val dead_letters : t -> (Envelope.t * string) list
-(** Abandoned sends with the failure reason, oldest first. *)
 
 (** {1 Serving-layer SPI}
 

@@ -11,8 +11,6 @@ let completed = v 250 "OK"
 let completed_text text = v 250 text
 let start_mail_input = v 354 "Start mail input; end with <CRLF>.<CRLF>"
 let service_unavailable = v 421 "Service not available"
-let mailbox_busy = v 450 "Requested mail action not taken: mailbox busy"
-let local_error = v 451 "Requested action aborted: local error in processing"
 let syntax_error = v 500 "Syntax error, command unrecognized"
 let bad_sequence = v 503 "Bad sequence of commands"
 let mailbox_unavailable who = v 550 ("Requested action not taken: mailbox unavailable: " ^ who)
@@ -20,7 +18,6 @@ let transaction_failed why = v 554 ("Transaction failed: " ^ why)
 
 let is_positive t = t.code >= 200 && t.code < 400
 let is_transient_failure t = t.code >= 400 && t.code < 500
-let is_permanent_failure t = t.code >= 500
 
 let to_line t = Printf.sprintf "%d %s" t.code t.text
 

@@ -14,8 +14,6 @@ val completed : t (* 250 OK *)
 val completed_text : string -> t (* 250 with custom text *)
 val start_mail_input : t (* 354 *)
 val service_unavailable : t (* 421 *)
-val mailbox_busy : t (* 450 *)
-val local_error : t (* 451 *)
 val syntax_error : t (* 500 *)
 val bad_sequence : t (* 503 *)
 val mailbox_unavailable : string -> t (* 550 *)
@@ -26,9 +24,6 @@ val is_positive : t -> bool
 
 val is_transient_failure : t -> bool
 (** 4xx — retrying later may succeed. *)
-
-val is_permanent_failure : t -> bool
-(** 5xx. *)
 
 val to_line : t -> string
 val of_line : string -> (t, string) result

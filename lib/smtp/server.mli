@@ -64,7 +64,7 @@ val closed : t -> bool
 
     Remote delivery could render the message to lines, run the full
     RFC 821 dialogue and re-parse the result.  Every {!Message.t}
-    re-parses to itself ({!Message.of_lines} of {!Message.to_lines}),
+    re-parses to itself ({!Message.of_string} of {!Message.to_string}),
     so the dialogue is an identity on the message and
     {!deliver_direct} computes its outcome structurally.  The qcheck
     equivalence property lives in test_smtp. *)

@@ -50,13 +50,3 @@ let siphash ~key:(k0, k1) msg =
 
 (* [siphash] only reads its buffer, so the string is not copied. *)
 let siphash_string ~key s = siphash ~key (Bytes.unsafe_of_string s)
-
-let fnv1a64 s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h

@@ -11,6 +11,3 @@ val siphash : key:key -> bytes -> int64
 (** SipHash-2-4 of the whole buffer. *)
 
 val siphash_string : key:key -> string -> int64
-
-val fnv1a64 : string -> int64
-(** Unkeyed FNV-1a, for non-adversarial table hashing. *)

@@ -16,30 +16,3 @@ let encode_state w t =
 let restore_state r t =
   Sim.Rng.restore_state r t.rng;
   t.counter <- Persist.Codec.R.int r
-
-module Tracker = struct
-  type nonrec t = (int64, unit) Hashtbl.t
-
-  let create () = Hashtbl.create 64
-
-  let seen t n = Hashtbl.mem t n
-
-  (* Hashtbl iteration order is unspecified, so the capture sorts the
-     seen set: two trackers with the same contents encode identically. *)
-  let encode_state w t =
-    let seen = Hashtbl.fold (fun n () acc -> n :: acc) t [] in
-    Persist.Codec.W.list Persist.Codec.W.i64 w (List.sort Int64.compare seen)
-
-  let restore_state r t =
-    Hashtbl.reset t;
-    List.iter
-      (fun n -> Hashtbl.replace t n ())
-      (Persist.Codec.R.list Persist.Codec.R.i64 r)
-
-  let first_use t n =
-    if Hashtbl.mem t n then false
-    else begin
-      Hashtbl.replace t n ();
-      true
-    end
-end

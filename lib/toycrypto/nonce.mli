@@ -23,21 +23,3 @@ val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
 (** Snapshot capture and in-place restore of the generator's RNG stream
     and counter. *)
-
-(** Remembers seen nonces so a receiver can reject replays. *)
-module Tracker : sig
-  type t
-
-  val create : unit -> t
-
-  val first_use : t -> int64 -> bool
-  (** [first_use t n] is [true] and marks [n] if it was never seen;
-      [false] for a replay. *)
-
-  val seen : t -> int64 -> bool
-
-  val encode_state : Persist.Codec.W.t -> t -> unit
-  val restore_state : Persist.Codec.R.t -> t -> unit
-  (** Snapshot capture (seen set, sorted so equal trackers encode
-      identically) and in-place restore (the tracker is reset first). *)
-end

@@ -86,8 +86,6 @@ let generate rng =
 
 let key_id (pk : public) = pk.n
 
-let max_chunk (pk : public) = pk.n - 1
-
 let digest_key = (0x7a69647369676e31L, 0x7a6d61696c736967L)
 
 let digest_mod n msg =

@@ -18,9 +18,6 @@ val generate : Sim.Rng.t -> public * secret
 val key_id : public -> int
 (** Stable identifier for a public key (its modulus). *)
 
-val max_chunk : public -> int
-(** Largest integer encryptable under this key ([n - 1]). *)
-
 val encrypt : public -> int -> int
 (** [encrypt pk m] for [0 <= m < n].
     @raise Invalid_argument when [m] is out of range. *)

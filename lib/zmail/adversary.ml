@@ -55,25 +55,6 @@ let name = function
         (String.concat ","
            (List.map (fun (p, d) -> Printf.sprintf "%d:%+d" p d) adjust))
 
-let describe = function
-  | Understate_owed _ ->
-      "shrinks every negative (owed) entry of the reported row; caught: \
-       each shrunk pair's antisymmetry check is non-zero, implicating the \
-       adversary against every creditor peer"
-  | Replay_stale ->
-      "reports the previous round's row instead of the current one; \
-       caught: the stale row disagrees with every peer whose pair flow \
-       changed between rounds"
-  | Drop_crosscheck _ ->
-      "zeroes the row entry for one chosen peer; implicated: the single \
-       broken pair flags adversary and victim for investigation, and \
-       never convicts the victim under the strict-majority rule"
-  | Collude _ ->
-      "applies a fixed per-peer adjustment, coordinated with partners so \
-       colluder pairs stay antisymmetric while a victim's star balances; \
-       caught: the cycle-sum detector convicts the ring members and clears \
-       the framed victim"
-
 (* Merge a fixed adjustment list into a sparse row: out(p) = row(p) +
    adjust(p), zeros dropped, canonical sorted order.  Deterministic by
    construction (single sort of an association list). *)
@@ -282,23 +263,6 @@ module Bank_wire = struct
     | Replay_captured p -> Printf.sprintf "replay(%.2f)" p
     | Reorder (p, dmax) -> Printf.sprintf "reorder(%.2f,%.0fs)" p dmax
     | Drop_selective (k, p) -> Printf.sprintf "drop-%s(%.2f)" (kind_name k) p
-
-  let describe = function
-    | Forge_garbage _ ->
-        "injects structurally valid envelopes with garbage key material \
-         alongside real traffic; harmless: the MAC check rejects every one \
-         (counted as Unreadable), and the original still arrives"
-    | Replay_captured _ ->
-        "re-delivers previously captured envelopes; harmless: the reply \
-         cache and nonce dedup answer or drop duplicates without re-applying \
-         them (exactly-once effect)"
-    | Reorder _ ->
-        "holds messages back so they arrive late and out of order; harmless: \
-         requests are idempotent under the reply cache and the retry loop \
-         retransmits anything that seems lost"
-    | Drop_selective _ ->
-        "drops a fraction of one message kind; harmless below p = 1: the \
-         sender's capped-exponential retry eventually gets one copy through"
 
   let bernoulli t p = Sim.Rng.unit_float t.rng < p
 

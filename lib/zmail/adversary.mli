@@ -97,9 +97,6 @@ val rounds : t -> int
 val name : behavior -> string
 (** Short label for tables, e.g. ["understate(3)"]. *)
 
-val describe : behavior -> string
-(** One-sentence caught-or-harmless argument, for docs and reports. *)
-
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
 (** [Replay_stale]'s remembered row is real protocol state (the next
@@ -168,9 +165,6 @@ module Bank_wire : sig
 
   val name : wire_behavior -> string
   (** Short label for tables, e.g. ["drop-buy(0.50)"]. *)
-
-  val describe : wire_behavior -> string
-  (** One-sentence harmlessness argument, for docs and reports. *)
 
   val forged : t -> int
   val replayed : t -> int

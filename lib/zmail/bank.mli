@@ -51,14 +51,6 @@ type reject =
       (** A bank-origin payload (replies, audit requests, clearing
           transfers) arriving on the ISP-to-bank path. *)
 
-val all_rejects : reject list
-(** Every reason once, in {!reject_index} order. *)
-
-val n_reject_reasons : int
-
-val reject_index : reject -> int
-(** Stable dense index, for tables and counters. *)
-
 val reject_to_string : reject -> string
 
 type t

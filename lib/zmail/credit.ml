@@ -130,8 +130,6 @@ let report_row t ~seq =
   List.iter (fun (e, row) -> if e <= seq then Row.add_row snap row) t.early;
   snap
 
-let snapshot_upto t ~seq = Row.to_dense (report_row t ~seq)
-
 let report_upto t ~seq = Row.pairs (report_row t ~seq)
 
 let populated t = Row.cardinal t.now
@@ -155,8 +153,6 @@ let reset_upto t ~seq =
     | Some row -> Row.copy row
     | None -> Row.create ~n:t.n);
   t.early <- List.filter (fun (e, _) -> e > seq + 1) t.early
-
-let net_flow t = Row.sum t.now
 
 (* The tracer binding and owner index are wiring, not state: the
    restored vector keeps whatever tracer the live world attached.

@@ -9,10 +9,9 @@
     The vector is backed by a sparse row ({!Audit.Row}): storage and
     reporting cost scale with the ISP's actual traffic partners, not
     with the world size, which is what makes 10^4-ISP audits
-    representable.  The dense [int array] views ({!snapshot},
-    {!snapshot_upto}) are retained for small-world tests and the
-    federation path; the serving path reports sparsely via
-    {!report_upto}. *)
+    representable.  The dense [int array] view ({!snapshot}) is
+    retained for small-world tests and the federation path; the
+    serving path reports sparsely via {!report_upto}. *)
 
 type t
 (** A mutable credit vector over [n] peers. *)
@@ -80,32 +79,24 @@ val snapshot : t -> int array
 (** Copy of the current-period vector (buffered early receives are
     excluded — they belong to later snapshots). *)
 
-val snapshot_upto : t -> seq:int -> int array
+val report_upto : t -> seq:int -> (int * int) array
 (** The cumulative row answering audit round [seq]: the current-period
     vector plus every buffered receive stamped with epoch [<= seq].
     When the ISP has not missed a round this is exactly {!snapshot};
     after missing rounds it is the row covering all of them at once,
     which the bank reconciles against its carry of the peers' earlier
-    reports.  Pure — pair with {!reset_upto}. *)
-
-val report_upto : t -> seq:int -> (int * int) array
-(** The same cumulative row as {!snapshot_upto}, in canonical sparse
-    form: non-zero [(peer, count)] cells sorted by peer.  This is what
-    an honest ISP puts on the audit wire — O(traffic partners), never
-    O(n). *)
+    reports.  Pure — pair with {!reset_upto}.  In canonical sparse
+    form, non-zero [(peer, count)] cells sorted by peer: what an honest
+    ISP puts on the audit wire — O(traffic partners), never O(n). *)
 
 val populated : t -> int
 (** Number of non-zero cells in the current-period vector. *)
 
 val reset_upto : t -> seq:int -> unit
 (** Close the period(s) answering audit round [seq] (§4.4): buffered
-    receives stamped [<= seq] are discarded (the {!snapshot_upto} row
+    receives stamped [<= seq] are discarded (the {!report_upto} row
     reported them), epoch [seq+1] becomes the fresh current period, and
     later epochs stay buffered. *)
-
-val net_flow : t -> int
-(** Sum of the vector: messages sent minus received against all
-    compliant peers this period. *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit

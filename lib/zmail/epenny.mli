@@ -8,13 +8,7 @@ type amount = int
 (** E-penny quantities are exact integers; all APIs in this library
     treat negative amounts as programming errors. *)
 
-val dollars_per_epenny : float
-(** $0.01. *)
-
 val to_dollars : amount -> float
-val of_dollars_floor : float -> amount
-(** Largest whole e-penny count worth at most the given dollars;
-    negative input maps to 0. *)
 
 val check : amount -> amount
 (** Identity on non-negative amounts.

@@ -175,11 +175,6 @@ type statement = {
 val statements : t -> statement list
 (** As declared — Byzantine behaviors shape their own entries. *)
 
-val member_deposits : t -> bank:int -> int
-(** ISP-attested net deposits at this bank: the sum of
-    [initial_account - balance] over its members, which the members can
-    prove from their §4.3 receipts. *)
-
 val verify_statements : t -> statement list -> (int * string) list
 (** Flag inconsistent statements, with a reason.  Per bank: the books
     must self-balance ([cash - net_cleared = outstanding],

@@ -13,7 +13,6 @@ type config = {
   maxavail : Epenny.amount;
   initial_avail : Epenny.amount;
   buy_amount : Epenny.amount;
-  sell_amount : Epenny.amount;
   replay_hardening : bool;
   cheat : cheat;
 }
@@ -32,7 +31,6 @@ let default_config ~index ~n_isps ~n_users ~compliant ~bank_public =
     maxavail = 5000;
     initial_avail = 1000;
     buy_amount = 1000;
-    sell_amount = 1000;
     replay_hardening = true;
     cheat = Honest;
   }
@@ -96,7 +94,6 @@ let tracing t = Obs.Trace.active t.tracer
 let ev t payload = Obs.Trace.emit t.tracer ~actor:t.config.index payload
 
 let index t = t.config.index
-let compliant_peer t j = t.config.compliant.(j)
 let ledger t = t.ledger
 let credit_vector t = Credit.snapshot t.credit
 let early_receives t = Credit.early_pending t.credit
@@ -739,9 +736,5 @@ let recover_wal t =
 
 let total_epennies t = Ledger.total_epennies t.ledger
 
-let stats_sent_paid t = t.sent_paid
-let stats_sent_free t = t.sent_free
-let stats_received_paid t = t.received_paid
 let stats_cheat_minted t = t.cheat_minted
-let stats_refunds t = t.refunds
 let stats_crashes t = t.crashes

@@ -47,7 +47,6 @@ type config = {
   maxavail : Epenny.amount;
   initial_avail : Epenny.amount;
   buy_amount : Epenny.amount;  (** The paper's [buyvalue]. *)
-  sell_amount : Epenny.amount;
   replay_hardening : bool;
   cheat : cheat;
 }
@@ -56,8 +55,8 @@ val default_config :
   index:int -> n_isps:int -> n_users:int -> compliant:bool array ->
   bank_public:Toycrypto.Rsa.public -> config
 (** Sensible defaults: balance 100, account 1000, limit 500, pool
-    bounds 200/5000, initial pool 1000, buy/sell 1000, hardened,
-    honest. *)
+    bounds 200/5000, initial pool 1000, buy 1000, hardened, honest.
+    A sell brings the pool back to [(minavail + maxavail) / 2]. *)
 
 type t
 
@@ -80,7 +79,6 @@ val set_tracer : t -> Obs.Trace.t -> unit
     {!Obs.Trace.none}. *)
 
 val index : t -> int
-val compliant_peer : t -> int -> bool
 val ledger : t -> Ledger.t
 val credit_vector : t -> int array
 (** Snapshot of the current credit array. *)
@@ -261,18 +259,11 @@ val limit_warnings : t -> int list
 val total_epennies : t -> Epenny.amount
 (** User balances plus pool — the conserved quantity. *)
 
-val stats_sent_paid : t -> int
-val stats_sent_free : t -> int
-val stats_received_paid : t -> int
-
 val stats_cheat_minted : t -> Epenny.amount
 (** Unbacked e-pennies created by a {!Fake_receives} cheat so far —
     exactly the amount by which this kernel breaks the global zero-sum
     invariant (experiments subtract it to verify conservation in
     cheater worlds). *)
-
-val stats_refunds : t -> int
-(** Bounced paid sends refunded via {!refund_send}. *)
 
 val stats_crashes : t -> int
 (** Times {!recover_wal} has completed successfully. *)

@@ -49,13 +49,6 @@ let debit_send t ~user =
 
 let credit_receive t ~user = t.balance.(user) <- t.balance.(user) + 1
 
-let transfer_local t ~sender ~rcpt =
-  match debit_send t ~user:sender with
-  | Error _ as e -> e
-  | Ok () ->
-      credit_receive t ~user:rcpt;
-      Ok ()
-
 let user_buy t ~user ~amount =
   ignore (Epenny.check amount);
   if t.account.(user) < amount then Error "insufficient real-money account"

@@ -27,17 +27,11 @@ val limit : t -> user:int -> int
 val set_limit : t -> user:int -> int -> unit
 val avail : t -> Epenny.amount
 
-val check_send : t -> user:int -> (unit, block) result
-(** Would a paid send be allowed right now? *)
-
 val debit_send : t -> user:int -> (unit, block) result
 (** Charge one e-penny and count one send; no-op on [Error]. *)
 
 val credit_receive : t -> user:int -> unit
 (** Award the receiving user one e-penny. *)
-
-val transfer_local : t -> sender:int -> rcpt:int -> (unit, block) result
-(** §4.1's [i = j] branch: debit sender, credit recipient, atomically. *)
 
 val user_buy : t -> user:int -> amount:Epenny.amount -> (unit, string) result
 (** §4.2: move [amount] from the user's real account into e-pennies,
@@ -54,9 +48,8 @@ val take_pool : t -> Epenny.amount -> (unit, string) result
 val reset_daily : t -> unit
 (** §4.1: zero every [sent] counter at the end of the day. *)
 
-val total_user_epennies : t -> Epenny.amount
 val total_epennies : t -> Epenny.amount
-(** [total_user_epennies + avail]. *)
+(** Every user's e-penny balance plus [avail]. *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit

@@ -41,8 +41,6 @@ let subscribe t addr =
 
 let unsubscribe t addr = Hashtbl.remove t.members addr
 
-let is_subscribed t addr = Hashtbl.mem t.members addr
-
 let subscribers t =
   Hashtbl.fold (fun a _ acc -> a :: acc) t.members [] |> List.sort Smtp.Address.compare
 

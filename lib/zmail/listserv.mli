@@ -27,7 +27,6 @@ val subscribe : t -> Smtp.Address.t -> unit
 (** Idempotent. *)
 
 val unsubscribe : t -> Smtp.Address.t -> unit
-val is_subscribed : t -> Smtp.Address.t -> bool
 val subscribers : t -> Smtp.Address.t list
 (** Sorted. *)
 

@@ -265,9 +265,3 @@ let verify_from_bank bank_pk { payload; signature } =
   if Toycrypto.Rsa.verify_sig bank_pk (Bytes.unsafe_of_string (encode payload)) signature
   then Some payload
   else None
-
-(* Structural equality is correct here: payloads are pure data and
-   arrays compare element-wise. *)
-let equal_payload (a : payload) (b : payload) = a = b
-
-let pp_payload ppf p = Format.pp_print_string ppf (encode p)

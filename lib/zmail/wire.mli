@@ -62,6 +62,3 @@ val sign_by_bank : Toycrypto.Rsa.secret -> payload -> signed
 
 val verify_from_bank : Toycrypto.Rsa.public -> signed -> payload option
 (** Check the signature and return the payload; [None] if invalid. *)
-
-val equal_payload : payload -> payload -> bool
-val pp_payload : Format.formatter -> payload -> unit

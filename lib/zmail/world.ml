@@ -25,11 +25,9 @@ type config = {
   pool_check_period : float;
   unpaid_policy : unpaid_policy;
   auto_ack : bool;
-  auto_topup : Epenny.amount option;
   customize_isp : int -> Isp.config -> Isp.config;
   bank_fault : Sim.Fault.plan;
   mesh_default : Sim.Fault.plan;
-  mesh_links : ((int * int) * Sim.Fault.plan) list;
   partitions : Sim.Fault.Mesh.partition list;
   bank_wire : (int * Adversary.Bank_wire.wire_behavior) list;
   retain_mail : bool;
@@ -68,11 +66,9 @@ let default_config ~n_isps ~users_per_isp =
     pool_check_period = Sim.Engine.hour;
     unpaid_policy = Unpaid_deliver;
     auto_ack = true;
-    auto_topup = Some 50;
     customize_isp = (fun _ c -> c);
     bank_fault = Sim.Fault.reliable;
     mesh_default = Sim.Fault.reliable;
-    mesh_links = [];
     partitions = [];
     bank_wire = [];
     retain_mail = true;
@@ -181,7 +177,6 @@ let bank_up ?(bank = 0) t = t.bank_up.(bank)
 let all_banks_up t = Array.for_all Fun.id t.bank_up
 let serve t = t.serve
 let deferral_delay t = t.deferral
-let initial_epennies t = t.initial
 let audit_results_timed t = List.rev t.audits
 
 let audit_results t = List.map snd (audit_results_timed t)
@@ -360,17 +355,16 @@ let charge kernel ~user ~dest_isp =
   else if Isp.frozen kernel then Isp.Deferred
   else Isp.Sent_free
 
+let auto_topup = 50
+
 (* §1.2: the user buffers fluctuations by buying e-pennies from the
    ISP pool, then the send is retried once. *)
-let charge_with_topup t kernel ~user ~dest_isp =
+let charge_with_topup kernel ~user ~dest_isp =
   match charge kernel ~user ~dest_isp with
   | Isp.Blocked Ledger.Insufficient_balance as blocked -> (
-      match t.cfg.auto_topup with
-      | Some amount -> (
-          match Isp.user_topup kernel ~user ~amount with
-          | Ok () -> charge kernel ~user ~dest_isp
-          | Error _ -> blocked)
-      | None -> blocked)
+      match Isp.user_topup kernel ~user ~amount:auto_topup with
+      | Ok () -> charge kernel ~user ~dest_isp
+      | Error _ -> blocked)
   | outcome -> outcome
 
 (* The message is built after the charge lands, so a paid one is
@@ -392,7 +386,7 @@ let submit_message t i ~user ~from_addr ~to_addr draft =
         submit_free t i ~from_addr ~to_addr draft
     | Some kernel -> (
         let dest_isp = isp_of_addr t to_addr in
-        let outcome = charge_with_topup t kernel ~user ~dest_isp in
+        let outcome = charge_with_topup kernel ~user ~dest_isp in
         drain_warnings t i;
         match outcome with
         | Isp.Sent_paid -> (
@@ -1059,8 +1053,7 @@ let create cfg =
          faults does not perturb workload randomness: the same seed
          generates the same traffic under any plan.  Node n_isps + b is
          member bank b; [bank_fault] becomes the plan of both directions
-         of every ISP<->home-bank link, and explicit [mesh_links]
-         entries, listed after it, win. *)
+         of every ISP<->home-bank link. *)
       mesh =
         (let bank_links =
            if cfg.bank_fault = Sim.Fault.reliable then []
@@ -1072,7 +1065,7 @@ let create cfg =
                (List.init cfg.n_isps Fun.id)
          in
          Sim.Fault.Mesh.create ~default:cfg.mesh_default
-           ~links:(bank_links @ cfg.mesh_links) ~partitions:cfg.partitions
+           ~links:bank_links ~partitions:cfg.partitions
            ~n_nodes:(cfg.n_isps + Federation.n_banks fed) engine
            (Sim.Rng.stream ~seed:cfg.seed ~tag:0x3a7e5));
       adversaries = [];

@@ -13,7 +13,7 @@
 
     Every link in the world can misbehave.  The inter-ISP SMTP mesh is
     reliable only under the default configuration: per-link
-    {!Sim.Fault.plan}s ([mesh_default], [mesh_links]) and scheduled
+    {!Sim.Fault.plan}s ([mesh_default], [bank_fault]) and scheduled
     {!Sim.Fault.Mesh.partition} windows ([partitions]) can drop, delay
     or sever any session, and the MTAs respond with bounded retry
     queues, capped exponential backoff and bounce-with-refund when a
@@ -89,31 +89,21 @@ type config = {
   unpaid_policy : unpaid_policy;
       (** Fate of mail from non-compliant ISPs at compliant ones. *)
   auto_ack : bool;  (** Generate §5 mailing-list acknowledgments. *)
-  auto_topup : Epenny.amount option;
-      (** §1.2's balance buffering: when a send is blocked for lack of
-          e-pennies, buy this many from the ISP pool (against the
-          user's real-money account) and retry once.  [None] disables.
-          This is what keeps the §4.3 pool/bank loop active under
-          sustained traffic. *)
   customize_isp : int -> Isp.config -> Isp.config;
       (** Per-ISP overrides (cheats, limits, pool bounds). *)
   bank_fault : Sim.Fault.plan;
       (** Fault plan of every ISP↔bank link, in both directions
-          (default {!Sim.Fault.reliable}).  Shorthand for [mesh_links]
-          overrides [(i, h)] and [(h, i)] for every ISP [i], where
-          [h = n_isps + home i] is its home bank's node;
-          an explicit [mesh_links] entry for the same link wins.  A
-          non-reliable [bank_fault] {e replaces} [mesh_default] on the
-          bank links — the two plans do not compound. *)
+          (default {!Sim.Fault.reliable}): the plan of links [(i, h)]
+          and [(h, i)] for every ISP [i], where [h = n_isps + home i]
+          is its home bank's node.  A non-reliable [bank_fault]
+          {e replaces} [mesh_default] on the bank links — the two
+          plans do not compound. *)
   mesh_default : Sim.Fault.plan;
       (** Fault plan for every directed link of the physical mesh —
           inter-ISP SMTP sessions and ISP↔bank accounting datagrams
           alike (default {!Sim.Fault.reliable}; only the plan's
           drop/delay/outage components apply to sessions, every
           component applies to datagrams). *)
-  mesh_links : ((int * int) * Sim.Fault.plan) list;
-      (** Directed [(src, dst)] overrides of [mesh_default] (and of
-          [bank_fault]); nodes [n_isps …] are the member banks. *)
   partitions : Sim.Fault.Mesh.partition list;
       (** Scheduled partition windows: while active, every cross-group
           attempt — mail or bank traffic — is lost. *)
@@ -174,6 +164,14 @@ type config = {
           {!capture}d. *)
 }
 
+val auto_topup : Epenny.amount
+(** 50: §1.2's balance buffering.  When a send is blocked for lack of
+    e-pennies, the user buys this many from the ISP pool (against the
+    user's real-money account) and the send is retried once; a pool
+    that cannot serve, or an account that cannot pay, leaves the send
+    blocked.  This is what keeps the §4.3 pool/bank loop active under
+    sustained traffic. *)
+
 val default_config : n_isps:int -> users_per_isp:int -> config
 (** All ISPs compliant, hourly pool checks, no automatic audits,
     10-minute freezes, 100 ms bank links, deliver unpaid mail,
@@ -227,8 +225,6 @@ val attach_invariants : ?honest:bool array -> t -> Obs.Invariant.t list
     inside the run at the first inconsistent event. *)
 
 val address : t -> isp:int -> user:int -> Smtp.Address.t
-val locate : t -> Smtp.Address.t -> (int * int) option
-(** Inverse of {!address}. *)
 
 (** {1 Sending mail} *)
 
@@ -237,8 +233,7 @@ type send_result =
   | Deferred_snapshot  (** Buffered; will be submitted at thaw. *)
   | Failed_down  (** The sender's own ISP is crashed; nothing queued. *)
   | Backpressured
-      (** The serving layer refused admission (421: queue full under
-          the [`Drop] policy).  Nothing entered the system; a paid
+      (** The serving layer refused admission (421: queue full).  Nothing entered the system; a paid
           charge was refunded.  Only possible with [cfg.serving]. *)
   | Rejected of Ledger.block
 
@@ -432,7 +427,6 @@ val mesh : t -> Sim.Fault.Mesh.t
 val deferral_delay : t -> Sim.Stats.Summary.t
 (** Seconds each snapshot-deferred message waited before submission. *)
 
-val initial_epennies : t -> Epenny.amount
 val conservation_holds : t -> bool
 (** Σ compliant-ISP e-pennies − initial issue = the banks' total
     outstanding ({!Federation.total_outstanding}) —

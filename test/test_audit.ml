@@ -40,9 +40,8 @@ let row_canonical =
           if v = 0 then nonzero := false;
           if i > 0 && fst pairs.(i - 1) >= p then sorted := false)
         pairs;
-      (* pairs / of_pairs are inverses. *)
-      let back = Row.of_pairs ~n pairs in
-      (* Codec round-trip restores an equal row with identical bytes. *)
+      (* Codec round-trip (the pairs, read back by [restore]) restores an
+         equal row with identical bytes. *)
       let w = Persist.Codec.W.create () in
       Row.encode w row;
       let bytes1 = Persist.Codec.W.contents w in
@@ -65,7 +64,6 @@ let row_canonical =
         Persist.Codec.W.contents w3 = bytes1
       in
       !sorted && !nonzero
-      && Row.equal row back
       && Row.equal row restored
       && bytes1 = bytes2
       && order_independent
@@ -184,11 +182,9 @@ let credit_vs_dense_model =
       in
       let agree () =
         let upto = !seq in
-        Zmail.Credit.snapshot_upto t ~seq:upto = model_report upto
-        && Zmail.Credit.report_upto t ~seq:upto
+        Zmail.Credit.report_upto t ~seq:upto
            = Row.pairs (Row.of_dense (model_report upto))
         && Zmail.Credit.snapshot t = model_now
-        && Zmail.Credit.net_flow t = Array.fold_left ( + ) 0 model_now
         && Zmail.Credit.populated t
            = Array.fold_left (fun a v -> if v = 0 then a else a + 1) 0 model_now
       in

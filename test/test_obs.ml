@@ -185,20 +185,24 @@ let event_gen =
   and+ payload = payload_gen in
   { Obs.Trace.seq; time; actor; phase = phase_of payload; span; payload }
 
-let event_print ev = Obs.Export.event_to_json ev
+(* One event's JSONL line, without its newline. *)
+let event_to_json ev =
+  let doc = Obs.Export.to_jsonl [ ev ] in
+  String.sub doc 0 (String.length doc - 1)
+
 
 let test_jsonl_roundtrip =
   QCheck.Test.make ~name:"jsonl round-trip: parse (print ev) = ev" ~count:500
-    (QCheck.make ~print:event_print event_gen)
+    (QCheck.make ~print:event_to_json event_gen)
     (fun ev ->
-      match Obs.Export.event_of_json (Obs.Export.event_to_json ev) with
+      match Obs.Export.event_of_json (event_to_json ev) with
       | Ok ev' -> ev' = ev
       | Error msg -> QCheck.Test.fail_reportf "parse error: %s" msg)
 
 let test_jsonl_document_roundtrip =
   QCheck.Test.make ~name:"jsonl document round-trip" ~count:100
     (QCheck.make
-       ~print:(fun evs -> String.concat "\n" (List.map event_print evs))
+       ~print:(fun evs -> String.concat "\n" (List.map event_to_json evs))
        QCheck.Gen.(list_size (int_bound 10) event_gen))
     (fun evs ->
       match Obs.Export.of_jsonl (Obs.Export.to_jsonl evs) with
@@ -597,7 +601,7 @@ let render_kinds sources =
     (fun events ->
       List.iter
         (fun ev ->
-          let line = Obs.Export.event_to_json ev in
+          let line = event_to_json ev in
           let kind = kind_of_line line in
           if not (Hashtbl.mem seen kind) then begin
             Hashtbl.replace seen kind ();

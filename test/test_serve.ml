@@ -1,6 +1,6 @@
 (* Tests for the serving-path subsystem (lib/serve): the bounded
    admission ring, SLO classification and quantiles, session delivery
-   equivalence with the direct path, Drop/Defer backpressure semantics,
+   equivalence with the direct path, backpressure semantics,
    and determinism of the dispatcher (run-to-run and through the
    snapshot codec). *)
 
@@ -210,29 +210,6 @@ let test_drop_policy_backpressures () =
   Alcotest.(check int) "queue empty after drain" 0 (Serve.Dispatch.queue_depth d);
   Alcotest.(check int) "no sessions left" 0 (Serve.Dispatch.active_sessions d)
 
-let test_defer_policy_parks_instead () =
-  let config = { serve_config with Serve.Config.queue_policy = Serve.Config.Defer } in
-  let engine, net, mta_a, mta_b = make_net ~seed:47 in
-  let d = Serve.Dispatch.attach ~config ~rng:(Sim.Rng.create 2) net in
-  let from = addr "alice@a.com" and to_ = addr "bob@b.com" in
-  let submit_checked body =
-    Smtp.Mta.submit_checked mta_a
-      (Smtp.Envelope.v ~sender:from ~recipients:[ to_ ])
-      (Smtp.Message.make_exn ~from ~to_:[ to_ ] ~body ())
-  in
-  List.iter
-    (fun b ->
-      match submit_checked b with
-      | `Submitted -> ()
-      | `Backpressure -> Alcotest.fail "Defer must never backpressure")
-    [ "1"; "2"; "3"; "4"; "5" ];
-  Alcotest.(check bool) "overflow parked into the retry queue" true
-    (Serve.Dispatch.deferred d > 0);
-  Sim.Engine.run engine;
-  let sa = Smtp.Mta.stats mta_a and sb = Smtp.Mta.stats mta_b in
-  Alcotest.(check int) "every send accounted: delivered + bounced" 5
-    (sb.Smtp.Mta.delivered + sa.Smtp.Mta.bounced)
-
 (* Run one moderately-contended scenario and return the dispatcher's
    encoded state plus headline counters. *)
 let run_scenario ~seed =
@@ -331,7 +308,6 @@ let () =
             test_session_delivers_like_direct;
           Alcotest.test_case "drop backpressures" `Quick
             test_drop_policy_backpressures;
-          Alcotest.test_case "defer parks" `Quick test_defer_policy_parks_instead;
           Alcotest.test_case "deterministic" `Quick test_dispatch_deterministic;
           Alcotest.test_case "encode/restore" `Quick test_dispatch_encode_restore;
         ] );

@@ -59,14 +59,6 @@ let test_rng_mean () =
   let mean = Sim.Stats.Summary.mean s in
   Alcotest.(check bool) "mean near 0.5" true (abs_float (mean -. 0.5) < 0.01)
 
-let test_rng_shuffle_permutation () =
-  let rng = Sim.Rng.create 9 in
-  let a = Array.init 50 (fun i -> i) in
-  Sim.Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "same multiset" (Array.init 50 (fun i -> i)) sorted
-
 let test_rng_pick_empty () =
   let rng = Sim.Rng.create 0 in
   Alcotest.check_raises "empty array" (Invalid_argument "Rng.pick: empty array")
@@ -174,27 +166,6 @@ let test_dist_normal_moments () =
     (abs_float (Sim.Stats.Summary.mean s -. 10.) < 0.1);
   Alcotest.(check bool) "stddev" true
     (abs_float (Sim.Stats.Summary.stddev s -. 3.) < 0.1)
-
-let test_dist_poisson_mean () =
-  let rng = Sim.Rng.create 5 in
-  let s =
-    sample_summary 20_000 (fun () -> float_of_int (Sim.Dist.poisson rng ~mean:4.))
-  in
-  Alcotest.(check bool) "mean ~ 4" true
-    (abs_float (Sim.Stats.Summary.mean s -. 4.) < 0.1)
-
-let test_dist_poisson_large_mean () =
-  let rng = Sim.Rng.create 6 in
-  let s =
-    sample_summary 5_000 (fun () -> float_of_int (Sim.Dist.poisson rng ~mean:200.))
-  in
-  Alcotest.(check bool) "mean ~ 200" true
-    (abs_float (Sim.Stats.Summary.mean s -. 200.) < 2.);
-  Alcotest.(check bool) "non-negative" true (Sim.Stats.Summary.min s >= 0.)
-
-let test_dist_poisson_zero () =
-  let rng = Sim.Rng.create 7 in
-  Alcotest.(check int) "mean 0" 0 (Sim.Dist.poisson rng ~mean:0.)
 
 let test_dist_pareto_support () =
   let rng = Sim.Rng.create 8 in
@@ -1317,7 +1288,6 @@ let () =
           Alcotest.test_case "int invalid bound" `Quick test_rng_int_invalid;
           Alcotest.test_case "unit_float range" `Quick test_rng_unit_float_range;
           Alcotest.test_case "uniform mean" `Quick test_rng_mean;
-          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick empty" `Quick test_rng_pick_empty;
           Alcotest.test_case "stream no seed/tag collision" `Quick
             test_rng_stream_no_seed_tag_collision;
@@ -1332,9 +1302,6 @@ let () =
           Alcotest.test_case "bernoulli rate" `Quick test_dist_bernoulli_rate;
           Alcotest.test_case "exponential mean" `Quick test_dist_exponential_mean;
           Alcotest.test_case "normal moments" `Quick test_dist_normal_moments;
-          Alcotest.test_case "poisson mean" `Quick test_dist_poisson_mean;
-          Alcotest.test_case "poisson large mean" `Quick test_dist_poisson_large_mean;
-          Alcotest.test_case "poisson zero" `Quick test_dist_poisson_zero;
           Alcotest.test_case "pareto support" `Quick test_dist_pareto_support;
           Alcotest.test_case "lognormal positive" `Quick test_dist_lognormal_positive;
           Alcotest.test_case "zipf ranks" `Quick test_dist_zipf_ranks;

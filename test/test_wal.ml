@@ -272,25 +272,31 @@ let splice_rejected () =
 (* Sim.Disk: the fault-injected device                                 *)
 (* ------------------------------------------------------------------ *)
 
+let disk_counter d name =
+  Sim.Stats.Counter.value
+    (List.find (fun c -> Sim.Stats.Counter.name c = name) (Sim.Disk.counters d))
+
 let disk_semantics () =
   let d = Sim.Disk.create (Sim.Rng.create 7) in
   Sim.Disk.append d "hello ";
   Sim.Disk.append d "world";
   checki "nothing durable before flush" 0 (Sim.Disk.durable_size d);
-  checki "tail holds appends" 11 (Sim.Disk.tail_size d);
   Sim.Disk.flush d;
   Alcotest.(check string) "flush acknowledges" "hello world" (Sim.Disk.contents d);
+  checki "flush makes the whole tail durable" 11 (Sim.Disk.durable_size d);
   Sim.Disk.append d "lost";
   Sim.Disk.power_cut d;
   Alcotest.(check string) "reliable cut loses exactly the tail" "hello world"
     (Sim.Disk.contents d);
-  checki "cut counted" 1 (Sim.Disk.power_cuts d);
+  checki "cut counted" 1 (disk_counter d "power_cuts");
   checki "lost bytes counted" 4 (Sim.Disk.lost_bytes d);
   checki "no torn tail on a reliable plan" 0 (Sim.Disk.torn_tails d);
   Sim.Disk.reset_to d "fresh";
   Alcotest.(check string) "reset_to replaces durable contents" "fresh"
     (Sim.Disk.contents d);
-  checki "reset_to discards the tail" 0 (Sim.Disk.tail_size d);
+  let lost = Sim.Disk.lost_bytes d in
+  Sim.Disk.power_cut d;
+  checki "reset_to discards the tail" lost (Sim.Disk.lost_bytes d);
   (* [reset_to] reuses the durable buffer in place; contents handed out
      before it must not change under later resets and flushes. *)
   let before = Sim.Disk.contents d in
@@ -321,9 +327,9 @@ let disk_torn_strict_prefix () =
      empty fragment still counts. *)
   checki "every torn cut counted" !torn (Sim.Disk.torn_tails d);
   (* An empty-tail power cut damages nothing but is still a crash. *)
-  let cuts = Sim.Disk.power_cuts d in
+  let cuts = disk_counter d "power_cuts" in
   Sim.Disk.power_cut d;
-  checki "empty-tail cut counted" (cuts + 1) (Sim.Disk.power_cuts d)
+  checki "empty-tail cut counted" (cuts + 1) (disk_counter d "power_cuts")
 
 let disk_state_roundtrip () =
   let drive d =

@@ -184,14 +184,15 @@ let test_unpaid_policy_filter () =
        (Zmail.World.address w ~isp:0 ~user:0))
 
 let test_balance_exhaustion_and_topup () =
-  (* Tiny balances, no topup: the second send is blocked. *)
+  (* Tiny balances and a pool that cannot serve a top-up: the second
+     send is blocked. *)
   let w =
     make
       ~f:(fun c ->
         {
           c with
-          Zmail.World.auto_topup = None;
-          customize_isp = (fun _ k -> { k with Zmail.Isp.initial_balance = 1 });
+          Zmail.World.customize_isp =
+            (fun _ k -> { k with Zmail.Isp.initial_balance = 1; initial_avail = 0 });
         })
       ()
   in
@@ -200,14 +201,14 @@ let test_balance_exhaustion_and_topup () =
   | Zmail.World.Rejected Zmail.Ledger.Insufficient_balance -> ()
   | _ -> Alcotest.fail "expected a balance rejection");
   Alcotest.(check int) "counted" 1 (Zmail.World.counters w).Zmail.World.blocked_balance;
-  (* Same setup with topup: the user buys from the pool and sends. *)
+  (* Same balances with a pool that can serve: the user buys from the
+     pool and sends. *)
   let w2 =
     make
       ~f:(fun c ->
         {
           c with
-          Zmail.World.auto_topup = Some 10;
-          customize_isp = (fun _ k -> { k with Zmail.Isp.initial_balance = 1 });
+          Zmail.World.customize_isp = (fun _ k -> { k with Zmail.Isp.initial_balance = 1 });
         })
       ()
   in
@@ -362,14 +363,7 @@ let test_user_traffic_roughly_balances () =
   (* Zero-sum: whatever the ISPs hold beyond the initial issue must be
      exactly what the bank sold them, plus paid mail in flight at this
      instant (a handful of messages given millisecond latencies). *)
-  let total =
-    Zmail.Isp.total_epennies (Zmail.World.isp w 0)
-    + Zmail.Isp.total_epennies (Zmail.World.isp w 1)
-  in
-  let residue =
-    total - Zmail.World.initial_epennies w
-    - Zmail.Bank.outstanding_epennies (Zmail.World.bank w)
-  in
+  let residue = Zmail.World.epenny_residue w in
   Alcotest.(check bool) "in-flight residue non-negative" true (residue >= 0);
   Alcotest.(check bool) "in-flight residue small" true (residue < 50)
 
@@ -379,8 +373,10 @@ let test_bulk_sender_drains () =
       ~f:(fun c ->
         {
           c with
-          Zmail.World.auto_topup = None;
-          customize_isp = (fun _ k -> { k with Zmail.Isp.initial_balance = 20; daily_limit = 10_000 });
+          Zmail.World.customize_isp =
+            (fun _ k ->
+              (* No real money behind the e-pennies: no top-up can pay. *)
+              { k with Zmail.Isp.initial_balance = 20; initial_account = 0; daily_limit = 10_000 });
         })
       ()
   in
@@ -452,14 +448,7 @@ let test_soak_week_with_audits () =
       Alcotest.(check int) "every audit clean" 0 (List.length r.Zmail.Bank.violations))
     audits;
   (* The conservation residue is only paid mail in flight right now. *)
-  let total = ref 0 in
-  for i = 0 to 4 do
-    total := !total + Zmail.Isp.total_epennies (Zmail.World.isp w i)
-  done;
-  let residue =
-    !total - Zmail.World.initial_epennies w
-    - Zmail.Bank.outstanding_epennies (Zmail.World.bank w)
-  in
+  let residue = Zmail.World.epenny_residue w in
   Alcotest.(check bool) "residue is a few in-flight messages" true
     (residue >= 0 && residue < 100);
   (* The bulk sender was throttled by the daily limit. *)
@@ -541,9 +530,8 @@ let test_duplicated_buy_reply_pins_e11 () =
   Alcotest.(check int) "hardened kernel absorbs duplicates" 0 residue_hard;
   Alcotest.(check bool) "ablated kernel double-applies" true (residue_ablated > 0)
 
-(* [bank_fault] is shorthand for mesh overrides on the ISP<->bank links
-   only: explicit [mesh_links] entries win, and ISP<->ISP mail never
-   sees the plan. *)
+(* [bank_fault] is the plan of the ISP<->bank links only: ISP<->ISP mail
+   never sees it. *)
 let test_bank_fault_is_bank_links () =
   let dead = Sim.Fault.plan ~drop:1.0 () in
   let w =
@@ -552,8 +540,6 @@ let test_bank_fault_is_bank_links () =
         {
           c with
           Zmail.World.bank_fault = dead;
-          mesh_links =
-            [ ((0, 2), Sim.Fault.reliable); ((2, 0), Sim.Fault.reliable) ];
           customize_isp = (fun _ k -> pool_hungry k);
         })
       ()
@@ -562,23 +548,22 @@ let test_bank_fault_is_bank_links () =
   Zmail.World.run_days w 0.1;
   Alcotest.(check int) "mail crosses the mesh untouched" 101
     (balance w ~isp:1 ~user:0);
-  Alcotest.(check bool) "overridden bank link settles the buy" true
-    (Zmail.Isp.pending_buy_nonce (Zmail.World.isp w 0) = None);
-  Alcotest.(check bool) "bank_fault link never settles" true
-    (Zmail.Isp.pending_buy_nonce (Zmail.World.isp w 1) <> None)
+  Alcotest.(check bool) "bank_fault links never settle" true
+    (Zmail.Isp.pending_buy_nonce (Zmail.World.isp w 0) <> None
+    && Zmail.Isp.pending_buy_nonce (Zmail.World.isp w 1) <> None)
 
 (* The retransmit timeouts World actually schedules, read back from the
    trace: bank exchanges back off 5, 10, ..., 640, then 900 s; an audit
-   request first waits out the freeze (600 + 5 s), then 900 s. *)
-let retransmit_timeouts ?(customize = fun _ k -> k) ?(start = ignore) ~links
-    ~until () =
+   request first waits out the freeze (600 + 5 s), then 900 s.  Every
+   ISP<->bank link drops everything. *)
+let retransmit_timeouts ?(customize = fun _ k -> k) ?(start = ignore) ~until () =
   let tracer = Obs.Trace.create ~capacity:100_000 () in
   let w =
     make
       ~f:(fun c ->
         {
           c with
-          Zmail.World.mesh_links = links;
+          Zmail.World.bank_fault = Sim.Fault.plan ~drop:1.0 ();
           customize_isp = customize;
           tracer = Some tracer;
         })
@@ -596,8 +581,7 @@ let retransmit_timeouts ?(customize = fun _ k -> k) ?(start = ignore) ~links
 let test_bank_retry_schedule () =
   let timeouts =
     retransmit_timeouts
-      ~customize:(fun _ k -> pool_hungry k)
-      ~links:[ ((0, 2), Sim.Fault.plan ~drop:1.0 ()) ]
+      ~customize:(fun i k -> if i = 0 then pool_hungry k else k)
       ~until:(4. *. Sim.Engine.hour) ()
   in
   Alcotest.(check (list (float 0.))) "buy resend schedule"
@@ -607,11 +591,11 @@ let test_bank_retry_schedule () =
 let test_audit_request_retry_schedule () =
   let timeouts =
     retransmit_timeouts ~start:Zmail.World.trigger_audit
-      ~links:[ ((2, 0), Sim.Fault.plan ~drop:1.0 ()) ]
       ~until:2406. ()
   in
+  (* One request per ISP, resent in step. *)
   Alcotest.(check (list (float 0.))) "audit request resend schedule"
-    [ 605.; 900.; 900. ] timeouts
+    [ 605.; 605.; 900.; 900.; 900.; 900. ] timeouts
 
 (* Crash recovery replays each victim's write-ahead log, so a world
    that crashes needs a disk; a reliable one loses exactly the
@@ -986,11 +970,7 @@ let test_world_validation () =
        ignore (Zmail.World.isp w 2);
        false
      with Invalid_argument _ -> true);
-  (match Zmail.World.locate w (Zmail.World.address w ~isp:1 ~user:2) with
-  | Some (1, 2) -> ()
-  | _ -> Alcotest.fail "locate failed");
-  Alcotest.(check bool) "foreign address not located" true
-    (Zmail.World.locate w (Smtp.Address.of_string_exn "x@nowhere.com") = None)
+  ()
 
 let () =
   Alcotest.run "world"

@@ -9,8 +9,6 @@ let rng () = Sim.Rng.create 31
 
 let test_epenny () =
   Alcotest.(check (float 1e-12)) "to_dollars" 0.05 (Zmail.Epenny.to_dollars 5);
-  Alcotest.(check int) "of_dollars_floor" 123 (Zmail.Epenny.of_dollars_floor 1.239);
-  Alcotest.(check int) "negative clamps" 0 (Zmail.Epenny.of_dollars_floor (-1.));
   Alcotest.(check int) "check passes" 7 (Zmail.Epenny.check 7);
   Alcotest.(check bool) "check rejects negatives" true
     (try
@@ -29,7 +27,7 @@ let test_credit_vector () =
   Zmail.Credit.record_receive c ~peer:2;
   Alcotest.(check int) "peer 1" 2 (Zmail.Credit.get c 1);
   Alcotest.(check int) "peer 2" (-1) (Zmail.Credit.get c 2);
-  Alcotest.(check int) "net flow" 1 (Zmail.Credit.net_flow c);
+  Alcotest.(check int) "net flow" 1 (Array.fold_left ( + ) 0 (Zmail.Credit.snapshot c));
   let snap = Zmail.Credit.snapshot c in
   Zmail.Credit.reset_upto c ~seq:0;
   Alcotest.(check int) "reset" 0 (Zmail.Credit.get c 1);
@@ -46,10 +44,16 @@ let test_credit_vector () =
 
 (* The epoch ladder behind partition-tolerant audits: receives may
    arrive several audit epochs ahead (the sender healed from a long
-   partition), [snapshot_upto ~seq] reports the cumulative row through
+   partition), [report_upto ~seq] reports the cumulative row through
    epoch [seq], and [reset_upto ~seq] promotes exactly epoch [seq+1]
    while keeping later buckets buffered. *)
 let test_credit_epoch_ladder () =
+  (* [report_upto] as a dense vector over the three peers. *)
+  let snapshot_upto c ~seq =
+    let row = Array.make 3 0 in
+    Array.iter (fun (peer, v) -> row.(peer) <- v) (Zmail.Credit.report_upto c ~seq);
+    row
+  in
   let c = Zmail.Credit.create ~n:3 in
   Zmail.Credit.record_send c ~peer:1;
   Zmail.Credit.record_receive_early c ~epoch:1 ~peer:2;
@@ -57,13 +61,13 @@ let test_credit_epoch_ladder () =
   Zmail.Credit.record_receive_early c ~epoch:1 ~peer:0;
   (* Cumulative row through seq 0 sees only the current period... *)
   Alcotest.(check (array int)) "upto 0" [| 0; 1; 0 |]
-    (Zmail.Credit.snapshot_upto c ~seq:0);
+    (snapshot_upto c ~seq:0);
   (* ...through seq 1 adds the epoch-1 bucket... *)
   Alcotest.(check (array int)) "upto 1" [| -1; 1; -1 |]
-    (Zmail.Credit.snapshot_upto c ~seq:1);
+    (snapshot_upto c ~seq:1);
   (* ...and through seq 3 everything (epoch 2 is an empty rung). *)
   Alcotest.(check (array int)) "upto 3" [| -1; 1; -2 |]
-    (Zmail.Credit.snapshot_upto c ~seq:3);
+    (snapshot_upto c ~seq:3);
   Alcotest.(check int) "pending counts all buckets" 3
     (Zmail.Credit.early_pending c);
   (* A multi-epoch reset (the healed ISP reported the cumulative row
@@ -187,7 +191,7 @@ let test_wire_roundtrip () =
       match Zmail.Wire.decode (Zmail.Wire.encode p) with
       | Ok p' ->
           Alcotest.(check bool) (Zmail.Wire.encode p) true
-            (Zmail.Wire.equal_payload p p')
+            (p = p')
       | Error e -> Alcotest.fail e)
     all_payloads
 
@@ -207,7 +211,7 @@ let test_wire_seal_roundtrip () =
       let sealed = Zmail.Wire.seal_for_bank r pk p in
       match Zmail.Wire.open_at_bank sk sealed with
       | Some p' ->
-          Alcotest.(check bool) "roundtrip" true (Zmail.Wire.equal_payload p p')
+          Alcotest.(check bool) "roundtrip" true (p = p')
       | None -> Alcotest.fail "unseal failed")
     all_payloads
 
@@ -252,7 +256,7 @@ let wire_roundtrip_prop =
       List.for_all
         (fun p ->
           match Zmail.Wire.decode (Zmail.Wire.encode p) with
-          | Ok p' -> Zmail.Wire.equal_payload p p'
+          | Ok p' -> p = p'
           | Error _ -> false)
         payloads)
 
@@ -291,9 +295,18 @@ let test_ledger_blocks () =
   Alcotest.(check bool) "balance exhausted" true
     (Zmail.Ledger.debit_send l ~user:0 = Error Zmail.Ledger.Insufficient_balance)
 
+(* §4.1's [i = j] branch as the ISP runs it: debit the sender, then
+   credit the recipient. *)
+let transfer_local l ~sender ~rcpt =
+  match Zmail.Ledger.debit_send l ~user:sender with
+  | Error _ as e -> e
+  | Ok () ->
+      Zmail.Ledger.credit_receive l ~user:rcpt;
+      Ok ()
+
 let test_ledger_local_transfer () =
   let l = ledger () in
-  Alcotest.(check bool) "transfer" true (Zmail.Ledger.transfer_local l ~sender:0 ~rcpt:2 = Ok ());
+  Alcotest.(check bool) "transfer" true (transfer_local l ~sender:0 ~rcpt:2 = Ok ());
   Alcotest.(check int) "sender" 1 (Zmail.Ledger.balance l ~user:0);
   Alcotest.(check int) "rcpt" 3 (Zmail.Ledger.balance l ~user:2)
 
@@ -343,7 +356,7 @@ let ledger_conservation_prop =
           | 1 -> Zmail.Ledger.credit_receive l ~user
           | 2 -> ignore (Zmail.Ledger.user_buy l ~user ~amount:(Sim.Rng.int r 5))
           | 3 -> ignore (Zmail.Ledger.user_sell l ~user ~amount:(Sim.Rng.int r 5))
-          | 4 -> ignore (Zmail.Ledger.transfer_local l ~sender:user ~rcpt:((user + 1) mod 4))
+          | 4 -> ignore (transfer_local l ~sender:user ~rcpt:((user + 1) mod 4))
           | _ -> Zmail.Ledger.reset_daily l)
         ops;
       (* debit_send removes a penny (it rides in the message); credit
@@ -372,7 +385,7 @@ let ledger_conservation_prop =
           | 1 -> Zmail.Ledger.credit_receive l2 ~user; incr delta
           | 2 -> ignore (Zmail.Ledger.user_buy l2 ~user ~amount:(Sim.Rng.int r2 5))
           | 3 -> ignore (Zmail.Ledger.user_sell l2 ~user ~amount:(Sim.Rng.int r2 5))
-          | 4 -> ignore (Zmail.Ledger.transfer_local l2 ~sender:user ~rcpt:((user + 1) mod 4))
+          | 4 -> ignore (transfer_local l2 ~sender:user ~rcpt:((user + 1) mod 4))
           | _ -> Zmail.Ledger.reset_daily l2)
         ops;
       total = initial + !delta)
@@ -411,8 +424,7 @@ let test_isp_send_noncompliant_free () =
   let _, _, isp = make_bank_and_isp () in
   Alcotest.(check bool) "free send" true
     (Zmail.Isp.charge_send isp ~sender:0 ~dest_isp:2 = Zmail.Isp.Sent_free);
-  Alcotest.(check int) "no debit" 100 (Zmail.Ledger.balance (Zmail.Isp.ledger isp) ~user:0);
-  Alcotest.(check int) "free counted" 1 (Zmail.Isp.stats_sent_free isp)
+  Alcotest.(check int) "no debit" 100 (Zmail.Ledger.balance (Zmail.Isp.ledger isp) ~user:0)
 
 let test_isp_receive () =
   let _, _, isp = make_bank_and_isp () in
@@ -1051,7 +1063,7 @@ let test_listserv_prune () =
     (List.map Smtp.Address.to_string removed);
   Alcotest.(check int) "alice stays" 1 (Zmail.Listserv.subscriber_count ls);
   Alcotest.(check bool) "alice subscribed" true
-    (Zmail.Listserv.is_subscribed ls (addr "alice@a.com"))
+    (List.mem (addr "alice@a.com") (Zmail.Listserv.subscribers ls))
 
 let test_listserv_ack_resets_missed () =
   let ls = make_list () in
