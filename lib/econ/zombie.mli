@@ -13,7 +13,7 @@ type params = {
   contacts_per_user : int;  (** Address-book size the virus mails. *)
   virus_sends_per_day : int;  (** Messages an infected machine attempts daily. *)
   infection_probability : float;  (** Per received virus message. *)
-  daily_limit : int;  (** The Zmail [limit] array entry; [max_int] disables. *)
+  daily_limit : int;  (** The Zmail ISP's [daily_limit]; [max_int] disables. *)
   legitimate_sends_per_day : int;
       (** The owner's own traffic, which shares the limit. *)
   disinfect_after_warning_days : int;

@@ -173,8 +173,6 @@ type t = {
   attempts : int;
   paid : int;
   audits : (float * Zmail.Bank.audit_result) list;
-  honest_convicted : int;
-  residue : int;
 }
 
 let run g ~seed fault ~label ?(configure = Fun.id) ?(arm = ignore)
@@ -228,14 +226,7 @@ let run g ~seed fault ~label ?(configure = Fun.id) ?(arm = ignore)
       (Printf.sprintf
          "%s: %d honest conviction(s) — an audit convicted a compliant ISP" name
          honest_convicted);
-  {
-    world;
-    attempts = !attempts;
-    paid = !paid;
-    audits;
-    honest_convicted;
-    residue = Zmail.World.epenny_residue world;
-  }
+  { world; attempts = !attempts; paid = !paid; audits }
 
 let tables (obs : Obs.Run.t) ts metrics =
   match List.rev metrics with

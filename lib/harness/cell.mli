@@ -162,8 +162,6 @@ type t = {
   attempts : int;  (** Sends the Zipf fleet offered. *)
   paid : int;
   audits : (float * Zmail.Bank.audit_result) list;  (** Timed, oldest first. *)
-  honest_convicted : int;  (** Always 0: {!run} fails otherwise. *)
-  residue : int;  (** Always 0: {!drain} fails otherwise. *)
 }
 
 val run :

@@ -148,11 +148,8 @@ let run_cell grid ~seed (fault : Cell.fault_level) behavior =
       tap BW.delayed;
       tap BW.dropped;
       Sim.Table.cell_int (reject_count bstats Zmail.Bank.Unreadable);
-      Sim.Table.cell_int (reject_count bstats Zmail.Bank.Replayed);
       Sim.Table.cell_int (reject_count bstats Zmail.Bank.Wrong_state);
       Sim.Table.cell_int implicated;
-      Sim.Table.cell_int cell.honest_convicted;
-      Sim.Table.cell_int cell.residue;
     ],
     Obs.Metrics.to_table (Zmail.World.metrics world) )
 
@@ -388,11 +385,8 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
           "delayed";
           "dropped";
           "rej unreadable";
-          "rej replayed";
           "rej wrong-state";
           "implicated";
-          "convicted";
-          "residue";
         ]
   in
   List.iter

@@ -28,8 +28,16 @@ type t = {
    are mesh links now) and the "mesh" section gains the datagram
    duplicated / corrupted counters.  No migration from v7: bank-link
    draws moved to the mesh stream, so a v7 snapshot's replay-verify
-   could never pass. *)
-let current_version = 8
+   could never pass.
+   v9: deletions only.  The bank's per-reason reject counters lose the
+   never-produced [Replayed] slot (7 -> 6); the ledger no longer
+   carries a per-user limit array (the one daily limit is config); the
+   ISP drops five write-only counters (paid/free sends, paid receives,
+   refunds, crashes).  WAL checkpoint records, which the disk section
+   holds, lose the image's length prefix and CRC: the frame CRC
+   already covers them.  No migration from v8: a v8 section has fields
+   v9 does not read. *)
+let current_version = 9
 let magic = "ZMSNAP01"
 
 let v ~experiment ~label ~seed ~time sections =

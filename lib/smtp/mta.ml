@@ -48,8 +48,6 @@ and network = {
   mutable host_count : int;
   mutable link_fault :
     (src:int -> dst:int -> [ `Deliver | `Delayed of float | `Lost ]) option;
-  mutable retry : retry_policy;
-  mutable backoff : Sim.Retry.policy;  (* [retry]'s backoff, validated *)
   mutable retrying : int;  (* envelopes currently parked in backoff *)
   mutable serving : serving option;
 }
@@ -66,29 +64,10 @@ and serving = {
   serve_capacity : src:Dns.host -> dest_host:Dns.host -> bool;
 }
 
-and retry_policy = {
-  max_attempts : int;
-  base_backoff : float;
-  backoff_factor : float;
-  backoff_cap : float;
-  queue_cap : int;
-}
-
-(* Reproduces the historical hard-wired behavior exactly: 3 attempts,
-   60 * 2^attempt seconds between them (worst case 240 s, far below the
-   cap), an effectively unbounded queue. *)
-let default_retry =
-  {
-    max_attempts = 3;
-    base_backoff = 60.;
-    backoff_factor = 2.;
-    backoff_cap = 3600.;
-    queue_cap = max_int;
-  }
-
-let backoff_of p =
-  Sim.Retry.policy ~initial:p.base_backoff ~factor:p.backoff_factor
-    ~cap:p.backoff_cap
+(* Three session attempts, 60 * 2^attempt seconds between them (at
+   most 120 s, far below the cap). *)
+let max_attempts = 3
+let retry_backoff = Sim.Retry.policy ~initial:60. ~factor:2. ~cap:3600.
 
 let default_latency rng = 0.010 +. Sim.Dist.exponential rng ~rate:20.
 
@@ -103,8 +82,6 @@ let network ?(latency = default_latency) ?(local_latency = 0.001) engine =
     host_arr = [||];
     host_count = 0;
     link_fault = None;
-    retry = default_retry;
-    backoff = backoff_of default_retry;
     retrying = 0;
     serving = None;
   }
@@ -117,13 +94,6 @@ let link_verdict net ~src ~dst =
   | None -> `Deliver
   | Some verdict -> verdict ~src ~dst
 
-let set_retry_policy net p =
-  if p.max_attempts < 1 then invalid_arg "Mta: max_attempts must be >= 1";
-  if p.queue_cap < 0 then invalid_arg "Mta: queue_cap must be non-negative";
-  net.backoff <- backoff_of p;
-  net.retry <- p
-
-let retry_policy net = net.retry
 let retry_queue_length net = net.retrying
 
 let engine net = net.engine
@@ -266,23 +236,18 @@ let run_session t dest envelope message =
    direct delivery path below and the serving layer's dispatcher
    ([resubmit] is the continuation that re-runs the next attempt —
    [transmit] here, queue re-admission in [Serve.Dispatch]).
-   Exhausting the attempts or overflowing the queue bounces the
-   message, which (via [on_bounce]) is what refunds the postage. *)
+   Exhausting the attempts bounces the message, which (via
+   [on_bounce]) is what refunds the postage. *)
 let retry_transient t ~dest_host envelope message ~attempt ~reason ~resubmit =
-  let p = t.net.retry in
-  if attempt + 1 >= p.max_attempts then begin
+  if attempt + 1 >= max_attempts then begin
     bounce t envelope message reason;
-    `Bounced
-  end
-  else if t.net.retrying >= p.queue_cap then begin
-    bounce t envelope message (reason ^ " (retry queue full)");
     `Bounced
   end
   else begin
     Log.debug (fun m ->
         m "%s: transient failure to host %d (attempt %d): %s" (hostname t)
           dest_host (attempt + 1) reason);
-    let backoff = Sim.Retry.delay t.net.backoff ~attempt in
+    let backoff = Sim.Retry.delay retry_backoff ~attempt in
     t.net.retrying <- t.net.retrying + 1;
     ignore
       (Sim.Engine.schedule_after t.net.engine ~delay:backoff (fun () ->
@@ -294,8 +259,8 @@ let retry_transient t ~dest_host envelope message ~attempt ~reason ~resubmit =
 (* [transmit] asks the link-fault layer (if any) for a verdict before
    opening the session: [`Lost] burns a retry like any 4xx tempfail,
    [`Delayed d] re-runs the same attempt after [d] without consuming
-   one.  Transient failures park the envelope in the bounded backoff
-   queue of [retry_transient]. *)
+   one.  Transient failures park the envelope in the backoff queue of
+   [retry_transient]. *)
 let rec transmit t ~dest_host envelope message ~attempt =
   match t.net.link_fault with
   | None -> attempt_session t ~dest_host envelope message ~attempt

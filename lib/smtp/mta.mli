@@ -55,31 +55,6 @@ val link_verdict :
     at session open so queued deliveries cross the same fault surface
     as direct ones. *)
 
-type retry_policy = {
-  max_attempts : int;  (** Session attempts before the message bounces. *)
-  base_backoff : float;  (** Seconds before the first retry. *)
-  backoff_factor : float;  (** Backoff multiplier per attempt. *)
-  backoff_cap : float;  (** Upper bound on any single backoff. *)
-  queue_cap : int;
-      (** Max envelopes parked in backoff network-wide; an arriving
-          retry beyond this bounces immediately. *)
-}
-
-val default_retry : retry_policy
-(** 3 attempts, 60 s base doubling per attempt, 1 h cap, unbounded
-    queue — exactly the behavior the MTA had before the policy became
-    configurable. *)
-
-val set_retry_policy : network -> retry_policy -> unit
-(** The backoff before retry [k] (from 0) is
-    {!Sim.Retry.delay}[ ~attempt:k] of
-    [(base_backoff, backoff_factor, backoff_cap)].
-    @raise Invalid_argument on [max_attempts < 1], a negative
-    [queue_cap], or backoff parameters {!Sim.Retry.policy} rejects
-    (negative or non-finite base or cap, a factor below 1). *)
-
-val retry_policy : network -> retry_policy
-
 val retry_queue_length : network -> int
 (** Envelopes currently parked in backoff across the whole network. *)
 
@@ -205,8 +180,9 @@ val retry_transient :
   reason:string -> resubmit:(attempt:int -> unit) ->
   [ `Parked of float | `Bounced ]
 (** The shared tempfail decision: park the envelope in the network's
-    bounded backoff queue and schedule [resubmit ~attempt:(attempt+1)]
-    after the capped exponential backoff ([`Parked backoff]), or — on
-    the final attempt, or when the queue is at [queue_cap] — {!bounce}
-    it ([`Bounced]).  The direct path passes its own transmit as
-    [resubmit]; the serving layer passes queue re-admission. *)
+    backoff queue and schedule [resubmit ~attempt:(attempt+1)] after
+    {!Sim.Retry.delay}[ ~attempt] of a 60 s base doubling per attempt
+    with a 1 h cap ([`Parked backoff]), or — on the third and final
+    attempt ([attempt = 2]) — {!bounce} it ([`Bounced]).  The direct
+    path passes its own transmit as [resubmit]; the serving layer
+    passes queue re-admission. *)

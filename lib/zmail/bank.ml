@@ -10,20 +10,19 @@ let default_config ~n_isps ~compliant =
 
 (* Shared by [Bank] and [Federation]: every reason either front door
    can turn a message away.  Keeping this one closed variant (rather
-   than free-form strings) makes forgery, replay and wrong-state
-   rejections distinguishable in stats and experiment tables. *)
+   than free-form strings) makes forgery and wrong-state rejections
+   distinguishable in stats and experiment tables. *)
 type reject =
   | Unknown_isp
   | Non_compliant
   | Unreadable
   | Foreign_bank
-  | Replayed
   | Wrong_state
   | Wrong_direction
 
 let all_rejects =
-  [ Unknown_isp; Non_compliant; Unreadable; Foreign_bank; Replayed;
-    Wrong_state; Wrong_direction ]
+  [ Unknown_isp; Non_compliant; Unreadable; Foreign_bank; Wrong_state;
+    Wrong_direction ]
 
 let n_reject_reasons = List.length all_rejects
 
@@ -32,16 +31,14 @@ let reject_index = function
   | Non_compliant -> 1
   | Unreadable -> 2
   | Foreign_bank -> 3
-  | Replayed -> 4
-  | Wrong_state -> 5
-  | Wrong_direction -> 6
+  | Wrong_state -> 4
+  | Wrong_direction -> 5
 
 let reject_to_string = function
   | Unknown_isp -> "unknown ISP"
   | Non_compliant -> "non-compliant ISP"
   | Unreadable -> "unreadable (forged or corrupted)"
   | Foreign_bank -> "sealed to a foreign bank"
-  | Replayed -> "replayed request"
   | Wrong_state -> "wrong state for this message"
   | Wrong_direction -> "bank-origin payload from an ISP"
 
@@ -221,7 +218,7 @@ let restore_state r t =
   restore_kernel r t;
   Journal.restore_state r t.wal
 
-let durable_image t = Journal.image encode_kernel t
+let durable_image t = Persist.Codec.to_string encode_kernel t
 
 (* ------------------------------------------------------------------ *)
 (* The write-ahead log                                                 *)

@@ -39,11 +39,6 @@ type reject =
           real member that is not the sender's home bank).  Decided by
           {!Federation.on_isp_message} before the envelope reaches the
           home bank; a bank alone never returns it. *)
-  | Replayed
-      (** Returned by nothing: every bank, federation members included,
-          answers a duplicate buy/sell from its reply cache (counted in
-          [replays_dropped], not here).  The reason stays because the
-          per-reason counters are part of the bank's encoded state. *)
   | Wrong_state
       (** An audit reply when no audit is running, for a stale round,
           or through the wrong entry point. *)
@@ -117,7 +112,9 @@ type response =
   | Audit_progress  (** Audit reply stored; more outstanding. *)
   | Audit_complete of audit_result
   | Rejected of reject
-      (** Forgery, replay, wrong state, or garbage — see {!reject}.
+      (** Forgery, wrong state, or garbage — see {!reject}.  A
+          duplicate buy/sell is not rejected: it gets the cached
+          reply.
           Each rejection increments the matching per-reason counter in
           {!stats}. *)
 
@@ -209,8 +206,8 @@ val restore_state : Persist.Codec.R.t -> t -> unit
 
 val durable_image : t -> string
 (** The bank's protocol state (everything {!encode_state} captures but
-    the storage device and WAL bookkeeping) as a {!Journal.image}: the
-    payload of the WAL's checkpoint records. *)
+    the storage device and WAL bookkeeping), encoded: a WAL checkpoint
+    record is the checkpoint tag byte followed by exactly these bytes. *)
 
 val disk : t -> Sim.Disk.t option
 
@@ -240,9 +237,9 @@ type stats = {
   messages_in : int;
   messages_out : int;
   rejects : (reject * int) list;
-      (** Messages turned away, by reason, in {!reject_index} order —
-          forgery ([Unreadable]) is distinguishable from replay and
-          wrong-state traffic. *)
+      (** Messages turned away, one entry per {!reject} reason in
+          declaration order — forgery ([Unreadable]) is distinguishable
+          from wrong-state traffic. *)
 }
 
 val stats : t -> stats

@@ -71,12 +71,7 @@ type t = {
           reply must reach the bank while that round is still open. *)
   mutable pending_warnings : int list;  (** Users newly at their limit. *)
   mutable warned_today : bool array;
-  mutable sent_paid : int;
-  mutable sent_free : int;
-  mutable received_paid : int;
   mutable cheat_minted : Epenny.amount;
-  mutable refunds : int;
-  mutable crashes : int;
   mutable tracer : Obs.Trace.t;
   wal : t Journal.t;
       (** {!Journal.off} without a disk: logs nothing, pays nothing per
@@ -146,12 +141,7 @@ let encode_kernel w t =
   int w t.freeze_for;
   list int w t.pending_warnings;
   array bool w t.warned_today;
-  int w t.sent_paid;
-  int w t.sent_free;
-  int w t.received_paid;
-  int w t.cheat_minted;
-  int w t.refunds;
-  int w t.crashes
+  int w t.cheat_minted
 
 let restore_kernel r t =
   let open Persist.Codec.R in
@@ -171,12 +161,7 @@ let restore_kernel r t =
   if Array.length warned <> Array.length t.warned_today then
     corrupt r "Isp: warned_today size mismatch";
   Array.blit warned 0 t.warned_today 0 (Array.length warned);
-  t.sent_paid <- int r;
-  t.sent_free <- int r;
-  t.received_paid <- int r;
-  t.cheat_minted <- int r;
-  t.refunds <- int r;
-  t.crashes <- int r
+  t.cheat_minted <- int r
 
 let encode_state w t =
   encode_kernel w t;
@@ -186,7 +171,7 @@ let restore_state r t =
   restore_kernel r t;
   Journal.restore_state r t.wal
 
-let durable_image t = Journal.image encode_kernel t
+let durable_image t = Persist.Codec.to_string encode_kernel t
 
 (* ------------------------------------------------------------------ *)
 (* The write-ahead log                                                 *)
@@ -204,8 +189,8 @@ let durable_image t = Journal.image encode_kernel t
    Flush policy (group commit): a record whose operation moved money
    or emitted a message to the outside world flushes immediately — the
    effect must not be observable anywhere while the record that
-   explains it is volatile.  Records that only touch counters or
-   warning bookkeeping (free sends, blocked sends, warning drains,
+   explains it is volatile.  Records that move no money and emit
+   nothing (free sends, blocked sends, warning drains,
    honest end-of-day resets, audit freezes) are lazy: they flush when
    [wal_group] of them accumulate or when the next mandatory record
    flushes the whole tail.  Losing a lazy suffix in a power cut
@@ -270,12 +255,7 @@ let create ?disk ?(wal_group = 8) rng config =
       amend_hook = None;
       pending_warnings = [];
       warned_today = Array.make config.n_users false;
-      sent_paid = 0;
-      sent_free = 0;
-      received_paid = 0;
       cheat_minted = 0;
-      refunds = 0;
-      crashes = 0;
       tracer = Obs.Trace.none;
       wal =
         (match disk with
@@ -298,7 +278,7 @@ type send_outcome =
   | Blocked of Ledger.block
 
 let note_limit_warning t user =
-  if Ledger.sent_today t.ledger ~user >= Ledger.limit t.ledger ~user
+  if Ledger.sent_today t.ledger ~user >= t.config.daily_limit
      && not t.warned_today.(user)
   then begin
     t.warned_today.(user) <- true;
@@ -314,11 +294,9 @@ let skip_credit_increment t =
    [Deferred] guard stays in the caller so a frozen kernel logs
    nothing (it also mutates nothing and draws nothing). *)
 let charge_exec t ~sender ~dest_isp =
-  if not t.config.compliant.(dest_isp) then begin
+  if not t.config.compliant.(dest_isp) then
     (* §4.1: mail to a non-compliant ISP is sent without charge. *)
-    t.sent_free <- t.sent_free + 1;
     Sent_free
-  end
   else
     match Ledger.debit_send t.ledger ~user:sender with
     | Error block ->
@@ -327,7 +305,6 @@ let charge_exec t ~sender ~dest_isp =
     | Ok () ->
         if dest_isp <> t.config.index && not (skip_credit_increment t) then
           Credit.record_send t.credit ~peer:dest_isp;
-        t.sent_paid <- t.sent_paid + 1;
         if tracing t then ev t (Isp_charge { user = sender; dest = dest_isp });
         note_limit_warning t sender;
         Sent_paid
@@ -363,7 +340,6 @@ let refund_exec t ~sender ~dest_isp =
     && dest_isp <> t.config.index
     && t.config.compliant.(dest_isp)
   then Credit.cancel_send t.credit ~peer:dest_isp;
-  t.refunds <- t.refunds + 1;
   if tracing t then ev t (Isp_refund { user = sender; dest = dest_isp })
 
 let refund_send t ~sender ~dest_isp =
@@ -434,7 +410,6 @@ let deliver_exec t ~replay_amend ~sender_epoch ~from_isp ~rcpt =
           false
     end
   in
-  t.received_paid <- t.received_paid + 1;
   if tracing t then ev t (Isp_settle { from = from_isp; rcpt });
   amended
 
@@ -722,13 +697,10 @@ let replay_record t tag r =
   else if tag = tag_warnings then ignore (limit_warnings_exec t)
   else Journal.unknown_tag r tag
 
-(* The restart steps, before the journal's post-recovery checkpoint
-   (which therefore holds them): count the crash and lift the §4.4
-   freeze, which is volatile — the bank's request retransmission
-   restarts it. *)
-let restart t =
-  t.crashes <- t.crashes + 1;
-  t.cansend <- true
+(* The restart step, before the journal's post-recovery checkpoint
+   (which therefore holds it): lift the §4.4 freeze, which is volatile
+   — the bank's request retransmission restarts it. *)
+let restart t = t.cansend <- true
 
 let recover_wal t =
   Journal.recover t.wal t ~name:"Isp.recover_wal" ~tracer:t.tracer ~set_tracer
@@ -737,4 +709,3 @@ let recover_wal t =
 let total_epennies t = Ledger.total_epennies t.ledger
 
 let stats_cheat_minted t = t.cheat_minted
-let stats_crashes t = t.crashes

@@ -103,9 +103,11 @@ val audit_seq : t -> int
 
 val durable_image : t -> string
 (** The kernel's complete protocol state (ledger, credit vectors, audit
-    sequence, pending buy/sell records, RNG/nonce streams, counters) as
-    a {!Journal.image}: the payload of the WAL's checkpoint records.
-    The storage device is not part of it. *)
+    sequence, pending buy/sell records, RNG/nonce streams, cheat-minted
+    total),
+    encoded: a WAL checkpoint record is the checkpoint tag byte
+    followed by exactly these bytes.  The storage device is not part
+    of it. *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
@@ -239,8 +241,8 @@ val power_cut : t -> unit
 val recover_wal : t -> (unit, string) result
 (** {!Journal.recover}: restore the log's checkpoint and replay the
     delta records after it.  Before the post-recovery checkpoint the
-    crash is counted ({!stats_crashes}) and the volatile §4.4 freeze is
-    lifted; the bank's request retransmission restarts it. *)
+    volatile §4.4 freeze is lifted; the bank's request retransmission
+    restarts it. *)
 
 val wal_appended : t -> int
 val wal_replayed : t -> int
@@ -264,6 +266,3 @@ val stats_cheat_minted : t -> Epenny.amount
     exactly the amount by which this kernel breaks the global zero-sum
     invariant (experiments subtract it to verify conservation in
     cheater worlds). *)
-
-val stats_crashes : t -> int
-(** Times {!recover_wal} has completed successfully. *)

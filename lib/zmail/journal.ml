@@ -35,33 +35,16 @@ let tag_checkpoint = 0
    records accumulate. *)
 let compact_after = 512
 
-let image encode k =
-  let body = Persist.Codec.to_string encode k in
-  let w = Persist.Codec.W.create () in
-  Persist.Codec.W.str w body;
-  Persist.Codec.W.u32 w (Persist.Codec.Crc32.string body);
-  Persist.Codec.W.contents w
-
-(* The CRC is checked before any field is restored, so a damaged image
-   is refused with the kernel unchanged. *)
-let restore_image j k image =
-  let restore r =
-    let body = Persist.Codec.R.str r in
-    let crc = Persist.Codec.R.u32 r in
-    if Persist.Codec.Crc32.string body <> crc then
-      Persist.Codec.R.corrupt r "durable image CRC mismatch";
-    match Persist.Codec.decode (fun r -> j.restore r k) body with
-    | Ok () -> ()
-    | Error msg -> Persist.Codec.R.corrupt r msg
-  in
-  Persist.Codec.decode restore image
-
+(* Record 0 is the tag byte followed directly by the kernel's encoding.
+   It needs no CRC of its own: the frame CRC that [Persist.Wal.scan]
+   checks covers every byte of it, so a damaged checkpoint never
+   reaches [restore_checkpoint]. *)
 let write_checkpoint j k =
   let payload =
     Persist.Codec.to_string
       (fun w k ->
         Persist.Codec.W.u8 w tag_checkpoint;
-        Persist.Codec.W.str w (image j.encode k))
+        j.encode w k)
       k
   in
   Sim.Disk.reset_to j.disk (Persist.Wal.frame ~seq:0 payload);
@@ -99,10 +82,10 @@ let replay_record replay k payload =
   replay k (Persist.Codec.R.u8 r) r;
   Persist.Codec.R.expect_end r
 
-let read_checkpoint r =
+let restore_checkpoint j k r =
   if Persist.Codec.R.u8 r <> tag_checkpoint then
     Persist.Codec.R.corrupt r "first WAL record is not a checkpoint";
-  Persist.Codec.R.str r
+  j.restore r k
 
 let recover t k ~name ~tracer ~set_tracer ~replay ~after =
   let ( let* ) = Result.bind in
@@ -116,9 +99,9 @@ let recover t k ~name ~tracer ~set_tracer ~replay ~after =
         | [] -> Error "no intact checkpoint record in the log"
         | first :: deltas -> Ok (first, deltas)
       in
-      let* image = Persist.Codec.decode read_checkpoint first in
       let* () =
-        Result.map_error (( ^ ) "corrupt checkpoint image: ") (restore_image j k image)
+        Result.map_error (( ^ ) "corrupt checkpoint: ")
+          (Persist.Codec.decode (restore_checkpoint j k) first)
       in
       set_tracer k Obs.Trace.none;
       let replayed =

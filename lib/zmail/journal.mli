@@ -8,8 +8,8 @@
 
     - {b Framing.}  Every record is a {!Persist.Wal.frame}; sequence
       numbers start at [0] after each checkpoint.
-    - {b Checkpoints.}  Record [0] is always a checkpoint: tag [0] and a
-      kernel {!image}.  The log is rewritten as a single fresh
+    - {b Checkpoints.}  Record [0] is always a checkpoint: tag [0]
+      followed directly by the kernel's encoded state.  The log is rewritten as a single fresh
       checkpoint ({!Sim.Disk.reset_to}, atomic) when the kernel is
       created, once 512 delta records follow the last checkpoint
       (purely count-based, hence deterministic), after every successful
@@ -19,10 +19,11 @@
       whole volatile tail durable at once.  Under [Group n] a lazy
       record ([~flush:false]) waits until [n] lazy records accumulate;
       under [Every_record] every record flushes as it is appended.
-    - {b Images.}  The checkpoint payload is the kernel's encoded state
-      with a CRC-32 trailer, so a flipped bit anywhere in it — even
-      inside an integer field the codec could decode — is refused
-      before any field is restored.
+    - {b Integrity.}  The checkpoint carries no CRC of its own: the
+      frame CRC that {!Persist.Wal.scan} checks covers every byte of
+      record [0], so a flipped bit anywhere in it — even inside an
+      integer field the codec could decode — is refused before any
+      field is restored.
     - {b Recovery.}  {!recover} is the only way back from a crash. *)
 
 type commit =
@@ -49,7 +50,7 @@ val create :
   'k t
 (** [create disk ~commit ~encode ~restore] logs onto [disk].  [encode]
     and [restore] are the kernel's protocol-state codec, the body of
-    every {!image}; they must not include the journal itself (a
+    every checkpoint record; they must not include the journal itself (a
     checkpoint that captured the device would contain the log that
     contains it).  The log is empty until the first {!checkpoint},
     which the kernel writes as soon as it exists. *)
@@ -73,12 +74,8 @@ val append : 'k t -> 'k -> flush:bool -> (Persist.Codec.W.t -> unit) -> unit
     and for the compaction that may follow, which encodes [k]. *)
 
 val checkpoint : 'k t -> 'k -> unit
-(** Replace the whole log by one checkpoint record holding [k]'s image,
-    dropping the volatile tail with it. *)
-
-val image : (Persist.Codec.W.t -> 'k -> unit) -> 'k -> string
-(** [image encode k] is the checkpoint payload: [k]'s encoded state
-    and its CRC-32.  Needs no device. *)
+(** Replace the whole log by one checkpoint record holding [k]'s
+    encoded state, dropping the volatile tail with it. *)
 
 val power_cut : 'k t -> unit
 (** {!Sim.Disk.power_cut} on the device; a no-op for {!off}. *)
@@ -101,8 +98,8 @@ val recover :
     + scan the durable bytes ({!Persist.Wal.scan}), stopping at the
       first torn or corrupt frame — lost only if it was never flushed,
       since flushed bytes are never damaged;
-    + require record [0] to be a checkpoint and verify its image CRC,
-      then restore [k] from it;
+    + require record [0] to be a checkpoint, then restore [k] from
+      it;
     + re-apply every following record in order, with [k]'s tracer
       swapped for {!Obs.Trace.none} ([tracer] is the one to put back):
       [replay k tag r] reads the rest of the record from [r] and must
@@ -115,13 +112,14 @@ val recover :
       torn or rotten suffix the power cut left.
 
     Returns [Error], prefixed with [name], when the journal is {!off},
-    the log holds no intact record, record [0] is not a checkpoint, its
-    image fails its CRC (then [k] is untouched: the CRC is checked
-    before any field is restored) or its decode, or replay diverges: a
-    record that frames correctly cannot be decoded ([Persist.Codec.Corrupt])
-    or its transition fails ([Failure], [Invalid_argument]).  After a
+    the log holds no intact record (a damaged record [0] fails its
+    frame CRC, so [k] is untouched), record [0] is not a checkpoint or
+    fails its decode, or replay diverges: a record that frames
+    correctly cannot be decoded ([Persist.Codec.Corrupt]) or its
+    transition fails ([Failure], [Invalid_argument]).  After a
     divergence [k] is left at the checkpoint plus the records replayed
-    before it, and no checkpoint is written; a divergence is a bug,
+    before it, after an intact checkpoint that fails its decode it is
+    partly restored, and no checkpoint is written; either is a bug,
     not a device fault.  Damage past record [0] is not an error: the
     log simply ends there, as at a torn tail.  Never raises on a
     damaged log. *)

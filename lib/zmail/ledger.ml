@@ -2,7 +2,7 @@ type t = {
   account : int array;
   balance : int array;
   sent : int array;
-  limit : int array;
+  daily_limit : int;
   mutable avail : int;
 }
 
@@ -18,7 +18,7 @@ let create ~n_users ~initial_balance ~initial_account ~daily_limit ~initial_avai
     account = Array.make n_users initial_account;
     balance = Array.make n_users initial_balance;
     sent = Array.make n_users 0;
-    limit = Array.make n_users daily_limit;
+    daily_limit;
     avail = initial_avail;
   }
 
@@ -26,17 +26,11 @@ let n_users t = Array.length t.balance
 let balance t ~user = t.balance.(user)
 let account t ~user = t.account.(user)
 let sent_today t ~user = t.sent.(user)
-let limit t ~user = t.limit.(user)
-
-let set_limit t ~user l =
-  if l < 0 then invalid_arg "Ledger.set_limit: negative limit";
-  t.limit.(user) <- l
-
 let avail t = t.avail
 
 let check_send t ~user =
   if t.balance.(user) < 1 then Error Insufficient_balance
-  else if t.sent.(user) >= t.limit.(user) then Error Daily_limit_reached
+  else if t.sent.(user) >= t.daily_limit then Error Daily_limit_reached
   else Ok ()
 
 let debit_send t ~user =
@@ -88,7 +82,6 @@ let encode_state w t =
   int_array w t.account;
   int_array w t.balance;
   int_array w t.sent;
-  int_array w t.limit;
   int w t.avail
 
 let restore_state r t =
@@ -104,7 +97,6 @@ let restore_state r t =
   blit "account" t.account;
   blit "balance" t.balance;
   blit "sent" t.sent;
-  blit "limit" t.limit;
   t.avail <- int r
 
 let total_user_epennies t = Array.fold_left ( + ) 0 t.balance

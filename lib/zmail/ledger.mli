@@ -1,6 +1,6 @@
 (** Per-ISP user bookkeeping (§4.1–§4.2): real-penny accounts, e-penny
-    balances, the daily [sent]/[limit] guard, and the ISP's [avail]
-    pool of e-pennies.
+    balances, the daily [sent] guard against the one [daily_limit] the
+    ledger is created with, and the ISP's [avail] pool of e-pennies.
 
     All mutators validate their preconditions and preserve the
     conservation invariant that e-pennies are only ever moved, never
@@ -13,7 +13,7 @@ type t
 
 type block =
   | Insufficient_balance  (** [balance = 0] (§4.1). *)
-  | Daily_limit_reached  (** [sent >= limit] (§4.1, §5 zombies). *)
+  | Daily_limit_reached  (** [sent >= daily_limit] (§4.1, §5 zombies). *)
 
 val create :
   n_users:int -> initial_balance:Epenny.amount -> initial_account:int ->
@@ -23,8 +23,6 @@ val n_users : t -> int
 val balance : t -> user:int -> Epenny.amount
 val account : t -> user:int -> int
 val sent_today : t -> user:int -> int
-val limit : t -> user:int -> int
-val set_limit : t -> user:int -> int -> unit
 val avail : t -> Epenny.amount
 
 val debit_send : t -> user:int -> (unit, block) result
@@ -54,5 +52,6 @@ val total_epennies : t -> Epenny.amount
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
 (** Snapshot capture and in-place restore of every per-user array and
-    the pool.  Restore raises [Persist.Codec.Corrupt] if the snapshot
+    the pool.  [daily_limit] is configuration, not state: it is not
+    captured.  Restore raises [Persist.Codec.Corrupt] if the snapshot
     was taken over a different number of users. *)

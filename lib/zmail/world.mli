@@ -15,9 +15,9 @@
     reliable only under the default configuration: per-link
     {!Sim.Fault.plan}s ([mesh_default], [bank_fault]) and scheduled
     {!Sim.Fault.Mesh.partition} windows ([partitions]) can drop, delay
-    or sever any session, and the MTAs respond with bounded retry
-    queues, capped exponential backoff and bounce-with-refund when a
-    message dies on a dead link ({!Smtp.Mta.set_retry_policy}).
+    or sever any session, and the MTAs respond with retry queues,
+    capped exponential backoff and bounce-with-refund when a message
+    dies on a dead link ({!Smtp.Mta.retry_transient}).
 
     Each ISP banks at its home member ([banks]), which holds its
     account, serves its buys and sells and audits it; every

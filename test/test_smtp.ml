@@ -733,10 +733,9 @@ let test_mta_latency_orders_delivery () =
 (* here once, with explicit seeds, for both consumers.                 *)
 (* ------------------------------------------------------------------ *)
 
-let retry_world ~seed ~policy () =
+let retry_world ~seed () =
   let engine = Sim.Engine.create ~seed () in
   let net = Smtp.Mta.network engine in
-  Smtp.Mta.set_retry_policy net policy;
   let mta_a = Smtp.Mta.create net ~hostname:"mx.a.com" ~domains:[ "a.com" ] in
   let mta_b = Smtp.Mta.create net ~hostname:"mx.b.com" ~domains:[ "b.com" ] in
   (engine, net, mta_a, mta_b)
@@ -746,18 +745,12 @@ let sample_envelope () =
     Smtp.Message.make_exn ~from:(addr "alice@a.com") ~to_:[ addr "bob@b.com" ]
       ~body:"retry me" () )
 
-let test_mta_backoff_exactly_at_cap () =
-  (* base 60 doubling with a 240 s cap: attempt 2 computes 60 * 2^2 =
-     240 — exactly the cap, the boundary where [Float.min] must not
-     round or overshoot — and attempt 3 (480) clamps to it. *)
-  let policy =
-    { Smtp.Mta.default_retry with
-      Smtp.Mta.max_attempts = 10; base_backoff = 60.; backoff_factor = 2.;
-      backoff_cap = 240. }
-  in
-  let engine, net, mta_a, mta_b = retry_world ~seed:23 ~policy () in
+let test_mta_default_backoff_schedule () =
+  (* Attempts 0 and 1 park for 60 s and 120 s; the queue drains once
+     both timers fire. *)
+  let engine, net, mta_a, mta_b = retry_world ~seed:41 () in
   let envelope, message = sample_envelope () in
-  let backoff_of attempt =
+  let parked_backoff attempt =
     match
       Smtp.Mta.retry_transient mta_a ~dest_host:(Smtp.Mta.host mta_b) envelope
         message ~attempt ~reason:"tempfail probe"
@@ -766,64 +759,14 @@ let test_mta_backoff_exactly_at_cap () =
     | `Parked b -> b
     | `Bounced -> Alcotest.fail "parked attempt bounced"
   in
-  Alcotest.(check (float 0.)) "attempt 0" 60. (backoff_of 0);
-  Alcotest.(check (float 0.)) "attempt 1" 120. (backoff_of 1);
-  Alcotest.(check (float 0.)) "attempt 2 lands exactly on the cap" 240.
-    (backoff_of 2);
-  Alcotest.(check (float 0.)) "attempt 3 clamps to the cap" 240. (backoff_of 3);
-  Alcotest.(check int) "all four parked" 4 (Smtp.Mta.retry_queue_length net);
+  Alcotest.(check (list (float 0.))) "60, 120" [ 60.; 120. ]
+    (List.map parked_backoff [ 0; 1 ]);
+  Alcotest.(check int) "both parked" 2 (Smtp.Mta.retry_queue_length net);
   Sim.Engine.run engine;
   Alcotest.(check int) "queue drains" 0 (Smtp.Mta.retry_queue_length net)
 
-let parked_backoff ~policy ~attempt =
-  let _engine, _net, mta_a, mta_b = retry_world ~seed:41 ~policy () in
-  let envelope, message = sample_envelope () in
-  match
-    Smtp.Mta.retry_transient mta_a ~dest_host:(Smtp.Mta.host mta_b) envelope
-      message ~attempt ~reason:"tempfail probe"
-      ~resubmit:(fun ~attempt:_ -> ())
-  with
-  | `Parked b -> b
-  | `Bounced -> Alcotest.fail "parked attempt bounced"
-
-let test_mta_default_backoff_schedule () =
-  let policy = { Smtp.Mta.default_retry with Smtp.Mta.max_attempts = 10 } in
-  Alcotest.(check (list (float 0.))) "60, 120, 240" [ 60.; 120.; 240. ]
-    (List.map (fun attempt -> parked_backoff ~policy ~attempt) [ 0; 1; 2 ])
-
-let test_mta_rejects_bad_backoff () =
-  let engine = Sim.Engine.create ~seed:43 () in
-  let net = Smtp.Mta.network engine in
-  let rejects name policy =
-    match Smtp.Mta.set_retry_policy net policy with
-    | () -> Alcotest.failf "%s accepted" name
-    | exception Invalid_argument _ -> ()
-  in
-  (* A negative factor would schedule a negative delay at attempt 1,
-     and [Engine.schedule_after] would raise mid-run. *)
-  rejects "negative factor"
-    { Smtp.Mta.default_retry with Smtp.Mta.backoff_factor = -2. };
-  rejects "NaN factor"
-    { Smtp.Mta.default_retry with Smtp.Mta.backoff_factor = Float.nan };
-  rejects "NaN base"
-    { Smtp.Mta.default_retry with Smtp.Mta.base_backoff = Float.nan };
-  rejects "negative base"
-    { Smtp.Mta.default_retry with Smtp.Mta.base_backoff = -1. };
-  Alcotest.(check bool) "the rejected policies left the default in place" true
-    (Smtp.Mta.retry_policy net = Smtp.Mta.default_retry)
-
-let test_mta_zero_base_never_nan () =
-  (* 2^1024 overflows to infinity; 0 * inf would put NaN on the heap. *)
-  let policy =
-    { Smtp.Mta.default_retry with
-      Smtp.Mta.max_attempts = 2000; base_backoff = 0. }
-  in
-  Alcotest.(check (float 0.)) "attempt 1024 waits 0 s" 0.
-    (parked_backoff ~policy ~attempt:1024)
-
 let test_mta_final_attempt_bounces_not_retries () =
-  let policy = { Smtp.Mta.default_retry with Smtp.Mta.max_attempts = 3 } in
-  let _engine, net, mta_a, mta_b = retry_world ~seed:29 ~policy () in
+  let _engine, net, mta_a, mta_b = retry_world ~seed:29 () in
   let envelope, message = sample_envelope () in
   let dead = ref 0 in
   Smtp.Mta.set_on_bounce mta_a (fun _env _m _reason -> incr dead);
@@ -833,8 +776,8 @@ let test_mta_final_attempt_bounces_not_retries () =
       ~resubmit:(fun ~attempt:_ -> Alcotest.fail "final attempt resubmitted")
   in
   (* Attempt index 2 is the third and last session: one more would
-     exceed [max_attempts], so the decision must be a bounce — parking
-     it would both leak a queue slot and run a 4th attempt. *)
+     exceed the three attempts, so the decision must be a bounce —
+     parking it would both leak a queue slot and run a 4th attempt. *)
   (match decide 2 with
   | `Bounced -> ()
   | `Parked _ -> Alcotest.fail "final attempt parked instead of bouncing");
@@ -843,20 +786,6 @@ let test_mta_final_attempt_bounces_not_retries () =
     (Smtp.Mta.stats mta_a).Smtp.Mta.bounced;
   Alcotest.(check int) "dead-lettered" 1 !dead
 
-let test_mta_down_host_single_attempt_policy () =
-  (* End-to-end: with max_attempts = 1 the first tempfail IS the final
-     attempt, so a down host bounces immediately — one session, no
-     backoff event ever scheduled. *)
-  let policy = { Smtp.Mta.default_retry with Smtp.Mta.max_attempts = 1 } in
-  let engine, net, mta_a, mta_b = retry_world ~seed:31 ~policy () in
-  Smtp.Mta.set_down mta_b true;
-  send_simple mta_a ~from:(addr "alice@a.com") ~to_:(addr "bob@b.com") ~body:"x";
-  Sim.Engine.run engine;
-  let s = Smtp.Mta.stats mta_a in
-  Alcotest.(check int) "one session only" 1 s.Smtp.Mta.sessions;
-  Alcotest.(check int) "bounced" 1 s.Smtp.Mta.bounced;
-  Alcotest.(check int) "never parked" 0 (Smtp.Mta.retry_queue_length net)
-
 let test_mta_bounce_refund_exactly_once () =
   (* A paid message that exhausts its retries must trigger the refund
      hook once — not once per attempt.  The on_bounce hook is the
@@ -864,8 +793,7 @@ let test_mta_bounce_refund_exactly_once () =
      recipient-credit leg from it), so each leg is modelled as a
      counter incremented by the hook: three sessions, one bounce, each
      leg reversed exactly once. *)
-  let policy = { Smtp.Mta.default_retry with Smtp.Mta.max_attempts = 3 } in
-  let engine, _net, mta_a, mta_b = retry_world ~seed:37 ~policy () in
+  let engine, _net, mta_a, mta_b = retry_world ~seed:37 () in
   Smtp.Mta.set_outbound_stamp mta_a (fun _env m ->
       Smtp.Message.mark_payment m ~epennies:1);
   let ledger_reversed = ref 0 and credit_reversed = ref 0 in
@@ -2198,18 +2126,10 @@ let () =
         ] );
       ( "retry",
         [
-          Alcotest.test_case "backoff exactly at cap" `Quick
-            test_mta_backoff_exactly_at_cap;
           Alcotest.test_case "default backoff schedule" `Quick
             test_mta_default_backoff_schedule;
-          Alcotest.test_case "bad backoff rejected" `Quick
-            test_mta_rejects_bad_backoff;
-          Alcotest.test_case "zero base never NaN" `Quick
-            test_mta_zero_base_never_nan;
           Alcotest.test_case "final attempt bounces" `Quick
             test_mta_final_attempt_bounces_not_retries;
-          Alcotest.test_case "single-attempt policy" `Quick
-            test_mta_down_host_single_attempt_policy;
           Alcotest.test_case "bounce refund once" `Quick
             test_mta_bounce_refund_exactly_once;
         ] );

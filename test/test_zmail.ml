@@ -331,10 +331,15 @@ let test_ledger_pool_bounds () =
   Alcotest.(check bool) "take ok" true (Zmail.Ledger.take_pool l 110 = Ok ());
   Alcotest.(check bool) "take too much" true (Result.is_error (Zmail.Ledger.take_pool l 1))
 
+(* The one daily limit is counted per user: a user at it blocks only
+   that user's sends. *)
 let test_ledger_per_user_limit () =
   let l = ledger () in
-  Zmail.Ledger.set_limit l ~user:1 0;
-  Alcotest.(check bool) "zero limit blocks" true
+  Zmail.Ledger.credit_receive l ~user:1;
+  for _ = 1 to 2 do
+    Alcotest.(check bool) "under the limit" true (Zmail.Ledger.debit_send l ~user:1 = Ok ())
+  done;
+  Alcotest.(check bool) "limit blocks" true
     (Zmail.Ledger.debit_send l ~user:1 = Error Zmail.Ledger.Daily_limit_reached);
   Alcotest.(check bool) "others unaffected" true (Zmail.Ledger.debit_send l ~user:0 = Ok ())
 
