@@ -25,9 +25,6 @@ type ('s, 'm) outcome =
       (** An invariant failure: the action names leading to the bad
           state, the state itself, and the invariant's explanation. *)
 
-val initial : ('s, 'm) Spec.protocol -> ('s, 'm) global
-(** The protocol's initial global state (all channels empty). *)
-
 val run :
   ?max_states:int ->
   ?max_depth:int ->

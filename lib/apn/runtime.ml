@@ -113,6 +113,4 @@ let run ?(max_steps = 100_000) t =
   let rec loop n = if n >= max_steps then (n, false) else if step t then loop (n + 1) else (n, true) in
   loop 0
 
-let steps t = t.executed
-
 let trace t = List.rev t.history

@@ -36,17 +36,10 @@ val inject : ('s, 'm) t -> src:Spec.pid -> dst:Spec.pid -> 'm -> unit
 val enabled_count : ('s, 'm) t -> int
 (** Number of currently enabled (process, action) candidates. *)
 
-val step : ('s, 'm) t -> bool
-(** Execute one randomly chosen enabled action.  [false] when the
-    protocol is quiescent (nothing enabled). *)
-
 val run : ?max_steps:int -> ('s, 'm) t -> int * bool
 (** [run t] steps until quiescence or until [max_steps] (default
     [100_000]) actions have run.  Returns [(steps_executed,
     quiescent)]. *)
-
-val steps : ('s, 'm) t -> int
-(** Total actions executed so far. *)
 
 val trace : ('s, 'm) t -> (Spec.pid * string) list
 (** Executed [(process, action-name)] pairs in execution order; empty

@@ -23,8 +23,6 @@ let create ~n =
   if n <= 0 then invalid_arg "Audit.Row.create: n must be positive";
   { n; cells = Int_tbl.create 8 }
 
-let n t = t.n
-
 let check t peer ctx =
   if peer < 0 || peer >= t.n then
     invalid_arg (Printf.sprintf "Audit.Row.%s: peer %d outside 0..%d" ctx peer (t.n - 1))
@@ -47,7 +45,6 @@ let add t peer dv =
   end
 
 let cardinal t = Int_tbl.length t.cells
-let is_empty t = Int_tbl.length t.cells = 0
 
 let sum t = Int_tbl.fold (fun _ v acc -> acc + v) t.cells 0
 

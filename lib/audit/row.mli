@@ -12,9 +12,6 @@ type t
 val create : n:int -> t
 (** An all-zero row.  @raise Invalid_argument if [n <= 0]. *)
 
-val n : t -> int
-(** The peer universe size (fixed at creation). *)
-
 val get : t -> int -> int
 (** [get t peer] is the cell value ([0] when unpopulated).
     @raise Invalid_argument when [peer] is outside [0..n-1]. *)
@@ -28,8 +25,6 @@ val add : t -> int -> int -> unit
 
 val cardinal : t -> int
 (** Populated (non-zero) cells. *)
-
-val is_empty : t -> bool
 
 val sum : t -> int
 (** Sum of all cells — the row's net flow. *)

@@ -187,8 +187,6 @@ let create ?(expected_cells = 256) ~present () =
     directed = side_create expected_cells;
   }
 
-let n t = t.n
-
 (* Out-of-range peers are ignored rather than rejected: reported rows
    arrive off the wire, and a malformed claim must not crash the audit
    (the claim simply counts for nothing).  Self-claims, claims whose

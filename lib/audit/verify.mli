@@ -36,8 +36,6 @@ val create : ?expected_cells:int -> present:bool array -> unit -> acc
     @raise Invalid_argument on an empty map, or on more than 46340
     ISPs (pair keys must fit the packed 31-bit sort field). *)
 
-val n : acc -> int
-
 val claim : acc -> reporter:int -> peer:int -> int -> unit
 (** Add [v] to what [reporter] claims against [peer].  Self-claims,
     zero claims, claims involving a non-present ISP and out-of-range

@@ -16,11 +16,6 @@ val spam_probability : t -> string list -> float
 (** Posterior probability that a token list is spam; 0.5 when the
     filter has seen no training data. *)
 
-val classify : ?threshold:float -> t -> string list -> Econ.Corpus.label
-(** Label by thresholding {!spam_probability} (default threshold
-    [0.9], the conservative setting real deployments use to limit
-    false positives). *)
-
 type evaluation = {
   true_positives : int;  (** Spam flagged as spam. *)
   false_positives : int;  (** Ham flagged as spam — the §2.2 disaster case. *)

@@ -71,7 +71,3 @@ let population rng p =
       let blasts_per_month = Sim.Dist.uniform_int rng ~lo:1 ~hi:8 in
       v ~id ~list_size:(max 1 list_size) ~blasts_per_month ~response_rate
         ~value_per_response ~infra_cost_per_message:p.infra_cost)
-
-let pp ppf t =
-  Format.fprintf ppf "campaign#%d list=%d r=%.5f v=$%.2f" t.id t.list_size
-    t.response_rate t.value_per_response

@@ -56,5 +56,3 @@ val default_population : population_params
 
 val population : Sim.Rng.t -> population_params -> t list
 (** Draw [n] heterogeneous campaigns. *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,12 +15,7 @@ type profile = {
   weight : float;  (** Share of this profile in the population. *)
 }
 
-val light : profile
 val average : profile
-val heavy : profile
-val broadcaster : profile
-(** A newsletter-ish user who sends far more than they receive: the
-    §1.2 case of someone who must top up (or be subscribed to). *)
 
 val standard_mix : profile list
 (** [light; average; heavy; broadcaster] with weights summing to 1. *)

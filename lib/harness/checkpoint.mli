@@ -43,8 +43,6 @@ val create :
     unreadable or corrupt resume file, or a resume file written by a
     different experiment. *)
 
-val active : t -> bool
-
 val drive : t -> ?label:string -> world:Zmail.World.t -> days:float -> unit -> unit
 (** Advance [world] by [days] simulated days — the checkpoint-aware
     replacement for [World.run_days].  [label] identifies the scenario

@@ -8,7 +8,4 @@
     Sweeps the per-message price over a heterogeneous campaign
     population and reports who stays in business. *)
 
-val prices : float list
-(** Dollars per message: 0 to 5 e-pennies. *)
-
 val run : ?seed:int -> unit -> Sim.Table.t list

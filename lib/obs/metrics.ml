@@ -4,7 +4,6 @@ type instrument =
   | Counter of Stats.Counter.t
   | Gauge of (unit -> float)
   | Summary of Stats.Summary.t
-  | Histogram of Stats.Histogram.t
   | Series of Stats.Series.t
 
 type t = { table : (string, instrument) Hashtbl.t }
@@ -15,7 +14,6 @@ let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Summary _ -> "summary"
-  | Histogram _ -> "histogram"
   | Series _ -> "series"
 
 let wrong_kind name have want =
@@ -53,15 +51,6 @@ let summary t name =
       Hashtbl.replace t.table name (Summary s);
       s
 
-let histogram t name ~lo ~hi ~bins =
-  match Hashtbl.find_opt t.table name with
-  | Some (Histogram h) -> h
-  | Some inst -> wrong_kind name inst "histogram"
-  | None ->
-      let h = Stats.Histogram.create ~lo ~hi ~bins in
-      Hashtbl.replace t.table name (Histogram h);
-      h
-
 let series t name =
   match Hashtbl.find_opt t.table name with
   | Some (Series s) -> s
@@ -95,14 +84,6 @@ let to_table t =
                   (Sim.Table.cell (Stats.Summary.stddev s))
                   (Sim.Table.cell (Stats.Summary.min s))
                   (Sim.Table.cell (Stats.Summary.max s)) )
-        | Histogram h ->
-            if Stats.Histogram.count h = 0 then ("0", "empty")
-            else
-              ( Sim.Table.cell_int (Stats.Histogram.count h),
-                Printf.sprintf "p50=%s p99=%s p999=%s"
-                  (Sim.Table.cell (Stats.Histogram.quantile h 0.5))
-                  (Sim.Table.cell (Stats.Histogram.quantile h 0.99))
-                  (Sim.Table.cell (Stats.Histogram.quantile h 0.999)) )
         | Series s -> (
             ( Sim.Table.cell_int (Stats.Series.length s),
               match Stats.Series.last s with
@@ -114,5 +95,3 @@ let to_table t =
       Sim.Table.add_row tbl [ name; kind_name inst; value; detail ])
     (names t);
   tbl
-
-let print t = Sim.Table.print (to_table t)

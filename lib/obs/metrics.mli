@@ -1,12 +1,12 @@
 (** Metric registry.
 
-    A registry names every counter, gauge, summary, histogram and
-    series a component exposes, so the whole set can be enumerated and
+    A registry names every counter, gauge, summary and series a
+    component exposes, so the whole set can be enumerated and
     dumped as one table instead of each module printing its own ad-hoc
     numbers.  Instruments are the ones from {!Sim.Stats}; the registry
     only owns the naming and the dump.
 
-    [counter]/[summary]/[histogram]/[series] are get-or-create: asking
+    [counter]/[summary]/[series] are get-or-create: asking
     twice for the same name returns the same instrument (and raises
     [Invalid_argument] if the name is already bound to a different
     kind).  Existing instruments created elsewhere can be adopted with
@@ -30,12 +30,6 @@ val gauge : t -> string -> (unit -> float) -> unit
 
 val summary : t -> string -> Sim.Stats.Summary.t
 
-val histogram : t -> string -> lo:float -> hi:float -> bins:int -> Sim.Stats.Histogram.t
-(** Get or create the named histogram over [bins] equal-width bins
-    spanning [lo, hi].  Callers binning a log-transformed value (the
-    serving-path latency histograms record [log10 latency]) get
-    log-spaced buckets in the original unit. *)
-
 val series : t -> string -> Sim.Stats.Series.t
 
 val names : t -> string list
@@ -43,17 +37,4 @@ val names : t -> string list
 
 val to_table : t -> Sim.Table.t
 (** One row per metric: name, kind, value, detail (mean for summaries,
-    p50/p99/p999 for histograms, last sample for series).
-
-    Histogram quantiles are estimated by linear interpolation inside
-    the bin holding the target rank, so the error bound is half the
-    bin width: with [bins] buckets over [lo, hi] a quantile is within
-    [(hi -. lo) /. (2. *. float bins)] of the true order statistic (in
-    the binned unit — for a [log10]-binned histogram that is a
-    relative error of [10 ** (width /. 2.) - 1.] in the original
-    unit, e.g. ~6% for the serving path's 0.05-decade bins).  Tail
-    quantiles such as p999 are only as sharp as the population: below
-    ~1000 samples p999 rides the maximum observation's bin. *)
-
-val print : t -> unit
-(** [Sim.Table.print] of {!to_table}. *)
+    last sample for series). *)

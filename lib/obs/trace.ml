@@ -178,8 +178,3 @@ let clear t =
 let encode_state w t =
   Persist.Codec.W.int w t.next_seq;
   Persist.Codec.W.int w t.next_span
-
-let restore_state r t =
-  if t.inert then Persist.Codec.R.corrupt r "cannot restore into Trace.none";
-  t.next_seq <- Persist.Codec.R.int r;
-  t.next_span <- Persist.Codec.R.int r

@@ -191,8 +191,6 @@ val clear : t -> unit
 (** Empty the ring buffer (sinks and counters are untouched). *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and in-place restore of the monotone emission
-    counters (sequence and span ids).  Ring contents and capacity are a
-    presentation choice and are not captured; restoring into
-    {!none} raises [Persist.Codec.Corrupt]. *)
+(** Snapshot capture of the monotone emission counters (sequence and
+    span ids).  Ring contents and capacity are a presentation choice
+    and are not captured. *)

@@ -11,8 +11,9 @@
 
 exception Corrupt of string
 (** Malformed input: truncated, out-of-range, bad tag, or a
-    state-mismatch detected by a component's [restore_state].  The
-    message includes the byte offset where decoding failed. *)
+    shape mismatch a WAL checkpoint's decoder detects against the live
+    kernel.  The message includes the byte offset where decoding
+    failed. *)
 
 module Crc32 : sig
   val string : ?crc:int -> string -> int
@@ -64,12 +65,11 @@ module R : sig
 
   val of_string : string -> t
   val pos : t -> int
-  val remaining : t -> int
 
   val corrupt : t -> string -> 'a
-  (** Raise {!Corrupt} at the current offset.  Components use this to
-      reject structurally valid input that contradicts the live value
-      being restored (wrong array size, wrong counter name). *)
+  (** Raise {!Corrupt} at the current offset.  Kernel decoders use
+      this to reject structurally valid input that contradicts the live
+      value being restored (wrong array size). *)
 
   val u8 : t -> int
   val u32 : t -> int

@@ -5,8 +5,8 @@
     captured component, each produced with {!Codec.W}.  On disk every
     section body carries its own CRC-32 and the whole file carries a
     trailing CRC over every preceding byte, so a truncated or
-    bit-flipped snapshot fails to decode — it can never restore a
-    subtly wrong world.
+    bit-flipped snapshot fails to decode — a resume never compares
+    against a subtly wrong world.
 
     Versioning: the format version ([version], set by {!v}) is bumped
     whenever any component's encoding changes shape.  Only the current
@@ -23,8 +23,6 @@ type t = {
   time : float;  (** Simulated time of capture, in seconds. *)
   sections : (string * string) list;  (** [(name, body)] in capture order. *)
 }
-
-val magic : string
 
 val v :
   experiment:string ->

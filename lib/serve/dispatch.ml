@@ -26,7 +26,6 @@ type t = {
   mutable started : int;  (* sessions opened *)
 }
 
-let config t = t.cfg
 let slo t = t.slo
 let backpressured t = t.backpressured
 let deferred t = t.deferred
@@ -198,8 +197,6 @@ let attach ?(config = Config.default) ~rng net =
        });
   t
 
-let detach t = Smtp.Mta.set_serving t.net None
-
 let register_metrics t metrics =
   Slo.register t.slo metrics;
   Obs.Metrics.gauge metrics "serve.queue.depth" (fun () ->
@@ -239,30 +236,3 @@ let encode_state w t =
       int w lane.active;
       Queue.encode_state w lane.queue)
     w (sorted_lanes t)
-
-let restore_state r t =
-  let open Persist.Codec.R in
-  t.backpressured <- int r;
-  t.deferred <- int r;
-  t.started <- int r;
-  Sim.Rng.restore_state r t.rng;
-  Slo.restore_state r t.slo;
-  ignore
-    (list
-       (fun r ->
-         let src = int r in
-         let dst = int r in
-         let active = int r in
-         match Hashtbl.find_opt t.lanes (lane_key ~src ~dst) with
-         | None ->
-             corrupt r
-               (Printf.sprintf "Serve.Dispatch: no live lane %d->%d" src dst)
-         | Some lane ->
-             if lane.active <> active then
-               corrupt r
-                 (Printf.sprintf
-                    "Serve.Dispatch: lane %d->%d has %d active sessions, \
-                     snapshot says %d"
-                    src dst lane.active active);
-             Queue.restore_state r lane.queue)
-       r)

@@ -24,11 +24,6 @@ val attach : ?config:Config.t -> rng:Sim.Rng.t -> Smtp.Mta.network -> t
     perturbs workload randomness.
     @raise Invalid_argument on an invalid [config]. *)
 
-val detach : t -> unit
-(** Uninstall, restoring the direct delivery path.  In-flight sessions
-    and queued entries still drain through the dispatcher. *)
-
-val config : t -> Config.t
 val slo : t -> Slo.t
 
 val queue_depth : t -> int
@@ -60,8 +55,7 @@ val register_metrics : t -> Obs.Metrics.t -> unit
     {!Config.sample_period}. *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and verify-restore: counters, the dispatcher RNG,
+(** Snapshot capture: counters, the dispatcher RNG,
     all four SLO histograms, and every lane (sorted by key) with its
     occupancy and queue metadata.  Sessions in flight are engine
     events, rebuilt by deterministic replay like all other pending

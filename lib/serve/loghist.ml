@@ -25,4 +25,3 @@ let quantile t q =
   else 10. ** Sim.Stats.Histogram.quantile t q
 
 let encode_state = Sim.Stats.Histogram.encode_state
-let restore_state = Sim.Stats.Histogram.restore_state

@@ -23,4 +23,3 @@ val quantile : t -> float -> float
     range ends). *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit

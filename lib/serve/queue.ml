@@ -81,22 +81,3 @@ let encode_state w t =
       float w e.submitted;
       int w e.attempt;
       int w (Smtp.Message.size_bytes e.message))
-
-let restore_state r t =
-  let open Persist.Codec.R in
-  let capacity = int r in
-  if capacity <> t.capacity then
-    corrupt r
-      (Printf.sprintf "Serve.Queue: capacity %d does not match live %d" capacity
-         t.capacity);
-  t.admitted <- int r;
-  t.refused <- int r;
-  let len = int r in
-  if len <> t.len then
-    corrupt r
-      (Printf.sprintf "Serve.Queue: %d queued entries vs %d live" len t.len);
-  for _ = 1 to len do
-    ignore (float r);
-    ignore (int r);
-    ignore (int r)
-  done

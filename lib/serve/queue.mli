@@ -42,9 +42,7 @@ val refused : t -> int
 (** Total pushes refused because the queue was full. *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and verify-restore.  Entries carry live messages,
-    so the encoding pins metadata only (admission time, attempt, wire
-    size) — the mail itself is rebuilt by deterministic replay like
-    every pending engine event.  [restore_state] rejects input whose
-    capacity or occupancy contradicts the live queue. *)
+(** Snapshot capture.  Entries carry live messages, so the encoding
+    pins metadata only (admission time, attempt, wire size) — the mail
+    itself is rebuilt by deterministic replay like every pending engine
+    event. *)

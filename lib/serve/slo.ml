@@ -54,4 +54,3 @@ let register t metrics =
     classes
 
 let encode_state w t = List.iter (fun k -> Loghist.encode_state w (hist t k)) classes
-let restore_state r t = List.iter (fun k -> Loghist.restore_state r (hist t k)) classes

@@ -38,5 +38,4 @@ val register : t -> Obs.Metrics.t -> unit
     classes read 0). *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit
 (** All four histograms, in {!classes} order. *)

@@ -11,9 +11,6 @@
 
 let available = true
 
-let recommended () =
-  match Domain.recommended_domain_count () with n when n < 1 -> 1 | n -> n
-
 exception Worker_failure of exn
 
 type worker = {

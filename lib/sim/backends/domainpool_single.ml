@@ -3,7 +3,6 @@
    lib/sim/dune; see domainpool.mli for the contract. *)
 
 let available = false
-let recommended () = 1
 
 exception Worker_failure of exn
 

@@ -98,7 +98,6 @@ let reset_to t bytes =
   Buffer.add_string t.durable bytes;
   Buffer.clear t.tail
 
-let appends t = Stats.Counter.value t.appends
 let flushes t = Stats.Counter.value t.flushes
 let torn_tails t = Stats.Counter.value t.torn_tails
 let lost_bytes t = Stats.Counter.value t.lost_bytes
@@ -111,13 +110,3 @@ let encode_state w t =
   Persist.Codec.W.str w (Buffer.contents t.durable);
   Persist.Codec.W.str w (Buffer.contents t.tail);
   List.iter (Stats.Counter.encode_state w) (counters t)
-
-let restore_state r t =
-  Rng.restore_state r t.rng;
-  let durable = Persist.Codec.R.str r in
-  let tail = Persist.Codec.R.str r in
-  Buffer.clear t.durable;
-  Buffer.add_string t.durable durable;
-  Buffer.clear t.tail;
-  Buffer.add_string t.tail tail;
-  List.iter (Stats.Counter.restore_state r) (counters t)

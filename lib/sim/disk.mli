@@ -17,7 +17,7 @@
     independent of every other stream; a {!reliable} plan draws no
     randomness at all.  All decisions are counted in {!Stats.Counter}
     values, and the full device state (stream, durable bytes, tail,
-    counters) snapshots and restores byte-identically. *)
+    counters) is part of a world's capture. *)
 
 type plan = {
   torn : float;
@@ -70,7 +70,6 @@ val reset_to : t -> string -> unit
 
     All monotone, starting at zero. *)
 
-val appends : t -> int
 val flushes : t -> int
 
 val torn_tails : t -> int
@@ -83,8 +82,6 @@ val lost_bytes : t -> int
 val counters : t -> Stats.Counter.t list
 
 val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and in-place restore of the device's RNG stream,
-    durable bytes, volatile tail and counters (the plan is
-    configuration and is rebuilt by whoever re-creates the device).
-    Restore raises [Persist.Codec.Corrupt] on malformed input. *)
+(** Snapshot capture of the device's RNG stream, durable bytes,
+    volatile tail and counters (the plan is configuration and is
+    rebuilt by whoever re-creates the device). *)

@@ -3,10 +3,6 @@ let bernoulli rng p =
   else if p >= 1. then true
   else Rng.unit_float rng < p
 
-let uniform rng ~lo ~hi =
-  if lo > hi then invalid_arg "Dist.uniform: lo > hi";
-  lo +. Rng.unit_float rng *. (hi -. lo)
-
 let uniform_int rng ~lo ~hi =
   if lo > hi then invalid_arg "Dist.uniform_int: lo > hi";
   lo + Rng.int rng (hi - lo + 1)

@@ -7,9 +7,6 @@ val bernoulli : Rng.t -> float -> bool
 (** [bernoulli rng p] is [true] with probability [p] ([p] clamped to
     [\[0, 1\]]). *)
 
-val uniform : Rng.t -> lo:float -> hi:float -> float
-(** Uniform in [\[lo, hi)].  Requires [lo <= hi]. *)
-
 val uniform_int : Rng.t -> lo:int -> hi:int -> int
 (** Uniform integer in the inclusive range [\[lo, hi\]].  Requires
     [lo <= hi]. *)

@@ -11,9 +11,6 @@
 val available : bool
 (** [true] iff real domain parallelism is compiled in (OCaml >= 5). *)
 
-val recommended : unit -> int
-(** Runtime's recommended domain count ([1] on the fallback). *)
-
 exception Worker_failure of exn
 (** Wraps the first exception raised by any [f xs.(i)]; remaining
     workers drain without starting new elements. *)

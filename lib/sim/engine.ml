@@ -127,9 +127,9 @@ let step t =
    are captured as metadata only — (at, seq, id, foreground) in pop
    order plus the cancellation marks — which is exactly enough to
    byte-compare two engines that are supposed to be in the same state
-   (the resume-determinism check).  [restore_state] rehydrates the
-   scalar state; the queue itself is rebuilt by whoever re-creates the
-   world (deterministic replay, see lib/harness Checkpoint). *)
+   (the resume-determinism check).  Nothing decodes it: a resumed world
+   is rebuilt by deterministic replay and its capture compared (see
+   lib/harness Checkpoint). *)
 let encode_state w t =
   let open Persist.Codec.W in
   float w t.clock;
@@ -149,29 +149,6 @@ let encode_state w t =
   (* Bitset.elements is already ascending, matching the sorted order the
      snapshot format has always used. *)
   list int w (Bitset.elements t.cancelled)
-
-let restore_state r t =
-  let open Persist.Codec.R in
-  t.clock <- float r;
-  t.next_id <- int r;
-  t.fired <- int r;
-  t.stubs <- int r;
-  t.foreground_pending <- int r;
-  let _heap_seq = int r in
-  Rng.restore_state r t.root_rng;
-  let pending =
-    list
-      (fun r ->
-        let at = float r in
-        let seq = int r in
-        let id = int r in
-        let fg = bool r in
-        (at, seq, id, fg))
-      r
-  in
-  let _cancelled = list int r in
-  if Heap.length t.queue <> List.length pending then
-    corrupt r "engine queue does not match the snapshot's pending events"
 
 let run ?until t =
   match until with

@@ -85,13 +85,7 @@ val encode_state : Persist.Codec.W.t -> t -> unit
 (** Capture clock, id/sequence counters, the root RNG and the pending
     event {e metadata} — (time, sequence, id, foreground) per queued
     entry plus cancellation marks.  Event callbacks are closures and
-    are deliberately not serialized: a snapshot is restored by
-    deterministically re-creating the world (which rebuilds the same
-    closures) and then byte-comparing this capture.  See DESIGN.md §8. *)
-
-val restore_state : Persist.Codec.R.t -> t -> unit
-(** Overwrite the scalar state (clock, counters, RNG) from a capture.
-    The pending-event metadata is read and checked against the live
-    queue's length; it cannot recreate callbacks.
-    @raise Persist.Codec.Corrupt on malformed input or a queue-shape
-    mismatch. *)
+    are deliberately not serialized, and the capture is never decoded:
+    a run resumes by deterministically re-creating the world (which
+    rebuilds the same closures) and then byte-comparing this capture.
+    See DESIGN.md §8. *)

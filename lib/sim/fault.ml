@@ -236,8 +236,4 @@ module Mesh = struct
   let encode_state w t =
     Rng.encode_state w t.rng;
     List.iter (Stats.Counter.encode_state w) (counters t)
-
-  let restore_state r t =
-    Rng.restore_state r t.rng;
-    List.iter (Stats.Counter.restore_state r) (counters t)
 end

@@ -142,7 +142,6 @@ module Mesh : sig
   val counters : t -> Stats.Counter.t list
 
   val encode_state : Persist.Codec.W.t -> t -> unit
-  val restore_state : Persist.Codec.R.t -> t -> unit
-  (** Capture/restore of the mesh RNG stream and counters (the static
+  (** Capture of the mesh RNG stream and counters (the static
       plan/partition configuration is rebuilt by replay, not stored). *)
 end

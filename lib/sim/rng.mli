@@ -40,15 +40,13 @@ val split : t -> t
 
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture/restore of the single state word (see
-    [lib/persist]); [restore_state] overwrites [t] in place so every
-    component already holding this generator keeps its reference. *)
+(** Capture/restore of the single state word (see [lib/persist]).
+    Restore is reached only from a WAL checkpoint image (a kernel's
+    [restore_kernel]); it overwrites [t] in place so every component
+    already holding this generator keeps its reference. *)
 
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
-
-val bits : t -> int
-(** 62 uniformly random non-negative bits as an OCaml [int]. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)

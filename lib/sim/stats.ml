@@ -62,10 +62,6 @@ module Summary = struct
       }
     end
 
-  let pp ppf t =
-    Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.n (mean t)
-      (stddev t) (min t) (max t)
-
   let encode_state w t =
     let open Persist.Codec.W in
     int w t.n;
@@ -74,15 +70,6 @@ module Summary = struct
     float w t.sum;
     float w t.minimum;
     float w t.maximum
-
-  let restore_state r t =
-    let open Persist.Codec.R in
-    t.n <- int r;
-    t.mean <- float r;
-    t.m2 <- float r;
-    t.sum <- float r;
-    t.minimum <- float r;
-    t.maximum <- float r
 end
 
 module Histogram = struct
@@ -146,10 +133,6 @@ module Histogram = struct
       end
     end
 
-  let pp ppf t =
-    Format.fprintf ppf "[%.3g,%.3g) n=%d p50=%.3g p99=%.3g" t.lo t.hi (count t)
-      (quantile t 0.5) (quantile t 0.99)
-
   let encode_state w t =
     let open Persist.Codec.W in
     float w t.lo;
@@ -157,17 +140,6 @@ module Histogram = struct
     int_array w t.buckets;
     int w t.under;
     int w t.over
-
-  let restore_state r t =
-    let open Persist.Codec.R in
-    let lo = float r in
-    let hi = float r in
-    let buckets = int_array r in
-    if lo <> t.lo || hi <> t.hi || Array.length buckets <> Array.length t.buckets
-    then Persist.Codec.R.corrupt r "histogram shape mismatch";
-    Array.blit buckets 0 t.buckets 0 (Array.length buckets);
-    t.under <- int r;
-    t.over <- int r
 end
 
 module Series = struct
@@ -182,16 +154,6 @@ module Series = struct
   let last t =
     match t.samples with [] -> None | sample :: _ -> Some sample
 
-  let encode_state w t =
-    let open Persist.Codec.W in
-    str w t.label;
-    list (pair float float) w t.samples
-
-  let restore_state r t =
-    let open Persist.Codec.R in
-    let label = str r in
-    if label <> t.label then Persist.Codec.R.corrupt r "series label mismatch";
-    t.samples <- list (pair float float) r
 end
 
 module Counter = struct
@@ -205,9 +167,4 @@ module Counter = struct
   let encode_state w t =
     Persist.Codec.W.str w t.label;
     Persist.Codec.W.int w t.n
-
-  let restore_state r t =
-    let label = Persist.Codec.R.str r in
-    if label <> t.label then Persist.Codec.R.corrupt r "counter label mismatch";
-    t.n <- Persist.Codec.R.int r
 end

@@ -29,13 +29,8 @@ module Summary : sig
       an empty summary is the identity: the other side's extrema are
       preserved and no [nan] is introduced. *)
 
-  val pp : Format.formatter -> t -> unit
-
   val encode_state : Persist.Codec.W.t -> t -> unit
-  val restore_state : Persist.Codec.R.t -> t -> unit
-  (** Snapshot capture and in-place restore (see [lib/persist]).
-      [restore_state] rejects input whose shape or label contradicts
-      the live instrument. *)
+  (** Snapshot capture (see [lib/persist]). *)
 end
 
 (** Fixed-range linear histogram with under/overflow buckets. *)
@@ -64,13 +59,8 @@ module Histogram : sig
       [overflow t > 0]) the result is exactly [hi].  No extrapolation
       beyond [\[lo, hi\]] is ever performed. *)
 
-  val pp : Format.formatter -> t -> unit
-
   val encode_state : Persist.Codec.W.t -> t -> unit
-  val restore_state : Persist.Codec.R.t -> t -> unit
-  (** Snapshot capture and in-place restore (see [lib/persist]).
-      [restore_state] rejects input whose shape or label contradicts
-      the live instrument. *)
+  (** Snapshot capture (see [lib/persist]). *)
 end
 
 (** Time-stamped series of samples, recorded in increasing time order. *)
@@ -86,11 +76,6 @@ module Series : sig
 
   val last : t -> (float * float) option
 
-  val encode_state : Persist.Codec.W.t -> t -> unit
-  val restore_state : Persist.Codec.R.t -> t -> unit
-  (** Snapshot capture and in-place restore (see [lib/persist]).
-      [restore_state] rejects input whose shape or label contradicts
-      the live instrument. *)
 end
 
 (** Named monotone counters. *)
@@ -103,8 +88,5 @@ module Counter : sig
   val value : t -> int
 
   val encode_state : Persist.Codec.W.t -> t -> unit
-  val restore_state : Persist.Codec.R.t -> t -> unit
-  (** Snapshot capture and in-place restore (see [lib/persist]).
-      [restore_state] rejects input whose shape or label contradicts
-      the live instrument. *)
+  (** Snapshot capture (see [lib/persist]). *)
 end

@@ -13,8 +13,6 @@ let add_row t row =
          t.caption (List.length t.header) (List.length row));
   t.body <- row :: t.body
 
-let title t = t.caption
-let columns t = t.header
 let rows t = List.rev t.body
 
 let cell v = Printf.sprintf "%.4g" v

@@ -12,8 +12,6 @@ val add_row : t -> string list -> unit
 (** Append a row.
     @raise Invalid_argument if the arity differs from the header. *)
 
-val title : t -> string
-val columns : t -> string list
 val rows : t -> string list list
 (** Rows in insertion order. *)
 

@@ -130,6 +130,4 @@ let compare a b =
   | 0 -> String.compare a.local b.local
   | c -> c
 
-let hash t = Hashtbl.hash (t.local, t.domain)
-
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -71,5 +71,4 @@ val equal : t -> t -> bool
     (the common conservative interpretation). *)
 
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

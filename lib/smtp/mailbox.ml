@@ -37,8 +37,4 @@ let count t address =
 
 let total t = H.fold (fun _ e acc -> acc + List.length e.items) t 0
 
-let users t =
-  H.fold (fun a e acc -> if e.items = [] then acc else a :: acc) t []
-  |> List.sort Address.compare
-
 let clear t address = H.remove t address

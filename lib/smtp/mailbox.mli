@@ -15,7 +15,4 @@ val count : t -> Address.t -> int
 val total : t -> int
 (** Messages across all inboxes. *)
 
-val users : t -> Address.t list
-(** Addresses that have received at least one message, sorted. *)
-
 val clear : t -> Address.t -> unit

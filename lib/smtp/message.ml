@@ -1081,5 +1081,3 @@ let of_lines lines =
   finish r
 
 let of_string s = of_lines (String.split_on_char '\n' s)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -265,5 +265,3 @@ val to_string : t -> string
 (** One allocation of {!size_bytes} bytes. *)
 
 val of_string : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

@@ -157,7 +157,6 @@ let create net ~hostname ~domains =
 
 let host t = t.host
 let hostname t = Message.host_to_string t.hostname
-let domains t = t.domains
 let mailboxes t = t.mailboxes
 
 let set_outbound_stamp t f = t.outbound_stamp <- f

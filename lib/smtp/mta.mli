@@ -76,7 +76,6 @@ val create : network -> hostname:string -> domains:string list -> t
 
 val host : t -> Dns.host
 val hostname : t -> string
-val domains : t -> string list
 val mailboxes : t -> Mailbox.t
 
 val set_outbound_stamp : t -> (Envelope.t -> Message.t -> Message.t) -> unit

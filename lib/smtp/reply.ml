@@ -36,5 +36,3 @@ let of_line line =
         Ok { code; text }
 
 let equal a b = a.code = b.code && String.equal a.text b.text
-
-let pp ppf t = Format.pp_print_string ppf (to_line t)

@@ -28,4 +28,3 @@ val is_transient_failure : t -> bool
 val to_line : t -> string
 val of_line : string -> (t, string) result
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

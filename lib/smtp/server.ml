@@ -166,8 +166,6 @@ let on_line t line =
       | Ok command -> Some (on_command t command)
       | Error _ -> Some Reply.syntax_error)
 
-let received t = List.rev t.inbox
-
 let take_received t =
   let all = List.rev t.inbox in
   t.inbox <- [];

@@ -52,11 +52,8 @@ val on_line : t -> string -> Reply.t option
     lines.  A [QUIT] reply (221) ends the session; further lines get
     421. *)
 
-val received : t -> (Envelope.t * Message.t) list
-(** Messages completed so far, oldest first (kept until taken). *)
-
 val take_received : t -> (Envelope.t * Message.t) list
-(** As {!received}, and clears the queue. *)
+(** Messages completed so far, oldest first, and clears the queue. *)
 
 val closed : t -> bool
 

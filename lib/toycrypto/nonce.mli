@@ -21,5 +21,6 @@ val count : t -> int
 
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and in-place restore of the generator's RNG stream
-    and counter. *)
+(** Capture and in-place restore of the generator's RNG stream and
+    counter; restore is reached only from an ISP's WAL checkpoint
+    image. *)

@@ -42,7 +42,6 @@ let create behavior =
   | Understate_owed _ | Drop_crosscheck _ | Replay_stale -> ());
   { behavior; last = None; tampered = 0; rounds = 0 }
 
-let behavior t = t.behavior
 let tampered t = t.tampered
 let rounds t = t.rounds
 
@@ -188,12 +187,6 @@ let encode_state w t =
   int w t.tampered;
   int w t.rounds
 
-let restore_state r t =
-  let open Persist.Codec.R in
-  t.last <- opt (array (pair int int)) r;
-  t.tampered <- int r;
-  t.rounds <- int r
-
 (* ------------------------------------------------------------------ *)
 (* Bank-wire tampering                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -251,12 +244,10 @@ module Bank_wire = struct
     { behavior; rng; captured = []; captured_signed = []; forged = 0;
       replayed = 0; delayed = 0; dropped = 0; passed = 0 }
 
-  let behavior t = t.behavior
   let forged t = t.forged
   let replayed t = t.replayed
   let delayed t = t.delayed
   let dropped t = t.dropped
-  let passed t = t.passed
 
   let name = function
     | Forge_garbage p -> Printf.sprintf "forge(%.2f)" p
@@ -367,21 +358,4 @@ module Bank_wire = struct
     int w t.delayed;
     int w t.dropped;
     int w t.passed
-
-  let restore_state r t =
-    let open Persist.Codec.R in
-    Sim.Rng.restore_state r t.rng;
-    t.captured <- list Toycrypto.Seal.decode_bin r;
-    t.captured_signed <-
-      list
-        (fun r ->
-          let payload = Wire.decode_bin r in
-          let signature = int r in
-          { Wire.payload; signature })
-        r;
-    t.forged <- int r;
-    t.replayed <- int r;
-    t.delayed <- int r;
-    t.dropped <- int r;
-    t.passed <- int r
 end

@@ -51,8 +51,6 @@ val create : behavior -> t
     negative peer index, or a degenerate [Collude] adjustment (empty,
     zero delta, or duplicate peers). *)
 
-val behavior : t -> behavior
-
 val tamper : t -> seq:int -> (int * int) array -> (int * int) array
 (** The function to install with {!Isp.set_audit_tamper}.  Rows are
     sparse [(peer, count)] pairs sorted by peer; every branch returns
@@ -98,7 +96,6 @@ val name : behavior -> string
 (** Short label for tables, e.g. ["understate(3)"]. *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit
 (** [Replay_stale]'s remembered row is real protocol state (the next
     lie depends on it), so adversaries ride in world captures; the
     counters come along so resumed tables match byte-for-byte. *)
@@ -141,8 +138,6 @@ module Bank_wire : sig
       @raise Invalid_argument on a probability outside [\[0,1\]] (or
       [\[0,1)] for [Drop_selective]) or a non-positive delay. *)
 
-  val behavior : t -> wire_behavior
-
   type verdict =
     | Pass  (** Deliver unchanged. *)
     | Drop  (** Swallow the message. *)
@@ -170,10 +165,8 @@ module Bank_wire : sig
   val replayed : t -> int
   val delayed : t -> int
   val dropped : t -> int
-  val passed : t -> int
 
   val encode_state : Persist.Codec.W.t -> t -> unit
-  val restore_state : Persist.Codec.R.t -> t -> unit
   (** The RNG stream and the capture buffers are live protocol state
       (the next verdict depends on both), so taps ride in world
       captures for resume determinism. *)

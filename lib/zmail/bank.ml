@@ -111,8 +111,8 @@ let wal_replayed t = Journal.replayed t.wal
 (* ------------------------------------------------------------------ *)
 
 (* The keypair is not captured: it is derived deterministically from
-   the creation RNG, so the world-rebuild that precedes a restore
-   regenerates the identical keys.  The reply cache is sorted by
+   the creation RNG, so a rebuilt bank (a resumed world's, or a WAL
+   recovery's) has the identical keys.  The reply cache is sorted by
    (isp, nonce) so equal banks encode identically regardless of
    Hashtbl internals.
 
@@ -213,10 +213,6 @@ let restore_kernel r t =
 let encode_state w t =
   encode_kernel w t;
   Journal.encode_state w t.wal
-
-let restore_state r t =
-  restore_kernel r t;
-  Journal.restore_state r t.wal
 
 let durable_image t = Persist.Codec.to_string encode_kernel t
 

@@ -188,16 +188,14 @@ val resend_audit_request : t -> isp:int -> Wire.signed option
     ahead. *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and in-place restore of accounts, the reply cache
-    (sorted by (isp, nonce) so equal banks encode identically), the
-    partition carry matrix, the audit state and all counters — plus,
-    when a disk is attached, the storage device and WAL bookkeeping.
-    The RSA keypair is {e not} captured:
-    it is derived deterministically from the creation RNG, so the
-    world-rebuild preceding a restore regenerates identical keys.
-    Restore raises [Persist.Codec.Corrupt] on malformed input or a
-    shape mismatch. *)
+(** Snapshot capture of accounts, the reply cache (sorted by
+    (isp, nonce) so equal banks encode identically), the partition
+    carry matrix, the audit state and all counters — plus, when a disk
+    is attached, the storage device and WAL bookkeeping.  The RSA
+    keypair is {e not} captured: it is derived deterministically from
+    the creation RNG, so a re-created bank has identical keys.  Nothing
+    decodes the capture: only the {!durable_image} part is ever read
+    back, by {!recover_wal}. *)
 
 (** {1 Crash and WAL recovery}
 

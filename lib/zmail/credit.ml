@@ -55,8 +55,6 @@ let tracing t = Obs.Trace.active t.tracer
 
 let ev t payload = Obs.Trace.emit t.tracer ~actor:t.owner payload
 
-let n t = t.n
-
 let get t peer = Row.get t.now peer
 
 let record_send t ~peer =

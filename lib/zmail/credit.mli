@@ -17,7 +17,6 @@ type t
 (** A mutable credit vector over [n] peers. *)
 
 val create : n:int -> t
-val n : t -> int
 val get : t -> int -> int
 
 val set_tracer : t -> owner:int -> Obs.Trace.t -> unit
@@ -100,8 +99,9 @@ val reset_upto : t -> seq:int -> unit
 
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and in-place restore of the current-period and
-    early-receive vectors, in canonical sorted sparse-pairs form
+(** Capture and in-place restore of the current-period and
+    early-receive vectors (restore is reached only from an ISP's WAL
+    checkpoint image), in canonical sorted sparse-pairs form
     (snapshot v5): equal vectors encode to identical bytes.  The tracer
     binding is wiring, not state, and is untouched.  Restore raises
     [Persist.Codec.Corrupt] on an out-of-range peer or malformed row. *)

@@ -167,10 +167,6 @@ let encode_state w t =
   encode_kernel w t;
   Journal.encode_state w t.wal
 
-let restore_state r t =
-  restore_kernel r t;
-  Journal.restore_state r t.wal
-
 let durable_image t = Persist.Codec.to_string encode_kernel t
 
 (* ------------------------------------------------------------------ *)
@@ -190,8 +186,8 @@ let durable_image t = Persist.Codec.to_string encode_kernel t
    or emitted a message to the outside world flushes immediately — the
    effect must not be observable anywhere while the record that
    explains it is volatile.  Records that move no money and emit
-   nothing (free sends, blocked sends, warning drains,
-   honest end-of-day resets, audit freezes) are lazy: they flush when
+   nothing (blocked sends, warning drains, honest end-of-day resets,
+   audit freezes) are lazy: they flush when
    [wal_group] of them accumulate or when the next mandatory record
    flushes the whole tail.  Losing a lazy suffix in a power cut
    therefore never loses a penny, which is what E23 asserts cell by
@@ -317,10 +313,10 @@ let charge_send t ~sender ~dest_isp =
   if not t.cansend then Deferred
   else begin
     let outcome = charge_exec t ~sender ~dest_isp in
-    if Journal.logging t.wal then
-      Journal.append t.wal t
-        ~flush:(match outcome with Sent_paid -> true | _ -> false)
-        (fun w ->
+    (* A free send changes no state and draws nothing, so replaying it
+       would do nothing: it is not logged. *)
+    if Journal.logging t.wal && outcome <> Sent_free then
+      Journal.append t.wal t ~flush:(outcome = Sent_paid) (fun w ->
           Persist.Codec.W.u8 w tag_charge;
           Persist.Codec.W.int w sender;
           Persist.Codec.W.int w dest_isp);

@@ -110,13 +110,12 @@ val durable_image : t -> string
     of it. *)
 
 val encode_state : Persist.Codec.W.t -> t -> unit
-val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and in-place restore of the full kernel state
-    (the tracer binding and the identity-bearing [config] excepted),
-    including — when a disk is attached — the storage device and the
-    WAL bookkeeping, so a resumed run re-creates crash/recovery
-    byte-identically.  Restore raises [Persist.Codec.Corrupt] on
-    malformed input or a shape mismatch against the live kernel. *)
+(** Snapshot capture of the full kernel state (the tracer binding and
+    the identity-bearing [config] excepted), including — when a disk
+    is attached — the storage device and the WAL bookkeeping, so a
+    resumed run's capture pins crash/recovery byte-for-byte.  Nothing
+    decodes it: only the {!durable_image} part is ever read back, by
+    {!recover_wal}. *)
 
 (** {1 Mail path (§4.1)} *)
 

@@ -131,14 +131,3 @@ let encode_state w = function
       int w j.since_checkpoint;
       int w j.appended;
       int w j.replayed
-
-let restore_state r = function
-  | Off -> ()
-  | On j ->
-      let open Persist.Codec.R in
-      Sim.Disk.restore_state r j.disk;
-      j.seq <- int r;
-      (match j.commit with Group _ -> j.lazy_count <- int r | Every_record -> ());
-      j.since_checkpoint <- int r;
-      j.appended <- int r;
-      j.replayed <- int r

@@ -125,8 +125,7 @@ val recover :
     damaged log. *)
 
 val encode_state : Persist.Codec.W.t -> 'k t -> unit
-val restore_state : Persist.Codec.R.t -> 'k t -> unit
-(** Snapshot capture and in-place restore of the device
+(** Snapshot capture of the device
     ({!Sim.Disk.encode_state}) and the log bookkeeping: next sequence
     number, lazy count (under [Group] only), records since the last
     checkpoint, {!appended} and {!replayed}.  Nothing for {!off}. *)

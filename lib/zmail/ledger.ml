@@ -22,7 +22,6 @@ let create ~n_users ~initial_balance ~initial_account ~daily_limit ~initial_avai
     avail = initial_avail;
   }
 
-let n_users t = Array.length t.balance
 let balance t ~user = t.balance.(user)
 let account t ~user = t.account.(user)
 let sent_today t ~user = t.sent.(user)

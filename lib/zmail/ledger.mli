@@ -19,7 +19,6 @@ val create :
   n_users:int -> initial_balance:Epenny.amount -> initial_account:int ->
   daily_limit:int -> initial_avail:Epenny.amount -> t
 
-val n_users : t -> int
 val balance : t -> user:int -> Epenny.amount
 val account : t -> user:int -> int
 val sent_today : t -> user:int -> int
@@ -51,7 +50,8 @@ val total_epennies : t -> Epenny.amount
 
 val encode_state : Persist.Codec.W.t -> t -> unit
 val restore_state : Persist.Codec.R.t -> t -> unit
-(** Snapshot capture and in-place restore of every per-user array and
-    the pool.  [daily_limit] is configuration, not state: it is not
-    captured.  Restore raises [Persist.Codec.Corrupt] if the snapshot
-    was taken over a different number of users. *)
+(** Capture and in-place restore of every per-user array and the pool;
+    restore is reached only from an ISP's WAL checkpoint image.
+    [daily_limit] is configuration, not state: it is not captured.
+    Restore raises [Persist.Codec.Corrupt] if the image was taken over
+    a different number of users. *)

@@ -32,7 +32,6 @@ let create ~list_id ~address =
     post_open = false;
   }
 
-let list_id t = t.list_id
 let address t = t.address
 
 let subscribe t addr =

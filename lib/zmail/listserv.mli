@@ -20,7 +20,6 @@ val create : list_id:string -> address:Smtp.Address.t -> t
     @raise Invalid_argument if [list_id] is not a valid header value
     ({!Smtp.Message.check_header}). *)
 
-val list_id : t -> string
 val address : t -> Smtp.Address.t
 
 val subscribe : t -> Smtp.Address.t -> unit

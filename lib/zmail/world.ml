@@ -164,12 +164,10 @@ let engine t = t.engine
 let config t = t.cfg
 let federation t = t.fed
 let bank t = Federation.bank t.fed 0
-let tracer t = t.tracer
 let metrics t = t.metrics
 let mta t i = t.mtas.(i)
 let counters t = t.stats
 let mesh t = t.mesh
-let adversaries t = t.adversaries
 let bank_wire_taps t = t.bank_taps
 let link_stats t = t.link
 let isp_up t i = t.up.(i)

@@ -198,10 +198,6 @@ val mta : t -> int -> Smtp.Mta.t
 
 (** {1 Observability} *)
 
-val tracer : t -> Obs.Trace.t
-(** The tracer every component emits into: [cfg.tracer] when supplied,
-    otherwise the world's private one. *)
-
 val metrics : t -> Obs.Metrics.t
 (** The registry holding the link/fault counters, mail gauges, engine
     instruments and deferral summary; dump with
@@ -285,9 +281,6 @@ val register_adversary : t -> isp:int -> Adversary.t -> unit
     scopes correctly.
     @raise Invalid_argument for an out-of-range or non-compliant index
     or a doubly-registered ISP. *)
-
-val adversaries : t -> (int * Adversary.t) list
-(** Registered adversaries in registration order. *)
 
 val bank_wire_taps : t -> (int * Adversary.Bank_wire.t) list
 (** The live bank-wire taps built from [cfg.bank_wire], in

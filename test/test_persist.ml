@@ -147,61 +147,6 @@ let rng_roundtrip () =
   let got = Array.init 100 (fun _ -> Sim.Rng.int64 fresh) in
   checkb "restored rng continues the same stream" true (expect = got)
 
-let stats_roundtrip () =
-  let s = Sim.Stats.Summary.create () in
-  List.iter (Sim.Stats.Summary.add s) [ 1.5; -2.0; 7.25; 0.0; 3.75 ];
-  let s' = Sim.Stats.Summary.create () in
-  restore_into
-    (fun r -> Sim.Stats.Summary.restore_state r s')
-    (Codec.to_string Sim.Stats.Summary.encode_state s);
-  checki "summary count" (Sim.Stats.Summary.count s) (Sim.Stats.Summary.count s');
-  check (Alcotest.float 0.) "summary mean" (Sim.Stats.Summary.mean s)
-    (Sim.Stats.Summary.mean s');
-  check (Alcotest.float 1e-9) "summary stddev" (Sim.Stats.Summary.stddev s)
-    (Sim.Stats.Summary.stddev s');
-  let h = Sim.Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Sim.Stats.Histogram.add h) [ -1.; 0.5; 2.5; 2.6; 9.9; 42. ];
-  let h' = Sim.Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  restore_into
-    (fun r -> Sim.Stats.Histogram.restore_state r h')
-    (Codec.to_string Sim.Stats.Histogram.encode_state h);
-  checki "histogram count" (Sim.Stats.Histogram.count h)
-    (Sim.Stats.Histogram.count h');
-  checki "histogram underflow" (Sim.Stats.Histogram.underflow h)
-    (Sim.Stats.Histogram.underflow h');
-  checki "histogram overflow" (Sim.Stats.Histogram.overflow h)
-    (Sim.Stats.Histogram.overflow h');
-  for b = 0 to 4 do
-    checki "histogram bucket" (Sim.Stats.Histogram.bucket h b)
-      (Sim.Stats.Histogram.bucket h' b)
-  done;
-  let series = Sim.Stats.Series.create "s" in
-  Sim.Stats.Series.record series ~time:1. 10.;
-  Sim.Stats.Series.record series ~time:2. 20.;
-  let series' = Sim.Stats.Series.create "s" in
-  restore_into
-    (fun r -> Sim.Stats.Series.restore_state r series')
-    (Codec.to_string Sim.Stats.Series.encode_state series);
-  checkb "series points" true
-    (Sim.Stats.Series.to_list series = Sim.Stats.Series.to_list series');
-  let c = Sim.Stats.Counter.create "hits" in
-  Sim.Stats.Counter.incr ~by:41 c;
-  let c' = Sim.Stats.Counter.create "hits" in
-  restore_into
-    (fun r -> Sim.Stats.Counter.restore_state r c')
-    (Codec.to_string Sim.Stats.Counter.encode_state c);
-  checki "counter value" 41 (Sim.Stats.Counter.value c');
-  (* A counter image names its counter; restoring it into a different
-     counter is a shape mismatch, not a silent reassignment. *)
-  let other = Sim.Stats.Counter.create "misses" in
-  (match
-     Codec.decode
-       (fun r -> Sim.Stats.Counter.restore_state r other)
-       (Codec.to_string Sim.Stats.Counter.encode_state c)
-   with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "counter image restored under the wrong name")
-
 let nonce_roundtrip () =
   let g = Toycrypto.Nonce.create (Sim.Rng.create 9) in
   for _ = 1 to 13 do ignore (Toycrypto.Nonce.next g) done;
@@ -750,7 +695,6 @@ let () =
       ( "components",
         [
           ("rng stream", `Quick, rng_roundtrip);
-          ("stats", `Quick, stats_roundtrip);
           ("nonce generator", `Quick, nonce_roundtrip);
           ("ledger", `Quick, ledger_roundtrip);
           ("credit", `Quick, credit_roundtrip);

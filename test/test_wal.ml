@@ -331,31 +331,30 @@ let disk_torn_strict_prefix () =
   Sim.Disk.power_cut d;
   checki "empty-tail cut counted" (cuts + 1) (disk_counter d "power_cuts")
 
-let disk_state_roundtrip () =
-  let drive d =
+(* A capture is a fingerprint: two devices driven the same way encode
+   identically, and two that differ only in the RNG stream or only in
+   the unflushed tail encode differently. *)
+let disk_capture_pins_state () =
+  let device seed = Sim.Disk.create ~plan:(Sim.Disk.plan ~torn:0.7 ~rot:0.4 ()) (Sim.Rng.create seed) in
+  let drive d ~tail =
     Sim.Disk.append d "abc";
     Sim.Disk.flush d;
     Sim.Disk.append d "defgh";
     Sim.Disk.power_cut d;
-    Sim.Disk.append d "tail-in-flight"
+    Sim.Disk.append d tail
   in
-  let d = Sim.Disk.create ~plan:(Sim.Disk.plan ~torn:0.7 ~rot:0.4 ()) (Sim.Rng.create 13) in
-  drive d;
-  let img = Persist.Codec.to_string (fun w () -> Sim.Disk.encode_state w d) () in
-  let d2 = Sim.Disk.create ~plan:(Sim.Disk.plan ~torn:0.7 ~rot:0.4 ()) (Sim.Rng.create 99) in
-  (match Persist.Codec.decode (fun r -> Sim.Disk.restore_state r d2) img with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "restore failed: %s" e);
-  let img2 = Persist.Codec.to_string (fun w () -> Sim.Disk.encode_state w d2) () in
-  checkb "device state snapshots byte-identically" true (String.equal img img2);
-  (* The restored RNG stream continues identically: the next faulty
-     power cut makes the same decisions on both devices. *)
-  Sim.Disk.power_cut d;
-  Sim.Disk.power_cut d2;
-  checkb "restored stream reproduces fault decisions" true
-    (String.equal
-       (Persist.Codec.to_string (fun w () -> Sim.Disk.encode_state w d) ())
-       (Persist.Codec.to_string (fun w () -> Sim.Disk.encode_state w d2) ()))
+  let capture d = Persist.Codec.to_string (fun w () -> Sim.Disk.encode_state w d) () in
+  let driven seed ~tail =
+    let d = device seed in
+    drive d ~tail;
+    capture d
+  in
+  checkb "same drive, same capture" true
+    (String.equal (driven 13 ~tail:"tail-in-flight") (driven 13 ~tail:"tail-in-flight"));
+  checkb "the capture pins the unflushed tail" false
+    (String.equal (driven 13 ~tail:"tail-in-flight") (driven 13 ~tail:"tail-in-flighT"));
+  checkb "the capture pins the RNG stream" false
+    (String.equal (capture (device 13)) (capture (device 99)))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel WAL: crash replay equivalence and conservation               *)
@@ -392,9 +391,8 @@ let drive_ops k ops =
           ignore (Zmail.Isp.limit_warnings k))
     ops
 
-let mk_wal_kernel ~seed ~plan ~wal_group () =
+let mk_wal_kernel ?(compliant = [| true; true; true |]) ~seed ~plan ~wal_group () =
   let rng = Sim.Rng.create seed in
-  let compliant = [| true; true; true |] in
   let bank = Zmail.Bank.create rng (Zmail.Bank.default_config ~n_isps:3 ~compliant) in
   let disk = Sim.Disk.create ~plan (Sim.Rng.create (seed + 7)) in
   ( Zmail.Isp.create ~disk ~wal_group rng
@@ -441,6 +439,28 @@ let replay_equals_image =
           (recovered ~seed ~crash_first (fun k -> drive_ops k ops))
       in
       String.equal (run false) (run true))
+
+(* A free send (to a non-compliant ISP) changes no kernel state, so it
+   is not logged; a log of mixed free and paid sends still recovers to
+   the live kernel's image. *)
+let free_sends_log_nothing () =
+  let k, _ =
+    mk_wal_kernel ~compliant:[| true; true; false |] ~seed:5 ~plan:Sim.Disk.reliable
+      ~wal_group:1 ()
+  in
+  let appended = Zmail.Isp.wal_appended k in
+  (match Zmail.Isp.charge_send k ~sender:0 ~dest_isp:2 with
+  | Zmail.Isp.Sent_free -> ()
+  | _ -> Alcotest.fail "a send to a non-compliant ISP was not free");
+  checki "a free send appends no record" appended (Zmail.Isp.wal_appended k);
+  List.iter
+    (fun (sender, dest_isp) -> ignore (Zmail.Isp.charge_send k ~sender ~dest_isp))
+    [ (0, 1); (1, 2); (2, 0); (1, 1); (0, 2); (2, 2); (2, 1) ];
+  checki "only the four paid sends are logged" (appended + 4) (Zmail.Isp.wal_appended k);
+  let live = Zmail.Isp.durable_image k in
+  crash_and_recover k;
+  checkb "recovery after free and paid sends equals the live image" true
+    (String.equal live (Zmail.Isp.durable_image k))
 
 (* Under lazy group commit on a hostile device (torn tails, bit rot),
    recovery may rewind counter-only records — but never a penny: every
@@ -627,12 +647,13 @@ let () =
           Alcotest.test_case "append/flush/power-cut semantics" `Quick disk_semantics;
           Alcotest.test_case "torn fragment is a strict prefix" `Quick
             disk_torn_strict_prefix;
-          Alcotest.test_case "state roundtrip" `Quick disk_state_roundtrip;
+          Alcotest.test_case "capture pins stream and tail" `Quick disk_capture_pins_state;
         ] );
       ( "kernel",
         [
           qtest replay_equals_image;
           qtest conservation_across_crash;
+          Alcotest.test_case "free sends log nothing" `Quick free_sends_log_nothing;
           Alcotest.test_case "compaction" `Quick wal_compaction;
           Alcotest.test_case "bank compaction" `Quick bank_wal_compaction;
           Alcotest.test_case "bank replay + reply cache" `Quick bank_wal_replay;
